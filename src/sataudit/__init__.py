@@ -24,8 +24,8 @@ from .metrics import MetricKind, MetricVector, metric_vector
 from .multilevel import (MultilevelFit, PriorConfig, build_observations,
                          fit_multilevel, max_group_gap, prediction_grid)
 from .pairwise import (DEFAULT_THRESHOLDS, PairModel, PairThresholds,
-                       derive_thresholds, derive_thresholds_from_deltas,
-                       eligible_queries, fit_pair_model, label_pair_external,
+                       derive_thresholds_from_deltas, eligible_queries,
+                       fit_pair_model, label_pair_external,
                        label_pair_internal, label_sample, predict_pair_prob,
                        probability_grid, sample_pairs)
 from .synth import (BehaviorModel, GroundTruth, QuerySpec, ScenarioConfig,
@@ -40,9 +40,9 @@ __all__ = [
     "MatchedCohort", "MetricKind", "MetricVector", "MultilevelFit",
     "NormalizedScores", "PairModel", "PairThresholds", "PriorConfig",
     "QuerySpec", "RawScores", "SatauditError", "ScenarioConfig",
-    "all_profiles", "build_observations", "derive_thresholds",
-    "derive_thresholds_from_deltas", "eligible_queries", "emit",
-    "estimate_difficulty", "fit_multilevel", "fit_pair_model", "generate",
+    "all_profiles", "build_observations", "derive_thresholds_from_deltas",
+    "eligible_queries", "emit", "estimate_difficulty", "fit_multilevel",
+    "fit_pair_model", "generate",
     "head_tail_classify", "ingest", "label_pair_external",
     "label_pair_internal", "label_sample", "match_contexts",
     "matched_scores", "max_group_gap", "metric_vector", "normalize",

@@ -16,16 +16,16 @@ import math
 import logging
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DataError
 from .logmodel import AgeGroup, Gender, Impression, LogCorpus
-from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind, metric_vector
+from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind, \
+    metric_table
 
 logger = logging.getLogger(__name__)
 
 GroupKey = AgeGroup | Gender
-
-METRICS = (MetricKind.GRADED_UTILITY, MetricKind.REFORMULATION,
-           MetricKind.PAGE_CLICK_COUNT, MetricKind.SUCCESSFUL_CLICK_COUNT)
 
 
 class Factor(enum.Enum):
@@ -97,25 +97,26 @@ class NormalizedScores:
 def group_query_table(corpus: LogCorpus, factor: Factor,
                       dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                       ) -> GroupQueryTable:
-    """Per (group, query) mean metric vectors with impression counts."""
-    sums: dict[GroupKey, dict[str, list[float]]] = {}
-    counts: dict[GroupKey, dict[str, int]] = {}
-    for imp in corpus.impressions:
-        g = factor.key(imp)
-        mv = metric_vector(imp, dwell_threshold_s)
-        row = sums.setdefault(g, {}).setdefault(imp.query_text, [0.0] * len(METRICS))
-        for k, kind in enumerate(METRICS):
-            row[k] += mv.value(kind)
-        counts.setdefault(g, {})[imp.query_text] = \
-            counts.get(g, {}).get(imp.query_text, 0) + 1
+    """Per (group, query) mean metric vectors with impression counts.
+
+    Cells are numbered in first-appearance order and their sums add in
+    impression order, so the means do not depend on how they are stored.
+    """
+    metrics = metric_table(corpus, dwell_threshold_s)
+    cell_code: dict[tuple[GroupKey, str], int] = {}
+    codes = np.array([cell_code.setdefault((factor.key(imp), imp.query_text),
+                                           len(cell_code))
+                      for imp in corpus.impressions], dtype=np.intp)
+    n_cells = len(cell_code)
+    counts = np.bincount(codes, minlength=n_cells)
+    means = np.stack([np.bincount(codes, weights=metrics[:, k],
+                                  minlength=n_cells)
+                      for k in range(len(METRICS))], axis=1) / counts[:, None]
     cells: dict[GroupKey, dict[str, QueryCell]] = {}
-    for g, by_query in sums.items():
-        cells[g] = {}
-        for q, row in by_query.items():
-            n = counts[g][q]
-            cells[g][q] = QueryCell(
-                means={kind: row[k] / n for k, kind in enumerate(METRICS)},
-                n_impressions=n)
+    for (g, q), c in cell_code.items():
+        cells.setdefault(g, {})[q] = QueryCell(
+            means={kind: float(means[c, k]) for k, kind in enumerate(METRICS)},
+            n_impressions=int(counts[c]))
     return GroupQueryTable(factor=factor, cells=cells)
 
 

@@ -324,9 +324,10 @@ def cmd_audit(args) -> int:
         cohort = matching.match_contexts(
             corpus, factor, match_cfg,
             navigational=_load_navigational(args.navigational))
-        matched_own = matching.matched_scores(cohort, dwell)
-        matched_common = matching.matched_scores(cohort, dwell,
-                                                 reference=raw_norm.bounds)
+        matched_raw = matching.matched_raw_scores(cohort, dwell)
+        matched_own = aggregate.normalize(matched_raw)
+        matched_common = aggregate.normalize(matched_raw,
+                                             reference=raw_norm.bounds)
         reports.write_csv(out / "matched_scores.csv",
                           ["metric", "group", "raw", "normalized",
                            "normalized_common", "stderr", "n_queries",
@@ -354,7 +355,7 @@ def cmd_audit(args) -> int:
         summary["divergence"] = {"metrics": divergent,
                                  "raw_vs_matched": any(divergent.values())}
 
-    fits: dict[MetricKind, multilevel.MultilevelFit] = {}
+    deltas: dict[MetricKind, float] = {}
     if "multilevel" in methods:
         table = difficulty_mod.estimate_difficulty(corpus, factor=factor,
                                                    dwell_threshold_s=dwell)
@@ -370,11 +371,10 @@ def cmd_audit(args) -> int:
             variance_interaction=cfg["prior_variance"],
             empirical_bayes=bool(cfg["empirical_bayes"]))
         grid_rows = []
-        ml_summary: dict = {"deltas": {}, "convergence": {}}
+        convergence = {}
         for kind in METRICS:
             obs = multilevel.build_observations(corpus, table, kind, dwell)
             fit = multilevel.fit_multilevel(obs, priors=priors)
-            fits[kind] = fit
             reports.write_json(out / f"fit_{kind.value}.json", {
                 "metric": kind.value, "family": fit.family.name.lower(),
                 "effects": fit.effects.to_dict(),
@@ -392,22 +392,24 @@ def cmd_audit(args) -> int:
                         "age": p.age.label, "gender": p.gender.code,
                         "difficulty": _fmt(p.difficulty),
                         "value": _fmt(p.value)})
-            ml_summary["deltas"][kind.value] = multilevel.max_group_gap(fit)
-            ml_summary["convergence"][kind.value] = \
-                fit.convergence.iterations
+            deltas[kind] = multilevel.max_group_gap(fit)
+            convergence[kind.value] = fit.convergence.iterations
         reports.write_csv(out / "prediction_grid.csv",
                           ["metric", "topic", "age", "gender", "difficulty",
                            "value"], grid_rows, meta)
-        summary["multilevel"] = ml_summary
+        summary["multilevel"] = {
+            "deltas": {kind.value: d for kind, d in deltas.items()},
+            "convergence": convergence}
 
     for method in ("pairwise", "external"):
         if method not in methods:
             continue
-        if cfg["default_thresholds"] or not fits:
+        if cfg["default_thresholds"] or not deltas:
             thresholds = dataclasses.replace(pairwise.DEFAULT_THRESHOLDS,
                                              k=cfg["k"])
         else:
-            thresholds = pairwise.derive_thresholds(fits, k=cfg["k"])
+            thresholds = pairwise.derive_thresholds_from_deltas(
+                deltas, k=cfg["k"])
         min_groups = cfg["min_groups"]
         if min_groups is None:
             min_groups = 3 if factor is Factor.AGE else 2

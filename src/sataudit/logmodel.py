@@ -96,15 +96,22 @@ class Impression:
 
 @dataclass
 class CorpusMetadata:
-    source: str = "internal"   # "internal" (full fidelity) or "external" (clicks only)
     accepted: int = 0
     skipped: int = 0
 
 
 @dataclass
 class LogCorpus:
+    """A validated list of impressions.
+
+    Metric tables computed from the corpus are cached on it, so a corpus
+    must not change once it has been scored.
+    """
+
     impressions: list[Impression]
     metadata: CorpusMetadata = field(default_factory=CorpusMetadata)
+    _metric_tables: dict = field(default_factory=dict, init=False,
+                                 repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.impressions)
@@ -352,7 +359,7 @@ def _impression_from_row(row: dict) -> Impression:
 # ---------------------------------------------------------------------------
 # ingest / emit
 
-def ingest(path: str | Path, fmt: str = "ndjson", *, source: str = "internal",
+def ingest(path: str | Path, fmt: str = "ndjson", *,
            overlap_threshold: float = 0.5,
            edit_threshold: float = 0.5) -> LogCorpus:
     """Load a log file into a validated corpus.
@@ -413,14 +420,8 @@ def ingest(path: str | Path, fmt: str = "ndjson", *, source: str = "internal",
                        path, skipped, total, first_errors)
 
     derive_reformulation_flags(impressions, overlap_threshold, edit_threshold)
-    src = source
-    if src == "internal" and any(
-            math.isnan(c.dwell_seconds)
-            for imp in impressions for c in imp.clicks):
-        src = "external"
     return LogCorpus(impressions,
-                     CorpusMetadata(source=src, accepted=len(impressions),
-                                    skipped=skipped))
+                     CorpusMetadata(accepted=len(impressions), skipped=skipped))
 
 
 def emit(corpus: LogCorpus, path: str | Path, fmt: str = "ndjson") -> int:

@@ -66,8 +66,7 @@ class MatchedCohort:
 
     def as_corpus(self) -> LogCorpus:
         imps = self.impressions
-        return LogCorpus(imps, CorpusMetadata(source="internal",
-                                              accepted=len(imps)))
+        return LogCorpus(imps, CorpusMetadata(accepted=len(imps)))
 
 
 def final_successful_click(imp: Impression,

@@ -20,11 +20,14 @@ Four metrics are computed from a single impression:
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError
-from .logmodel import Impression
+from .logmodel import Impression, LogCorpus
 
 DEFAULT_DWELL_THRESHOLD_S = 30.0
 
@@ -40,6 +43,10 @@ class MetricKind(enum.Enum):
     @property
     def higher_is_better(self) -> bool:
         return self is not MetricKind.REFORMULATION
+
+
+METRICS = (MetricKind.GRADED_UTILITY, MetricKind.REFORMULATION,
+           MetricKind.PAGE_CLICK_COUNT, MetricKind.SUCCESSFUL_CLICK_COUNT)
 
 
 @dataclass(frozen=True)
@@ -91,19 +98,6 @@ def reformulation(imp: Impression) -> int:
     return int(imp.reformulated)
 
 
-def graded_utility(imp: Impression,
-                   dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S) -> float:
-    pcc = page_click_count(imp)
-    if pcc == 0:
-        return -1.0
-    scc = successful_click_count(imp, dwell_threshold_s)
-    if scc == 0:
-        return -1.0 / 3.0
-    if pcc <= 2 and reformulation(imp) == 0:
-        return 1.0
-    return 1.0 / 3.0
-
-
 def metric_vector(imp: Impression,
                   dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S) -> MetricVector:
     """All four metrics for one impression (single pass over clicks)."""
@@ -120,3 +114,27 @@ def metric_vector(imp: Impression,
         gu = 1.0 / 3.0
     return MetricVector(graded_utility=gu, reformulation=reform,
                         page_click_count=pcc, successful_click_count=scc)
+
+
+def metric_table(corpus: LogCorpus,
+                 dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
+                 ) -> np.ndarray:
+    """Read-only (n, 4) array of every impression's metrics.
+
+    Row k is ``metric_vector(corpus.impressions[k])`` with columns in
+    ``METRICS`` order.  The table is built once per dwell threshold and
+    kept on the corpus, so every estimator reads the same scores.
+    """
+    cache = corpus._metric_tables
+    table = cache.get(dwell_threshold_s)
+    if table is None:
+        rows = ((mv.graded_utility, mv.reformulation, mv.page_click_count,
+                 mv.successful_click_count)
+                for mv in (metric_vector(imp, dwell_threshold_s)
+                           for imp in corpus.impressions))
+        table = np.fromiter(itertools.chain.from_iterable(rows), dtype=float,
+                            count=len(METRICS) * len(corpus)
+                            ).reshape(-1, len(METRICS))
+        table.setflags(write=False)
+        cache[dwell_threshold_s] = table
+    return table

@@ -23,7 +23,8 @@ from .errors import DataError
 from .difficulty import DifficultyTable
 from .glmfit import CellDesign, Convergence, Family, FitConfig, fit_penalized_glm
 from .logmodel import AgeGroup, Gender, LogCorpus
-from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind, metric_vector
+from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind, \
+    metric_table
 
 PREDICTION_GRID = tuple(np.round(np.linspace(0.0, 1.0, 21), 10).tolist())
 
@@ -123,28 +124,26 @@ def build_observations(corpus: LogCorpus, difficulty: DifficultyTable,
                        ) -> ObservationSet:
     """Regression rows for one metric; impressions whose query has no
     difficulty estimate are skipped and counted."""
-    y, x, ai, gi, ti = [], [], [], [], []
+    rows, x, ai, gi, ti = [], [], [], [], []
     topics: dict[str, int] = {}
-    skipped = 0
-    for imp in corpus.impressions:
+    for k, imp in enumerate(corpus.impressions):
         if imp.query_text not in difficulty:
-            skipped += 1
             continue
-        mv = metric_vector(imp, dwell_threshold_s)
-        y.append(mv.value(metric))
+        rows.append(k)
         x.append(difficulty[imp.query_text])
         ai.append(imp.demographics.age - 1)
         gi.append(0 if imp.demographics.gender is Gender.MALE else 1)
         ti.append(topics.setdefault(imp.topic, len(topics)))
+    column = metric_table(corpus, dwell_threshold_s)[:, METRICS.index(metric)]
     return ObservationSet(
         metric=metric,
-        y=np.asarray(y, dtype=float),
+        y=column[np.asarray(rows, dtype=np.intp)],
         x=np.asarray(x, dtype=float),
         age_idx=np.asarray(ai, dtype=np.intp),
         gender_idx=np.asarray(gi, dtype=np.intp),
         topic_idx=np.asarray(ti, dtype=np.intp),
         topics=list(topics),
-        skipped=skipped)
+        skipped=len(corpus) - len(rows))
 
 
 def _build_design(cells: np.ndarray, n_topics: int, priors: PriorConfig

@@ -36,8 +36,7 @@ from .aggregate import Factor
 from .glmfit import CellDesign, Convergence, Family, FitConfig, fit_penalized_glm
 from .logmodel import AgeGroup, Gender, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind, MetricVector, \
-    metric_vector
-from .multilevel import MultilevelFit, max_group_gap
+    metric_table
 
 logger = logging.getLogger(__name__)
 
@@ -113,60 +112,36 @@ def derive_thresholds_from_deltas(deltas: dict[MetricKind, float],
                           pcc_external=float(pcc_external), k=k)
 
 
-def derive_thresholds(fits: dict[MetricKind, MultilevelFit],
-                      k: float = 2.5) -> PairThresholds:
-    """Thresholds from fitted multilevel models (k times the largest
-    predicted group gap, halved for the weak tier)."""
-    deltas = {m: max_group_gap(f) for m, f in fits.items()}
-    return derive_thresholds_from_deltas(deltas, k)
-
-
 # ---------------------------------------------------------------------------
 # labeling
 
 def label_pair_internal(m_i: MetricVector, m_j: MetricVector,
                         thresholds: PairThresholds = DEFAULT_THRESHOLDS) -> int:
-    """Rule-cascade label: +1 when side i looks more satisfied.
-
-    Strict inequalities throughout; differences at exactly a threshold
-    abstain (0).
-    """
-    if m_i.reformulation < m_j.reformulation:
-        return 1
-    if m_i.reformulation > m_j.reformulation:
-        return -1
-    gu = m_i.graded_utility - m_j.graded_utility
-    if gu > thresholds.gu_strong:
-        return 1
-    if -gu > thresholds.gu_strong:
-        return -1
-    scc = m_i.successful_click_count - m_j.successful_click_count
-    if scc > thresholds.scc_strong:
-        return 1
-    if -scc > thresholds.scc_strong:
-        return -1
-    if gu > thresholds.gu_weak and scc > thresholds.scc_weak:
-        return 1
-    if -gu > thresholds.gu_weak and -scc > thresholds.scc_weak:
-        return -1
-    return 0
+    """Rule-cascade label for one pair: +1 when side i looks more
+    satisfied; see :func:`label_batch_internal`."""
+    return int(label_batch_internal(
+        [m_i.graded_utility], [m_i.reformulation],
+        [m_i.successful_click_count], [m_j.graded_utility],
+        [m_j.reformulation], [m_j.successful_click_count], thresholds)[0])
 
 
 def label_pair_external(m_i: MetricVector, m_j: MetricVector,
                         thresholds: PairThresholds = DEFAULT_THRESHOLDS) -> int:
-    """Clicks-only label: page click count difference beyond threshold."""
-    pcc = m_i.page_click_count - m_j.page_click_count
-    if pcc > thresholds.pcc_external:
-        return 1
-    if -pcc > thresholds.pcc_external:
-        return -1
-    return 0
+    """Clicks-only label for one pair; see :func:`label_batch_external`."""
+    return int(label_batch_external([m_i.page_click_count],
+                                    [m_j.page_click_count], thresholds)[0])
 
 
 def label_batch_internal(gu_i, reform_i, scc_i, gu_j, reform_j, scc_j,
                          thresholds: PairThresholds = DEFAULT_THRESHOLDS
                          ) -> np.ndarray:
-    """Vectorized internal cascade; first matching rule wins."""
+    """Internal rule cascade over arrays of pairs; first matching rule wins.
+
+    Reformulation decides first, then graded utility against the strong
+    threshold, then successful click count, then the weak joint rule.
+    All comparisons are strict, so a difference at exactly a threshold
+    abstains (0).
+    """
     gu = np.asarray(gu_i, dtype=float) - np.asarray(gu_j, dtype=float)
     scc = np.asarray(scc_i, dtype=float) - np.asarray(scc_j, dtype=float)
     reform_i = np.asarray(reform_i)
@@ -185,6 +160,7 @@ def label_batch_internal(gu_i, reform_i, scc_i, gu_j, reform_j, scc_j,
 def label_batch_external(pcc_i, pcc_j,
                          thresholds: PairThresholds = DEFAULT_THRESHOLDS
                          ) -> np.ndarray:
+    """Clicks-only label: page click count difference beyond threshold."""
     pcc = np.asarray(pcc_i, dtype=float) - np.asarray(pcc_j, dtype=float)
     return np.select([pcc > thresholds.pcc_external,
                       -pcc > thresholds.pcc_external],
@@ -307,15 +283,6 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
                       queries=chosen, seed=seed)
 
 
-@dataclass(frozen=True)
-class LabeledPair:
-    impression_i: str
-    impression_j: str
-    metrics_i: MetricVector
-    metrics_j: MetricVector
-    label: int
-
-
 @dataclass
 class LabeledPairSet:
     """Nonzero-labeled pairs reduced to slot demographics, for fitting."""
@@ -330,26 +297,6 @@ class LabeledPairSet:
         return len(self.label)
 
 
-def _metric_columns(corpus: LogCorpus, dwell_threshold_s: float,
-                    need_dwell: bool) -> dict[str, np.ndarray]:
-    n = len(corpus.impressions)
-    cols = {name: np.zeros(n) for name in ("gu", "reform", "pcc", "scc")}
-    cols["age"] = np.zeros(n, dtype=np.intp)
-    cols["gender"] = np.zeros(n, dtype=np.intp)
-    for k, imp in enumerate(corpus.impressions):
-        if need_dwell:
-            mv = metric_vector(imp, dwell_threshold_s)
-            cols["gu"][k] = mv.graded_utility
-            cols["reform"][k] = mv.reformulation
-            cols["scc"][k] = mv.successful_click_count
-            cols["pcc"][k] = mv.page_click_count
-        else:
-            cols["pcc"][k] = len(imp.clicks)
-        cols["age"][k] = imp.demographics.age - 1
-        cols["gender"][k] = 0 if imp.demographics.gender is Gender.MALE else 1
-    return cols
-
-
 def label_sample(corpus: LogCorpus, sample: PairSample,
                  thresholds: PairThresholds = DEFAULT_THRESHOLDS,
                  mode: str = "internal",
@@ -361,14 +308,14 @@ def label_sample(corpus: LogCorpus, sample: PairSample,
     if mode == "internal" and not corpus.has_dwell:
         raise DataError("internal labeling needs dwell fidelity; this corpus "
                         "is clicks-only (use the external labeler)")
-    cols = _metric_columns(corpus, dwell_threshold_s, mode == "internal")
     i, j = sample.i_idx, sample.j_idx
     if mode == "internal":
-        return label_batch_internal(cols["gu"][i], cols["reform"][i],
-                                    cols["scc"][i], cols["gu"][j],
-                                    cols["reform"][j], cols["scc"][j],
-                                    thresholds)
-    return label_batch_external(cols["pcc"][i], cols["pcc"][j], thresholds)
+        gu, reform, _, scc = metric_table(corpus, dwell_threshold_s).T
+        return label_batch_internal(gu[i], reform[i], scc[i],
+                                    gu[j], reform[j], scc[j], thresholds)
+    pcc = np.array([len(imp.clicks) for imp in corpus.impressions],
+                   dtype=float)
+    return label_batch_external(pcc[i], pcc[j], thresholds)
 
 
 def build_labeled_pairs(corpus: LogCorpus, sample: PairSample,

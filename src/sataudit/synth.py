@@ -380,8 +380,7 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
                       if q.navigational})
     corpus = LogCorpus(
         impressions=impressions,
-        metadata=CorpusMetadata(source="internal",
-                                accepted=len(impressions), skipped=0))
+        metadata=CorpusMetadata(accepted=len(impressions), skipped=0))
     return corpus, truth
 
 

@@ -34,8 +34,7 @@ def imp(impression_id: str | None = None, *, query: str = "news alpha",
 
 def corpus(impressions) -> LogCorpus:
     imps = list(impressions)
-    return LogCorpus(imps, CorpusMetadata(source="internal",
-                                          accepted=len(imps)))
+    return LogCorpus(imps, CorpusMetadata(accepted=len(imps)))
 
 
 def satisfied(impression_id: str | None = None, **kw) -> Impression:

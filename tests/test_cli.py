@@ -4,6 +4,7 @@ Each command writes into a pytest temp directory; generated corpora are
 shared at module scope because synthesis dominates the runtime.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from sataudit.cli import main
 from sataudit.errors import ConvergenceError
 from sataudit.logmodel import AgeGroup, Gender, emit, ingest
 from sataudit.metrics import MetricKind
+from sataudit.pairwise import derive_thresholds_from_deltas
 from sataudit.reports import read_report_csv
 from sataudit import synth
 
@@ -250,6 +252,10 @@ class TestAudit:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert set(summary["multilevel"]["deltas"]) == \
             {k.value for k in MetricKind}
+        deltas = {MetricKind(k): v
+                  for k, v in summary["multilevel"]["deltas"].items()}
+        assert model["thresholds"] == dataclasses.asdict(
+            derive_thresholds_from_deltas(deltas, k=2.5))
 
     def test_pairwise_without_multilevel_needs_default_thresholds(
             self, tg_dir, tmp_path):

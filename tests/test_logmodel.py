@@ -180,7 +180,7 @@ class TestRoundTrips:
         path = tmp_path / "corpus.ndjson"
         emit(src, path)
         back = ingest(path)
-        assert back.metadata.source == "external"
+        assert back.has_dwell is False
         assert math.isnan(back.impressions[0].clicks[0].dwell_seconds)
 
     def test_full_dwell_corpus_stays_internal(self, tmp_path):
@@ -188,7 +188,7 @@ class TestRoundTrips:
         assert src.has_dwell is True
         path = tmp_path / "corpus.ndjson"
         emit(src, path)
-        assert ingest(path).metadata.source == "internal"
+        assert ingest(path).has_dwell is True
 
 
 def test_emit_orders_by_impression_id(tmp_path):

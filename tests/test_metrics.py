@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from corpus_builders import click, imp
+from corpus_builders import click, corpus, imp
+from sataudit import metrics
+from sataudit.aggregate import Factor, query_averaged_scores
+from sataudit.difficulty import estimate_difficulty
 from sataudit.errors import DataError
-from sataudit.metrics import (MetricKind, MetricVector, graded_utility,
+from sataudit.logmodel import AgeGroup, Gender
+from sataudit.metrics import (METRICS, MetricKind, MetricVector, metric_table,
                               metric_vector, page_click_count, reformulation,
                               successful_click_count)
+from sataudit.multilevel import build_observations
+from sataudit.pairwise import label_sample, sample_pairs
 
 
 def test_no_clicks_scores_bottom_level():
@@ -52,7 +59,7 @@ def test_dwell_threshold_is_strict():
     above = imp(clicks=[click(dwell=30.0000001)])
     assert successful_click_count(at) == 0
     assert successful_click_count(above) == 1
-    assert graded_utility(at) == -1.0 / 3.0
+    assert metric_vector(at).graded_utility == -1.0 / 3.0
 
 
 def test_custom_dwell_threshold():
@@ -87,9 +94,10 @@ def test_metric_vector_matches_individual_functions():
         imp(clicks=[click("r0", 1, 60.0), click("r1", 2, 40.0),
                     click("r2", 3, 1.0)]),
     ]
-    for i in cases:
+    gu_levels = [-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0]
+    for i, gu in zip(cases, gu_levels):
         mv = metric_vector(i)
-        assert mv.graded_utility == graded_utility(i)
+        assert mv.graded_utility == gu
         assert mv.reformulation == reformulation(i)
         assert mv.page_click_count == page_click_count(i)
         assert mv.successful_click_count == successful_click_count(i)
@@ -107,3 +115,50 @@ def test_value_accessor_covers_all_kinds():
 def test_only_reformulation_is_lower_better():
     lower_better = [k for k in MetricKind if not k.higher_is_better]
     assert lower_better == [MetricKind.REFORMULATION]
+
+
+def _mixed_corpus():
+    """Two queries across all age groups, with every GU level present."""
+    shapes = [[], [click(dwell=5.0)], [click(dwell=60.0)],
+              [click("r0", 1, 60.0), click("r1", 2, 40.0),
+               click("r2", 3, 1.0)]]
+    imps = []
+    for k in range(32):
+        age = list(AgeGroup)[k % 4]
+        imps.append(imp(query="news alpha" if k % 3 else "sports beta",
+                        topic="news" if k % 3 else "sports",
+                        clicks=shapes[(k // 4) % 4], reformulated=k % 5 == 0,
+                        age=age, gender=list(Gender)[k % 2]))
+    return corpus(imps)
+
+
+def test_metric_table_rows_are_metric_vectors():
+    c = _mixed_corpus()
+    for threshold in (10.0, 50.0):
+        want = np.array([[metric_vector(i, threshold).value(kind)
+                          for kind in METRICS] for i in c.impressions])
+        got = metric_table(c, threshold)
+        np.testing.assert_array_equal(got, want)
+        assert metric_table(c, threshold) is got
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 5.0
+
+
+def test_every_estimator_scores_each_impression_once(monkeypatch):
+    c = _mixed_corpus()
+    calls = []
+
+    def counting(i, dwell_threshold_s=metrics.DEFAULT_DWELL_THRESHOLD_S):
+        calls.append(i.impression_id)
+        return metric_vector(i, dwell_threshold_s)
+
+    monkeypatch.setattr(metrics, "metric_vector", counting)
+    query_averaged_scores(c, Factor.AGE)
+    table = estimate_difficulty(c)
+    for kind in METRICS:
+        build_observations(c, table, kind)
+    sample = sample_pairs(c, ["news alpha", "sports beta"], seed=0,
+                          fraction=1.0, pairs_per_query=50)
+    label_sample(c, sample, mode="internal")
+    assert len(calls) == len(c)
