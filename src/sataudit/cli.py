@@ -178,6 +178,7 @@ def cmd_metrics(args) -> int:
     meta = reports.run_meta(0, {"command": "metrics",
                                 "input": Path(args.input).name,
                                 "format": fmt})
+    has_dwell = corpus.has_dwell   # a full click scan; read it once
     rows = []
     for imp in sorted(corpus.impressions, key=lambda i: i.impression_id):
         row = {"impression_id": imp.impression_id,
@@ -187,7 +188,7 @@ def cmd_metrics(args) -> int:
                "page_click_count": len(imp.clicks),
                "graded_utility": "", "reformulation": "",
                "successful_click_count": ""}
-        if corpus.has_dwell:
+        if has_dwell:
             mv = metric_vector(imp, args.dwell_threshold)
             row["graded_utility"] = _fmt(mv.graded_utility)
             row["reformulation"] = _fmt(int(mv.reformulation))

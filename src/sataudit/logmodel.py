@@ -57,7 +57,7 @@ class Gender(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DemographicProfile:
     age: AgeGroup
     gender: Gender
@@ -72,7 +72,19 @@ def all_profiles() -> list[DemographicProfile]:
     return [DemographicProfile(a, g) for a in AgeGroup for g in Gender]
 
 
-@dataclass
+# Parsed records share one profile object per (age name, gender code).
+_PROFILES = {(p.age.name, p.gender.code): p for p in all_profiles()}
+
+
+def _profile(age: str, gender: str) -> DemographicProfile:
+    shared = _PROFILES.get((age, gender))
+    if shared is not None:
+        return shared
+    # unknown codes raise the same KeyError / ValueError as direct lookup
+    return DemographicProfile(AgeGroup[age], Gender(gender))
+
+
+@dataclass(slots=True)
 class Click:
     result_id: str
     position: int            # 1-based rank on the result page
@@ -80,7 +92,7 @@ class Click:
     terminated_query: bool   # user left the query on this click
 
 
-@dataclass
+@dataclass(slots=True)
 class Impression:
     impression_id: str
     user_id: str
@@ -164,15 +176,40 @@ def validate_impression(imp: Impression) -> str | None:
 # sits within 0.5 normalized edit distance.
 
 def _edit_distance(a: str, b: str) -> int:
+    """Levenshtein distance, bit-parallel over the DP columns (Hyyro 2001).
+
+    The shorter string is the pattern: bit i of ``pv``/``mv`` holds the
+    +1/-1 vertical delta at pattern row i, so each character of the
+    longer string advances a whole DP column in a few integer operations.
+    Python ints are unbounded, so any pattern length works; ``mask``
+    drops the bits that ``~`` and the shifts set above the last row.
+    """
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
+    m = len(b)
+    if m == 0:
+        return len(a)
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(b):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv, mv, dist = mask, 0, m
+    for ch in a:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = (ph << 1) | 1          # row 0 of column j holds j
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def _queries_similar(orig: str, nxt: str, overlap_threshold: float,
@@ -194,6 +231,7 @@ def derive_reformulation_flags(impressions: list[Impression],
     Only impressions whose flag is None are touched.  The last query of a
     session can never be a reformulation source, so it gets False.
     """
+    similar: dict[tuple[str, str], bool] = {}
     sessions: dict[str, list[Impression]] = {}
     for imp in impressions:
         sessions.setdefault(imp.session_id, []).append(imp)
@@ -204,9 +242,14 @@ def derive_reformulation_flags(impressions: list[Impression],
                 continue
             flag = False
             for later in sess[k + 1:]:
-                if later.query_text != imp.query_text and _queries_similar(
-                        imp.query_text, later.query_text,
-                        overlap_threshold, edit_threshold):
+                if later.query_text == imp.query_text:
+                    continue
+                pair = (imp.query_text, later.query_text)
+                verdict = similar.get(pair)
+                if verdict is None:
+                    verdict = similar[pair] = _queries_similar(
+                        *pair, overlap_threshold, edit_threshold)
+                if verdict:
                     flag = True
                     break
             imp.reformulated = flag
@@ -277,8 +320,7 @@ def impression_from_dict(rec: dict) -> Impression:
         results=[str(r) for r in rec["results"]],
         clicks=clicks,
         reformulated=_parse_bool(rec.get("reformulated")),
-        demographics=DemographicProfile(AgeGroup[str(demo["age"])],
-                                        Gender(str(demo["gender"]))),
+        demographics=_profile(str(demo["age"]), str(demo["gender"])),
     )
 
 
@@ -351,8 +393,7 @@ def _impression_from_row(row: dict) -> Impression:
         results=row["results"].split(";") if row["results"] else [],
         clicks=_unpack_clicks(row["clicks"]),
         reformulated=_parse_bool(row["reformulated"]),
-        demographics=DemographicProfile(AgeGroup[row["age"]],
-                                        Gender(row["gender"])),
+        demographics=_profile(row["age"], row["gender"]),
     )
 
 
@@ -371,10 +412,6 @@ def ingest(path: str | Path, fmt: str = "ndjson", *,
     path = Path(path)
     if fmt not in ("ndjson", "csv"):
         raise DataError(f"unknown log format {fmt!r}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
 
     impressions: list[Impression] = []
     skipped = 0
@@ -397,18 +434,25 @@ def ingest(path: str | Path, fmt: str = "ndjson", *,
             return
         impressions.append(imp)
 
-    if fmt == "ndjson":
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            consider(lambda line=line: impression_from_dict(json.loads(line)))
-    else:
-        reader = _csv.DictReader(text.splitlines())
-        if reader.fieldnames is not None and set(CSV_FIELDS) - set(reader.fieldnames):
-            missing = sorted(set(CSV_FIELDS) - set(reader.fieldnames))
-            raise DataError(f"CSV header missing columns: {', '.join(missing)}")
-        for row in reader:
-            consider(lambda row=row: _impression_from_row(row))
+    # One streaming pass: records are parsed as lines are read, so the raw
+    # text is never held whole.  newline="" lets the csv module see quoted
+    # line breaks; json.loads ignores a line's trailing "\r\n".
+    try:
+        with path.open(encoding="utf-8", newline="") as fh:
+            if fmt == "ndjson":
+                for line in fh:
+                    if not line.strip():
+                        continue
+                    consider(lambda line=line: impression_from_dict(json.loads(line)))
+            else:
+                reader = _csv.DictReader(fh)
+                if reader.fieldnames is not None and set(CSV_FIELDS) - set(reader.fieldnames):
+                    missing = sorted(set(CSV_FIELDS) - set(reader.fieldnames))
+                    raise DataError(f"CSV header missing columns: {', '.join(missing)}")
+                for row in reader:
+                    consider(lambda row=row: _impression_from_row(row))
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
     total = len(impressions) + skipped
     if total > 0 and skipped * 2 > total:

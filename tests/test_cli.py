@@ -23,7 +23,7 @@ import sataudit
 from corpus_builders import click, corpus, imp
 from sataudit.cli import main
 from sataudit.errors import ConvergenceError
-from sataudit.logmodel import AgeGroup, Gender, emit, ingest
+from sataudit.logmodel import AgeGroup, Gender, LogCorpus, emit, ingest
 from sataudit.metrics import MetricKind
 from sataudit.pairwise import derive_thresholds_from_deltas
 from sataudit.reports import read_report_csv
@@ -191,6 +191,28 @@ class TestMetrics:
         assert run("metrics", "--input", tmp_path / "corpus.txt",
                    "--out", tmp_path) == 1
 
+    def test_dwell_fidelity_is_read_once(self, monkeypatch, tmp_path):
+        # has_dwell scans every click; reading it per row made the command
+        # quadratic in the corpus size
+        imps = [imp(f"m{i}", clicks=(click(),), user_id=f"u{i}")
+                for i in range(6)]
+        emit(corpus(imps), tmp_path / "c.ndjson")
+        reads = []
+        scan = LogCorpus.has_dwell.fget
+
+        def counting(self):
+            reads.append(1)
+            return scan(self)
+
+        monkeypatch.setattr(LogCorpus, "has_dwell", property(counting))
+        out = tmp_path / "m"
+        assert run("metrics", "--input", tmp_path / "c.ndjson",
+                   "--out", out) == 0
+        _, rows = read_report_csv(out / "metrics.csv")
+        assert len(rows) == 6
+        assert all(r["graded_utility"] != "" for r in rows)
+        assert len(reads) == 1
+
 
 # ---------------------------------------------------------------------------
 # audit
@@ -327,6 +349,12 @@ class TestAudit:
     def test_missing_input_file(self, tmp_path):
         assert run("audit", "--input", tmp_path / "nothing.ndjson",
                    "--methods", "raw", "--out", tmp_path) == 2
+
+    def test_missing_csv_input_file(self, tmp_path, capsys):
+        assert run("audit", "--input", tmp_path / "nothing.csv",
+                   "--methods", "raw", "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "nothing.csv" in err
 
     def test_config_file_with_flag_precedence(self, tg_dir, tmp_path):
         cfg = tmp_path / "audit.json"

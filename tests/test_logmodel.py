@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import math
+import random
 
 import pytest
 
 from corpus_builders import click, corpus, imp
+from sataudit import logmodel
 from sataudit.errors import DataError
 from sataudit.logmodel import (AgeGroup, Click, Gender, all_profiles,
                                derive_reformulation_flags, emit,
@@ -94,6 +97,39 @@ class TestReformulationDerivation:
         derive_reformulation_flags(imps)
         assert imps[0].reformulated is False
 
+    def test_recurring_pairs_get_one_verdict_each(self, monkeypatch):
+        # three sessions repeat the same query sequence; the flags must
+        # equal a per-pair evaluation, with one similarity call per pair
+        queries = ["cheap flights london", "cheap flight london",
+                   "python dataclass", "cheap flights london june"]
+        imps = [imp(query=q, reformulated=None, user_id=f"u{s}",
+                    timestamp=t)
+                for s in range(3) for t, q in enumerate(queries)]
+        want = []
+        for s in range(3):
+            sess = imps[4 * s:4 * s + 4]
+            want += [any(later.query_text != cur.query_text
+                         and logmodel._queries_similar(
+                             cur.query_text, later.query_text, 0.5, 0.5)
+                         for later in sess[k + 1:])
+                     for k, cur in enumerate(sess)]
+        calls = []
+        similar = logmodel._queries_similar
+
+        def counting(*args):
+            calls.append(args[:2])
+            return similar(*args)
+
+        monkeypatch.setattr(logmodel, "_queries_similar", counting)
+        derive_reformulation_flags(imps)
+        assert [i.reformulated for i in imps] == want
+        assert want[:4] == [True, True, False, False]
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(queries[1], queries[2]),
+                              (queries[1], queries[3]),
+                              (queries[2], queries[3]),
+                              (queries[0], queries[1])}
+
     def test_sessions_are_independent(self):
         a = imp(query="cheap flights", reformulated=None, user_id="u1",
                 timestamp=0)
@@ -101,6 +137,47 @@ class TestReformulationDerivation:
                 timestamp=1)
         derive_reformulation_flags([a, b])
         assert a.reformulated is False and b.reformulated is False
+
+
+def _reference_edit_distance(a: str, b: str) -> int:
+    """Textbook Wagner-Fischer DP, one row at a time."""
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        cur = [i]
+        for j, cb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1,
+                           prev[j - 1] + (ca != cb)))
+        prev = cur
+    return prev[-1]
+
+
+class TestEditDistance:
+    @pytest.mark.parametrize("a,b,want", [
+        ("", "", 0), ("", "abc", 3), ("abc", "", 3), ("same", "same", 0),
+        ("color", "colour", 1), ("kitten", "sitting", 3),
+        ("café", "cafe", 1), ("x" * 100, "", 100), ("a" * 70, "a" * 70, 0),
+    ])
+    def test_known_distances(self, a, b, want):
+        assert logmodel._edit_distance(a, b) == want
+        assert logmodel._edit_distance(b, a) == want
+
+    def test_matches_reference_dp_on_random_pairs(self):
+        # lengths reach past 64, the width of one machine word, and the
+        # alphabet mixes ASCII, accented and CJK characters with spaces
+        rng = random.Random(20170530)
+        alphabet = "abcde é中"
+        for trial in range(1500):
+            hi = 8 if trial % 2 else 140
+            a = "".join(rng.choice(alphabet)
+                        for _ in range(rng.randint(0, hi)))
+            if trial % 7 == 0:
+                b = a
+            else:
+                b = "".join(rng.choice(alphabet)
+                            for _ in range(rng.randint(0, hi)))
+            want = _reference_edit_distance(a, b)
+            assert logmodel._edit_distance(a, b) == want, (a, b)
+            assert logmodel._edit_distance(b, a) == want, (b, a)
 
 
 class TestRoundTrips:
@@ -189,6 +266,75 @@ class TestRoundTrips:
         path = tmp_path / "corpus.ndjson"
         emit(src, path)
         assert ingest(path).has_dwell is True
+
+
+class TestStreamingIngest:
+    def _corpus(self):
+        return corpus([
+            imp("b1", clicks=[click("r0", 1, 42.5, True)], age=AgeGroup.G2,
+                gender=Gender.FEMALE, reformulated=True),
+            imp("b2", clicks=[], age=AgeGroup.G2, gender=Gender.FEMALE),
+            imp("b3", clicks=[click("r1", 2, 3.25)], age=AgeGroup.G4,
+                reformulated=None, user_id="u9", timestamp=5),
+        ])
+
+    def _dicts(self, c):
+        return [impression_to_dict(i) for i in c.impressions]
+
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    def test_crlf_line_endings(self, tmp_path, fmt):
+        lf = tmp_path / f"lf.{fmt}"
+        emit(self._corpus(), lf, fmt=fmt)
+        crlf = tmp_path / f"crlf.{fmt}"
+        crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in crlf.read_bytes()
+        back = ingest(crlf, fmt=fmt)
+        assert back.metadata.accepted == 3 and back.metadata.skipped == 0
+        assert self._dicts(back) == self._dicts(ingest(lf, fmt=fmt))
+
+    def test_blank_ndjson_lines_are_ignored(self, tmp_path):
+        path = tmp_path / "c.ndjson"
+        emit(self._corpus(), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n" + "\n  \t\n".join(lines) + "\n\n \r\n")
+        back = ingest(path)
+        assert back.metadata.accepted == 3 and back.metadata.skipped == 0
+
+    def test_missing_csv_file_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            ingest(tmp_path / "nope.csv", fmt="csv")
+
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    def test_bad_demographics_are_skipped_with_reasons(self, tmp_path, fmt,
+                                                        caplog):
+        src = tmp_path / f"src.{fmt}"
+        emit(corpus([imp(f"c{i}", clicks=[click()]) for i in range(5)]),
+             src, fmt=fmt)
+        text = src.read_text()
+        if fmt == "ndjson":
+            text = text.replace('"age": "G1"', '"age": "G9"', 1)
+            text = text.replace('"gender": "M"', '"gender": "X"', 2)
+        else:
+            head, *rows = text.splitlines()
+            rows[0] = rows[0][:-len(",G1,M")] + ",G9,M"
+            rows[1] = rows[1][:-len(",G1,M")] + ",G1,X"
+            text = "\n".join([head, *rows]) + "\n"
+        path = tmp_path / f"bad.{fmt}"
+        path.write_text(text)
+        with caplog.at_level(logging.WARNING, logger="sataudit.logmodel"):
+            back = ingest(path, fmt=fmt)
+        assert back.metadata.accepted == 3 and back.metadata.skipped == 2
+        assert "(first errors: [\"'G9'\", \"'X' is not a valid Gender\"])" \
+            in caplog.text
+
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    def test_equal_demographics_share_one_profile(self, tmp_path, fmt):
+        path = tmp_path / f"c.{fmt}"
+        emit(self._corpus(), path, fmt=fmt)
+        by_id = {i.impression_id: i for i in ingest(path, fmt=fmt).impressions}
+        assert by_id["b1"].demographics is by_id["b2"].demographics
+        assert by_id["b1"].demographics is not by_id["b3"].demographics
+        assert by_id["b3"].demographics.key == "G4-M"
 
 
 def test_emit_orders_by_impression_id(tmp_path):
