@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .logmodel import AgeGroup, Gender, Impression, LogCorpus
+from .logmodel import AgeGroup, Gender, LogCorpus, first_appearance_codes
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind, \
     metric_table
 
@@ -39,10 +39,9 @@ class Factor(enum.Enum):
             return list(AgeGroup)
         return list(Gender)
 
-    def key(self, imp: Impression) -> GroupKey:
-        if self is Factor.AGE:
-            return imp.demographics.age
-        return imp.demographics.gender
+    def codes(self, corpus: LogCorpus) -> np.ndarray:
+        """Each impression's index into :meth:`groups`."""
+        return getattr(corpus.columns, self.value)
 
 
 @dataclass
@@ -51,15 +50,6 @@ class QueryCell:
 
     means: dict[MetricKind, float]
     n_impressions: int
-
-
-@dataclass
-class GroupQueryTable:
-    factor: Factor
-    cells: dict[GroupKey, dict[str, QueryCell]]
-
-    def queries_of(self, group: GroupKey) -> list[str]:
-        return sorted(self.cells.get(group, {}))
 
 
 @dataclass(frozen=True)
@@ -96,28 +86,29 @@ class NormalizedScores:
 
 def group_query_table(corpus: LogCorpus, factor: Factor,
                       dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
-                      ) -> GroupQueryTable:
+                      ) -> dict[GroupKey, dict[str, QueryCell]]:
     """Per (group, query) mean metric vectors with impression counts.
 
     Cells are numbered in first-appearance order and their sums add in
     impression order, so the means do not depend on how they are stored.
     """
     metrics = metric_table(corpus, dwell_threshold_s)
-    cell_code: dict[tuple[GroupKey, str], int] = {}
-    codes = np.array([cell_code.setdefault((factor.key(imp), imp.query_text),
-                                           len(cell_code))
-                      for imp in corpus.impressions], dtype=np.intp)
-    n_cells = len(cell_code)
-    counts = np.bincount(codes, minlength=n_cells)
+    columns = corpus.columns
+    n_queries = len(columns.queries)
+    keys, codes = first_appearance_codes(
+        factor.codes(corpus) * n_queries + columns.query)
+    counts = np.bincount(codes, minlength=len(keys))
     means = np.stack([np.bincount(codes, weights=metrics[:, k],
-                                  minlength=n_cells)
+                                  minlength=len(keys))
                       for k in range(len(METRICS))], axis=1) / counts[:, None]
+    groups = factor.groups()
     cells: dict[GroupKey, dict[str, QueryCell]] = {}
-    for (g, q), c in cell_code.items():
-        cells.setdefault(g, {})[q] = QueryCell(
+    for c, key in enumerate(keys.tolist()):
+        g, q = divmod(key, n_queries)
+        cells.setdefault(groups[g], {})[columns.queries[q]] = QueryCell(
             means={kind: float(means[c, k]) for k, kind in enumerate(METRICS)},
             n_impressions=int(counts[c]))
-    return GroupQueryTable(factor=factor, cells=cells)
+    return cells
 
 
 def query_averaged_scores(corpus: LogCorpus, factor: Factor,
@@ -129,7 +120,7 @@ def query_averaged_scores(corpus: LogCorpus, factor: Factor,
     no impressions are excluded with a warning.
     """
     table = group_query_table(corpus, factor, dwell_threshold_s)
-    missing = [g for g in factor.groups() if g not in table.cells]
+    missing = [g for g in factor.groups() if g not in table]
     if missing:
         logger.warning("scores for factor %s: no impressions for groups %s",
                        factor.value, [g.name for g in missing])
@@ -138,9 +129,9 @@ def query_averaged_scores(corpus: LogCorpus, factor: Factor,
     n_queries: dict[GroupKey, int] = {}
     n_impressions: dict[GroupKey, int] = {}
     for g in factor.groups():
-        if g not in table.cells:
+        if g not in table:
             continue
-        cells = table.cells[g]
+        cells = table[g]
         n_q = len(cells)
         n_queries[g] = n_q
         n_impressions[g] = sum(c.n_impressions for c in cells.values())
@@ -225,22 +216,22 @@ def query_kl(corpus: LogCorpus, group_a: GroupKey, group_b: GroupKey,
     """
     if alpha <= 0:
         raise DataError("smoothing alpha must be positive")
-    counts: dict[GroupKey, dict[str, int]] = {group_a: {}, group_b: {}}
-    for imp in corpus.impressions:
-        g = factor.key(imp)
-        if g in counts:
-            counts[g][imp.query_text] = counts[g].get(imp.query_text, 0) + 1
-    ca, cb = counts[group_a], counts[group_b]
-    if not ca or not cb:
+    columns, codes = corpus.columns, factor.codes(corpus)
+    index = {g: k for k, g in enumerate(factor.groups())}
+    ca, cb = (np.bincount(columns.query[codes == index.get(g, -1)],
+                          minlength=len(columns.queries))
+              for g in (group_a, group_b))
+    if not ca.any() or not cb.any():
         raise DataError("query KL needs impressions from both groups")
-    vocab = set(ca) | set(cb)
-    v = len(vocab)
-    na = sum(ca.values()) + alpha * v
-    nb = sum(cb.values()) + alpha * v
+    vocab = (ca > 0) | (cb > 0)
+    v = int(vocab.sum())
+    na = int(ca.sum()) + alpha * v
+    nb = int(cb.sum()) + alpha * v
     kl = 0.0
-    for q in vocab:
-        pa = (ca.get(q, 0) + alpha) / na
-        pb = (cb.get(q, 0) + alpha) / nb
+    # terms add in query-code order, so the sum is the same in every run
+    for a, b in zip(ca[vocab].tolist(), cb[vocab].tolist()):
+        pa = (a + alpha) / na
+        pb = (b + alpha) / nb
         kl += pa * math.log(pa / pb)
     return kl
 
@@ -252,11 +243,9 @@ def head_tail_classify(corpus: LogCorpus) -> dict[str, str]:
     bottom floor(30%), torso the rest.  Ties break lexicographically on
     query text so the partition is deterministic.
     """
-    counts: dict[str, int] = {}
-    for imp in corpus.impressions:
-        counts[imp.query_text] = counts.get(imp.query_text, 0) + 1
-    if not counts:
-        return {}
+    columns = corpus.columns
+    counts = dict(zip(columns.queries, np.bincount(
+        columns.query, minlength=len(columns.queries)).tolist()))
     ordered = sorted(counts, key=lambda q: (-counts[q], q))
     n = len(ordered)
     n_head = math.ceil(0.2 * n)

@@ -301,8 +301,7 @@ def cmd_audit(args) -> int:
     summary: dict = {"factor": factor.value, "methods": methods,
                      "input": Path(args.input).name,
                      "n_impressions": len(corpus.impressions),
-                     "n_queries": len({i.query_text
-                                       for i in corpus.impressions})}
+                     "n_queries": len(corpus.columns.queries)}
 
     raw_norm = None
     if "raw" in methods or "matched" in methods:
@@ -334,11 +333,9 @@ def cmd_audit(args) -> int:
                            "normalized_common", "stderr", "n_queries",
                            "n_impressions"],
                           _scores_rows(matched_own, matched_common), meta)
+        attrition = [dataclasses.asdict(s) for s in cohort.attrition]
         reports.write_csv(out / "attrition.csv",
-                          ["stage", "impressions", "queries"],
-                          [{"stage": s.stage, "impressions": s.impressions,
-                            "queries": s.queries}
-                           for s in cohort.attrition], meta)
+                          ["stage", "impressions", "queries"], attrition, meta)
         gaps_common = {
             kind.value: (0.0 if kind in raw_norm.degenerate
                          else matched_common.gap(kind)) for kind in METRICS}
@@ -351,8 +348,7 @@ def cmd_audit(args) -> int:
         summary["matched"] = {
             "gaps": _gap_dict(matched_own),
             "gaps_common_scale": gaps_common,
-            "attrition": [{"stage": s.stage, "impressions": s.impressions,
-                           "queries": s.queries} for s in cohort.attrition]}
+            "attrition": attrition}
         summary["divergence"] = {"metrics": divergent,
                                  "raw_vs_matched": any(divergent.values())}
 

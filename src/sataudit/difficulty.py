@@ -91,6 +91,6 @@ def estimate_difficulty(corpus: LogCorpus, factor: Factor = Factor.AGE,
     group_scores = {
         g: {q: cell.means[MetricKind.GRADED_UTILITY]
             for q, cell in by_query.items()}
-        for g, by_query in table.cells.items()
+        for g, by_query in table.items()
     }
     return difficulty_from_group_scores(group_scores, factor)

@@ -24,9 +24,12 @@ import math
 import csv as _csv
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DataError
 
@@ -112,12 +115,36 @@ class CorpusMetadata:
     skipped: int = 0
 
 
+def first_appearance_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct values of `keys` in order of first appearance;
+    returns ``(distinct, codes)`` with ``distinct[codes] == keys``."""
+    distinct, first, inverse = np.unique(keys, return_index=True,
+                                         return_inverse=True)
+    order = np.argsort(first)
+    return distinct[order], np.argsort(order)[inverse]
+
+
+@dataclass(frozen=True, eq=False)
+class ImpressionColumns:
+    """Read-only per-impression codes, int32 to keep them small: ``age``
+    and ``gender`` index ``AgeGroup`` and ``Gender`` order, ``query`` and
+    ``topic`` index ``queries`` and ``topics``, listed in order of first
+    appearance."""
+
+    age: np.ndarray
+    gender: np.ndarray
+    query: np.ndarray
+    topic: np.ndarray
+    queries: list[str]
+    topics: list[str]
+
+
 @dataclass
 class LogCorpus:
     """A validated list of impressions.
 
-    Metric tables computed from the corpus are cached on it, so a corpus
-    must not change once it has been scored.
+    Metric tables and the impression columns computed from the corpus are
+    cached on it, so a corpus must not change once it has been scored.
     """
 
     impressions: list[Impression]
@@ -127,6 +154,36 @@ class LogCorpus:
 
     def __len__(self) -> int:
         return len(self.impressions)
+
+    @cached_property
+    def columns(self) -> ImpressionColumns:
+        """Age, gender, query and topic codes of every impression."""
+        imps = self.impressions
+        queries: dict[str, int] = {}
+        topics: dict[str, int] = {}
+
+        def column(values) -> np.ndarray:
+            codes = np.fromiter(values, dtype=np.int32, count=len(imps))
+            codes.setflags(write=False)
+            return codes
+
+        return ImpressionColumns(
+            column(i.demographics.age - 1 for i in imps),
+            column(i.demographics.gender is Gender.FEMALE for i in imps),
+            column(queries.setdefault(i.query_text, len(queries))
+                   for i in imps),
+            column(topics.setdefault(i.topic, len(topics)) for i in imps),
+            list(queries), list(topics))
+
+    def subset(self, rows) -> "LogCorpus":
+        """The impressions at `rows`, as a corpus whose metric tables are
+        this corpus's cached tables at those rows."""
+        sub = LogCorpus([self.impressions[k] for k in rows],
+                        CorpusMetadata(accepted=len(rows)))
+        for dwell, table in self._metric_tables.items():
+            sub._metric_tables[dwell] = table[rows]
+            sub._metric_tables[dwell].setflags(write=False)
+        return sub
 
     @property
     def has_dwell(self) -> bool:
@@ -451,7 +508,7 @@ def ingest(path: str | Path, fmt: str = "ndjson", *,
                     raise DataError(f"CSV header missing columns: {', '.join(missing)}")
                 for row in reader:
                     consider(lambda row=row: _impression_from_row(row))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     total = len(impressions) + skipped

@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DataError
 from .aggregate import Factor, NormalizedScores, RawScores, normalize, \
     query_averaged_scores
-from .logmodel import Impression, LogCorpus, CorpusMetadata
+from .logmodel import Impression, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S
 
 DEFAULT_SERP_PREFIX = 8
@@ -54,19 +57,15 @@ class StageCount:
 @dataclass
 class MatchedCohort:
     factor: Factor
-    by_query: dict[str, list[Impression]]
+    corpus: LogCorpus
+    by_query: dict[str, list[int]]      # surviving rows of `corpus`
     attrition: list[StageCount] = field(default_factory=list)
 
-    @property
-    def impressions(self) -> list[Impression]:
-        out = []
-        for q in sorted(self.by_query):
-            out.extend(self.by_query[q])
-        return out
 
-    def as_corpus(self) -> LogCorpus:
-        imps = self.impressions
-        return LogCorpus(imps, CorpusMetadata(accepted=len(imps)))
+def _most_common(values) -> str | None:
+    """The most frequent value, ties to the smallest; None when empty."""
+    counts = Counter(values)
+    return min(counts, key=lambda v: (-counts[v], v), default=None)
 
 
 def final_successful_click(imp: Impression,
@@ -87,14 +86,9 @@ def dominant_result(impressions: list[Impression],
     Ties break lexicographically on result id; None when no impression
     has a final successful click.
     """
-    counts: dict[str, int] = {}
-    for imp in impressions:
-        rid = final_successful_click(imp, dwell_threshold_s)
-        if rid is not None:
-            counts[rid] = counts.get(rid, 0) + 1
-    if not counts:
-        return None
-    return min(counts, key=lambda r: (-counts[r], r))
+    finals = (final_successful_click(imp, dwell_threshold_s)
+              for imp in impressions)
+    return _most_common(rid for rid in finals if rid is not None)
 
 
 def serp_signature(results: list[str], prefix_len: int = DEFAULT_SERP_PREFIX) -> str:
@@ -108,17 +102,6 @@ def serp_signature(results: list[str], prefix_len: int = DEFAULT_SERP_PREFIX) ->
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
 
-def modal_signature(impressions: list[Impression], prefix_len: int) -> str | None:
-    counts: dict[str, int] = {}
-    for imp in impressions:
-        sig = serp_signature(imp.results, prefix_len)
-        counts[sig] = counts.get(sig, 0) + 1
-    if not counts:
-        return None
-    # tie -> smallest hash, so the choice is deterministic
-    return min(counts, key=lambda s: (-counts[s], s))
-
-
 def navigational_queries_proxy(corpus: LogCorpus, cfg: MatchConfig) -> set[str]:
     """Queries whose final successful clicks concentrate on one result.
 
@@ -126,18 +109,14 @@ def navigational_queries_proxy(corpus: LogCorpus, cfg: MatchConfig) -> set[str]:
     is treated as navigational when at least `navigational_share` of its
     final successful clicks land on a single result.
     """
-    counts: dict[str, dict[str, int]] = {}
+    counts: dict[str, Counter] = {}
     for imp in corpus.impressions:
         rid = final_successful_click(imp, cfg.dwell_threshold_s)
         if rid is not None:
-            by_result = counts.setdefault(imp.query_text, {})
-            by_result[rid] = by_result.get(rid, 0) + 1
-    out = set()
-    for q, by_result in counts.items():
-        total = sum(by_result.values())
-        if total > 0 and max(by_result.values()) / total >= cfg.navigational_share:
-            out.add(q)
-    return out
+            counts.setdefault(imp.query_text, Counter())[rid] += 1
+    return {q for q, by_result in counts.items()
+            if max(by_result.values()) / sum(by_result.values())
+            >= cfg.navigational_share}
 
 
 def match_contexts(corpus: LogCorpus, factor: Factor,
@@ -146,78 +125,70 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
     """Run the five-stage matching pipeline; see the module docstring."""
     if cfg.min_impressions_per_group < 1:
         raise DataError("min_impressions_per_group must be >= 1")
-    groups = factor.groups()
+    imps = corpus.impressions
+    columns = corpus.columns
+    group = factor.codes(corpus)
+    n_groups = len(factor.groups())
 
-    by_query: dict[str, list[Impression]] = {}
-    for imp in corpus.impressions:
-        by_query.setdefault(imp.query_text, []).append(imp)
-    attrition = [StageCount("input", len(corpus.impressions), len(by_query))]
+    by_query: dict[str, list[int]] = {q: [] for q in columns.queries}
+    for k, code in enumerate(columns.query.tolist()):
+        by_query[columns.queries[code]].append(k)
+    stages: dict[str, dict[str, list[int]]] = {"input": by_query}
 
     # stage 1: navigational queries only
     if navigational is None:
         navigational = navigational_queries_proxy(corpus, cfg)
-    by_query = {q: imps for q, imps in by_query.items() if q in navigational}
-    attrition.append(StageCount(
-        "navigational", sum(len(v) for v in by_query.values()), len(by_query)))
+    stages["navigational"] = by_query = {
+        q: rows for q, rows in by_query.items() if q in navigational}
 
     # stage 2: every group sufficiently represented
-    def meets_floor(imps: list[Impression]) -> bool:
-        per_group: dict[object, int] = {}
-        for imp in imps:
-            g = factor.key(imp)
-            per_group[g] = per_group.get(g, 0) + 1
-        return all(per_group.get(g, 0) >= cfg.min_impressions_per_group
-                   for g in groups)
+    def meets_floor(rows: list[int]) -> bool:
+        per_group = np.bincount(group[rows], minlength=n_groups)
+        return bool(per_group.min() >= cfg.min_impressions_per_group)
 
-    by_query = {q: imps for q, imps in by_query.items() if meets_floor(imps)}
-    attrition.append(StageCount(
-        "min_impressions", sum(len(v) for v in by_query.values()), len(by_query)))
+    stages["min_impressions"] = by_query = {
+        q: rows for q, rows in by_query.items() if meets_floor(rows)}
 
-    # stages 3 and 4: per-impression predicates against stage-2 statistics
-    dominant = {q: dominant_result(imps, cfg.dwell_threshold_s)
-                for q, imps in by_query.items()}
-    modal = {q: modal_signature(imps, cfg.serp_prefix_len)
-             for q, imps in by_query.items()}
-
-    stage3: dict[str, list[Impression]] = {}
-    for q, imps in by_query.items():
-        if dominant[q] is None:
+    # stages 3 and 4: per-impression predicates against stage-2 statistics;
+    # each impression's final click and page signature are computed once
+    stage3 = stages["final_click"] = {}
+    stage4 = stages["serp"] = {}
+    for q, rows in by_query.items():
+        finals = [final_successful_click(imps[k], cfg.dwell_threshold_s)
+                  for k in rows]
+        dominant = _most_common(f for f in finals if f is not None)
+        if dominant is None:
             continue
-        kept = [imp for imp in imps
-                if final_successful_click(imp, cfg.dwell_threshold_s) == dominant[q]]
-        if kept:
-            stage3[q] = kept
-    attrition.append(StageCount(
-        "final_click", sum(len(v) for v in stage3.values()), len(stage3)))
-
-    stage4: dict[str, list[Impression]] = {}
-    for q, imps in stage3.items():
-        kept = [imp for imp in imps
-                if serp_signature(imp.results, cfg.serp_prefix_len) == modal[q]]
+        pages = [serp_signature(imps[k].results, cfg.serp_prefix_len)
+                 for k in rows]
+        modal = _most_common(pages)
+        stage3[q] = [k for k, f in zip(rows, finals) if f == dominant]
+        kept = [k for k, f, page in zip(rows, finals, pages)
+                if f == dominant and page == modal]
         if kept:
             stage4[q] = kept
-    attrition.append(StageCount(
-        "serp", sum(len(v) for v in stage4.values()), len(stage4)))
 
     # stage 5: the filters may have pushed a group back under the floor
-    stage5 = {q: imps for q, imps in stage4.items() if meets_floor(imps)}
-    attrition.append(StageCount(
-        "min_impressions_recheck",
-        sum(len(v) for v in stage5.values()), len(stage5)))
+    stages["min_impressions_recheck"] = by_query = {
+        q: rows for q, rows in stage4.items() if meets_floor(rows)}
 
-    return MatchedCohort(factor=factor, by_query=stage5, attrition=attrition)
+    attrition = [StageCount(stage, sum(len(rows) for rows in kept.values()),
+                            len(kept)) for stage, kept in stages.items()]
+    return MatchedCohort(factor=factor, corpus=corpus, by_query=by_query,
+                         attrition=attrition)
 
 
 def matched_raw_scores(cohort: MatchedCohort,
                        dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                        ) -> RawScores:
-    corpus = cohort.as_corpus()
-    if not corpus.impressions:
+    rows = [k for q in sorted(cohort.by_query) for k in cohort.by_query[q]]
+    if not rows:
         raise DataError(
             "matched cohort is empty; nothing to score (no impressions "
             "survived the matching funnel; check the navigational list "
             "or lower the dominant-share cutoff)")
-    return query_averaged_scores(corpus, cohort.factor, dwell_threshold_s)
+    return query_averaged_scores(cohort.corpus.subset(rows), cohort.factor,
+                                 dwell_threshold_s)
 
 
 def matched_scores(cohort: MatchedCohort,

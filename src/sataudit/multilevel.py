@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DataError
 from .difficulty import DifficultyTable
 from .glmfit import CellDesign, Convergence, Family, FitConfig, fit_penalized_glm
-from .logmodel import AgeGroup, Gender, LogCorpus
+from .logmodel import AgeGroup, Gender, LogCorpus, first_appearance_codes
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind, \
     metric_table
 
@@ -124,25 +124,18 @@ def build_observations(corpus: LogCorpus, difficulty: DifficultyTable,
                        ) -> ObservationSet:
     """Regression rows for one metric; impressions whose query has no
     difficulty estimate are skipped and counted."""
-    rows, x, ai, gi, ti = [], [], [], [], []
-    topics: dict[str, int] = {}
-    for k, imp in enumerate(corpus.impressions):
-        if imp.query_text not in difficulty:
-            continue
-        rows.append(k)
-        x.append(difficulty[imp.query_text])
-        ai.append(imp.demographics.age - 1)
-        gi.append(0 if imp.demographics.gender is Gender.MALE else 1)
-        ti.append(topics.setdefault(imp.topic, len(topics)))
+    columns = corpus.columns
+    known = np.array([q in difficulty for q in columns.queries], dtype=bool)
+    x_of_query = np.array([difficulty.difficulty.get(q, 0.0)
+                           for q in columns.queries], dtype=float)
+    rows = np.flatnonzero(known[columns.query])
+    topic_codes, topic_idx = first_appearance_codes(columns.topic[rows])
     column = metric_table(corpus, dwell_threshold_s)[:, METRICS.index(metric)]
     return ObservationSet(
-        metric=metric,
-        y=column[np.asarray(rows, dtype=np.intp)],
-        x=np.asarray(x, dtype=float),
-        age_idx=np.asarray(ai, dtype=np.intp),
-        gender_idx=np.asarray(gi, dtype=np.intp),
-        topic_idx=np.asarray(ti, dtype=np.intp),
-        topics=list(topics),
+        metric=metric, y=column[rows], x=x_of_query[columns.query[rows]],
+        age_idx=columns.age[rows], gender_idx=columns.gender[rows],
+        topic_idx=topic_idx,
+        topics=[columns.topics[t] for t in topic_codes.tolist()],
         skipped=len(corpus) - len(rows))
 
 

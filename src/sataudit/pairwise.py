@@ -174,15 +174,14 @@ def eligible_queries(corpus: LogCorpus, factor: Factor = Factor.AGE,
                      min_groups: int = 3, min_impressions: int = 10) -> list[str]:
     """Queries issued by at least `min_groups` distinct groups with at
     least `min_impressions` impressions, sorted for determinism."""
-    groups: dict[str, set] = {}
-    counts: dict[str, int] = {}
-    for imp in corpus.impressions:
-        q = imp.query_text
-        groups.setdefault(q, set()).add(factor.key(imp))
-        counts[q] = counts.get(q, 0) + 1
-    return sorted(q for q in counts
-                  if len(groups[q]) >= min_groups
-                  and counts[q] >= min_impressions)
+    columns = corpus.columns
+    n_groups = len(factor.groups())
+    per_group = np.bincount(columns.query * n_groups + factor.codes(corpus),
+                            minlength=len(columns.queries) * n_groups)
+    return sorted(q for q, row in zip(columns.queries,
+                                      per_group.reshape(-1, n_groups).tolist())
+                  if sum(n > 0 for n in row) >= min_groups
+                  and sum(row) >= min_impressions)
 
 
 @dataclass
@@ -223,21 +222,18 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
                                     replace=False))
     chosen = [ordered_queries[int(i)] for i in chosen_idx]
 
-    by_query: dict[str, list[int]] = {q: [] for q in chosen}
+    columns = corpus.columns
+    query_code = {q: c for c, q in enumerate(columns.queries)}
     order = np.argsort(np.array([imp.impression_id
                                  for imp in corpus.impressions]))
-    for pos in order:
-        imp = corpus.impressions[int(pos)]
-        if imp.query_text in by_query:
-            by_query[imp.query_text].append(int(pos))
-
-    group_code = {g: c for c, g in enumerate(factor.groups())}
+    query_in_order = columns.query[order]
+    group = factor.codes(corpus)
     i_out, j_out, q_out = [], [], []
     for qi, q in enumerate(chosen):
-        members = np.asarray(by_query[q], dtype=np.intp)
+        # the query's impressions, in impression_id order
+        members = order[query_in_order == query_code.get(q, -1)]
         n = len(members)
-        codes = np.array([group_code[factor.key(corpus.impressions[int(m)])]
-                          for m in members])
+        codes = group[members]
         per_group = np.bincount(codes)
         n_cross = (n * n - int(per_group @ per_group)) // 2
         if n_cross == 0:
@@ -324,10 +320,7 @@ def build_labeled_pairs(corpus: LogCorpus, sample: PairSample,
     labels = np.asarray(labels)
     keep = labels != 0
     i, j = sample.i_idx[keep], sample.j_idx[keep]
-    age = np.array([imp.demographics.age - 1 for imp in corpus.impressions],
-                   dtype=np.intp)
-    gender = np.array([0 if imp.demographics.gender is Gender.MALE else 1
-                       for imp in corpus.impressions], dtype=np.intp)
+    age, gender = corpus.columns.age, corpus.columns.gender
     return LabeledPairSet(age_i=age[i], gender_i=gender[i], age_j=age[j],
                           gender_j=gender[j],
                           label=labels[keep].astype(np.int8))

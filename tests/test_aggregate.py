@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sataudit
 from corpus_builders import corpus, dissatisfied, imp, satisfied
-from sataudit.aggregate import (METRICS, Factor, head_tail_classify,
-                                normalize, query_averaged_scores, query_kl,
-                                RawScores)
+from sataudit.aggregate import (METRICS, Factor, group_query_table,
+                                head_tail_classify, normalize,
+                                query_averaged_scores, query_kl, RawScores)
 from sataudit.errors import DataError
 from sataudit.logmodel import AgeGroup, Gender
 from sataudit.metrics import MetricKind
@@ -62,6 +67,21 @@ class TestQueryAveragedScores:
         scores = query_averaged_scores(corpus([satisfied()]), Factor.AGE)
         assert AgeGroup.G1 in scores.raw[GU]
         assert AgeGroup.G4 not in scores.raw[GU]
+
+    def test_cells_are_kept_in_first_appearance_order(self):
+        # group scores sum the per-query means in this order, so it fixes
+        # the last bits of every reported float
+        imps = [satisfied(query="q c", age=AgeGroup.G3),
+                dissatisfied(query="q b", age=AgeGroup.G1),
+                satisfied(query="q a", age=AgeGroup.G3),
+                satisfied(query="q c", age=AgeGroup.G1),
+                dissatisfied(query="q c", age=AgeGroup.G3)]
+        cells = group_query_table(corpus(imps), Factor.AGE)
+        assert list(cells) == [AgeGroup.G3, AgeGroup.G1]
+        assert list(cells[AgeGroup.G3]) == ["q c", "q a"]
+        assert list(cells[AgeGroup.G1]) == ["q b", "q c"]
+        assert cells[AgeGroup.G3]["q c"].n_impressions == 2
+        assert cells[AgeGroup.G3]["q c"].means[GU] == (1.0 - 1.0 / 3.0) / 2
 
 
 class TestNormalize:
@@ -163,6 +183,33 @@ class TestQueryKl:
         c = self._two_group_corpus({"q a": 3}, {"q a": 3})
         with pytest.raises(DataError, match="alpha"):
             query_kl(c, Gender.MALE, Gender.FEMALE, Factor.GENDER, alpha=0.0)
+
+    def test_value_does_not_depend_on_the_hash_seed(self):
+        # 300 Zipf-distributed queries: summing the terms in string-hash
+        # order gives a different last digit under hash seeds 0 and 1
+        code = """
+import numpy as np
+from sataudit.aggregate import Factor, query_kl
+from sataudit.logmodel import (AgeGroup, DemographicProfile, Gender,
+                               Impression, LogCorpus)
+rng = np.random.default_rng(7)
+imps = [Impression(str(k), "u", "s", 0, f"query {int(q)}", "t", ["r0"], [],
+                   False, DemographicProfile(AgeGroup(int(a)), Gender.MALE))
+        for k, (q, a) in enumerate(zip(rng.zipf(1.5, 4000) % 300,
+                                       rng.integers(1, 5, 4000)))]
+print(repr(query_kl(LogCorpus(imps), AgeGroup.G1, AgeGroup.G4, Factor.AGE)))
+"""
+        src = str(pathlib.Path(sataudit.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestHeadTailClassify:

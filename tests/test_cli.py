@@ -356,6 +356,24 @@ class TestAudit:
         err = capsys.readouterr().err
         assert "cannot read" in err and "nothing.csv" in err
 
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    def test_non_utf8_input_is_a_data_error(self, tmp_path, capsys, fmt):
+        good = tmp_path / f"good.{fmt}"
+        emit(corpus([imp("a1", clicks=[click()]), imp("a2")]), good, fmt=fmt)
+        lines = good.read_bytes().splitlines(keepends=True)
+        if fmt == "ndjson":
+            payload = b"\xff\xfe" + b"".join(lines)     # a UTF-16 BOM
+        else:
+            payload = lines[0] + lines[1].replace(b"news", b"n\xffws") \
+                + b"".join(lines[2:])
+        bad = tmp_path / f"bad.{fmt}"
+        bad.write_bytes(payload)
+        assert run("audit", "--input", bad, "--methods", "raw",
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert "cannot read" in err[0] and f"bad.{fmt}" in err[0]
+
     def test_config_file_with_flag_precedence(self, tg_dir, tmp_path):
         cfg = tmp_path / "audit.json"
         cfg.write_text(json.dumps({"methods": "raw", "factor": "gender"}))
@@ -384,6 +402,37 @@ class TestAudit:
         for name in ("raw_scores.csv", "matched_scores.csv",
                      "attrition.csv", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+    def test_audit_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # Each audit runs in its own interpreter, so string hashing (and
+        # with it set and dict-of-set iteration order) differs between them.
+        gen = tmp_path / "gen"
+        assert run("generate", "--preset", "mixed", "--impressions", 4000,
+                   "--seed", 3, "--out", gen) == 0
+        src = str(pathlib.Path(sataudit.__file__).resolve().parents[1])
+        outs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"audit_{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run(
+                [sys.executable, "-m", "sataudit.cli", "audit", "--input",
+                 str(gen / "corpus.ndjson"), "--methods",
+                 "raw,matched,multilevel,pairwise", "--pair-fraction", "1.0",
+                 "--out", str(out)],
+                capture_output=True, text=True, timeout=300, env=env,
+                cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert {"matched_scores.csv", "pair_model.json",
+                "prediction_grid.csv", "summary.json"} <= set(names)
+        for name in names:
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------

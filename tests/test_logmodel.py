@@ -8,11 +8,13 @@ import logging
 import math
 import random
 
+import numpy as np
 import pytest
 
 from corpus_builders import click, corpus, imp
 from sataudit import logmodel
 from sataudit.errors import DataError
+from sataudit.metrics import metric_table
 from sataudit.logmodel import (AgeGroup, Click, Gender, all_profiles,
                                derive_reformulation_flags, emit,
                                impression_to_dict, ingest, normalize_query,
@@ -350,3 +352,64 @@ def test_click_dataclass_fields():
     c = Click(result_id="r0", position=1, dwell_seconds=10.0,
               terminated_query=False)
     assert dataclasses.asdict(c)["position"] == 1
+
+
+class TestColumns:
+    def _corpus(self):
+        shapes = [("news alpha", "news", AgeGroup.G3, Gender.FEMALE),
+                  ("sports beta", "sports", AgeGroup.G1, Gender.MALE),
+                  ("news alpha", "news", AgeGroup.G4, Gender.MALE),
+                  ("news gamma", "news", AgeGroup.G2, Gender.FEMALE),
+                  ("travel delta", "travel", AgeGroup.G1, Gender.FEMALE),
+                  ("sports beta", "sports", AgeGroup.G2, Gender.MALE)]
+        return corpus(imp(query=q, topic=t, age=a, gender=g,
+                          clicks=[click(dwell=10.0 * k)])
+                      for k, (q, t, a, g) in enumerate(shapes))
+
+    def test_columns_follow_the_per_impression_definitions(self):
+        c = self._corpus()
+        cols = c.columns
+        imps = c.impressions
+        assert cols.queries == ["news alpha", "sports beta", "news gamma",
+                                "travel delta"]
+        assert cols.topics == ["news", "sports", "travel"]
+        assert cols.age.tolist() == [list(AgeGroup).index(i.demographics.age)
+                                     for i in imps]
+        assert cols.gender.tolist() == [
+            list(Gender).index(i.demographics.gender) for i in imps]
+        assert [cols.queries[q] for q in cols.query] == \
+            [i.query_text for i in imps]
+        assert [cols.topics[t] for t in cols.topic] == [i.topic for i in imps]
+        for column in (cols.age, cols.gender, cols.query, cols.topic):
+            assert column.dtype == np.int32 and not column.flags.writeable
+
+    def test_columns_are_built_once(self, monkeypatch):
+        c = self._corpus()
+        first = c.columns
+        monkeypatch.setattr(logmodel, "ImpressionColumns", None)
+        assert c.columns is first
+
+    def test_first_appearance_codes(self):
+        distinct, codes = logmodel.first_appearance_codes(
+            np.array([5, 3, 5, 1, 3]))
+        assert distinct.tolist() == [5, 3, 1]
+        assert codes.tolist() == [0, 1, 0, 2, 1]
+
+    def test_empty_corpus_has_empty_columns(self):
+        cols = corpus([]).columns
+        assert cols.queries == [] and cols.topics == []
+        assert cols.age.shape == cols.query.shape == (0,)
+
+    def test_subset_reads_the_parent_metric_tables(self, monkeypatch):
+        c = self._corpus()
+        table = metric_table(c, 25.0)
+        sub = c.subset([4, 1, 2])
+        assert sub.impressions == [c.impressions[k] for k in (4, 1, 2)]
+        assert sub.metadata.accepted == 3
+        monkeypatch.setattr("sataudit.metrics.metric_vector", None)
+        got = metric_table(sub, 25.0)
+        np.testing.assert_array_equal(got, table[[4, 1, 2]])
+        assert not got.flags.writeable
+        # the subset codes its own columns in its own first-appearance order
+        assert sub.columns.queries == ["travel delta", "sports beta",
+                                       "news alpha"]

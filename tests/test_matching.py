@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from corpus_builders import click, corpus, imp
+from sataudit import matching
 from sataudit.aggregate import Factor
 from sataudit.errors import DataError
 from sataudit.logmodel import Gender
 from sataudit.matching import (MatchConfig, dominant_result,
                                final_successful_click, match_contexts,
-                               matched_scores, navigational_queries_proxy,
-                               serp_signature)
-from sataudit.metrics import MetricKind
+                               matched_raw_scores, matched_scores,
+                               navigational_queries_proxy, serp_signature)
+from sataudit.metrics import METRICS, MetricKind, metric_table
 
 STAGES = ["input", "navigational", "min_impressions", "final_click", "serp",
           "min_impressions_recheck"]
@@ -121,6 +125,53 @@ class TestMatchContexts:
         assert set(cohort.by_query) == {"brand a"}
         counts = [s.impressions for s in cohort.attrition]
         assert counts == sorted(counts, reverse=True)
+
+    def test_cohort_holds_rows_of_the_input_corpus(self):
+        c, nav = self._pipeline_corpus()
+        cohort = match_contexts(c, Factor.GENDER, self.CFG, navigational=nav)
+        assert cohort.corpus is c
+        # the six r0 clickers of "brand a", in corpus order
+        assert cohort.by_query == {"brand a": [0, 1, 2, 3, 4, 5]}
+
+    def test_matched_scores_read_the_parent_metric_table(self, monkeypatch):
+        c, nav = self._pipeline_corpus()
+        table = metric_table(c, 30.0)
+        cohort = match_contexts(c, Factor.GENDER, self.CFG, navigational=nav)
+
+        def no_rescoring(*args, **kwargs):
+            raise AssertionError("the cohort was scored again")
+
+        monkeypatch.setattr("sataudit.metrics.metric_vector", no_rescoring)
+        raw = matched_raw_scores(cohort, 30.0)
+        rows = cohort.by_query["brand a"]
+        for k, kind in enumerate(METRICS):
+            for g in (Gender.MALE, Gender.FEMALE):
+                mine = [r for r in rows if c.impressions[r].demographics.gender
+                        is g]
+                assert raw.raw[kind][g] == np.mean(table[mine, k])
+
+    def test_final_click_and_page_computed_once_per_stage2_impression(
+            self, monkeypatch):
+        c, nav = self._pipeline_corpus()
+        finals, pages = Counter(), Counter()
+
+        def counting_final(i, dwell_threshold_s=30.0):
+            finals[i.impression_id] += 1
+            return final_successful_click(i, dwell_threshold_s)
+
+        def counting_page(results, prefix_len=8):
+            pages[id(results)] += 1
+            return serp_signature(results, prefix_len)
+
+        monkeypatch.setattr(matching, "final_successful_click",
+                            counting_final)
+        monkeypatch.setattr(matching, "serp_signature", counting_page)
+        cohort = match_contexts(c, Factor.GENDER, self.CFG, navigational=nav)
+        stage2 = {s.stage: s for s in cohort.attrition}["min_impressions"]
+        for calls in (finals, pages):
+            assert max(calls.values()) == 1
+            assert sum(calls.values()) <= stage2.impressions
+        assert sum(finals.values()) == stage2.impressions
 
     def test_proxy_used_when_no_explicit_set(self):
         c, _ = self._pipeline_corpus()

@@ -11,6 +11,7 @@ from sataudit.aggregate import Factor, query_averaged_scores
 from sataudit.difficulty import estimate_difficulty
 from sataudit.errors import DataError
 from sataudit.logmodel import AgeGroup, Gender
+from sataudit.matching import MatchConfig, match_contexts, matched_raw_scores
 from sataudit.metrics import (METRICS, MetricKind, MetricVector, metric_table,
                               metric_vector, page_click_count, reformulation,
                               successful_click_count)
@@ -155,6 +156,11 @@ def test_every_estimator_scores_each_impression_once(monkeypatch):
 
     monkeypatch.setattr(metrics, "metric_vector", counting)
     query_averaged_scores(c, Factor.AGE)
+    cohort = match_contexts(c, Factor.AGE,
+                            MatchConfig(min_impressions_per_group=1),
+                            navigational={"news alpha", "sports beta"})
+    assert cohort.attrition[-1].impressions > 0
+    matched_raw_scores(cohort)
     table = estimate_difficulty(c)
     for kind in METRICS:
         build_observations(c, table, kind)

@@ -88,6 +88,30 @@ class TestBuildObservations:
         assert obs.topics == ["b", "a"]
         assert obs.topic_idx.tolist() == [0, 1, 0]
 
+    def test_topics_follow_first_appearance_among_kept_rows(self):
+        # the first impression's topic "z" belongs only to a query without
+        # a difficulty value, so it must not take a topic index; "news"
+        # first appears on an unrated query too, so among the kept rows
+        # "sports" comes first
+        imps = [satisfied(query="unrated", topic="z"),
+                satisfied(query="unrated news", topic="news"),
+                satisfied(query="q3", topic="sports", age=AgeGroup.G4),
+                dissatisfied(query="unrated", topic="z"),
+                satisfied(query="q2", topic="news"),
+                dissatisfied(query="q2", topic="news", gender=Gender.FEMALE)]
+        table = DifficultyTable(factor=Factor.AGE,
+                                difficulty={"q2": 0.25, "q3": 0.75},
+                                per_group={})
+        obs = build_observations(corpus(imps), table,
+                                 MetricKind.GRADED_UTILITY)
+        assert obs.skipped == 3
+        assert obs.topics == ["sports", "news"]
+        assert obs.topic_idx.tolist() == [0, 1, 1]
+        assert obs.x.tolist() == [0.75, 0.25, 0.25]
+        assert obs.y.tolist() == [1.0, 1.0, -1.0 / 3.0]
+        assert obs.age_idx.tolist() == [3, 0, 0]
+        assert obs.gender_idx.tolist() == [0, 0, 1]
+
 
 class TestFitValidation:
     def test_empty_observations(self):
