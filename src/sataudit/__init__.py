@@ -19,7 +19,7 @@ from .logmodel import (AgeGroup, Click, DemographicProfile, Gender,
                        Impression, LogCorpus, all_profiles, emit, ingest,
                        normalize_query)
 from .matching import MatchConfig, MatchedCohort, match_contexts, \
-    matched_scores
+    matched_raw_scores
 from .metrics import MetricKind, MetricVector, metric_vector
 from .multilevel import (MultilevelFit, PriorConfig, build_observations,
                          fit_multilevel, max_group_gap, prediction_grid)
@@ -45,7 +45,7 @@ __all__ = [
     "fit_pair_model", "generate",
     "head_tail_classify", "ingest", "label_pair_external",
     "label_pair_internal", "label_sample", "match_contexts",
-    "matched_scores", "max_group_gap", "metric_vector", "normalize",
+    "matched_raw_scores", "max_group_gap", "metric_vector", "normalize",
     "normalize_query", "predict_pair_prob", "prediction_grid",
     "probability_grid", "query_averaged_scores", "query_kl", "sample_pairs",
     "scenario_presets",

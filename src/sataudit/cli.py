@@ -26,8 +26,9 @@ from . import aggregate, difficulty as difficulty_mod, matching, multilevel, \
     pairwise, reports, synth
 from .aggregate import Factor, METRICS
 from .errors import ConfigError, ConvergenceError, DataError, SatauditError
-from .logmodel import AgeGroup, Gender, emit, ingest, normalize_query
-from .metrics import MetricKind, metric_vector
+from .logmodel import AgeGroup, Gender, all_profiles, emit, ingest, \
+    normalize_query
+from .metrics import MetricKind, metric_table
 
 _METHODS = ("raw", "matched", "multilevel", "pairwise", "external")
 
@@ -129,14 +130,16 @@ def cmd_generate(args) -> int:
     corpus_file = f"corpus.{'csv' if args.format == 'csv' else 'ndjson'}"
     n_written = emit(corpus, out / corpus_file, fmt=args.format)
 
-    by_id = sorted(corpus.impressions, key=lambda i: i.impression_id)
+    cols = corpus.columns
+    offsets = [truth.offset_for(p) for p in all_profiles()]
+    profile = (cols.age * 2 + cols.gender).tolist()
     reports.write_csv(
         out / "ground_truth.csv",
         ["impression_id", "latent_satisfaction", "group_offset"],
-        [{"impression_id": imp.impression_id,
-          "latent_satisfaction": _fmt(truth.latent[imp.impression_id]),
-          "group_offset": _fmt(truth.offset_for(imp.demographics))}
-         for imp in by_id], meta)
+        [{"impression_id": cols.ids[k],
+          "latent_satisfaction": _fmt(truth.latent[cols.ids[k]]),
+          "group_offset": _fmt(offsets[profile[k]])}
+         for k in cols.id_order.tolist()], meta)
     reports.write_csv(
         out / "query_truth.csv",
         ["query_text", "topic", "difficulty", "navigational"],
@@ -178,25 +181,26 @@ def cmd_metrics(args) -> int:
     meta = reports.run_meta(0, {"command": "metrics",
                                 "input": Path(args.input).name,
                                 "format": fmt})
-    has_dwell = corpus.has_dwell   # a full click scan; read it once
-    rows = []
-    for imp in sorted(corpus.impressions, key=lambda i: i.impression_id):
-        row = {"impression_id": imp.impression_id,
-               "age": imp.demographics.age.label,
-               "gender": imp.demographics.gender.code,
-               "query_text": imp.query_text, "topic": imp.topic,
-               "page_click_count": len(imp.clicks),
-               "graded_utility": "", "reformulation": "",
-               "successful_click_count": ""}
-        if has_dwell:
-            mv = metric_vector(imp, args.dwell_threshold)
-            row["graded_utility"] = _fmt(mv.graded_utility)
-            row["reformulation"] = _fmt(int(mv.reformulation))
-            row["successful_click_count"] = _fmt(
-                int(mv.successful_click_count))
-        elif imp.reformulated is not None:
-            row["reformulation"] = _fmt(int(imp.reformulated))
-        rows.append(row)
+    cols = corpus.columns
+    ages = [a.label for a in AgeGroup]
+    genders = [g.code for g in Gender]
+    if corpus.has_dwell:
+        gu, reform, pcc, scc = metric_table(corpus, args.dwell_threshold).T
+        gu = [_fmt(v) for v in gu.tolist()]
+        scc = [str(int(v)) for v in scc.tolist()]
+    else:
+        reform, pcc = cols.reformulated, cols.click_count
+        gu = scc = [""] * len(corpus)
+    reform = ["" if v < 0 else str(int(v)) for v in reform.tolist()]
+    age, gender = cols.age.tolist(), cols.gender.tolist()
+    query, topic, pcc = cols.query.tolist(), cols.topic.tolist(), pcc.tolist()
+    rows = [{"impression_id": cols.ids[k], "age": ages[age[k]],
+             "gender": genders[gender[k]],
+             "query_text": cols.queries[query[k]],
+             "topic": cols.topics[topic[k]],
+             "page_click_count": int(pcc[k]), "graded_utility": gu[k],
+             "reformulation": reform[k], "successful_click_count": scc[k]}
+            for k in cols.id_order.tolist()]
     reports.write_csv(out / "metrics.csv",
                       ["impression_id", "age", "gender", "query_text",
                        "topic", "graded_utility", "reformulation",
@@ -300,7 +304,7 @@ def cmd_audit(args) -> int:
     dwell = cfg["dwell_threshold"]
     summary: dict = {"factor": factor.value, "methods": methods,
                      "input": Path(args.input).name,
-                     "n_impressions": len(corpus.impressions),
+                     "n_impressions": len(corpus),
                      "n_queries": len(corpus.columns.queries)}
 
     raw_norm = None

@@ -14,6 +14,12 @@ Query text is normalized at ingest (lowercased, internal whitespace
 collapsed, trimmed).  Records that violate the impression invariants are
 counted and skipped; if more than half of a file is malformed the ingest
 fails outright.
+
+A corpus is held as read-only columns (:class:`ImpressionColumns`):
+ingest parses each record into flat lists and freezes them into numpy
+arrays, so no per-record object outlives its line.  :class:`Impression`
+and :class:`Click` are the record form, used where records are
+generated, written or built by hand.
 """
 
 from __future__ import annotations
@@ -24,10 +30,9 @@ import math
 import csv as _csv
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -75,12 +80,15 @@ def all_profiles() -> list[DemographicProfile]:
     return [DemographicProfile(a, g) for a in AgeGroup for g in Gender]
 
 
-# Parsed records share one profile object per (age name, gender code).
-_PROFILES = {(p.age.name, p.gender.code): p for p in all_profiles()}
+# Columns code a profile as its index here, (age - 1) * 2 + gender, and
+# records parsed or rebuilt from columns share these objects.
+_PROFILES = all_profiles()
+_PROFILE_CODES = {p: k for k, p in enumerate(_PROFILES)}
+_BY_NAMES = {(p.age.name, p.gender.code): p for p in _PROFILES}
 
 
 def _profile(age: str, gender: str) -> DemographicProfile:
-    shared = _PROFILES.get((age, gender))
+    shared = _BY_NAMES.get((age, gender))
     if shared is not None:
         return shared
     # unknown codes raise the same KeyError / ValueError as direct lookup
@@ -124,74 +132,286 @@ def first_appearance_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct[order], np.argsort(order)[inverse]
 
 
+def _recode(codes: np.ndarray, vocab: list[str]
+            ) -> tuple[np.ndarray, list[str]]:
+    distinct, new = first_appearance_codes(codes)
+    return new.astype(np.int32), [vocab[c] for c in distinct.tolist()]
+
+
+def _take_csr(offsets: np.ndarray, rows: np.ndarray, *values: np.ndarray):
+    """The CSR offsets and value arrays of `rows`, in that order."""
+    counts = np.diff(offsets)[rows]
+    new = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(counts, out=new[1:])
+    idx = np.repeat(offsets[:-1][rows] - new[:-1], counts) \
+        + np.arange(new[-1])
+    return (new, *(v[idx] for v in values))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class ImpressionColumns:
-    """Read-only per-impression codes, int32 to keep them small: ``age``
-    and ``gender`` index ``AgeGroup`` and ``Gender`` order, ``query`` and
-    ``topic`` index ``queries`` and ``topics``, listed in order of first
-    appearance."""
+    """The read-only columns of a corpus, one row per impression.
 
+    ``ids`` holds the impression ids (an object array of str).  ``user``,
+    ``session``, ``query`` and ``topic`` are int32 codes into ``users``,
+    ``sessions``, ``queries`` and ``topics``, each listed in order of first
+    appearance; ``age`` and ``gender`` index ``AgeGroup`` and ``Gender``
+    order.  ``reformulated`` is int8: 1, 0, or -1 when the flag is unset.
+
+    Result pages and clicks are CSR: row k's results are
+    ``result[result_offsets[k]:result_offsets[k + 1]]``, codes into
+    ``result_ids``, and its clicks, in log order, are entries
+    ``click_offsets[k]:click_offsets[k + 1]`` of the ``click_*`` arrays
+    (``click_dwell`` is NaN where the log has no dwell time).
+    """
+
+    ids: np.ndarray
+    user: np.ndarray
+    users: list[str]
+    session: np.ndarray
+    sessions: list[str]
+    timestamp: np.ndarray          # int64
     age: np.ndarray
     gender: np.ndarray
     query: np.ndarray
-    topic: np.ndarray
     queries: list[str]
+    topic: np.ndarray
     topics: list[str]
+    reformulated: np.ndarray
+    result_offsets: np.ndarray
+    result: np.ndarray
+    result_ids: list[str]
+    click_offsets: np.ndarray
+    click_result: np.ndarray
+    click_position: np.ndarray
+    click_dwell: np.ndarray
+    click_terminated: np.ndarray
 
-
-@dataclass
-class LogCorpus:
-    """A validated list of impressions.
-
-    Metric tables and the impression columns computed from the corpus are
-    cached on it, so a corpus must not change once it has been scored.
-    """
-
-    impressions: list[Impression]
-    metadata: CorpusMetadata = field(default_factory=CorpusMetadata)
-    _metric_tables: dict = field(default_factory=dict, init=False,
-                                 repr=False, compare=False)
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                _frozen(value)
 
     def __len__(self) -> int:
-        return len(self.impressions)
+        return len(self.ids)
 
     @cached_property
-    def columns(self) -> ImpressionColumns:
-        """Age, gender, query and topic codes of every impression."""
-        imps = self.impressions
-        queries: dict[str, int] = {}
-        topics: dict[str, int] = {}
+    def id_order(self) -> np.ndarray:
+        """Rows in impression-id order; equal ids keep row order."""
+        return _frozen(np.argsort(self.ids, kind="stable"))
 
-        def column(values) -> np.ndarray:
-            codes = np.fromiter(values, dtype=np.int32, count=len(imps))
-            codes.setflags(write=False)
-            return codes
+    @cached_property
+    def click_count(self) -> np.ndarray:
+        """Clicks per impression (the page click count)."""
+        return _frozen(np.diff(self.click_offsets))
 
+    @cached_property
+    def click_row(self) -> np.ndarray:
+        """The row of each click."""
+        return _frozen(np.repeat(np.arange(len(self)), self.click_count))
+
+    def take(self, rows) -> "ImpressionColumns":
+        """The columns of `rows`, with the string vocabularies renumbered
+        in the new first-appearance order (``result_ids`` is shared)."""
+        rows = np.asarray(rows, dtype=np.intp)
+        user, users = _recode(self.user[rows], self.users)
+        session, sessions = _recode(self.session[rows], self.sessions)
+        query, queries = _recode(self.query[rows], self.queries)
+        topic, topics = _recode(self.topic[rows], self.topics)
+        result_offsets, result = _take_csr(self.result_offsets, rows,
+                                           self.result)
+        click_offsets, c_result, c_position, c_dwell, c_terminated = \
+            _take_csr(self.click_offsets, rows, self.click_result,
+                      self.click_position, self.click_dwell,
+                      self.click_terminated)
         return ImpressionColumns(
-            column(i.demographics.age - 1 for i in imps),
-            column(i.demographics.gender is Gender.FEMALE for i in imps),
-            column(queries.setdefault(i.query_text, len(queries))
-                   for i in imps),
-            column(topics.setdefault(i.topic, len(topics)) for i in imps),
-            list(queries), list(topics))
+            ids=self.ids[rows], user=user, users=users, session=session,
+            sessions=sessions, timestamp=self.timestamp[rows],
+            age=self.age[rows], gender=self.gender[rows], query=query,
+            queries=queries, topic=topic, topics=topics,
+            reformulated=self.reformulated[rows],
+            result_offsets=result_offsets, result=result,
+            result_ids=self.result_ids, click_offsets=click_offsets,
+            click_result=c_result, click_position=c_position,
+            click_dwell=c_dwell, click_terminated=c_terminated)
+
+
+class _ColumnBuilder:
+    """Flat lists that validated records are appended to, frozen at the
+    end into :class:`ImpressionColumns`.
+
+    A record is a tuple of the :class:`Impression` fields in order, with
+    each click a ``(result_id, position, dwell_seconds,
+    terminated_query)`` tuple.
+    """
+
+    def __init__(self):
+        self.ids: list[str] = []
+        self.user, self.session, self.timestamp = [], [], []
+        self.query, self.topic, self.profile, self.reformulated = \
+            [], [], [], []
+        self.result, self.result_end = [], [0]
+        self.click_result, self.click_position = [], []
+        self.click_dwell, self.click_terminated, self.click_end = [], [], [0]
+        self.users: dict[str, int] = {}
+        self.sessions: dict[str, int] = {}
+        self.queries: dict[str, int] = {}
+        self.topics: dict[str, int] = {}
+        self.result_ids: dict[str, int] = {}
+
+    def add(self, impression_id, user_id, session_id, timestamp, query_text,
+            topic, results, clicks, reformulated, demographics) -> str | None:
+        """Append one record; returns the reason instead when it violates
+        an invariant."""
+        reason = _invalid(impression_id, timestamp, query_text, results,
+                          clicks)
+        if reason is not None:
+            return reason
+        self.ids.append(impression_id)
+        users, sessions = self.users, self.sessions
+        queries, topics = self.queries, self.topics
+        self.user.append(users.setdefault(user_id, len(users)))
+        self.session.append(sessions.setdefault(session_id, len(sessions)))
+        self.timestamp.append(timestamp)
+        self.query.append(queries.setdefault(query_text, len(queries)))
+        self.topic.append(topics.setdefault(topic, len(topics)))
+        self.profile.append(_PROFILE_CODES[demographics])
+        self.reformulated.append(-1 if reformulated is None
+                                 else int(reformulated))
+        vocab = self.result_ids
+        codes = list(map(vocab.get, results))
+        if None in codes:           # a result id not seen before
+            codes = [vocab.setdefault(r, len(vocab)) for r in results]
+        self.result.extend(codes)
+        self.result_end.append(len(self.result))
+        for result_id, position, dwell, terminated in clicks:
+            self.click_result.append(vocab[result_id])
+            self.click_position.append(position)
+            self.click_dwell.append(dwell)
+            self.click_terminated.append(terminated)
+        self.click_end.append(len(self.click_result))
+        return None
+
+    def freeze(self) -> ImpressionColumns:
+        profile = np.array(self.profile, dtype=np.int32)
+        return ImpressionColumns(
+            ids=np.array(self.ids, dtype=object),
+            user=np.array(self.user, dtype=np.int32), users=list(self.users),
+            session=np.array(self.session, dtype=np.int32),
+            sessions=list(self.sessions),
+            timestamp=np.array(self.timestamp, dtype=np.int64),
+            age=profile >> 1, gender=profile & 1,
+            query=np.array(self.query, dtype=np.int32),
+            queries=list(self.queries),
+            topic=np.array(self.topic, dtype=np.int32),
+            topics=list(self.topics),
+            reformulated=np.array(self.reformulated, dtype=np.int8),
+            result_offsets=np.array(self.result_end, dtype=np.int64),
+            result=np.array(self.result, dtype=np.int32),
+            result_ids=list(self.result_ids),
+            click_offsets=np.array(self.click_end, dtype=np.int64),
+            click_result=np.array(self.click_result, dtype=np.int32),
+            click_position=np.array(self.click_position, dtype=np.int32),
+            click_dwell=np.array(self.click_dwell, dtype=float),
+            click_terminated=np.array(self.click_terminated, dtype=bool))
+
+
+def _fields_of(imp: Impression) -> tuple:
+    return (imp.impression_id, imp.user_id, imp.session_id, imp.timestamp,
+            imp.query_text, imp.topic, imp.results,
+            [(c.result_id, c.position, c.dwell_seconds, c.terminated_query)
+             for c in imp.clicks],
+            imp.reformulated, imp.demographics)
+
+
+def _records(cols: ImpressionColumns, rows, click, text=str):
+    """The Impression fields of each row, rebuilt from the columns.
+
+    Each click is ``click(text(result_id), position, dwell_seconds,
+    terminated_query)``, vocabulary strings (not ids) go through `text`
+    once per entry, and `reformulated` stays coded as 1, 0 or -1.
+    """
+    users, sessions, queries, topics, rid = (
+        [text(v) for v in vocab] for vocab in (
+            cols.users, cols.sessions, cols.queries, cols.topics,
+            cols.result_ids))
+    res = [rid[c] for c in cols.result.tolist()]
+    clicks = [click(rid[r], p, d, t) for r, p, d, t in zip(
+        cols.click_result.tolist(), cols.click_position.tolist(),
+        cols.click_dwell.tolist(), cols.click_terminated.tolist())]
+    ids, ts = cols.ids.tolist(), cols.timestamp.tolist()
+    user, session = cols.user.tolist(), cols.session.tolist()
+    query, topic = cols.query.tolist(), cols.topic.tolist()
+    flags = cols.reformulated.tolist()
+    profile = (cols.age * 2 + cols.gender).tolist()
+    ro, co = cols.result_offsets.tolist(), cols.click_offsets.tolist()
+    for k in rows:
+        yield (ids[k], users[user[k]], sessions[session[k]], ts[k],
+               queries[query[k]], topics[topic[k]], res[ro[k]:ro[k + 1]],
+               clicks[co[k]:co[k + 1]], flags[k], _PROFILES[profile[k]])
+
+
+@dataclass(eq=False)
+class LogCorpus:
+    """A validated interaction log, held as read-only columns.
+
+    Metric tables and other per-impression columns computed from the
+    corpus are cached on it, keyed by what they depend on.
+    """
+
+    columns: ImpressionColumns
+    metadata: CorpusMetadata = field(default_factory=CorpusMetadata)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def from_records(cls, records) -> "LogCorpus":
+        """A corpus of records, read one at a time.  A record is a tuple
+        of the :class:`Impression` fields in order, with each click a
+        ``(result_id, position, dwell_seconds, terminated_query)`` tuple.
+        An invalid record raises DataError."""
+        builder = _ColumnBuilder()
+        for record in records:
+            reason = builder.add(*record)
+            if reason is not None:
+                raise DataError(f"impression {record[0]!r}: {reason}")
+        return cls(builder.freeze(),
+                   CorpusMetadata(accepted=len(builder.ids)))
+
+    @classmethod
+    def from_impressions(cls, impressions) -> "LogCorpus":
+        return cls.from_records(map(_fields_of, impressions))
+
+    def __len__(self) -> int:
+        return len(self.columns)
+
+    @cached_property
+    def impressions(self) -> list[Impression]:
+        """The records as Impression objects, rebuilt from the columns for
+        record-level callers; no estimator reads them."""
+        return [Impression(*f[:7], f[7], None if f[8] < 0 else f[8] == 1,
+                           f[9])
+                for f in _records(self.columns, range(len(self)), Click)]
 
     def subset(self, rows) -> "LogCorpus":
         """The impressions at `rows`, as a corpus whose metric tables are
         this corpus's cached tables at those rows."""
-        sub = LogCorpus([self.impressions[k] for k in rows],
+        sub = LogCorpus(self.columns.take(rows),
                         CorpusMetadata(accepted=len(rows)))
-        for dwell, table in self._metric_tables.items():
-            sub._metric_tables[dwell] = table[rows]
-            sub._metric_tables[dwell].setflags(write=False)
+        for key, table in self._derived.items():
+            if key[0] == "metric_table":
+                sub._derived[key] = _frozen(table[rows])
         return sub
 
     @property
     def has_dwell(self) -> bool:
         """False when any click lacks a dwell time (clicks-only fidelity)."""
-        return not any(
-            math.isnan(c.dwell_seconds)
-            for imp in self.impressions for c in imp.clicks
-        )
+        return not np.isnan(self.columns.click_dwell).any()
 
 
 def normalize_query(text: str) -> str:
@@ -199,29 +419,38 @@ def normalize_query(text: str) -> str:
     return _WS.sub(" ", text.strip()).lower()
 
 
-def validate_impression(imp: Impression) -> str | None:
-    """Return a reason string if `imp` violates an invariant, else None."""
-    if not imp.impression_id:
+def _invalid(impression_id, timestamp, query_text, results,
+             clicks) -> str | None:
+    """The first invariant a record's fields violate, else None."""
+    if not impression_id:
         return "empty impression_id"
-    if not imp.results:
+    if not results:
         return "empty results list"
-    if len(set(imp.results)) != len(imp.results):
+    shown = set(results)
+    if len(shown) != len(results):
         return "duplicate result_id in results"
-    if not imp.query_text:
+    if not query_text:
         return "empty query_text"
-    shown = set(imp.results)
     terminating = 0
-    for c in imp.clicks:
-        if c.result_id not in shown:
-            return f"click on result {c.result_id!r} absent from results"
-        if c.position < 1 or c.position > len(imp.results):
-            return f"click position {c.position} out of range"
-        if not math.isnan(c.dwell_seconds) and c.dwell_seconds < 0:
+    for result_id, position, dwell, terminated in clicks:
+        if result_id not in shown:
+            return f"click on result {result_id!r} absent from results"
+        if position < 1 or position > len(results):
+            return f"click position {position} out of range"
+        if dwell < 0:              # False for NaN, which means no dwell
             return "negative dwell"
-        terminating += int(c.terminated_query)
+        terminating += terminated
     if terminating > 1:
         return "more than one terminating click"
+    if not -(1 << 63) <= timestamp < 1 << 63:
+        return f"timestamp {timestamp} out of range"
     return None
+
+
+def validate_impression(imp: Impression) -> str | None:
+    """Return a reason string if `imp` violates an invariant, else None."""
+    f = _fields_of(imp)
+    return _invalid(f[0], f[3], f[4], f[6], f[7])
 
 
 # ---------------------------------------------------------------------------
@@ -280,49 +509,56 @@ def _queries_similar(orig: str, nxt: str, overlap_threshold: float,
     return longest > 0 and _edit_distance(orig, nxt) / longest <= edit_threshold
 
 
-def derive_reformulation_flags(impressions: list[Impression],
+def derive_reformulation_flags(columns: ImpressionColumns,
                                overlap_threshold: float = 0.5,
-                               edit_threshold: float = 0.5) -> None:
-    """Fill in missing reformulated flags from in-session successors.
+                               edit_threshold: float = 0.5) -> np.ndarray:
+    """The reformulated column with unset flags filled from in-session
+    successors.
 
-    Only impressions whose flag is None are touched.  The last query of a
-    session can never be a reformulation source, so it gets False.
+    Each session is scanned in (timestamp, impression_id) order, and an
+    unset flag becomes 1 at the first later, different query that is
+    similar; set flags are kept.  The last query of a session can never
+    be a reformulation source, so it gets 0.  Each (query, later query)
+    pair is judged once per call.
     """
-    similar: dict[tuple[str, str], bool] = {}
-    sessions: dict[str, list[Impression]] = {}
-    for imp in impressions:
-        sessions.setdefault(imp.session_id, []).append(imp)
-    for sess in sessions.values():
-        sess.sort(key=lambda i: (i.timestamp, i.impression_id))
-        for k, imp in enumerate(sess):
-            if imp.reformulated is not None:
-                continue
-            flag = False
-            for later in sess[k + 1:]:
-                if later.query_text == imp.query_text:
-                    continue
-                pair = (imp.query_text, later.query_text)
-                verdict = similar.get(pair)
+    flags = columns.reformulated
+    if not (flags < 0).any():
+        return flags
+    n = len(columns)
+    id_rank = np.empty(n, dtype=np.intp)
+    id_rank[columns.id_order] = np.arange(n)
+    order = np.lexsort((id_rank, columns.timestamp, columns.session))
+    session = columns.session[order].tolist()
+    query = columns.query[order].tolist()
+    flag = flags[order].tolist()
+    texts = columns.queries
+    similar: dict[tuple[int, int], bool] = {}
+    for k in range(n):
+        if flag[k] >= 0:
+            continue
+        s, q = session[k], query[k]
+        found = 0
+        j = k + 1
+        while j < n and session[j] == s:
+            later = query[j]
+            if later != q:
+                verdict = similar.get((q, later))
                 if verdict is None:
-                    verdict = similar[pair] = _queries_similar(
-                        *pair, overlap_threshold, edit_threshold)
+                    verdict = similar[q, later] = _queries_similar(
+                        texts[q], texts[later], overlap_threshold,
+                        edit_threshold)
                 if verdict:
-                    flag = True
+                    found = 1
                     break
-            imp.reformulated = flag
+            j += 1
+        flag[k] = found
+    out = np.empty(n, dtype=np.int8)
+    out[order] = flag
+    return out
 
 
 # ---------------------------------------------------------------------------
 # NDJSON
-
-def _click_to_dict(c: Click) -> dict:
-    return {
-        "result_id": c.result_id,
-        "position": c.position,
-        "dwell_seconds": c.dwell_seconds,
-        "terminated_query": c.terminated_query,
-    }
-
 
 def impression_to_dict(imp: Impression) -> dict:
     return {
@@ -333,11 +569,41 @@ def impression_to_dict(imp: Impression) -> dict:
         "query_text": imp.query_text,
         "topic": imp.topic,
         "results": list(imp.results),
-        "clicks": [_click_to_dict(c) for c in imp.clicks],
+        "clicks": [{"result_id": c.result_id, "position": c.position,
+                    "dwell_seconds": c.dwell_seconds,
+                    "terminated_query": c.terminated_query}
+                   for c in imp.clicks],
         "reformulated": imp.reformulated,
         "demographics": {"age": imp.demographics.age.name,
                          "gender": imp.demographics.gender.code},
     }
+
+
+def _json_click(result_id: str, position: int, dwell: float,
+                terminated: bool) -> str:
+    dwell = repr(dwell) if math.isfinite(dwell) else json.dumps(dwell)
+    return (f'{{"result_id": {result_id}, "position": {position}, '
+            f'"dwell_seconds": {dwell}, '
+            f'"terminated_query": {"true" if terminated else "false"}}}')
+
+
+def _ndjson_lines(cols: ImpressionColumns, rows):
+    """The NDJSON line of each row, byte for byte ``json.dumps`` of its
+    :func:`impression_to_dict`, from strings encoded once per vocabulary
+    entry and per click."""
+    enc = json.encoder.encode_basestring_ascii
+    flag = ("false", "true", "null")        # indexed by 0, 1 and -1
+    demographics = {p: json.dumps({"age": p.age.name,
+                                   "gender": p.gender.code})
+                    for p in _PROFILES}
+    for f in _records(cols, rows, _json_click, enc):
+        yield (f'{{"impression_id": {enc(f[0])}, "user_id": {f[1]}, '
+               f'"session_id": {f[2]}, "timestamp": {f[3]}, '
+               f'"query_text": {f[4]}, "topic": {f[5]}, '
+               f'"results": [{", ".join(f[6])}], '
+               f'"clicks": [{", ".join(f[7])}], '
+               f'"reformulated": {flag[f[8]]}, '
+               f'"demographics": {demographics[f[9]]}}}\n')
 
 
 def _parse_bool(v) -> bool | None:
@@ -355,30 +621,22 @@ def _parse_bool(v) -> bool | None:
     raise ValueError(f"bad boolean {v!r}")
 
 
-def impression_from_dict(rec: dict) -> Impression:
+def _fields_from_line(line: str) -> tuple:
+    rec = json.loads(line)
     demo = rec["demographics"]
     clicks = [
-        Click(
-            result_id=str(c["result_id"]),
-            position=int(c["position"]),
-            dwell_seconds=(float("nan") if c.get("dwell_seconds") is None
-                           else float(c["dwell_seconds"])),
-            terminated_query=bool(_parse_bool(c.get("terminated_query")) or False),
-        )
+        (str(c["result_id"]), int(c["position"]),
+         (float("nan") if c.get("dwell_seconds") is None
+          else float(c["dwell_seconds"])),
+         bool(_parse_bool(c.get("terminated_query")) or False))
         for c in rec["clicks"]
     ]
-    return Impression(
-        impression_id=str(rec["impression_id"]),
-        user_id=str(rec["user_id"]),
-        session_id=str(rec["session_id"]),
-        timestamp=int(rec["timestamp"]),
-        query_text=normalize_query(str(rec["query_text"])),
-        topic=str(rec["topic"]),
-        results=[str(r) for r in rec["results"]],
-        clicks=clicks,
-        reformulated=_parse_bool(rec.get("reformulated")),
-        demographics=_profile(str(demo["age"]), str(demo["gender"])),
-    )
+    return (str(rec["impression_id"]), str(rec["user_id"]),
+            str(rec["session_id"]), int(rec["timestamp"]),
+            normalize_query(str(rec["query_text"])), str(rec["topic"]),
+            [str(r) for r in rec["results"]], clicks,
+            _parse_bool(rec.get("reformulated")),
+            _profile(str(demo["age"]), str(demo["gender"])))
 
 
 # ---------------------------------------------------------------------------
@@ -391,67 +649,46 @@ CSV_FIELDS = ["impression_id", "user_id", "session_id", "timestamp",
 _RESERVED = (":", ";")
 
 
-def _pack_clicks(clicks: Sequence[Click]) -> str:
-    parts = []
-    for c in clicks:
-        if any(ch in c.result_id for ch in _RESERVED):
+def _csv_click(result_id: str, position: int, dwell: float,
+               terminated: bool) -> str:
+    return f"{position}:{result_id}:{'' if math.isnan(dwell) else repr(dwell)}" \
+        f":{int(terminated)}"
+
+
+def _csv_rows(cols: ImpressionColumns, rows):
+    """The CSV row of each row, as a list in ``CSV_FIELDS`` order."""
+    reserved = {r for r in cols.result_ids
+                if any(ch in r for ch in _RESERVED)}
+    flag = (0, 1, "")                       # indexed by 0, 1 and -1
+    for f in _records(cols, rows, _csv_click):
+        if reserved and not reserved.isdisjoint(f[6]):
+            bad = next(r for r in f[6] if r in reserved)
             raise DataError(
-                f"result id {c.result_id!r} contains a reserved character; "
+                f"result id {bad!r} contains a reserved character; "
                 "CSV packing requires ids without ':' or ';'")
-        dwell = "" if math.isnan(c.dwell_seconds) else repr(c.dwell_seconds)
-        parts.append(f"{c.position}:{c.result_id}:{dwell}:{int(c.terminated_query)}")
-    return ";".join(parts)
+        yield [*f[:6], ";".join(f[6]), ";".join(f[7]), flag[f[8]],
+               f[9].age.name, f[9].gender.code]
 
 
-def _unpack_clicks(packed: str) -> list[Click]:
+def _unpack_clicks(packed: str) -> list[tuple]:
     clicks = []
     if not packed:
         return clicks
     for part in packed.split(";"):
         pos, rid, dwell, term = part.split(":")
-        clicks.append(Click(
-            result_id=rid,
-            position=int(pos),
-            dwell_seconds=float(dwell) if dwell else float("nan"),
-            terminated_query=bool(int(term)),
-        ))
+        clicks.append((rid, int(pos),
+                       float(dwell) if dwell else float("nan"),
+                       bool(int(term))))
     return clicks
 
 
-def _impression_to_row(imp: Impression) -> dict:
-    for rid in imp.results:
-        if any(ch in rid for ch in _RESERVED):
-            raise DataError(
-                f"result id {rid!r} contains a reserved character; "
-                "CSV packing requires ids without ':' or ';'")
-    return {
-        "impression_id": imp.impression_id,
-        "user_id": imp.user_id,
-        "session_id": imp.session_id,
-        "timestamp": imp.timestamp,
-        "query_text": imp.query_text,
-        "topic": imp.topic,
-        "results": ";".join(imp.results),
-        "clicks": _pack_clicks(imp.clicks),
-        "reformulated": "" if imp.reformulated is None else int(imp.reformulated),
-        "age": imp.demographics.age.name,
-        "gender": imp.demographics.gender.code,
-    }
-
-
-def _impression_from_row(row: dict) -> Impression:
-    return Impression(
-        impression_id=row["impression_id"],
-        user_id=row["user_id"],
-        session_id=row["session_id"],
-        timestamp=int(row["timestamp"]),
-        query_text=normalize_query(row["query_text"]),
-        topic=row["topic"],
-        results=row["results"].split(";") if row["results"] else [],
-        clicks=_unpack_clicks(row["clicks"]),
-        reformulated=_parse_bool(row["reformulated"]),
-        demographics=_profile(row["age"], row["gender"]),
-    )
+def _fields_from_row(row: dict) -> tuple:
+    return (row["impression_id"], row["user_id"], row["session_id"],
+            int(row["timestamp"]), normalize_query(row["query_text"]),
+            row["topic"],
+            row["results"].split(";") if row["results"] else [],
+            _unpack_clicks(row["clicks"]), _parse_bool(row["reformulated"]),
+            _profile(row["age"], row["gender"]))
 
 
 # ---------------------------------------------------------------------------
@@ -470,48 +707,40 @@ def ingest(path: str | Path, fmt: str = "ndjson", *,
     if fmt not in ("ndjson", "csv"):
         raise DataError(f"unknown log format {fmt!r}")
 
-    impressions: list[Impression] = []
+    builder = _ColumnBuilder()
     skipped = 0
     first_errors: list[str] = []
-
-    def consider(build):
-        nonlocal skipped
-        try:
-            imp = build()
-        except (KeyError, ValueError, TypeError, IndexError) as exc:
-            skipped += 1
-            if len(first_errors) < 5:
-                first_errors.append(str(exc))
-            return
-        reason = validate_impression(imp)
-        if reason is not None:
-            skipped += 1
-            if len(first_errors) < 5:
-                first_errors.append(reason)
-            return
-        impressions.append(imp)
-
     # One streaming pass: records are parsed as lines are read, so the raw
     # text is never held whole.  newline="" lets the csv module see quoted
     # line breaks; json.loads ignores a line's trailing "\r\n".
     try:
         with path.open(encoding="utf-8", newline="") as fh:
             if fmt == "ndjson":
-                for line in fh:
-                    if not line.strip():
-                        continue
-                    consider(lambda line=line: impression_from_dict(json.loads(line)))
+                parse = _fields_from_line
+                records = (line for line in fh if not line.isspace())
             else:
-                reader = _csv.DictReader(fh)
+                parse = _fields_from_row
+                records = reader = _csv.DictReader(fh)
                 if reader.fieldnames is not None and set(CSV_FIELDS) - set(reader.fieldnames):
                     missing = sorted(set(CSV_FIELDS) - set(reader.fieldnames))
                     raise DataError(f"CSV header missing columns: {', '.join(missing)}")
-                for row in reader:
-                    consider(lambda row=row: _impression_from_row(row))
-    except (OSError, UnicodeDecodeError) as exc:
+            for record in records:
+                try:
+                    parsed = parse(record)
+                except (KeyError, ValueError, TypeError, IndexError,
+                        AttributeError) as exc:
+                    reason = str(exc)
+                else:
+                    reason = builder.add(*parsed)
+                if reason is not None:
+                    skipped += 1
+                    if len(first_errors) < 5:
+                        first_errors.append(reason)
+    except (OSError, UnicodeDecodeError, _csv.Error) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
-    total = len(impressions) + skipped
+    accepted = len(builder.ids)
+    total = accepted + skipped
     if total > 0 and skipped * 2 > total:
         raise DataError(
             f"{skipped}/{total} records malformed in {path}; "
@@ -520,25 +749,27 @@ def ingest(path: str | Path, fmt: str = "ndjson", *,
         logger.warning("ingest %s: skipped %d/%d records (first errors: %s)",
                        path, skipped, total, first_errors)
 
-    derive_reformulation_flags(impressions, overlap_threshold, edit_threshold)
-    return LogCorpus(impressions,
-                     CorpusMetadata(accepted=len(impressions), skipped=skipped))
+    columns = builder.freeze()
+    del builder
+    columns = replace(columns, reformulated=derive_reformulation_flags(
+        columns, overlap_threshold, edit_threshold))
+    return LogCorpus(columns, CorpusMetadata(accepted=accepted,
+                                             skipped=skipped))
 
 
 def emit(corpus: LogCorpus, path: str | Path, fmt: str = "ndjson") -> int:
     """Write a corpus in stable impression_id order; returns record count."""
     path = Path(path)
-    ordered = sorted(corpus.impressions, key=lambda i: i.impression_id)
+    cols = corpus.columns
+    rows = cols.id_order.tolist()
     if fmt == "ndjson":
         with path.open("w", encoding="utf-8", newline="\n") as fh:
-            for imp in ordered:
-                fh.write(json.dumps(impression_to_dict(imp)) + "\n")
+            fh.writelines(_ndjson_lines(cols, rows))
     elif fmt == "csv":
         with path.open("w", encoding="utf-8", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=CSV_FIELDS, lineterminator="\n")
-            writer.writeheader()
-            for imp in ordered:
-                writer.writerow(_impression_to_row(imp))
+            writer = _csv.writer(fh, lineterminator="\n")
+            writer.writerow(CSV_FIELDS)
+            writer.writerows(_csv_rows(cols, rows))
     else:
         raise DataError(f"unknown log format {fmt!r}")
-    return len(ordered)
+    return len(corpus)

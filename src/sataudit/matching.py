@@ -31,9 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .aggregate import Factor, NormalizedScores, RawScores, normalize, \
-    query_averaged_scores
-from .logmodel import Impression, LogCorpus
+from .aggregate import Factor, RawScores, query_averaged_scores
+from .logmodel import Impression, ImpressionColumns, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S
 
 DEFAULT_SERP_PREFIX = 8
@@ -78,19 +77,6 @@ def final_successful_click(imp: Impression,
     return None
 
 
-def dominant_result(impressions: list[Impression],
-                    dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
-                    ) -> str | None:
-    """The result receiving the most final successful clicks.
-
-    Ties break lexicographically on result id; None when no impression
-    has a final successful click.
-    """
-    finals = (final_successful_click(imp, dwell_threshold_s)
-              for imp in impressions)
-    return _most_common(rid for rid in finals if rid is not None)
-
-
 def serp_signature(results: list[str], prefix_len: int = DEFAULT_SERP_PREFIX) -> str:
     """Stable order-sensitive hash of the first `prefix_len` result ids.
 
@@ -102,6 +88,48 @@ def serp_signature(results: list[str], prefix_len: int = DEFAULT_SERP_PREFIX) ->
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
 
+def _final_clicks(corpus: LogCorpus, dwell_threshold_s: float) -> np.ndarray:
+    """Each impression's final successful click as a result code (-1 when
+    none), built once per corpus and threshold."""
+    key = ("final_click", dwell_threshold_s)
+    final = corpus._derived.get(key)
+    if final is None:
+        final = corpus._derived[key] = _final_click_column(
+            corpus.columns, dwell_threshold_s)
+    return final
+
+
+def _final_click_column(cols: ImpressionColumns,
+                        dwell_threshold_s: float) -> np.ndarray:
+    """The column form of :func:`final_successful_click`: the last click
+    whose dwell is above the threshold (NaN never is)."""
+    clicks = np.flatnonzero(cols.click_dwell > dwell_threshold_s)
+    rows = cols.click_row[clicks]                # ascending
+    last = np.diff(rows, append=-1) != 0         # each row's last one
+    final = np.full(len(cols), -1, dtype=np.int32)
+    final[rows[last]] = cols.click_result[clicks[last]]
+    final.setflags(write=False)
+    return final
+
+
+def _page_signatures(cols: ImpressionColumns, rows: list[int],
+                     prefix_len: int) -> list[str]:
+    """:func:`serp_signature` of each row's result page, hashed once per
+    distinct page prefix (the only part the signature reads)."""
+    offsets, result = cols.result_offsets.tolist(), cols.result.tolist()
+    signature: dict[tuple[int, ...], str] = {}
+    out = []
+    for k in rows:
+        page = result[offsets[k]:offsets[k + 1]]
+        prefix = tuple(page[:prefix_len])
+        sig = signature.get(prefix)
+        if sig is None:
+            sig = signature[prefix] = serp_signature(
+                [cols.result_ids[c] for c in page], prefix_len)
+        out.append(sig)
+    return out
+
+
 def navigational_queries_proxy(corpus: LogCorpus, cfg: MatchConfig) -> set[str]:
     """Queries whose final successful clicks concentrate on one result.
 
@@ -109,14 +137,18 @@ def navigational_queries_proxy(corpus: LogCorpus, cfg: MatchConfig) -> set[str]:
     is treated as navigational when at least `navigational_share` of its
     final successful clicks land on a single result.
     """
-    counts: dict[str, Counter] = {}
-    for imp in corpus.impressions:
-        rid = final_successful_click(imp, cfg.dwell_threshold_s)
-        if rid is not None:
-            counts.setdefault(imp.query_text, Counter())[rid] += 1
-    return {q for q, by_result in counts.items()
-            if max(by_result.values()) / sum(by_result.values())
-            >= cfg.navigational_share}
+    cols = corpus.columns
+    final = _final_clicks(corpus, cfg.dwell_threshold_s)
+    has = final >= 0
+    keys, counts = np.unique(
+        cols.query[has].astype(np.int64) * len(cols.result_ids) + final[has],
+        return_counts=True)
+    query = keys // len(cols.result_ids)
+    top = np.zeros(len(cols.queries), dtype=np.int64)
+    np.maximum.at(top, query, counts)
+    total = np.bincount(query, weights=counts, minlength=len(cols.queries))
+    return {cols.queries[q] for q in np.flatnonzero(top).tolist()
+            if top[q] / total[q] >= cfg.navigational_share}
 
 
 def match_contexts(corpus: LogCorpus, factor: Factor,
@@ -125,7 +157,6 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
     """Run the five-stage matching pipeline; see the module docstring."""
     if cfg.min_impressions_per_group < 1:
         raise DataError("min_impressions_per_group must be >= 1")
-    imps = corpus.impressions
     columns = corpus.columns
     group = factor.codes(corpus)
     n_groups = len(factor.groups())
@@ -149,18 +180,20 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
     stages["min_impressions"] = by_query = {
         q: rows for q, rows in by_query.items() if meets_floor(rows)}
 
-    # stages 3 and 4: per-impression predicates against stage-2 statistics;
-    # each impression's final click and page signature are computed once
+    # stages 3 and 4: per-impression predicates against stage-2 statistics
+    final = _final_clicks(corpus, cfg.dwell_threshold_s).tolist()
+    result_ids = columns.result_ids + [None]      # code -1 reads None
+    stage2 = [k for rows in by_query.values() for k in rows]
+    page_of = dict(zip(stage2, _page_signatures(columns, stage2,
+                                                cfg.serp_prefix_len)))
     stage3 = stages["final_click"] = {}
     stage4 = stages["serp"] = {}
     for q, rows in by_query.items():
-        finals = [final_successful_click(imps[k], cfg.dwell_threshold_s)
-                  for k in rows]
+        finals = [result_ids[final[k]] for k in rows]
         dominant = _most_common(f for f in finals if f is not None)
         if dominant is None:
             continue
-        pages = [serp_signature(imps[k].results, cfg.serp_prefix_len)
-                 for k in rows]
+        pages = [page_of[k] for k in rows]
         modal = _most_common(pages)
         stage3[q] = [k for k, f in zip(rows, finals) if f == dominant]
         kept = [k for k, f, page in zip(rows, finals, pages)
@@ -190,14 +223,3 @@ def matched_raw_scores(cohort: MatchedCohort,
     return query_averaged_scores(cohort.corpus.subset(rows), cohort.factor,
                                  dwell_threshold_s)
 
-
-def matched_scores(cohort: MatchedCohort,
-                   dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S,
-                   reference: dict | None = None) -> NormalizedScores:
-    """Query-averaged scores on the matched cohort.
-
-    `reference` bounds (from the raw audit) put matched and raw scores on
-    one scale; without it the cohort is normalized on its own.
-    """
-    return normalize(matched_raw_scores(cohort, dwell_threshold_s),
-                     reference=reference)

@@ -20,14 +20,13 @@ Four metrics are computed from a single impression:
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .logmodel import Impression, LogCorpus
+from .logmodel import Impression, ImpressionColumns, LogCorpus
 
 DEFAULT_DWELL_THRESHOLD_S = 30.0
 
@@ -121,20 +120,40 @@ def metric_table(corpus: LogCorpus,
                  ) -> np.ndarray:
     """Read-only (n, 4) array of every impression's metrics.
 
-    Row k is ``metric_vector(corpus.impressions[k])`` with columns in
-    ``METRICS`` order.  The table is built once per dwell threshold and
-    kept on the corpus, so every estimator reads the same scores.
+    Row k equals ``metric_vector`` of impression k, with columns in
+    ``METRICS`` order.  The table is built once per dwell threshold from
+    the corpus's click columns and kept on the corpus, so every estimator
+    reads the same scores.
     """
-    cache = corpus._metric_tables
-    table = cache.get(dwell_threshold_s)
+    key = ("metric_table", dwell_threshold_s)
+    table = corpus._derived.get(key)
     if table is None:
-        rows = ((mv.graded_utility, mv.reformulation, mv.page_click_count,
-                 mv.successful_click_count)
-                for mv in (metric_vector(imp, dwell_threshold_s)
-                           for imp in corpus.impressions))
-        table = np.fromiter(itertools.chain.from_iterable(rows), dtype=float,
-                            count=len(METRICS) * len(corpus)
-                            ).reshape(-1, len(METRICS))
-        table.setflags(write=False)
-        cache[dwell_threshold_s] = table
+        table = corpus._derived[key] = _build_metric_table(
+            corpus.columns, dwell_threshold_s)
+    return table
+
+
+def _build_metric_table(cols: ImpressionColumns,
+                        dwell_threshold_s: float) -> np.ndarray:
+    dwell, reform = cols.click_dwell, cols.reformulated
+    # metric_vector's errors, for the first impression that has one
+    no_dwell = cols.click_row[np.isnan(dwell)][:1]
+    unset = np.flatnonzero(reform < 0)[:1]
+    if no_dwell.size or unset.size:
+        first = min(no_dwell.tolist() + unset.tolist())
+        if no_dwell.size and no_dwell[0] == first:
+            raise DataError(
+                f"impression {cols.ids[first]}: dwell missing; "
+                "successful clicks need dwell fidelity")
+        raise DataError(
+            f"impression {cols.ids[first]}: reformulated flag unset; "
+            "run ingest (which derives missing flags) first")
+    pcc = cols.click_count
+    scc = np.bincount(cols.click_row[dwell > dwell_threshold_s],
+                      minlength=len(cols))
+    gu = np.select([pcc == 0, scc == 0, (pcc <= 2) & (reform == 0)],
+                   [GU_LEVELS[0], GU_LEVELS[1], GU_LEVELS[3]],
+                   default=GU_LEVELS[2])
+    table = np.column_stack([gu, reform, pcc, scc]).astype(float)
+    table.setflags(write=False)
     return table

@@ -204,8 +204,14 @@ def fit_multilevel(obs: ObservationSet,
         raise DataError("multilevel fit needs >= 2 distinct difficulty values")
     family = family_for_metric(obs.metric)
 
-    keys = np.stack([obs.age_idx, obs.gender_idx, obs.topic_idx], axis=1)
-    cells, cell_of = np.unique(keys, axis=0, return_inverse=True)
+    # one code per (age, gender, topic) cell; its numeric order is the
+    # lexicographic order of the triples
+    n_topics = len(obs.topics)
+    keys = (obs.age_idx.astype(np.int64) * 2 + obs.gender_idx) * n_topics \
+        + obs.topic_idx
+    codes, cell_of = np.unique(keys, return_inverse=True)
+    age_gender, topic = np.divmod(codes, n_topics)
+    cells = np.stack([age_gender // 2, age_gender % 2, topic], axis=1)
 
     variances = {"age": priors.variance_age, "gender": priors.variance_gender,
                  "topic": priors.variance_topic,
@@ -220,7 +226,7 @@ def fit_multilevel(obs: ObservationSet,
                          variance_topic=variances["topic"],
                          variance_interaction=variances["interaction"],
                          empirical_bayes=False)
-        design, blocks = _build_design(cells, len(obs.topics), pr)
+        design, blocks = _build_design(cells, n_topics, pr)
         theta0 = np.zeros(design.intercept_map.shape[1])
         theta0[0] = family.link(float(np.mean(obs.y)))
         solution = fit_penalized_glm(obs.y, obs.x, cell_of, design, family,

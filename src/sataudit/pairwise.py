@@ -224,8 +224,7 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
 
     columns = corpus.columns
     query_code = {q: c for c, q in enumerate(columns.queries)}
-    order = np.argsort(np.array([imp.impression_id
-                                 for imp in corpus.impressions]))
+    order = columns.id_order
     query_in_order = columns.query[order]
     group = factor.codes(corpus)
     i_out, j_out, q_out = [], [], []
@@ -309,8 +308,7 @@ def label_sample(corpus: LogCorpus, sample: PairSample,
         gu, reform, _, scc = metric_table(corpus, dwell_threshold_s).T
         return label_batch_internal(gu[i], reform[i], scc[i],
                                     gu[j], reform[j], scc[j], thresholds)
-    pcc = np.array([len(imp.clicks) for imp in corpus.impressions],
-                   dtype=float)
+    pcc = corpus.columns.click_count
     return label_batch_external(pcc[i], pcc[j], thresholds)
 
 

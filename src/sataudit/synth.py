@@ -30,8 +30,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .logmodel import AgeGroup, Click, CorpusMetadata, DemographicProfile, \
-    Gender, Impression, LogCorpus, all_profiles, normalize_query
+from .logmodel import AgeGroup, DemographicProfile, Gender, LogCorpus, \
+    all_profiles, normalize_query
 
 _AGES = list(AgeGroup)
 _GENDERS = list(Gender)
@@ -286,90 +286,89 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
     z_stray = rng.standard_normal(int(stray.sum()))
     stray_slot = rng.integers(0, 1 << 30, size=int(stray.sum()))
 
-    impressions: list[Impression] = []
     latent: dict[str, float] = {}
-    stray_ptr = 0
-    prev_query = -1
-    prev_reform = False
-    for i in range(n_total):
-        p = profiles[user_ord[i]]
-        if pos_in_user[i] == 0:
-            prev_query, prev_reform = -1, False
-        if prev_reform and prev_query >= 0:
-            qi = prev_query
-        else:
-            qi = int(np.searchsorted(cum_by_profile[p.key], u_query[i]))
-            qi = min(qi, n_q - 1)
-        q = queries[qi]
-        dwell_mult = config.dwell_multipliers.get(p.age, 1.0)
 
-        s = (b.base_sat(q.difficulty) + config.offset_for(p)
-             + b.satisfaction_noise * float(z_sat[i]))
-        s = min(1.0, max(0.0, s))
-
-        # reformulation fires when satisfaction is LOW: mirror the gate
-        reform_intent = u_reform[i] < _gate(-s, -b.reform_center,
-                                            b.channel_width, b.reform_floor,
-                                            b.reform_scale)
-        success = u_success[i] < _gate(s, b.success_center, b.channel_width,
-                                       b.success_floor, b.success_scale)
-        p_browse = _gate(s, b.click_center, b.channel_width, b.click_floor,
-                         b.click_scale) * config.click_multipliers.get(p.age,
-                                                                       1.0)
-        browse = u_click[i] < min(p_browse, 0.98)
-
-        r = n_res[q.text]
-        serp = list(q.results)
-        if u_swap[i] < b.serp_swap_prob and r >= 2:
-            k = int(swap_at[i] % (r - 1))
-            serp[k], serp[k + 1] = serp[k + 1], serp[k]
-
-        short_med = (b.short_dwell_base + b.short_dwell_slope * s) * dwell_mult
-        clicks: list[Click] = []
-        if browse:
-            slot = 1 + int(browse_slot[i] % (r - 1)) if r > 1 else 0
-            dwell = short_med * math.exp(b.short_dwell_sigma * z_browse[i])
-            clicks.append(Click(result_id=q.results[slot],
-                                position=serp.index(q.results[slot]) + 1,
-                                dwell_seconds=round(dwell, 2),
-                                terminated_query=False))
-        for _ in range(int(stray[i])):
-            slot = int(stray_slot[stray_ptr] % r)
-            dwell = short_med * math.exp(
-                b.short_dwell_sigma * z_stray[stray_ptr])
-            clicks.append(Click(result_id=q.results[slot],
-                                position=serp.index(q.results[slot]) + 1,
-                                dwell_seconds=round(dwell, 2),
-                                terminated_query=False))
-            stray_ptr += 1
-        if success:
-            conc = (b.nav_concentration if q.navigational
-                    else b.other_concentration)
-            if u_conc[i] < conc or r == 1:
-                target = q.results[0]
+    def records():
+        # one record at a time (Impression fields, clicks as tuples), so
+        # the corpus holds its columns only
+        stray_ptr = 0
+        prev_query = -1
+        prev_reform = False
+        for i in range(n_total):
+            p = profiles[user_ord[i]]
+            if pos_in_user[i] == 0:
+                prev_query, prev_reform = -1, False
+            if prev_reform and prev_query >= 0:
+                qi = prev_query
             else:
-                target = q.results[1 + int(final_slot[i] % (r - 1))]
-            med = (b.success_dwell_base + b.success_dwell_slope * s) \
-                * dwell_mult
-            dwell = max(med * math.exp(b.success_dwell_sigma * z_final[i]),
-                        b.success_dwell_min)
-            clicks.append(Click(result_id=target,
-                                position=serp.index(target) + 1,
-                                dwell_seconds=round(dwell, 2),
-                                terminated_query=True))
+                qi = int(np.searchsorted(cum_by_profile[p.key], u_query[i]))
+                qi = min(qi, n_q - 1)
+            q = queries[qi]
+            dwell_mult = config.dwell_multipliers.get(p.age, 1.0)
 
-        imp_id = f"imp{i:08d}"
-        uid = f"u{user_ord[i]:06d}"
-        impressions.append(Impression(
-            impression_id=imp_id, user_id=uid, session_id=f"s-{uid}",
-            timestamp=1_600_000_000 + int(user_ord[i]) * 600
-            + int(pos_in_user[i]) * 45,
-            query_text=q.text, topic=q.topic, results=list(serp),
-            clicks=clicks,
-            reformulated=bool(reform_intent and not is_last[i]),
-            demographics=p))
-        latent[imp_id] = s
-        prev_query, prev_reform = qi, reform_intent and not is_last[i]
+            s = (b.base_sat(q.difficulty) + config.offset_for(p)
+                 + b.satisfaction_noise * float(z_sat[i]))
+            s = min(1.0, max(0.0, s))
+
+            # reformulation fires when satisfaction is LOW: mirror the gate
+            reform_intent = u_reform[i] < _gate(-s, -b.reform_center,
+                                                b.channel_width, b.reform_floor,
+                                                b.reform_scale)
+            success = u_success[i] < _gate(s, b.success_center, b.channel_width,
+                                           b.success_floor, b.success_scale)
+            p_browse = _gate(s, b.click_center, b.channel_width, b.click_floor,
+                             b.click_scale) * config.click_multipliers.get(p.age,
+                                                                           1.0)
+            browse = u_click[i] < min(p_browse, 0.98)
+
+            r = n_res[q.text]
+            serp = list(q.results)
+            if u_swap[i] < b.serp_swap_prob and r >= 2:
+                k = int(swap_at[i] % (r - 1))
+                serp[k], serp[k + 1] = serp[k + 1], serp[k]
+
+            short_med = (b.short_dwell_base + b.short_dwell_slope * s) * dwell_mult
+            # (result_id, position, dwell_seconds, terminated_query)
+            clicks: list[tuple] = []
+            if browse:
+                slot = 1 + int(browse_slot[i] % (r - 1)) if r > 1 else 0
+                dwell = short_med * math.exp(b.short_dwell_sigma * z_browse[i])
+                clicks.append((q.results[slot],
+                               serp.index(q.results[slot]) + 1,
+                               round(dwell, 2), False))
+            for _ in range(int(stray[i])):
+                slot = int(stray_slot[stray_ptr] % r)
+                dwell = short_med * math.exp(
+                    b.short_dwell_sigma * z_stray[stray_ptr])
+                clicks.append((q.results[slot],
+                               serp.index(q.results[slot]) + 1,
+                               round(dwell, 2), False))
+                stray_ptr += 1
+            if success:
+                conc = (b.nav_concentration if q.navigational
+                        else b.other_concentration)
+                if u_conc[i] < conc or r == 1:
+                    target = q.results[0]
+                else:
+                    target = q.results[1 + int(final_slot[i] % (r - 1))]
+                med = (b.success_dwell_base + b.success_dwell_slope * s) \
+                    * dwell_mult
+                dwell = max(med * math.exp(b.success_dwell_sigma * z_final[i]),
+                            b.success_dwell_min)
+                clicks.append((target, serp.index(target) + 1,
+                               round(dwell, 2), True))
+
+            imp_id = f"imp{i:08d}"
+            uid = f"u{user_ord[i]:06d}"
+            yield (imp_id, uid, f"s-{uid}",
+                   1_600_000_000 + int(user_ord[i]) * 600
+                   + int(pos_in_user[i]) * 45,
+                   q.text, q.topic, list(serp), clicks,
+                   bool(reform_intent and not is_last[i]), p)
+            latent[imp_id] = s
+            prev_query, prev_reform = qi, reform_intent and not is_last[i]
+
+    corpus = LogCorpus.from_records(records())
 
     truth = GroundTruth(
         latent=latent,
@@ -378,9 +377,6 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
         difficulty={normalize_query(q.text): q.difficulty for q in queries},
         navigational={normalize_query(q.text) for q in queries
                       if q.navigational})
-    corpus = LogCorpus(
-        impressions=impressions,
-        metadata=CorpusMetadata(accepted=len(impressions), skipped=0))
     return corpus, truth
 
 

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import itertools
 
-from sataudit.logmodel import (AgeGroup, Click, CorpusMetadata,
-                               DemographicProfile, Gender, Impression,
-                               LogCorpus)
+from sataudit.logmodel import (AgeGroup, Click, DemographicProfile, Gender,
+                               Impression, LogCorpus)
 
 _ids = itertools.count()
 
@@ -33,8 +32,7 @@ def imp(impression_id: str | None = None, *, query: str = "news alpha",
 
 
 def corpus(impressions) -> LogCorpus:
-    imps = list(impressions)
-    return LogCorpus(imps, CorpusMetadata(accepted=len(imps)))
+    return LogCorpus.from_impressions(impressions)
 
 
 def satisfied(impression_id: str | None = None, **kw) -> Impression:

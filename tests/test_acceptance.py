@@ -40,7 +40,8 @@ def test_criterion_1_confound_neutralization():
         aggregate.query_averaged_scores(corpus, Factor.AGE))
     cohort = matching.match_contexts(corpus, Factor.AGE,
                                      navigational=truth.navigational)
-    common = matching.matched_scores(cohort, reference=raw_norm.bounds)
+    common = aggregate.normalize(matching.matched_raw_scores(cohort),
+                                 reference=raw_norm.bounds)
     elapsed = time.perf_counter() - t0
 
     raw_gaps = {k: raw_norm.gap(k) for k in METRICS}

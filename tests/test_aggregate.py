@@ -197,7 +197,8 @@ imps = [Impression(str(k), "u", "s", 0, f"query {int(q)}", "t", ["r0"], [],
                    False, DemographicProfile(AgeGroup(int(a)), Gender.MALE))
         for k, (q, a) in enumerate(zip(rng.zipf(1.5, 4000) % 300,
                                        rng.integers(1, 5, 4000)))]
-print(repr(query_kl(LogCorpus(imps), AgeGroup.G1, AgeGroup.G4, Factor.AGE)))
+print(repr(query_kl(LogCorpus.from_impressions(imps), AgeGroup.G1,
+                    AgeGroup.G4, Factor.AGE)))
 """
         src = str(pathlib.Path(sataudit.__file__).resolve().parents[1])
         outputs = []

@@ -27,7 +27,7 @@ from sataudit.logmodel import AgeGroup, Gender, LogCorpus, emit, ingest
 from sataudit.metrics import MetricKind
 from sataudit.pairwise import derive_thresholds_from_deltas
 from sataudit.reports import read_report_csv
-from sataudit import synth
+from sataudit import logmodel, synth
 
 GU = MetricKind.GRADED_UTILITY
 
@@ -217,6 +217,26 @@ class TestMetrics:
 # ---------------------------------------------------------------------------
 # audit
 
+def _clicks_only_corpus() -> LogCorpus:
+    # click-count spread across age groups, dwell never observed; both
+    # older and younger sides win somewhere so the external labeler emits
+    # both signs
+    clicks_for = {AgeGroup.G1: 0, AgeGroup.G2: 4, AgeGroup.G3: 1,
+                  AgeGroup.G4: 4}
+    imps = []
+    for age, n_clicks in clicks_for.items():
+        for i in range(12):
+            gender = Gender.MALE if i % 2 == 0 else Gender.FEMALE
+            imps.append(imp(
+                query="shared news", age=age, gender=gender,
+                user_id=f"u{age.value}{i:02d}", reformulated=False,
+                results=("r0", "r1", "r2", "r3"),
+                clicks=tuple(click(result_id=f"r{c}", position=c + 1,
+                                   dwell=float("nan"))
+                             for c in range(n_clicks))))
+    return corpus(imps)
+
+
 class TestAudit:
     def test_default_methods_raw_and_matched(self, qmix_audit):
         summary = json.loads((qmix_audit / "summary.json").read_text())
@@ -293,23 +313,7 @@ class TestAudit:
                    "--out", tmp_path) == 1
 
     def test_external_on_clicks_only_corpus(self, tmp_path):
-        # click-count spread across age groups, dwell never observed;
-        # both older and younger sides win somewhere so the labeler
-        # emits both signs
-        clicks_for = {AgeGroup.G1: 0, AgeGroup.G2: 4, AgeGroup.G3: 1,
-                      AgeGroup.G4: 4}
-        imps = []
-        for age, n_clicks in clicks_for.items():
-            for i in range(12):
-                gender = Gender.MALE if i % 2 == 0 else Gender.FEMALE
-                imps.append(imp(
-                    query="shared news", age=age, gender=gender,
-                    user_id=f"u{age.value}{i:02d}", reformulated=False,
-                    results=("r0", "r1", "r2", "r3"),
-                    clicks=tuple(click(result_id=f"r{c}", position=c + 1,
-                                       dwell=float("nan"))
-                                 for c in range(n_clicks))))
-        emit(corpus(imps), tmp_path / "c.ndjson")
+        emit(_clicks_only_corpus(), tmp_path / "c.ndjson")
         out = tmp_path / "audit"
         assert run("audit", "--input", tmp_path / "c.ndjson",
                    "--methods", "external", "--default-thresholds",
@@ -433,6 +437,33 @@ class TestAudit:
         for name in names:
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes(), name
+
+    def test_audit_path_builds_no_record_objects(self, tmp_path,
+                                                 monkeypatch):
+        gen = tmp_path / "gen"
+        assert run("generate", "--preset", "mixed", "--impressions", 4000,
+                   "--seed", 3, "--format", "csv", "--out", gen) == 0
+        corpus_csv = gen / "corpus.csv"
+        blank = tmp_path / "blank.csv"
+        emit(_clicks_only_corpus(), blank, fmt="csv")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a record object was built")
+
+        monkeypatch.setattr(logmodel, "Impression", forbidden)
+        monkeypatch.setattr(logmodel, "Click", forbidden)
+        for k, extra in enumerate(
+                ([], ["--navigational", gen / "navigational_queries.txt"],
+                 ["--factor", "gender"])):
+            assert run("audit", "--input", corpus_csv, "--methods",
+                       "raw,matched,multilevel,pairwise", "--pair-fraction",
+                       "1.0", *extra, "--out", tmp_path / f"a{k}") == 0
+        assert run("audit", "--input", blank, "--methods", "external",
+                   "--default-thresholds", "--pair-fraction", "1.0",
+                   "--out", tmp_path / "ext") == 0
+        for source in (corpus_csv, blank):
+            assert run("metrics", "--input", source,
+                       "--out", tmp_path / source.stem) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import logging
 import math
@@ -69,6 +71,13 @@ class TestValidation:
 
 
 class TestReformulationDerivation:
+    @staticmethod
+    def _derive(imps):
+        """Derive flags on the corpus columns; write them onto `imps`."""
+        flags = derive_reformulation_flags(corpus(imps).columns)
+        for i, flag in zip(imps, flags.tolist()):
+            i.reformulated = bool(flag)
+
     def _session(self, *queries, flags=None):
         flags = flags or [None] * len(queries)
         return [imp(query=q, reformulated=f, user_id="u1", timestamp=i)
@@ -77,26 +86,26 @@ class TestReformulationDerivation:
     def test_token_overlap_marks_reformulation(self):
         imps = self._session("cheap flights london",
                              "cheap flights london june")
-        derive_reformulation_flags(imps)
+        self._derive(imps)
         assert imps[0].reformulated is True
         assert imps[1].reformulated is False   # last in session
 
     def test_edit_distance_route(self):
         # zero token overlap, but one character apart
         imps = self._session("color", "colour")
-        derive_reformulation_flags(imps)
+        self._derive(imps)
         assert imps[0].reformulated is True
 
     def test_dissimilar_queries_not_flagged(self):
         imps = self._session("cheap flights london", "python dataclass")
-        derive_reformulation_flags(imps)
+        self._derive(imps)
         assert imps[0].reformulated is False
 
     def test_existing_flags_untouched(self):
         imps = self._session("cheap flights london",
                              "cheap flights london june",
                              flags=[False, None])
-        derive_reformulation_flags(imps)
+        self._derive(imps)
         assert imps[0].reformulated is False
 
     def test_recurring_pairs_get_one_verdict_each(self, monkeypatch):
@@ -123,7 +132,7 @@ class TestReformulationDerivation:
             return similar(*args)
 
         monkeypatch.setattr(logmodel, "_queries_similar", counting)
-        derive_reformulation_flags(imps)
+        self._derive(imps)
         assert [i.reformulated for i in imps] == want
         assert want[:4] == [True, True, False, False]
         assert len(calls) == len(set(calls))
@@ -137,7 +146,7 @@ class TestReformulationDerivation:
                 timestamp=0)
         b = imp(query="cheap flights june", reformulated=None, user_id="u2",
                 timestamp=1)
-        derive_reformulation_flags([a, b])
+        self._derive([a, b])
         assert a.reformulated is False and b.reformulated is False
 
 
@@ -413,3 +422,220 @@ class TestColumns:
         # the subset codes its own columns in its own first-appearance order
         assert sub.columns.queries == ["travel delta", "sports beta",
                                        "news alpha"]
+
+
+def _assert_columns_equal(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype, f.name
+            np.testing.assert_array_equal(x, y, err_msg=f.name)
+        else:
+            assert x == y, f.name
+
+
+# One record per invariant, in this order, with the reason ingest logs.
+_INVALID = [
+    ("empty id", "empty impression_id"),
+    ("empty results", "empty results list"),
+    ("duplicate result", "duplicate result_id in results"),
+    ("empty query", "empty query_text"),
+    ("absent click", "click on result 'zzz' absent from results"),
+    ("position", "click position 9 out of range"),
+    ("negative dwell", "negative dwell"),
+    ("two terminating", "more than one terminating click"),
+]
+
+
+def _invalid_record(kind: str, rec: dict) -> dict:
+    """`rec` (an NDJSON record dict) broken in one way."""
+    rec = json.loads(json.dumps(rec))
+    click = {"result_id": "r0", "position": 1, "dwell_seconds": 40.0,
+             "terminated_query": False}
+    if kind == "empty id":
+        rec["impression_id"] = ""
+    elif kind == "empty results":
+        rec["results"], rec["clicks"] = [], []
+    elif kind == "duplicate result":
+        rec["results"] = ["r0", "r1", "r0"]
+    elif kind == "empty query":
+        rec["query_text"] = "  \t "
+    elif kind == "absent click":
+        rec["clicks"] = [dict(click, result_id="zzz")]
+    elif kind == "position":
+        rec["clicks"] = [dict(click, position=9)]
+    elif kind == "negative dwell":
+        rec["clicks"] = [dict(click, dwell_seconds=-1.0)]
+    else:
+        rec["clicks"] = [dict(click, terminated_query=True),
+                         dict(click, result_id="r1", position=2,
+                              terminated_query=True)]
+    return rec
+
+
+def _write_records(path, fmt: str, records: list[dict]) -> None:
+    """Write NDJSON record dicts in either format, in the given order."""
+    if fmt == "ndjson":
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        return
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, logmodel.CSV_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        for r in records:
+            writer.writerow({
+                **{k: r[k] for k in ("impression_id", "user_id",
+                                     "session_id", "timestamp",
+                                     "query_text", "topic")},
+                "results": ";".join(r["results"]),
+                "clicks": ";".join(
+                    f"{c['position']}:{c['result_id']}:"
+                    f"{c['dwell_seconds']}:{int(c['terminated_query'])}"
+                    for c in r["clicks"]),
+                "reformulated": int(r["reformulated"]),
+                "age": r["demographics"]["age"],
+                "gender": r["demographics"]["gender"]})
+
+
+class TestColumnarIngest:
+    def test_ndjson_and_csv_give_equal_columns(self, tmp_path):
+        from sataudit import synth
+        c, _ = synth.generate(synth.preset_mixed(n_impressions=3000, seed=5))
+        emit(c, tmp_path / "c.ndjson")
+        emit(c, tmp_path / "c.csv", fmt="csv")
+        a = ingest(tmp_path / "c.ndjson")
+        b = ingest(tmp_path / "c.csv", fmt="csv")
+        assert a.metadata == b.metadata
+        _assert_columns_equal(a.columns, b.columns)
+        # emit writes in id order; synth's ids are already in that order
+        _assert_columns_equal(a.columns, c.columns)
+
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    def test_each_invariant_is_skipped_with_its_reason(self, tmp_path, fmt,
+                                                       caplog):
+        good = [impression_to_dict(imp(f"g{k:02d}", clicks=[click()]))
+                for k in range(12)]
+        bad = [_invalid_record(kind, good[0]) for kind, _ in _INVALID]
+        path = tmp_path / f"c.{fmt}"
+        _write_records(path, fmt, [r for pair in zip(good, bad)
+                                   for r in pair] + good[len(bad):])
+        with caplog.at_level(logging.WARNING, logger="sataudit.logmodel"):
+            back = ingest(path, fmt=fmt)
+        assert back.metadata.accepted == 12 and back.metadata.skipped == 8
+        assert f"skipped 8/20 records (first errors: " \
+            f"{[reason for _, reason in _INVALID[:5]]})" in caplog.text
+        assert back.columns.ids.tolist() == [r["impression_id"] for r in good]
+        # the rest are counted too: each alone is one skipped record
+        for kind, reason in _INVALID[5:]:
+            _write_records(path, fmt, good + [_invalid_record(kind, good[0])])
+            caplog.clear()
+            with caplog.at_level(logging.WARNING,
+                                 logger="sataudit.logmodel"):
+                assert ingest(path, fmt=fmt).metadata.skipped == 1
+            assert f"(first errors: {[reason]})" in caplog.text
+
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    def test_mostly_invalid_stays_fatal(self, tmp_path, fmt):
+        good = [impression_to_dict(imp(f"g{k}", clicks=[click()]))
+                for k in range(3)]
+        path = tmp_path / f"c.{fmt}"
+        _write_records(path, fmt, good + [_invalid_record(kind, good[0])
+                                          for kind, _ in _INVALID])
+        reasons = [reason for _, reason in _INVALID[:5]]
+        with pytest.raises(DataError) as err:
+            ingest(path, fmt=fmt)
+        assert str(err.value) == (f"8/11 records malformed in {path}; "
+                                  f"first errors: {reasons}")
+
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    def test_timestamp_outside_int64_is_skipped(self, tmp_path, fmt, caplog):
+        good = [impression_to_dict(imp(f"g{k}", clicks=[click()]))
+                for k in range(3)]
+        huge = dict(good[0], impression_id="big", timestamp=2 ** 63)
+        path = tmp_path / f"c.{fmt}"
+        _write_records(path, fmt, good + [huge])
+        with caplog.at_level(logging.WARNING, logger="sataudit.logmodel"):
+            back = ingest(path, fmt=fmt)
+        assert back.metadata.skipped == 1
+        assert f"timestamp {2 ** 63} out of range" in caplog.text
+        edge = dict(good[0], impression_id="edge", timestamp=2 ** 63 - 1)
+        _write_records(path, fmt, good + [edge])
+        assert ingest(path, fmt=fmt).columns.timestamp[-1] == 2 ** 63 - 1
+
+    def test_short_csv_row_is_skipped(self, tmp_path):
+        path = tmp_path / "c.csv"
+        emit(corpus([imp(f"g{k}", clicks=[click()]) for k in range(3)]),
+             path, fmt="csv")
+        with open(path, "a") as fh:
+            fh.write("b1,u1,s1,5\n")
+        back = ingest(path, fmt="csv")
+        assert back.metadata.accepted == 3 and back.metadata.skipped == 1
+
+    def test_oversized_csv_field_is_a_data_error(self, tmp_path):
+        path = tmp_path / "c.csv"
+        emit(corpus([imp("g0", clicks=[click()])]), path, fmt="csv")
+        with open(path, "a") as fh:
+            fh.write("b1,u1,s1,5," + "x" * 200_000 + ",t,r0,,0,G1,M\n")
+        with pytest.raises(DataError, match="cannot read .*field larger"):
+            ingest(path, fmt="csv")
+
+    def test_from_impressions_rejects_an_invalid_record(self):
+        with pytest.raises(DataError,
+                           match="impression 'x1': empty results list"):
+            corpus([imp("x0"), imp("x1", results=())])
+
+
+class TestEmit:
+    def _corpus(self):
+        odd = 'q "quoted" \\ back\tslash é 中 😀 \x01'
+        return corpus([
+            imp("b2", query=odd, topic="t ", user_id='u"1',
+                session_id="s\\1", timestamp=-(2 ** 63),
+                results=("r0", "ré1", 'r"2'),
+                clicks=[click('r"2', 3, float("nan")),
+                        click("ré1", 2, float("inf"), True)],
+                reformulated=None, age=AgeGroup.G4, gender=Gender.FEMALE),
+            imp("a1", clicks=[click("r0", 1, 1e-7), click("r1", 2, 30.0)],
+                timestamp=2 ** 63 - 1, reformulated=True),
+            imp("a0", clicks=[], reformulated=False, age=AgeGroup.G2),
+            imp("b2", query="same id, later row", results=("r0",)),
+        ])
+
+    def test_ndjson_lines_equal_json_dumps_of_each_record(self, tmp_path):
+        c = self._corpus()
+        path = tmp_path / "c.ndjson"
+        assert emit(c, path) == 4
+        ordered = sorted(c.impressions, key=lambda i: i.impression_id)
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(impression_to_dict(i)) + "\n" for i in ordered)
+
+    def test_csv_rows_equal_the_record_packing(self, tmp_path):
+        c = self._corpus()
+        path = tmp_path / "c.csv"
+        emit(c, path, fmt="csv")
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(logmodel.CSV_FIELDS)
+        for i in sorted(c.impressions, key=lambda i: i.impression_id):
+            writer.writerow([
+                i.impression_id, i.user_id, i.session_id, i.timestamp,
+                i.query_text, i.topic, ";".join(i.results),
+                ";".join(f"{k.position}:{k.result_id}:"
+                         f"{'' if math.isnan(k.dwell_seconds) else repr(k.dwell_seconds)}"
+                         f":{int(k.terminated_query)}" for k in i.clicks),
+                "" if i.reformulated is None else int(i.reformulated),
+                i.demographics.age.name, i.demographics.gender.code])
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert fh.read() == want.getvalue()
+
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    def test_round_trip_keeps_every_column(self, tmp_path, fmt):
+        # ingest normalizes query text and derives unset flags, so the
+        # record that needs both is left out
+        c = corpus(i for i in self._corpus().impressions
+                   if i.reformulated is not None)
+        path = tmp_path / f"c.{fmt}"
+        emit(c, path, fmt=fmt)
+        back = ingest(path, fmt=fmt)
+        assert [impression_to_dict(i) for i in back.impressions] == [
+            impression_to_dict(i) for i in sorted(
+                c.impressions, key=lambda i: i.impression_id)]

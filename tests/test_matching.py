@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
 from corpus_builders import click, corpus, imp
 from sataudit import matching
-from sataudit.aggregate import Factor
+from sataudit.aggregate import Factor, normalize
 from sataudit.errors import DataError
 from sataudit.logmodel import Gender
-from sataudit.matching import (MatchConfig, dominant_result,
-                               final_successful_click, match_contexts,
-                               matched_raw_scores, matched_scores,
+from sataudit.matching import (MatchConfig, final_successful_click,
+                               match_contexts, matched_raw_scores,
                                navigational_queries_proxy, serp_signature)
 from sataudit.metrics import METRICS, MetricKind, metric_table
 
@@ -39,12 +36,59 @@ class TestFinalSuccessfulClick:
 
 
 def test_dominant_result_counts_and_tie_break():
+    # stage 3's dominant result: the most common final successful click
+    def dominant_result(imps):
+        finals = (final_successful_click(i) for i in imps)
+        return matching._most_common(f for f in finals if f is not None)
+
     imps = [imp(clicks=[click("r0", 1, 60.0)]) for _ in range(2)]
     imps += [imp(clicks=[click("r1", 2, 60.0)]) for _ in range(2)]
     assert dominant_result(imps) == "r0"   # tie -> lexicographically first
     imps += [imp(clicks=[click("r1", 2, 60.0)])]
     assert dominant_result(imps) == "r1"
     assert dominant_result([imp(clicks=[])]) is None
+
+
+class TestColumnForms:
+    def _corpus(self):
+        pages = [("r0", "r1", "r2"), ("r1", "r0", "r2"),
+                 ("r0", "r1", "r2", "r3"), ("r2", "r1", "r0")]
+        shapes = [[click("r0", 1, 60.0), click("r1", 2, 45.0),
+                   click("r2", 3, 2.0)],
+                  [click("r0", 1, 60.0), click("r1", 2, float("nan"))],
+                  [], [click("r1", 2, 31.0)], [click("r0", 1, 30.0)]]
+        return corpus(imp(results=pages[k % 4], clicks=[
+            click(c.result_id, pages[k % 4].index(c.result_id) + 1,
+                  c.dwell_seconds) for c in shapes[k % 5]])
+            for k in range(20))
+
+    @pytest.mark.parametrize("threshold", [30.0, 40.0, 50.0])
+    def test_final_click_column_equals_the_scalar_oracle(self, threshold):
+        c = self._corpus()
+        final = matching._final_clicks(c, threshold)
+        result_ids = c.columns.result_ids
+        assert [None if f < 0 else result_ids[f] for f in final.tolist()] \
+            == [final_successful_click(i, threshold) for i in c.impressions]
+        assert matching._final_clicks(c, threshold) is final
+        assert not final.flags.writeable
+
+    @pytest.mark.parametrize("prefix_len", [8, 2, 0, -1])
+    def test_page_signatures_equal_the_scalar_oracle(self, prefix_len,
+                                                     monkeypatch):
+        c = self._corpus()
+        hashed = []
+
+        def counting(results, n):
+            hashed.append(tuple(results[:n]))
+            return serp_signature(results, n)
+
+        monkeypatch.setattr(matching, "serp_signature", counting)
+        rows = [k for k in range(len(c)) if k % 3]
+        got = matching._page_signatures(c.columns, rows, prefix_len)
+        assert got == [serp_signature(c.impressions[k].results, prefix_len)
+                       for k in rows]
+        # one hash per distinct prefix
+        assert len(hashed) == len(set(hashed))
 
 
 class TestSerpSignature:
@@ -150,28 +194,25 @@ class TestMatchContexts:
                         is g]
                 assert raw.raw[kind][g] == np.mean(table[mine, k])
 
-    def test_final_click_and_page_computed_once_per_stage2_impression(
-            self, monkeypatch):
-        c, nav = self._pipeline_corpus()
-        finals, pages = Counter(), Counter()
+    def test_proxy_path_builds_the_final_click_column_once(self,
+                                                             monkeypatch):
+        c, _ = self._pipeline_corpus()
+        builds = []
+        build = matching._final_click_column
 
-        def counting_final(i, dwell_threshold_s=30.0):
-            finals[i.impression_id] += 1
-            return final_successful_click(i, dwell_threshold_s)
+        def counting(cols, dwell_threshold_s):
+            builds.append(dwell_threshold_s)
+            return build(cols, dwell_threshold_s)
 
-        def counting_page(results, prefix_len=8):
-            pages[id(results)] += 1
-            return serp_signature(results, prefix_len)
-
-        monkeypatch.setattr(matching, "final_successful_click",
-                            counting_final)
-        monkeypatch.setattr(matching, "serp_signature", counting_page)
-        cohort = match_contexts(c, Factor.GENDER, self.CFG, navigational=nav)
-        stage2 = {s.stage: s for s in cohort.attrition}["min_impressions"]
-        for calls in (finals, pages):
-            assert max(calls.values()) == 1
-            assert sum(calls.values()) <= stage2.impressions
-        assert sum(finals.values()) == stage2.impressions
+        monkeypatch.setattr(matching, "_final_click_column", counting)
+        proxy = match_contexts(c, Factor.GENDER, self.CFG)
+        assert builds == [30.0]
+        nav = navigational_queries_proxy(c, self.CFG)
+        explicit = match_contexts(c, Factor.GENDER, self.CFG,
+                                  navigational=nav)
+        assert builds == [30.0]
+        assert explicit.attrition == proxy.attrition
+        assert explicit.by_query == proxy.by_query
 
     def test_proxy_used_when_no_explicit_set(self):
         c, _ = self._pipeline_corpus()
@@ -186,7 +227,7 @@ class TestMatchContexts:
     def test_matched_scores_on_the_surviving_cohort(self):
         c, nav = self._pipeline_corpus()
         cohort = match_contexts(c, Factor.GENDER, self.CFG, navigational=nav)
-        norm = matched_scores(cohort, 30.0)
+        norm = normalize(matched_raw_scores(cohort, 30.0))
         # survivors all have one successful click and no reformulation:
         # identical groups, so every metric is degenerate
         assert norm.degenerate == set(norm.scores)
@@ -197,9 +238,9 @@ class TestMatchContexts:
     def test_reference_bounds_flow_through(self):
         c, nav = self._pipeline_corpus()
         cohort = match_contexts(c, Factor.GENDER, self.CFG, navigational=nav)
-        ref = {m: (0.0, 2.0) for m in
-               matched_scores(cohort, 30.0).scores}
-        norm = matched_scores(cohort, 30.0, reference=ref)
+        raw = matched_raw_scores(cohort, 30.0)
+        ref = {m: (0.0, 2.0) for m in normalize(raw).scores}
+        norm = normalize(raw, reference=ref)
         gu = norm.scores[MetricKind.GRADED_UTILITY]
         assert gu[Gender.MALE].normalized == 0.5   # raw 1.0 on a (0, 2) scale
 
@@ -208,7 +249,7 @@ class TestMatchContexts:
         cohort = match_contexts(c, Factor.GENDER, self.CFG,
                                 navigational={"no such query"})
         with pytest.raises(DataError, match="matched cohort is empty"):
-            matched_scores(cohort, 30.0)
+            matched_raw_scores(cohort, 30.0)
 
     def test_floor_below_one_rejected(self):
         c, _ = self._pipeline_corpus()

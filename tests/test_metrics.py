@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
 from corpus_builders import click, corpus, imp
-from sataudit import metrics
+from sataudit import metrics, synth
 from sataudit.aggregate import Factor, query_averaged_scores
 from sataudit.difficulty import estimate_difficulty
 from sataudit.errors import DataError
-from sataudit.logmodel import AgeGroup, Gender
+from sataudit.logmodel import AgeGroup, Gender, emit, ingest
 from sataudit.matching import MatchConfig, match_contexts, matched_raw_scores
 from sataudit.metrics import (METRICS, MetricKind, MetricVector, metric_table,
                               metric_vector, page_click_count, reformulation,
@@ -146,20 +148,22 @@ def test_metric_table_rows_are_metric_vectors():
             got[0, 0] = 5.0
 
 
-def test_every_estimator_scores_each_impression_once(monkeypatch):
+def test_metric_table_is_built_once_per_corpus_and_threshold(monkeypatch):
     c = _mixed_corpus()
-    calls = []
+    builds = []
+    build = metrics._build_metric_table
 
-    def counting(i, dwell_threshold_s=metrics.DEFAULT_DWELL_THRESHOLD_S):
-        calls.append(i.impression_id)
-        return metric_vector(i, dwell_threshold_s)
+    def counting(cols, dwell_threshold_s):
+        builds.append((len(cols), dwell_threshold_s))
+        return build(cols, dwell_threshold_s)
 
-    monkeypatch.setattr(metrics, "metric_vector", counting)
+    monkeypatch.setattr(metrics, "_build_metric_table", counting)
     query_averaged_scores(c, Factor.AGE)
     cohort = match_contexts(c, Factor.AGE,
                             MatchConfig(min_impressions_per_group=1),
                             navigational={"news alpha", "sports beta"})
     assert cohort.attrition[-1].impressions > 0
+    # the cohort's sub-corpus reads the parent's table at its rows
     matched_raw_scores(cohort)
     table = estimate_difficulty(c)
     for kind in METRICS:
@@ -167,4 +171,73 @@ def test_every_estimator_scores_each_impression_once(monkeypatch):
     sample = sample_pairs(c, ["news alpha", "sports beta"], seed=0,
                           fraction=1.0, pairs_per_query=50)
     label_sample(c, sample, mode="internal")
-    assert len(calls) == len(c)
+    assert builds == [(len(c), 30.0)]
+    metric_table(c, 10.0)
+    assert builds == [(len(c), 30.0), (len(c), 10.0)]
+
+
+def _stacked_metric_vectors(impressions, threshold=30.0):
+    return np.array([[metric_vector(i, threshold).value(kind)
+                      for kind in METRICS] for i in impressions],
+                    dtype=float).reshape(-1, len(METRICS))
+
+
+@pytest.mark.parametrize("preset", ["null", "query_mix_confound",
+                                    "dwell_confound", "true_gap", "mixed"])
+def test_metric_table_equals_metric_vectors_on_presets(preset):
+    c, _ = synth.generate(getattr(synth, f"preset_{preset}")(
+        n_impressions=1500, seed=11))
+    for threshold in (30.0, 12.5):
+        np.testing.assert_array_equal(
+            metric_table(c, threshold),
+            _stacked_metric_vectors(c.impressions, threshold))
+
+
+def test_clicks_only_csv_has_page_click_counts_only(tmp_path):
+    c, _ = synth.generate(synth.preset_dwell_confound(n_impressions=1500,
+                                                      seed=11))
+    emit(c, tmp_path / "full.csv", fmt="csv")
+    # blank every dwell and reformulated flag, as a clicks-only log has
+    with open(tmp_path / "full.csv", newline="") as fin, \
+            open(tmp_path / "blank.csv", "w", newline="") as fout:
+        reader = csv.DictReader(fin)
+        writer = csv.DictWriter(fout, reader.fieldnames, lineterminator="\n")
+        writer.writeheader()
+        for row in reader:
+            row["clicks"] = ";".join(
+                f"{p}:{r}::{t}" for p, r, _, t in
+                (part.split(":") for part in row["clicks"].split(";") if part))
+            row["reformulated"] = ""
+            writer.writerow(row)
+    blank = ingest(tmp_path / "blank.csv", fmt="csv")
+    assert not blank.has_dwell
+    assert blank.columns.click_count.tolist() == \
+        [page_click_count(i) for i in blank.impressions]
+    first = next(i for i in blank.impressions if i.clicks)
+    with pytest.raises(DataError) as scalar:
+        metric_vector(first)
+    with pytest.raises(DataError) as column:
+        metric_table(blank)
+    assert str(column.value) == str(scalar.value)
+    assert "dwell missing" in str(column.value)
+
+
+@pytest.mark.parametrize("rows,want", [
+    # (dwell missing?, flag unset?) per impression; the first bad row names
+    # the error, and dwell is checked before the flag within one row
+    ([(False, False), (False, True), (True, False)], (1, "flag unset")),
+    ([(False, False), (True, False), (False, True)], (1, "dwell missing")),
+    ([(True, True), (False, True)], (0, "dwell missing")),
+    ([(False, True), (True, True)], (0, "flag unset")),
+])
+def test_metric_table_errors_name_the_first_bad_impression(rows, want):
+    imps = [imp(f"m{k}", clicks=[click(dwell=float("nan") if nan else 40.0)],
+                reformulated=None if unset else False)
+            for k, (nan, unset) in enumerate(rows)]
+    with pytest.raises(DataError) as scalar:
+        metric_vector(imps[want[0]])
+    with pytest.raises(DataError) as column:
+        metric_table(corpus(imps))
+    assert str(column.value) == str(scalar.value)
+    assert str(column.value).startswith(f"impression m{want[0]}: ")
+    assert want[1] in str(column.value)

@@ -245,3 +245,22 @@ def test_effects_serialization_keys():
     assert set(d["gender"]) == {"M", "F"}
     assert set(d["topic"]) == {"t"}
     assert all(len(v) == 2 for v in d["age"].values())
+
+
+def test_cells_are_the_observed_triples_in_lexicographic_order():
+    # cell numbering fixes the design's column order, so it must stay
+    # the sorted (age, gender, topic) order for fits to repeat exactly
+    rng = np.random.default_rng(3)
+    n = 300
+    age = rng.integers(0, 4, n)
+    topic = np.where(age == 3, 2, rng.integers(0, 2, n))   # G4 sees "c"
+    obs = ObservationSet(
+        metric=MetricKind.GRADED_UTILITY, y=rng.normal(size=n),
+        x=rng.random(n), age_idx=age, gender_idx=rng.integers(0, 2, n),
+        topic_idx=topic, topics=["a", "b", "c"])
+    fit = fit_multilevel(obs)
+    want = sorted(set(zip(age.tolist(), obs.gender_idx.tolist(),
+                          topic.tolist())))
+    assert list(fit.effects.interaction) == [
+        (list(AgeGroup)[a], list(Gender)[g], obs.topics[t])
+        for a, g, t in want]
