@@ -9,6 +9,8 @@ synthetic generator with recorded ground truth exercises all of it.
 """
 
 from ._version import __version__
+from .audit import (AuditConfig, AuditResult, audit_meta, run_audit,
+                    write_audit)
 from .aggregate import (Factor, METRICS, NormalizedScores, RawScores,
                         head_tail_classify, normalize, query_averaged_scores,
                         query_kl)
@@ -25,28 +27,27 @@ from .multilevel import (MultilevelFit, PriorConfig, build_observations,
                          fit_multilevel, max_group_gap, prediction_grid)
 from .pairwise import (DEFAULT_THRESHOLDS, PairModel, PairThresholds,
                        derive_thresholds_from_deltas, eligible_queries,
-                       fit_pair_model, label_pair_external,
-                       label_pair_internal, label_sample, predict_pair_prob,
+                       fit_pair_model, label_sample, predict_pair_prob,
                        probability_grid, sample_pairs)
 from .synth import (BehaviorModel, GroundTruth, QuerySpec, ScenarioConfig,
                     generate, scenario_presets)
 
 __all__ = [
     "__version__",
-    "AgeGroup", "BehaviorModel", "Click", "ConfigError", "ConvergenceError",
-    "DEFAULT_THRESHOLDS", "DataError", "DemographicProfile",
-    "DifficultyTable", "Factor", "Gender", "GroundTruth", "Impression",
-    "InsufficientSignalError", "LogCorpus", "METRICS", "MatchConfig",
-    "MatchedCohort", "MetricKind", "MetricVector", "MultilevelFit",
-    "NormalizedScores", "PairModel", "PairThresholds", "PriorConfig",
-    "QuerySpec", "RawScores", "SatauditError", "ScenarioConfig",
-    "all_profiles", "build_observations", "derive_thresholds_from_deltas",
+    "AgeGroup", "AuditConfig", "AuditResult", "BehaviorModel", "Click",
+    "ConfigError", "ConvergenceError", "DEFAULT_THRESHOLDS", "DataError",
+    "DemographicProfile", "DifficultyTable", "Factor", "Gender",
+    "GroundTruth", "Impression", "InsufficientSignalError", "LogCorpus",
+    "METRICS", "MatchConfig", "MatchedCohort", "MetricKind",
+    "MetricVector", "MultilevelFit", "NormalizedScores", "PairModel",
+    "PairThresholds", "PriorConfig", "QuerySpec", "RawScores",
+    "SatauditError", "ScenarioConfig", "all_profiles", "audit_meta",
+    "build_observations", "derive_thresholds_from_deltas",
     "eligible_queries", "emit", "estimate_difficulty", "fit_multilevel",
-    "fit_pair_model", "generate",
-    "head_tail_classify", "ingest", "label_pair_external",
-    "label_pair_internal", "label_sample", "match_contexts",
-    "matched_raw_scores", "max_group_gap", "metric_vector", "normalize",
-    "normalize_query", "predict_pair_prob", "prediction_grid",
-    "probability_grid", "query_averaged_scores", "query_kl", "sample_pairs",
-    "scenario_presets",
+    "fit_pair_model", "generate", "head_tail_classify", "ingest",
+    "label_sample", "match_contexts", "matched_raw_scores",
+    "max_group_gap", "metric_vector", "normalize", "normalize_query",
+    "predict_pair_prob", "prediction_grid", "probability_grid",
+    "query_averaged_scores", "query_kl", "run_audit", "sample_pairs",
+    "scenario_presets", "write_audit",
 ]

@@ -85,18 +85,21 @@ class NormalizedScores:
 
 
 def group_query_table(corpus: LogCorpus, factor: Factor,
-                      dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
+                      dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S,
+                      rows: np.ndarray | None = None
                       ) -> dict[GroupKey, dict[str, QueryCell]]:
     """Per (group, query) mean metric vectors with impression counts.
 
-    Cells are numbered in first-appearance order and their sums add in
-    impression order, so the means do not depend on how they are stored.
+    Only `rows` of the corpus are read when given, in that order.  Cells
+    are numbered in first-appearance order and their sums add in row
+    order, so the means do not depend on how they are stored.
     """
-    metrics = metric_table(corpus, dwell_threshold_s)
+    rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
+    metrics = metric_table(corpus, dwell_threshold_s)[rows]
     columns = corpus.columns
     n_queries = len(columns.queries)
     keys, codes = first_appearance_codes(
-        factor.codes(corpus) * n_queries + columns.query)
+        factor.codes(corpus)[rows] * n_queries + columns.query[rows])
     counts = np.bincount(codes, minlength=len(keys))
     means = np.stack([np.bincount(codes, weights=metrics[:, k],
                                   minlength=len(keys))
@@ -112,14 +115,15 @@ def group_query_table(corpus: LogCorpus, factor: Factor,
 
 
 def query_averaged_scores(corpus: LogCorpus, factor: Factor,
-                          dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
-                          ) -> RawScores:
+                          dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S,
+                          rows: np.ndarray | None = None) -> RawScores:
     """Group scores as means over per-query means, with standard errors.
 
-    The standard error treats queries as the sampling unit.  Groups with
-    no impressions are excluded with a warning.
+    `rows` is as in :func:`group_query_table`.  The standard error treats
+    queries as the sampling unit.  Groups with no impressions are excluded
+    with a warning.
     """
-    table = group_query_table(corpus, factor, dwell_threshold_s)
+    table = group_query_table(corpus, factor, dwell_threshold_s, rows)
     missing = [g for g in factor.groups() if g not in table]
     if missing:
         logger.warning("scores for factor %s: no impressions for groups %s",

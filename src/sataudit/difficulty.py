@@ -38,19 +38,15 @@ class DifficultyTable:
 
 
 def midrank(values: np.ndarray) -> np.ndarray:
-    """1-based fractional ranks, ties receiving the mean of their ranks."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based fractional ranks, ties receiving the mean of their ranks.
+
+    Equal values are found with ``np.unique``, which would also tie NaNs
+    together; the GU means ranked here are never NaN.
+    """
+    _, inverse, counts = np.unique(np.asarray(values, dtype=float),
+                                   return_inverse=True, return_counts=True)
+    # a run of c ties ending at sorted position e shares rank e - (c - 1) / 2
+    return ((2 * np.cumsum(counts) - counts + 1) / 2)[inverse]
 
 
 def difficulty_from_group_scores(group_scores: dict[GroupKey, dict[str, float]],

@@ -132,22 +132,6 @@ def first_appearance_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct[order], np.argsort(order)[inverse]
 
 
-def _recode(codes: np.ndarray, vocab: list[str]
-            ) -> tuple[np.ndarray, list[str]]:
-    distinct, new = first_appearance_codes(codes)
-    return new.astype(np.int32), [vocab[c] for c in distinct.tolist()]
-
-
-def _take_csr(offsets: np.ndarray, rows: np.ndarray, *values: np.ndarray):
-    """The CSR offsets and value arrays of `rows`, in that order."""
-    counts = np.diff(offsets)[rows]
-    new = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(counts, out=new[1:])
-    idx = np.repeat(offsets[:-1][rows] - new[:-1], counts) \
-        + np.arange(new[-1])
-    return (new, *(v[idx] for v in values))
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -215,31 +199,6 @@ class ImpressionColumns:
     def click_row(self) -> np.ndarray:
         """The row of each click."""
         return _frozen(np.repeat(np.arange(len(self)), self.click_count))
-
-    def take(self, rows) -> "ImpressionColumns":
-        """The columns of `rows`, with the string vocabularies renumbered
-        in the new first-appearance order (``result_ids`` is shared)."""
-        rows = np.asarray(rows, dtype=np.intp)
-        user, users = _recode(self.user[rows], self.users)
-        session, sessions = _recode(self.session[rows], self.sessions)
-        query, queries = _recode(self.query[rows], self.queries)
-        topic, topics = _recode(self.topic[rows], self.topics)
-        result_offsets, result = _take_csr(self.result_offsets, rows,
-                                           self.result)
-        click_offsets, c_result, c_position, c_dwell, c_terminated = \
-            _take_csr(self.click_offsets, rows, self.click_result,
-                      self.click_position, self.click_dwell,
-                      self.click_terminated)
-        return ImpressionColumns(
-            ids=self.ids[rows], user=user, users=users, session=session,
-            sessions=sessions, timestamp=self.timestamp[rows],
-            age=self.age[rows], gender=self.gender[rows], query=query,
-            queries=queries, topic=topic, topics=topics,
-            reformulated=self.reformulated[rows],
-            result_offsets=result_offsets, result=result,
-            result_ids=self.result_ids, click_offsets=click_offsets,
-            click_result=c_result, click_position=c_position,
-            click_dwell=c_dwell, click_terminated=c_terminated)
 
 
 class _ColumnBuilder:
@@ -397,16 +356,6 @@ class LogCorpus:
         return [Impression(*f[:7], f[7], None if f[8] < 0 else f[8] == 1,
                            f[9])
                 for f in _records(self.columns, range(len(self)), Click)]
-
-    def subset(self, rows) -> "LogCorpus":
-        """The impressions at `rows`, as a corpus whose metric tables are
-        this corpus's cached tables at those rows."""
-        sub = LogCorpus(self.columns.take(rows),
-                        CorpusMetadata(accepted=len(rows)))
-        for key, table in self._derived.items():
-            if key[0] == "metric_table":
-                sub._derived[key] = _frozen(table[rows])
-        return sub
 
     @property
     def has_dwell(self) -> bool:
@@ -683,6 +632,10 @@ def _unpack_clicks(packed: str) -> list[tuple]:
 
 
 def _fields_from_row(row: dict) -> tuple:
+    if None in row.values():            # a short row; the reader fills None
+        missing = [f for f in CSV_FIELDS if row[f] is None]
+        if missing:
+            raise ValueError(f"missing fields: {', '.join(missing)}")
     return (row["impression_id"], row["user_id"], row["session_id"],
             int(row["timestamp"]), normalize_query(row["query_text"]),
             row["topic"],

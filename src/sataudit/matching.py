@@ -214,12 +214,14 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
 def matched_raw_scores(cohort: MatchedCohort,
                        dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                        ) -> RawScores:
+    """Query-averaged scores of the cohort's rows of the audited corpus,
+    read query by query in sorted query order."""
     rows = [k for q in sorted(cohort.by_query) for k in cohort.by_query[q]]
     if not rows:
         raise DataError(
             "matched cohort is empty; nothing to score (no impressions "
             "survived the matching funnel; check the navigational list "
             "or lower the dominant-share cutoff)")
-    return query_averaged_scores(cohort.corpus.subset(rows), cohort.factor,
-                                 dwell_threshold_s)
+    return query_averaged_scores(cohort.corpus, cohort.factor,
+                                 dwell_threshold_s, rows)
 

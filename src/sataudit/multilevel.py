@@ -139,10 +139,12 @@ def build_observations(corpus: LogCorpus, difficulty: DifficultyTable,
         skipped=len(corpus) - len(rows))
 
 
-def _build_design(cells: np.ndarray, n_topics: int, priors: PriorConfig
+def _build_design(cells: np.ndarray, n_topics: int,
+                  variances: dict[str, float]
                   ) -> tuple[CellDesign, dict[str, slice]]:
     """Cell-space design for the decomposition; `cells` is (C, 3) of
-    (age_idx, gender_idx, topic_idx) rows."""
+    (age_idx, gender_idx, topic_idx) rows and `variances` holds each
+    block's prior variance."""
     n_cells = len(cells)
     blocks: dict[str, slice] = {}
     pos = 2
@@ -162,10 +164,7 @@ def _build_design(cells: np.ndarray, n_topics: int, priors: PriorConfig
             ma[c, start + 2 * idx] = 1.0
             mb[c, start + 2 * idx + 1] = 1.0
     penalty = np.zeros(p)
-    for name, var in (("age", priors.variance_age),
-                      ("gender", priors.variance_gender),
-                      ("topic", priors.variance_topic),
-                      ("interaction", priors.variance_interaction)):
+    for name, var in variances.items():
         penalty[blocks[name]] = 1.0 / var
     return CellDesign(intercept_map=ma, slope_map=mb, penalty=penalty), blocks
 
@@ -218,31 +217,21 @@ def fit_multilevel(obs: ObservationSet,
                  "interaction": priors.variance_interaction}
     rounds = priors.empirical_bayes_rounds if priors.empirical_bayes else 0
 
-    solution = None
-    blocks = None
     for round_no in range(rounds + 1):
-        pr = PriorConfig(variance_age=variances["age"],
-                         variance_gender=variances["gender"],
-                         variance_topic=variances["topic"],
-                         variance_interaction=variances["interaction"],
-                         empirical_bayes=False)
-        design, blocks = _build_design(cells, n_topics, pr)
+        design, blocks = _build_design(cells, n_topics, variances)
         theta0 = np.zeros(design.intercept_map.shape[1])
         theta0[0] = family.link(float(np.mean(obs.y)))
         solution = fit_penalized_glm(obs.y, obs.x, cell_of, design, family,
                                      theta0=theta0, config=config)
         if round_no == rounds:
             break
-        updated = {}
-        changed = False
-        for name in variances:
-            block = solution.theta[blocks[name]]
-            new_var = max(float(np.mean(block * block)), 1e-6)
-            if abs(new_var - variances[name]) > 1e-3 * variances[name]:
-                changed = True
-            updated[name] = new_var
+        # each block's variance re-estimated from its fitted coefficients
+        updated = {name: max(float(np.mean(np.square(
+            solution.theta[blocks[name]]))), 1e-6) for name in variances}
+        settled = all(abs(updated[name] - var) <= 1e-3 * var
+                      for name, var in variances.items())
         variances = updated
-        if not changed:
+        if settled:
             break
 
     effects = _unpack(solution.theta, blocks, cells, obs.topics, dict(variances))

@@ -35,8 +35,7 @@ from .errors import ConfigError, DataError, InsufficientSignalError
 from .aggregate import Factor
 from .glmfit import CellDesign, Convergence, Family, FitConfig, fit_penalized_glm
 from .logmodel import AgeGroup, Gender, LogCorpus
-from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind, MetricVector, \
-    metric_table
+from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind, metric_table
 
 logger = logging.getLogger(__name__)
 
@@ -115,23 +114,6 @@ def derive_thresholds_from_deltas(deltas: dict[MetricKind, float],
 # ---------------------------------------------------------------------------
 # labeling
 
-def label_pair_internal(m_i: MetricVector, m_j: MetricVector,
-                        thresholds: PairThresholds = DEFAULT_THRESHOLDS) -> int:
-    """Rule-cascade label for one pair: +1 when side i looks more
-    satisfied; see :func:`label_batch_internal`."""
-    return int(label_batch_internal(
-        [m_i.graded_utility], [m_i.reformulation],
-        [m_i.successful_click_count], [m_j.graded_utility],
-        [m_j.reformulation], [m_j.successful_click_count], thresholds)[0])
-
-
-def label_pair_external(m_i: MetricVector, m_j: MetricVector,
-                        thresholds: PairThresholds = DEFAULT_THRESHOLDS) -> int:
-    """Clicks-only label for one pair; see :func:`label_batch_external`."""
-    return int(label_batch_external([m_i.page_click_count],
-                                    [m_j.page_click_count], thresholds)[0])
-
-
 def label_batch_internal(gu_i, reform_i, scc_i, gu_j, reform_j, scc_j,
                          thresholds: PairThresholds = DEFAULT_THRESHOLDS
                          ) -> np.ndarray:
@@ -190,9 +172,7 @@ class PairSample:
 
     i_idx: np.ndarray
     j_idx: np.ndarray
-    query_idx: np.ndarray
     queries: list[str]
-    seed: int
 
     def __len__(self) -> int:
         return len(self.i_idx)
@@ -227,8 +207,8 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
     order = columns.id_order
     query_in_order = columns.query[order]
     group = factor.codes(corpus)
-    i_out, j_out, q_out = [], [], []
-    for qi, q in enumerate(chosen):
+    i_out, j_out = [], []
+    for q in chosen:
         # the query's impressions, in impression_id order
         members = order[query_in_order == query_code.get(q, -1)]
         n = len(members)
@@ -267,15 +247,11 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
             j_sel = (have % n).astype(np.intp)
         i_out.append(members[i_sel])
         j_out.append(members[j_sel])
-        q_out.append(np.full(i_sel.size, qi, dtype=np.intp))
     if i_out:
-        i_idx = np.concatenate(i_out)
-        j_idx = np.concatenate(j_out)
-        query_idx = np.concatenate(q_out)
+        i_idx, j_idx = np.concatenate(i_out), np.concatenate(j_out)
     else:
-        i_idx = j_idx = query_idx = np.empty(0, dtype=np.intp)
-    return PairSample(i_idx=i_idx, j_idx=j_idx, query_idx=query_idx,
-                      queries=chosen, seed=seed)
+        i_idx = j_idx = np.empty(0, dtype=np.intp)
+    return PairSample(i_idx=i_idx, j_idx=j_idx, queries=chosen)
 
 
 @dataclass

@@ -30,6 +30,13 @@ def run_meta(seed: int, config: dict) -> dict:
             "config_sha256": config_sha256(config)}
 
 
+def csv_value(v) -> str:
+    """A value as CSV cell text: blank for None and NaN, floats by repr."""
+    if v is None or (isinstance(v, float) and v != v):
+        return ""
+    return repr(v) if isinstance(v, float) else str(v)
+
+
 def _clean(value):
     """Make a value JSON-safe: NaN/inf become None, tuples become lists."""
     if isinstance(value, float):
@@ -56,8 +63,7 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[dict],
             f.write(f"# {key}: {meta[key]}\n")
         writer = csv.DictWriter(f, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def read_report_csv(path: Path) -> tuple[dict, list[dict]]:

@@ -13,21 +13,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sataudit import aggregate, matching, multilevel, pairwise, synth
+from sataudit import aggregate, multilevel, pairwise, synth
 from sataudit.aggregate import Factor, METRICS
+from sataudit.audit import AuditConfig, run_audit
 from sataudit.cli import main
 from sataudit.difficulty import difficulty_from_group_scores
 from sataudit.glmfit import Family
 from sataudit.logmodel import AgeGroup, Gender
-from sataudit.metrics import GU_LEVELS, MetricKind, MetricVector
+from sataudit.metrics import GU_LEVELS, MetricKind
 from sataudit.multilevel import ObservationSet, PriorConfig
 
 GU = MetricKind.GRADED_UTILITY
-
-
-def mv(gu=0.0, reform=0, pcc=1, scc=1) -> MetricVector:
-    return MetricVector(graded_utility=gu, reformulation=reform,
-                        page_click_count=pcc, successful_click_count=scc)
 
 
 # ---------------------------------------------------------------------------
@@ -36,12 +32,10 @@ def mv(gu=0.0, reform=0, pcc=1, scc=1) -> MetricVector:
 def test_criterion_1_confound_neutralization():
     t0 = time.perf_counter()
     corpus, truth = synth.generate(synth.preset_query_mix_confound())
-    raw_norm = aggregate.normalize(
-        aggregate.query_averaged_scores(corpus, Factor.AGE))
-    cohort = matching.match_contexts(corpus, Factor.AGE,
-                                     navigational=truth.navigational)
-    common = aggregate.normalize(matching.matched_raw_scores(cohort),
-                                 reference=raw_norm.bounds)
+    # the default audit: raw and matched scores by age
+    result = run_audit(corpus, AuditConfig(),
+                       navigational=truth.navigational)
+    raw_norm, common = result.raw, result.matched_common
     elapsed = time.perf_counter() - t0
 
     raw_gaps = {k: raw_norm.gap(k) for k in METRICS}
@@ -216,10 +210,13 @@ def test_criterion_5_labeler_fidelity(truegap_data):
     violations = int((fwd != -rev).sum())
     assert violations == 0
 
-    # differences landing exactly on a threshold abstain
-    assert pairwise.label_pair_internal(mv(gu=0.4), mv(gu=0.0)) == 0
-    assert pairwise.label_pair_internal(mv(scc=3), mv(scc=1)) == 0
-    assert pairwise.label_pair_external(mv(pcc=3), mv(pcc=1)) == 0
+    # differences landing exactly on a threshold abstain (GU 0.4, SCC 2,
+    # page clicks 2)
+    assert pairwise.label_batch_internal([0.4], [0], [1],
+                                         [0.0], [0], [1]).tolist() == [0]
+    assert pairwise.label_batch_internal([0.0], [0], [3],
+                                         [0.0], [0], [1]).tolist() == [0]
+    assert pairwise.label_batch_external([3], [1]).tolist() == [0]
 
     print(f"CRITERION 5 (labeler fidelity): PASS; "
           f"agreement {rate:.4f} on {int(fired.sum())} fired labels; "
@@ -237,14 +234,12 @@ def test_criterion_6_pairwise_null_and_detection(null_data, truegap_data):
     def pair_fit(corpus, fraction=None, pairs_per_query=None, seed=0):
         kw = {}
         if fraction is not None:
-            kw["fraction"] = fraction
+            kw["pair_fraction"] = fraction
         if pairs_per_query is not None:
             kw["pairs_per_query"] = pairs_per_query
-        eligible = pairwise.eligible_queries(corpus)
-        sample = pairwise.sample_pairs(corpus, eligible, seed=seed, **kw)
-        labels = pairwise.label_sample(corpus, sample)
-        pairs = pairwise.build_labeled_pairs(corpus, sample, labels)
-        return pairwise.fit_pair_model(pairs)
+        cfg = AuditConfig(methods="pairwise", default_thresholds=True,
+                          seed=seed, **kw)
+        return run_audit(corpus, cfg).models["pairwise"]
 
     null_corpus, _ = null_data
     null_model = pair_fit(null_corpus, fraction=1.0, pairs_per_query=25_000,

@@ -18,7 +18,7 @@ from sataudit.aggregate import (METRICS, Factor, group_query_table,
                                 query_averaged_scores, query_kl, RawScores)
 from sataudit.errors import DataError
 from sataudit.logmodel import AgeGroup, Gender
-from sataudit.metrics import MetricKind
+from sataudit.metrics import MetricKind, metric_table
 
 GU = MetricKind.GRADED_UTILITY
 
@@ -67,6 +67,31 @@ class TestQueryAveragedScores:
         scores = query_averaged_scores(corpus([satisfied()]), Factor.AGE)
         assert AgeGroup.G1 in scores.raw[GU]
         assert AgeGroup.G4 not in scores.raw[GU]
+
+    def test_rows_score_like_a_corpus_of_those_rows(self, monkeypatch):
+        # matched scoring passes the cohort's rows of the audited corpus;
+        # that must equal scoring a corpus built from those impressions in
+        # that order, bit for bit, from the audited corpus's metric table
+        rng = np.random.default_rng(5)
+        ages = list(AgeGroup)
+        imps = [(satisfied if rng.random() < 0.6 else dissatisfied)(
+                    query=f"q{rng.integers(0, 6)}",
+                    age=ages[rng.integers(0, 4)])
+                for _ in range(80)]
+        c = corpus(imps)
+        rows = rng.permutation(len(imps))[:50]
+        alone = query_averaged_scores(corpus([imps[k] for k in rows]),
+                                      Factor.AGE)
+        metric_table(c)
+
+        def no_rescoring(*args, **kwargs):
+            raise AssertionError("the rows were scored again")
+
+        monkeypatch.setattr("sataudit.metrics._build_metric_table",
+                            no_rescoring)
+        got = query_averaged_scores(c, Factor.AGE, rows=rows)
+        for field in ("raw", "stderr", "n_queries", "n_impressions"):
+            assert getattr(got, field) == getattr(alone, field), field
 
     def test_cells_are_kept_in_first_appearance_order(self):
         # group scores sum the per-query means in this order, so it fixes

@@ -21,7 +21,8 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
 
 import sataudit
 from corpus_builders import click, corpus, imp
-from sataudit.cli import main
+from sataudit.audit import AuditConfig, audit_meta, run_audit, write_audit
+from sataudit.cli import build_parser, main
 from sataudit.errors import ConvergenceError
 from sataudit.logmodel import AgeGroup, Gender, LogCorpus, emit, ingest
 from sataudit.metrics import MetricKind
@@ -397,6 +398,55 @@ class TestAudit:
     def test_unknown_method(self, tg_dir, tmp_path):
         assert run("audit", "--input", tg_dir / "corpus.ndjson",
                    "--methods", "raw,bogus", "--out", tmp_path) == 1
+
+    def test_flags_config_keys_and_fields_are_one_set(self, tg_dir,
+                                                      tmp_path):
+        args = vars(build_parser().parse_args(["audit", "--input", "c.csv"]))
+        flags = set(args) - {"command", "func", "input", "format", "config",
+                             "navigational", "out"}
+        fields = {f.name for f in dataclasses.fields(AuditConfig)}
+        assert flags == fields
+        assert len(fields) == 14
+        # a config file may set every field; test_unknown_config_key
+        # checks that any other key is refused
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(json.dumps(
+            {**dataclasses.asdict(AuditConfig()), "methods": "raw"}))
+        assert run("audit", "--input", tg_dir / "corpus.ndjson",
+                   "--config", cfg, "--out", tmp_path / "out") == 0
+
+    def test_config_hash_is_pinned(self, qmix_audit, tg_dir, tmp_path):
+        # every output file carries this hash of the config values exactly
+        # as given, so a change in how they are gathered changes them all
+        meta = json.loads((qmix_audit / "summary.json").read_text())["meta"]
+        assert meta["config_sha256"] == \
+            "cbe24f9603c982b4911c33a6d7752ca8fe91a85d4f6c77fb0c808710e0bffa62"
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(json.dumps({"k": 3, "methods": "raw"}))  # an int k
+        out = tmp_path / "out"
+        assert run("audit", "--input", tg_dir / "corpus.ndjson",
+                   "--config", cfg, "--out", out) == 0
+        meta = json.loads((out / "summary.json").read_text())["meta"]
+        assert meta["config_sha256"] == \
+            "794c4723d03934b7a442442f474feb22367265b2dcfb57b5130e7d374945e7c4"
+
+    def test_library_audit_writes_what_the_cli_writes(self, tg_dir,
+                                                      tmp_path):
+        methods = "raw,multilevel,pairwise"
+        assert run("audit", "--input", tg_dir / "corpus.ndjson", "--methods",
+                   methods, "--out", tmp_path / "cli") == 0
+        cfg = AuditConfig(methods=methods)
+        result = run_audit(ingest(tg_dir / "corpus.ndjson"), cfg)
+        result.summary["input"] = "corpus.ndjson"
+        lib = tmp_path / "lib"
+        lib.mkdir()
+        write_audit(result, lib, audit_meta(
+            cfg, command="audit", input="corpus.ndjson", format="ndjson"))
+        names = sorted(p.name for p in (tmp_path / "cli").iterdir())
+        assert names == sorted(p.name for p in lib.iterdir())
+        for name in names:
+            assert (lib / name).read_bytes() == \
+                (tmp_path / "cli" / name).read_bytes(), name
 
     def test_repeated_audit_is_byte_identical(self, qmix_dir, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -13,7 +13,37 @@ from sataudit.errors import DataError
 from sataudit.logmodel import AgeGroup, Gender
 
 
+def loop_midrank(values: np.ndarray) -> np.ndarray:
+    """Reference midranks: walk the stably sorted values, giving each run
+    of equal values the mean of its 1-based ranks."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=float)
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 class TestMidrank:
+    def test_matches_the_loop_on_random_tie_heavy_arrays(self):
+        rng = np.random.default_rng(41)
+        for trial in range(3000):
+            n = int(rng.integers(0, 60))
+            levels = rng.normal(size=int(rng.integers(1, 8)))
+            values = rng.choice(levels, size=n)
+            got, want = midrank(values), loop_midrank(values)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tolist() == want.tolist(), trial
+
+    def test_empty(self):
+        assert midrank(np.array([])).tolist() == []
+
     def test_ties_get_averaged_ranks(self):
         assert midrank(np.array([10.0, 20.0, 20.0, 30.0])).tolist() == \
             [1.0, 2.5, 2.5, 4.0]

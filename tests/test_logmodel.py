@@ -16,7 +16,6 @@ import pytest
 from corpus_builders import click, corpus, imp
 from sataudit import logmodel
 from sataudit.errors import DataError
-from sataudit.metrics import metric_table
 from sataudit.logmodel import (AgeGroup, Click, Gender, all_profiles,
                                derive_reformulation_flags, emit,
                                impression_to_dict, ingest, normalize_query,
@@ -409,20 +408,6 @@ class TestColumns:
         assert cols.queries == [] and cols.topics == []
         assert cols.age.shape == cols.query.shape == (0,)
 
-    def test_subset_reads_the_parent_metric_tables(self, monkeypatch):
-        c = self._corpus()
-        table = metric_table(c, 25.0)
-        sub = c.subset([4, 1, 2])
-        assert sub.impressions == [c.impressions[k] for k in (4, 1, 2)]
-        assert sub.metadata.accepted == 3
-        monkeypatch.setattr("sataudit.metrics.metric_vector", None)
-        got = metric_table(sub, 25.0)
-        np.testing.assert_array_equal(got, table[[4, 1, 2]])
-        assert not got.flags.writeable
-        # the subset codes its own columns in its own first-appearance order
-        assert sub.columns.queries == ["travel delta", "sports beta",
-                                       "news alpha"]
-
 
 def _assert_columns_equal(a, b):
     for f in dataclasses.fields(a):
@@ -561,14 +546,17 @@ class TestColumnarIngest:
         _write_records(path, fmt, good + [edge])
         assert ingest(path, fmt=fmt).columns.timestamp[-1] == 2 ** 63 - 1
 
-    def test_short_csv_row_is_skipped(self, tmp_path):
+    def test_short_csv_row_is_skipped(self, tmp_path, caplog):
         path = tmp_path / "c.csv"
         emit(corpus([imp(f"g{k}", clicks=[click()]) for k in range(3)]),
              path, fmt="csv")
         with open(path, "a") as fh:
             fh.write("b1,u1,s1,5\n")
-        back = ingest(path, fmt="csv")
+        with caplog.at_level(logging.WARNING, logger="sataudit.logmodel"):
+            back = ingest(path, fmt="csv")
         assert back.metadata.accepted == 3 and back.metadata.skipped == 1
+        assert ("missing fields: query_text, topic, results, clicks, "
+                "reformulated, age, gender") in caplog.text
 
     def test_oversized_csv_field_is_a_data_error(self, tmp_path):
         path = tmp_path / "c.csv"

@@ -185,7 +185,8 @@ class TestMatchContexts:
         def no_rescoring(*args, **kwargs):
             raise AssertionError("the cohort was scored again")
 
-        monkeypatch.setattr("sataudit.metrics.metric_vector", no_rescoring)
+        monkeypatch.setattr("sataudit.metrics._build_metric_table",
+                            no_rescoring)
         raw = matched_raw_scores(cohort, 30.0)
         rows = cohort.by_query["brand a"]
         for k, kind in enumerate(METRICS):

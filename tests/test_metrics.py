@@ -163,7 +163,7 @@ def test_metric_table_is_built_once_per_corpus_and_threshold(monkeypatch):
                             MatchConfig(min_impressions_per_group=1),
                             navigational={"news alpha", "sports beta"})
     assert cohort.attrition[-1].impressions > 0
-    # the cohort's sub-corpus reads the parent's table at its rows
+    # matched scoring reads the audited corpus's table at the cohort rows
     matched_raw_scores(cohort)
     table = estimate_difficulty(c)
     for kind in METRICS:

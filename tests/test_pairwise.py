@@ -14,7 +14,6 @@ from sataudit.pairwise import (DEFAULT_THRESHOLDS, LabeledPairSet, PairThreshold
                                build_labeled_pairs, derive_thresholds_from_deltas,
                                eligible_queries, fit_pair_model,
                                label_batch_external, label_batch_internal,
-                               label_pair_external, label_pair_internal,
                                label_sample, predict_pair_prob,
                                probability_grid, sample_pairs)
 
@@ -86,67 +85,73 @@ class TestDeriveThresholds:
                                           k=0.0)
 
 
+def internal(pairs, thresholds=DEFAULT_THRESHOLDS) -> list[int]:
+    """label_batch_internal over a list of (side i, side j) metric vectors."""
+    i, j = zip(*pairs)
+    sides = [[getattr(m, name) for m in side] for side in (i, j)
+             for name in ("graded_utility", "reformulation",
+                          "successful_click_count")]
+    return label_batch_internal(*sides, thresholds).tolist()
+
+
+def external(pairs, thresholds=DEFAULT_THRESHOLDS) -> list[int]:
+    """label_batch_external over a list of (side i, side j) metric vectors."""
+    i, j = zip(*pairs)
+    return label_batch_external([m.page_click_count for m in i],
+                                [m.page_click_count for m in j],
+                                thresholds).tolist()
+
+
 class TestLabelCascade:
     def test_reformulation_outranks_everything(self):
         # side j reformulated; i wins even with far worse utility
-        assert label_pair_internal(mv(gu=-1.0, scc=0),
-                                   mv(gu=1.0, reform=1, scc=4)) == 1
-        assert label_pair_internal(mv(reform=1), mv()) == -1
+        assert internal([(mv(gu=-1.0, scc=0), mv(gu=1.0, reform=1, scc=4)),
+                         (mv(reform=1), mv())]) == [1, -1]
 
     def test_strong_utility_difference(self):
-        assert label_pair_internal(mv(gu=1.0), mv(gu=1.0 / 3.0)) == 1
-        assert label_pair_internal(mv(gu=-1.0), mv(gu=-1.0 / 3.0)) == -1
+        assert internal([(mv(gu=1.0), mv(gu=1.0 / 3.0)),
+                         (mv(gu=-1.0), mv(gu=-1.0 / 3.0))]) == [1, -1]
+        # utility decides before a strong click-count difference the
+        # other way
+        assert internal([(mv(gu=1.0, scc=1),
+                          mv(gu=1.0 / 3.0, scc=4))]) == [1]
 
     def test_exact_strong_threshold_abstains(self):
-        assert label_pair_internal(mv(gu=0.4), mv(gu=0.0)) == 0
+        assert internal([(mv(gu=0.4), mv(gu=0.0))]) == [0]
 
     def test_strong_click_count_difference(self):
-        assert label_pair_internal(mv(scc=4), mv(scc=1)) == 1
-        assert label_pair_internal(mv(scc=3), mv(scc=1)) == 0   # exactly 2
+        assert internal([(mv(scc=4), mv(scc=1)),
+                         (mv(scc=3), mv(scc=1)),     # exactly 2
+                         (mv(scc=1), mv(scc=4))]) == [1, 0, -1]
 
     def test_weak_joint_condition(self):
         # GU difference 1/3 with SCC difference 2: both weak gates open
-        assert label_pair_internal(mv(gu=1.0, scc=3),
-                                   mv(gu=2.0 / 3.0, scc=1)) == 1
+        assert internal([(mv(gu=1.0, scc=3), mv(gu=2.0 / 3.0, scc=1)),
+                         (mv(gu=2.0 / 3.0, scc=1), mv(gu=1.0, scc=3))]) \
+            == [1, -1]
         # GU alone or SCC alone is not enough
-        assert label_pair_internal(mv(gu=1.0 / 3.0), mv(gu=0.0)) == 0
-        assert label_pair_internal(mv(scc=3), mv(scc=1, gu=0.0)) == 0
+        assert internal([(mv(gu=1.0 / 3.0), mv(gu=0.0)),
+                         (mv(scc=3), mv(scc=1, gu=0.0))]) == [0, 0]
 
     def test_label_is_antisymmetric(self):
         cases = [(mv(gu=1.0), mv(gu=-1.0)), (mv(reform=1), mv()),
                  (mv(scc=5), mv(scc=1)), (mv(), mv())]
-        for a, b in cases:
-            assert label_pair_internal(a, b) == -label_pair_internal(b, a)
+        fwd = internal(cases)
+        rev = internal([(b, a) for a, b in cases])
+        assert fwd == [-v for v in rev]
 
     def test_custom_thresholds_respected(self):
         wide = PairThresholds(gu_strong=1.5, gu_weak=0.75, scc_strong=9.0,
                               scc_weak=4.0)
-        assert label_pair_internal(mv(gu=1.0), mv(gu=-1.0 / 3.0), wide) == 0
+        assert internal([(mv(gu=1.0), mv(gu=-1.0 / 3.0))], wide) == [0]
 
     def test_external_label_uses_click_count_only(self):
-        assert label_pair_external(mv(pcc=5), mv(pcc=2)) == 1
-        assert label_pair_external(mv(pcc=4), mv(pcc=2)) == 0   # exactly 2
-        assert label_pair_external(mv(pcc=0), mv(pcc=3)) == -1
+        assert external([(mv(pcc=5), mv(pcc=2)),
+                         (mv(pcc=4), mv(pcc=2)),     # exactly 2
+                         (mv(pcc=0), mv(pcc=3))]) == [1, 0, -1]
 
 
 class TestBatchLabelers:
-    def test_batch_matches_scalar_cascade(self):
-        rng = np.random.default_rng(19)
-        n = 500
-        gu_levels = np.array([-1.0, -1.0 / 3.0, 1.0 / 3.0, 1.0])
-        gu_i = gu_levels[rng.integers(0, 4, n)]
-        gu_j = gu_levels[rng.integers(0, 4, n)]
-        re_i = rng.integers(0, 2, n)
-        re_j = rng.integers(0, 2, n)
-        sc_i = rng.integers(0, 5, n)
-        sc_j = rng.integers(0, 5, n)
-        batch = label_batch_internal(gu_i, re_i, sc_i, gu_j, re_j, sc_j)
-        for k in range(n):
-            want = label_pair_internal(
-                mv(gu=float(gu_i[k]), reform=int(re_i[k]), scc=int(sc_i[k])),
-                mv(gu=float(gu_j[k]), reform=int(re_j[k]), scc=int(sc_j[k])))
-            assert batch[k] == want
-
     def test_batch_antisymmetry(self):
         rng = np.random.default_rng(23)
         n = 300
@@ -163,9 +168,8 @@ class TestBatchLabelers:
         p_i = rng.integers(0, 8, 200)
         p_j = rng.integers(0, 8, 200)
         batch = label_batch_external(p_i, p_j)
-        for k in range(200):
-            assert batch[k] == label_pair_external(mv(pcc=int(p_i[k])),
-                                                   mv(pcc=int(p_j[k])))
+        diff = p_i - p_j
+        np.testing.assert_array_equal(batch, np.sign(diff) * (abs(diff) > 2))
 
 
 def spread_corpus():
