@@ -17,12 +17,11 @@ from .aggregate import (Factor, METRICS, NormalizedScores, RawScores,
 from .difficulty import DifficultyTable, estimate_difficulty
 from .errors import (ConfigError, ConvergenceError, DataError,
                      InsufficientSignalError, SatauditError)
-from .logmodel import (AgeGroup, Click, DemographicProfile, Gender,
-                       Impression, LogCorpus, all_profiles, emit, ingest,
-                       normalize_query)
+from .logmodel import (AgeGroup, DemographicProfile, Gender, LogCorpus,
+                       all_profiles, emit, ingest, normalize_query)
 from .matching import MatchConfig, MatchedCohort, match_contexts, \
     matched_raw_scores
-from .metrics import MetricKind, MetricVector, metric_vector
+from .metrics import MetricKind
 from .multilevel import (MultilevelFit, PriorConfig, build_observations,
                          fit_multilevel, max_group_gap, prediction_grid)
 from .pairwise import (DEFAULT_THRESHOLDS, PairModel, PairThresholds,
@@ -30,24 +29,24 @@ from .pairwise import (DEFAULT_THRESHOLDS, PairModel, PairThresholds,
                        fit_pair_model, label_sample, predict_pair_prob,
                        probability_grid, sample_pairs)
 from .synth import (BehaviorModel, GroundTruth, QuerySpec, ScenarioConfig,
-                    generate, scenario_presets)
+                    generate)
 
 __all__ = [
     "__version__",
-    "AgeGroup", "AuditConfig", "AuditResult", "BehaviorModel", "Click",
+    "AgeGroup", "AuditConfig", "AuditResult", "BehaviorModel",
     "ConfigError", "ConvergenceError", "DEFAULT_THRESHOLDS", "DataError",
     "DemographicProfile", "DifficultyTable", "Factor", "Gender",
-    "GroundTruth", "Impression", "InsufficientSignalError", "LogCorpus",
+    "GroundTruth", "InsufficientSignalError", "LogCorpus",
     "METRICS", "MatchConfig", "MatchedCohort", "MetricKind",
-    "MetricVector", "MultilevelFit", "NormalizedScores", "PairModel",
+    "MultilevelFit", "NormalizedScores", "PairModel",
     "PairThresholds", "PriorConfig", "QuerySpec", "RawScores",
     "SatauditError", "ScenarioConfig", "all_profiles", "audit_meta",
     "build_observations", "derive_thresholds_from_deltas",
     "eligible_queries", "emit", "estimate_difficulty", "fit_multilevel",
     "fit_pair_model", "generate", "head_tail_classify", "ingest",
     "label_sample", "match_contexts", "matched_raw_scores",
-    "max_group_gap", "metric_vector", "normalize", "normalize_query",
+    "max_group_gap", "normalize", "normalize_query",
     "predict_pair_prob", "prediction_grid", "probability_grid",
     "query_averaged_scores", "query_kl", "run_audit", "sample_pairs",
-    "scenario_presets", "write_audit",
+    "write_audit",
 ]

@@ -57,6 +57,10 @@ class AuditConfig:
             raise ConfigError("no audit methods selected")
         object.__setattr__(self, "methods",
                            tuple(m for m in METHODS if m in chosen))
+        if not (isinstance(self.prior_variance, (int, float))
+                and self.prior_variance > 0):
+            raise ConfigError(f"prior_variance must be a positive number, "
+                              f"got {self.prior_variance!r}")
         if self.factor not in [f.value for f in Factor]:
             raise ConfigError(f"unknown factor {self.factor!r}; choose "
                               f"from {', '.join(f.value for f in Factor)}")

@@ -31,13 +31,6 @@ from .logmodel import AgeGroup, Gender, all_profiles, emit, ingest, \
     normalize_query
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, metric_table
 
-_PRESET_FACTORIES = {
-    "null": synth.preset_null,
-    "query_mix_confound": synth.preset_query_mix_confound,
-    "dwell_confound": synth.preset_dwell_confound,
-    "true_gap": synth.preset_true_gap,
-    "mixed": synth.preset_mixed,
-}
 
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("SATAUDIT_OUTPUT_DIR") or "."
@@ -58,6 +51,19 @@ def _infer_format(path: str, explicit: str | None) -> str:
                       "pass --format ndjson|csv")
 
 
+def _read_config(path: str) -> dict:
+    """The JSON object a config file holds; anything else is a
+    ConfigError."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            values = json.load(f)
+        except ValueError as exc:       # not JSON, or not UTF-8
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(values, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return values
+
+
 # ---------------------------------------------------------------------------
 # generate
 
@@ -66,16 +72,13 @@ def _build_scenario(args) -> synth.ScenarioConfig:
         raise ConfigError("exactly one of --preset / --scenario-config "
                           "is required")
     if args.scenario_config:
-        with open(args.scenario_config, encoding="utf-8") as f:
-            cfg = synth.ScenarioConfig.from_dict(json.load(f))
+        cfg = synth.ScenarioConfig.from_dict(
+            _read_config(args.scenario_config))
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.impressions is not None or args.offset is not None:
             raise ConfigError("--impressions/--offset apply to presets only")
         return cfg
-    if args.preset not in _PRESET_FACTORIES:
-        raise ConfigError(f"unknown preset {args.preset!r}; choose from "
-                          f"{', '.join(sorted(_PRESET_FACTORIES))}")
     kwargs = {}
     if args.impressions is not None:
         kwargs["n_impressions"] = args.impressions
@@ -85,7 +88,7 @@ def _build_scenario(args) -> synth.ScenarioConfig:
         if args.preset != "true_gap":
             raise ConfigError("--offset applies to the true_gap preset only")
         kwargs["offset"] = args.offset
-    return _PRESET_FACTORIES[args.preset](**kwargs)
+    return synth.PRESETS[args.preset](**kwargs)
 
 
 def cmd_generate(args) -> int:
@@ -189,8 +192,7 @@ def _audit_config(args) -> AuditConfig:
     names = [f.name for f in dataclasses.fields(AuditConfig)]
     values = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as f:
-            values = json.load(f)
+        values = _read_config(args.config)
         unknown = sorted(set(values) - set(names))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("generate",
                            help="synthesize a corpus with ground truth")
-    p_gen.add_argument("--preset", choices=sorted(_PRESET_FACTORIES))
+    p_gen.add_argument("--preset", choices=sorted(synth.PRESETS))
     p_gen.add_argument("--scenario-config",
                        help="full scenario config JSON file")
     p_gen.add_argument("--seed", type=int)

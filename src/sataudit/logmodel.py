@@ -17,9 +17,11 @@ fails outright.
 
 A corpus is held as read-only columns (:class:`ImpressionColumns`):
 ingest parses each record into flat lists and freezes them into numpy
-arrays, so no per-record object outlives its line.  :class:`Impression`
-and :class:`Click` are the record form, used where records are
-generated, written or built by hand.
+arrays, so no per-record object outlives its line.  A record is a tuple
+of the impression fields in this order: ``impression_id``, ``user_id``,
+``session_id``, ``timestamp``, ``query_text``, ``topic``, ``results``,
+``clicks``, ``reformulated`` and ``demographics``, with each click a
+``(result_id, position, dwell_seconds, terminated_query)`` tuple.
 """
 
 from __future__ import annotations
@@ -93,28 +95,6 @@ def _profile(age: str, gender: str) -> DemographicProfile:
         return shared
     # unknown codes raise the same KeyError / ValueError as direct lookup
     return DemographicProfile(AgeGroup[age], Gender(gender))
-
-
-@dataclass(slots=True)
-class Click:
-    result_id: str
-    position: int            # 1-based rank on the result page
-    dwell_seconds: float     # NaN when the source log lacks dwell fidelity
-    terminated_query: bool   # user left the query on this click
-
-
-@dataclass(slots=True)
-class Impression:
-    impression_id: str
-    user_id: str
-    session_id: str
-    timestamp: int
-    query_text: str
-    topic: str
-    results: list[str]
-    clicks: list[Click]
-    reformulated: bool | None
-    demographics: DemographicProfile
 
 
 @dataclass
@@ -203,11 +183,8 @@ class ImpressionColumns:
 
 class _ColumnBuilder:
     """Flat lists that validated records are appended to, frozen at the
-    end into :class:`ImpressionColumns`.
-
-    A record is a tuple of the :class:`Impression` fields in order, with
-    each click a ``(result_id, position, dwell_seconds,
-    terminated_query)`` tuple.
+    end into :class:`ImpressionColumns`, one record (see the module
+    docstring) at a time.
     """
 
     def __init__(self):
@@ -281,16 +258,8 @@ class _ColumnBuilder:
             click_terminated=np.array(self.click_terminated, dtype=bool))
 
 
-def _fields_of(imp: Impression) -> tuple:
-    return (imp.impression_id, imp.user_id, imp.session_id, imp.timestamp,
-            imp.query_text, imp.topic, imp.results,
-            [(c.result_id, c.position, c.dwell_seconds, c.terminated_query)
-             for c in imp.clicks],
-            imp.reformulated, imp.demographics)
-
-
 def _records(cols: ImpressionColumns, rows, click, text=str):
-    """The Impression fields of each row, rebuilt from the columns.
+    """The record of each row, rebuilt from the columns.
 
     Each click is ``click(text(result_id), position, dwell_seconds,
     terminated_query)``, vocabulary strings (not ids) go through `text`
@@ -330,10 +299,8 @@ class LogCorpus:
 
     @classmethod
     def from_records(cls, records) -> "LogCorpus":
-        """A corpus of records, read one at a time.  A record is a tuple
-        of the :class:`Impression` fields in order, with each click a
-        ``(result_id, position, dwell_seconds, terminated_query)`` tuple.
-        An invalid record raises DataError."""
+        """A corpus of records (see the module docstring), read one at a
+        time.  An invalid record raises DataError."""
         builder = _ColumnBuilder()
         for record in records:
             reason = builder.add(*record)
@@ -342,20 +309,8 @@ class LogCorpus:
         return cls(builder.freeze(),
                    CorpusMetadata(accepted=len(builder.ids)))
 
-    @classmethod
-    def from_impressions(cls, impressions) -> "LogCorpus":
-        return cls.from_records(map(_fields_of, impressions))
-
     def __len__(self) -> int:
         return len(self.columns)
-
-    @cached_property
-    def impressions(self) -> list[Impression]:
-        """The records as Impression objects, rebuilt from the columns for
-        record-level callers; no estimator reads them."""
-        return [Impression(*f[:7], f[7], None if f[8] < 0 else f[8] == 1,
-                           f[9])
-                for f in _records(self.columns, range(len(self)), Click)]
 
     @property
     def has_dwell(self) -> bool:
@@ -394,12 +349,6 @@ def _invalid(impression_id, timestamp, query_text, results,
     if not -(1 << 63) <= timestamp < 1 << 63:
         return f"timestamp {timestamp} out of range"
     return None
-
-
-def validate_impression(imp: Impression) -> str | None:
-    """Return a reason string if `imp` violates an invariant, else None."""
-    f = _fields_of(imp)
-    return _invalid(f[0], f[3], f[4], f[6], f[7])
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +418,15 @@ def derive_reformulation_flags(columns: ImpressionColumns,
     similar; set flags are kept.  The last query of a session can never
     be a reformulation source, so it gets 0.  Each (query, later query)
     pair is judged once per call.
+
+    This rule and the generator define a reformulation differently.
+    :mod:`sataudit.synth` models one as re-issuing the identical query,
+    which this rule never flags, while it does flag a later, different
+    same-topic query that shares enough tokens.  Flags derived on a
+    generated log whose flags were blanked therefore do not estimate the
+    generator's rate: on the dwell_confound preset (seed 1, 60k
+    impressions, CSV with dwell and flags blanked) they give 33.3%, where
+    the generator's own flags give 2.6%.
     """
     flags = columns.reformulated
     if not (flags < 0).any():
@@ -509,25 +467,6 @@ def derive_reformulation_flags(columns: ImpressionColumns,
 # ---------------------------------------------------------------------------
 # NDJSON
 
-def impression_to_dict(imp: Impression) -> dict:
-    return {
-        "impression_id": imp.impression_id,
-        "user_id": imp.user_id,
-        "session_id": imp.session_id,
-        "timestamp": imp.timestamp,
-        "query_text": imp.query_text,
-        "topic": imp.topic,
-        "results": list(imp.results),
-        "clicks": [{"result_id": c.result_id, "position": c.position,
-                    "dwell_seconds": c.dwell_seconds,
-                    "terminated_query": c.terminated_query}
-                   for c in imp.clicks],
-        "reformulated": imp.reformulated,
-        "demographics": {"age": imp.demographics.age.name,
-                         "gender": imp.demographics.gender.code},
-    }
-
-
 def _json_click(result_id: str, position: int, dwell: float,
                 terminated: bool) -> str:
     dwell = repr(dwell) if math.isfinite(dwell) else json.dumps(dwell)
@@ -537,9 +476,14 @@ def _json_click(result_id: str, position: int, dwell: float,
 
 
 def _ndjson_lines(cols: ImpressionColumns, rows):
-    """The NDJSON line of each row, byte for byte ``json.dumps`` of its
-    :func:`impression_to_dict`, from strings encoded once per vocabulary
-    entry and per click."""
+    """The NDJSON line of each row, from strings encoded once per
+    vocabulary entry and per click.
+
+    A line is byte for byte ``json.dumps`` of the record as a dict keyed
+    by its field names, each click a dict keyed by its field names,
+    ``reformulated`` a bool or null and ``demographics`` the age name and
+    gender code, ``{"age": "G1", "gender": "M"}``.
+    """
     enc = json.encoder.encode_basestring_ascii
     flag = ("false", "true", "null")        # indexed by 0, 1 and -1
     demographics = {p: json.dumps({"age": p.age.name,

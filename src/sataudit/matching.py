@@ -24,7 +24,6 @@ computed on the stage-2 output, so stages 3 and 4 commute.
 from __future__ import annotations
 
 import hashlib
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -32,7 +31,7 @@ import numpy as np
 
 from .errors import DataError
 from .aggregate import Factor, RawScores, query_averaged_scores
-from .logmodel import Impression, ImpressionColumns, LogCorpus
+from .logmodel import ImpressionColumns, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S
 
 DEFAULT_SERP_PREFIX = 8
@@ -67,16 +66,6 @@ def _most_common(values) -> str | None:
     return min(counts, key=lambda v: (-counts[v], v), default=None)
 
 
-def final_successful_click(imp: Impression,
-                           dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
-                           ) -> str | None:
-    """Result id of the last click with dwell above threshold, else None."""
-    for c in reversed(imp.clicks):
-        if not math.isnan(c.dwell_seconds) and c.dwell_seconds > dwell_threshold_s:
-            return c.result_id
-    return None
-
-
 def serp_signature(results: list[str], prefix_len: int = DEFAULT_SERP_PREFIX) -> str:
     """Stable order-sensitive hash of the first `prefix_len` result ids.
 
@@ -101,8 +90,8 @@ def _final_clicks(corpus: LogCorpus, dwell_threshold_s: float) -> np.ndarray:
 
 def _final_click_column(cols: ImpressionColumns,
                         dwell_threshold_s: float) -> np.ndarray:
-    """The column form of :func:`final_successful_click`: the last click
-    whose dwell is above the threshold (NaN never is)."""
+    """Each row's final successful click: the last click whose dwell is
+    above the threshold (NaN never is)."""
     clicks = np.flatnonzero(cols.click_dwell > dwell_threshold_s)
     rows = cols.click_row[clicks]                # ascending
     last = np.diff(rows, append=-1) != 0         # each row's last one

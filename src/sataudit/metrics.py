@@ -20,13 +20,11 @@ Four metrics are computed from a single impression:
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .logmodel import Impression, ImpressionColumns, LogCorpus
+from .logmodel import ImpressionColumns, LogCorpus
 
 DEFAULT_DWELL_THRESHOLD_S = 30.0
 
@@ -48,82 +46,17 @@ METRICS = (MetricKind.GRADED_UTILITY, MetricKind.REFORMULATION,
            MetricKind.PAGE_CLICK_COUNT, MetricKind.SUCCESSFUL_CLICK_COUNT)
 
 
-@dataclass(frozen=True)
-class MetricVector:
-    """The four metric values for one impression.
-
-    Values computed by :func:`metric_vector` satisfy the natural
-    invariants (GU on its four-level grid, 0 <= SCC <= PCC, reformulation
-    binary); the container itself stays permissive so callers can probe
-    labelers with off-grid values.
-    """
-
-    graded_utility: float
-    reformulation: int
-    page_click_count: int
-    successful_click_count: int
-
-    def value(self, kind: MetricKind) -> float:
-        return getattr(self, kind.value)
-
-
-def page_click_count(imp: Impression) -> int:
-    return len(imp.clicks)
-
-
-def successful_click_count(imp: Impression,
-                           dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S) -> int:
-    """Clicks whose dwell strictly exceeds the threshold.
-
-    Raises DataError when a click lacks dwell fidelity; clicks-only logs
-    cannot support dwell-based metrics.
-    """
-    n = 0
-    for c in imp.clicks:
-        if math.isnan(c.dwell_seconds):
-            raise DataError(
-                f"impression {imp.impression_id}: dwell missing; "
-                "successful clicks need dwell fidelity")
-        if c.dwell_seconds > dwell_threshold_s:
-            n += 1
-    return n
-
-
-def reformulation(imp: Impression) -> int:
-    if imp.reformulated is None:
-        raise DataError(
-            f"impression {imp.impression_id}: reformulated flag unset; "
-            "run ingest (which derives missing flags) first")
-    return int(imp.reformulated)
-
-
-def metric_vector(imp: Impression,
-                  dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S) -> MetricVector:
-    """All four metrics for one impression (single pass over clicks)."""
-    pcc = page_click_count(imp)
-    scc = successful_click_count(imp, dwell_threshold_s)
-    reform = reformulation(imp)
-    if pcc == 0:
-        gu = -1.0
-    elif scc == 0:
-        gu = -1.0 / 3.0
-    elif pcc <= 2 and reform == 0:
-        gu = 1.0
-    else:
-        gu = 1.0 / 3.0
-    return MetricVector(graded_utility=gu, reformulation=reform,
-                        page_click_count=pcc, successful_click_count=scc)
-
-
 def metric_table(corpus: LogCorpus,
                  dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                  ) -> np.ndarray:
     """Read-only (n, 4) array of every impression's metrics.
 
-    Row k equals ``metric_vector`` of impression k, with columns in
-    ``METRICS`` order.  The table is built once per dwell threshold from
-    the corpus's click columns and kept on the corpus, so every estimator
-    reads the same scores.
+    Row k holds impression k's four metrics, as the module docstring
+    defines them, in ``METRICS`` order.  The table is built once per dwell
+    threshold from the corpus's click columns and kept on the corpus, so
+    every estimator reads the same scores.  Raises DataError, naming the
+    first impression that has one, for a click without dwell time or an
+    unset reformulated flag.
     """
     key = ("metric_table", dwell_threshold_s)
     table = corpus._derived.get(key)
@@ -136,7 +69,8 @@ def metric_table(corpus: LogCorpus,
 def _build_metric_table(cols: ImpressionColumns,
                         dwell_threshold_s: float) -> np.ndarray:
     dwell, reform = cols.click_dwell, cols.reformulated
-    # metric_vector's errors, for the first impression that has one
+    # the first impression with a missing dwell or an unset flag; within
+    # one impression the dwell is reported first
     no_dwell = cols.click_row[np.isnan(dwell)][:1]
     unset = np.flatnonzero(reform < 0)[:1]
     if no_dwell.size or unset.size:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .difficulty import DifficultyTable
 from .glmfit import CellDesign, Convergence, Family, FitConfig, fit_penalized_glm
 from .logmodel import AgeGroup, Gender, LogCorpus, first_appearance_codes
@@ -55,7 +55,7 @@ class PriorConfig:
         for name in ("variance_age", "variance_gender", "variance_topic",
                      "variance_interaction"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise ConfigError(f"{name} must be positive")
 
     @classmethod
     def diffuse(cls, variance: float = 1e8) -> "PriorConfig":

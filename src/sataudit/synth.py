@@ -19,7 +19,8 @@ Confounds are injected without touching s: per-group dwell multipliers
 propensity multipliers, and per-group query sampling weights (groups
 issue different query mixes).  True differential satisfaction is
 injected through the offset table.  Presets cover the audit scenarios:
-null, query_mix_confound, dwell_confound, true_gap, and mixed.
+null, query_mix_confound, dwell_confound, true_gap, and mixed; ``PRESETS``
+maps each name to its factory.
 """
 
 from __future__ import annotations
@@ -289,8 +290,8 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
     latent: dict[str, float] = {}
 
     def records():
-        # one record at a time (Impression fields, clicks as tuples), so
-        # the corpus holds its columns only
+        # one logmodel record tuple at a time, so the corpus holds its
+        # columns only
         stray_ptr = 0
         prev_query = -1
         prev_reform = False
@@ -491,14 +492,6 @@ def preset_true_gap(offset: float = 0.15, n_impressions: int = 60_000,
                           age_offsets={AgeGroup.G4: offset}, behavior=b)
 
 
-def true_gap_scenario(offset: float, seed: int = 20240604,
-                      n_impressions: int = 60_000) -> ScenarioConfig:
-    """A true_gap variant with the injected offset dialed to taste."""
-    cfg = preset_true_gap(offset=offset, n_impressions=n_impressions,
-                          seed=seed)
-    return replace(cfg, name=f"true_gap_{offset:g}")
-
-
 def preset_mixed(n_impressions: int = 120_000,
                  seed: int = 20240605) -> ScenarioConfig:
     """Query-mix and dwell confounds on top of a modest real +0.10 G4
@@ -509,12 +502,12 @@ def preset_mixed(n_impressions: int = 120_000,
                    dwell_multipliers={AgeGroup.G4: 1.3})
 
 
-def scenario_presets() -> dict[str, ScenarioConfig]:
-    """The five documented audit scenarios at their default sizes."""
-    return {
-        "null": preset_null(),
-        "query_mix_confound": preset_query_mix_confound(),
-        "dwell_confound": preset_dwell_confound(),
-        "true_gap": preset_true_gap(),
-        "mixed": preset_mixed(),
-    }
+# The documented scenarios by name; each factory takes n_impressions and
+# seed (preset_true_gap also takes offset).
+PRESETS = {
+    "null": preset_null,
+    "query_mix_confound": preset_query_mix_confound,
+    "dwell_confound": preset_dwell_confound,
+    "true_gap": preset_true_gap,
+    "mixed": preset_mixed,
+}

@@ -1,13 +1,39 @@
-"""Hand-built corpora and impressions for unit tests."""
+"""Hand-built corpora and impressions for unit tests.
+
+`Impression` and `Click` are records in the order
+:meth:`LogCorpus.from_records` reads them, so a list of them is a corpus
+source as it stands.
+"""
 
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
-from sataudit.logmodel import (AgeGroup, Click, DemographicProfile, Gender,
-                               Impression, LogCorpus)
+from sataudit import logmodel
+from sataudit.logmodel import AgeGroup, DemographicProfile, Gender, LogCorpus
 
 _ids = itertools.count()
+
+
+class Click(NamedTuple):
+    result_id: str
+    position: int            # 1-based rank on the result page
+    dwell_seconds: float     # NaN when the source log lacks dwell fidelity
+    terminated_query: bool   # user left the query on this click
+
+
+class Impression(NamedTuple):
+    impression_id: str
+    user_id: str
+    session_id: str
+    timestamp: int
+    query_text: str
+    topic: str
+    results: list[str]
+    clicks: list[Click]
+    reformulated: bool | None
+    demographics: DemographicProfile
 
 
 def click(result_id: str = "r0", position: int = 1, dwell: float = 45.0,
@@ -32,7 +58,13 @@ def imp(impression_id: str | None = None, *, query: str = "news alpha",
 
 
 def corpus(impressions) -> LogCorpus:
-    return LogCorpus.from_impressions(impressions)
+    return LogCorpus.from_records(impressions)
+
+
+def records(c: LogCorpus) -> list[Impression]:
+    """The corpus's rows as records, rebuilt from its columns."""
+    return [Impression(*f[:8], None if f[8] < 0 else f[8] == 1, f[9])
+            for f in logmodel._records(c.columns, range(len(c)), Click)]
 
 
 def satisfied(impression_id: str | None = None, **kw) -> Impression:

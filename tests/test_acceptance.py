@@ -188,8 +188,7 @@ def test_criterion_5_labeler_fidelity(truegap_data):
     sample = pairwise.sample_pairs(corpus, eligible, seed=20240604)
     labels = pairwise.label_sample(corpus, sample)
 
-    latent = np.array([truth.latent[imp.impression_id]
-                       for imp in corpus.impressions])
+    latent = np.array([truth.latent[i] for i in corpus.columns.ids])
     li, lj = latent[sample.i_idx], latent[sample.j_idx]
     fired = labels != 0
     assert fired.sum() > 1000
@@ -254,7 +253,7 @@ def test_criterion_6_pairwise_null_and_detection(null_data, truegap_data):
         if offset == 0.15:
             corpus, _ = truegap_data
         else:
-            corpus, _ = synth.generate(synth.true_gap_scenario(offset))
+            corpus, _ = synth.generate(synth.preset_true_gap(offset=offset))
         model = pair_fit(corpus, seed=20240604)
         grid = pairwise.probability_grid(model)
         probs[offset] = {a: grid[AgeGroup.G4][a]
@@ -331,7 +330,7 @@ def test_criterion_8_units_and_determinism(qmix_small, tmp_path):
     assert cross > 0.0
 
     classes = aggregate.head_tail_classify(corpus)
-    all_queries = {imp.query_text for imp in corpus.impressions}
+    all_queries = set(corpus.columns.queries)
     assert set(classes) == all_queries
     n = len(all_queries)
     tiers = {t: sum(1 for v in classes.values() if v == t)

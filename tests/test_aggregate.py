@@ -216,13 +216,13 @@ class TestQueryKl:
 import numpy as np
 from sataudit.aggregate import Factor, query_kl
 from sataudit.logmodel import (AgeGroup, DemographicProfile, Gender,
-                               Impression, LogCorpus)
+                               LogCorpus)
 rng = np.random.default_rng(7)
-imps = [Impression(str(k), "u", "s", 0, f"query {int(q)}", "t", ["r0"], [],
-                   False, DemographicProfile(AgeGroup(int(a)), Gender.MALE))
+imps = [(str(k), "u", "s", 0, f"query {int(q)}", "t", ["r0"], [], False,
+         DemographicProfile(AgeGroup(int(a)), Gender.MALE))
         for k, (q, a) in enumerate(zip(rng.zipf(1.5, 4000) % 300,
                                        rng.integers(1, 5, 4000)))]
-print(repr(query_kl(LogCorpus.from_impressions(imps), AgeGroup.G1,
+print(repr(query_kl(LogCorpus.from_records(imps), AgeGroup.G1,
                     AgeGroup.G4, Factor.AGE)))
 """
         src = str(pathlib.Path(sataudit.__file__).resolve().parents[1])
@@ -259,7 +259,7 @@ class TestHeadTailClassify:
         imps = [imp(query=f"q {i:02d}") for i in range(17) for _ in range(i + 1)]
         c = corpus(imps)
         classes = head_tail_classify(c)
-        assert set(classes) == {i.query_text for i in c.impressions}
+        assert set(classes) == set(c.columns.queries)
         assert set(classes.values()) <= {"head", "torso", "tail"}
 
     def test_empty_corpus_gives_empty_mapping(self):

@@ -23,7 +23,7 @@ import sataudit
 from corpus_builders import click, corpus, imp
 from sataudit.audit import AuditConfig, audit_meta, run_audit, write_audit
 from sataudit.cli import build_parser, main
-from sataudit.errors import ConvergenceError
+from sataudit.errors import ConfigError, ConvergenceError
 from sataudit.logmodel import AgeGroup, Gender, LogCorpus, emit, ingest
 from sataudit.metrics import MetricKind
 from sataudit.pairwise import derive_thresholds_from_deltas
@@ -103,8 +103,8 @@ class TestGenerate:
     def test_ground_truth_aligns_with_corpus(self, tg_dir):
         _, rows = read_report_csv(tg_dir / "ground_truth.csv")
         data = ingest(tg_dir / "corpus.ndjson")
-        assert len(rows) == len(data.impressions)
-        ids = sorted(i.impression_id for i in data.impressions)
+        assert len(rows) == len(data)
+        ids = sorted(data.columns.ids)
         assert [r["impression_id"] for r in rows] == ids
         for r in rows[:50]:
             float(r["latent_satisfaction"])
@@ -114,7 +114,7 @@ class TestGenerate:
                    "--format", "csv", "--out", tmp_path) == 0
         data = ingest(tmp_path / "corpus.csv", fmt="csv")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert len(data.impressions) == manifest["counts"]["impressions"]
+        assert len(data) == manifest["counts"]["impressions"]
         assert data.has_dwell
 
     def test_scenario_config_file_with_seed_override(self, tmp_path):
@@ -159,7 +159,7 @@ class TestMetrics:
                    "--out", tmp_path) == 0
         _, rows = read_report_csv(tmp_path / "metrics.csv")
         data = ingest(tg_dir / "corpus.ndjson")
-        assert len(rows) == len(data.impressions)
+        assert len(rows) == len(data)
         assert list(rows[0]) == ["impression_id", "age", "gender",
                                  "query_text", "topic", "graded_utility",
                                  "reformulation", "page_click_count",
@@ -395,6 +395,42 @@ class TestAudit:
         assert run("audit", "--input", tg_dir / "corpus.ndjson",
                    "--config", cfg, "--out", tmp_path) == 1
 
+    @pytest.mark.parametrize("command,flag", [
+        ("audit", "--config"), ("generate", "--scenario-config")])
+    @pytest.mark.parametrize("text", ["{not json", "[1,2]"])
+    def test_config_file_must_hold_a_json_object(self, tmp_path, capsys,
+                                                  command, flag, text):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        argv = [command, flag, cfg, "--out", tmp_path / "out"]
+        if command == "audit":
+            # absent: the config file is read first
+            argv += ["--input", tmp_path / "absent.ndjson"]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("variance", ["0", "-1"])
+    def test_nonpositive_prior_variance_is_a_config_error(
+            self, tmp_path, capsys, via, variance):
+        cfg = tmp_path / "audit.json"
+        cfg.write_text(json.dumps({"prior_variance": float(variance)}))
+        given = (["--prior-variance", variance] if via == "flag"
+                 else ["--config", cfg])
+        # absent: the config is refused before the input is read
+        assert run("audit", "--input", tmp_path / "absent.ndjson",
+                   "--methods", "raw,multilevel", *given,
+                   "--out", tmp_path / "out") == 1
+        assert capsys.readouterr().err == (
+            "config error: prior_variance must be a positive number, got "
+            f"{float(variance)!r}\n")
+
+    def test_prior_variance_must_be_a_number(self):
+        with pytest.raises(ConfigError, match="positive number, got '1'"):
+            AuditConfig(prior_variance="1")     # a string in a config file
+
     def test_unknown_method(self, tg_dir, tmp_path):
         assert run("audit", "--input", tg_dir / "corpus.ndjson",
                    "--methods", "raw,bogus", "--out", tmp_path) == 1
@@ -500,8 +536,8 @@ class TestAudit:
         def forbidden(*args, **kwargs):
             raise AssertionError("a record object was built")
 
-        monkeypatch.setattr(logmodel, "Impression", forbidden)
-        monkeypatch.setattr(logmodel, "Click", forbidden)
+        # the only code that rebuilds records from the columns
+        monkeypatch.setattr(logmodel, "_records", forbidden)
         for k, extra in enumerate(
                 ([], ["--navigational", gen / "navigational_queries.txt"],
                  ["--factor", "gender"])):
@@ -544,6 +580,19 @@ class TestEntryPoints:
 
     def test_missing_command_is_usage_error(self):
         assert main([]) == 1
+
+    def test_readme_library_snippet_runs(self, tmp_path, monkeypatch):
+        # the "Library use" block, read from the README so the test follows
+        # edits to it, run where it expects data/corpus.ndjson
+        readme = (pathlib.Path(__file__).parents[1] / "README.md") \
+            .read_text(encoding="utf-8")
+        section = readme.split("\n## Library use\n", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        assert run("generate", "--preset", "true_gap", "--impressions", 4000,
+                   "--out", tmp_path / "data") == 0
+        monkeypatch.chdir(tmp_path)
+        exec(compile(code, "README.md", "exec"), {})
+        assert (tmp_path / "audit" / "summary.json").exists()
 
     def test_console_script_smoke(self, tmp_path):
         # Run what the installer's `sataudit` wrapper runs for the declared

@@ -13,13 +13,13 @@ import random
 import numpy as np
 import pytest
 
-from corpus_builders import click, corpus, imp
+from corpus_builders import Click, click, corpus, imp, records
+from oracles import impression_to_dict
 from sataudit import logmodel
 from sataudit.errors import DataError
-from sataudit.logmodel import (AgeGroup, Click, Gender, all_profiles,
-                               derive_reformulation_flags, emit,
-                               impression_to_dict, ingest, normalize_query,
-                               validate_impression)
+from sataudit.logmodel import (AgeGroup, Gender, LogCorpus, all_profiles,
+                               derive_reformulation_flags, emit, ingest,
+                               normalize_query)
 
 
 def test_normalize_query_lowercases_and_collapses_whitespace():
@@ -39,6 +39,18 @@ def test_all_profiles_enumerates_eight_in_canonical_order():
     assert profiles[0].key == "G1-M"
     assert profiles[-1].key == "G4-F"
     assert len({p.key for p in profiles}) == 8
+
+
+def validate_impression(record) -> str | None:
+    """The reason ``LogCorpus.from_records`` rejects `record` for, else
+    None."""
+    try:
+        LogCorpus.from_records([record])
+    except DataError as exc:
+        prefix = f"impression {record.impression_id!r}: "
+        assert str(exc).startswith(prefix)
+        return str(exc)[len(prefix):]
+    return None
 
 
 class TestValidation:
@@ -72,10 +84,10 @@ class TestValidation:
 class TestReformulationDerivation:
     @staticmethod
     def _derive(imps):
-        """Derive flags on the corpus columns; write them onto `imps`."""
+        """`imps` with the flags derived on the corpus columns."""
         flags = derive_reformulation_flags(corpus(imps).columns)
-        for i, flag in zip(imps, flags.tolist()):
-            i.reformulated = bool(flag)
+        return [i._replace(reformulated=bool(flag))
+                for i, flag in zip(imps, flags.tolist())]
 
     def _session(self, *queries, flags=None):
         flags = flags or [None] * len(queries)
@@ -85,26 +97,26 @@ class TestReformulationDerivation:
     def test_token_overlap_marks_reformulation(self):
         imps = self._session("cheap flights london",
                              "cheap flights london june")
-        self._derive(imps)
+        imps = self._derive(imps)
         assert imps[0].reformulated is True
         assert imps[1].reformulated is False   # last in session
 
     def test_edit_distance_route(self):
         # zero token overlap, but one character apart
         imps = self._session("color", "colour")
-        self._derive(imps)
+        imps = self._derive(imps)
         assert imps[0].reformulated is True
 
     def test_dissimilar_queries_not_flagged(self):
         imps = self._session("cheap flights london", "python dataclass")
-        self._derive(imps)
+        imps = self._derive(imps)
         assert imps[0].reformulated is False
 
     def test_existing_flags_untouched(self):
         imps = self._session("cheap flights london",
                              "cheap flights london june",
                              flags=[False, None])
-        self._derive(imps)
+        imps = self._derive(imps)
         assert imps[0].reformulated is False
 
     def test_recurring_pairs_get_one_verdict_each(self, monkeypatch):
@@ -131,7 +143,7 @@ class TestReformulationDerivation:
             return similar(*args)
 
         monkeypatch.setattr(logmodel, "_queries_similar", counting)
-        self._derive(imps)
+        imps = self._derive(imps)
         assert [i.reformulated for i in imps] == want
         assert want[:4] == [True, True, False, False]
         assert len(calls) == len(set(calls))
@@ -145,7 +157,7 @@ class TestReformulationDerivation:
                 timestamp=0)
         b = imp(query="cheap flights june", reformulated=None, user_id="u2",
                 timestamp=1)
-        self._derive([a, b])
+        a, b = self._derive([a, b])
         assert a.reformulated is False and b.reformulated is False
 
 
@@ -207,8 +219,8 @@ class TestRoundTrips:
         assert emit(src, path, fmt=fmt) == 3
         back = ingest(path, fmt=fmt)
         assert back.metadata.accepted == 3 and back.metadata.skipped == 0
-        by_id = {i.impression_id: i for i in back.impressions}
-        for orig in src.impressions:
+        by_id = {i.impression_id: i for i in records(back)}
+        for orig in records(src):
             got = by_id[orig.impression_id]
             want = impression_to_dict(orig)
             # ingest fills the one missing flag from session context
@@ -222,7 +234,7 @@ class TestRoundTrips:
         rec["query_text"] = "  News   ALPHA "
         path.write_text(json.dumps(rec) + "\n")
         back = ingest(path)
-        assert back.impressions[0].query_text == "news alpha"
+        assert records(back)[0].query_text == "news alpha"
 
     def test_ingest_skips_malformed_records(self, tmp_path):
         path = tmp_path / "corpus.ndjson"
@@ -268,7 +280,7 @@ class TestRoundTrips:
         emit(src, path)
         back = ingest(path)
         assert back.has_dwell is False
-        assert math.isnan(back.impressions[0].clicks[0].dwell_seconds)
+        assert math.isnan(records(back)[0].clicks[0].dwell_seconds)
 
     def test_full_dwell_corpus_stays_internal(self, tmp_path):
         src = self._small_corpus()
@@ -289,7 +301,7 @@ class TestStreamingIngest:
         ])
 
     def _dicts(self, c):
-        return [impression_to_dict(i) for i in c.impressions]
+        return [impression_to_dict(i) for i in records(c)]
 
     @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
     def test_crlf_line_endings(self, tmp_path, fmt):
@@ -341,7 +353,7 @@ class TestStreamingIngest:
     def test_equal_demographics_share_one_profile(self, tmp_path, fmt):
         path = tmp_path / f"c.{fmt}"
         emit(self._corpus(), path, fmt=fmt)
-        by_id = {i.impression_id: i for i in ingest(path, fmt=fmt).impressions}
+        by_id = {i.impression_id: i for i in records(ingest(path, fmt=fmt))}
         assert by_id["b1"].demographics is by_id["b2"].demographics
         assert by_id["b1"].demographics is not by_id["b3"].demographics
         assert by_id["b3"].demographics.key == "G4-M"
@@ -356,10 +368,13 @@ def test_emit_orders_by_impression_id(tmp_path):
     assert ids == ["a1", "z9"]
 
 
-def test_click_dataclass_fields():
+def test_click_record_fields():
     c = Click(result_id="r0", position=1, dwell_seconds=10.0,
               terminated_query=False)
-    assert dataclasses.asdict(c)["position"] == 1
+    assert c._asdict()["position"] == 1
+    # the test records follow the from_records order, so a click comes
+    # back from the columns as it went in
+    assert records(corpus([imp(clicks=[c])]))[0].clicks == [c]
 
 
 class TestColumns:
@@ -377,7 +392,7 @@ class TestColumns:
     def test_columns_follow_the_per_impression_definitions(self):
         c = self._corpus()
         cols = c.columns
-        imps = c.impressions
+        imps = records(c)
         assert cols.queries == ["news alpha", "sports beta", "news gamma",
                                 "travel delta"]
         assert cols.topics == ["news", "sports", "travel"]
@@ -566,7 +581,7 @@ class TestColumnarIngest:
         with pytest.raises(DataError, match="cannot read .*field larger"):
             ingest(path, fmt="csv")
 
-    def test_from_impressions_rejects_an_invalid_record(self):
+    def test_from_records_rejects_an_invalid_record(self):
         with pytest.raises(DataError,
                            match="impression 'x1': empty results list"):
             corpus([imp("x0"), imp("x1", results=())])
@@ -592,7 +607,7 @@ class TestEmit:
         c = self._corpus()
         path = tmp_path / "c.ndjson"
         assert emit(c, path) == 4
-        ordered = sorted(c.impressions, key=lambda i: i.impression_id)
+        ordered = sorted(records(c), key=lambda i: i.impression_id)
         assert path.read_text(encoding="utf-8") == "".join(
             json.dumps(impression_to_dict(i)) + "\n" for i in ordered)
 
@@ -603,7 +618,7 @@ class TestEmit:
         want = io.StringIO()
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(logmodel.CSV_FIELDS)
-        for i in sorted(c.impressions, key=lambda i: i.impression_id):
+        for i in sorted(records(c), key=lambda i: i.impression_id):
             writer.writerow([
                 i.impression_id, i.user_id, i.session_id, i.timestamp,
                 i.query_text, i.topic, ";".join(i.results),
@@ -619,11 +634,11 @@ class TestEmit:
     def test_round_trip_keeps_every_column(self, tmp_path, fmt):
         # ingest normalizes query text and derives unset flags, so the
         # record that needs both is left out
-        c = corpus(i for i in self._corpus().impressions
+        c = corpus(i for i in records(self._corpus())
                    if i.reformulated is not None)
         path = tmp_path / f"c.{fmt}"
         emit(c, path, fmt=fmt)
         back = ingest(path, fmt=fmt)
-        assert [impression_to_dict(i) for i in back.impressions] == [
+        assert [impression_to_dict(i) for i in records(back)] == [
             impression_to_dict(i) for i in sorted(
-                c.impressions, key=lambda i: i.impression_id)]
+                records(c), key=lambda i: i.impression_id)]

@@ -5,13 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from corpus_builders import click, corpus, imp
+from corpus_builders import click, corpus, imp, records
+from oracles import final_successful_click
 from sataudit import matching
 from sataudit.aggregate import Factor, normalize
 from sataudit.errors import DataError
 from sataudit.logmodel import Gender
-from sataudit.matching import (MatchConfig, final_successful_click,
-                               match_contexts, matched_raw_scores,
+from sataudit.matching import (MatchConfig, match_contexts,
+                               matched_raw_scores,
                                navigational_queries_proxy, serp_signature)
 from sataudit.metrics import METRICS, MetricKind, metric_table
 
@@ -68,7 +69,7 @@ class TestColumnForms:
         final = matching._final_clicks(c, threshold)
         result_ids = c.columns.result_ids
         assert [None if f < 0 else result_ids[f] for f in final.tolist()] \
-            == [final_successful_click(i, threshold) for i in c.impressions]
+            == [final_successful_click(i, threshold) for i in records(c)]
         assert matching._final_clicks(c, threshold) is final
         assert not final.flags.writeable
 
@@ -85,8 +86,8 @@ class TestColumnForms:
         monkeypatch.setattr(matching, "serp_signature", counting)
         rows = [k for k in range(len(c)) if k % 3]
         got = matching._page_signatures(c.columns, rows, prefix_len)
-        assert got == [serp_signature(c.impressions[k].results, prefix_len)
-                       for k in rows]
+        pages = [i.results for i in records(c)]
+        assert got == [serp_signature(pages[k], prefix_len) for k in rows]
         # one hash per distinct prefix
         assert len(hashed) == len(set(hashed))
 
@@ -189,10 +190,10 @@ class TestMatchContexts:
                             no_rescoring)
         raw = matched_raw_scores(cohort, 30.0)
         rows = cohort.by_query["brand a"]
+        recs = records(c)
         for k, kind in enumerate(METRICS):
             for g in (Gender.MALE, Gender.FEMALE):
-                mine = [r for r in rows if c.impressions[r].demographics.gender
-                        is g]
+                mine = [r for r in rows if recs[r].demographics.gender is g]
                 assert raw.raw[kind][g] == np.mean(table[mine, k])
 
     def test_proxy_path_builds_the_final_click_column_once(self,

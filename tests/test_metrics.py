@@ -7,18 +7,27 @@ import csv
 import numpy as np
 import pytest
 
-from corpus_builders import click, corpus, imp
+from corpus_builders import click, corpus, imp, records
+from oracles import MetricVector, page_click_count, reformulation, \
+    successful_click_count, metric_vector as oracle_vector
 from sataudit import metrics, synth
 from sataudit.aggregate import Factor, query_averaged_scores
 from sataudit.difficulty import estimate_difficulty
 from sataudit.errors import DataError
 from sataudit.logmodel import AgeGroup, Gender, emit, ingest
 from sataudit.matching import MatchConfig, match_contexts, matched_raw_scores
-from sataudit.metrics import (METRICS, MetricKind, MetricVector, metric_table,
-                              metric_vector, page_click_count, reformulation,
-                              successful_click_count)
+from sataudit.metrics import METRICS, MetricKind, metric_table
 from sataudit.multilevel import build_observations
 from sataudit.pairwise import label_sample, sample_pairs
+
+
+def metric_vector(i, dwell_threshold_s=30.0):
+    """The oracle's metric vector for `i`, after checking that the
+    library's metric table of a corpus of `i` alone holds the same row."""
+    want = oracle_vector(i, dwell_threshold_s)
+    row = metric_table(corpus([i]), dwell_threshold_s)[0]
+    assert row.tolist() == [want.value(kind) for kind in METRICS]
+    return want
 
 
 def test_no_clicks_scores_bottom_level():
@@ -138,8 +147,8 @@ def _mixed_corpus():
 def test_metric_table_rows_are_metric_vectors():
     c = _mixed_corpus()
     for threshold in (10.0, 50.0):
-        want = np.array([[metric_vector(i, threshold).value(kind)
-                          for kind in METRICS] for i in c.impressions])
+        want = np.array([[oracle_vector(i, threshold).value(kind)
+                          for kind in METRICS] for i in records(c)])
         got = metric_table(c, threshold)
         np.testing.assert_array_equal(got, want)
         assert metric_table(c, threshold) is got
@@ -177,7 +186,7 @@ def test_metric_table_is_built_once_per_corpus_and_threshold(monkeypatch):
 
 
 def _stacked_metric_vectors(impressions, threshold=30.0):
-    return np.array([[metric_vector(i, threshold).value(kind)
+    return np.array([[oracle_vector(i, threshold).value(kind)
                       for kind in METRICS] for i in impressions],
                     dtype=float).reshape(-1, len(METRICS))
 
@@ -190,7 +199,7 @@ def test_metric_table_equals_metric_vectors_on_presets(preset):
     for threshold in (30.0, 12.5):
         np.testing.assert_array_equal(
             metric_table(c, threshold),
-            _stacked_metric_vectors(c.impressions, threshold))
+            _stacked_metric_vectors(records(c), threshold))
 
 
 def test_clicks_only_csv_has_page_click_counts_only(tmp_path):
@@ -212,8 +221,8 @@ def test_clicks_only_csv_has_page_click_counts_only(tmp_path):
     blank = ingest(tmp_path / "blank.csv", fmt="csv")
     assert not blank.has_dwell
     assert blank.columns.click_count.tolist() == \
-        [page_click_count(i) for i in blank.impressions]
-    first = next(i for i in blank.impressions if i.clicks)
+        [page_click_count(i) for i in records(blank)]
+    first = next(i for i in records(blank) if i.clicks)
     with pytest.raises(DataError) as scalar:
         metric_vector(first)
     with pytest.raises(DataError) as column:

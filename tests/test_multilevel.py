@@ -8,7 +8,7 @@ import pytest
 from corpus_builders import corpus, dissatisfied, satisfied
 from sataudit.aggregate import Factor
 from sataudit.difficulty import DifficultyTable
-from sataudit.errors import DataError
+from sataudit.errors import ConfigError, DataError
 from sataudit.glmfit import Family
 from sataudit.logmodel import AgeGroup, Gender
 from sataudit.metrics import MetricKind
@@ -47,9 +47,9 @@ def test_prediction_grid_spans_unit_interval():
 
 class TestPriorConfig:
     def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ValueError, match="variance_age"):
+        with pytest.raises(ConfigError, match="variance_age"):
             PriorConfig(variance_age=0.0)
-        with pytest.raises(ValueError, match="variance_interaction"):
+        with pytest.raises(ConfigError, match="variance_interaction"):
             PriorConfig(variance_interaction=-1.0)
 
     def test_diffuse_sets_every_block(self):

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from corpus_builders import click, corpus, imp
+from corpus_builders import click, corpus, imp, records
+from oracles import MetricVector
 from sataudit.aggregate import Factor
 from sataudit.errors import ConfigError, DataError, InsufficientSignalError
 from sataudit.logmodel import AgeGroup, Gender
-from sataudit.metrics import MetricKind, MetricVector
+from sataudit.metrics import MetricKind
 from sataudit.pairwise import (DEFAULT_THRESHOLDS, LabeledPairSet, PairThresholds,
                                build_labeled_pairs, derive_thresholds_from_deltas,
                                eligible_queries, fit_pair_model,
@@ -223,7 +224,7 @@ class TestSamplePairs:
         c = self._small()
         s = sample_pairs(c, ["qa"], seed=7, fraction=1.0, pairs_per_query=6)
         assert len(s) == 6
-        ages = [i.demographics.age for i in c.impressions]
+        ages = [i.demographics.age for i in records(c)]
         pairs = {frozenset((int(a), int(b)))
                  for a, b in zip(s.i_idx, s.j_idx)}
         assert len(pairs) == 6            # every cross pair exactly once
@@ -234,7 +235,7 @@ class TestSamplePairs:
         c = self._small()
         s = sample_pairs(c, ["qa"], seed=7, fraction=1.0, pairs_per_query=50)
         assert len(s) == 50
-        ages = [i.demographics.age for i in c.impressions]
+        ages = [i.demographics.age for i in records(c)]
         distinct = {frozenset((int(a), int(b)))
                     for a, b in zip(s.i_idx, s.j_idx)}
         assert len(distinct) <= 6
@@ -257,7 +258,7 @@ class TestSamplePairs:
         s = sample_pairs(c, ["big q"], seed=13, fraction=1.0,
                          pairs_per_query=1000)
         assert len(s) == 1000
-        ages = [i.demographics.age for i in c.impressions]
+        ages = [i.demographics.age for i in records(c)]
         distinct = {frozenset((int(a), int(b)))
                     for a, b in zip(s.i_idx, s.j_idx)}
         assert len(distinct) == 1000      # deduplicated
@@ -323,7 +324,7 @@ class TestLabelSample:
         c = self._two_group()
         s = sample_pairs(c, ["qa"], seed=1, fraction=1.0, pairs_per_query=9)
         labels = label_sample(c, s, mode="internal")
-        ages = [i.demographics.age for i in c.impressions]
+        ages = [i.demographics.age for i in records(c)]
         # satisfied G1 side vs no-click G4 side: GU gap 2.0 -> strong label
         for lab, a, b in zip(labels, s.i_idx, s.j_idx):
             want = 1 if ages[int(a)] is G1 else -1
@@ -336,7 +337,7 @@ class TestLabelSample:
         pairs = build_labeled_pairs(c, s, labels)
         assert len(pairs) == 5
         assert set(np.unique(pairs.label)) == {-1, 1}
-        ages = np.array([int(i.demographics.age) - 1 for i in c.impressions])
+        ages = np.array([int(i.demographics.age) - 1 for i in records(c)])
         keep = labels != 0
         np.testing.assert_array_equal(pairs.age_i, ages[s.i_idx[keep]])
         np.testing.assert_array_equal(pairs.age_j, ages[s.j_idx[keep]])

@@ -8,15 +8,16 @@ import json
 import numpy as np
 import pytest
 
+from corpus_builders import records
+from oracles import metric_vector
 from sataudit.aggregate import Factor, query_averaged_scores, query_kl
 from sataudit.errors import ConfigError
-from sataudit.logmodel import (AgeGroup, Gender, all_profiles, emit,
-                               validate_impression)
-from sataudit.metrics import MetricKind, metric_vector
-from sataudit.synth import (BehaviorModel, QuerySpec, ScenarioConfig,
-                            generate, preset_null, preset_query_mix_confound,
-                            preset_true_gap, scenario_presets,
-                            true_gap_scenario)
+from sataudit.logmodel import (AgeGroup, Gender, LogCorpus, all_profiles,
+                               emit)
+from sataudit.metrics import MetricKind
+from sataudit.synth import (PRESETS, BehaviorModel, QuerySpec,
+                            ScenarioConfig, generate, preset_null,
+                            preset_query_mix_confound, preset_true_gap)
 
 G1, G2, G3, G4 = AgeGroup
 
@@ -122,10 +123,8 @@ class TestDeterminism:
     def test_different_seed_different_corpus(self):
         corpus_a, _ = generate(tiny_config(seed=99))
         corpus_b, _ = generate(tiny_config(seed=100))
-        da = [i.to_dict() if hasattr(i, "to_dict") else repr(i)
-              for i in corpus_a.impressions[:50]]
-        db = [i.to_dict() if hasattr(i, "to_dict") else repr(i)
-              for i in corpus_b.impressions[:50]]
+        da = [repr(i) for i in records(corpus_a)[:50]]
+        db = [repr(i) for i in records(corpus_b)[:50]]
         assert da != db
 
 
@@ -137,15 +136,15 @@ def tiny(request):
 class TestGeneratedCorpus:
     def test_every_impression_is_valid(self, tiny):
         corpus, _ = tiny
-        for imp in corpus.impressions:
-            assert validate_impression(imp) is None
-            assert imp.reformulated is not None
+        recs = records(corpus)
+        # every record passes the invariants again on the way back in
+        LogCorpus.from_records(recs)
+        assert all(i.reformulated is not None for i in recs)
         assert corpus.has_dwell
 
     def test_truth_covers_the_corpus(self, tiny):
         corpus, truth = tiny
-        assert set(truth.latent) == {i.impression_id
-                                     for i in corpus.impressions}
+        assert set(truth.latent) == set(corpus.columns.ids)
         assert all(0.0 <= s <= 1.0 for s in truth.latent.values())
         assert truth.difficulty == {"brand zero": 0.05, "alpha news": 0.3,
                                     "beta travel": 0.6, "gamma tech": 0.85}
@@ -155,7 +154,7 @@ class TestGeneratedCorpus:
     def test_user_sessions_are_bounded_and_ordered(self, tiny):
         corpus, _ = tiny
         by_user: dict[str, list] = {}
-        for imp in corpus.impressions:
+        for imp in records(corpus):
             by_user.setdefault(imp.user_id, []).append(imp)
         cap = BehaviorModel().max_impressions_per_user
         for imps in by_user.values():
@@ -167,7 +166,7 @@ class TestGeneratedCorpus:
     def test_reformulation_flag_repeats_the_query(self, tiny):
         corpus, _ = tiny
         by_user: dict[str, list] = {}
-        for imp in corpus.impressions:
+        for imp in records(corpus):
             by_user.setdefault(imp.user_id, []).append(imp)
         flagged = 0
         for imps in by_user.values():
@@ -186,7 +185,7 @@ class TestGeneratedCorpus:
 
 class TestPresets:
     def test_catalog(self):
-        presets = scenario_presets()
+        presets = {name: factory() for name, factory in PRESETS.items()}
         assert set(presets) == {"null", "query_mix_confound",
                                 "dwell_confound", "true_gap", "mixed"}
         for name, cfg in presets.items():
@@ -212,11 +211,13 @@ class TestPresets:
         assert first.difficulty == pytest.approx(0.85)
         assert last.difficulty == pytest.approx(0.30)
 
-    def test_true_gap_scenario_renames_without_reseeding(self):
-        base = preset_true_gap(offset=0.2)
-        variant = true_gap_scenario(0.2)
-        assert variant.name == "true_gap_0.2"
-        assert dataclasses.replace(variant, name="true_gap") == base
+    def test_scenario_name_never_enters_generation(self):
+        cfg = tiny_config()
+        corpus_a, truth_a = generate(cfg)
+        corpus_b, truth_b = generate(dataclasses.replace(cfg,
+                                                         name="renamed"))
+        assert records(corpus_a) == records(corpus_b)
+        assert truth_a.latent == truth_b.latent
 
     def test_truth_offset_lookup(self):
         cfg = preset_true_gap()
@@ -249,7 +250,7 @@ class TestInjectedStructure:
         scc = scores.raw[MetricKind.SUCCESSFUL_CLICK_COUNT]
         assert scc[G4] > 1.10 * max(scc[G1], scc[G2], scc[G3])
         by_age: dict[AgeGroup, list[float]] = {a: [] for a in AgeGroup}
-        for imp in corpus.impressions:
+        for imp in records(corpus):
             by_age[imp.demographics.age].append(
                 truth.latent[imp.impression_id])
         means = {a: float(np.mean(v)) for a, v in by_age.items()}
@@ -266,7 +267,7 @@ class TestInjectedStructure:
         corpus, truth = truegap_data
         assert truth.age_offsets == {G4: 0.15}
         by_age: dict[AgeGroup, list[float]] = {a: [] for a in AgeGroup}
-        for imp in corpus.impressions:
+        for imp in records(corpus):
             by_age[imp.demographics.age].append(
                 truth.latent[imp.impression_id])
         means = {a: float(np.mean(v)) for a, v in by_age.items()}
@@ -275,9 +276,9 @@ class TestInjectedStructure:
 
     def test_emission_channels_are_monotone_in_latent(self, truegap_data):
         corpus, truth = truegap_data
-        s = np.array([truth.latent[i.impression_id]
-                      for i in corpus.impressions])
-        mv = [metric_vector(i) for i in corpus.impressions]
+        recs = records(corpus)
+        s = np.array([truth.latent[i.impression_id] for i in recs])
+        mv = [metric_vector(i) for i in recs]
         scc = np.array([m.successful_click_count for m in mv], dtype=float)
         reform = np.array([m.reformulation for m in mv], dtype=float)
         lo, hi = np.quantile(s, [1.0 / 3.0, 2.0 / 3.0])
