@@ -23,7 +23,7 @@ from .matching import MatchConfig, MatchedCohort, match_contexts, \
     matched_raw_scores
 from .metrics import MetricKind
 from .multilevel import (MultilevelFit, PriorConfig, build_observations,
-                         fit_multilevel, max_group_gap, prediction_grid)
+                         cell_curves, fit_multilevel, max_group_gap)
 from .pairwise import (DEFAULT_THRESHOLDS, PairModel, PairThresholds,
                        derive_thresholds_from_deltas, eligible_queries,
                        fit_pair_model, label_sample, predict_pair_prob,
@@ -41,12 +41,12 @@ __all__ = [
     "MultilevelFit", "NormalizedScores", "PairModel",
     "PairThresholds", "PriorConfig", "QuerySpec", "RawScores",
     "SatauditError", "ScenarioConfig", "all_profiles", "audit_meta",
-    "build_observations", "derive_thresholds_from_deltas",
+    "build_observations", "cell_curves", "derive_thresholds_from_deltas",
     "eligible_queries", "emit", "estimate_difficulty", "fit_multilevel",
     "fit_pair_model", "generate", "head_tail_classify", "ingest",
     "label_sample", "match_contexts", "matched_raw_scores",
     "max_group_gap", "normalize", "normalize_query",
-    "predict_pair_prob", "prediction_grid", "probability_grid",
+    "predict_pair_prob", "probability_grid",
     "query_averaged_scores", "query_kl", "run_audit", "sample_pairs",
     "write_audit",
 ]

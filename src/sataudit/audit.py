@@ -8,6 +8,8 @@ method produced with the run summary; :func:`write_audit` writes them.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,12 +25,33 @@ from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
 METHODS = ("raw", "matched", "multilevel", "pairwise", "external")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# what a field of each annotated type may hold: (description, test)
+_TYPE_RULES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[str, ...]": (
+        "a string or a list of strings",
+        lambda v: (isinstance(v, (str, list, tuple))
+                   and all(isinstance(m, str) for m in v))),
+    "int": ("an integer", _is_int),
+    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "float": ("a finite number",
+              lambda v: _is_int(v) or (isinstance(v, float)
+                                       and math.isfinite(v))),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     """Every settable value of an audit, kept exactly as given (a JSON
-    ``3`` stays an int) since the metadata hash covers them.  ``methods``
-    may be a comma list or a sequence; it is kept as a tuple in
-    :data:`METHODS` order."""
+    ``3`` stays an int) since the metadata hash covers them.  A value of
+    the wrong type is a ConfigError, never coerced.  ``methods`` may be
+    a comma list or a sequence; it is kept as a tuple in :data:`METHODS`
+    order."""
 
     factor: str = Factor.AGE.value
     methods: tuple[str, ...] = ("raw", "matched")
@@ -41,11 +64,23 @@ class AuditConfig:
     k: float = pairwise.DEFAULT_THRESHOLDS.k
     pair_fraction: float = pairwise.DEFAULT_QUERY_FRACTION
     pairs_per_query: int = pairwise.DEFAULT_PAIRS_PER_QUERY
-    prior_variance: float = multilevel.PriorConfig.variance_age
+    prior_variance: float = multilevel.PriorConfig.variance
     empirical_bayes: bool = multilevel.PriorConfig.empirical_bayes
     default_thresholds: bool = False
 
     def __post_init__(self):
+        if not (isinstance(self.prior_variance, (int, float))
+                and self.prior_variance > 0):
+            raise ConfigError(f"prior_variance must be a positive number, "
+                              f"got {self.prior_variance!r}")
+        for f in dataclasses.fields(self):
+            what, ok = _TYPE_RULES[f.type]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        if self.serp_prefix < 1:
+            raise ConfigError(f"serp_prefix must be at least 1, "
+                              f"got {self.serp_prefix!r}")
         spec = self.methods
         chosen = {m.strip() for m in (spec.split(",") if isinstance(spec, str)
                                       else spec)} - {""}
@@ -57,10 +92,6 @@ class AuditConfig:
             raise ConfigError("no audit methods selected")
         object.__setattr__(self, "methods",
                            tuple(m for m in METHODS if m in chosen))
-        if not (isinstance(self.prior_variance, (int, float))
-                and self.prior_variance > 0):
-            raise ConfigError(f"prior_variance must be a positive number, "
-                              f"got {self.prior_variance!r}")
         if self.factor not in [f.value for f in Factor]:
             raise ConfigError(f"unknown factor {self.factor!r}; choose "
                               f"from {', '.join(f.value for f in Factor)}")
@@ -158,11 +189,8 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
     if "multilevel" in methods:
         res.difficulty = difficulty_mod.estimate_difficulty(
             corpus, factor=factor, dwell_threshold_s=dwell)
-        var = cfg.prior_variance
-        priors = multilevel.PriorConfig(
-            variance_age=var, variance_gender=var, variance_topic=var,
-            variance_interaction=var,
-            empirical_bayes=bool(cfg.empirical_bayes))
+        priors = multilevel.PriorConfig(variance=cfg.prior_variance,
+                                        empirical_bayes=cfg.empirical_bayes)
         for kind in METRICS:
             obs = multilevel.build_observations(corpus, res.difficulty, kind,
                                                 dwell)
@@ -283,13 +311,16 @@ def write_audit(result: AuditResult, out: Path, meta: dict) -> None:
                 # difficulty value
                 "n_skipped": summary["n_impressions"] - fit.n_observations},
                 meta)
-            for gender in (Gender.MALE, Gender.FEMALE):
-                for p in multilevel.prediction_grid(fit, gender=gender):
-                    grid_rows.append({
-                        "metric": kind.value, "topic": p.topic,
-                        "age": p.age.label, "gender": p.gender.code,
-                        "difficulty": cell(p.difficulty),
-                        "value": cell(p.value)})
+            # rows by gender, topic, age, then difficulty
+            values = multilevel.cell_curves(fit).transpose(2, 0, 1, 3)
+            for (gender, topic, age, d), v in zip(
+                    itertools.product(Gender, fit.topics, AgeGroup,
+                                      multilevel.PREDICTION_GRID),
+                    values.ravel().tolist()):
+                grid_rows.append({
+                    "metric": kind.value, "topic": topic, "age": age.label,
+                    "gender": gender.code, "difficulty": cell(d),
+                    "value": cell(v)})
         reports.write_csv(out / "prediction_grid.csv",
                           ["metric", "topic", "age", "gender", "difficulty",
                            "value"], grid_rows, meta)
@@ -302,8 +333,9 @@ def write_audit(result: AuditResult, out: Path, meta: dict) -> None:
             **stats, "model": model.to_dict(),
             "labeler": "internal" if method == "pairwise" else "external",
             "n_sampled_queries": len(result.samples[method].queries)}, meta)
+        gender_i, gender_j = pairwise.GRID_GENDERS
         reports.write_json(out / f"{prefix}pair_grid.json", {
-            "gender_i": Gender.MALE.code, "gender_j": Gender.FEMALE.code,
+            "gender_i": gender_i.code, "gender_j": gender_j.code,
             "probabilities": grid}, meta)
 
     reports.write_json(out / "summary.json", summary, meta)

@@ -51,16 +51,15 @@ def _infer_format(path: str, explicit: str | None) -> str:
                       "pass --format ndjson|csv")
 
 
-def _read_config(path: str) -> dict:
-    """The JSON object a config file holds; anything else is a
-    ConfigError."""
+def _read_json_object(path, error: type[SatauditError] = ConfigError) -> dict:
+    """The JSON object a file holds; anything else raises `error`."""
     with open(path, encoding="utf-8") as f:
         try:
             values = json.load(f)
         except ValueError as exc:       # not JSON, or not UTF-8
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+            raise error(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(values, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
+        raise error(f"{path} must hold a JSON object")
     return values
 
 
@@ -73,7 +72,7 @@ def _build_scenario(args) -> synth.ScenarioConfig:
                           "is required")
     if args.scenario_config:
         cfg = synth.ScenarioConfig.from_dict(
-            _read_config(args.scenario_config))
+            _read_json_object(args.scenario_config))
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.impressions is not None or args.offset is not None:
@@ -192,7 +191,7 @@ def _audit_config(args) -> AuditConfig:
     names = [f.name for f in dataclasses.fields(AuditConfig)]
     values = {}
     if args.config:
-        values = _read_config(args.config)
+        values = _read_json_object(args.config)
         unknown = sorted(set(values) - set(names))
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
@@ -206,11 +205,14 @@ def _load_navigational(path: str | None) -> set[str] | None:
     if path is None:
         return None
     out: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.add(normalize_query(line))
+    try:
+        with open(path, encoding="utf-8") as f:
+            for line in f:
+                line = line.strip()
+                if line and not line.startswith("#"):
+                    out.add(normalize_query(line))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if not out:
         raise DataError(f"navigational query list {path!r} is empty")
     return out
@@ -252,8 +254,7 @@ def cmd_report(args) -> int:
     summary_path = audit_dir / "summary.json"
     if not summary_path.exists():
         raise DataError(f"no summary.json under {audit_dir}; run audit first")
-    with open(summary_path, encoding="utf-8") as f:
-        summary = json.load(f)
+    summary = _read_json_object(summary_path, DataError)
     meta = summary.get("meta", {})
     out = _out_dir(args)
 

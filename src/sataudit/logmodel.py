@@ -359,6 +359,9 @@ def _invalid(impression_id, timestamp, query_text, results,
 # differs from this one but either shares at least half of its tokens or
 # sits within 0.5 normalized edit distance.
 
+REFORMULATION_OVERLAP = 0.5     # least share of the query's tokens kept
+REFORMULATION_EDIT = 0.5        # most edit distance over the longer length
+
 def _edit_distance(a: str, b: str) -> int:
     """Levenshtein distance, bit-parallel over the DP columns (Hyyro 2001).
 
@@ -396,20 +399,18 @@ def _edit_distance(a: str, b: str) -> int:
     return dist
 
 
-def _queries_similar(orig: str, nxt: str, overlap_threshold: float,
-                     edit_threshold: float) -> bool:
+def _queries_similar(orig: str, nxt: str) -> bool:
     orig_tokens = set(orig.split())
     if orig_tokens:
         shared = len(orig_tokens & set(nxt.split())) / len(orig_tokens)
-        if shared >= overlap_threshold:
+        if shared >= REFORMULATION_OVERLAP:
             return True
     longest = max(len(orig), len(nxt))
-    return longest > 0 and _edit_distance(orig, nxt) / longest <= edit_threshold
+    return (longest > 0
+            and _edit_distance(orig, nxt) / longest <= REFORMULATION_EDIT)
 
 
-def derive_reformulation_flags(columns: ImpressionColumns,
-                               overlap_threshold: float = 0.5,
-                               edit_threshold: float = 0.5) -> np.ndarray:
+def derive_reformulation_flags(columns: ImpressionColumns) -> np.ndarray:
     """The reformulated column with unset flags filled from in-session
     successors.
 
@@ -452,8 +453,7 @@ def derive_reformulation_flags(columns: ImpressionColumns,
                 verdict = similar.get((q, later))
                 if verdict is None:
                     verdict = similar[q, later] = _queries_similar(
-                        texts[q], texts[later], overlap_threshold,
-                        edit_threshold)
+                        texts[q], texts[later])
                 if verdict:
                     found = 1
                     break
@@ -591,9 +591,7 @@ def _fields_from_row(row: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # ingest / emit
 
-def ingest(path: str | Path, fmt: str = "ndjson", *,
-           overlap_threshold: float = 0.5,
-           edit_threshold: float = 0.5) -> LogCorpus:
+def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
     """Load a log file into a validated corpus.
 
     Invalid records are skipped (counted in metadata); more than 50%
@@ -648,8 +646,8 @@ def ingest(path: str | Path, fmt: str = "ndjson", *,
 
     columns = builder.freeze()
     del builder
-    columns = replace(columns, reformulated=derive_reformulation_flags(
-        columns, overlap_threshold, edit_threshold))
+    columns = replace(columns,
+                      reformulated=derive_reformulation_flags(columns))
     return LogCorpus(columns, CorpusMetadata(accepted=accepted,
                                              skipped=skipped))
 

@@ -21,12 +21,14 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .difficulty import DifficultyTable
-from .glmfit import CellDesign, Convergence, Family, FitConfig, fit_penalized_glm
+from .glmfit import CellDesign, Convergence, Family, fit_penalized_glm
 from .logmodel import AgeGroup, Gender, LogCorpus, first_appearance_codes
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind, \
     metric_table
 
 PREDICTION_GRID = tuple(np.round(np.linspace(0.0, 1.0, 21), 10).tolist())
+
+EMPIRICAL_BAYES_ROUNDS = 5
 
 _AGES = list(AgeGroup)
 _GENDERS = list(Gender)
@@ -42,26 +44,16 @@ def family_for_metric(metric: MetricKind) -> Family:
 
 @dataclass(frozen=True)
 class PriorConfig:
-    """Per-block prior variances for the second-level effects."""
+    """Prior variance of the second-level effects, one value for every
+    block; with `empirical_bayes` each block's variance is re-estimated
+    from the fit, up to EMPIRICAL_BAYES_ROUNDS times."""
 
-    variance_age: float = 1.0
-    variance_gender: float = 1.0
-    variance_topic: float = 1.0
-    variance_interaction: float = 1.0
+    variance: float = 1.0
     empirical_bayes: bool = False
-    empirical_bayes_rounds: int = 5
 
     def __post_init__(self):
-        for name in ("variance_age", "variance_gender", "variance_topic",
-                     "variance_interaction"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-
-    @classmethod
-    def diffuse(cls, variance: float = 1e8) -> "PriorConfig":
-        """Near-flat priors; the MAP estimate then tracks the MLE."""
-        return cls(variance_age=variance, variance_gender=variance,
-                   variance_topic=variance, variance_interaction=variance)
+        if self.variance <= 0:
+            raise ConfigError("prior variance must be positive")
 
 
 @dataclass
@@ -187,15 +179,14 @@ def _unpack(theta: np.ndarray, blocks: dict[str, slice], cells: np.ndarray,
 
 
 def fit_multilevel(obs: ObservationSet,
-                   priors: PriorConfig = PriorConfig(),
-                   config: FitConfig = FitConfig()) -> MultilevelFit:
+                   priors: PriorConfig = PriorConfig()) -> MultilevelFit:
     """MAP fit of the multilevel model for one metric.
 
     Needs at least two distinct difficulty values; raises DataError
     otherwise and ConvergenceError when the optimizer budget runs out.
     With `priors.empirical_bayes` the per-block prior variances are
     re-estimated from the fitted coefficients and the model refit, up to
-    `empirical_bayes_rounds` times.
+    EMPIRICAL_BAYES_ROUNDS times.
     """
     if len(obs) == 0:
         raise DataError("no observations to fit")
@@ -212,17 +203,16 @@ def fit_multilevel(obs: ObservationSet,
     age_gender, topic = np.divmod(codes, n_topics)
     cells = np.stack([age_gender // 2, age_gender % 2, topic], axis=1)
 
-    variances = {"age": priors.variance_age, "gender": priors.variance_gender,
-                 "topic": priors.variance_topic,
-                 "interaction": priors.variance_interaction}
-    rounds = priors.empirical_bayes_rounds if priors.empirical_bayes else 0
+    variances = dict.fromkeys(("age", "gender", "topic", "interaction"),
+                              priors.variance)
+    rounds = EMPIRICAL_BAYES_ROUNDS if priors.empirical_bayes else 0
 
     for round_no in range(rounds + 1):
         design, blocks = _build_design(cells, n_topics, variances)
         theta0 = np.zeros(design.intercept_map.shape[1])
         theta0[0] = family.link(float(np.mean(obs.y)))
         solution = fit_penalized_glm(obs.y, obs.x, cell_of, design, family,
-                                     theta0=theta0, config=config)
+                                     theta0=theta0)
         if round_no == rounds:
             break
         # each block's variance re-estimated from its fitted coefficients
@@ -240,68 +230,34 @@ def fit_multilevel(obs: ObservationSet,
                          dispersion=solution.dispersion, n_observations=len(obs))
 
 
-def cell_coefficients(fit: MultilevelFit, age: AgeGroup, gender: Gender,
-                      topic: str) -> tuple[float, float, bool]:
-    """Composed (intercept, slope) for a cell.
+def cell_curves(fit: MultilevelFit) -> np.ndarray:
+    """Mean response of every cell over PREDICTION_GRID.
 
-    The returned flag is False when the topic was not seen in training;
-    topic and interaction contributions are then zero.
+    Shape (topics, ages, genders, grid points), topics in `fit.topics`
+    order.  A cell's intercept and slope add the global, age, gender,
+    topic and interaction parts in that order, which fixes the rounding
+    of every value written; a cell without observations has no
+    interaction and adds 0.
     """
     e = fit.effects
-    a0, a1 = e.age[age]
-    g0, g1 = e.gender[gender]
-    seen = topic in e.topic
-    t0, t1 = e.topic.get(topic, (0.0, 0.0))
-    i0, i1 = e.interaction.get((age, gender, topic), (0.0, 0.0))
-    return (e.mu0 + a0 + g0 + t0 + i0, e.mu1 + a1 + g1 + t1 + i1, seen)
+    topic_of = {t: i for i, t in enumerate(fit.topics)}
+    inter = np.zeros((len(fit.topics), 4, 2, 2))
+    for (a, g, t), pair in e.interaction.items():
+        inter[topic_of[t], _AGES.index(a), _GENDERS.index(g)] = pair
+    coef = (np.array([e.mu0, e.mu1])
+            + np.array([e.age[a] for a in _AGES])[None, :, None]
+            + np.array([e.gender[g] for g in _GENDERS])[None, None]
+            + np.array([e.topic[t] for t in fit.topics])[:, None, None]
+            + inter)
+    grid = np.array(PREDICTION_GRID)
+    return fit.family.linkinv(coef[..., :1] + coef[..., 1:] * grid)
 
 
-def predict(fit: MultilevelFit, age: AgeGroup, gender: Gender, topic: str,
-            difficulty: float) -> float:
-    """Mean response for one cell at one difficulty (response scale)."""
-    alpha, beta, _ = cell_coefficients(fit, age, gender, topic)
-    return float(fit.family.linkinv(np.asarray(alpha + beta * difficulty)))
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    metric: MetricKind
-    topic: str
-    age: AgeGroup
-    gender: Gender
-    difficulty: float
-    value: float
-
-
-def prediction_grid(fit: MultilevelFit, gender: Gender = Gender.MALE,
-                    topics: list[str] | None = None,
-                    grid: tuple[float, ...] = PREDICTION_GRID) -> list[GridPoint]:
-    """Per-topic age curves over the difficulty grid, gender held fixed."""
-    topics = fit.topics if topics is None else topics
-    points = []
-    for topic in topics:
-        for age in _AGES:
-            for d in grid:
-                points.append(GridPoint(
-                    metric=fit.metric, topic=topic, age=age, gender=gender,
-                    difficulty=float(d),
-                    value=predict(fit, age, gender, topic, float(d))))
-    return points
-
-
-def max_group_gap(fit: MultilevelFit,
-                  grid: tuple[float, ...] = PREDICTION_GRID) -> float:
+def max_group_gap(fit: MultilevelFit) -> float:
     """Largest spread of predicted values across the age-gender cells.
 
     The maximum over topics and grid difficulties of (max - min) over
     the eight cells; feeds the pairwise labeling thresholds.
     """
-    delta = 0.0
-    for topic in fit.topics:
-        coefs = [cell_coefficients(fit, a, g, topic)[:2]
-                 for a in _AGES for g in _GENDERS]
-        for d in grid:
-            vals = [float(fit.family.linkinv(np.asarray(al + be * d)))
-                    for al, be in coefs]
-            delta = max(delta, max(vals) - min(vals))
-    return delta
+    cells = cell_curves(fit).reshape(len(fit.topics), 8, -1)
+    return float((cells.max(axis=1) - cells.min(axis=1)).max())

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientSignalError
 from .aggregate import Factor
-from .glmfit import CellDesign, Convergence, Family, FitConfig, fit_penalized_glm
+from .glmfit import CellDesign, Convergence, Family, fit_penalized_glm
 from .logmodel import AgeGroup, Gender, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind, metric_table
 
@@ -44,6 +44,8 @@ _GENDERS = list(Gender)
 
 DEFAULT_QUERY_FRACTION = 0.1
 DEFAULT_PAIRS_PER_QUERY = 10_000
+# the (row, column) genders of the age grid that audits report
+GRID_GENDERS = (Gender.MALE, Gender.FEMALE)
 
 
 @dataclass(frozen=True)
@@ -342,8 +344,8 @@ class PairModel:
         }
 
 
-def fit_pair_model(pairs: LabeledPairSet, prior_variance: float = 1.0,
-                   config: FitConfig = FitConfig()) -> PairModel:
+def fit_pair_model(pairs: LabeledPairSet,
+                   prior_variance: float = 1.0) -> PairModel:
     """Penalized logistic fit of P(side i beats side j).
 
     Training rows are symmetrized (both orders, negated label) and then
@@ -385,8 +387,7 @@ def fit_pair_model(pairs: LabeledPairSet, prior_variance: float = 1.0,
                         penalty=penalty)
     zeros = np.zeros(n_pat)
     solution = fit_penalized_glm(successes, zeros, np.arange(n_pat), design,
-                                 Family.BINOMIAL_LOGIT, trials=trials,
-                                 config=config)
+                                 Family.BINOMIAL_LOGIT, trials=trials)
     theta = solution.theta
 
     age_i, age_j = {}, {}
@@ -440,10 +441,11 @@ def predict_pair_prob(model: PairModel, age_i: AgeGroup, gender_i: Gender,
     return 1.0 - _sigmoid_nonneg(-eta)
 
 
-def probability_grid(model: PairModel, gender_i: Gender = Gender.MALE,
-                     gender_j: Gender = Gender.FEMALE
+def probability_grid(model: PairModel
                      ) -> dict[AgeGroup, dict[AgeGroup, float]]:
-    """4x4 age grid of P(row beats column) with the genders held fixed."""
+    """4x4 age grid of P(row beats column), the row of gender
+    GRID_GENDERS[0] and the column of GRID_GENDERS[1]."""
+    gender_i, gender_j = GRID_GENDERS
     return {a: {b: predict_pair_prob(model, a, gender_i, b, gender_j)
                 for b in _AGES}
             for a in _AGES}

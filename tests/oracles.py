@@ -3,7 +3,9 @@
 Each works on one `corpus_builders.Impression` record at a time, the
 plain way: the metric definitions of :mod:`sataudit.metrics`, the final
 successful click that context matching keys on, and the NDJSON record
-dict that :func:`sataudit.logmodel.emit` writes.
+dict that :func:`sataudit.logmodel.emit` writes.  The last two compose
+one cell's multilevel prediction at one difficulty, the scalar
+reference for :func:`sataudit.multilevel.cell_curves`.
 """
 
 from __future__ import annotations
@@ -11,9 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from corpus_builders import Impression
 from sataudit.errors import DataError
+from sataudit.logmodel import AgeGroup, Gender
 from sataudit.metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
+from sataudit.multilevel import MultilevelFit
 
 
 @dataclass(frozen=True)
@@ -110,3 +116,26 @@ def impression_to_dict(imp: Impression) -> dict:
         "demographics": {"age": imp.demographics.age.name,
                          "gender": imp.demographics.gender.code},
     }
+
+
+def cell_coefficients(fit: MultilevelFit, age: AgeGroup, gender: Gender,
+                      topic: str) -> tuple[float, float, bool]:
+    """Composed (intercept, slope) for a cell.
+
+    The returned flag is False when the topic was not seen in training;
+    topic and interaction contributions are then zero.
+    """
+    e = fit.effects
+    a0, a1 = e.age[age]
+    g0, g1 = e.gender[gender]
+    seen = topic in e.topic
+    t0, t1 = e.topic.get(topic, (0.0, 0.0))
+    i0, i1 = e.interaction.get((age, gender, topic), (0.0, 0.0))
+    return (e.mu0 + a0 + g0 + t0 + i0, e.mu1 + a1 + g1 + t1 + i1, seen)
+
+
+def predict(fit: MultilevelFit, age: AgeGroup, gender: Gender, topic: str,
+            difficulty: float) -> float:
+    """Mean response for one cell at one difficulty (response scale)."""
+    alpha, beta, _ = cell_coefficients(fit, age, gender, topic)
+    return float(fit.family.linkinv(np.asarray(alpha + beta * difficulty)))

@@ -21,11 +21,13 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
 
 import sataudit
 from corpus_builders import click, corpus, imp
+from oracles import predict
 from sataudit.audit import AuditConfig, audit_meta, run_audit, write_audit
 from sataudit.cli import build_parser, main
 from sataudit.errors import ConfigError, ConvergenceError
 from sataudit.logmodel import AgeGroup, Gender, LogCorpus, emit, ingest
 from sataudit.metrics import MetricKind
+from sataudit.multilevel import PREDICTION_GRID
 from sataudit.pairwise import derive_thresholds_from_deltas
 from sataudit.reports import read_report_csv
 from sataudit import logmodel, synth
@@ -431,6 +433,48 @@ class TestAudit:
         with pytest.raises(ConfigError, match="positive number, got '1'"):
             AuditConfig(prior_variance="1")     # a string in a config file
 
+    @pytest.mark.parametrize("given,message", [
+        ({"k": "x"}, "k must be a finite number, got 'x'"),
+        ({"dwell_threshold": math.inf},
+         "dwell_threshold must be a finite number, got inf"),
+        (["--k", "nan"], "k must be a finite number, got nan"),
+        ({"min_impressions": "5"},
+         "min_impressions must be an integer, got '5'"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"methods": 5},
+         "methods must be a string or a list of strings, got 5"),
+        ({"methods": "raw,matched", "serp_prefix": "8"},
+         "serp_prefix must be an integer, got '8'"),
+        ({"empirical_bayes": "no"},
+         "empirical_bayes must be true or false, got 'no'"),
+        (["--serp-prefix", "-3"], "serp_prefix must be at least 1, got -3"),
+    ])
+    def test_wrong_config_value_is_one_config_error(self, tmp_path, capsys,
+                                                    given, message):
+        argv = ["audit", "--input", tmp_path / "absent.ndjson",
+                "--out", tmp_path / "out"]
+        if isinstance(given, dict):
+            cfg = tmp_path / "audit.json"
+            cfg.write_text(json.dumps(given))
+            argv += ["--config", cfg]
+        else:
+            argv += given
+        # absent: the config is refused before the input is read
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_non_utf8_navigational_list_is_a_data_error(self, tg_dir,
+                                                        tmp_path, capsys):
+        nav = tmp_path / "nav.txt"
+        nav.write_bytes(b"brand \xff query\n")
+        assert run("audit", "--input", tg_dir / "corpus.ndjson",
+                   "--methods", "raw,matched", "--navigational", nav,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot read")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_unknown_method(self, tg_dir, tmp_path):
         assert run("audit", "--input", tg_dir / "corpus.ndjson",
                    "--methods", "raw,bogus", "--out", tmp_path) == 1
@@ -465,6 +509,22 @@ class TestAudit:
         meta = json.loads((out / "summary.json").read_text())["meta"]
         assert meta["config_sha256"] == \
             "794c4723d03934b7a442442f474feb22367265b2dcfb57b5130e7d374945e7c4"
+
+    def test_prediction_grid_rows_follow_the_scalar_oracle(self, tg_dir,
+                                                           tmp_path):
+        cfg = AuditConfig(methods="multilevel")
+        result = run_audit(ingest(tg_dir / "corpus.ndjson"), cfg)
+        write_audit(result, tmp_path, audit_meta(cfg))
+        _, rows = read_report_csv(tmp_path / "prediction_grid.csv")
+        want = [{"metric": kind.value, "topic": topic, "age": age.label,
+                 "gender": gender.code, "difficulty": repr(d),
+                 "value": repr(predict(fit, age, gender, topic, d))}
+                for kind, fit in result.fits.items()
+                for gender in (Gender.MALE, Gender.FEMALE)
+                for topic in fit.topics
+                for age in AgeGroup
+                for d in PREDICTION_GRID]
+        assert rows == want
 
     def test_library_audit_writes_what_the_cli_writes(self, tg_dir,
                                                       tmp_path):
@@ -570,6 +630,18 @@ class TestReport:
         assert run("report", "--audit-dir", tmp_path,
                    "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("{not json", "is not valid JSON"),
+        ("[1, 2]", "must hold a JSON object")])
+    def test_summary_that_is_not_a_json_object(self, tmp_path, capsys,
+                                               text, message):
+        (tmp_path / "summary.json").write_text(text)
+        assert run("report", "--audit-dir", tmp_path,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # process-level wiring
@@ -580,6 +652,11 @@ class TestEntryPoints:
 
     def test_missing_command_is_usage_error(self):
         assert main([]) == 1
+
+    def test_public_names_resolve_and_are_listed_once(self):
+        names = sataudit.__all__
+        assert len(names) == len(set(names))
+        assert [n for n in names if not hasattr(sataudit, n)] == []
 
     def test_readme_library_snippet_runs(self, tmp_path, monkeypatch):
         # the "Library use" block, read from the README so the test follows

@@ -132,7 +132,7 @@ class TestReformulationDerivation:
             sess = imps[4 * s:4 * s + 4]
             want += [any(later.query_text != cur.query_text
                          and logmodel._queries_similar(
-                             cur.query_text, later.query_text, 0.5, 0.5)
+                             cur.query_text, later.query_text)
                          for later in sess[k + 1:])
                      for k, cur in enumerate(sess)]
         calls = []

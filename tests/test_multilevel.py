@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from corpus_builders import corpus, dissatisfied, satisfied
+from oracles import cell_coefficients, predict
 from sataudit.aggregate import Factor
 from sataudit.difficulty import DifficultyTable
 from sataudit.errors import ConfigError, DataError
@@ -13,9 +14,9 @@ from sataudit.glmfit import Family
 from sataudit.logmodel import AgeGroup, Gender
 from sataudit.metrics import MetricKind
 from sataudit.multilevel import (PREDICTION_GRID, ObservationSet, PriorConfig,
-                                 build_observations, cell_coefficients,
+                                 build_observations, cell_curves,
                                  family_for_metric, fit_multilevel,
-                                 max_group_gap, predict, prediction_grid)
+                                 max_group_gap)
 
 
 def single_cell(metric: MetricKind, y, x) -> ObservationSet:
@@ -47,15 +48,16 @@ def test_prediction_grid_spans_unit_interval():
 
 class TestPriorConfig:
     def test_rejects_nonpositive_variance(self):
-        with pytest.raises(ConfigError, match="variance_age"):
-            PriorConfig(variance_age=0.0)
-        with pytest.raises(ConfigError, match="variance_interaction"):
-            PriorConfig(variance_interaction=-1.0)
+        for variance in (0.0, -1.0):
+            with pytest.raises(ConfigError,
+                               match="prior variance must be positive"):
+                PriorConfig(variance=variance)
 
-    def test_diffuse_sets_every_block(self):
-        p = PriorConfig.diffuse(1e6)
-        assert (p.variance_age == p.variance_gender == p.variance_topic
-                == p.variance_interaction == 1e6)
+    def test_variance_sets_every_block(self):
+        fit = fit_multilevel(two_age_observations(),
+                             priors=PriorConfig(variance=1e6))
+        assert fit.effects.variances == {"age": 1e6, "gender": 1e6,
+                                         "topic": 1e6, "interaction": 1e6}
 
 
 class TestBuildObservations:
@@ -130,7 +132,7 @@ class TestSingleCellOracles:
         x = rng.uniform(size=300)
         y = 0.5 - 0.4 * x + rng.normal(scale=0.2, size=300)
         fit = fit_multilevel(single_cell(MetricKind.GRADED_UTILITY, y, x),
-                             priors=PriorConfig.diffuse())
+                             priors=PriorConfig(variance=1e8))
         X = np.column_stack([np.ones(300), x])
         ols = np.linalg.solve(X.T @ X, X.T @ y)
         alpha, beta, seen = cell_coefficients(fit, AgeGroup.G1, Gender.MALE,
@@ -145,7 +147,7 @@ class TestSingleCellOracles:
         y = [1.0] * 30 + [0.0] * 70 + [1.0] * 60 + [0.0] * 40
         x = [0.2] * 100 + [0.8] * 100
         fit = fit_multilevel(single_cell(MetricKind.REFORMULATION, y, x),
-                             priors=PriorConfig.diffuse())
+                             priors=PriorConfig(variance=1e8))
         assert fit.family is Family.BINOMIAL_LOGIT
         assert fit.dispersion is None
         assert predict(fit, AgeGroup.G1, Gender.MALE, "t", 0.2) == \
@@ -158,7 +160,7 @@ class TestSingleCellOracles:
         x = [0.0] * 4 + [1.0] * 4
         fit = fit_multilevel(
             single_cell(MetricKind.PAGE_CLICK_COUNT, y, x),
-            priors=PriorConfig.diffuse())
+            priors=PriorConfig(variance=1e8))
         assert predict(fit, AgeGroup.G1, Gender.MALE, "t", 0.0) == \
             pytest.approx(2.0, abs=1e-5)
         assert predict(fit, AgeGroup.G1, Gender.MALE, "t", 1.0) == \
@@ -179,22 +181,30 @@ def two_age_observations(gap: float = 1.0, n_per: int = 300,
         topic_idx=np.zeros(n, dtype=np.intp), topics=["t"])
 
 
-class TestComposedPredictions:
-    def test_unseen_topic_falls_back_to_shared_effects(self):
-        fit = fit_multilevel(two_age_observations())
-        a_seen, b_seen, seen = cell_coefficients(fit, AgeGroup.G1,
-                                                 Gender.MALE, "t")
-        a_new, b_new, new_seen = cell_coefficients(fit, AgeGroup.G1,
-                                                   Gender.MALE, "elsewhere")
-        assert seen and not new_seen
-        e = fit.effects
-        assert a_new == pytest.approx(
-            e.mu0 + e.age[AgeGroup.G1][0] + e.gender[Gender.MALE][0])
-        assert b_new == pytest.approx(
-            e.mu1 + e.age[AgeGroup.G1][1] + e.gender[Gender.MALE][1])
-        # the seen cell additionally carries topic and interaction parts
-        assert (a_seen, b_seen) != (a_new, b_new)
+def three_topic_observations(metric: MetricKind, seed: int = 11
+                             ) -> ObservationSet:
+    """Every age, gender and topic, but no (G4, F, "c") row, so that
+    cell has no interaction effect."""
+    rng = np.random.default_rng(seed)
+    n = 2000
+    age = rng.integers(0, 4, n)
+    gender = rng.integers(0, 2, n)
+    topic = rng.integers(0, 3, n)
+    topic[(age == 3) & (gender == 1) & (topic == 2)] = 0
+    x = rng.uniform(size=n)
+    eta = 0.2 * age - 0.3 * gender + 0.1 * topic - 0.8 * x
+    if metric is MetricKind.GRADED_UTILITY:
+        y = eta + rng.normal(scale=0.2, size=n)
+    elif metric is MetricKind.REFORMULATION:
+        y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+    else:
+        y = rng.poisson(np.exp(eta)).astype(float)
+    return ObservationSet(metric=metric, y=y, x=x, age_idx=age,
+                          gender_idx=gender, topic_idx=topic,
+                          topics=["a", "b", "c"])
 
+
+class TestComposedPredictions:
     def test_predict_is_linkinv_of_composed_line(self):
         fit = fit_multilevel(two_age_observations())
         alpha, beta, _ = cell_coefficients(fit, AgeGroup.G4, Gender.MALE, "t")
@@ -203,28 +213,50 @@ class TestComposedPredictions:
 
     def test_prediction_grid_shape_and_consistency(self):
         fit = fit_multilevel(two_age_observations())
-        points = prediction_grid(fit)
-        assert len(points) == len(fit.topics) * 4 * len(PREDICTION_GRID)
-        for p in points[::17]:
-            assert p.gender is Gender.MALE
-            assert p.value == predict(fit, p.age, p.gender, p.topic,
-                                      p.difficulty)
-        named = prediction_grid(fit, gender=Gender.FEMALE, topics=["zz"])
-        assert len(named) == 4 * len(PREDICTION_GRID)
-        assert all(p.topic == "zz" and p.gender is Gender.FEMALE
-                   for p in named)
+        curves = cell_curves(fit)
+        assert curves.shape == (len(fit.topics), 4, 2, len(PREDICTION_GRID))
+        for a, age in enumerate(AgeGroup):
+            for d, x in enumerate(PREDICTION_GRID[::7]):
+                assert curves[0, a, 0, 7 * d] == predict(
+                    fit, age, Gender.MALE, "t", x)
+
+    @pytest.mark.parametrize("metric", [
+        MetricKind.GRADED_UTILITY, MetricKind.REFORMULATION,
+        MetricKind.PAGE_CLICK_COUNT])
+    def test_cell_curves_equal_the_scalar_oracle_exactly(self, metric):
+        fit = fit_multilevel(three_topic_observations(metric))
+        assert fit.family is family_for_metric(metric)
+        assert (AgeGroup.G4, Gender.FEMALE, "c") not in fit.effects.interaction
+        curves = cell_curves(fit)
+        want = [[[[predict(fit, age, gender, topic, x)
+                   for x in PREDICTION_GRID]
+                  for gender in Gender]
+                 for age in AgeGroup]
+                for topic in fit.topics]
+        assert curves.tolist() == want
 
     def test_max_group_gap_matches_manual_scan(self):
         fit = fit_multilevel(two_age_observations(gap=0.8))
-        manual = 0.0
-        for topic in fit.topics:
-            for d in PREDICTION_GRID:
-                vals = [predict(fit, a, g, topic, d)
-                        for a in AgeGroup for g in Gender]
-                manual = max(manual, max(vals) - min(vals))
         got = max_group_gap(fit)
-        assert got == pytest.approx(manual, abs=1e-12)
+        assert got == manual_group_gap(fit)
         assert got > 0.4   # the injected age gap survives shrinkage
+
+    def test_max_group_gap_scans_every_topic(self):
+        fit = fit_multilevel(
+            three_topic_observations(MetricKind.PAGE_CLICK_COUNT))
+        assert max_group_gap(fit) == manual_group_gap(fit)
+
+
+def manual_group_gap(fit) -> float:
+    """The largest spread across the eight cells, one oracle call at a
+    time."""
+    manual = 0.0
+    for topic in fit.topics:
+        for d in PREDICTION_GRID:
+            vals = [predict(fit, a, g, topic, d)
+                    for a in AgeGroup for g in Gender]
+            manual = max(manual, max(vals) - min(vals))
+    return manual
 
 
 def test_empirical_bayes_reestimates_block_variances():
