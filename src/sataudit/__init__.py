@@ -19,11 +19,10 @@ from .errors import (ConfigError, ConvergenceError, DataError,
                      InsufficientSignalError, SatauditError)
 from .logmodel import (AgeGroup, DemographicProfile, Gender, LogCorpus,
                        all_profiles, emit, ingest, normalize_query)
-from .matching import MatchConfig, MatchedCohort, match_contexts, \
-    matched_raw_scores
+from .matching import MatchedCohort, match_contexts, matched_raw_scores
 from .metrics import MetricKind
-from .multilevel import (MultilevelFit, PriorConfig, build_observations,
-                         cell_curves, fit_multilevel, max_group_gap)
+from .multilevel import (MultilevelFit, build_observations, cell_curves,
+                         fit_multilevel, max_group_gap)
 from .pairwise import (DEFAULT_THRESHOLDS, PairModel, PairThresholds,
                        derive_thresholds_from_deltas, eligible_queries,
                        fit_pair_model, label_sample, predict_pair_prob,
@@ -37,9 +36,9 @@ __all__ = [
     "ConfigError", "ConvergenceError", "DEFAULT_THRESHOLDS", "DataError",
     "DemographicProfile", "DifficultyTable", "Factor", "Gender",
     "GroundTruth", "InsufficientSignalError", "LogCorpus",
-    "METRICS", "MatchConfig", "MatchedCohort", "MetricKind",
+    "METRICS", "MatchedCohort", "MetricKind",
     "MultilevelFit", "NormalizedScores", "PairModel",
-    "PairThresholds", "PriorConfig", "QuerySpec", "RawScores",
+    "PairThresholds", "QuerySpec", "RawScores",
     "SatauditError", "ScenarioConfig", "all_profiles", "audit_meta",
     "build_observations", "cell_curves", "derive_thresholds_from_deltas",
     "eligible_queries", "emit", "estimate_difficulty", "fit_multilevel",

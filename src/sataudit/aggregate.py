@@ -41,7 +41,7 @@ class Factor(enum.Enum):
 
     def codes(self, corpus: LogCorpus) -> np.ndarray:
         """Each impression's index into :meth:`groups`."""
-        return getattr(corpus.columns, self.value)
+        return getattr(corpus, self.value)
 
 
 @dataclass
@@ -96,10 +96,9 @@ def group_query_table(corpus: LogCorpus, factor: Factor,
     """
     rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
     metrics = metric_table(corpus, dwell_threshold_s)[rows]
-    columns = corpus.columns
-    n_queries = len(columns.queries)
+    n_queries = len(corpus.queries)
     keys, codes = first_appearance_codes(
-        factor.codes(corpus)[rows] * n_queries + columns.query[rows])
+        factor.codes(corpus)[rows] * n_queries + corpus.query[rows])
     counts = np.bincount(codes, minlength=len(keys))
     means = np.stack([np.bincount(codes, weights=metrics[:, k],
                                   minlength=len(keys))
@@ -108,7 +107,7 @@ def group_query_table(corpus: LogCorpus, factor: Factor,
     cells: dict[GroupKey, dict[str, QueryCell]] = {}
     for c, key in enumerate(keys.tolist()):
         g, q = divmod(key, n_queries)
-        cells.setdefault(groups[g], {})[columns.queries[q]] = QueryCell(
+        cells.setdefault(groups[g], {})[corpus.queries[q]] = QueryCell(
             means={kind: float(means[c, k]) for k, kind in enumerate(METRICS)},
             n_impressions=int(counts[c]))
     return cells
@@ -220,10 +219,10 @@ def query_kl(corpus: LogCorpus, group_a: GroupKey, group_b: GroupKey,
     """
     if alpha <= 0:
         raise DataError("smoothing alpha must be positive")
-    columns, codes = corpus.columns, factor.codes(corpus)
+    codes = factor.codes(corpus)
     index = {g: k for k, g in enumerate(factor.groups())}
-    ca, cb = (np.bincount(columns.query[codes == index.get(g, -1)],
-                          minlength=len(columns.queries))
+    ca, cb = (np.bincount(corpus.query[codes == index.get(g, -1)],
+                          minlength=len(corpus.queries))
               for g in (group_a, group_b))
     if not ca.any() or not cb.any():
         raise DataError("query KL needs impressions from both groups")
@@ -247,9 +246,8 @@ def head_tail_classify(corpus: LogCorpus) -> dict[str, str]:
     bottom floor(30%), torso the rest.  Ties break lexicographically on
     query text so the partition is deterministic.
     """
-    columns = corpus.columns
-    counts = dict(zip(columns.queries, np.bincount(
-        columns.query, minlength=len(columns.queries)).tolist()))
+    counts = dict(zip(corpus.queries, np.bincount(
+        corpus.query, minlength=len(corpus.queries)).tolist()))
     ordered = sorted(counts, key=lambda q: (-counts[q], q))
     n = len(ordered)
     n_head = math.ceil(0.2 * n)

@@ -44,43 +44,70 @@ _TYPE_RULES = {
     "bool": ("true or false", lambda v: isinstance(v, bool)),
 }
 
+_GROUP_COUNTS = {f.value: len(f.groups()) for f in Factor}
+_ANY = ("any value", lambda v, groups: True)
+
+# what each field may hold once its type is right: (rule, test), where
+# `groups` is the audited factor's group count.  A rule that names a type
+# ("a positive number") is also the one a value of the wrong type breaks.
+_RANGE_RULES = {
+    "factor": (" or ".join(_GROUP_COUNTS),
+               lambda v, groups: v in _GROUP_COUNTS),
+    "methods": _ANY,                    # checked against METHODS below
+    "seed": ("at least 0", lambda v, groups: v >= 0),
+    "dwell_threshold": ("at least 0", lambda v, groups: v >= 0),
+    "min_impressions": ("at least 1", lambda v, groups: v >= 1),
+    "min_groups": ("null or from 1 to {groups}",
+                   lambda v, groups: v is None or 1 <= v <= groups),
+    "serp_prefix": ("at least 1", lambda v, groups: v >= 1),
+    "nav_share": ("in (0, 1]", lambda v, groups: 0 < v <= 1),
+    "k": ("positive", lambda v, groups: v > 0),
+    "pair_fraction": ("in (0, 1]", lambda v, groups: 0 < v <= 1),
+    "pairs_per_query": ("at least 1", lambda v, groups: v >= 1),
+    "prior_variance": ("a positive number", lambda v, groups: v > 0),
+    "empirical_bayes": _ANY,
+    "default_thresholds": _ANY,
+}
+
 
 @dataclass(frozen=True)
 class AuditConfig:
     """Every settable value of an audit, kept exactly as given (a JSON
     ``3`` stays an int) since the metadata hash covers them.  A value of
-    the wrong type is a ConfigError, never coerced.  ``methods`` may be
-    a comma list or a sequence; it is kept as a tuple in :data:`METHODS`
-    order."""
+    the wrong type or out of its range is a ConfigError, never coerced.
+    ``methods`` may be a comma list or a sequence; it is kept as a tuple
+    in :data:`METHODS` order."""
 
     factor: str = Factor.AGE.value
     methods: tuple[str, ...] = ("raw", "matched")
     seed: int = 0
     dwell_threshold: float = DEFAULT_DWELL_THRESHOLD_S
-    min_impressions: int = matching.MatchConfig.min_impressions_per_group
+    min_impressions: int = matching.DEFAULT_MIN_IMPRESSIONS
     min_groups: int | None = None       # None: 3 for age, 2 for gender
-    serp_prefix: int = matching.MatchConfig.serp_prefix_len
-    nav_share: float = matching.MatchConfig.navigational_share
+    serp_prefix: int = matching.DEFAULT_SERP_PREFIX
+    nav_share: float = matching.DEFAULT_NAV_SHARE
     k: float = pairwise.DEFAULT_THRESHOLDS.k
     pair_fraction: float = pairwise.DEFAULT_QUERY_FRACTION
     pairs_per_query: int = pairwise.DEFAULT_PAIRS_PER_QUERY
-    prior_variance: float = multilevel.PriorConfig.variance
-    empirical_bayes: bool = multilevel.PriorConfig.empirical_bayes
+    prior_variance: float = 1.0
+    empirical_bayes: bool = False
     default_thresholds: bool = False
 
     def __post_init__(self):
-        if not (isinstance(self.prior_variance, (int, float))
-                and self.prior_variance > 0):
-            raise ConfigError(f"prior_variance must be a positive number, "
-                              f"got {self.prior_variance!r}")
         for f in dataclasses.fields(self):
-            what, ok = _TYPE_RULES[f.type]
             value = getattr(self, f.name)
+            what, ok = _TYPE_RULES[f.type]
+            rule, in_range = _RANGE_RULES[f.name]
             if not ok(value):
-                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
-        if self.serp_prefix < 1:
-            raise ConfigError(f"serp_prefix must be at least 1, "
-                              f"got {self.serp_prefix!r}")
+                raise ConfigError(f"{f.name} must be "
+                                  f"{rule if rule.startswith('a ') else what}"
+                                  f", got {value!r}")
+            # factor comes first, so min_groups sees a known factor's count
+            groups = _GROUP_COUNTS.get(self.factor, 0)
+            if not in_range(value, groups):
+                raise ConfigError(f"{f.name} must be "
+                                  f"{rule.format(groups=groups)}, "
+                                  f"got {value!r}")
         spec = self.methods
         chosen = {m.strip() for m in (spec.split(",") if isinstance(spec, str)
                                       else spec)} - {""}
@@ -92,9 +119,6 @@ class AuditConfig:
             raise ConfigError("no audit methods selected")
         object.__setattr__(self, "methods",
                            tuple(m for m in METHODS if m in chosen))
-        if self.factor not in [f.value for f in Factor]:
-            raise ConfigError(f"unknown factor {self.factor!r}; choose "
-                              f"from {', '.join(f.value for f in Factor)}")
         if (("pairwise" in chosen or "external" in chosen)
                 and not self.default_thresholds
                 and "multilevel" not in chosen):
@@ -146,7 +170,7 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
     dwell = cfg.dwell_threshold
     res = AuditResult(cfg, {"factor": factor.value, "methods": list(methods),
                             "n_impressions": len(corpus),
-                            "n_queries": len(corpus.columns.queries)})
+                            "n_queries": len(corpus.queries)})
     summary = res.summary
 
     if "raw" in methods or "matched" in methods:
@@ -159,11 +183,10 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
 
     if "matched" in methods:
         res.cohort = matching.match_contexts(
-            corpus, factor, matching.MatchConfig(
-                min_impressions_per_group=cfg.min_impressions,
-                serp_prefix_len=cfg.serp_prefix,
-                navigational_share=cfg.nav_share, dwell_threshold_s=dwell),
-            navigational=navigational)
+            corpus, factor, navigational,
+            min_impressions=cfg.min_impressions,
+            serp_prefix=cfg.serp_prefix, nav_share=cfg.nav_share,
+            dwell_threshold_s=dwell)
         matched_raw = matching.matched_raw_scores(res.cohort, dwell)
         res.matched = aggregate.normalize(matched_raw)
         res.matched_common = aggregate.normalize(matched_raw,
@@ -189,13 +212,11 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
     if "multilevel" in methods:
         res.difficulty = difficulty_mod.estimate_difficulty(
             corpus, factor=factor, dwell_threshold_s=dwell)
-        priors = multilevel.PriorConfig(variance=cfg.prior_variance,
-                                        empirical_bayes=cfg.empirical_bayes)
         for kind in METRICS:
             obs = multilevel.build_observations(corpus, res.difficulty, kind,
                                                 dwell)
-            fit = res.fits[kind] = multilevel.fit_multilevel(obs,
-                                                             priors=priors)
+            fit = res.fits[kind] = multilevel.fit_multilevel(
+                obs, cfg.prior_variance, cfg.empirical_bayes)
             res.deltas[kind] = multilevel.max_group_gap(fit)
         summary["multilevel"] = {
             "deltas": {kind.value: d for kind, d in res.deltas.items()},

@@ -80,6 +80,9 @@ def _build_scenario(args) -> synth.ScenarioConfig:
         return cfg
     kwargs = {}
     if args.impressions is not None:
+        if args.impressions < 1:
+            raise ConfigError(f"impressions must be at least 1, "
+                              f"got {args.impressions!r}")
         kwargs["n_impressions"] = args.impressions
     if args.seed is not None:
         kwargs["seed"] = args.seed
@@ -101,17 +104,16 @@ def cmd_generate(args) -> int:
     corpus_file = f"corpus.{'csv' if args.format == 'csv' else 'ndjson'}"
     n_written = emit(corpus, out / corpus_file, fmt=args.format)
 
-    cols = corpus.columns
-    offsets = [truth.offset_for(p) for p in all_profiles()]
-    profile = (cols.age * 2 + cols.gender).tolist()
+    offsets = [cfg.offset_for(p) for p in all_profiles()]
+    profile = (corpus.age * 2 + corpus.gender).tolist()
+    latent = truth.latent.tolist()      # floats, not numpy scalars
     reports.write_csv(
         out / "ground_truth.csv",
         ["impression_id", "latent_satisfaction", "group_offset"],
-        [{"impression_id": cols.ids[k],
-          "latent_satisfaction": reports.csv_value(
-              truth.latent[cols.ids[k]]),
+        [{"impression_id": corpus.ids[k],
+          "latent_satisfaction": reports.csv_value(latent[k]),
           "group_offset": reports.csv_value(offsets[profile[k]])}
-         for k in cols.id_order.tolist()], meta)
+         for k in corpus.id_order.tolist()], meta)
     reports.write_csv(
         out / "query_truth.csv",
         ["query_text", "topic", "difficulty", "navigational"],
@@ -147,13 +149,14 @@ def cmd_generate(args) -> int:
 # metrics
 
 def cmd_metrics(args) -> int:
+    # the audit's rule for the same setting
+    AuditConfig(dwell_threshold=args.dwell_threshold)
     fmt = _infer_format(args.input, args.format)
     corpus = ingest(args.input, fmt=fmt)
     out = _out_dir(args)
     meta = reports.run_meta(0, {"command": "metrics",
                                 "input": Path(args.input).name,
                                 "format": fmt})
-    cols = corpus.columns
     ages = [a.label for a in AgeGroup]
     genders = [g.code for g in Gender]
     if corpus.has_dwell:
@@ -161,18 +164,19 @@ def cmd_metrics(args) -> int:
         gu = [reports.csv_value(v) for v in gu.tolist()]
         scc = [str(int(v)) for v in scc.tolist()]
     else:
-        reform, pcc = cols.reformulated, cols.click_count
+        reform, pcc = corpus.reformulated, corpus.click_count
         gu = scc = [""] * len(corpus)
     reform = ["" if v < 0 else str(int(v)) for v in reform.tolist()]
-    age, gender = cols.age.tolist(), cols.gender.tolist()
-    query, topic, pcc = cols.query.tolist(), cols.topic.tolist(), pcc.tolist()
-    rows = [{"impression_id": cols.ids[k], "age": ages[age[k]],
+    age, gender = corpus.age.tolist(), corpus.gender.tolist()
+    query, topic = corpus.query.tolist(), corpus.topic.tolist()
+    pcc = pcc.tolist()
+    rows = [{"impression_id": corpus.ids[k], "age": ages[age[k]],
              "gender": genders[gender[k]],
-             "query_text": cols.queries[query[k]],
-             "topic": cols.topics[topic[k]],
+             "query_text": corpus.queries[query[k]],
+             "topic": corpus.topics[topic[k]],
              "page_click_count": int(pcc[k]), "graded_utility": gu[k],
              "reformulation": reform[k], "successful_click_count": scc[k]}
-            for k in cols.id_order.tolist()]
+            for k in corpus.id_order.tolist()]
     reports.write_csv(out / "metrics.csv",
                       ["impression_id", "age", "gender", "query_text",
                        "topic", "graded_utility", "reformulation",

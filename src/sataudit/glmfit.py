@@ -12,8 +12,9 @@ The objective is the negative log likelihood plus a diagonal Gaussian
 log prior (a ridge penalty with per-coefficient precision; precision 0
 leaves a coefficient unpenalized).  Newton steps with step halving keep
 the objective non-increasing; convergence is declared when the relative
-objective change drops below `objective_rtol` or the gradient max-norm
-below `gradient_tol`.
+objective change drops below OBJECTIVE_RTOL or the gradient max-norm
+below GRADIENT_TOL, within MAX_ITERATIONS Newton steps of at most
+MAX_STEP_HALVINGS halvings each.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ from .errors import ConvergenceError
 _TINY = np.nextafter(0.0, 1.0)
 _ONE_MINUS = np.nextafter(1.0, 0.0)
 _MU_CAP = 1e300
+
+MAX_ITERATIONS = 500
+OBJECTIVE_RTOL = 1e-8
+GRADIENT_TOL = 1e-6
+MAX_STEP_HALVINGS = 40
 
 
 def sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -111,14 +117,6 @@ class GlmSolution:
     dispersion: float | None = None    # gaussian only
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    max_iterations: int = 500
-    objective_rtol: float = 1e-8
-    gradient_tol: float = 1e-6
-    max_step_halvings: int = 40
-
-
 def _nll(family: Family, y: np.ndarray, trials: np.ndarray, eta: np.ndarray,
          phi: float | None) -> float:
     if family is Family.GAUSSIAN_IDENTITY:
@@ -135,8 +133,7 @@ def _nll(family: Family, y: np.ndarray, trials: np.ndarray, eta: np.ndarray,
 def fit_penalized_glm(y: np.ndarray, x: np.ndarray, cell: np.ndarray,
                       design: CellDesign, family: Family, *,
                       trials: np.ndarray | None = None,
-                      theta0: np.ndarray | None = None,
-                      config: FitConfig = FitConfig()) -> GlmSolution:
+                      theta0: np.ndarray | None = None) -> GlmSolution:
     """MAP fit of a penalized GLM over a cell-structured design.
 
     Parameters
@@ -190,7 +187,7 @@ def fit_penalized_glm(y: np.ndarray, x: np.ndarray, cell: np.ndarray,
     converged = False
     iterations = 0
 
-    for iterations in range(1, config.max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         mu_unit = family.linkinv(eta)
         if gaussian:
             resid = trials * (y - eta) / phi
@@ -206,7 +203,7 @@ def fit_penalized_glm(y: np.ndarray, x: np.ndarray, cell: np.ndarray,
         g1 = np.bincount(cell, weights=resid * x, minlength=n_cells)
         grad = -(ma.T @ g0 + mb.T @ g1) + lam * theta
         grad_norm = float(np.max(np.abs(grad)))
-        if grad_norm <= config.gradient_tol:
+        if grad_norm <= GRADIENT_TOL:
             converged = True
             break
 
@@ -225,7 +222,7 @@ def fit_penalized_glm(y: np.ndarray, x: np.ndarray, cell: np.ndarray,
         step = 1.0
         accepted = False
         plateau = 1e-13 * (1.0 + abs(obj))
-        for _ in range(config.max_step_halvings):
+        for _ in range(MAX_STEP_HALVINGS):
             cand = theta + step * direction
             cand_eta = eta_of(cand)
             cand_obj = objective(cand, cand_eta, phi)
@@ -242,7 +239,7 @@ def fit_penalized_glm(y: np.ndarray, x: np.ndarray, cell: np.ndarray,
             phi = max(float(trials @ (y - eta) ** 2) / trials.sum(), 1e-12)
             new_obj = objective(theta, eta, phi)
 
-        if abs(obj - new_obj) <= config.objective_rtol * (abs(obj) + 1.0):
+        if abs(obj - new_obj) <= OBJECTIVE_RTOL * (abs(obj) + 1.0):
             obj = new_obj
             converged = True
             break

@@ -15,8 +15,8 @@ collapsed, trimmed).  Records that violate the impression invariants are
 counted and skipped; if more than half of a file is malformed the ingest
 fails outright.
 
-A corpus is held as read-only columns (:class:`ImpressionColumns`):
-ingest parses each record into flat lists and freezes them into numpy
+A corpus is held as read-only columns (:class:`LogCorpus`): ingest
+parses each record into flat lists and freezes them into numpy
 arrays, so no per-record object outlives its line.  A record is a tuple
 of the impression fields in this order: ``impression_id``, ``user_id``,
 ``session_id``, ``timestamp``, ``query_text``, ``topic``, ``results``,
@@ -118,8 +118,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ImpressionColumns:
-    """The read-only columns of a corpus, one row per impression.
+class LogCorpus:
+    """A validated interaction log, held as read-only columns, one row per
+    impression.
 
     ``ids`` holds the impression ids (an object array of str).  ``user``,
     ``session``, ``query`` and ``topic`` are int32 codes into ``users``,
@@ -132,6 +133,10 @@ class ImpressionColumns:
     ``result_ids``, and its clicks, in log order, are entries
     ``click_offsets[k]:click_offsets[k + 1]`` of the ``click_*`` arrays
     (``click_dwell`` is NaN where the log has no dwell time).
+
+    Metric tables and other per-impression columns computed from the
+    corpus are cached on it, keyed by what they depend on;
+    ``dataclasses.replace`` starts an empty cache.
     """
 
     ids: np.ndarray
@@ -155,6 +160,8 @@ class ImpressionColumns:
     click_position: np.ndarray
     click_dwell: np.ndarray
     click_terminated: np.ndarray
+    metadata: CorpusMetadata = field(default_factory=CorpusMetadata)
+    _derived: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         for f in fields(self):
@@ -180,11 +187,27 @@ class ImpressionColumns:
         """The row of each click."""
         return _frozen(np.repeat(np.arange(len(self)), self.click_count))
 
+    @classmethod
+    def from_records(cls, records) -> "LogCorpus":
+        """A corpus of records (see the module docstring), read one at a
+        time.  An invalid record raises DataError."""
+        builder = _ColumnBuilder()
+        for record in records:
+            reason = builder.add(*record)
+            if reason is not None:
+                raise DataError(f"impression {record[0]!r}: {reason}")
+        return builder.freeze(skipped=0)
+
+    @property
+    def has_dwell(self) -> bool:
+        """False when any click lacks a dwell time (clicks-only fidelity)."""
+        return not np.isnan(self.click_dwell).any()
+
 
 class _ColumnBuilder:
-    """Flat lists that validated records are appended to, frozen at the
-    end into :class:`ImpressionColumns`, one record (see the module
-    docstring) at a time.
+    """Flat lists that validated records are appended to, one record (see
+    the module docstring) at a time, and frozen at the end into a
+    :class:`LogCorpus`.
     """
 
     def __init__(self):
@@ -234,9 +257,9 @@ class _ColumnBuilder:
         self.click_end.append(len(self.click_result))
         return None
 
-    def freeze(self) -> ImpressionColumns:
+    def freeze(self, skipped: int) -> LogCorpus:
         profile = np.array(self.profile, dtype=np.int32)
-        return ImpressionColumns(
+        return LogCorpus(
             ids=np.array(self.ids, dtype=object),
             user=np.array(self.user, dtype=np.int32), users=list(self.users),
             session=np.array(self.session, dtype=np.int32),
@@ -255,11 +278,12 @@ class _ColumnBuilder:
             click_result=np.array(self.click_result, dtype=np.int32),
             click_position=np.array(self.click_position, dtype=np.int32),
             click_dwell=np.array(self.click_dwell, dtype=float),
-            click_terminated=np.array(self.click_terminated, dtype=bool))
+            click_terminated=np.array(self.click_terminated, dtype=bool),
+            metadata=CorpusMetadata(accepted=len(self.ids), skipped=skipped))
 
 
-def _records(cols: ImpressionColumns, rows, click, text=str):
-    """The record of each row, rebuilt from the columns.
+def _records(corpus: LogCorpus, rows, click, text=str):
+    """The record of each row, rebuilt from the corpus columns.
 
     Each click is ``click(text(result_id), position, dwell_seconds,
     terminated_query)``, vocabulary strings (not ids) go through `text`
@@ -267,55 +291,22 @@ def _records(cols: ImpressionColumns, rows, click, text=str):
     """
     users, sessions, queries, topics, rid = (
         [text(v) for v in vocab] for vocab in (
-            cols.users, cols.sessions, cols.queries, cols.topics,
-            cols.result_ids))
-    res = [rid[c] for c in cols.result.tolist()]
+            corpus.users, corpus.sessions, corpus.queries, corpus.topics,
+            corpus.result_ids))
+    res = [rid[c] for c in corpus.result.tolist()]
     clicks = [click(rid[r], p, d, t) for r, p, d, t in zip(
-        cols.click_result.tolist(), cols.click_position.tolist(),
-        cols.click_dwell.tolist(), cols.click_terminated.tolist())]
-    ids, ts = cols.ids.tolist(), cols.timestamp.tolist()
-    user, session = cols.user.tolist(), cols.session.tolist()
-    query, topic = cols.query.tolist(), cols.topic.tolist()
-    flags = cols.reformulated.tolist()
-    profile = (cols.age * 2 + cols.gender).tolist()
-    ro, co = cols.result_offsets.tolist(), cols.click_offsets.tolist()
+        corpus.click_result.tolist(), corpus.click_position.tolist(),
+        corpus.click_dwell.tolist(), corpus.click_terminated.tolist())]
+    ids, ts = corpus.ids.tolist(), corpus.timestamp.tolist()
+    user, session = corpus.user.tolist(), corpus.session.tolist()
+    query, topic = corpus.query.tolist(), corpus.topic.tolist()
+    flags = corpus.reformulated.tolist()
+    profile = (corpus.age * 2 + corpus.gender).tolist()
+    ro, co = corpus.result_offsets.tolist(), corpus.click_offsets.tolist()
     for k in rows:
         yield (ids[k], users[user[k]], sessions[session[k]], ts[k],
                queries[query[k]], topics[topic[k]], res[ro[k]:ro[k + 1]],
                clicks[co[k]:co[k + 1]], flags[k], _PROFILES[profile[k]])
-
-
-@dataclass(eq=False)
-class LogCorpus:
-    """A validated interaction log, held as read-only columns.
-
-    Metric tables and other per-impression columns computed from the
-    corpus are cached on it, keyed by what they depend on.
-    """
-
-    columns: ImpressionColumns
-    metadata: CorpusMetadata = field(default_factory=CorpusMetadata)
-    _derived: dict = field(default_factory=dict, init=False, repr=False)
-
-    @classmethod
-    def from_records(cls, records) -> "LogCorpus":
-        """A corpus of records (see the module docstring), read one at a
-        time.  An invalid record raises DataError."""
-        builder = _ColumnBuilder()
-        for record in records:
-            reason = builder.add(*record)
-            if reason is not None:
-                raise DataError(f"impression {record[0]!r}: {reason}")
-        return cls(builder.freeze(),
-                   CorpusMetadata(accepted=len(builder.ids)))
-
-    def __len__(self) -> int:
-        return len(self.columns)
-
-    @property
-    def has_dwell(self) -> bool:
-        """False when any click lacks a dwell time (clicks-only fidelity)."""
-        return not np.isnan(self.columns.click_dwell).any()
 
 
 def normalize_query(text: str) -> str:
@@ -410,7 +401,7 @@ def _queries_similar(orig: str, nxt: str) -> bool:
             and _edit_distance(orig, nxt) / longest <= REFORMULATION_EDIT)
 
 
-def derive_reformulation_flags(columns: ImpressionColumns) -> np.ndarray:
+def derive_reformulation_flags(corpus: LogCorpus) -> np.ndarray:
     """The reformulated column with unset flags filled from in-session
     successors.
 
@@ -429,17 +420,17 @@ def derive_reformulation_flags(columns: ImpressionColumns) -> np.ndarray:
     impressions, CSV with dwell and flags blanked) they give 33.3%, where
     the generator's own flags give 2.6%.
     """
-    flags = columns.reformulated
+    flags = corpus.reformulated
     if not (flags < 0).any():
         return flags
-    n = len(columns)
+    n = len(corpus)
     id_rank = np.empty(n, dtype=np.intp)
-    id_rank[columns.id_order] = np.arange(n)
-    order = np.lexsort((id_rank, columns.timestamp, columns.session))
-    session = columns.session[order].tolist()
-    query = columns.query[order].tolist()
+    id_rank[corpus.id_order] = np.arange(n)
+    order = np.lexsort((id_rank, corpus.timestamp, corpus.session))
+    session = corpus.session[order].tolist()
+    query = corpus.query[order].tolist()
     flag = flags[order].tolist()
-    texts = columns.queries
+    texts = corpus.queries
     similar: dict[tuple[int, int], bool] = {}
     for k in range(n):
         if flag[k] >= 0:
@@ -475,7 +466,7 @@ def _json_click(result_id: str, position: int, dwell: float,
             f'"terminated_query": {"true" if terminated else "false"}}}')
 
 
-def _ndjson_lines(cols: ImpressionColumns, rows):
+def _ndjson_lines(corpus: LogCorpus, rows):
     """The NDJSON line of each row, from strings encoded once per
     vocabulary entry and per click.
 
@@ -489,7 +480,7 @@ def _ndjson_lines(cols: ImpressionColumns, rows):
     demographics = {p: json.dumps({"age": p.age.name,
                                    "gender": p.gender.code})
                     for p in _PROFILES}
-    for f in _records(cols, rows, _json_click, enc):
+    for f in _records(corpus, rows, _json_click, enc):
         yield (f'{{"impression_id": {enc(f[0])}, "user_id": {f[1]}, '
                f'"session_id": {f[2]}, "timestamp": {f[3]}, '
                f'"query_text": {f[4]}, "topic": {f[5]}, '
@@ -548,12 +539,12 @@ def _csv_click(result_id: str, position: int, dwell: float,
         f":{int(terminated)}"
 
 
-def _csv_rows(cols: ImpressionColumns, rows):
+def _csv_rows(corpus: LogCorpus, rows):
     """The CSV row of each row, as a list in ``CSV_FIELDS`` order."""
-    reserved = {r for r in cols.result_ids
+    reserved = {r for r in corpus.result_ids
                 if any(ch in r for ch in _RESERVED)}
     flag = (0, 1, "")                       # indexed by 0, 1 and -1
-    for f in _records(cols, rows, _csv_click):
+    for f in _records(corpus, rows, _csv_click):
         if reserved and not reserved.isdisjoint(f[6]):
             bad = next(r for r in f[6] if r in reserved)
             raise DataError(
@@ -644,27 +635,23 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
         logger.warning("ingest %s: skipped %d/%d records (first errors: %s)",
                        path, skipped, total, first_errors)
 
-    columns = builder.freeze()
+    corpus = builder.freeze(skipped)
     del builder
-    columns = replace(columns,
-                      reformulated=derive_reformulation_flags(columns))
-    return LogCorpus(columns, CorpusMetadata(accepted=accepted,
-                                             skipped=skipped))
+    return replace(corpus, reformulated=derive_reformulation_flags(corpus))
 
 
 def emit(corpus: LogCorpus, path: str | Path, fmt: str = "ndjson") -> int:
     """Write a corpus in stable impression_id order; returns record count."""
     path = Path(path)
-    cols = corpus.columns
-    rows = cols.id_order.tolist()
+    rows = corpus.id_order.tolist()
     if fmt == "ndjson":
         with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(_ndjson_lines(cols, rows))
+            fh.writelines(_ndjson_lines(corpus, rows))
     elif fmt == "csv":
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = _csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_FIELDS)
-            writer.writerows(_csv_rows(cols, rows))
+            writer.writerows(_csv_rows(corpus, rows))
     else:
         raise DataError(f"unknown log format {fmt!r}")
     return len(corpus)

@@ -10,8 +10,8 @@ so remaining metric differences are attributable to the users.
 Stages (attrition is recorded after each):
 
 1. keep navigational queries;
-2. keep queries with at least `min_impressions_per_group` impressions
-   from every group of the audited factor;
+2. keep queries with at least `min_impressions` impressions from every
+   group of the audited factor;
 3. keep impressions whose final successful click is the query's dominant
    result;
 4. keep impressions showing the query's modal result-page signature;
@@ -31,18 +31,12 @@ import numpy as np
 
 from .errors import DataError
 from .aggregate import Factor, RawScores, query_averaged_scores
-from .logmodel import ImpressionColumns, LogCorpus
+from .logmodel import LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S
 
+DEFAULT_MIN_IMPRESSIONS = 10    # per group of the audited factor
 DEFAULT_SERP_PREFIX = 8
-
-
-@dataclass(frozen=True)
-class MatchConfig:
-    min_impressions_per_group: int = 10
-    serp_prefix_len: int = DEFAULT_SERP_PREFIX
-    navigational_share: float = 0.8   # click-concentration proxy threshold
-    dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
+DEFAULT_NAV_SHARE = 0.8         # click-concentration proxy threshold
 
 
 @dataclass(frozen=True)
@@ -84,28 +78,28 @@ def _final_clicks(corpus: LogCorpus, dwell_threshold_s: float) -> np.ndarray:
     final = corpus._derived.get(key)
     if final is None:
         final = corpus._derived[key] = _final_click_column(
-            corpus.columns, dwell_threshold_s)
+            corpus, dwell_threshold_s)
     return final
 
 
-def _final_click_column(cols: ImpressionColumns,
+def _final_click_column(corpus: LogCorpus,
                         dwell_threshold_s: float) -> np.ndarray:
     """Each row's final successful click: the last click whose dwell is
     above the threshold (NaN never is)."""
-    clicks = np.flatnonzero(cols.click_dwell > dwell_threshold_s)
-    rows = cols.click_row[clicks]                # ascending
+    clicks = np.flatnonzero(corpus.click_dwell > dwell_threshold_s)
+    rows = corpus.click_row[clicks]              # ascending
     last = np.diff(rows, append=-1) != 0         # each row's last one
-    final = np.full(len(cols), -1, dtype=np.int32)
-    final[rows[last]] = cols.click_result[clicks[last]]
+    final = np.full(len(corpus), -1, dtype=np.int32)
+    final[rows[last]] = corpus.click_result[clicks[last]]
     final.setflags(write=False)
     return final
 
 
-def _page_signatures(cols: ImpressionColumns, rows: list[int],
+def _page_signatures(corpus: LogCorpus, rows: list[int],
                      prefix_len: int) -> list[str]:
     """:func:`serp_signature` of each row's result page, hashed once per
     distinct page prefix (the only part the signature reads)."""
-    offsets, result = cols.result_offsets.tolist(), cols.result.tolist()
+    offsets, result = corpus.result_offsets.tolist(), corpus.result.tolist()
     signature: dict[tuple[int, ...], str] = {}
     out = []
     for k in rows:
@@ -114,67 +108,76 @@ def _page_signatures(cols: ImpressionColumns, rows: list[int],
         sig = signature.get(prefix)
         if sig is None:
             sig = signature[prefix] = serp_signature(
-                [cols.result_ids[c] for c in page], prefix_len)
+                [corpus.result_ids[c] for c in page], prefix_len)
         out.append(sig)
     return out
 
 
-def navigational_queries_proxy(corpus: LogCorpus, cfg: MatchConfig) -> set[str]:
+def navigational_queries_proxy(
+        corpus: LogCorpus, nav_share: float = DEFAULT_NAV_SHARE,
+        dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S) -> set[str]:
     """Queries whose final successful clicks concentrate on one result.
 
     Used when the corpus carries no explicit navigational labels: a query
-    is treated as navigational when at least `navigational_share` of its
-    final successful clicks land on a single result.
+    is treated as navigational when at least `nav_share` of its final
+    successful clicks land on a single result.
     """
-    cols = corpus.columns
-    final = _final_clicks(corpus, cfg.dwell_threshold_s)
+    final = _final_clicks(corpus, dwell_threshold_s)
     has = final >= 0
     keys, counts = np.unique(
-        cols.query[has].astype(np.int64) * len(cols.result_ids) + final[has],
-        return_counts=True)
-    query = keys // len(cols.result_ids)
-    top = np.zeros(len(cols.queries), dtype=np.int64)
+        corpus.query[has].astype(np.int64) * len(corpus.result_ids)
+        + final[has], return_counts=True)
+    query = keys // len(corpus.result_ids)
+    top = np.zeros(len(corpus.queries), dtype=np.int64)
     np.maximum.at(top, query, counts)
-    total = np.bincount(query, weights=counts, minlength=len(cols.queries))
-    return {cols.queries[q] for q in np.flatnonzero(top).tolist()
-            if top[q] / total[q] >= cfg.navigational_share}
+    total = np.bincount(query, weights=counts, minlength=len(corpus.queries))
+    return {corpus.queries[q] for q in np.flatnonzero(top).tolist()
+            if top[q] / total[q] >= nav_share}
 
 
 def match_contexts(corpus: LogCorpus, factor: Factor,
-                   cfg: MatchConfig = MatchConfig(),
-                   navigational: set[str] | None = None) -> MatchedCohort:
-    """Run the five-stage matching pipeline; see the module docstring."""
-    if cfg.min_impressions_per_group < 1:
-        raise DataError("min_impressions_per_group must be >= 1")
-    columns = corpus.columns
+                   navigational: set[str] | None = None, *,
+                   min_impressions: int = DEFAULT_MIN_IMPRESSIONS,
+                   serp_prefix: int = DEFAULT_SERP_PREFIX,
+                   nav_share: float = DEFAULT_NAV_SHARE,
+                   dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
+                   ) -> MatchedCohort:
+    """Run the five-stage matching pipeline; see the module docstring.
+
+    Without `navigational` the click-concentration proxy picks the
+    queries at `nav_share`; `serp_prefix` results make a page signature.
+    """
+    if min_impressions < 1:
+        raise DataError("min_impressions must be >= 1")
     group = factor.codes(corpus)
     n_groups = len(factor.groups())
 
-    by_query: dict[str, list[int]] = {q: [] for q in columns.queries}
-    for k, code in enumerate(columns.query.tolist()):
-        by_query[columns.queries[code]].append(k)
+    by_query: dict[str, list[int]] = {q: [] for q in corpus.queries}
+    for k, code in enumerate(corpus.query.tolist()):
+        by_query[corpus.queries[code]].append(k)
     stages: dict[str, dict[str, list[int]]] = {"input": by_query}
 
     # stage 1: navigational queries only
     if navigational is None:
-        navigational = navigational_queries_proxy(corpus, cfg)
+        navigational = navigational_queries_proxy(corpus, nav_share,
+                                                  dwell_threshold_s)
     stages["navigational"] = by_query = {
         q: rows for q, rows in by_query.items() if q in navigational}
 
     # stage 2: every group sufficiently represented
     def meets_floor(rows: list[int]) -> bool:
         per_group = np.bincount(group[rows], minlength=n_groups)
-        return bool(per_group.min() >= cfg.min_impressions_per_group)
+        return bool(per_group.min() >= min_impressions)
 
     stages["min_impressions"] = by_query = {
         q: rows for q, rows in by_query.items() if meets_floor(rows)}
 
     # stages 3 and 4: per-impression predicates against stage-2 statistics
-    final = _final_clicks(corpus, cfg.dwell_threshold_s).tolist()
-    result_ids = columns.result_ids + [None]      # code -1 reads None
+    final = _final_clicks(corpus, dwell_threshold_s).tolist()
+    result_ids = corpus.result_ids + [None]       # code -1 reads None
     stage2 = [k for rows in by_query.values() for k in rows]
-    page_of = dict(zip(stage2, _page_signatures(columns, stage2,
-                                                cfg.serp_prefix_len)))
+    page_of = dict(zip(stage2, _page_signatures(corpus, stage2,
+                                                serp_prefix)))
     stage3 = stages["final_click"] = {}
     stage4 = stages["serp"] = {}
     for q, rows in by_query.items():

@@ -24,7 +24,7 @@ import enum
 import numpy as np
 
 from .errors import DataError
-from .logmodel import ImpressionColumns, LogCorpus
+from .logmodel import LogCorpus
 
 DEFAULT_DWELL_THRESHOLD_S = 30.0
 
@@ -62,29 +62,29 @@ def metric_table(corpus: LogCorpus,
     table = corpus._derived.get(key)
     if table is None:
         table = corpus._derived[key] = _build_metric_table(
-            corpus.columns, dwell_threshold_s)
+            corpus, dwell_threshold_s)
     return table
 
 
-def _build_metric_table(cols: ImpressionColumns,
+def _build_metric_table(corpus: LogCorpus,
                         dwell_threshold_s: float) -> np.ndarray:
-    dwell, reform = cols.click_dwell, cols.reformulated
+    dwell, reform = corpus.click_dwell, corpus.reformulated
     # the first impression with a missing dwell or an unset flag; within
     # one impression the dwell is reported first
-    no_dwell = cols.click_row[np.isnan(dwell)][:1]
+    no_dwell = corpus.click_row[np.isnan(dwell)][:1]
     unset = np.flatnonzero(reform < 0)[:1]
     if no_dwell.size or unset.size:
         first = min(no_dwell.tolist() + unset.tolist())
         if no_dwell.size and no_dwell[0] == first:
             raise DataError(
-                f"impression {cols.ids[first]}: dwell missing; "
+                f"impression {corpus.ids[first]}: dwell missing; "
                 "successful clicks need dwell fidelity")
         raise DataError(
-            f"impression {cols.ids[first]}: reformulated flag unset; "
+            f"impression {corpus.ids[first]}: reformulated flag unset; "
             "run ingest (which derives missing flags) first")
-    pcc = cols.click_count
-    scc = np.bincount(cols.click_row[dwell > dwell_threshold_s],
-                      minlength=len(cols))
+    pcc = corpus.click_count
+    scc = np.bincount(corpus.click_row[dwell > dwell_threshold_s],
+                      minlength=len(corpus))
     gu = np.select([pcc == 0, scc == 0, (pcc <= 2) & (reform == 0)],
                    [GU_LEVELS[0], GU_LEVELS[1], GU_LEVELS[3]],
                    default=GU_LEVELS[2])

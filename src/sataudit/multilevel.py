@@ -42,20 +42,6 @@ def family_for_metric(metric: MetricKind) -> Family:
     return Family.POISSON_LOG
 
 
-@dataclass(frozen=True)
-class PriorConfig:
-    """Prior variance of the second-level effects, one value for every
-    block; with `empirical_bayes` each block's variance is re-estimated
-    from the fit, up to EMPIRICAL_BAYES_ROUNDS times."""
-
-    variance: float = 1.0
-    empirical_bayes: bool = False
-
-    def __post_init__(self):
-        if self.variance <= 0:
-            raise ConfigError("prior variance must be positive")
-
-
 @dataclass
 class ObservationSet:
     """Column-oriented regression rows: one row per impression."""
@@ -116,18 +102,17 @@ def build_observations(corpus: LogCorpus, difficulty: DifficultyTable,
                        ) -> ObservationSet:
     """Regression rows for one metric; impressions whose query has no
     difficulty estimate are skipped and counted."""
-    columns = corpus.columns
-    known = np.array([q in difficulty for q in columns.queries], dtype=bool)
+    known = np.array([q in difficulty for q in corpus.queries], dtype=bool)
     x_of_query = np.array([difficulty.difficulty.get(q, 0.0)
-                           for q in columns.queries], dtype=float)
-    rows = np.flatnonzero(known[columns.query])
-    topic_codes, topic_idx = first_appearance_codes(columns.topic[rows])
+                           for q in corpus.queries], dtype=float)
+    rows = np.flatnonzero(known[corpus.query])
+    topic_codes, topic_idx = first_appearance_codes(corpus.topic[rows])
     column = metric_table(corpus, dwell_threshold_s)[:, METRICS.index(metric)]
     return ObservationSet(
-        metric=metric, y=column[rows], x=x_of_query[columns.query[rows]],
-        age_idx=columns.age[rows], gender_idx=columns.gender[rows],
+        metric=metric, y=column[rows], x=x_of_query[corpus.query[rows]],
+        age_idx=corpus.age[rows], gender_idx=corpus.gender[rows],
         topic_idx=topic_idx,
-        topics=[columns.topics[t] for t in topic_codes.tolist()],
+        topics=[corpus.topics[t] for t in topic_codes.tolist()],
         skipped=len(corpus) - len(rows))
 
 
@@ -178,16 +163,19 @@ def _unpack(theta: np.ndarray, blocks: dict[str, slice], cells: np.ndarray,
                               interaction=inter, variances=variances)
 
 
-def fit_multilevel(obs: ObservationSet,
-                   priors: PriorConfig = PriorConfig()) -> MultilevelFit:
+def fit_multilevel(obs: ObservationSet, prior_variance: float = 1.0,
+                   empirical_bayes: bool = False) -> MultilevelFit:
     """MAP fit of the multilevel model for one metric.
 
+    `prior_variance` is the prior variance of every second-level block.
     Needs at least two distinct difficulty values; raises DataError
     otherwise and ConvergenceError when the optimizer budget runs out.
-    With `priors.empirical_bayes` the per-block prior variances are
-    re-estimated from the fitted coefficients and the model refit, up to
+    With `empirical_bayes` the per-block prior variances are re-estimated
+    from the fitted coefficients and the model refit, up to
     EMPIRICAL_BAYES_ROUNDS times.
     """
+    if prior_variance <= 0:
+        raise ConfigError("prior variance must be positive")
     if len(obs) == 0:
         raise DataError("no observations to fit")
     if len(np.unique(obs.x)) < 2:
@@ -204,8 +192,8 @@ def fit_multilevel(obs: ObservationSet,
     cells = np.stack([age_gender // 2, age_gender % 2, topic], axis=1)
 
     variances = dict.fromkeys(("age", "gender", "topic", "interaction"),
-                              priors.variance)
-    rounds = EMPIRICAL_BAYES_ROUNDS if priors.empirical_bayes else 0
+                              prior_variance)
+    rounds = EMPIRICAL_BAYES_ROUNDS if empirical_bayes else 0
 
     for round_no in range(rounds + 1):
         design, blocks = _build_design(cells, n_topics, variances)

@@ -158,11 +158,10 @@ def eligible_queries(corpus: LogCorpus, factor: Factor = Factor.AGE,
                      min_groups: int = 3, min_impressions: int = 10) -> list[str]:
     """Queries issued by at least `min_groups` distinct groups with at
     least `min_impressions` impressions, sorted for determinism."""
-    columns = corpus.columns
     n_groups = len(factor.groups())
-    per_group = np.bincount(columns.query * n_groups + factor.codes(corpus),
-                            minlength=len(columns.queries) * n_groups)
-    return sorted(q for q, row in zip(columns.queries,
+    per_group = np.bincount(corpus.query * n_groups + factor.codes(corpus),
+                            minlength=len(corpus.queries) * n_groups)
+    return sorted(q for q, row in zip(corpus.queries,
                                       per_group.reshape(-1, n_groups).tolist())
                   if sum(n > 0 for n in row) >= min_groups
                   and sum(row) >= min_impressions)
@@ -204,10 +203,9 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
                                     replace=False))
     chosen = [ordered_queries[int(i)] for i in chosen_idx]
 
-    columns = corpus.columns
-    query_code = {q: c for c, q in enumerate(columns.queries)}
-    order = columns.id_order
-    query_in_order = columns.query[order]
+    query_code = {q: c for c, q in enumerate(corpus.queries)}
+    order = corpus.id_order
+    query_in_order = corpus.query[order]
     group = factor.codes(corpus)
     i_out, j_out = [], []
     for q in chosen:
@@ -286,7 +284,7 @@ def label_sample(corpus: LogCorpus, sample: PairSample,
         gu, reform, _, scc = metric_table(corpus, dwell_threshold_s).T
         return label_batch_internal(gu[i], reform[i], scc[i],
                                     gu[j], reform[j], scc[j], thresholds)
-    pcc = corpus.columns.click_count
+    pcc = corpus.click_count
     return label_batch_external(pcc[i], pcc[j], thresholds)
 
 
@@ -296,7 +294,7 @@ def build_labeled_pairs(corpus: LogCorpus, sample: PairSample,
     labels = np.asarray(labels)
     keep = labels != 0
     i, j = sample.i_idx[keep], sample.j_idx[keep]
-    age, gender = corpus.columns.age, corpus.columns.gender
+    age, gender = corpus.age, corpus.gender
     return LabeledPairSet(age_i=age[i], gender_i=gender[i], age_j=age[j],
                           gender_j=gender[j],
                           label=labels[keep].astype(np.int8))

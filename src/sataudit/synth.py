@@ -128,6 +128,8 @@ class ScenarioConfig:
     behavior: BehaviorModel = BehaviorModel()
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be at least 0, got {self.seed!r}")
         if not self.queries:
             raise ConfigError("empty query vocabulary")
         if not any(n > 0 for n in self.users_per_profile.values()):
@@ -207,17 +209,14 @@ class ScenarioConfig:
 
 @dataclass
 class GroundTruth:
-    """Oracle record: the latent quantities the audits try to recover."""
+    """Oracle record: the latent quantities the audits try to recover that
+    the scenario config does not hold (its ``offset_for`` gives each
+    profile's injected offset).  ``latent`` is the read-only latent
+    satisfaction of each corpus row."""
 
-    latent: dict[str, float]
-    age_offsets: dict[AgeGroup, float]
-    gender_offsets: dict[Gender, float]
+    latent: np.ndarray
     difficulty: dict[str, float]
     navigational: set[str]
-
-    def offset_for(self, profile: DemographicProfile) -> float:
-        return (self.age_offsets.get(profile.age, 0.0)
-                + self.gender_offsets.get(profile.gender, 0.0))
 
 
 def _gate(s: float, center: float, width: float, floor: float,
@@ -287,7 +286,7 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
     z_stray = rng.standard_normal(int(stray.sum()))
     stray_slot = rng.integers(0, 1 << 30, size=int(stray.sum()))
 
-    latent: dict[str, float] = {}
+    latent: list[float] = []
 
     def records():
         # one logmodel record tuple at a time, so the corpus holds its
@@ -359,22 +358,21 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
                 clicks.append((target, serp.index(target) + 1,
                                round(dwell, 2), True))
 
-            imp_id = f"imp{i:08d}"
             uid = f"u{user_ord[i]:06d}"
-            yield (imp_id, uid, f"s-{uid}",
+            yield (f"imp{i:08d}", uid, f"s-{uid}",
                    1_600_000_000 + int(user_ord[i]) * 600
                    + int(pos_in_user[i]) * 45,
                    q.text, q.topic, list(serp), clicks,
                    bool(reform_intent and not is_last[i]), p)
-            latent[imp_id] = s
+            latent.append(s)
             prev_query, prev_reform = qi, reform_intent and not is_last[i]
 
     corpus = LogCorpus.from_records(records())
+    latent_column = np.array(latent, dtype=float)
+    latent_column.setflags(write=False)
 
     truth = GroundTruth(
-        latent=latent,
-        age_offsets=dict(config.age_offsets),
-        gender_offsets=dict(config.gender_offsets),
+        latent=latent_column,
         difficulty={normalize_query(q.text): q.difficulty for q in queries},
         navigational={normalize_query(q.text) for q in queries
                       if q.navigational})

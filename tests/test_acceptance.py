@@ -22,7 +22,7 @@ from sataudit.difficulty import difficulty_from_group_scores
 from sataudit.glmfit import Family
 from sataudit.logmodel import AgeGroup, Gender
 from sataudit.metrics import GU_LEVELS, MetricKind
-from sataudit.multilevel import ObservationSet, PriorConfig
+from sataudit.multilevel import ObservationSet
 
 GU = MetricKind.GRADED_UTILITY
 
@@ -106,7 +106,7 @@ def test_criterion_2_multilevel_recovery():
     zeros = np.zeros(n2, dtype=np.intp)
     obs2 = ObservationSet(metric=GU, y=y2, x=x2, age_idx=zeros,
                           gender_idx=zeros, topic_idx=zeros, topics=["t0"])
-    fit2 = multilevel.fit_multilevel(obs2, priors=PriorConfig(variance=1e8))
+    fit2 = multilevel.fit_multilevel(obs2, prior_variance=1e8)
     a_hat, b_hat, _ = cell_coefficients(
         fit2, AgeGroup.G1, Gender.MALE, "t0")
     design = np.column_stack([np.ones(n2), x2])
@@ -189,8 +189,7 @@ def test_criterion_5_labeler_fidelity(truegap_data):
     sample = pairwise.sample_pairs(corpus, eligible, seed=20240604)
     labels = pairwise.label_sample(corpus, sample)
 
-    latent = np.array([truth.latent[i] for i in corpus.columns.ids])
-    li, lj = latent[sample.i_idx], latent[sample.j_idx]
+    li, lj = truth.latent[sample.i_idx], truth.latent[sample.j_idx]
     fired = labels != 0
     assert fired.sum() > 1000
     agree = ((labels == 1) & (li > lj)) | ((labels == -1) & (li < lj))
@@ -331,7 +330,7 @@ def test_criterion_8_units_and_determinism(qmix_small, tmp_path):
     assert cross > 0.0
 
     classes = aggregate.head_tail_classify(corpus)
-    all_queries = set(corpus.columns.queries)
+    all_queries = set(corpus.queries)
     assert set(classes) == all_queries
     n = len(all_queries)
     tiers = {t: sum(1 for v in classes.values() if v == t)

@@ -259,7 +259,7 @@ class TestHeadTailClassify:
         imps = [imp(query=f"q {i:02d}") for i in range(17) for _ in range(i + 1)]
         c = corpus(imps)
         classes = head_tail_classify(c)
-        assert set(classes) == set(c.columns.queries)
+        assert set(classes) == set(c.queries)
         assert set(classes.values()) <= {"head", "torso", "tail"}
 
     def test_empty_corpus_gives_empty_mapping(self):

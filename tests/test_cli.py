@@ -30,7 +30,7 @@ from sataudit.metrics import MetricKind
 from sataudit.multilevel import PREDICTION_GRID
 from sataudit.pairwise import derive_thresholds_from_deltas
 from sataudit.reports import read_report_csv
-from sataudit import logmodel, synth
+from sataudit import audit, logmodel, synth
 
 GU = MetricKind.GRADED_UTILITY
 
@@ -106,7 +106,7 @@ class TestGenerate:
         _, rows = read_report_csv(tg_dir / "ground_truth.csv")
         data = ingest(tg_dir / "corpus.ndjson")
         assert len(rows) == len(data)
-        ids = sorted(data.columns.ids)
+        ids = sorted(data.ids)
         assert [r["impression_id"] for r in rows] == ids
         for r in rows[:50]:
             float(r["latent_satisfaction"])
@@ -345,7 +345,7 @@ class TestAudit:
 
     def test_convergence_failure_exit_code(self, monkeypatch, tg_dir,
                                            tmp_path):
-        def blow_up(obs, priors=None, **kw):
+        def blow_up(obs, prior_variance=1.0, empirical_bayes=False):
             raise ConvergenceError("synthetic stall", iterations=7,
                                    objective=1.0, gradient_norm=9.9)
 
@@ -449,6 +449,7 @@ class TestAudit:
         ({"empirical_bayes": "no"},
          "empirical_bayes must be true or false, got 'no'"),
         (["--serp-prefix", "-3"], "serp_prefix must be at least 1, got -3"),
+        ({"factor": "region"}, "factor must be age or gender, got 'region'"),
     ])
     def test_wrong_config_value_is_one_config_error(self, tmp_path, capsys,
                                                     given, message):
@@ -610,6 +611,63 @@ class TestAudit:
         for source in (corpus_csv, blank):
             assert run("metrics", "--input", source,
                        "--out", tmp_path / source.stem) == 0
+
+
+# ---------------------------------------------------------------------------
+# setting ranges
+
+# (command and settings, the one stderr line after "config error: ")
+OUT_OF_RANGE = [
+    (["audit", "--methods", "raw,matched", "--min-impressions", "0"],
+     "min_impressions must be at least 1, got 0"),
+    (["audit", "--methods", "raw,matched", "--nav-share", "5"],
+     "nav_share must be in (0, 1], got 5.0"),
+    (["audit", "--dwell-threshold", "-5"],
+     "dwell_threshold must be at least 0, got -5.0"),
+    (["audit", "--seed", "-1"], "seed must be at least 0, got -1"),
+    (["audit", "--methods", "pairwise", "--default-thresholds",
+      "--min-groups", "0"], "min_groups must be null or from 1 to 4, got 0"),
+    (["audit", "--methods", "pairwise", "--default-thresholds",
+      "--min-impressions", "-4"],
+     "min_impressions must be at least 1, got -4"),
+    (["audit", "--methods", "pairwise", "--default-thresholds", "--k", "-1"],
+     "k must be positive, got -1.0"),
+    (["audit", "--methods", "raw,multilevel,pairwise", "--min-groups", "9"],
+     "min_groups must be null or from 1 to 4, got 9"),
+    (["audit", "--factor", "gender", "--min-groups", "3"],
+     "min_groups must be null or from 1 to 2, got 3"),
+    (["audit", "--methods", "raw,multilevel,pairwise",
+      "--pair-fraction", "0"], "pair_fraction must be in (0, 1], got 0.0"),
+    (["audit", "--methods", "raw,multilevel,pairwise",
+      "--pairs-per-query", "0"], "pairs_per_query must be at least 1, got 0"),
+    (["metrics", "--dwell-threshold", "-5"],
+     "dwell_threshold must be at least 0, got -5.0"),
+    (["metrics", "--dwell-threshold", "nan"],
+     "dwell_threshold must be a finite number, got nan"),
+    (["generate", "--preset", "null", "--impressions", "0"],
+     "impressions must be at least 1, got 0"),
+    (["generate", "--preset", "null", "--impressions", "-5"],
+     "impressions must be at least 1, got -5"),
+    (["generate", "--preset", "null", "--seed", "-1"],
+     "seed must be at least 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv,message", OUT_OF_RANGE)
+def test_out_of_range_setting_is_one_config_error(tmp_path, capsys, argv,
+                                                  message):
+    if argv[0] != "generate":
+        # absent: the setting is refused before the input is read
+        argv = argv + ["--input", tmp_path / "absent.ndjson"]
+    assert run(*argv, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_config_field_has_one_range_rule():
+    # in field order: min_groups' rule reads the factor checked before it
+    assert list(audit._RANGE_RULES) == \
+        [f.name for f in dataclasses.fields(AuditConfig)]
 
 
 # ---------------------------------------------------------------------------

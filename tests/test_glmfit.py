@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sataudit import glmfit
 from sataudit.errors import ConvergenceError
-from sataudit.glmfit import (CellDesign, Family, FitConfig, fit_penalized_glm,
-                             sigmoid)
+from sataudit.glmfit import CellDesign, Family, fit_penalized_glm, sigmoid
 
 
 def intercept_only(p: int = 1, penalty: float = 0.0) -> CellDesign:
@@ -57,36 +57,38 @@ class TestCellDesignValidation:
                        penalty=np.zeros(3))
 
 
-TIGHT = FitConfig(gradient_tol=1e-12, objective_rtol=1e-15)
+@pytest.fixture
+def tight(monkeypatch):
+    """Tolerances far below the defaults, for the closed-form oracles."""
+    monkeypatch.setattr(glmfit, "GRADIENT_TOL", 1e-12)
+    monkeypatch.setattr(glmfit, "OBJECTIVE_RTOL", 1e-15)
 
 
 class TestClosedFormOracles:
-    def test_flat_binomial_intercept_is_sample_logit(self):
+    def test_flat_binomial_intercept_is_sample_logit(self, tight):
         sol = fit_penalized_glm(
             y=np.array([7.0]), x=np.zeros(1), cell=np.zeros(1, dtype=int),
             design=intercept_only(), family=Family.BINOMIAL_LOGIT,
-            trials=np.array([10.0]), config=TIGHT)
+            trials=np.array([10.0]))
         assert sol.theta[0] == pytest.approx(np.log(0.7 / 0.3), abs=1e-8)
         assert sol.convergence.converged
 
-    def test_aggregated_binomial_matches_bernoulli_rows(self):
+    def test_aggregated_binomial_matches_bernoulli_rows(self, tight):
         agg = fit_penalized_glm(
             y=np.array([7.0]), x=np.zeros(1), cell=np.zeros(1, dtype=int),
             design=intercept_only(), family=Family.BINOMIAL_LOGIT,
-            trials=np.array([10.0]), config=TIGHT)
+            trials=np.array([10.0]))
         y = np.array([1.0] * 7 + [0.0] * 3)
         rows = fit_penalized_glm(
             y=y, x=np.zeros(10), cell=np.zeros(10, dtype=int),
-            design=intercept_only(), family=Family.BINOMIAL_LOGIT,
-            config=TIGHT)
+            design=intercept_only(), family=Family.BINOMIAL_LOGIT)
         assert rows.theta[0] == pytest.approx(agg.theta[0], abs=1e-9)
 
-    def test_flat_poisson_intercept_is_log_rate(self):
+    def test_flat_poisson_intercept_is_log_rate(self, tight):
         sol = fit_penalized_glm(
             y=np.array([3.0, 5.0, 2.0]), x=np.zeros(3),
             cell=np.zeros(3, dtype=int), design=intercept_only(),
-            family=Family.POISSON_LOG, trials=np.array([1.0, 1.0, 2.0]),
-            config=TIGHT)
+            family=Family.POISSON_LOG, trials=np.array([1.0, 1.0, 2.0]))
         assert sol.theta[0] == pytest.approx(np.log(10.0 / 4.0), abs=1e-8)
 
     def test_gaussian_line_matches_ols_and_profiles_dispersion(self):
@@ -141,13 +143,13 @@ class TestPenaltyAndErrors:
                               family=Family.BINOMIAL_LOGIT,
                               trials=np.array([0.0]))
 
-    def test_exhausted_iteration_budget_raises(self):
+    def test_exhausted_iteration_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(glmfit, "MAX_ITERATIONS", 1)
         with pytest.raises(ConvergenceError) as exc:
             fit_penalized_glm(
                 y=np.array([7.0]), x=np.zeros(1), cell=np.zeros(1, dtype=int),
                 design=intercept_only(), family=Family.BINOMIAL_LOGIT,
-                trials=np.array([10.0]), theta0=np.array([12.0]),
-                config=FitConfig(max_iterations=1))
+                trials=np.array([10.0]), theta0=np.array([12.0]))
         err = exc.value
         assert err.iterations == 1
         assert err.gradient_norm > 0

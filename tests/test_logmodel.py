@@ -15,11 +15,12 @@ import pytest
 
 from corpus_builders import Click, click, corpus, imp, records
 from oracles import impression_to_dict
-from sataudit import logmodel
+from sataudit import logmodel, matching
 from sataudit.errors import DataError
 from sataudit.logmodel import (AgeGroup, Gender, LogCorpus, all_profiles,
                                derive_reformulation_flags, emit, ingest,
                                normalize_query)
+from sataudit.metrics import metric_table
 
 
 def test_normalize_query_lowercases_and_collapses_whitespace():
@@ -85,7 +86,7 @@ class TestReformulationDerivation:
     @staticmethod
     def _derive(imps):
         """`imps` with the flags derived on the corpus columns."""
-        flags = derive_reformulation_flags(corpus(imps).columns)
+        flags = derive_reformulation_flags(corpus(imps))
         return [i._replace(reformulated=bool(flag))
                 for i, flag in zip(imps, flags.tolist())]
 
@@ -390,9 +391,8 @@ class TestColumns:
                       for k, (q, t, a, g) in enumerate(shapes))
 
     def test_columns_follow_the_per_impression_definitions(self):
-        c = self._corpus()
-        cols = c.columns
-        imps = records(c)
+        cols = self._corpus()
+        imps = records(cols)
         assert cols.queries == ["news alpha", "sports beta", "news gamma",
                                 "travel delta"]
         assert cols.topics == ["news", "sports", "travel"]
@@ -406,11 +406,10 @@ class TestColumns:
         for column in (cols.age, cols.gender, cols.query, cols.topic):
             assert column.dtype == np.int32 and not column.flags.writeable
 
-    def test_columns_are_built_once(self, monkeypatch):
+    def test_columns_are_built_once(self):
         c = self._corpus()
-        first = c.columns
-        monkeypatch.setattr(logmodel, "ImpressionColumns", None)
-        assert c.columns is first
+        for name in ("id_order", "click_count", "click_row"):
+            assert getattr(c, name) is getattr(c, name)
 
     def test_first_appearance_codes(self):
         distinct, codes = logmodel.first_appearance_codes(
@@ -419,13 +418,50 @@ class TestColumns:
         assert codes.tolist() == [0, 1, 0, 2, 1]
 
     def test_empty_corpus_has_empty_columns(self):
-        cols = corpus([]).columns
+        cols = corpus([])
         assert cols.queries == [] and cols.topics == []
         assert cols.age.shape == cols.query.shape == (0,)
 
 
+class TestCorpusCache:
+    def test_from_records_accepts_every_record(self):
+        c = corpus([imp(f"i{k}") for k in range(3)])
+        assert c.metadata.accepted == len(c) == 3
+        assert c.metadata.skipped == 0
+
+    def test_replace_starts_an_empty_cache(self):
+        c = corpus([imp(clicks=[click(dwell=60.0)])])
+        metric_table(c)
+        assert c._derived
+        assert dataclasses.replace(c)._derived == {}
+
+    def test_ingest_keeps_nothing_cached_before_the_flags(self, tmp_path,
+                                                          monkeypatch):
+        path = tmp_path / "c.ndjson"
+        emit(corpus([imp(f"i{k}", clicks=[click(dwell=60.0)],
+                         reformulated=None) for k in range(2)]), path)
+        with open(path, "a") as fh:
+            fh.write("{}\n")
+        before = []
+        derive = logmodel.derive_reformulation_flags
+
+        def caching(c):
+            # a final-click column built while the flags are still unset
+            before.append(c)
+            matching._final_clicks(c, 30.0)
+            return derive(c)
+
+        monkeypatch.setattr(logmodel, "derive_reformulation_flags", caching)
+        back = ingest(path)
+        assert before[0]._derived and back._derived == {}
+        assert back.metadata is before[0].metadata
+        assert (back.metadata.accepted, back.metadata.skipped) == (2, 1)
+
+
 def _assert_columns_equal(a, b):
     for f in dataclasses.fields(a):
+        if not f.init:                      # the derived-column cache
+            continue
         x, y = getattr(a, f.name), getattr(b, f.name)
         if isinstance(x, np.ndarray):
             assert x.dtype == y.dtype, f.name
@@ -505,9 +541,9 @@ class TestColumnarIngest:
         a = ingest(tmp_path / "c.ndjson")
         b = ingest(tmp_path / "c.csv", fmt="csv")
         assert a.metadata == b.metadata
-        _assert_columns_equal(a.columns, b.columns)
+        _assert_columns_equal(a, b)
         # emit writes in id order; synth's ids are already in that order
-        _assert_columns_equal(a.columns, c.columns)
+        _assert_columns_equal(a, c)
 
     @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
     def test_each_invariant_is_skipped_with_its_reason(self, tmp_path, fmt,
@@ -523,7 +559,7 @@ class TestColumnarIngest:
         assert back.metadata.accepted == 12 and back.metadata.skipped == 8
         assert f"skipped 8/20 records (first errors: " \
             f"{[reason for _, reason in _INVALID[:5]]})" in caplog.text
-        assert back.columns.ids.tolist() == [r["impression_id"] for r in good]
+        assert back.ids.tolist() == [r["impression_id"] for r in good]
         # the rest are counted too: each alone is one skipped record
         for kind, reason in _INVALID[5:]:
             _write_records(path, fmt, good + [_invalid_record(kind, good[0])])
@@ -559,7 +595,7 @@ class TestColumnarIngest:
         assert f"timestamp {2 ** 63} out of range" in caplog.text
         edge = dict(good[0], impression_id="edge", timestamp=2 ** 63 - 1)
         _write_records(path, fmt, good + [edge])
-        assert ingest(path, fmt=fmt).columns.timestamp[-1] == 2 ** 63 - 1
+        assert ingest(path, fmt=fmt).timestamp[-1] == 2 ** 63 - 1
 
     def test_short_csv_row_is_skipped(self, tmp_path, caplog):
         path = tmp_path / "c.csv"

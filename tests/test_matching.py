@@ -11,7 +11,7 @@ from sataudit import matching
 from sataudit.aggregate import Factor, normalize
 from sataudit.errors import DataError
 from sataudit.logmodel import Gender
-from sataudit.matching import (MatchConfig, match_contexts,
+from sataudit.matching import (match_contexts,
                                matched_raw_scores,
                                navigational_queries_proxy, serp_signature)
 from sataudit.metrics import METRICS, MetricKind, metric_table
@@ -67,7 +67,7 @@ class TestColumnForms:
     def test_final_click_column_equals_the_scalar_oracle(self, threshold):
         c = self._corpus()
         final = matching._final_clicks(c, threshold)
-        result_ids = c.columns.result_ids
+        result_ids = c.result_ids
         assert [None if f < 0 else result_ids[f] for f in final.tolist()] \
             == [final_successful_click(i, threshold) for i in records(c)]
         assert matching._final_clicks(c, threshold) is final
@@ -85,7 +85,7 @@ class TestColumnForms:
 
         monkeypatch.setattr(matching, "serp_signature", counting)
         rows = [k for k in range(len(c)) if k % 3]
-        got = matching._page_signatures(c.columns, rows, prefix_len)
+        got = matching._page_signatures(c, rows, prefix_len)
         pages = [i.results for i in records(c)]
         assert got == [serp_signature(pages[k], prefix_len) for k in rows]
         # one hash per distinct prefix
@@ -120,12 +120,12 @@ def test_navigational_proxy_uses_final_click_concentration():
         imps.append(imp(query="torso q", clicks=[click(rid, 1, 60.0)]))
     # no successful clicks at all
     imps.append(imp(query="dead q", clicks=[click(dwell=2.0)]))
-    nav = navigational_queries_proxy(corpus(imps), MatchConfig())
+    nav = navigational_queries_proxy(corpus(imps))
     assert nav == {"brand a"}
 
 
 class TestMatchContexts:
-    CFG = MatchConfig(min_impressions_per_group=2)
+    FLOOR = 2
 
     def _pipeline_corpus(self):
         imps = []
@@ -157,7 +157,8 @@ class TestMatchContexts:
 
     def test_stage_names_and_attrition(self):
         c, nav = self._pipeline_corpus()
-        cohort = match_contexts(c, Factor.GENDER, self.CFG, navigational=nav)
+        cohort = match_contexts(c, Factor.GENDER, nav,
+                                min_impressions=self.FLOOR)
         assert [s.stage for s in cohort.attrition] == STAGES
         by_stage = {s.stage: s for s in cohort.attrition}
         assert by_stage["input"].impressions == 16
@@ -173,7 +174,8 @@ class TestMatchContexts:
 
     def test_cohort_holds_rows_of_the_input_corpus(self):
         c, nav = self._pipeline_corpus()
-        cohort = match_contexts(c, Factor.GENDER, self.CFG, navigational=nav)
+        cohort = match_contexts(c, Factor.GENDER, nav,
+                                min_impressions=self.FLOOR)
         assert cohort.corpus is c
         # the six r0 clickers of "brand a", in corpus order
         assert cohort.by_query == {"brand a": [0, 1, 2, 3, 4, 5]}
@@ -181,7 +183,8 @@ class TestMatchContexts:
     def test_matched_scores_read_the_parent_metric_table(self, monkeypatch):
         c, nav = self._pipeline_corpus()
         table = metric_table(c, 30.0)
-        cohort = match_contexts(c, Factor.GENDER, self.CFG, navigational=nav)
+        cohort = match_contexts(c, Factor.GENDER, nav,
+                                min_impressions=self.FLOOR)
 
         def no_rescoring(*args, **kwargs):
             raise AssertionError("the cohort was scored again")
@@ -207,18 +210,20 @@ class TestMatchContexts:
             return build(cols, dwell_threshold_s)
 
         monkeypatch.setattr(matching, "_final_click_column", counting)
-        proxy = match_contexts(c, Factor.GENDER, self.CFG)
+        proxy = match_contexts(c, Factor.GENDER,
+                               min_impressions=self.FLOOR)
         assert builds == [30.0]
-        nav = navigational_queries_proxy(c, self.CFG)
-        explicit = match_contexts(c, Factor.GENDER, self.CFG,
-                                  navigational=nav)
+        nav = navigational_queries_proxy(c)
+        explicit = match_contexts(c, Factor.GENDER, nav,
+                                  min_impressions=self.FLOOR)
         assert builds == [30.0]
         assert explicit.attrition == proxy.attrition
         assert explicit.by_query == proxy.by_query
 
     def test_proxy_used_when_no_explicit_set(self):
         c, _ = self._pipeline_corpus()
-        cohort = match_contexts(c, Factor.GENDER, self.CFG)
+        cohort = match_contexts(c, Factor.GENDER,
+                                min_impressions=self.FLOOR)
         # every query here concentrates final clicks on one result, so
         # the proxy admits all four; the floor then drops the thin ones
         assert cohort.attrition[1].stage == "navigational"
@@ -228,7 +233,8 @@ class TestMatchContexts:
 
     def test_matched_scores_on_the_surviving_cohort(self):
         c, nav = self._pipeline_corpus()
-        cohort = match_contexts(c, Factor.GENDER, self.CFG, navigational=nav)
+        cohort = match_contexts(c, Factor.GENDER, nav,
+                                min_impressions=self.FLOOR)
         norm = normalize(matched_raw_scores(cohort, 30.0))
         # survivors all have one successful click and no reformulation:
         # identical groups, so every metric is degenerate
@@ -239,7 +245,8 @@ class TestMatchContexts:
 
     def test_reference_bounds_flow_through(self):
         c, nav = self._pipeline_corpus()
-        cohort = match_contexts(c, Factor.GENDER, self.CFG, navigational=nav)
+        cohort = match_contexts(c, Factor.GENDER, nav,
+                                min_impressions=self.FLOOR)
         raw = matched_raw_scores(cohort, 30.0)
         ref = {m: (0.0, 2.0) for m in normalize(raw).scores}
         norm = normalize(raw, reference=ref)
@@ -248,13 +255,12 @@ class TestMatchContexts:
 
     def test_empty_cohort_raises(self):
         c, _ = self._pipeline_corpus()
-        cohort = match_contexts(c, Factor.GENDER, self.CFG,
-                                navigational={"no such query"})
+        cohort = match_contexts(c, Factor.GENDER, {"no such query"},
+                                min_impressions=self.FLOOR)
         with pytest.raises(DataError, match="matched cohort is empty"):
             matched_raw_scores(cohort, 30.0)
 
     def test_floor_below_one_rejected(self):
         c, _ = self._pipeline_corpus()
-        with pytest.raises(DataError, match="min_impressions_per_group"):
-            match_contexts(c, Factor.GENDER,
-                           MatchConfig(min_impressions_per_group=0))
+        with pytest.raises(DataError, match="min_impressions must be >= 1"):
+            match_contexts(c, Factor.GENDER, min_impressions=0)

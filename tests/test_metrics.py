@@ -15,7 +15,7 @@ from sataudit.aggregate import Factor, query_averaged_scores
 from sataudit.difficulty import estimate_difficulty
 from sataudit.errors import DataError
 from sataudit.logmodel import AgeGroup, Gender, emit, ingest
-from sataudit.matching import MatchConfig, match_contexts, matched_raw_scores
+from sataudit.matching import match_contexts, matched_raw_scores
 from sataudit.metrics import METRICS, MetricKind, metric_table
 from sataudit.multilevel import build_observations
 from sataudit.pairwise import label_sample, sample_pairs
@@ -168,9 +168,8 @@ def test_metric_table_is_built_once_per_corpus_and_threshold(monkeypatch):
 
     monkeypatch.setattr(metrics, "_build_metric_table", counting)
     query_averaged_scores(c, Factor.AGE)
-    cohort = match_contexts(c, Factor.AGE,
-                            MatchConfig(min_impressions_per_group=1),
-                            navigational={"news alpha", "sports beta"})
+    cohort = match_contexts(c, Factor.AGE, {"news alpha", "sports beta"},
+                            min_impressions=1)
     assert cohort.attrition[-1].impressions > 0
     # matched scoring reads the audited corpus's table at the cohort rows
     matched_raw_scores(cohort)
@@ -220,7 +219,7 @@ def test_clicks_only_csv_has_page_click_counts_only(tmp_path):
             writer.writerow(row)
     blank = ingest(tmp_path / "blank.csv", fmt="csv")
     assert not blank.has_dwell
-    assert blank.columns.click_count.tolist() == \
+    assert blank.click_count.tolist() == \
         [page_click_count(i) for i in records(blank)]
     first = next(i for i in records(blank) if i.clicks)
     with pytest.raises(DataError) as scalar:

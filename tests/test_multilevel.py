@@ -13,7 +13,7 @@ from sataudit.errors import ConfigError, DataError
 from sataudit.glmfit import Family
 from sataudit.logmodel import AgeGroup, Gender
 from sataudit.metrics import MetricKind
-from sataudit.multilevel import (PREDICTION_GRID, ObservationSet, PriorConfig,
+from sataudit.multilevel import (PREDICTION_GRID, ObservationSet,
                                  build_observations, cell_curves,
                                  family_for_metric, fit_multilevel,
                                  max_group_gap)
@@ -46,16 +46,16 @@ def test_prediction_grid_spans_unit_interval():
     assert all(b > a for a, b in zip(PREDICTION_GRID, PREDICTION_GRID[1:]))
 
 
-class TestPriorConfig:
+class TestPriorVariance:
     def test_rejects_nonpositive_variance(self):
         for variance in (0.0, -1.0):
             with pytest.raises(ConfigError,
                                match="prior variance must be positive"):
-                PriorConfig(variance=variance)
+                fit_multilevel(two_age_observations(),
+                               prior_variance=variance)
 
     def test_variance_sets_every_block(self):
-        fit = fit_multilevel(two_age_observations(),
-                             priors=PriorConfig(variance=1e6))
+        fit = fit_multilevel(two_age_observations(), prior_variance=1e6)
         assert fit.effects.variances == {"age": 1e6, "gender": 1e6,
                                          "topic": 1e6, "interaction": 1e6}
 
@@ -132,7 +132,7 @@ class TestSingleCellOracles:
         x = rng.uniform(size=300)
         y = 0.5 - 0.4 * x + rng.normal(scale=0.2, size=300)
         fit = fit_multilevel(single_cell(MetricKind.GRADED_UTILITY, y, x),
-                             priors=PriorConfig(variance=1e8))
+                             prior_variance=1e8)
         X = np.column_stack([np.ones(300), x])
         ols = np.linalg.solve(X.T @ X, X.T @ y)
         alpha, beta, seen = cell_coefficients(fit, AgeGroup.G1, Gender.MALE,
@@ -147,7 +147,7 @@ class TestSingleCellOracles:
         y = [1.0] * 30 + [0.0] * 70 + [1.0] * 60 + [0.0] * 40
         x = [0.2] * 100 + [0.8] * 100
         fit = fit_multilevel(single_cell(MetricKind.REFORMULATION, y, x),
-                             priors=PriorConfig(variance=1e8))
+                             prior_variance=1e8)
         assert fit.family is Family.BINOMIAL_LOGIT
         assert fit.dispersion is None
         assert predict(fit, AgeGroup.G1, Gender.MALE, "t", 0.2) == \
@@ -159,8 +159,7 @@ class TestSingleCellOracles:
         y = [1.0, 2.0, 3.0, 2.0] + [0.0, 1.0, 1.0, 0.0]
         x = [0.0] * 4 + [1.0] * 4
         fit = fit_multilevel(
-            single_cell(MetricKind.PAGE_CLICK_COUNT, y, x),
-            priors=PriorConfig(variance=1e8))
+            single_cell(MetricKind.PAGE_CLICK_COUNT, y, x), prior_variance=1e8)
         assert predict(fit, AgeGroup.G1, Gender.MALE, "t", 0.0) == \
             pytest.approx(2.0, abs=1e-5)
         assert predict(fit, AgeGroup.G1, Gender.MALE, "t", 1.0) == \
@@ -261,7 +260,7 @@ def manual_group_gap(fit) -> float:
 
 def test_empirical_bayes_reestimates_block_variances():
     obs = two_age_observations(gap=1.5)
-    fit = fit_multilevel(obs, priors=PriorConfig(empirical_bayes=True))
+    fit = fit_multilevel(obs, empirical_bayes=True)
     assert fit.convergence.converged
     assert set(fit.effects.variances) == {"age", "gender", "topic",
                                           "interaction"}

@@ -114,7 +114,7 @@ class TestDeterminism:
         cfg = tiny_config()
         corpus_a, truth_a = generate(cfg)
         corpus_b, truth_b = generate(cfg)
-        assert truth_a.latent == truth_b.latent
+        assert truth_a.latent.tolist() == truth_b.latent.tolist()
         pa, pb = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
         emit(corpus_a, str(pa), "ndjson")
         emit(corpus_b, str(pb), "ndjson")
@@ -144,12 +144,14 @@ class TestGeneratedCorpus:
 
     def test_truth_covers_the_corpus(self, tiny):
         corpus, truth = tiny
-        assert set(truth.latent) == set(corpus.columns.ids)
-        assert all(0.0 <= s <= 1.0 for s in truth.latent.values())
+        # one read-only value per corpus row
+        assert truth.latent.shape == (len(corpus),)
+        assert not truth.latent.flags.writeable
+        assert all(0.0 <= s <= 1.0 for s in truth.latent.tolist())
         assert truth.difficulty == {"brand zero": 0.05, "alpha news": 0.3,
                                     "beta travel": 0.6, "gamma tech": 0.85}
         assert truth.navigational == {"brand zero"}
-        assert truth.age_offsets == {} and truth.gender_offsets == {}
+        assert all(tiny_config().offset_for(p) == 0.0 for p in all_profiles())
 
     def test_user_sessions_are_bounded_and_ordered(self, tiny):
         corpus, _ = tiny
@@ -217,15 +219,13 @@ class TestPresets:
         corpus_b, truth_b = generate(dataclasses.replace(cfg,
                                                          name="renamed"))
         assert records(corpus_a) == records(corpus_b)
-        assert truth_a.latent == truth_b.latent
+        assert truth_a.latent.tolist() == truth_b.latent.tolist()
 
     def test_truth_offset_lookup(self):
         cfg = preset_true_gap()
-        _, truth = generate(dataclasses.replace(
-            cfg, users_per_profile={p.key: 3 for p in all_profiles()}))
         for p in all_profiles():
             expected = 0.15 if p.age is G4 else 0.0
-            assert truth.offset_for(p) == expected
+            assert cfg.offset_for(p) == expected
 
 
 class TestInjectedStructure:
@@ -250,9 +250,8 @@ class TestInjectedStructure:
         scc = scores.raw[MetricKind.SUCCESSFUL_CLICK_COUNT]
         assert scc[G4] > 1.10 * max(scc[G1], scc[G2], scc[G3])
         by_age: dict[AgeGroup, list[float]] = {a: [] for a in AgeGroup}
-        for imp in records(corpus):
-            by_age[imp.demographics.age].append(
-                truth.latent[imp.impression_id])
+        for imp, s in zip(records(corpus), truth.latent.tolist()):
+            by_age[imp.demographics.age].append(s)
         means = {a: float(np.mean(v)) for a, v in by_age.items()}
         assert abs(means[G4] - means[G1]) < 0.01
 
@@ -265,11 +264,10 @@ class TestInjectedStructure:
 
     def test_true_gap_shifts_latent_satisfaction(self, truegap_data):
         corpus, truth = truegap_data
-        assert truth.age_offsets == {G4: 0.15}
+        assert preset_true_gap().age_offsets == {G4: 0.15}
         by_age: dict[AgeGroup, list[float]] = {a: [] for a in AgeGroup}
-        for imp in records(corpus):
-            by_age[imp.demographics.age].append(
-                truth.latent[imp.impression_id])
+        for imp, s in zip(records(corpus), truth.latent.tolist()):
+            by_age[imp.demographics.age].append(s)
         means = {a: float(np.mean(v)) for a, v in by_age.items()}
         others = np.mean([means[G1], means[G2], means[G3]])
         assert 0.10 < means[G4] - others <= 0.16
@@ -277,7 +275,7 @@ class TestInjectedStructure:
     def test_emission_channels_are_monotone_in_latent(self, truegap_data):
         corpus, truth = truegap_data
         recs = records(corpus)
-        s = np.array([truth.latent[i.impression_id] for i in recs])
+        s = truth.latent
         mv = [metric_vector(i) for i in recs]
         scc = np.array([m.successful_click_count for m in mv], dtype=float)
         reform = np.array([m.reformulation for m in mv], dtype=float)
