@@ -187,17 +187,6 @@ class LogCorpus:
         """The row of each click."""
         return _frozen(np.repeat(np.arange(len(self)), self.click_count))
 
-    @classmethod
-    def from_records(cls, records) -> "LogCorpus":
-        """A corpus of records (see the module docstring), read one at a
-        time.  An invalid record raises DataError."""
-        builder = _ColumnBuilder()
-        for record in records:
-            reason = builder.add(*record)
-            if reason is not None:
-                raise DataError(f"impression {record[0]!r}: {reason}")
-        return builder.freeze(skipped=0)
-
     @property
     def has_dwell(self) -> bool:
         """False when any click lacks a dwell time (clicks-only fidelity)."""
@@ -312,6 +301,14 @@ def _records(corpus: LogCorpus, rows, click, text=str):
 def normalize_query(text: str) -> str:
     """Lowercase, collapse internal whitespace, trim."""
     return _WS.sub(" ", text.strip()).lower()
+
+
+class _Normalized(dict):
+    """Raw query text to its normalized form, each text normalized once."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = out = normalize_query(text)
+        return out
 
 
 def _invalid(impression_id, timestamp, query_text, results,
@@ -505,20 +502,34 @@ def _parse_bool(v) -> bool | None:
     raise ValueError(f"bad boolean {v!r}")
 
 
-def _fields_from_line(line: str) -> tuple:
+_JSON_TYPES = {str: "a string or number", int: "an integer",
+               list: "an array without nulls"}
+
+
+def _field(obj: dict, key: str, kind: type = str):
+    """A field of JSON type `kind`: never null, an integer never a bool or
+    a float, and a string field takes a number as its text."""
+    v = obj[key]
+    if (v is None or kind is not str and type(v) is not kind
+            or kind is list and None in v):
+        raise ValueError(f"{key} must be {_JSON_TYPES[kind]}, got {v!r}")
+    return str(v) if kind is str else v
+
+
+def _fields_from_line(line: str, normalized: dict) -> tuple:
     rec = json.loads(line)
     demo = rec["demographics"]
     clicks = [
-        (str(c["result_id"]), int(c["position"]),
+        (_field(c, "result_id"), _field(c, "position", int),
          (float("nan") if c.get("dwell_seconds") is None
           else float(c["dwell_seconds"])),
          bool(_parse_bool(c.get("terminated_query")) or False))
-        for c in rec["clicks"]
+        for c in _field(rec, "clicks", list)
     ]
-    return (str(rec["impression_id"]), str(rec["user_id"]),
-            str(rec["session_id"]), int(rec["timestamp"]),
-            normalize_query(str(rec["query_text"])), str(rec["topic"]),
-            [str(r) for r in rec["results"]], clicks,
+    return (_field(rec, "impression_id"), _field(rec, "user_id"),
+            _field(rec, "session_id"), _field(rec, "timestamp", int),
+            normalized[_field(rec, "query_text")], _field(rec, "topic"),
+            [str(r) for r in _field(rec, "results", list)], clicks,
             _parse_bool(rec.get("reformulated")),
             _profile(str(demo["age"]), str(demo["gender"])))
 
@@ -566,13 +577,13 @@ def _unpack_clicks(packed: str) -> list[tuple]:
     return clicks
 
 
-def _fields_from_row(row: dict) -> tuple:
+def _fields_from_row(row: dict, normalized: dict) -> tuple:
     if None in row.values():            # a short row; the reader fills None
         missing = [f for f in CSV_FIELDS if row[f] is None]
         if missing:
             raise ValueError(f"missing fields: {', '.join(missing)}")
     return (row["impression_id"], row["user_id"], row["session_id"],
-            int(row["timestamp"]), normalize_query(row["query_text"]),
+            int(row["timestamp"]), normalized[row["query_text"]],
             row["topic"],
             row["results"].split(";") if row["results"] else [],
             _unpack_clicks(row["clicks"]), _parse_bool(row["reformulated"]),
@@ -594,6 +605,7 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
         raise DataError(f"unknown log format {fmt!r}")
 
     builder = _ColumnBuilder()
+    normalized = _Normalized()
     skipped = 0
     first_errors: list[str] = []
     # One streaming pass: records are parsed as lines are read, so the raw
@@ -612,7 +624,7 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
                     raise DataError(f"CSV header missing columns: {', '.join(missing)}")
             for record in records:
                 try:
-                    parsed = parse(record)
+                    parsed = parse(record, normalized)
                 except (KeyError, ValueError, TypeError, IndexError,
                         AttributeError) as exc:
                     reason = str(exc)

@@ -37,10 +37,6 @@ class MetricKind(enum.Enum):
     PAGE_CLICK_COUNT = "page_click_count"
     SUCCESSFUL_CLICK_COUNT = "successful_click_count"
 
-    @property
-    def higher_is_better(self) -> bool:
-        return self is not MetricKind.REFORMULATION
-
 
 METRICS = (MetricKind.GRADED_UTILITY, MetricKind.REFORMULATION,
            MetricKind.PAGE_CLICK_COUNT, MetricKind.SUCCESSFUL_CLICK_COUNT)

@@ -65,18 +65,3 @@ def write_csv(path: Path, fieldnames: list[str], rows: list[dict],
         writer.writeheader()
         writer.writerows(rows)
 
-
-def read_report_csv(path: Path) -> tuple[dict, list[dict]]:
-    """Read a CSV written by write_csv back into (meta, rows)."""
-    meta: dict = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
-    body_start = 0
-    for i, line in enumerate(lines):
-        if line.startswith("# "):
-            key, _, value = line[2:].partition(": ")
-            meta[key] = value
-            body_start = i + 1
-        else:
-            break
-    reader = csv.DictReader(lines[body_start:])
-    return meta, list(reader)

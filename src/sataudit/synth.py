@@ -31,11 +31,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .logmodel import AgeGroup, DemographicProfile, Gender, LogCorpus, \
-    all_profiles, normalize_query
+from .logmodel import AgeGroup, CorpusMetadata, DemographicProfile, Gender, \
+    LogCorpus, all_profiles, first_appearance_codes, normalize_query
 
 _AGES = list(AgeGroup)
-_GENDERS = list(Gender)
 
 
 def _age_from_key(key: str) -> AgeGroup:
@@ -65,10 +64,14 @@ class QuerySpec:
     gender_weights: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
+        if not self.text:
+            raise ConfigError("empty query text")
         if not 0.0 <= self.difficulty <= 1.0:
             raise ConfigError(f"difficulty out of [0,1] for {self.text!r}")
         if not self.results:
             raise ConfigError(f"empty result list for {self.text!r}")
+        if len(set(self.results)) != len(self.results):
+            raise ConfigError(f"duplicate result id for {self.text!r}")
         if any(w < 0 for w in self.age_weights + self.gender_weights):
             raise ConfigError(f"negative sampling weight for {self.text!r}")
 
@@ -219,54 +222,64 @@ class GroundTruth:
     navigational: set[str]
 
 
-def _gate(s: float, center: float, width: float, floor: float,
-          scale: float) -> float:
+def _gate(s: np.ndarray, center: float, width: float, floor: float,
+          scale: float) -> np.ndarray:
+    """floor + scale * sigmoid((s - center) / width), saturated beyond
+    |z| = 40; each sigmoid takes ``math.exp``, which ``np.exp`` does not
+    match to the last bit."""
     z = (s - center) / width
-    if z > 40:
-        sig = 1.0
-    elif z < -40:
-        sig = 0.0
-    else:
-        sig = 1.0 / (1.0 + math.exp(-z))
+    sig = (z > 40).astype(float)
+    mid = ~((z > 40) | (z < -40))
+    sig[mid] = [1.0 / (1.0 + math.exp(-v)) for v in z[mid].tolist()]
     return floor + scale * sig
 
 
+def _dwell(med: np.ndarray, sigma: float, z: np.ndarray,
+           least: float = -math.inf) -> list[float]:
+    """``max(med * exp(sigma * z), least)`` in hundredths, by ``math.exp``
+    and Python's ``round`` (``np.round`` rounds differently)."""
+    d = med * np.array([math.exp(v) for v in (sigma * z).tolist()])
+    return [round(v, 2) for v in np.where(least > d, least, d).tolist()]
+
+
+def _coded(keys: list[str], picks: np.ndarray) -> tuple[np.ndarray, list]:
+    """``keys[picks]`` as int32 codes numbered in order of first
+    appearance, and the vocabulary they index."""
+    ids: dict[str, int] = {}
+    own = np.array([ids.setdefault(k, len(ids)) for k in keys])
+    order, codes = first_appearance_codes(own[picks])
+    vocab = list(ids)
+    return codes.astype(np.int32), [vocab[c] for c in order.tolist()]
+
+
 def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
-    """Synthesize a corpus and its ground truth, fully seed-determined."""
+    """Synthesize a corpus and its ground truth, fully seed-determined.
+
+    All randomness is drawn up front, and every per-impression quantity,
+    then every corpus column, is computed from the draws as an array.
+    ``tests/oracles.py`` holds the same model as a loop over impressions.
+    """
     b = config.behavior
     rng = np.random.default_rng(config.seed)
     queries = config.queries
-    n_q = len(queries)
-    n_res = {q.text: len(q.results) for q in queries}
-
-    # per-profile cumulative query distribution
-    age_w = np.array([q.age_weights for q in queries])          # (Q, 4)
-    gender_w = np.array([q.gender_weights for q in queries])    # (Q, 2)
-    cum_by_profile: dict[str, np.ndarray] = {}
-    for p in all_profiles():
-        w = age_w[:, p.age - 1] * gender_w[:, 0 if p.gender is Gender.MALE
-                                           else 1]
-        total = w.sum()
-        if total <= 0:
-            raise ConfigError(f"no positive query weight for profile {p.key}")
-        cum_by_profile[p.key] = np.cumsum(w / total)
 
     # roster: impressions per user, profile order fixed
-    profiles, counts = [], []
-    for p in all_profiles():
+    user_profile, counts = [], []
+    for code, p in enumerate(all_profiles()):
         n_users = config.users_per_profile.get(p.key, 0)
-        if n_users == 0:
-            continue
         extra = rng.poisson(b.mean_extra_impressions, size=n_users)
         extra = np.minimum(extra, b.max_impressions_per_user - 1)
-        profiles.extend([p] * n_users)
+        user_profile.extend([code] * n_users)
         counts.extend((1 + extra).tolist())
-    n_total = int(sum(counts))
+    counts = np.array(counts)
+    n_total = int(counts.sum())
 
-    age_idx = np.repeat([p.age - 1 for p in profiles], counts)
-    user_ord = np.repeat(np.arange(len(profiles)), counts)
-    pos_in_user = np.concatenate([np.arange(c) for c in counts])
-    is_last = np.concatenate([np.arange(c) == c - 1 for c in counts])
+    profile = np.repeat(np.array(user_profile, dtype=np.int32), counts)
+    age_idx = profile >> 1
+    user_ord = np.repeat(np.arange(len(counts)), counts)
+    pos_in_user = np.arange(n_total) - np.repeat(np.cumsum(counts) - counts,
+                                                 counts)
+    is_last = pos_in_user == np.repeat(counts - 1, counts)
 
     z_sat = rng.standard_normal(n_total)
     u_query = rng.random(n_total)
@@ -286,93 +299,144 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
     z_stray = rng.standard_normal(int(stray.sum()))
     stray_slot = rng.integers(0, 1 << 30, size=int(stray.sum()))
 
-    latent: list[float] = []
+    # the query each impression would issue fresh, from its profile's mix
+    age_w = np.array([q.age_weights for q in queries])          # (Q, 4)
+    gender_w = np.array([q.gender_weights for q in queries])    # (Q, 2)
+    fresh = np.empty(n_total, dtype=np.int64)
+    for code, p in enumerate(all_profiles()):
+        w = age_w[:, code >> 1] * gender_w[:, code & 1]
+        total = w.sum()
+        if total <= 0:
+            raise ConfigError(f"no positive query weight for profile {p.key}")
+        rows = profile == code
+        fresh[rows] = np.searchsorted(np.cumsum(w / total), u_query[rows])
+    fresh = np.minimum(fresh, len(queries) - 1)
 
-    def records():
-        # one logmodel record tuple at a time, so the corpus holds its
-        # columns only
-        stray_ptr = 0
-        prev_query = -1
-        prev_reform = False
-        for i in range(n_total):
-            p = profiles[user_ord[i]]
-            if pos_in_user[i] == 0:
-                prev_query, prev_reform = -1, False
-            if prev_reform and prev_query >= 0:
-                qi = prev_query
-            else:
-                qi = int(np.searchsorted(cum_by_profile[p.key], u_query[i]))
-                qi = min(qi, n_q - 1)
-            q = queries[qi]
-            dwell_mult = config.dwell_multipliers.get(p.age, 1.0)
+    base = np.array([b.base_sat(q.difficulty) for q in queries])
+    offset = np.array([config.offset_for(p) for p in all_profiles()])
+    s, reform = np.empty(n_total), np.empty(n_total, dtype=bool)
 
-            s = (b.base_sat(q.difficulty) + config.offset_for(p)
-                 + b.satisfaction_noise * float(z_sat[i]))
-            s = min(1.0, max(0.0, s))
+    def settle(rows):
+        v = (base[qi[rows]] + offset[profile[rows]]) \
+            + b.satisfaction_noise * z_sat[rows]
+        v = np.where(v > 0.0, v, 0.0)
+        s[rows] = v = np.where(v < 1.0, v, 1.0)
+        # reformulation fires when satisfaction is LOW: mirror the gate
+        reform[rows] = u_reform[rows] < _gate(
+            -v, -b.reform_center, b.channel_width, b.reform_floor,
+            b.reform_scale)
 
-            # reformulation fires when satisfaction is LOW: mirror the gate
-            reform_intent = u_reform[i] < _gate(-s, -b.reform_center,
-                                                b.channel_width, b.reform_floor,
-                                                b.reform_scale)
-            success = u_success[i] < _gate(s, b.success_center, b.channel_width,
-                                           b.success_floor, b.success_scale)
-            p_browse = _gate(s, b.click_center, b.channel_width, b.click_floor,
-                             b.click_scale) * config.click_multipliers.get(p.age,
-                                                                           1.0)
-            browse = u_click[i] < min(p_browse, 0.98)
+    # An impression after a reformulation (not its user's last) re-issues
+    # that query, which depends on the predecessor's latent value.  Resolve
+    # the chains by fixed-point iteration: each pass settles one more
+    # impression per user, so it ends within max_impressions_per_user.
+    everyone = np.arange(n_total)
+    qi = fresh
+    settle(everyone)
+    carried = np.zeros(n_total, dtype=bool)
+    while True:
+        now = np.concatenate([[False], reform[:-1]]) & (pos_in_user > 0)
+        if np.array_equal(now, carried):
+            break
+        carried = now
+        issued = fresh[np.maximum.accumulate(np.where(carried, 0, everyone))]
+        changed = np.flatnonzero(issued != qi)
+        qi = issued
+        settle(changed)
+    s.setflags(write=False)
 
-            r = n_res[q.text]
-            serp = list(q.results)
-            if u_swap[i] < b.serp_swap_prob and r >= 2:
-                k = int(swap_at[i] % (r - 1))
-                serp[k], serp[k + 1] = serp[k + 1], serp[k]
+    success = u_success < _gate(s, b.success_center, b.channel_width,
+                                b.success_floor, b.success_scale)
+    p_browse = _gate(s, b.click_center, b.channel_width, b.click_floor,
+                     b.click_scale) * click_mult[age_idx]
+    browse = u_click < np.minimum(p_browse, 0.98)
 
-            short_med = (b.short_dwell_base + b.short_dwell_slope * s) * dwell_mult
-            # (result_id, position, dwell_seconds, terminated_query)
-            clicks: list[tuple] = []
-            if browse:
-                slot = 1 + int(browse_slot[i] % (r - 1)) if r > 1 else 0
-                dwell = short_med * math.exp(b.short_dwell_sigma * z_browse[i])
-                clicks.append((q.results[slot],
-                               serp.index(q.results[slot]) + 1,
-                               round(dwell, 2), False))
-            for _ in range(int(stray[i])):
-                slot = int(stray_slot[stray_ptr] % r)
-                dwell = short_med * math.exp(
-                    b.short_dwell_sigma * z_stray[stray_ptr])
-                clicks.append((q.results[slot],
-                               serp.index(q.results[slot]) + 1,
-                               round(dwell, 2), False))
-                stray_ptr += 1
-            if success:
-                conc = (b.nav_concentration if q.navigational
-                        else b.other_concentration)
-                if u_conc[i] < conc or r == 1:
-                    target = q.results[0]
-                else:
-                    target = q.results[1 + int(final_slot[i] % (r - 1))]
-                med = (b.success_dwell_base + b.success_dwell_slope * s) \
-                    * dwell_mult
-                dwell = max(med * math.exp(b.success_dwell_sigma * z_final[i]),
-                            b.success_dwell_min)
-                clicks.append((target, serp.index(target) + 1,
-                               round(dwell, 2), True))
+    # result pages: each query's results, with slots k and k + 1 swapped
+    # on some pages
+    n_res = np.array([len(q.results) for q in queries])
+    r = n_res[qi]
+    gaps = np.maximum(r - 1, 1)
+    swap = np.where((u_swap < b.serp_swap_prob) & (r >= 2),
+                    swap_at % gaps, -2)
+    result_code: dict[str, int] = {}
+    page = np.zeros((len(queries), n_res.max()), dtype=np.int32)
+    for j, q in enumerate(queries):
+        page[j, :n_res[j]] = [result_code.setdefault(x, len(result_code))
+                              for x in q.results]
+    page = page[qi]
+    swapped, k = np.flatnonzero(swap >= 0), swap[swap >= 0]
+    page[swapped, k], page[swapped, k + 1] = \
+        page[swapped, k + 1], page[swapped, k]
+    shown = np.arange(page.shape[1]) < r[:, None]
+    # Number result ids in order of first appearance in the row-major
+    # column.  A query's later pages show no id its first page does not,
+    # so the first page of each query decides that order.
+    firsts = np.sort(np.unique(qi, return_index=True)[1])
+    seen, _ = first_appearance_codes(page[firsts][shown[firsts]])
+    rank = np.zeros(len(result_code), dtype=np.int32)
+    rank[seen] = np.arange(len(seen))
+    result, vocab = rank[page[shown]], list(result_code)
+    result_ids = [vocab[c] for c in seen.tolist()]
+    # free what no later stage reads, so the columns below reuse the
+    # memory instead of growing the heap past what emit can reuse
+    del page, shown, z_sat, u_query, u_reform, u_success, u_click, u_swap, \
+        swap_at, fresh
 
-            uid = f"u{user_ord[i]:06d}"
-            yield (f"imp{i:08d}", uid, f"s-{uid}",
-                   1_600_000_000 + int(user_ord[i]) * 600
-                   + int(pos_in_user[i]) * 45,
-                   q.text, q.topic, list(serp), clicks,
-                   bool(reform_intent and not is_last[i]), p)
-            latent.append(s)
-            prev_query, prev_reform = qi, reform_intent and not is_last[i]
+    # clicks, each on a slot of its query's results: browse (never the
+    # top slot), strays, and the final click, which terminates the query;
+    # a stable sort by row keeps that order within each impression
+    top = (u_conc < np.where([q.navigational for q in queries],
+                             b.nav_concentration,
+                             b.other_concentration)[qi]) | (r == 1)
+    dwell_mult = np.array([config.dwell_multipliers.get(a, 1.0)
+                           for a in _AGES])[age_idx]
+    short_med = (b.short_dwell_base + b.short_dwell_slope * s) * dwell_mult
+    success_med = (b.success_dwell_base + b.success_dwell_slope * s) \
+        * dwell_mult
+    stray_row = np.repeat(everyone, stray)
+    click_row = np.concatenate([everyone[browse], stray_row,
+                                everyone[success]])
+    order = np.argsort(click_row, kind="stable")
+    click_row = click_row[order]
+    click_slot = np.concatenate([
+        np.where(r > 1, 1 + browse_slot % gaps, 0)[browse],
+        stray_slot % r[stray_row],
+        np.where(top, 0, 1 + final_slot % gaps)[success]])[order]
+    click_dwell = np.array(
+        _dwell(short_med[browse], b.short_dwell_sigma, z_browse[browse])
+        + _dwell(short_med[stray_row], b.short_dwell_sigma, z_stray)
+        + _dwell(success_med[success], b.success_dwell_sigma,
+                 z_final[success], b.success_dwell_min), dtype=float)[order]
+    if (click_dwell < 0).any():
+        raise ConfigError("behavior model gives a negative dwell time")
+    del u_conc, browse_slot, final_slot, z_browse, z_final, z_stray, \
+        stray_slot, short_med, success_med
+    k = swap[click_row]
+    click_position = click_slot + 1 + (click_slot == k) - (click_slot == k + 1)
+    result_offsets = np.concatenate([[0], np.cumsum(r)])
 
-    corpus = LogCorpus.from_records(records())
-    latent_column = np.array(latent, dtype=float)
-    latent_column.setflags(write=False)
-
+    query, query_texts = _coded([q.text for q in queries], qi)
+    topic, topics = _coded([q.topic for q in queries], qi)
+    users = [f"u{u:06d}" for u in range(len(counts))]
+    user = user_ord.astype(np.int32)
+    corpus = LogCorpus(
+        ids=np.array([f"imp{i:08d}" for i in range(n_total)], dtype=object),
+        user=user, users=users, session=user.copy(),
+        sessions=[f"s-{u}" for u in users],
+        timestamp=1_600_000_000 + user_ord * 600 + pos_in_user * 45,
+        age=age_idx, gender=profile & 1, query=query, queries=query_texts,
+        topic=topic, topics=topics,
+        reformulated=(reform & ~is_last).astype(np.int8),
+        result_offsets=result_offsets, result=result, result_ids=result_ids,
+        click_offsets=np.concatenate([[0],
+                                      np.cumsum(browse + stray + success)]),
+        click_result=result[result_offsets[click_row] + click_position - 1],
+        click_position=click_position.astype(np.int32),
+        click_dwell=click_dwell,
+        click_terminated=order >= len(order) - success.sum(),
+        metadata=CorpusMetadata(accepted=n_total))
     truth = GroundTruth(
-        latent=latent_column,
+        latent=s,
         difficulty={normalize_query(q.text): q.difficulty for q in queries},
         navigational={normalize_query(q.text) for q in queries
                       if q.navigational})

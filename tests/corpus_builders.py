@@ -1,8 +1,7 @@
 """Hand-built corpora and impressions for unit tests.
 
-`Impression` and `Click` are records in the order
-:meth:`LogCorpus.from_records` reads them, so a list of them is a corpus
-source as it stands.
+`Impression` and `Click` are records in the order :func:`from_records`
+reads them, so a list of them is a corpus source as it stands.
 """
 
 from __future__ import annotations
@@ -11,6 +10,7 @@ import itertools
 from typing import NamedTuple
 
 from sataudit import logmodel
+from sataudit.errors import DataError
 from sataudit.logmodel import AgeGroup, DemographicProfile, Gender, LogCorpus
 
 _ids = itertools.count()
@@ -57,8 +57,19 @@ def imp(impression_id: str | None = None, *, query: str = "news alpha",
         demographics=DemographicProfile(age, gender))
 
 
+def from_records(records) -> LogCorpus:
+    """A corpus of records (see the :mod:`sataudit.logmodel` docstring),
+    read one at a time.  An invalid record raises DataError."""
+    builder = logmodel._ColumnBuilder()
+    for record in records:
+        reason = builder.add(*record)
+        if reason is not None:
+            raise DataError(f"impression {record[0]!r}: {reason}")
+    return builder.freeze(skipped=0)
+
+
 def corpus(impressions) -> LogCorpus:
-    return LogCorpus.from_records(impressions)
+    return from_records(impressions)
 
 
 def records(c: LogCorpus) -> list[Impression]:

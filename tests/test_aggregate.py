@@ -214,23 +214,25 @@ class TestQueryKl:
         # order gives a different last digit under hash seeds 0 and 1
         code = """
 import numpy as np
+from corpus_builders import from_records
 from sataudit.aggregate import Factor, query_kl
-from sataudit.logmodel import (AgeGroup, DemographicProfile, Gender,
-                               LogCorpus)
+from sataudit.logmodel import AgeGroup, DemographicProfile, Gender
 rng = np.random.default_rng(7)
 imps = [(str(k), "u", "s", 0, f"query {int(q)}", "t", ["r0"], [], False,
          DemographicProfile(AgeGroup(int(a)), Gender.MALE))
         for k, (q, a) in enumerate(zip(rng.zipf(1.5, 4000) % 300,
                                        rng.integers(1, 5, 4000)))]
-print(repr(query_kl(LogCorpus.from_records(imps), AgeGroup.G1,
-                    AgeGroup.G4, Factor.AGE)))
+print(repr(query_kl(from_records(imps), AgeGroup.G1, AgeGroup.G4,
+                    Factor.AGE)))
 """
         src = str(pathlib.Path(sataudit.__file__).resolve().parents[1])
+        tests = str(pathlib.Path(__file__).resolve().parent)
         outputs = []
         for hash_seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                        PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+                           filter(None, [src, tests,
+                                         os.environ.get("PYTHONPATH")])))
             proc = subprocess.run([sys.executable, "-c", code], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ Each command writes into a pytest temp directory; generated corpora are
 shared at module scope because synthesis dominates the runtime.
 """
 
+import csv
 import dataclasses
 import json
 import math
@@ -29,8 +30,23 @@ from sataudit.logmodel import AgeGroup, Gender, LogCorpus, emit, ingest
 from sataudit.metrics import MetricKind
 from sataudit.multilevel import PREDICTION_GRID
 from sataudit.pairwise import derive_thresholds_from_deltas
-from sataudit.reports import read_report_csv
 from sataudit import audit, logmodel, synth
+
+
+def read_report_csv(path: pathlib.Path) -> tuple[dict, list[dict]]:
+    """Read a CSV written by ``reports.write_csv`` back into (meta, rows)."""
+    meta: dict = {}
+    lines = path.read_text(encoding="utf-8").splitlines()
+    body_start = 0
+    for i, line in enumerate(lines):
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(": ")
+            meta[key] = value
+            body_start = i + 1
+        else:
+            break
+    return meta, list(csv.DictReader(lines[body_start:]))
+
 
 GU = MetricKind.GRADED_UTILITY
 

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from corpus_builders import Click, click, corpus, imp, records
+from corpus_builders import Click, click, corpus, from_records, imp, records
 from oracles import impression_to_dict
 from sataudit import logmodel, matching
 from sataudit.errors import DataError
@@ -43,10 +43,9 @@ def test_all_profiles_enumerates_eight_in_canonical_order():
 
 
 def validate_impression(record) -> str | None:
-    """The reason ``LogCorpus.from_records`` rejects `record` for, else
-    None."""
+    """The reason ``from_records`` rejects `record` for, else None."""
     try:
-        LogCorpus.from_records([record])
+        from_records([record])
     except DataError as exc:
         prefix = f"impression {record.impression_id!r}: "
         assert str(exc).startswith(prefix)
@@ -596,6 +595,49 @@ class TestColumnarIngest:
         edge = dict(good[0], impression_id="edge", timestamp=2 ** 63 - 1)
         _write_records(path, fmt, good + [edge])
         assert ingest(path, fmt=fmt).timestamp[-1] == 2 ** 63 - 1
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("impression_id", None, "impression_id must be a string or number, got None"),
+        ("user_id", None, "user_id must be a string or number, got None"),
+        ("query_text", None, "query_text must be a string or number, got None"),
+        ("timestamp", 5.9, "timestamp must be an integer, got 5.9"),
+        ("timestamp", True, "timestamp must be an integer, got True"),
+        ("timestamp", "5", "timestamp must be an integer, got '5'"),
+        ("position", 1.7, "position must be an integer, got 1.7"),
+        ("position", False, "position must be an integer, got False"),
+        ("result_id", None, "result_id must be a string or number, got None"),
+        ("results", "r1x",
+         "results must be an array without nulls, got 'r1x'"),
+        ("results", ["r0", None],
+         "results must be an array without nulls, got ['r0', None]"),
+        ("clicks", {"result_id": "r0"},
+         "clicks must be an array without nulls, "
+         "got {'result_id': 'r0'}"),
+    ])
+    def test_mistyped_ndjson_field_is_skipped(self, tmp_path, caplog, field,
+                                              value, reason):
+        good = [impression_to_dict(imp(f"g{k}", clicks=[click()]))
+                for k in range(3)]
+        bad = json.loads(json.dumps(good[0]))
+        if field in ("position", "result_id"):
+            bad["clicks"][0][field] = value
+        else:
+            bad[field] = value
+        path = tmp_path / "c.ndjson"
+        _write_records(path, "ndjson", good + [bad])
+        with caplog.at_level(logging.WARNING, logger="sataudit.logmodel"):
+            back = ingest(path)
+        assert (back.metadata.accepted, back.metadata.skipped) == (3, 1)
+        assert f"(first errors: {[reason]})" in caplog.text
+
+    def test_numeric_ndjson_ids_are_taken_as_text(self, tmp_path):
+        rec = impression_to_dict(imp("g0", clicks=[click()]))
+        rec.update(impression_id=17, user_id=4, session_id=5.5)
+        path = tmp_path / "c.ndjson"
+        _write_records(path, "ndjson", [rec])
+        back = ingest(path)
+        assert back.ids.tolist() == ["17"]
+        assert (back.users, back.sessions) == (["4"], ["5.5"])
 
     def test_short_csv_row_is_skipped(self, tmp_path, caplog):
         path = tmp_path / "c.csv"

@@ -18,7 +18,8 @@ from sataudit.logmodel import AgeGroup, Gender, emit, ingest
 from sataudit.matching import match_contexts, matched_raw_scores
 from sataudit.metrics import METRICS, MetricKind, metric_table
 from sataudit.multilevel import build_observations
-from sataudit.pairwise import label_sample, sample_pairs
+from sataudit.pairwise import (label_batch_external, label_batch_internal,
+                               label_sample, sample_pairs)
 
 
 def metric_vector(i, dwell_threshold_s=30.0):
@@ -125,7 +126,28 @@ def test_value_accessor_covers_all_kinds():
 
 
 def test_only_reformulation_is_lower_better():
-    lower_better = [k for k in MetricKind if not k.higher_is_better]
+    # the pair labellers read each metric's direction: raise one metric on
+    # side i alone, from the bottom of its range, and see whether i wins
+    low = {MetricKind.GRADED_UTILITY: -1.0, MetricKind.REFORMULATION: 0,
+           MetricKind.PAGE_CLICK_COUNT: 0,
+           MetricKind.SUCCESSFUL_CLICK_COUNT: 0}
+    high = {MetricKind.GRADED_UTILITY: 1.0, MetricKind.REFORMULATION: 1,
+            MetricKind.PAGE_CLICK_COUNT: 5,
+            MetricKind.SUCCESSFUL_CLICK_COUNT: 5}
+    internal = (MetricKind.GRADED_UTILITY, MetricKind.REFORMULATION,
+                MetricKind.SUCCESSFUL_CLICK_COUNT)
+    lower_better = []
+    for kind in MetricKind:
+        i = {k: [high[k] if k is kind else v] for k, v in low.items()}
+        j = {k: [v] for k, v in low.items()}
+        if kind is MetricKind.PAGE_CLICK_COUNT:
+            label = label_batch_external(i[kind], j[kind])
+        else:
+            label = label_batch_internal(*(i[k] for k in internal),
+                                         *(j[k] for k in internal))
+        assert label[0] != 0, kind
+        if label[0] < 0:
+            lower_better.append(kind)
     assert lower_better == [MetricKind.REFORMULATION]
 
 

@@ -8,12 +8,11 @@ import json
 import numpy as np
 import pytest
 
-from corpus_builders import records
-from oracles import metric_vector
+from corpus_builders import from_records, records
+from oracles import metric_vector, reference_generate
 from sataudit.aggregate import Factor, query_averaged_scores, query_kl
 from sataudit.errors import ConfigError
-from sataudit.logmodel import (AgeGroup, Gender, LogCorpus, all_profiles,
-                               emit)
+from sataudit.logmodel import AgeGroup, Gender, all_profiles, emit
 from sataudit.metrics import MetricKind
 from sataudit.synth import (PRESETS, BehaviorModel, QuerySpec,
                             ScenarioConfig, generate, preset_null,
@@ -78,6 +77,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="positive"):
             tiny_config(click_multipliers={G2: -1.0})
 
+    def test_query_spec_rejects_what_a_log_cannot_hold(self):
+        with pytest.raises(ConfigError, match="empty query text"):
+            QuerySpec(text="", topic="t", difficulty=0.5,
+                      navigational=False, results=("r0",))
+        with pytest.raises(ConfigError, match="duplicate result id"):
+            QuerySpec(text="q", topic="t", difficulty=0.5,
+                      navigational=False, results=("r0", "r1", "r0"))
+
+    def test_negative_dwell_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="negative dwell"):
+            generate(tiny_config(behavior=BehaviorModel(
+                short_dwell_base=-50.0, click_floor=1.0, click_scale=0.0)))
+
 
 class TestConfigSerialization:
     def _rich(self) -> ScenarioConfig:
@@ -138,7 +150,7 @@ class TestGeneratedCorpus:
         corpus, _ = tiny
         recs = records(corpus)
         # every record passes the invariants again on the way back in
-        LogCorpus.from_records(recs)
+        from_records(recs)
         assert all(i.reformulated is not None for i in recs)
         assert corpus.has_dwell
 
@@ -183,6 +195,59 @@ class TestGeneratedCorpus:
     def test_volume_tracks_request(self):
         corpus, _ = generate(preset_null(n_impressions=4000, seed=77))
         assert abs(len(corpus) - 4000) / 4000 < 0.05
+
+
+def _assert_same_generation(cfg: ScenarioConfig) -> None:
+    """generate() and the loop reference give the same columns, exactly."""
+    corpus, truth = generate(cfg)
+    ref, ref_truth = reference_generate(cfg)
+    for f in dataclasses.fields(corpus):
+        if not f.init:                      # the derived-column cache
+            continue
+        got, want = getattr(corpus, f.name), getattr(ref, f.name)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == want.dtype, f.name
+            assert np.array_equal(got, want), f.name
+        else:
+            assert got == want, f.name
+    assert np.array_equal(truth.latent, ref_truth.latent)
+    assert (truth.difficulty, truth.navigational) == \
+        (ref_truth.difficulty, ref_truth.navigational)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_match_the_loop(self, preset, seed):
+        _assert_same_generation(PRESETS[preset](n_impressions=3000,
+                                                seed=seed))
+
+    def test_reformulation_chain_spans_a_whole_user(self):
+        # every impression reformulates, so each user re-issues its first
+        # query up to the cap
+        behavior = BehaviorModel(reform_floor=1.0,
+                                 mean_extra_impressions=50.0)
+        cfg = tiny_config(behavior=behavior)
+        _assert_same_generation(cfg)
+        corpus, _ = generate(cfg)
+        cap = behavior.max_impressions_per_user
+        assert np.array_equal(np.bincount(corpus.user),
+                              np.full(len(corpus.users), cap))
+        chains = corpus.query.reshape(-1, cap)
+        assert (chains == chains[:, :1]).all()
+        assert corpus.reformulated.reshape(-1, cap).tolist() == \
+            [[1] * (cap - 1) + [0]] * len(corpus.users)
+
+    def test_stray_clicks_match_the_loop(self):
+        # a profile without users draws nothing
+        users = {p.key: 0 if p.age is G2 else 12 for p in all_profiles()}
+        cfg = tiny_config(click_multipliers={G1: 3.0, G3: 0.5},
+                          users_per_profile=users,
+                          behavior=BehaviorModel(stray_click_rate=0.5))
+        _assert_same_generation(cfg)
+        corpus, _ = generate(cfg)
+        # browse and final clicks make at most two; the rest are strays
+        assert (corpus.click_count > 2).any()
 
 
 class TestPresets:
