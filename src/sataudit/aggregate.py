@@ -44,14 +44,6 @@ class Factor(enum.Enum):
         return getattr(corpus, self.value)
 
 
-@dataclass
-class QueryCell:
-    """Mean metrics for one (group, query) cell."""
-
-    means: dict[MetricKind, float]
-    n_impressions: int
-
-
 @dataclass(frozen=True)
 class GroupScore:
     raw: float
@@ -86,31 +78,34 @@ class NormalizedScores:
 
 def group_query_table(corpus: LogCorpus, factor: Factor,
                       dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S,
-                      rows: np.ndarray | None = None
-                      ) -> dict[GroupKey, dict[str, QueryCell]]:
-    """Per (group, query) mean metric vectors with impression counts.
+                      rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Per (group, query) cells as read-only arrays: each cell's index into
+    the factor's groups, query code, impression count and ``(cells, 4)``
+    mean metrics in ``METRICS`` order.
 
-    Only `rows` of the corpus are read when given, in that order.  Cells
-    are numbered in first-appearance order and their sums add in row
-    order, so the means do not depend on how they are stored.
+    Only `rows` of the corpus are read when given, in that order; the
+    full-corpus table is kept on the corpus.  Cells are numbered in
+    first-appearance order and their sums add in row order, so the means
+    do not depend on how they are stored.
     """
-    rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
-    metrics = metric_table(corpus, dwell_threshold_s)[rows]
+    key = ("group_query_table", factor, dwell_threshold_s)
+    if rows is None and key in corpus._derived:
+        return corpus._derived[key]
+    sel = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
+    metrics = metric_table(corpus, dwell_threshold_s)[sel]
     n_queries = len(corpus.queries)
     keys, codes = first_appearance_codes(
-        factor.codes(corpus)[rows] * n_queries + corpus.query[rows])
+        factor.codes(corpus)[sel] * n_queries + corpus.query[sel])
     counts = np.bincount(codes, minlength=len(keys))
     means = np.stack([np.bincount(codes, weights=metrics[:, k],
                                   minlength=len(keys))
                       for k in range(len(METRICS))], axis=1) / counts[:, None]
-    groups = factor.groups()
-    cells: dict[GroupKey, dict[str, QueryCell]] = {}
-    for c, key in enumerate(keys.tolist()):
-        g, q = divmod(key, n_queries)
-        cells.setdefault(groups[g], {})[corpus.queries[q]] = QueryCell(
-            means={kind: float(means[c, k]) for k, kind in enumerate(METRICS)},
-            n_impressions=int(counts[c]))
-    return cells
+    table = (*np.divmod(keys, n_queries), counts, means)
+    for a in table:
+        a.setflags(write=False)
+    if rows is None:
+        corpus._derived[key] = table
+    return table
 
 
 def query_averaged_scores(corpus: LogCorpus, factor: Factor,
@@ -118,39 +113,36 @@ def query_averaged_scores(corpus: LogCorpus, factor: Factor,
                           rows: np.ndarray | None = None) -> RawScores:
     """Group scores as means over per-query means, with standard errors.
 
-    `rows` is as in :func:`group_query_table`.  The standard error treats
-    queries as the sampling unit.  Groups with no impressions are excluded
-    with a warning.
+    `rows` is as in :func:`group_query_table`.  A group's sums add its
+    cells left to right in cell order, on every Python version.  The
+    standard error treats queries as the sampling unit.  Groups with no
+    impressions are excluded with a warning.
     """
-    table = group_query_table(corpus, factor, dwell_threshold_s, rows)
-    missing = [g for g in factor.groups() if g not in table]
+    group, _, counts, means = group_query_table(corpus, factor,
+                                                dwell_threshold_s, rows)
+    groups = factor.groups()
+    codes, cell = np.unique(group, return_inverse=True)
+    present = [groups[g] for g in codes.tolist()]
+    missing = [g.name for g in groups if g not in present]
     if missing:
         logger.warning("scores for factor %s: no impressions for groups %s",
-                       factor.value, [g.name for g in missing])
-    raw: dict[MetricKind, dict[GroupKey, float]] = {m: {} for m in METRICS}
-    stderr: dict[MetricKind, dict[GroupKey, float]] = {m: {} for m in METRICS}
-    n_queries: dict[GroupKey, int] = {}
-    n_impressions: dict[GroupKey, int] = {}
-    for g in factor.groups():
-        if g not in table:
-            continue
-        cells = table[g]
-        n_q = len(cells)
-        n_queries[g] = n_q
-        n_impressions[g] = sum(c.n_impressions for c in cells.values())
-        for kind in METRICS:
-            vals = [c.means[kind] for c in cells.values()]
-            mean = sum(vals) / n_q
-            raw[kind][g] = mean
-            if n_q > 1:
-                var = sum((v - mean) ** 2 for v in vals) / (n_q - 1)
-                stderr[kind][g] = math.sqrt(var / n_q)
-            else:
-                stderr[kind][g] = float("nan")
-    if not n_queries:
+                       factor.value, missing)
+    if not present:
         raise DataError("empty corpus: no group has any impressions")
-    return RawScores(factor=factor, raw=raw, stderr=stderr,
-                     n_queries=n_queries, n_impressions=n_impressions)
+    n = np.bincount(cell)
+    n_imp = np.bincount(cell, weights=counts).astype(int)
+    scores = RawScores(factor=factor, raw={}, stderr={},
+                       n_queries=dict(zip(present, n.tolist())),
+                       n_impressions=dict(zip(present, n_imp.tolist())))
+    for k, kind in enumerate(METRICS):
+        # np.bincount adds each group's cells left to right, in cell order
+        mean = np.bincount(cell, weights=means[:, k]) / n
+        var = np.bincount(cell, weights=(means[:, k] - mean[cell]) ** 2) \
+            / np.maximum(n - 1, 1)
+        stderr = np.where(n > 1, np.sqrt(var / n), np.nan)
+        scores.raw[kind] = dict(zip(present, mean.tolist()))
+        scores.stderr[kind] = dict(zip(present, stderr.tolist()))
+    return scores
 
 
 def normalize(scores: RawScores,

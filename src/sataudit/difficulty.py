@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DataError
 from .aggregate import Factor, GroupKey, group_query_table
 from .logmodel import LogCorpus
-from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
+from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind
 
 
 @dataclass
@@ -83,10 +83,12 @@ def estimate_difficulty(corpus: LogCorpus, factor: Factor = Factor.AGE,
                         dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                         ) -> DifficultyTable:
     """Estimate per-query difficulty from a corpus; see module docstring."""
-    table = group_query_table(corpus, factor, dwell_threshold_s)
-    group_scores = {
-        g: {q: cell.means[MetricKind.GRADED_UTILITY]
-            for q, cell in by_query.items()}
-        for g, by_query in table.items()
-    }
+    group, query, _, means = group_query_table(corpus, factor,
+                                               dwell_threshold_s)
+    groups = factor.groups()
+    gu = means[:, METRICS.index(MetricKind.GRADED_UTILITY)]
+    # groups stay in first-appearance order, which fixes how percentiles add
+    group_scores: dict[GroupKey, dict[str, float]] = {}
+    for g, q, v in zip(group.tolist(), query.tolist(), gu.tolist()):
+        group_scores.setdefault(groups[g], {})[corpus.queries[q]] = v
     return difficulty_from_group_scores(group_scores, factor)

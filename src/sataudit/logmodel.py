@@ -271,6 +271,19 @@ class _ColumnBuilder:
             metadata=CorpusMetadata(accepted=len(self.ids), skipped=skipped))
 
 
+# rows whose result-id and click strings emit builds at one time
+_EMIT_BLOCK = 8192
+
+
+def _entries(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, list]:
+    """The CSR entries of `rows`, concatenated, and each row's bounds."""
+    lo = offsets[rows]
+    n = offsets[rows + 1] - lo
+    bounds = np.concatenate([[0], np.cumsum(n)])
+    return np.repeat(lo - bounds[:-1], n) + np.arange(bounds[-1]), \
+        bounds.tolist()
+
+
 def _records(corpus: LogCorpus, rows, click, text=str):
     """The record of each row, rebuilt from the corpus columns.
 
@@ -282,20 +295,22 @@ def _records(corpus: LogCorpus, rows, click, text=str):
         [text(v) for v in vocab] for vocab in (
             corpus.users, corpus.sessions, corpus.queries, corpus.topics,
             corpus.result_ids))
-    res = [rid[c] for c in corpus.result.tolist()]
-    clicks = [click(rid[r], p, d, t) for r, p, d, t in zip(
-        corpus.click_result.tolist(), corpus.click_position.tolist(),
-        corpus.click_dwell.tolist(), corpus.click_terminated.tolist())]
-    ids, ts = corpus.ids.tolist(), corpus.timestamp.tolist()
-    user, session = corpus.user.tolist(), corpus.session.tolist()
-    query, topic = corpus.query.tolist(), corpus.topic.tolist()
-    flags = corpus.reformulated.tolist()
-    profile = (corpus.age * 2 + corpus.gender).tolist()
-    ro, co = corpus.result_offsets.tolist(), corpus.click_offsets.tolist()
-    for k in rows:
-        yield (ids[k], users[user[k]], sessions[session[k]], ts[k],
-               queries[query[k]], topics[topic[k]], res[ro[k]:ro[k + 1]],
-               clicks[co[k]:co[k + 1]], flags[k], _PROFILES[profile[k]])
+    columns = (corpus.ids, corpus.user, corpus.session, corpus.timestamp,
+               corpus.query, corpus.topic, corpus.reformulated,
+               corpus.age * 2 + corpus.gender)
+    for start in range(0, len(rows), _EMIT_BLOCK):
+        k = np.asarray(rows[start:start + _EMIT_BLOCK], dtype=np.intp)
+        r, rb = _entries(corpus.result_offsets, k)
+        c, cb = _entries(corpus.click_offsets, k)
+        res = [rid[v] for v in corpus.result[r].tolist()]
+        clicks = [click(rid[v], p, d, t) for v, p, d, t in zip(
+            corpus.click_result[c].tolist(), corpus.click_position[c].tolist(),
+            corpus.click_dwell[c].tolist(), corpus.click_terminated[c].tolist())]
+        for n, (i, u, s, t, q, tp, f, p) in enumerate(
+                zip(*(col[k].tolist() for col in columns))):
+            yield (i, users[u], sessions[s], t, queries[q], topics[tp],
+                   res[rb[n]:rb[n + 1]], clicks[cb[n]:cb[n + 1]], f,
+                   _PROFILES[p])
 
 
 def normalize_query(text: str) -> str:
@@ -655,7 +670,7 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
 def emit(corpus: LogCorpus, path: str | Path, fmt: str = "ndjson") -> int:
     """Write a corpus in stable impression_id order; returns record count."""
     path = Path(path)
-    rows = corpus.id_order.tolist()
+    rows = corpus.id_order
     if fmt == "ndjson":
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_ndjson_lines(corpus, rows))

@@ -25,6 +25,7 @@ dwell fidelity.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -307,36 +308,37 @@ def build_labeled_pairs(corpus: LogCorpus, sample: PairSample,
 class PairModel:
     """Logistic preference model over slot demographics.
 
-    Coefficients are stored antisymmetrized (slot-i and slot-j blocks are
-    exact negations, interactions negate under slot swap, mu0 is zero),
-    which the symmetrized training objective already implies at its
-    optimum; storing the projection makes the complement identity exact.
+    Coefficients are stored antisymmetrized (slot j's effects negate slot
+    i's `age` and `gender`, `interaction[a, g, b, h]` negates under slot
+    swap and is NaN for a pattern never observed, mu0 is zero), which the
+    symmetrized training objective already implies at its optimum; storing
+    the projection makes the complement identity exact.
     """
 
     mu0: float
-    age_i: dict[AgeGroup, float]
-    age_j: dict[AgeGroup, float]
-    gender_i: dict[Gender, float]
-    gender_j: dict[Gender, float]
-    interaction: dict[tuple[AgeGroup, Gender, AgeGroup, Gender], float]
+    age: np.ndarray                # (4,)
+    gender: np.ndarray             # (2,)
+    interaction: np.ndarray        # (4, 2, 4, 2)
     prior_variance: float
     convergence: Convergence
     n_pairs: int = 0
     thresholds: PairThresholds | None = None
 
     def to_dict(self) -> dict:
+        age, gender = self.age.tolist(), self.gender.tolist()
+        inter = {f"{a.name}|{g.code}|{b.name}|{h.code}": v
+                 for (a, g, b, h), v in zip(
+                     itertools.product(_AGES, _GENDERS, _AGES, _GENDERS),
+                     self.interaction.ravel().tolist())
+                 if not math.isnan(v)}
         return {
             "mu0": self.mu0,
-            "age_i": {a.name: v for a, v in self.age_i.items()},
-            "age_j": {a.name: v for a, v in self.age_j.items()},
-            "gender_i": {g.code: v for g, v in self.gender_i.items()},
-            "gender_j": {g.code: v for g, v in self.gender_j.items()},
-            "interaction": {
-                f"{a.name}|{g.code}|{b.name}|{h.code}": v
-                for (a, g, b, h), v in sorted(
-                    self.interaction.items(),
-                    key=lambda kv: (kv[0][0].name, kv[0][1].code,
-                                    kv[0][2].name, kv[0][3].code))},
+            "age_i": {a.name: v for a, v in zip(_AGES, age)},
+            "age_j": {a.name: -v for a, v in zip(_AGES, age)},
+            "gender_i": {g.code: v for g, v in zip(_GENDERS, gender)},
+            "gender_j": {g.code: -v for g, v in zip(_GENDERS, gender)},
+            # fixed-width names and codes: text order is tuple order
+            "interaction": dict(sorted(inter.items())),
             "prior_variance": self.prior_variance,
             "n_pairs": self.n_pairs,
         }
@@ -356,62 +358,41 @@ def fit_pair_model(pairs: LabeledPairSet,
         raise InsufficientSignalError(
             "no nonzero-labeled pairs; the labeler abstained everywhere")
 
-    ai = np.concatenate([pairs.age_i, pairs.age_j])
-    gi = np.concatenate([pairs.gender_i, pairs.gender_j])
-    aj = np.concatenate([pairs.age_j, pairs.age_i])
-    gj = np.concatenate([pairs.gender_j, pairs.gender_i])
+    shape = (4, 2, 4, 2)            # slot i's age and gender, then slot j's
+    i, j = (pairs.age_i, pairs.gender_i), (pairs.age_j, pairs.gender_j)
+    key = np.concatenate([np.ravel_multi_index(i + j, shape),
+                          np.ravel_multi_index(j + i, shape)])
     win = np.concatenate([pairs.label == 1, pairs.label == -1]).astype(float)
-
-    key = ((ai * 2 + gi) * 8) + (aj * 2 + gj)
     patterns, pattern_of = np.unique(key, return_inverse=True)
     successes = np.bincount(pattern_of, weights=win)
     trials = np.bincount(pattern_of).astype(float)
 
     n_pat = len(patterns)
-    combos = [(int(k) // 16, (int(k) // 8) % 2, (int(k) % 8) // 2, int(k) % 2)
-              for k in patterns]
     p = 1 + 4 + 4 + 2 + 2 + n_pat
     ma = np.zeros((n_pat, p))
+    a, g, b, h = np.unravel_index(patterns, shape)
+    c = np.arange(n_pat)
     ma[:, 0] = 1.0
-    for c, (a, g, b, h) in enumerate(combos):
-        ma[c, 1 + a] = 1.0
-        ma[c, 5 + b] = 1.0
-        ma[c, 9 + g] = 1.0
-        ma[c, 11 + h] = 1.0
-        ma[c, 13 + c] = 1.0
+    ma[c, 1 + a] = ma[c, 5 + b] = ma[c, 9 + g] = ma[c, 11 + h] = 1.0
+    ma[c, 13 + c] = 1.0
     penalty = np.full(p, 1.0 / prior_variance)
     penalty[0] = 0.0
     design = CellDesign(intercept_map=ma, slope_map=np.zeros_like(ma),
                         penalty=penalty)
-    zeros = np.zeros(n_pat)
-    solution = fit_penalized_glm(successes, zeros, np.arange(n_pat), design,
+    solution = fit_penalized_glm(successes, np.zeros(n_pat), c, design,
                                  Family.BINOMIAL_LOGIT, trials=trials)
     theta = solution.theta
 
-    age_i, age_j = {}, {}
-    for a in range(4):
-        v = 0.5 * (theta[1 + a] - theta[5 + a])
-        age_i[_AGES[a]] = float(v)
-        age_j[_AGES[a]] = float(-v)
-    gender_i, gender_j = {}, {}
-    for g in range(2):
-        v = 0.5 * (theta[9 + g] - theta[11 + g])
-        gender_i[_GENDERS[g]] = float(v)
-        gender_j[_GENDERS[g]] = float(-v)
-
-    # symmetrized training data contains every pattern's mirror, so each
-    # canonical orientation pairs with an observed reverse
-    raw_inter = {combo: float(theta[13 + c]) for c, combo in enumerate(combos)}
-    interaction: dict[tuple[AgeGroup, Gender, AgeGroup, Gender], float] = {}
-    for (a, g, b, h), v in raw_inter.items():
-        if (a, g) > (b, h):
-            continue
-        half = 0.5 * (v - raw_inter[(b, h, a, g)])
-        interaction[(_AGES[a], _GENDERS[g], _AGES[b], _GENDERS[h])] = half
-        interaction[(_AGES[b], _GENDERS[h], _AGES[a], _GENDERS[g])] = -half
-
-    return PairModel(mu0=0.0, age_i=age_i, age_j=age_j, gender_i=gender_i,
-                     gender_j=gender_j, interaction=interaction,
+    # symmetrized training data contains every pattern's mirror; over the
+    # 8x8 profile pairs, slot i's profile below slot j's keeps the half
+    # difference and the rest (the diagonal too, as -0.0) its negation
+    raw = np.full((8, 8), np.nan)
+    raw.flat[patterns] = theta[13:]
+    half = 0.5 * (raw - raw.T)
+    interaction = np.where(np.tri(8, dtype=bool), -half.T, half)
+    return PairModel(mu0=0.0, age=0.5 * (theta[1:5] - theta[5:9]),
+                     gender=0.5 * (theta[9:11] - theta[11:13]),
+                     interaction=interaction.reshape(shape),
                      prior_variance=prior_variance,
                      convergence=solution.convergence, n_pairs=len(pairs))
 
@@ -430,9 +411,11 @@ def predict_pair_prob(model: PairModel, age_i: AgeGroup, gender_i: Gender,
     coefficients, and the sigmoid is taken on the non-negative branch
     with the complement formed by an exact subtraction.
     """
-    age_term = model.age_i[age_i] + model.age_j[age_j]
-    gender_term = model.gender_i[gender_i] + model.gender_j[gender_j]
-    inter = model.interaction.get((age_i, gender_i, age_j, gender_j), 0.0)
+    a, b = int(age_i) - 1, int(age_j) - 1
+    g, h = _GENDERS.index(gender_i), _GENDERS.index(gender_j)
+    age_term = model.age[a] - model.age[b]
+    gender_term = model.gender[g] - model.gender[h]
+    inter = np.nan_to_num(model.interaction[a, g, b, h])
     eta = ((age_term + gender_term) + inter) + model.mu0
     if eta >= 0:
         return _sigmoid_nonneg(eta)

@@ -64,7 +64,7 @@ class QuerySpec:
     gender_weights: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        if not self.text:
+        if not normalize_query(self.text):
             raise ConfigError("empty query text")
         if not 0.0 <= self.difficulty <= 1.0:
             raise ConfigError(f"difficulty out of [0,1] for {self.text!r}")
@@ -135,6 +135,12 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be at least 0, got {self.seed!r}")
         if not self.queries:
             raise ConfigError("empty query vocabulary")
+        first: dict[str, int] = {}
+        for k, q in enumerate(self.queries):
+            j = first.setdefault(normalize_query(q.text), k)
+            if j != k:
+                raise ConfigError(f"query texts {self.queries[j].text!r} and "
+                                  f"{q.text!r} normalize to the same query")
         if not any(n > 0 for n in self.users_per_profile.values()):
             raise ConfigError("zero users in every profile")
         if any(n < 0 for n in self.users_per_profile.values()):
@@ -415,7 +421,8 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
     click_position = click_slot + 1 + (click_slot == k) - (click_slot == k + 1)
     result_offsets = np.concatenate([[0], np.cumsum(r)])
 
-    query, query_texts = _coded([q.text for q in queries], qi)
+    texts = [normalize_query(q.text) for q in queries]
+    query, query_texts = _coded(texts, qi)
     topic, topics = _coded([q.topic for q in queries], qi)
     users = [f"u{u:06d}" for u in range(len(counts))]
     user = user_ord.astype(np.int32)
@@ -437,9 +444,8 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
         metadata=CorpusMetadata(accepted=n_total))
     truth = GroundTruth(
         latent=s,
-        difficulty={normalize_query(q.text): q.difficulty for q in queries},
-        navigational={normalize_query(q.text) for q in queries
-                      if q.navigational})
+        difficulty={t: q.difficulty for t, q in zip(texts, queries)},
+        navigational={t for t, q in zip(texts, queries) if q.navigational})
     return corpus, truth
 
 

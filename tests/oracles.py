@@ -2,8 +2,10 @@
 
 Each works on one `corpus_builders.Impression` record at a time, the
 plain way: the metric definitions of :mod:`sataudit.metrics`, the final
-successful click that context matching keys on, and the NDJSON record
-dict that :func:`sataudit.logmodel.emit` writes.  `cell_coefficients`
+successful click that context matching keys on, the NDJSON record
+dict that :func:`sataudit.logmodel.emit` writes, and query-averaged
+group scores summed in loops, the reference for
+:func:`sataudit.aggregate.query_averaged_scores`.  `cell_coefficients`
 and `predict` compose one cell's multilevel prediction at one
 difficulty, the scalar reference for
 :func:`sataudit.multilevel.cell_curves`.  `reference_generate` is the
@@ -22,7 +24,8 @@ from corpus_builders import Impression, from_records
 from sataudit.errors import ConfigError, DataError
 from sataudit.logmodel import AgeGroup, Gender, LogCorpus, all_profiles, \
     normalize_query
-from sataudit.metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
+from sataudit.aggregate import Factor
+from sataudit.metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind
 from sataudit.multilevel import MultilevelFit
 from sataudit.synth import GroundTruth, ScenarioConfig
 
@@ -94,6 +97,40 @@ def metric_vector(imp: Impression,
         gu = 1.0 / 3.0
     return MetricVector(graded_utility=gu, reformulation=reform,
                         page_click_count=pcc, successful_click_count=scc)
+
+
+def _loop_sum(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def query_averaged_scores(imps: list[Impression], factor: Factor,
+                          dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
+                          ) -> dict:
+    """Each group's ``(n_queries, n_impressions, {metric: (score,
+    stderr)})``: a (group, query) cell's mean over its impressions in
+    order, then the mean and standard error of the group's cell means in
+    first-appearance order, every sum a left-to-right loop."""
+    cells: dict = {}
+    for imp in imps:
+        group = getattr(imp.demographics, factor.value)
+        cells.setdefault(group, {}).setdefault(imp.query_text, []).append(
+            metric_vector(imp, dwell_threshold_s))
+    out = {}
+    for group, by_query in cells.items():
+        n_q = len(by_query)
+        stats = {}
+        for kind in METRICS:
+            means = [_loop_sum(v.value(kind) for v in vectors) / len(vectors)
+                     for vectors in by_query.values()]
+            mean = _loop_sum(means) / n_q
+            var = _loop_sum((v - mean) ** 2 for v in means) / max(n_q - 1, 1)
+            stats[kind] = (mean, math.sqrt(var / n_q) if n_q > 1
+                           else float("nan"))
+        out[group] = (n_q, sum(len(v) for v in by_query.values()), stats)
+    return out
 
 
 def final_successful_click(imp: Impression,

@@ -11,8 +11,10 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 import sataudit
-from corpus_builders import corpus, dissatisfied, imp, satisfied
+from corpus_builders import corpus, dissatisfied, imp, records, satisfied
+from sataudit import aggregate, synth
 from sataudit.aggregate import (METRICS, Factor, group_query_table,
                                 head_tail_classify, normalize,
                                 query_averaged_scores, query_kl, RawScores)
@@ -63,10 +65,11 @@ class TestQueryAveragedScores:
         with pytest.raises(DataError, match="empty corpus"):
             query_averaged_scores(corpus([]), Factor.AGE)
 
-    def test_absent_group_is_excluded_not_invented(self):
+    def test_absent_group_is_excluded_not_invented(self, caplog):
         scores = query_averaged_scores(corpus([satisfied()]), Factor.AGE)
         assert AgeGroup.G1 in scores.raw[GU]
         assert AgeGroup.G4 not in scores.raw[GU]
+        assert "no impressions for groups ['G2', 'G3', 'G4']" in caplog.text
 
     def test_rows_score_like_a_corpus_of_those_rows(self, monkeypatch):
         # matched scoring passes the cohort's rows of the audited corpus;
@@ -101,12 +104,59 @@ class TestQueryAveragedScores:
                 satisfied(query="q a", age=AgeGroup.G3),
                 satisfied(query="q c", age=AgeGroup.G1),
                 dissatisfied(query="q c", age=AgeGroup.G3)]
-        cells = group_query_table(corpus(imps), Factor.AGE)
-        assert list(cells) == [AgeGroup.G3, AgeGroup.G1]
-        assert list(cells[AgeGroup.G3]) == ["q c", "q a"]
-        assert list(cells[AgeGroup.G1]) == ["q b", "q c"]
-        assert cells[AgeGroup.G3]["q c"].n_impressions == 2
-        assert cells[AgeGroup.G3]["q c"].means[GU] == (1.0 - 1.0 / 3.0) / 2
+        c = corpus(imps)
+        group, query, n_impressions, means = group_query_table(c, Factor.AGE)
+        ages = list(AgeGroup)
+        assert [ages[g] for g in group.tolist()] == [
+            AgeGroup.G3, AgeGroup.G1, AgeGroup.G3, AgeGroup.G1]
+        assert [c.queries[q] for q in query.tolist()] == [
+            "q c", "q b", "q a", "q c"]
+        assert n_impressions.tolist() == [2, 1, 1, 1]
+        assert means.shape == (4, len(METRICS))
+        assert means[0, METRICS.index(GU)] == (1.0 - 1.0 / 3.0) / 2
+
+    def test_group_sums_add_cells_left_to_right(self):
+        # ten one-query cells of mean 0.1 each: a plain float loop gives
+        # 0.09999999999999999, where a compensated sum would give 0.1
+        imps = [imp(query=f"q{k}", reformulated=r)
+                for k in range(10) for r in [True] + [False] * 9]
+        scores = query_averaged_scores(corpus(imps), Factor.AGE)
+        total = 0.0
+        for _ in range(10):
+            total += 0.1
+        assert total / 10 == 0.09999999999999999
+        assert scores.raw[MetricKind.REFORMULATION][AgeGroup.G1] == \
+            0.09999999999999999
+
+    @pytest.mark.parametrize("factor", list(Factor))
+    def test_scores_equal_the_loop_reference_bit_for_bit(self, factor):
+        c, _ = synth.generate(synth.preset_mixed(n_impressions=3000, seed=2))
+        got = query_averaged_scores(c, factor)
+        want = oracles.query_averaged_scores(records(c), factor)
+        assert set(got.n_queries) == set(want)
+        for g, (n_q, n_imp, stats) in want.items():
+            assert (got.n_queries[g], got.n_impressions[g]) == (n_q, n_imp)
+            for kind, (score, stderr) in stats.items():
+                assert repr(got.raw[kind][g]) == repr(score)
+                assert repr(got.stderr[kind][g]) == repr(stderr)
+
+    def test_one_audit_builds_the_full_corpus_cell_table_once(
+            self, monkeypatch):
+        c, _ = synth.generate(synth.preset_mixed(n_impressions=3000, seed=1))
+        sizes = []
+        codes = aggregate.first_appearance_codes
+
+        def counting(keys):
+            sizes.append(len(keys))
+            return codes(keys)
+
+        monkeypatch.setattr(aggregate, "first_appearance_codes", counting)
+        result = sataudit.run_audit(c, sataudit.AuditConfig(
+            methods=("raw", "matched", "multilevel")))
+        # the raw scores' table, which difficulty reuses, then the cohort's
+        cohort = sum(len(rows) for rows in result.cohort.by_query.values())
+        assert sizes == [len(c), cohort]
+        assert cohort < len(c)
 
 
 class TestNormalize:

@@ -709,6 +709,20 @@ class TestEmit:
             assert fh.read() == want.getvalue()
 
     @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    def test_blocks_emit_the_same_bytes(self, tmp_path, monkeypatch, fmt):
+        # id order is not row order here, so blocks of 3 rows cut the
+        # corpus at rows that are not neighbours
+        c = self._corpus()
+        c = corpus([*records(c), *(imp(f"a{k}", clicks=[click("r1", 2, 5.0)])
+                                   for k in range(5, 0, -1))])
+        assert not (np.diff(c.id_order) > 0).all()
+        emit(c, tmp_path / "whole", fmt=fmt)
+        monkeypatch.setattr(logmodel, "_EMIT_BLOCK", 3)
+        emit(c, tmp_path / "blocks", fmt=fmt)
+        assert (tmp_path / "blocks").read_bytes() == \
+            (tmp_path / "whole").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
     def test_round_trip_keeps_every_column(self, tmp_path, fmt):
         # ingest normalizes query text and derives unset flags, so the
         # record that needs both is left out

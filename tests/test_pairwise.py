@@ -394,12 +394,25 @@ class TestPairModel:
     def test_stored_coefficients_are_antisymmetric(self):
         model = self._mixed_model()
         assert model.mu0 == 0.0
-        for a in AgeGroup:
-            assert model.age_i[a] == -model.age_j[a]
-        for g in Gender:
-            assert model.gender_i[g] == -model.gender_j[g]
-        for (a, g, b, h), v in model.interaction.items():
-            assert model.interaction[(b, h, a, g)] == -v
+        d = model.to_dict()
+        for side in ("age", "gender"):
+            assert d[f"{side}_j"] == {k: -v for k, v in d[f"{side}_i"].items()}
+        inter = model.interaction
+        assert inter.shape == (4, 2, 4, 2)
+        # NaN (a pattern never observed) sits opposite NaN
+        np.testing.assert_array_equal(inter, -inter.transpose(2, 3, 0, 1))
+        assert not np.isnan(inter).any()      # 400 pairs cover all 64
+
+    def test_unobserved_patterns_are_nan_and_the_diagonal_is_negative_zero(
+            self):
+        model = fit_pair_model(one_pattern_pairs(70, 30))
+        observed = ~np.isnan(model.interaction)
+        assert np.argwhere(observed).tolist() == [[0, 0, 3, 0], [3, 0, 0, 0]]
+        same = LabeledPairSet(*(np.zeros(4, dtype=np.intp),) * 4,
+                              label=np.array([1, -1, 1, 1], dtype=np.int8))
+        d = fit_pair_model(same).to_dict()
+        assert list(d["interaction"]) == ["G1|M|G1|M"]
+        assert str(d["interaction"]["G1|M|G1|M"]) == "-0.0"
 
     def test_complement_is_exact_for_all_slot_combinations(self):
         model = self._mixed_model()

@@ -12,7 +12,7 @@ from corpus_builders import from_records, records
 from oracles import metric_vector, reference_generate
 from sataudit.aggregate import Factor, query_averaged_scores, query_kl
 from sataudit.errors import ConfigError
-from sataudit.logmodel import AgeGroup, Gender, all_profiles, emit
+from sataudit.logmodel import AgeGroup, Gender, all_profiles, emit, ingest
 from sataudit.metrics import MetricKind
 from sataudit.synth import (PRESETS, BehaviorModel, QuerySpec,
                             ScenarioConfig, generate, preset_null,
@@ -78,12 +78,30 @@ class TestConfigValidation:
             tiny_config(click_multipliers={G2: -1.0})
 
     def test_query_spec_rejects_what_a_log_cannot_hold(self):
-        with pytest.raises(ConfigError, match="empty query text"):
-            QuerySpec(text="", topic="t", difficulty=0.5,
-                      navigational=False, results=("r0",))
+        for text in ("", " \t "):
+            with pytest.raises(ConfigError, match="empty query text"):
+                QuerySpec(text=text, topic="t", difficulty=0.5,
+                          navigational=False, results=("r0",))
         with pytest.raises(ConfigError, match="duplicate result id"):
             QuerySpec(text="q", topic="t", difficulty=0.5,
                       navigational=False, results=("r0", "r1", "r0"))
+
+    def test_scenario_rejects_query_texts_that_normalize_alike(self):
+        base = tiny_config().queries
+        twin = dataclasses.replace(base[1], text="Alpha  News",
+                                   difficulty=0.7)
+        with pytest.raises(ConfigError,
+                           match="'alpha news' and 'Alpha  News'"):
+            tiny_config(queries=base + (twin,))
+
+    def test_generate_stores_query_text_normalized(self, tmp_path):
+        queries = tuple(dataclasses.replace(q, text=f" {q.text.upper()}  ")
+                        for q in tiny_config().queries)
+        corpus, truth = generate(tiny_config(queries=queries))
+        assert sorted(corpus.queries) == sorted(truth.difficulty) == [
+            "alpha news", "beta travel", "brand zero", "gamma tech"]
+        emit(corpus, tmp_path / "c.ndjson")
+        assert ingest(tmp_path / "c.ndjson").queries == corpus.queries
 
     def test_negative_dwell_is_a_config_error(self):
         with pytest.raises(ConfigError, match="negative dwell"):
