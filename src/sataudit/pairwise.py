@@ -45,6 +45,8 @@ _GENDERS = list(Gender)
 
 DEFAULT_QUERY_FRACTION = 0.1
 DEFAULT_PAIRS_PER_QUERY = 10_000
+# pairs labelled per block by `label_sample`
+LABEL_BLOCK = 1 << 16
 # the (row, column) genders of the age grid that audits report
 GRID_GENDERS = (Gender.MALE, Gender.FEMALE)
 
@@ -170,7 +172,8 @@ def eligible_queries(corpus: LogCorpus, factor: Factor = Factor.AGE,
 
 @dataclass
 class PairSample:
-    """Sampled cross-group impression pairs, as indices into the corpus."""
+    """Sampled cross-group impression pairs, as int32 row indices into
+    the corpus."""
 
     i_idx: np.ndarray
     j_idx: np.ndarray
@@ -178,6 +181,36 @@ class PairSample:
 
     def __len__(self) -> int:
         return len(self.i_idx)
+
+
+def _cross_pairs_at(codes: np.ndarray, picks: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (a, b), a < b, of the `picks`-th cross-group pairs.
+
+    Cross-group pairs are numbered in lexicographic (a, b) order, the
+    order of ``np.triu_indices`` filtered to differing codes, without
+    building the n(n-1)/2 position pairs: each member's count of later
+    partners gives a pick's `a`, and its `b` is found by position among
+    the members of the other groups.  Besides O(n) per-member arrays this
+    holds one int32 owner per cross pair, which the enumeration limit in
+    :func:`sample_pairs` caps.
+    """
+    n = len(codes)
+    pos = np.arange(n)
+    per_group = np.bincount(codes)
+    by_group = np.argsort(codes, kind="stable")
+    rank = np.empty(n, dtype=np.intp)      # position within its own group
+    rank[by_group] = pos - (np.cumsum(per_group) - per_group)[codes[by_group]]
+    # members after each one outside its group, and its first pick
+    later = (n - 1 - pos) - (per_group[codes] - 1 - rank)
+    first_pick = np.cumsum(later) - later
+    # the other groups' members in position order, one block per group;
+    # `pos - rank` of a member's block lie at or before it
+    others = np.concatenate([pos[codes != g] for g in range(len(per_group))])
+    block = np.cumsum(n - per_group) - (n - per_group)
+    first = block[codes] + pos - rank - first_pick
+    a = np.repeat(pos.astype(np.int32), later)[picks]
+    return a, others[first[a] + picks]
 
 
 def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
@@ -189,7 +222,9 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
 
     When a query has fewer distinct cross-group pairs than requested,
     pairs are drawn with replacement, so small queries still contribute
-    the full quota.  Deterministic given the seed.
+    the full quota.  Deterministic given the seed.  The index columns
+    are allocated once for the whole quota and each query's pairs are
+    written into its slice.
     """
     if not 0 < fraction <= 1:
         raise ConfigError("query fraction must be in (0, 1]")
@@ -208,7 +243,9 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
     order = corpus.id_order
     query_in_order = corpus.query[order]
     group = factor.codes(corpus)
-    i_out, j_out = [], []
+    i_idx = np.empty(len(chosen) * pairs_per_query, dtype=np.int32)
+    j_idx = np.empty_like(i_idx)
+    filled = 0
     for q in chosen:
         # the query's impressions, in impression_id order
         members = order[query_in_order == query_code.get(q, -1)]
@@ -219,9 +256,6 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
         if n_cross == 0:
             continue
         if n_cross <= max(4 * pairs_per_query, 200_000):
-            ia, ib = np.triu_indices(n, 1)
-            keep = codes[ia] != codes[ib]
-            ia, ib = ia[keep], ib[keep]
             if n_cross < pairs_per_query:
                 picks = rng.integers(0, n_cross, size=pairs_per_query)
             elif n_cross == pairs_per_query:
@@ -229,7 +263,7 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
             else:
                 picks = rng.choice(n_cross, size=pairs_per_query,
                                    replace=False)
-            i_sel, j_sel = ia[picks], ib[picks]
+            i_sel, j_sel = _cross_pairs_at(codes, picks)
         else:
             # too many pairs to enumerate: batched rejection sampling on
             # packed (a, b) keys, deduplicated until the quota is met
@@ -244,15 +278,13 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
                 have = np.unique(np.concatenate([have, keys]))
             if have.size > pairs_per_query:
                 have = rng.choice(have, size=pairs_per_query, replace=False)
-            i_sel = (have // n).astype(np.intp)
-            j_sel = (have % n).astype(np.intp)
-        i_out.append(members[i_sel])
-        j_out.append(members[j_sel])
-    if i_out:
-        i_idx, j_idx = np.concatenate(i_out), np.concatenate(j_out)
-    else:
-        i_idx = j_idx = np.empty(0, dtype=np.intp)
-    return PairSample(i_idx=i_idx, j_idx=j_idx, queries=chosen)
+            i_sel, j_sel = have // n, have % n
+        stop = filled + len(i_sel)
+        i_idx[filled:stop] = members[i_sel]
+        j_idx[filled:stop] = members[j_sel]
+        filled = stop
+    return PairSample(i_idx=i_idx[:filled], j_idx=j_idx[:filled],
+                      queries=chosen)
 
 
 @dataclass
@@ -274,19 +306,31 @@ def label_sample(corpus: LogCorpus, sample: PairSample,
                  mode: str = "internal",
                  dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                  ) -> np.ndarray:
-    """Labels for a pair sample under the internal or external rule set."""
+    """Labels for a pair sample under the internal or external rule set,
+    computed `LABEL_BLOCK` pairs at a time so the labelling temporaries
+    stay a fixed size whatever the sample's."""
     if mode not in ("internal", "external"):
         raise ConfigError(f"unknown labeling mode {mode!r}")
     if mode == "internal" and not corpus.has_dwell:
         raise DataError("internal labeling needs dwell fidelity; this corpus "
                         "is clicks-only (use the external labeler)")
-    i, j = sample.i_idx, sample.j_idx
     if mode == "internal":
         gu, reform, _, scc = metric_table(corpus, dwell_threshold_s).T
-        return label_batch_internal(gu[i], reform[i], scc[i],
-                                    gu[j], reform[j], scc[j], thresholds)
-    pcc = corpus.click_count
-    return label_batch_external(pcc[i], pcc[j], thresholds)
+
+        def label_block(i, j):
+            return label_batch_internal(gu[i], reform[i], scc[i],
+                                        gu[j], reform[j], scc[j], thresholds)
+    else:
+        pcc = corpus.click_count
+
+        def label_block(i, j):
+            return label_batch_external(pcc[i], pcc[j], thresholds)
+
+    labels = np.empty(len(sample), dtype=np.int8)
+    for lo in range(0, len(sample), LABEL_BLOCK):
+        block = slice(lo, lo + LABEL_BLOCK)
+        labels[block] = label_block(sample.i_idx[block], sample.j_idx[block])
+    return labels
 
 
 def build_labeled_pairs(corpus: LogCorpus, sample: PairSample,

@@ -5,7 +5,9 @@ plain way: the metric definitions of :mod:`sataudit.metrics`, the final
 successful click that context matching keys on, the NDJSON record
 dict that :func:`sataudit.logmodel.emit` writes, and query-averaged
 group scores summed in loops, the reference for
-:func:`sataudit.aggregate.query_averaged_scores`.  `cell_coefficients`
+:func:`sataudit.aggregate.query_averaged_scores`, and the enumerated
+cross-group pairs of one query, the reference for the pair picks of
+:func:`sataudit.pairwise.sample_pairs`.  `cell_coefficients`
 and `predict` compose one cell's multilevel prediction at one
 difficulty, the scalar reference for
 :func:`sataudit.multilevel.cell_curves`.  `reference_generate` is the
@@ -131,6 +133,31 @@ def query_averaged_scores(imps: list[Impression], factor: Factor,
                            else float("nan"))
         out[group] = (n_q, sum(len(v) for v in by_query.values()), stats)
     return out
+
+
+def cross_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (a, b), a < b, whose codes differ, in lexicographic order:
+    all n(n-1)/2 position pairs enumerated, then filtered."""
+    ia, ib = np.triu_indices(len(codes), 1)
+    keep = codes[ia] != codes[ib]
+    return ia[keep], ib[keep]
+
+
+def enumerated_pairs(codes: np.ndarray, pairs_per_query: int,
+                     rng: np.random.Generator
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """One query's sampled pairs the enumerating way: with replacement
+    when it has fewer cross pairs than the quota, all of them when it
+    has exactly the quota, else the quota drawn without replacement."""
+    ia, ib = cross_pairs(codes)
+    n_cross = len(ia)
+    if n_cross < pairs_per_query:
+        picks = rng.integers(0, n_cross, size=pairs_per_query)
+    elif n_cross == pairs_per_query:
+        picks = np.arange(n_cross)
+    else:
+        picks = rng.choice(n_cross, size=pairs_per_query, replace=False)
+    return ia[picks], ib[picks]
 
 
 def final_successful_click(imp: Impression,

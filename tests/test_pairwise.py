@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from corpus_builders import click, corpus, imp, records
-from oracles import MetricVector
+from oracles import MetricVector, cross_pairs, enumerated_pairs
 from sataudit.aggregate import Factor
 from sataudit.errors import ConfigError, DataError, InsufficientSignalError
-from sataudit.logmodel import AgeGroup, Gender
-from sataudit.metrics import MetricKind
-from sataudit.pairwise import (DEFAULT_THRESHOLDS, LabeledPairSet, PairThresholds,
+from sataudit.logmodel import AgeGroup, Gender, LogCorpus
+from sataudit.metrics import MetricKind, metric_table
+from sataudit.pairwise import (DEFAULT_PAIRS_PER_QUERY, DEFAULT_THRESHOLDS,
+                               LABEL_BLOCK, LabeledPairSet, PairSample,
+                               PairThresholds, _cross_pairs_at,
                                build_labeled_pairs, derive_thresholds_from_deltas,
                                eligible_queries, fit_pair_model,
                                label_batch_external, label_batch_internal,
@@ -20,6 +24,23 @@ from sataudit.pairwise import (DEFAULT_THRESHOLDS, LabeledPairSet, PairThreshold
 
 G1, G2, G3, G4 = AgeGroup
 M, F = Gender
+MB = 1 << 20
+
+
+def traced_peak(fn, *args, **kwargs):
+    """`fn`'s result and the peak bytes it allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def one_query(ages) -> LogCorpus:
+    """One query's impressions with these ages, ids in row order."""
+    return corpus([imp(f"i{k:05d}", query="qa", age=a)
+                   for k, a in enumerate(ages)])
 
 
 def mv(gu: float = 0.0, reform: int = 0, pcc: int = 1, scc: int = 1
@@ -290,6 +311,56 @@ class TestSamplePairs:
         assert (s1.queries != s3.queries
                 or not np.array_equal(s1.i_idx, s3.i_idx))
 
+    def test_index_columns_are_int32(self):
+        s = sample_pairs(self._small(), ["qa"], seed=7, fraction=1.0,
+                         pairs_per_query=4)
+        assert s.i_idx.dtype == np.int32
+        assert s.j_idx.dtype == np.int32
+
+    def test_pair_mapping_matches_the_enumeration(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(500):
+            n = int(rng.integers(2, 60))
+            codes = rng.integers(0, rng.integers(2, 5), size=n).astype(np.int32)
+            ia, ib = cross_pairs(codes)
+            if len(ia) == 0:
+                continue
+            picks = rng.integers(0, len(ia), size=30)
+            a, b = _cross_pairs_at(codes, picks)
+            np.testing.assert_array_equal(a, ia[picks])
+            np.testing.assert_array_equal(b, ib[picks])
+
+    @pytest.mark.parametrize("quota", ["above n_cross", "n_cross",
+                                       "below n_cross"])
+    def test_samples_equal_the_enumerating_reference(self, quota):
+        rng = np.random.default_rng(5)
+        for seed in range(5):
+            ages = [list(AgeGroup)[k] for k in rng.integers(0, 4, size=40)]
+            c = one_query(ages)
+            codes = Factor.AGE.codes(c)
+            n_cross = len(cross_pairs(codes)[0])
+            ppq = {"above n_cross": n_cross + 7, "n_cross": n_cross,
+                   "below n_cross": n_cross // 3}[quota]
+            s = sample_pairs(c, ["qa"], seed=seed, fraction=1.0,
+                             pairs_per_query=ppq)
+            ref_rng = np.random.default_rng(seed)
+            ref_rng.choice(1, size=1, replace=False)      # the query draw
+            ia, ib = enumerated_pairs(codes, ppq, ref_rng)
+            np.testing.assert_array_equal(s.i_idx, ia)
+            np.testing.assert_array_equal(s.j_idx, ib)
+
+    def test_dominant_group_query_samples_in_bounded_memory(self):
+        # 193,644 cross pairs, within the enumeration limit, among 4.5M
+        # position pairs, which as index arrays would take about 110 MB
+        ages = [G2 if k % 45 == 0 else G1 for k in range(2_970)]
+        c = one_query(ages)
+        s, peak = traced_peak(sample_pairs, c, ["qa"], seed=3, fraction=1.0)
+        assert len(s) == DEFAULT_PAIRS_PER_QUERY
+        assert peak < 4 * MB
+        codes = Factor.AGE.codes(c)
+        assert (codes[s.i_idx] != codes[s.j_idx]).all()
+        assert (s.i_idx < s.j_idx).all()
+
     def test_single_group_queries_yield_no_pairs(self):
         c = corpus([imp(query="solo q", age=G2) for _ in range(8)])
         s = sample_pairs(c, ["solo q"], seed=3, fraction=1.0)
@@ -341,6 +412,32 @@ class TestLabelSample:
         keep = labels != 0
         np.testing.assert_array_equal(pairs.age_i, ages[s.i_idx[keep]])
         np.testing.assert_array_equal(pairs.age_j, ages[s.j_idx[keep]])
+
+    @pytest.mark.parametrize("mode", ["internal", "external"])
+    def test_labels_a_large_sample_in_bounded_memory(self, mode):
+        c = corpus([imp(age=list(AgeGroup)[k % 4], reformulated=k % 7 == 0,
+                        results=[f"r{m}" for m in range(5)],
+                        clicks=[click(f"r{m}", m + 1, 5.0 + 20.0 * (k % 3))
+                                for m in range(k % 5)])
+                    for k in range(40)])
+        rng = np.random.default_rng(0)
+        i, j = rng.integers(0, len(c), size=(2, 1_000_000), dtype=np.int32)
+        assert len(i) > 15 * LABEL_BLOCK
+        if mode == "internal":
+            gu, reform, _, scc = metric_table(c).T
+            want = label_batch_internal(gu[i], reform[i], scc[i],
+                                        gu[j], reform[j], scc[j])
+        else:
+            want = label_batch_external(c.click_count[i], c.click_count[j])
+        assert set(np.unique(want).tolist()) == {-1, 0, 1}
+        labels, peak = traced_peak(label_sample, c,
+                                   PairSample(i, j, ["news alpha"]),
+                                   mode=mode)
+        assert labels.dtype == np.int8
+        np.testing.assert_array_equal(labels, want)
+        # the 1 MB of labels plus one block's temporaries; labelling all
+        # pairs at once would make several 8 MB float arrays
+        assert peak < 8 * MB
 
 
 def one_pattern_pairs(n_win: int, n_loss: int) -> LabeledPairSet:
