@@ -88,9 +88,14 @@ def group_query_table(corpus: LogCorpus, factor: Factor,
     first-appearance order and their sums add in row order, so the means
     do not depend on how they are stored.
     """
-    key = ("group_query_table", factor, dwell_threshold_s)
-    if rows is None and key in corpus._derived:
-        return corpus._derived[key]
+    if rows is None:
+        return corpus.derived("group_query_table", _cell_table, factor,
+                              dwell_threshold_s)
+    return _cell_table(corpus, factor, dwell_threshold_s, rows)
+
+
+def _cell_table(corpus: LogCorpus, factor: Factor, dwell_threshold_s: float,
+                rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     sel = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
     metrics = metric_table(corpus, dwell_threshold_s)[sel]
     n_queries = len(corpus.queries)
@@ -103,8 +108,6 @@ def group_query_table(corpus: LogCorpus, factor: Factor,
     table = (*np.divmod(keys, n_queries), counts, means)
     for a in table:
         a.setflags(write=False)
-    if rows is None:
-        corpus._derived[key] = table
     return table
 
 

@@ -315,14 +315,16 @@ def write_audit(result: AuditResult, out: Path, meta: dict) -> None:
         reports.write_csv(out / "difficulty.csv",
                           ["query_text", "difficulty"],
                           [{"query_text": q, "difficulty": cell(d)}
-                           for q, d in sorted(
-                               result.difficulty.difficulty.items())],
+                           for q, d in sorted(zip(
+                               result.difficulty.queries,
+                               result.difficulty.values.tolist()))
+                           if not math.isnan(d)],
                           meta)
         grid_rows = []
         for kind, fit in result.fits.items():
             reports.write_json(out / f"fit_{kind.value}.json", {
                 "metric": kind.value, "family": fit.family.name.lower(),
-                "effects": fit.effects.to_dict(),
+                "effects": fit.effects.to_dict(fit.topics),
                 "convergence": {
                     k: getattr(fit.convergence, k)
                     for k in ("iterations", "objective", "gradient_norm")},

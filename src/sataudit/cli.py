@@ -259,9 +259,21 @@ def cmd_report(args) -> int:
     if not summary_path.exists():
         raise DataError(f"no summary.json under {audit_dir}; run audit first")
     summary = _read_json_object(summary_path, DataError)
-    meta = summary.get("meta", {})
     out = _out_dir(args)
+    try:
+        sections = _report_sections(summary, out)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{summary_path} is malformed: "
+                        f"{type(exc).__name__}: {exc}") from None
+    (out / "report.txt").write_text("\n".join(sections) + "\n",
+                                    encoding="utf-8")
+    print(f"report -> {out / 'report.txt'}")
+    return 0
 
+
+def _report_sections(summary: dict, out: Path) -> list[str]:
+    """The report's text sections; writes the plot data files to `out`."""
+    meta = summary.get("meta", {})
     sections = [f"differential satisfaction audit "
                 f"(factor: {summary.get('factor')})",
                 f"impressions: {summary.get('n_impressions')}  "
@@ -312,12 +324,7 @@ def cmd_report(args) -> int:
                             "probability": reports.csv_value(grid[a][b])}
                            for a in sorted(grid) for b in sorted(grid[a])],
                           meta)
-
-    report_text = "\n".join(sections) + "\n"
-    (out / "report.txt").write_text(report_text, encoding="utf-8")
-
-    print(f"report -> {out / 'report.txt'}")
-    return 0
+    return sections
 
 
 # ---------------------------------------------------------------------------

@@ -19,22 +19,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .aggregate import Factor, GroupKey, group_query_table
-from .logmodel import LogCorpus
+from .aggregate import Factor, group_query_table
+from .logmodel import LogCorpus, first_appearance_codes
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind
 
 
 @dataclass
 class DifficultyTable:
+    """Each query's difficulty in [0, 1], 1 hardest, over a corpus's query
+    codes: ``values[q]`` belongs to ``queries[q]`` and is NaN for a query
+    without an estimate."""
+
     factor: Factor
-    difficulty: dict[str, float]                      # query -> [0, 1]
-    per_group: dict[GroupKey, dict[str, float]]       # difficulty percentiles
-
-    def __getitem__(self, query: str) -> float:
-        return self.difficulty[query]
-
-    def __contains__(self, query: str) -> bool:
-        return query in self.difficulty
+    queries: list[str]
+    values: np.ndarray
 
 
 def midrank(values: np.ndarray) -> np.ndarray:
@@ -49,34 +47,28 @@ def midrank(values: np.ndarray) -> np.ndarray:
     return ((2 * np.cumsum(counts) - counts + 1) / 2)[inverse]
 
 
-def difficulty_from_group_scores(group_scores: dict[GroupKey, dict[str, float]],
-                                 factor: Factor = Factor.AGE) -> DifficultyTable:
-    """Difficulty table from per-group {query: mean GU} maps.
+def rank_and_average(group: np.ndarray, query: np.ndarray, gu: np.ndarray,
+                     n_queries: int) -> np.ndarray:
+    """Difficulty of each of `n_queries` query codes from (group, query)
+    cells holding a group's mean GU; NaN for a query in no cell.
 
     This is the rank-and-average stage on its own; transforms of any one
     group's values that preserve order leave the output bit-identical.
+    A query's percentiles add in the order its groups first appear.
     """
-    if not group_scores:
-        raise DataError("difficulty estimation needs at least one group")
-    per_group: dict[GroupKey, dict[str, float]] = {}
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for g, by_query in group_scores.items():
-        if not by_query:
-            continue
-        queries = sorted(by_query)
-        gu = np.array([by_query[q] for q in queries], dtype=float)
+    if len(group) == 0:
+        raise DataError("difficulty estimation saw no (group, query) cells")
+    _, rank = first_appearance_codes(group)
+    pct = np.empty(len(gu))
+    for g in range(rank.max() + 1):
+        cells = rank == g
         # ascending GU rank; lowest GU = hardest = difficulty percentile near 1
-        pct = 1.0 - (midrank(gu) - 0.5) / len(queries)
-        per_group[g] = dict(zip(queries, pct.tolist()))
-        for q, p in per_group[g].items():
-            sums[q] = sums.get(q, 0.0) + p
-            counts[q] = counts.get(q, 0) + 1
-    if not sums:
-        raise DataError("difficulty estimation saw no queries")
-    difficulty = {q: sums[q] / counts[q] for q in sums}
-    return DifficultyTable(factor=factor, difficulty=difficulty,
-                           per_group=per_group)
+        pct[cells] = 1.0 - (midrank(gu[cells]) - 0.5) / cells.sum()
+    order = np.argsort(rank, kind="stable")
+    sums = np.bincount(query[order], weights=pct[order], minlength=n_queries)
+    counts = np.bincount(query, minlength=n_queries)
+    return np.divide(sums, counts, out=np.full(n_queries, np.nan),
+                     where=counts > 0)
 
 
 def estimate_difficulty(corpus: LogCorpus, factor: Factor = Factor.AGE,
@@ -85,10 +77,6 @@ def estimate_difficulty(corpus: LogCorpus, factor: Factor = Factor.AGE,
     """Estimate per-query difficulty from a corpus; see module docstring."""
     group, query, _, means = group_query_table(corpus, factor,
                                                dwell_threshold_s)
-    groups = factor.groups()
     gu = means[:, METRICS.index(MetricKind.GRADED_UTILITY)]
-    # groups stay in first-appearance order, which fixes how percentiles add
-    group_scores: dict[GroupKey, dict[str, float]] = {}
-    for g, q, v in zip(group.tolist(), query.tolist(), gu.tolist()):
-        group_scores.setdefault(groups[g], {})[corpus.queries[q]] = v
-    return difficulty_from_group_scores(group_scores, factor)
+    return DifficultyTable(factor, corpus.queries, rank_and_average(
+        group, query, gu, len(corpus.queries)))

@@ -134,9 +134,8 @@ class LogCorpus:
     ``click_offsets[k]:click_offsets[k + 1]`` of the ``click_*`` arrays
     (``click_dwell`` is NaN where the log has no dwell time).
 
-    Metric tables and other per-impression columns computed from the
-    corpus are cached on it, keyed by what they depend on;
-    ``dataclasses.replace`` starts an empty cache.
+    Metric tables and other columns computed from the corpus are kept on
+    it by :meth:`derived`; ``dataclasses.replace`` starts an empty cache.
     """
 
     ids: np.ndarray
@@ -171,6 +170,13 @@ class LogCorpus:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def derived(self, name: str, build, *args):
+        """``build(self, *args)``, built once and kept under `name`, `args`."""
+        key = (name, *args)
+        if key not in self._derived:
+            self._derived[key] = build(self, *args)
+        return self._derived[key]
 
     @cached_property
     def id_order(self) -> np.ndarray:
@@ -346,6 +352,8 @@ def _invalid(impression_id, timestamp, query_text, results,
             return f"click position {position} out of range"
         if dwell < 0:              # False for NaN, which means no dwell
             return "negative dwell"
+        if dwell == math.inf:
+            return "infinite dwell"
         terminating += terminated
     if terminating > 1:
         return "more than one terminating click"
@@ -517,18 +525,34 @@ def _parse_bool(v) -> bool | None:
     raise ValueError(f"bad boolean {v!r}")
 
 
-_JSON_TYPES = {str: "a string or number", int: "an integer",
-               list: "an array without nulls"}
+_TEXT = {str, int, float}
+# what a field of each kind may hold: (description, its JSON types)
+_JSON_TYPES = {str: ("a string or number", _TEXT), int: ("an integer", {int}),
+               float: ("a number", {int, float}),
+               list: ("an array without nulls", {list})}
 
 
 def _field(obj: dict, key: str, kind: type = str):
-    """A field of JSON type `kind`: never null, an integer never a bool or
-    a float, and a string field takes a number as its text."""
+    """A field of JSON type `kind`: a bool is never a number, an integer
+    is never a float, and a string field takes a finite number as text."""
     v = obj[key]
-    if (v is None or kind is not str and type(v) is not kind
-            or kind is list and None in v):
-        raise ValueError(f"{key} must be {_JSON_TYPES[kind]}, got {v!r}")
+    if type(v) is kind and kind is not list:
+        return v
+    what, types = _JSON_TYPES[kind]
+    if (type(v) not in types or kind is list and None in v
+            or kind is str and type(v) is float and not math.isfinite(v)):
+        raise ValueError(f"{key} must be {what}, got {v!r}")
     return str(v) if kind is str else v
+
+
+def _texts(values: list, key: str) -> list[str]:
+    """An array field's entries as text; each must be a string or number."""
+    kinds = set(map(type, values))
+    if not kinds <= _TEXT:
+        bad = next(v for v in values if type(v) not in _TEXT)
+        raise ValueError(f"{key} entries must be strings or numbers, "
+                         f"got {bad!r}")
+    return values if kinds <= {str} else [str(v) for v in values]
 
 
 def _fields_from_line(line: str, normalized: dict) -> tuple:
@@ -537,14 +561,14 @@ def _fields_from_line(line: str, normalized: dict) -> tuple:
     clicks = [
         (_field(c, "result_id"), _field(c, "position", int),
          (float("nan") if c.get("dwell_seconds") is None
-          else float(c["dwell_seconds"])),
+          else float(_field(c, "dwell_seconds", float))),
          bool(_parse_bool(c.get("terminated_query")) or False))
         for c in _field(rec, "clicks", list)
     ]
     return (_field(rec, "impression_id"), _field(rec, "user_id"),
             _field(rec, "session_id"), _field(rec, "timestamp", int),
             normalized[_field(rec, "query_text")], _field(rec, "topic"),
-            [str(r) for r in _field(rec, "results", list)], clicks,
+            _texts(_field(rec, "results", list), "results"), clicks,
             _parse_bool(rec.get("reformulated")),
             _profile(str(demo["age"]), str(demo["gender"])))
 

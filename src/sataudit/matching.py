@@ -71,21 +71,10 @@ def serp_signature(results: list[str], prefix_len: int = DEFAULT_SERP_PREFIX) ->
     return hashlib.sha1(payload.encode("utf-8")).hexdigest()
 
 
-def _final_clicks(corpus: LogCorpus, dwell_threshold_s: float) -> np.ndarray:
-    """Each impression's final successful click as a result code (-1 when
-    none), built once per corpus and threshold."""
-    key = ("final_click", dwell_threshold_s)
-    final = corpus._derived.get(key)
-    if final is None:
-        final = corpus._derived[key] = _final_click_column(
-            corpus, dwell_threshold_s)
-    return final
-
-
 def _final_click_column(corpus: LogCorpus,
                         dwell_threshold_s: float) -> np.ndarray:
-    """Each row's final successful click: the last click whose dwell is
-    above the threshold (NaN never is)."""
+    """Each row's final successful click as a result code, -1 when none:
+    the last click whose dwell is above the threshold (NaN never is)."""
     clicks = np.flatnonzero(corpus.click_dwell > dwell_threshold_s)
     rows = corpus.click_row[clicks]              # ascending
     last = np.diff(rows, append=-1) != 0         # each row's last one
@@ -122,7 +111,8 @@ def navigational_queries_proxy(
     is treated as navigational when at least `nav_share` of its final
     successful clicks land on a single result.
     """
-    final = _final_clicks(corpus, dwell_threshold_s)
+    final = corpus.derived("final_click", _final_click_column,
+                           dwell_threshold_s)
     has = final >= 0
     keys, counts = np.unique(
         corpus.query[has].astype(np.int64) * len(corpus.result_ids)
@@ -173,7 +163,8 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
         q: rows for q, rows in by_query.items() if meets_floor(rows)}
 
     # stages 3 and 4: per-impression predicates against stage-2 statistics
-    final = _final_clicks(corpus, dwell_threshold_s).tolist()
+    final = corpus.derived("final_click", _final_click_column,
+                           dwell_threshold_s).tolist()
     result_ids = corpus.result_ids + [None]       # code -1 reads None
     stage2 = [k for rows in by_query.values() for k in rows]
     page_of = dict(zip(stage2, _page_signatures(corpus, stage2,

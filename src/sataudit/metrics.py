@@ -54,12 +54,8 @@ def metric_table(corpus: LogCorpus,
     first impression that has one, for a click without dwell time or an
     unset reformulated flag.
     """
-    key = ("metric_table", dwell_threshold_s)
-    table = corpus._derived.get(key)
-    if table is None:
-        table = corpus._derived[key] = _build_metric_table(
-            corpus, dwell_threshold_s)
-    return table
+    return corpus.derived("metric_table", _build_metric_table,
+                          dwell_threshold_s)
 
 
 def _build_metric_table(corpus: LogCorpus,

@@ -15,7 +15,7 @@ logit link; the click counts are Poisson with log link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,8 +30,8 @@ PREDICTION_GRID = tuple(np.round(np.linspace(0.0, 1.0, 21), 10).tolist())
 
 EMPIRICAL_BAYES_ROUNDS = 5
 
-_AGES = list(AgeGroup)
-_GENDERS = list(Gender)
+_AGES = [a.name for a in AgeGroup]
+_GENDERS = [g.code for g in Gender]
 
 
 def family_for_metric(metric: MetricKind) -> Family:
@@ -61,27 +61,36 @@ class ObservationSet:
 
 @dataclass
 class SecondLevelEffects:
+    """The fitted global intercept and slope and the second-level blocks
+    of the fitted coefficients, each row an (intercept, slope) pair:
+    ``age`` (4, 2) in AgeGroup order, ``gender`` (2, 2) in Gender order,
+    ``topic`` (topics, 2) and ``interaction`` (topics, 4, 2, 2) by topic,
+    age and gender, topics in the fit's order.  An interaction cell
+    without observations is NaN."""
+
     mu0: float
     mu1: float
-    age: dict[AgeGroup, tuple[float, float]]
-    gender: dict[Gender, tuple[float, float]]
-    topic: dict[str, tuple[float, float]]
-    interaction: dict[tuple[AgeGroup, Gender, str], tuple[float, float]]
-    variances: dict[str, float] = field(default_factory=dict)
+    age: np.ndarray
+    gender: np.ndarray
+    topic: np.ndarray
+    interaction: np.ndarray
+    variances: dict[str, float]
 
-    def to_dict(self) -> dict:
+    def to_dict(self, topics: list[str]) -> dict:
+        """The effects keyed by name, `topics` naming the topic rows; an
+        interaction is keyed ``age|gender|topic`` and listed only where
+        the cell has observations."""
+        seen = ~np.isnan(self.interaction[..., 0])
         return {
-            "mu0": self.mu0,
-            "mu1": self.mu1,
-            "age": {a.name: list(v) for a, v in self.age.items()},
-            "gender": {g.code: list(v) for g, v in self.gender.items()},
-            "topic": {t: list(v) for t, v in sorted(self.topic.items())},
+            "mu0": self.mu0, "mu1": self.mu1,
+            "age": dict(zip(_AGES, self.age.tolist())),
+            "gender": dict(zip(_GENDERS, self.gender.tolist())),
+            "topic": dict(zip(topics, self.topic.tolist())),
             "interaction": {
-                f"{a.name}|{g.code}|{t}": list(v)
-                for (a, g, t), v in sorted(
-                    self.interaction.items(),
-                    key=lambda kv: (kv[0][0].name, kv[0][1].code, kv[0][2]))},
-            "variances": dict(sorted(self.variances.items())),
+                f"{_AGES[a]}|{_GENDERS[g]}|{topics[t]}": v
+                for (t, a, g), v in zip(np.argwhere(seen).tolist(),
+                                        self.interaction[seen].tolist())},
+            "variances": self.variances,
         }
 
 
@@ -102,65 +111,45 @@ def build_observations(corpus: LogCorpus, difficulty: DifficultyTable,
                        ) -> ObservationSet:
     """Regression rows for one metric; impressions whose query has no
     difficulty estimate are skipped and counted."""
-    known = np.array([q in difficulty for q in corpus.queries], dtype=bool)
-    x_of_query = np.array([difficulty.difficulty.get(q, 0.0)
-                           for q in corpus.queries], dtype=float)
-    rows = np.flatnonzero(known[corpus.query])
+    if difficulty.queries != corpus.queries:
+        raise DataError("the difficulty table is over another query list")
+    rows = np.flatnonzero(~np.isnan(difficulty.values)[corpus.query])
     topic_codes, topic_idx = first_appearance_codes(corpus.topic[rows])
     column = metric_table(corpus, dwell_threshold_s)[:, METRICS.index(metric)]
     return ObservationSet(
-        metric=metric, y=column[rows], x=x_of_query[corpus.query[rows]],
+        metric=metric, y=column[rows], x=difficulty.values[corpus.query[rows]],
         age_idx=corpus.age[rows], gender_idx=corpus.gender[rows],
         topic_idx=topic_idx,
         topics=[corpus.topics[t] for t in topic_codes.tolist()],
         skipped=len(corpus) - len(rows))
 
 
-def _build_design(cells: np.ndarray, n_topics: int,
+def _build_design(cells: tuple[np.ndarray, ...], n_topics: int,
                   variances: dict[str, float]
                   ) -> tuple[CellDesign, dict[str, slice]]:
-    """Cell-space design for the decomposition; `cells` is (C, 3) of
-    (age_idx, gender_idx, topic_idx) rows and `variances` holds each
-    block's prior variance."""
-    n_cells = len(cells)
+    """Cell-space design for the decomposition; `cells` holds the cells'
+    age, gender and topic indices and `variances` each block's prior
+    variance."""
+    n_cells = len(cells[0])
     blocks: dict[str, slice] = {}
+    # each cell's intercept column in the global part and in every block;
+    # its slope column is the next one
+    columns = [np.zeros(n_cells, dtype=np.intp)]
     pos = 2
-    for name, size in (("age", 4), ("gender", 2), ("topic", n_topics),
-                       ("interaction", n_cells)):
+    for name, idx, size in zip(("age", "gender", "topic", "interaction"),
+                               (*cells, np.arange(n_cells)),
+                               (4, 2, n_topics, n_cells)):
         blocks[name] = slice(pos, pos + 2 * size)
+        columns.append(pos + 2 * idx)
         pos += 2 * size
-    p = pos
-    ma = np.zeros((n_cells, p))
-    mb = np.zeros((n_cells, p))
-    ma[:, 0] = 1.0
-    mb[:, 1] = 1.0
-    for c, (a, g, t) in enumerate(cells):
-        for name, idx, size in (("age", a, 4), ("gender", g, 2),
-                                ("topic", t, n_topics), ("interaction", c, n_cells)):
-            start = blocks[name].start
-            ma[c, start + 2 * idx] = 1.0
-            mb[c, start + 2 * idx + 1] = 1.0
-    penalty = np.zeros(p)
+    columns = np.stack(columns, axis=1)
+    ma, mb = np.zeros((2, n_cells, pos))
+    np.put_along_axis(ma, columns, 1.0, axis=1)
+    np.put_along_axis(mb, columns + 1, 1.0, axis=1)
+    penalty = np.zeros(pos)
     for name, var in variances.items():
         penalty[blocks[name]] = 1.0 / var
     return CellDesign(intercept_map=ma, slope_map=mb, penalty=penalty), blocks
-
-
-def _unpack(theta: np.ndarray, blocks: dict[str, slice], cells: np.ndarray,
-            topics: list[str], variances: dict[str, float]) -> SecondLevelEffects:
-    def pairs(name: str, size: int) -> list[tuple[float, float]]:
-        seg = theta[blocks[name]]
-        return [(float(seg[2 * i]), float(seg[2 * i + 1])) for i in range(size)]
-
-    age = dict(zip(_AGES, pairs("age", 4)))
-    gender = dict(zip(_GENDERS, pairs("gender", 2)))
-    topic = dict(zip(topics, pairs("topic", len(topics))))
-    inter = {}
-    for (a, g, t), pair in zip(cells, pairs("interaction", len(cells))):
-        inter[(_AGES[a], _GENDERS[g], topics[t])] = pair
-    return SecondLevelEffects(mu0=float(theta[0]), mu1=float(theta[1]),
-                              age=age, gender=gender, topic=topic,
-                              interaction=inter, variances=variances)
 
 
 def fit_multilevel(obs: ObservationSet, prior_variance: float = 1.0,
@@ -185,11 +174,11 @@ def fit_multilevel(obs: ObservationSet, prior_variance: float = 1.0,
     # one code per (age, gender, topic) cell; its numeric order is the
     # lexicographic order of the triples
     n_topics = len(obs.topics)
-    keys = (obs.age_idx.astype(np.int64) * 2 + obs.gender_idx) * n_topics \
-        + obs.topic_idx
-    codes, cell_of = np.unique(keys, return_inverse=True)
-    age_gender, topic = np.divmod(codes, n_topics)
-    cells = np.stack([age_gender // 2, age_gender % 2, topic], axis=1)
+    shape = (4, 2, n_topics)
+    codes, cell_of = np.unique(np.ravel_multi_index(
+        (obs.age_idx, obs.gender_idx, obs.topic_idx), shape),
+        return_inverse=True)
+    cells = np.unravel_index(codes, shape)
 
     variances = dict.fromkeys(("age", "gender", "topic", "interaction"),
                               prior_variance)
@@ -212,7 +201,12 @@ def fit_multilevel(obs: ObservationSet, prior_variance: float = 1.0,
         if settled:
             break
 
-    effects = _unpack(solution.theta, blocks, cells, obs.topics, dict(variances))
+    theta = solution.theta
+    pairs = {name: theta[blocks[name]].reshape(-1, 2) for name in blocks}
+    interaction = np.full((n_topics, 4, 2, 2), np.nan)
+    interaction[cells[2], cells[0], cells[1]] = pairs.pop("interaction")
+    effects = SecondLevelEffects(float(theta[0]), float(theta[1]), **pairs,
+                                 interaction=interaction, variances=variances)
     return MultilevelFit(metric=obs.metric, family=family, effects=effects,
                          convergence=solution.convergence, topics=list(obs.topics),
                          dispersion=solution.dispersion, n_observations=len(obs))
@@ -228,15 +222,9 @@ def cell_curves(fit: MultilevelFit) -> np.ndarray:
     interaction and adds 0.
     """
     e = fit.effects
-    topic_of = {t: i for i, t in enumerate(fit.topics)}
-    inter = np.zeros((len(fit.topics), 4, 2, 2))
-    for (a, g, t), pair in e.interaction.items():
-        inter[topic_of[t], _AGES.index(a), _GENDERS.index(g)] = pair
-    coef = (np.array([e.mu0, e.mu1])
-            + np.array([e.age[a] for a in _AGES])[None, :, None]
-            + np.array([e.gender[g] for g in _GENDERS])[None, None]
-            + np.array([e.topic[t] for t in fit.topics])[:, None, None]
-            + inter)
+    coef = (np.array([e.mu0, e.mu1]) + e.age[None, :, None]
+            + e.gender[None, None] + e.topic[:, None, None]
+            + np.nan_to_num(e.interaction))
     grid = np.array(PREDICTION_GRID)
     return fit.family.linkinv(coef[..., :1] + coef[..., 1:] * grid)
 

@@ -7,7 +7,10 @@ dict that :func:`sataudit.logmodel.emit` writes, and query-averaged
 group scores summed in loops, the reference for
 :func:`sataudit.aggregate.query_averaged_scores`, and the enumerated
 cross-group pairs of one query, the reference for the pair picks of
-:func:`sataudit.pairwise.sample_pairs`.  `cell_coefficients`
+:func:`sataudit.pairwise.sample_pairs`.  `difficulty_from_group_scores`
+ranks and averages per-group ``{query: GU}`` maps in loops, the
+reference for :func:`sataudit.difficulty.rank_and_average`, with
+`loop_midrank` the reference for its ranks.  `cell_coefficients`
 and `predict` compose one cell's multilevel prediction at one
 difficulty, the scalar reference for
 :func:`sataudit.multilevel.cell_curves`.  `reference_generate` is the
@@ -189,19 +192,78 @@ def impression_to_dict(imp: Impression) -> dict:
     }
 
 
+def loop_midrank(values: np.ndarray) -> np.ndarray:
+    """Reference midranks: walk the stably sorted values, giving each run
+    of equal values the mean of its 1-based ranks."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=float)
+    sorted_vals = values[order]
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def difficulty_from_group_scores(group_scores: dict) -> dict[str, float]:
+    """Reference rank-and-average over ``{group: {query: mean GU}}`` maps.
+
+    Each group's queries, in text order, get the percentile
+    1 - (midrank - 0.5) / n of their GU; a query's difficulty is the mean
+    of its percentiles, added in the maps' group order.
+    """
+    sums: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    for by_query in group_scores.values():
+        queries = sorted(by_query)
+        gu = np.array([by_query[q] for q in queries], dtype=float)
+        pct = 1.0 - (loop_midrank(gu) - 0.5) / len(queries)
+        for q, p in zip(queries, pct.tolist()):
+            sums[q] = sums.get(q, 0.0) + p
+            counts[q] = counts.get(q, 0) + 1
+    return {q: sums[q] / counts[q] for q in sums}
+
+
+def score_cells(group_scores: dict) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray, list[str]]:
+    """``{group: {query: mean GU}}`` maps as the cell arrays that
+    :func:`sataudit.difficulty.rank_and_average` reads: group index in map
+    order, query code, GU, and the query texts, sorted, that the codes
+    index."""
+    queries = sorted({q for by_query in group_scores.values()
+                      for q in by_query})
+    code = {q: i for i, q in enumerate(queries)}
+    cells = [(g, code[q], v)
+             for g, by_query in enumerate(group_scores.values())
+             for q, v in by_query.items()]
+    return (np.array([c[0] for c in cells], dtype=np.intp),
+            np.array([c[1] for c in cells], dtype=np.intp),
+            np.array([c[2] for c in cells], dtype=float), queries)
+
+
 def cell_coefficients(fit: MultilevelFit, age: AgeGroup, gender: Gender,
                       topic: str) -> tuple[float, float, bool]:
     """Composed (intercept, slope) for a cell.
 
     The returned flag is False when the topic was not seen in training;
-    topic and interaction contributions are then zero.
+    topic and interaction contributions are then zero, as is the
+    interaction of a cell without observations.
     """
     e = fit.effects
-    a0, a1 = e.age[age]
-    g0, g1 = e.gender[gender]
-    seen = topic in e.topic
-    t0, t1 = e.topic.get(topic, (0.0, 0.0))
-    i0, i1 = e.interaction.get((age, gender, topic), (0.0, 0.0))
+    a, g = _AGES.index(age), list(Gender).index(gender)
+    a0, a1 = e.age[a].tolist()
+    g0, g1 = e.gender[g].tolist()
+    seen = topic in fit.topics
+    t0 = t1 = i0 = i1 = 0.0
+    if seen:
+        t = fit.topics.index(topic)
+        t0, t1 = e.topic[t].tolist()
+        if not np.isnan(e.interaction[t, a, g]).any():
+            i0, i1 = e.interaction[t, a, g].tolist()
     return (e.mu0 + a0 + g0 + t0 + i0, e.mu1 + a1 + g1 + t1 + i1, seen)
 
 

@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import cell_coefficients
+from oracles import cell_coefficients, score_cells
 from sataudit import aggregate, multilevel, pairwise, synth
 from sataudit.aggregate import Factor, METRICS
 from sataudit.audit import AuditConfig, run_audit
 from sataudit.cli import main
-from sataudit.difficulty import difficulty_from_group_scores
+from sataudit.difficulty import rank_and_average
 from sataudit.glmfit import Family
 from sataudit.logmodel import AgeGroup, Gender
 from sataudit.metrics import GU_LEVELS, MetricKind
@@ -174,8 +174,12 @@ def test_criterion_4_difficulty_invariance():
             base[f"g{g}"] = {q: float(v) for q, v in zip(covered, vals)}
         warped = {g: _order_isomorphism(rng, tbl)
                   for g, tbl in base.items()}
-        assert difficulty_from_group_scores(base) \
-            == difficulty_from_group_scores(warped), trial
+        # the averaged table, then each group's own percentiles
+        for before, after in [(base, warped)] + [
+                ({g: base[g]}, {g: warped[g]}) for g in base]:
+            ref, out = (rank_and_average(*score_cells(tbl)[:3], n_queries)
+                        for tbl in (before, after))
+            assert ref.tobytes() == out.tobytes(), trial
     print("CRITERION 4 (difficulty invariance): PASS; 100/100 randomized "
           "monotone remaps left every difficulty table bit-identical")
 

@@ -716,6 +716,21 @@ class TestReport:
         assert err.startswith("data error: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("summary,message", [
+        ({"multilevel": {}}, "KeyError: 'deltas'"),
+        ({"pairwise": {"grid": {"<18": {"<18": 0.5}}}}, "KeyError: '18-34'"),
+        ({"raw": {"gaps": {"graded_utility": "0.3"}}},
+         "ValueError: Unknown format code 'f'")])
+    def test_malformed_summary_is_a_data_error(self, tmp_path, capsys,
+                                               summary, message):
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        assert run("report", "--audit-dir", tmp_path,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'summary.json'} "
+                              "is malformed: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 # ---------------------------------------------------------------------------
 # process-level wiring

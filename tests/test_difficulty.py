@@ -6,28 +6,26 @@ import numpy as np
 import pytest
 
 from corpus_builders import corpus, dissatisfied, satisfied
-from sataudit.aggregate import Factor
-from sataudit.difficulty import (difficulty_from_group_scores,
-                                 estimate_difficulty, midrank)
+from oracles import difficulty_from_group_scores, loop_midrank, score_cells
+from sataudit import synth
+from sataudit.aggregate import Factor, group_query_table
+from sataudit.difficulty import estimate_difficulty, midrank, \
+    rank_and_average
 from sataudit.errors import DataError
 from sataudit.logmodel import AgeGroup, Gender
+from sataudit.metrics import METRICS, MetricKind
 
 
-def loop_midrank(values: np.ndarray) -> np.ndarray:
-    """Reference midranks: walk the stably sorted values, giving each run
-    of equal values the mean of its 1-based ranks."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=float)
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def ranked(group_scores: dict) -> dict[str, float]:
+    """:func:`rank_and_average` of ``{group: {query: GU}}`` maps, keyed by
+    query text."""
+    group, query, gu, queries = score_cells(group_scores)
+    return dict(zip(queries, rank_and_average(group, query, gu,
+                                              len(queries)).tolist()))
+
+
+def by_text(table) -> dict[str, float]:
+    return dict(zip(table.queries, table.values.tolist()))
 
 
 class TestMidrank:
@@ -60,9 +58,11 @@ class TestMidrank:
 
 
 class TestDifficultyFromGroupScores:
+    """:func:`rank_and_average` on per-group ``{query: GU}`` maps."""
+
     def test_percentile_formula_single_group(self):
         scores = {AgeGroup.G1: {"qa": 0.9, "qb": 0.5, "qc": 0.1, "qd": -0.8}}
-        table = difficulty_from_group_scores(scores)
+        table = ranked(scores)
         # hardest (lowest GU) lands at 1 - 0.5/4, easiest at 1 - 3.5/4
         assert table["qd"] == pytest.approx(0.875)
         assert table["qc"] == pytest.approx(0.625)
@@ -75,21 +75,30 @@ class TestDifficultyFromGroupScores:
             AgeGroup.G1: {"qa": 0.9, "qb": 0.1},
             AgeGroup.G2: {"qa": 0.1, "qb": 0.9},
         }
-        table = difficulty_from_group_scores(scores)
+        table = ranked(scores)
         # qa is easy for G1 (0.25) and hard for G2 (0.75); mean 0.5
         assert table["qa"] == pytest.approx(0.5)
         assert table["qb"] == pytest.approx(0.5)
-        assert table.per_group[AgeGroup.G1]["qa"] == pytest.approx(0.25)
-        assert table.per_group[AgeGroup.G2]["qa"] == pytest.approx(0.75)
+        # each group's percentiles are the table of that group alone
+        assert ranked({AgeGroup.G1: scores[AgeGroup.G1]})["qa"] == \
+            pytest.approx(0.25)
+        assert ranked({AgeGroup.G2: scores[AgeGroup.G2]})["qa"] == \
+            pytest.approx(0.75)
 
     def test_groups_can_cover_different_queries(self):
         scores = {
             AgeGroup.G1: {"qa": 0.9, "qb": 0.1},
             AgeGroup.G2: {"qc": 0.3},
         }
-        table = difficulty_from_group_scores(scores)
+        table = ranked(scores)
         assert table["qc"] == pytest.approx(0.5)   # singleton midrank
-        assert set(table.difficulty) == {"qa", "qb", "qc"}
+        assert set(table) == {"qa", "qb", "qc"}
+
+    def test_a_query_in_no_cell_is_nan(self):
+        got = rank_and_average(np.array([0, 0]), np.array([2, 0]),
+                               np.array([0.9, 0.1]), 4)
+        assert got[[0, 2]].tolist() == [0.75, 0.25]
+        assert np.isnan(got[[1, 3]]).all()
 
     def test_invariant_under_order_preserving_transforms(self):
         rng = np.random.default_rng(7)
@@ -97,21 +106,69 @@ class TestDifficultyFromGroupScores:
         base = {g: {q: float(v) for q, v in
                     zip(queries, rng.normal(size=len(queries)))}
                 for g in (AgeGroup.G1, AgeGroup.G2, AgeGroup.G3)}
-        ref = difficulty_from_group_scores(base)
+        ref = ranked(base)
         warped = {
             AgeGroup.G1: {q: np.exp(3.0 * v) for q, v in base[AgeGroup.G1].items()},
             AgeGroup.G2: {q: v * 100.0 - 7.0 for q, v in base[AgeGroup.G2].items()},
             AgeGroup.G3: {q: np.arctan(v) for q, v in base[AgeGroup.G3].items()},
         }
-        out = difficulty_from_group_scores(warped)
-        assert out.difficulty == ref.difficulty
-        assert out.per_group == ref.per_group
+        assert ranked(warped) == ref
+        for g in base:
+            assert ranked({g: warped[g]}) == ranked({g: base[g]})
 
     def test_empty_inputs_raise(self):
-        with pytest.raises(DataError, match="at least one group"):
-            difficulty_from_group_scores({})
-        with pytest.raises(DataError, match="no queries"):
-            difficulty_from_group_scores({AgeGroup.G1: {}})
+        with pytest.raises(DataError, match="no \\(group, query\\) cells"):
+            ranked({})
+        with pytest.raises(DataError, match="no \\(group, query\\) cells"):
+            ranked({AgeGroup.G1: {}})
+
+    def test_equals_the_loop_reference_on_tie_heavy_tables(self):
+        rng = np.random.default_rng(43)
+        for trial in range(200):
+            queries = [f"q{i}" for i in range(int(rng.integers(1, 30)))]
+            scores = {g: {q: float(rng.choice([-1.0, -1 / 3, 1 / 3, 1.0]))
+                          for q in queries if rng.random() < 0.7}
+                      for g in rng.permutation(4).tolist()}
+            scores = {g: s for g, s in scores.items() if s}
+            if scores:
+                assert ranked(scores) == difficulty_from_group_scores(
+                    scores), trial
+
+    def test_percentiles_add_in_group_first_appearance_order(self):
+        # cells interleave groups, as a log's first appearances do; a
+        # query's percentiles must still add group by group, in the order
+        # the groups first appear, which rounds like the reference
+        rng = np.random.default_rng(44)
+        for trial in range(300):
+            n_queries = int(rng.integers(3, 40))
+            cells = [(g, q, float(rng.normal()))
+                     for g in range(int(rng.integers(3, 5)))
+                     for q in range(n_queries) if rng.random() < 0.8]
+            cells = [cells[k] for k in rng.permutation(len(cells))]
+            group, query, gu = (np.array(col) for col in zip(*cells))
+            scores: dict = {}
+            for g, q, v in cells:
+                scores.setdefault(g, {})[f"q{q:02d}"] = v
+            want = difficulty_from_group_scores(scores)
+            got = rank_and_average(group, query, gu, n_queries)
+            assert {f"q{q:02d}": d for q, d in enumerate(got.tolist())
+                    if not np.isnan(d)} == want, trial
+
+    @pytest.mark.parametrize("factor", list(Factor))
+    @pytest.mark.parametrize("preset", sorted(synth.PRESETS))
+    def test_corpus_difficulty_equals_the_loop_reference_bit_for_bit(
+            self, preset, factor):
+        c, _ = synth.generate(synth.PRESETS[preset](n_impressions=4000,
+                                                    seed=3))
+        group, query, _, means = group_query_table(c, factor)
+        gu = means[:, METRICS.index(MetricKind.GRADED_UTILITY)]
+        # groups in the order they first appear in the cell table
+        scores: dict = {}
+        for g, q, v in zip(group.tolist(), query.tolist(), gu.tolist()):
+            scores.setdefault(g, {})[c.queries[q]] = v
+        table = estimate_difficulty(c, factor)
+        assert table.factor is factor and table.queries is c.queries
+        assert by_text(table) == difficulty_from_group_scores(scores)
 
 
 def test_estimate_difficulty_orders_queries_by_observed_utility():
@@ -127,6 +184,7 @@ def test_estimate_difficulty_orders_queries_by_observed_utility():
                 imps.append(dissatisfied(query="mid q", gender=g))
     table = estimate_difficulty(corpus(imps), Factor.GENDER)
     assert table.factor is Factor.GENDER
+    table = by_text(table)
     assert table["hard q"] > table["mid q"] > table["easy q"]
     # "mid q" ties "easy q" for males and "hard q" for females, so the
     # averaged midrank percentiles come out 0.25 / 0.5 / 0.75

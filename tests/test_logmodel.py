@@ -447,7 +447,7 @@ class TestCorpusCache:
         def caching(c):
             # a final-click column built while the flags are still unset
             before.append(c)
-            matching._final_clicks(c, 30.0)
+            c.derived("final_click", matching._final_click_column, 30.0)
             return derive(c)
 
         monkeypatch.setattr(logmodel, "derive_reformulation_flags", caching)
@@ -478,6 +478,7 @@ _INVALID = [
     ("absent click", "click on result 'zzz' absent from results"),
     ("position", "click position 9 out of range"),
     ("negative dwell", "negative dwell"),
+    ("infinite dwell", "infinite dwell"),
     ("two terminating", "more than one terminating click"),
 ]
 
@@ -501,6 +502,8 @@ def _invalid_record(kind: str, rec: dict) -> dict:
         rec["clicks"] = [dict(click, position=9)]
     elif kind == "negative dwell":
         rec["clicks"] = [dict(click, dwell_seconds=-1.0)]
+    elif kind == "infinite dwell":
+        rec["clicks"] = [dict(click, dwell_seconds=math.inf)]
     else:
         rec["clicks"] = [dict(click, terminated_query=True),
                          dict(click, result_id="r1", position=2,
@@ -555,8 +558,8 @@ class TestColumnarIngest:
                                    for r in pair] + good[len(bad):])
         with caplog.at_level(logging.WARNING, logger="sataudit.logmodel"):
             back = ingest(path, fmt=fmt)
-        assert back.metadata.accepted == 12 and back.metadata.skipped == 8
-        assert f"skipped 8/20 records (first errors: " \
+        assert back.metadata.accepted == 12 and back.metadata.skipped == 9
+        assert f"skipped 9/21 records (first errors: " \
             f"{[reason for _, reason in _INVALID[:5]]})" in caplog.text
         assert back.ids.tolist() == [r["impression_id"] for r in good]
         # the rest are counted too: each alone is one skipped record
@@ -578,7 +581,7 @@ class TestColumnarIngest:
         reasons = [reason for _, reason in _INVALID[:5]]
         with pytest.raises(DataError) as err:
             ingest(path, fmt=fmt)
-        assert str(err.value) == (f"8/11 records malformed in {path}; "
+        assert str(err.value) == (f"9/12 records malformed in {path}; "
                                   f"first errors: {reasons}")
 
     @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
@@ -613,18 +616,37 @@ class TestColumnarIngest:
         ("clicks", {"result_id": "r0"},
          "clicks must be an array without nulls, "
          "got {'result_id': 'r0'}"),
+        ("impression_id", True,
+         "impression_id must be a string or number, got True"),
+        ("impression_id", [1],
+         "impression_id must be a string or number, got [1]"),
+        ("user_id", {"x": 1},
+         "user_id must be a string or number, got {'x': 1}"),
+        # JSON has no NaN or infinity; Python's reader takes both
+        ("impression_id", math.nan,
+         "impression_id must be a string or number, got nan"),
+        ("session_id", -math.inf,
+         "session_id must be a string or number, got -inf"),
+        ("results", ["r0", {"a": 1}],
+         "results entries must be strings or numbers, got {'a': 1}"),
+        ("dwell_seconds", True,
+         "dwell_seconds must be a number, got True"),
+        ("dwell_seconds", "40", "dwell_seconds must be a number, got '40'"),
+        # written as 1e400, which JSON reads as infinity
+        ("dwell_seconds", math.inf, "infinite dwell"),
     ])
     def test_mistyped_ndjson_field_is_skipped(self, tmp_path, caplog, field,
                                               value, reason):
         good = [impression_to_dict(imp(f"g{k}", clicks=[click()]))
                 for k in range(3)]
         bad = json.loads(json.dumps(good[0]))
-        if field in ("position", "result_id"):
+        if field in ("position", "result_id", "dwell_seconds"):
             bad["clicks"][0][field] = value
         else:
             bad[field] = value
         path = tmp_path / "c.ndjson"
         _write_records(path, "ndjson", good + [bad])
+        path.write_text(path.read_text().replace("Infinity", "1e400"))
         with caplog.at_level(logging.WARNING, logger="sataudit.logmodel"):
             back = ingest(path)
         assert (back.metadata.accepted, back.metadata.skipped) == (3, 1)
@@ -673,7 +695,7 @@ class TestEmit:
                 session_id="s\\1", timestamp=-(2 ** 63),
                 results=("r0", "ré1", 'r"2'),
                 clicks=[click('r"2', 3, float("nan")),
-                        click("ré1", 2, float("inf"), True)],
+                        click("ré1", 2, 1e300, True)],
                 reformulated=None, age=AgeGroup.G4, gender=Gender.FEMALE),
             imp("a1", clicks=[click("r0", 1, 1e-7), click("r1", 2, 30.0)],
                 timestamp=2 ** 63 - 1, reformulated=True),

@@ -66,11 +66,13 @@ class TestColumnForms:
     @pytest.mark.parametrize("threshold", [30.0, 40.0, 50.0])
     def test_final_click_column_equals_the_scalar_oracle(self, threshold):
         c = self._corpus()
-        final = matching._final_clicks(c, threshold)
+        final = c.derived("final_click", matching._final_click_column,
+                          threshold)
         result_ids = c.result_ids
         assert [None if f < 0 else result_ids[f] for f in final.tolist()] \
             == [final_successful_click(i, threshold) for i in records(c)]
-        assert matching._final_clicks(c, threshold) is final
+        assert c.derived("final_click", matching._final_click_column,
+                         threshold) is final
         assert not final.flags.writeable
 
     @pytest.mark.parametrize("prefix_len", [8, 2, 0, -1])

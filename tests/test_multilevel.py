@@ -14,9 +14,16 @@ from sataudit.glmfit import Family
 from sataudit.logmodel import AgeGroup, Gender
 from sataudit.metrics import MetricKind
 from sataudit.multilevel import (PREDICTION_GRID, ObservationSet,
-                                 build_observations, cell_curves,
-                                 family_for_metric, fit_multilevel,
-                                 max_group_gap)
+                                 _build_design, build_observations,
+                                 cell_curves, family_for_metric,
+                                 fit_multilevel, max_group_gap)
+
+
+def table_for(c, difficulty: dict[str, float]) -> DifficultyTable:
+    """A difficulty table over `c`'s queries, NaN where `difficulty` has
+    no value."""
+    return DifficultyTable(Factor.AGE, c.queries, np.array(
+        [difficulty.get(q, np.nan) for q in c.queries]))
 
 
 def single_cell(metric: MetricKind, y, x) -> ObservationSet:
@@ -69,9 +76,8 @@ class TestBuildObservations:
                          gender=Gender.MALE),
             satisfied(query="unknown q", topic="sports"),
         ]
-        table = DifficultyTable(factor=Factor.AGE,
-                                difficulty={"known q": 0.3}, per_group={})
-        obs = build_observations(corpus(imps), table,
+        c = corpus(imps)
+        obs = build_observations(c, table_for(c, {"known q": 0.3}),
                                  MetricKind.GRADED_UTILITY)
         assert len(obs) == 2 and obs.skipped == 1
         assert obs.y.tolist() == [1.0, -1.0 / 3.0]
@@ -84,9 +90,9 @@ class TestBuildObservations:
     def test_topic_indices_follow_first_appearance(self):
         imps = [satisfied(query="qa", topic="b"), satisfied(query="qa", topic="a"),
                 satisfied(query="qa", topic="b")]
-        table = DifficultyTable(factor=Factor.AGE, difficulty={"qa": 0.5},
-                                per_group={})
-        obs = build_observations(corpus(imps), table, MetricKind.REFORMULATION)
+        c = corpus(imps)
+        obs = build_observations(c, table_for(c, {"qa": 0.5}),
+                                 MetricKind.REFORMULATION)
         assert obs.topics == ["b", "a"]
         assert obs.topic_idx.tolist() == [0, 1, 0]
 
@@ -101,10 +107,8 @@ class TestBuildObservations:
                 dissatisfied(query="unrated", topic="z"),
                 satisfied(query="q2", topic="news"),
                 dissatisfied(query="q2", topic="news", gender=Gender.FEMALE)]
-        table = DifficultyTable(factor=Factor.AGE,
-                                difficulty={"q2": 0.25, "q3": 0.75},
-                                per_group={})
-        obs = build_observations(corpus(imps), table,
+        c = corpus(imps)
+        obs = build_observations(c, table_for(c, {"q2": 0.25, "q3": 0.75}),
                                  MetricKind.GRADED_UTILITY)
         assert obs.skipped == 3
         assert obs.topics == ["sports", "news"]
@@ -113,6 +117,13 @@ class TestBuildObservations:
         assert obs.y.tolist() == [1.0, 1.0, -1.0 / 3.0]
         assert obs.age_idx.tolist() == [3, 0, 0]
         assert obs.gender_idx.tolist() == [0, 0, 1]
+
+    def test_table_over_other_queries_is_a_data_error(self):
+        a = corpus([satisfied(query="qa"), satisfied(query="qb")])
+        b = corpus([satisfied(query="qb"), satisfied(query="qa")])
+        with pytest.raises(DataError, match="another query list"):
+            build_observations(b, table_for(a, {"qa": 0.5}),
+                               MetricKind.GRADED_UTILITY)
 
 
 class TestFitValidation:
@@ -225,7 +236,9 @@ class TestComposedPredictions:
     def test_cell_curves_equal_the_scalar_oracle_exactly(self, metric):
         fit = fit_multilevel(three_topic_observations(metric))
         assert fit.family is family_for_metric(metric)
-        assert (AgeGroup.G4, Gender.FEMALE, "c") not in fit.effects.interaction
+        # (topic, age, gender) of the one cell without observations
+        assert np.isnan(fit.effects.interaction).any(axis=-1).nonzero() == \
+            ([fit.topics.index("c")], [3], [1])
         curves = cell_curves(fit)
         want = [[[[predict(fit, age, gender, topic, x)
                    for x in PREDICTION_GRID]
@@ -269,7 +282,7 @@ def test_empirical_bayes_reestimates_block_variances():
 
 def test_effects_serialization_keys():
     fit = fit_multilevel(two_age_observations())
-    d = fit.effects.to_dict()
+    d = fit.effects.to_dict(fit.topics)
     assert set(d) == {"mu0", "mu1", "age", "gender", "topic", "interaction",
                       "variances"}
     assert set(d["age"]) == {"G1", "G2", "G3", "G4"}
@@ -280,7 +293,8 @@ def test_effects_serialization_keys():
 
 def test_cells_are_the_observed_triples_in_lexicographic_order():
     # cell numbering fixes the design's column order, so it must stay
-    # the sorted (age, gender, topic) order for fits to repeat exactly
+    # the sorted (age, gender, topic) order for fits to repeat exactly;
+    # the fitted cells, read in that order, are the sorted observed triples
     rng = np.random.default_rng(3)
     n = 300
     age = rng.integers(0, 4, n)
@@ -292,6 +306,37 @@ def test_cells_are_the_observed_triples_in_lexicographic_order():
     fit = fit_multilevel(obs)
     want = sorted(set(zip(age.tolist(), obs.gender_idx.tolist(),
                           topic.tolist())))
-    assert list(fit.effects.interaction) == [
-        (list(AgeGroup)[a], list(Gender)[g], obs.topics[t])
-        for a, g, t in want]
+    seen = ~np.isnan(fit.effects.interaction[..., 0])
+    assert list(zip(*seen.transpose(1, 2, 0).nonzero())) == want
+
+
+def test_design_maps_equal_the_per_cell_loop():
+    # each cell's row has a 1 in the global column and in its age, gender,
+    # topic and own interaction columns: intercepts in the intercept map,
+    # slopes one column on in the slope map
+    rng = np.random.default_rng(8)
+    n_topics = 5
+    variances = {"age": 2.0, "gender": 0.5, "topic": 4.0, "interaction": 0.25}
+    cells = np.array(sorted(set(zip(rng.integers(0, 4, 60).tolist(),
+                                    rng.integers(0, 2, 60).tolist(),
+                                    rng.integers(0, n_topics, 60).tolist()))))
+    design, blocks = _build_design(tuple(cells.T), n_topics, variances)
+    sizes = {"age": 4, "gender": 2, "topic": n_topics,
+             "interaction": len(cells)}
+    p = 2 + 2 * sum(sizes.values())
+    ma, mb, penalty = np.zeros((len(cells), p)), np.zeros((len(cells), p)), \
+        np.zeros(p)
+    ma[:, 0] = mb[:, 1] = 1.0
+    pos = 2
+    for name, size in sizes.items():
+        assert blocks[name] == slice(pos, pos + 2 * size)
+        penalty[pos:pos + 2 * size] = 1.0 / variances[name]
+        pos += 2 * size
+    for c, (a, g, t) in enumerate(cells.tolist()):
+        for name, idx in (("age", a), ("gender", g), ("topic", t),
+                          ("interaction", c)):
+            ma[c, blocks[name].start + 2 * idx] = 1.0
+            mb[c, blocks[name].start + 2 * idx + 1] = 1.0
+    assert design.intercept_map.tolist() == ma.tolist()
+    assert design.slope_map.tolist() == mb.tolist()
+    assert design.penalty.tolist() == penalty.tolist()
