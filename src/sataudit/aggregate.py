@@ -14,14 +14,13 @@ from __future__ import annotations
 import enum
 import math
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DataError
 from .logmodel import AgeGroup, Gender, LogCorpus, first_appearance_codes
-from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind, \
-    metric_table
+from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, metric_table
 
 logger = logging.getLogger(__name__)
 
@@ -44,36 +43,34 @@ class Factor(enum.Enum):
         return getattr(corpus, self.value)
 
 
-@dataclass(frozen=True)
-class GroupScore:
-    raw: float
-    normalized: float
-    stderr: float
-    n_queries: int
-    n_impressions: int
-
-
 @dataclass
 class RawScores:
-    """Query-averaged raw group scores, one entry per (metric, group)."""
+    """Query-averaged group scores: ``(metrics, groups)`` arrays ``raw`` and
+    ``stderr`` (NaN for one query) and ``(groups,)`` counts, over the
+    ``groups`` that have impressions, in factor order."""
 
     factor: Factor
-    raw: dict[MetricKind, dict[GroupKey, float]]
-    stderr: dict[MetricKind, dict[GroupKey, float]]
-    n_queries: dict[GroupKey, int]
-    n_impressions: dict[GroupKey, int]
+    groups: list[GroupKey]
+    raw: np.ndarray
+    stderr: np.ndarray
+    n_queries: np.ndarray
+    n_impressions: np.ndarray
 
 
 @dataclass
-class NormalizedScores:
-    factor: Factor
-    scores: dict[MetricKind, dict[GroupKey, GroupScore]]
-    bounds: dict[MetricKind, tuple[float, float]]
-    degenerate: set[MetricKind] = field(default_factory=set)
+class NormalizedScores(RawScores):
+    """Raw scores plus ``normalized`` on each metric's ``bounds``, which
+    :func:`normalize` takes back as `reference`: ``(metrics, groups)`` and
+    ``(metrics, 2)`` arrays; exactly 0 for a metric in ``degenerate``."""
 
-    def gap(self, metric: MetricKind) -> float:
-        vals = [s.normalized for s in self.scores[metric].values()]
-        return max(vals) - min(vals)
+    normalized: np.ndarray
+    bounds: np.ndarray
+    degenerate: np.ndarray
+
+    @property
+    def gaps(self) -> np.ndarray:
+        """Each metric's largest minus smallest normalized group score."""
+        return self.normalized.max(axis=1) - self.normalized.min(axis=1)
 
 
 def group_query_table(corpus: LogCorpus, factor: Factor,
@@ -133,30 +130,23 @@ def query_averaged_scores(corpus: LogCorpus, factor: Factor,
     if not present:
         raise DataError("empty corpus: no group has any impressions")
     n = np.bincount(cell)
-    n_imp = np.bincount(cell, weights=counts).astype(int)
-    scores = RawScores(factor=factor, raw={}, stderr={},
-                       n_queries=dict(zip(present, n.tolist())),
-                       n_impressions=dict(zip(present, n_imp.tolist())))
-    for k, kind in enumerate(METRICS):
-        # np.bincount adds each group's cells left to right, in cell order
-        mean = np.bincount(cell, weights=means[:, k]) / n
-        var = np.bincount(cell, weights=(means[:, k] - mean[cell]) ** 2) \
-            / np.maximum(n - 1, 1)
-        stderr = np.where(n > 1, np.sqrt(var / n), np.nan)
-        scores.raw[kind] = dict(zip(present, mean.tolist()))
-        scores.stderr[kind] = dict(zip(present, stderr.tolist()))
-    return scores
+    # np.bincount adds each group's cells left to right, in cell order
+    raw = np.stack([np.bincount(cell, weights=m) for m in means.T]) / n
+    var = np.stack([np.bincount(cell, weights=d) for d in
+                    ((means - raw.T[cell]) ** 2).T]) / np.maximum(n - 1, 1)
+    return RawScores(factor, present, raw,
+                     np.where(n > 1, np.sqrt(var / n), np.nan), n,
+                     np.bincount(cell, weights=counts).astype(int))
 
 
-def normalize(scores: RawScores,
-              reference: dict[MetricKind, tuple[float, float]] | None = None
+def normalize(scores: RawScores, reference: np.ndarray | None = None
               ) -> NormalizedScores:
     """Min-max normalize each metric's group scores onto [0, 1].
 
-    With `reference` the affine map of a previously normalized score set
-    is applied instead of refitting, which keeps two cohorts (for example
-    all data versus a matched subset) on one comparable scale; values may
-    then fall outside [0, 1].
+    With `reference`, the ``bounds`` of a previously normalized score set,
+    its affine map is applied instead of refitting, which keeps two
+    cohorts (for example all data versus a matched subset) on one
+    comparable scale; values may then fall outside [0, 1].
 
     A metric with no real range maps every group to 0 and is flagged as
     degenerate.  Degenerate means the span is exactly zero, or (when
@@ -165,43 +155,31 @@ def normalize(scores: RawScores,
     agree would still be stretched onto [0, 1] and report a spurious
     full-scale gap.
     """
-    groups = [g for g in scores.factor.groups() if g in scores.n_queries]
-    if len(groups) < 2:
+    if len(scores.groups) < 2:
         raise DataError("normalization needs at least two non-empty groups")
-    out: dict[MetricKind, dict[GroupKey, GroupScore]] = {}
-    bounds: dict[MetricKind, tuple[float, float]] = {}
-    degenerate: set[MetricKind] = set()
-    for kind in METRICS:
-        vals = scores.raw[kind]
-        if reference is not None:
-            lo, hi = reference[kind]
-            span = hi - lo
-            is_degenerate = span == 0
-        else:
-            g_lo = min(groups, key=lambda g: vals[g])
-            g_hi = max(groups, key=lambda g: vals[g])
-            lo, hi = vals[g_lo], vals[g_hi]
-            span = hi - lo
-            noise = 0.0
-            for se in (scores.stderr[kind][g_lo], scores.stderr[kind][g_hi]):
-                if not math.isnan(se):
-                    noise += se * se
-            is_degenerate = span == 0 or span <= 2.0 * math.sqrt(noise)
-        bounds[kind] = (lo, hi)
-        out[kind] = {}
-        if is_degenerate:
-            degenerate.add(kind)
+    raw = scores.raw
+    if reference is not None:
+        bounds = np.asarray(reference, dtype=float)
+        span = bounds[:, 1] - bounds[:, 0]
+        degenerate = span == 0
+    else:
+        # the first minimal and the first maximal group in factor order
+        extremes = np.stack([raw.argmin(axis=1), raw.argmax(axis=1)], axis=1)
+        bounds = np.take_along_axis(raw, extremes, axis=1)
+        # a NaN standard error counts as 0
+        se = np.nan_to_num(np.take_along_axis(scores.stderr, extremes, axis=1))
+        span = bounds[:, 1] - bounds[:, 0]
+        degenerate = (span == 0) | (span <= 2.0 * np.sqrt((se * se).sum(1)))
+    for kind, flat, s in zip(METRICS, degenerate.tolist(), span.tolist()):
+        if flat:
             logger.warning("normalize: metric %s has no real range across "
-                           "groups (span %g); emitting zeros", kind.value,
-                           span)
-        for g in groups:
-            norm = 0.0 if is_degenerate else (vals[g] - lo) / span
-            out[kind][g] = GroupScore(
-                raw=vals[g], normalized=norm, stderr=scores.stderr[kind][g],
-                n_queries=scores.n_queries[g],
-                n_impressions=scores.n_impressions[g])
-    return NormalizedScores(factor=scores.factor, scores=out, bounds=bounds,
-                            degenerate=degenerate)
+                           "groups (span %g); emitting zeros", kind.value, s)
+    normalized = np.divide(raw - bounds[:, :1], span[:, None],
+                           out=np.zeros_like(raw),
+                           where=~degenerate[:, None])
+    return NormalizedScores(
+        **{f.name: getattr(scores, f.name) for f in fields(RawScores)},
+        normalized=normalized, bounds=bounds, degenerate=degenerate)
 
 
 def query_kl(corpus: LogCorpus, group_a: GroupKey, group_b: GroupKey,

@@ -150,8 +150,8 @@ class AuditResult:
     models: dict[str, pairwise.PairModel] = field(default_factory=dict)
 
 
-def _gaps(norm: NormalizedScores) -> dict[str, float]:
-    return {kind.value: norm.gap(kind) for kind in METRICS}
+def _by_metric(values: np.ndarray) -> dict:
+    return {kind.value: v for kind, v in zip(METRICS, values.tolist())}
 
 
 def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
@@ -178,8 +178,9 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
             aggregate.query_averaged_scores(corpus, factor, dwell))
     if "raw" in methods:
         summary["raw"] = {
-            "gaps": _gaps(raw),
-            "degenerate": sorted(k.value for k in raw.degenerate)}
+            "gaps": _by_metric(raw.gaps),
+            "degenerate": sorted(k.value for k, flat
+                                 in zip(METRICS, raw.degenerate) if flat)}
 
     if "matched" in methods:
         res.cohort = matching.match_contexts(
@@ -191,23 +192,16 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
         res.matched = aggregate.normalize(matched_raw)
         res.matched_common = aggregate.normalize(matched_raw,
                                                  reference=raw.bounds)
-        gaps_common = {
-            kind.value: (0.0 if kind in raw.degenerate
-                         else res.matched_common.gap(kind))
-            for kind in METRICS}
-        divergent = {
-            kind.value: bool(kind not in raw.degenerate
-                             and raw.gap(kind) > 0
-                             and gaps_common[kind.value]
-                             <= raw.gap(kind) / 3.0)
-            for kind in METRICS}
+        gaps_common = np.where(raw.degenerate, 0.0, res.matched_common.gaps)
+        divergent = ~raw.degenerate & (raw.gaps > 0) \
+            & (gaps_common <= raw.gaps / 3.0)
         summary["matched"] = {
-            "gaps": _gaps(res.matched),
-            "gaps_common_scale": gaps_common,
+            "gaps": _by_metric(res.matched.gaps),
+            "gaps_common_scale": _by_metric(gaps_common),
             "attrition": [dataclasses.asdict(s)
                           for s in res.cohort.attrition]}
-        summary["divergence"] = {"metrics": divergent,
-                                 "raw_vs_matched": any(divergent.values())}
+        summary["divergence"] = {"metrics": _by_metric(divergent),
+                                 "raw_vs_matched": bool(divergent.any())}
 
     if "multilevel" in methods:
         res.difficulty = difficulty_mod.estimate_difficulty(
@@ -271,22 +265,19 @@ def audit_meta(cfg: AuditConfig, **context) -> dict:
 
 def _scores_rows(norm: NormalizedScores,
                  common: NormalizedScores | None = None) -> list[dict]:
-    cell = reports.csv_value
-    rows = []
-    for kind in METRICS:
-        for g in norm.factor.groups():
-            if g not in norm.scores[kind]:
-                continue
-            s = norm.scores[kind][g]
-            row = {"metric": kind.value,
-                   "group": g.label if isinstance(g, AgeGroup) else g.code,
-                   "raw": cell(s.raw), "normalized": cell(s.normalized),
-                   "stderr": cell(s.stderr), "n_queries": s.n_queries,
-                   "n_impressions": s.n_impressions}
-            if common is not None:
-                row["normalized_common"] = cell(
-                    common.scores[kind][g].normalized)
-            rows.append(row)
+    columns = {"raw": norm.raw, "normalized": norm.normalized,
+               "stderr": norm.stderr}
+    if common is not None:
+        columns["normalized_common"] = common.normalized
+    rows = [{"metric": kind.value,
+             "group": g.label if isinstance(g, AgeGroup) else g.code,
+             "n_queries": n_q, "n_impressions": n_imp}
+            for kind in METRICS for g, n_q, n_imp in zip(
+                norm.groups, norm.n_queries.tolist(),
+                norm.n_impressions.tolist())]
+    for name, values in columns.items():    # (metrics, groups), row-major
+        for row, v in zip(rows, values.ravel().tolist()):
+            row[name] = reports.csv_value(v)
     return rows
 
 

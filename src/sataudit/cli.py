@@ -259,25 +259,30 @@ def cmd_report(args) -> int:
     if not summary_path.exists():
         raise DataError(f"no summary.json under {audit_dir}; run audit first")
     summary = _read_json_object(summary_path, DataError)
-    out = _out_dir(args)
+    # everything is built before the first file is written
     try:
-        sections = _report_sections(summary, out)
+        sections, plots = _report_sections(summary)
+        meta = {key: summary["meta"][key] for key in reports.META_KEYS}
     except (LookupError, TypeError, ValueError, AttributeError) as exc:
         raise DataError(f"{summary_path} is malformed: "
                         f"{type(exc).__name__}: {exc}") from None
+    out = _out_dir(args)
+    for name, (fieldnames, rows) in plots.items():
+        reports.write_csv(out / name, fieldnames, rows, meta)
     (out / "report.txt").write_text("\n".join(sections) + "\n",
                                     encoding="utf-8")
     print(f"report -> {out / 'report.txt'}")
     return 0
 
 
-def _report_sections(summary: dict, out: Path) -> list[str]:
-    """The report's text sections; writes the plot data files to `out`."""
-    meta = summary.get("meta", {})
+def _report_sections(summary: dict) -> tuple[list[str], dict]:
+    """The report's text sections, and each plot data file's field names
+    and rows by file name."""
     sections = [f"differential satisfaction audit "
                 f"(factor: {summary.get('factor')})",
                 f"impressions: {summary.get('n_impressions')}  "
                 f"queries: {summary.get('n_queries')}"]
+    plots = {}
     if "raw" in summary or "matched" in summary:
         rows = [["metric", "raw_gap", "matched_gap_common"]]
         for kind in METRICS:
@@ -289,8 +294,8 @@ def _report_sections(summary: dict, out: Path) -> list[str]:
                          "" if matched_gap is None else f"{matched_gap:.4f}"])
         sections.append("\nnormalized group gaps (raw scale vs matched on "
                         "the raw scale):\n" + _table(rows))
-        reports.write_csv(out / "plot_gaps.csv", rows[0],
-                          [dict(zip(rows[0], r)) for r in rows[1:]], meta)
+        plots["plot_gaps.csv"] = (rows[0], [dict(zip(rows[0], r))
+                                            for r in rows[1:]])
         if "divergence" in summary:
             flag = summary["divergence"]["raw_vs_matched"]
             sections.append(
@@ -319,12 +324,11 @@ def _report_sections(summary: dict, out: Path) -> list[str]:
                                    for a in ages]
         sections.append(f"\n{key} P(row beats column) (M vs F):\n"
                         + _table(rows))
-        reports.write_csv(out / plot, ["age_i", "age_j", "probability"],
-                          [{"age_i": a, "age_j": b,
-                            "probability": reports.csv_value(grid[a][b])}
-                           for a in sorted(grid) for b in sorted(grid[a])],
-                          meta)
-    return sections
+        plots[plot] = (["age_i", "age_j", "probability"],
+                       [{"age_i": a, "age_j": b,
+                         "probability": reports.csv_value(grid[a][b])}
+                        for a in sorted(grid) for b in sorted(grid[a])])
+    return sections, plots
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ computed on the stage-2 output, so stages 3 and 4 commute.
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,16 +47,13 @@ class StageCount:
 
 @dataclass
 class MatchedCohort:
+    """``rows``: the surviving rows of `corpus`, by query text, then row;
+    ``attrition``: the impressions and queries left after each stage."""
+
     factor: Factor
     corpus: LogCorpus
-    by_query: dict[str, list[int]]      # surviving rows of `corpus`
+    rows: np.ndarray
     attrition: list[StageCount] = field(default_factory=list)
-
-
-def _most_common(values) -> str | None:
-    """The most frequent value, ties to the smallest; None when empty."""
-    counts = Counter(values)
-    return min(counts, key=lambda v: (-counts[v], v), default=None)
 
 
 def serp_signature(results: list[str], prefix_len: int = DEFAULT_SERP_PREFIX) -> str:
@@ -84,22 +80,46 @@ def _final_click_column(corpus: LogCorpus,
     return final
 
 
-def _page_signatures(corpus: LogCorpus, rows: list[int],
-                     prefix_len: int) -> list[str]:
-    """:func:`serp_signature` of each row's result page, hashed once per
+def _text_ranks(texts: list[str]) -> np.ndarray:
+    """Each text's position among the distinct texts in sorted order."""
+    position = {t: i for i, t in enumerate(sorted(set(texts)))}
+    return np.array([position[t] for t in texts], dtype=np.int64)
+
+
+def _modal(mask: np.ndarray, query: np.ndarray,
+           rank: np.ndarray) -> np.ndarray:
+    """Rows of `mask` with their query's modal `rank`; ties to the smallest."""
+    n = int(rank.max(initial=0)) + 1
+    keys, counts = np.unique(query[mask].astype(np.int64) * n + rank[mask],
+                             return_counts=True)
+    # keys run by query, then rank; the stable sort keeps ties in rank order
+    q, r = np.divmod(keys[np.lexsort((-counts, keys // n))], n)
+    first = np.diff(q, prepend=-1) != 0
+    modal = np.full(int(query.max(initial=-1)) + 1, -1, dtype=np.int64)
+    modal[q[first]] = r[first]
+    return mask & (rank == modal[query])
+
+
+def _page_ranks(corpus: LogCorpus, rows: np.ndarray,
+                prefix_len: int) -> np.ndarray:
+    """The text rank of each row's :func:`serp_signature`, hashed once per
     distinct page prefix (the only part the signature reads)."""
-    offsets, result = corpus.result_offsets.tolist(), corpus.result.tolist()
-    signature: dict[tuple[int, ...], str] = {}
-    out = []
-    for k in rows:
-        page = result[offsets[k]:offsets[k + 1]]
-        prefix = tuple(page[:prefix_len])
-        sig = signature.get(prefix)
-        if sig is None:
-            sig = signature[prefix] = serp_signature(
-                [corpus.result_ids[c] for c in page], prefix_len)
-        out.append(sig)
-    return out
+    start = corpus.result_offsets[rows]
+    length = np.minimum(corpus.result_offsets[rows + 1] - start, prefix_len)
+    cols = np.arange(int(length.max(initial=1)))
+    shown = cols < length[:, None]
+    prefix = np.full(shown.shape, -1, dtype=np.int32)
+    prefix[shown] = corpus.result[(start[:, None] + cols)[shown]]
+    # one opaque value per padded prefix: np.unique sorts these far faster
+    # than rows with axis=0, and the order of the distinct ones is unused
+    distinct, inverse = np.unique(
+        prefix.view(f"V{prefix.itemsize * len(cols)}"), return_inverse=True)
+    ids = corpus.result_ids
+    signatures = [serp_signature([ids[c] for c in page if c >= 0], prefix_len)
+                  for page in distinct.view(np.int32).reshape(
+                      len(distinct), len(cols)).tolist()]
+    # the inverse's shape differs across numpy releases
+    return _text_ranks(signatures)[inverse.reshape(-1)]
 
 
 def navigational_queries_proxy(
@@ -139,72 +159,63 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
     """
     if min_impressions < 1:
         raise DataError("min_impressions must be >= 1")
-    group = factor.codes(corpus)
-    n_groups = len(factor.groups())
+    if serp_prefix < 1:
+        raise DataError("serp_prefix must be >= 1")
+    group, query = factor.codes(corpus), corpus.query
+    n_groups, n_queries = len(factor.groups()), len(corpus.queries)
 
-    by_query: dict[str, list[int]] = {q: [] for q in corpus.queries}
-    for k, code in enumerate(corpus.query.tolist()):
-        by_query[corpus.queries[code]].append(k)
-    stages: dict[str, dict[str, list[int]]] = {"input": by_query}
+    def meets_floor(mask: np.ndarray) -> np.ndarray:
+        per_group = np.bincount(
+            query[mask].astype(np.int64) * n_groups + group[mask],
+            minlength=n_queries * n_groups).reshape(n_queries, n_groups)
+        return mask & (per_group.min(axis=1) >= min_impressions)[query]
+
+    stages = {"input": np.ones(len(corpus), dtype=bool)}
 
     # stage 1: navigational queries only
     if navigational is None:
         navigational = navigational_queries_proxy(corpus, nav_share,
                                                   dwell_threshold_s)
-    stages["navigational"] = by_query = {
-        q: rows for q, rows in by_query.items() if q in navigational}
+    stages["navigational"] = np.array(
+        [q in navigational for q in corpus.queries], dtype=bool)[query]
 
     # stage 2: every group sufficiently represented
-    def meets_floor(rows: list[int]) -> bool:
-        per_group = np.bincount(group[rows], minlength=n_groups)
-        return bool(per_group.min() >= min_impressions)
-
-    stages["min_impressions"] = by_query = {
-        q: rows for q, rows in by_query.items() if meets_floor(rows)}
+    stages["min_impressions"] = stage2 = meets_floor(stages["navigational"])
 
     # stages 3 and 4: per-impression predicates against stage-2 statistics
+    # of each query; values rank by text, as codes follow first appearance
     final = corpus.derived("final_click", _final_click_column,
-                           dwell_threshold_s).tolist()
-    result_ids = corpus.result_ids + [None]       # code -1 reads None
-    stage2 = [k for rows in by_query.values() for k in rows]
-    page_of = dict(zip(stage2, _page_signatures(corpus, stage2,
-                                                serp_prefix)))
-    stage3 = stages["final_click"] = {}
-    stage4 = stages["serp"] = {}
-    for q, rows in by_query.items():
-        finals = [result_ids[final[k]] for k in rows]
-        dominant = _most_common(f for f in finals if f is not None)
-        if dominant is None:
-            continue
-        pages = [page_of[k] for k in rows]
-        modal = _most_common(pages)
-        stage3[q] = [k for k, f in zip(rows, finals) if f == dominant]
-        kept = [k for k, f, page in zip(rows, finals, pages)
-                if f == dominant and page == modal]
-        if kept:
-            stage4[q] = kept
+                           dwell_threshold_s)
+    final_rank = np.where(final >= 0,
+                          _text_ranks(corpus.result_ids)[final], -1)
+    stages["final_click"] = stage3 = _modal(stage2 & (final >= 0), query,
+                                            final_rank)
+    rows = np.flatnonzero(stage2)
+    page_rank = np.zeros(len(corpus), dtype=np.int64)
+    page_rank[rows] = _page_ranks(corpus, rows, serp_prefix)
+    stages["serp"] = stage3 & _modal(stage2, query, page_rank)
 
     # stage 5: the filters may have pushed a group back under the floor
-    stages["min_impressions_recheck"] = by_query = {
-        q: rows for q, rows in stage4.items() if meets_floor(rows)}
+    stages["min_impressions_recheck"] = kept = meets_floor(stages["serp"])
 
-    attrition = [StageCount(stage, sum(len(rows) for rows in kept.values()),
-                            len(kept)) for stage, kept in stages.items()]
-    return MatchedCohort(factor=factor, corpus=corpus, by_query=by_query,
-                         attrition=attrition)
+    attrition = [StageCount(stage, int(mask.sum()),
+                            int(np.unique(query[mask]).size))
+                 for stage, mask in stages.items()]
+    rows = np.flatnonzero(kept)
+    order = np.argsort(_text_ranks(corpus.queries)[query[rows]], kind="stable")
+    return MatchedCohort(factor, corpus, rows[order], attrition)
 
 
 def matched_raw_scores(cohort: MatchedCohort,
                        dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                        ) -> RawScores:
     """Query-averaged scores of the cohort's rows of the audited corpus,
-    read query by query in sorted query order."""
-    rows = [k for q in sorted(cohort.by_query) for k in cohort.by_query[q]]
-    if not rows:
+    read in cohort order."""
+    if not cohort.rows.size:
         raise DataError(
             "matched cohort is empty; nothing to score (no impressions "
             "survived the matching funnel; check the navigational list "
             "or lower the dominant-share cutoff)")
     return query_averaged_scores(cohort.corpus, cohort.factor,
-                                 dwell_threshold_s, rows)
+                                 dwell_threshold_s, cohort.rows)
 

@@ -16,6 +16,10 @@ from pathlib import Path
 from ._version import __version__
 
 
+# the metadata block's keys, in the order a CSV file's header lists them
+META_KEYS = ("version", "seed", "config_sha256")
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True, allow_nan=False)
@@ -59,7 +63,7 @@ def write_json(path: Path, payload: dict, meta: dict) -> None:
 def write_csv(path: Path, fieldnames: list[str], rows: list[dict],
               meta: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="") as f:
-        for key in ("version", "seed", "config_sha256"):
+        for key in META_KEYS:
             f.write(f"# {key}: {meta[key]}\n")
         writer = csv.DictWriter(f, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()

@@ -10,7 +10,11 @@ cross-group pairs of one query, the reference for the pair picks of
 :func:`sataudit.pairwise.sample_pairs`.  `difficulty_from_group_scores`
 ranks and averages per-group ``{query: GU}`` maps in loops, the
 reference for :func:`sataudit.difficulty.rank_and_average`, with
-`loop_midrank` the reference for its ranks.  `cell_coefficients`
+`loop_midrank` the reference for its ranks.  `match_contexts` runs the
+matching funnel on per-query dicts of row lists, the reference for
+:func:`sataudit.matching.match_contexts`, and `normalize` maps group
+scores onto a common scale one (metric, group) at a time, the reference
+for :func:`sataudit.aggregate.normalize`.  `cell_coefficients`
 and `predict` compose one cell's multilevel prediction at one
 difficulty, the scalar reference for
 :func:`sataudit.multilevel.cell_curves`.  `reference_generate` is the
@@ -21,6 +25,7 @@ generator as a loop over impressions, the reference for
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +34,8 @@ from corpus_builders import Impression, from_records
 from sataudit.errors import ConfigError, DataError
 from sataudit.logmodel import AgeGroup, Gender, LogCorpus, all_profiles, \
     normalize_query
-from sataudit.aggregate import Factor
+from sataudit import matching
+from sataudit.aggregate import Factor, RawScores
 from sataudit.metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind
 from sataudit.multilevel import MultilevelFit
 from sataudit.synth import GroundTruth, ScenarioConfig
@@ -171,6 +177,117 @@ def final_successful_click(imp: Impression,
         if not math.isnan(c.dwell_seconds) and c.dwell_seconds > dwell_threshold_s:
             return c.result_id
     return None
+
+
+def _most_common(values) -> str | None:
+    """The most frequent value, ties to the smallest; None when empty."""
+    counts = Counter(values)
+    return min(counts, key=lambda v: (-counts[v], v), default=None)
+
+
+def _page_signatures(corpus: LogCorpus, rows: list[int],
+                     prefix_len: int) -> list[str]:
+    """:func:`sataudit.matching.serp_signature` of each row's result page."""
+    offsets, result = corpus.result_offsets.tolist(), corpus.result.tolist()
+    return [matching.serp_signature(
+                [corpus.result_ids[c] for c in result[offsets[k]:
+                                                      offsets[k + 1]]],
+                prefix_len) for k in rows]
+
+
+def match_contexts(corpus: LogCorpus, factor: Factor,
+                   navigational: set[str] | None = None, *,
+                   min_impressions: int = matching.DEFAULT_MIN_IMPRESSIONS,
+                   serp_prefix: int = matching.DEFAULT_SERP_PREFIX,
+                   nav_share: float = matching.DEFAULT_NAV_SHARE,
+                   dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
+                   ) -> tuple[dict[str, list[int]], list]:
+    """The five-stage funnel on ``{query: rows}`` dicts, one dict per
+    stage: the surviving rows by query and each stage's
+    :class:`sataudit.matching.StageCount`."""
+    group = factor.codes(corpus)
+    n_groups = len(factor.groups())
+
+    by_query: dict[str, list[int]] = {q: [] for q in corpus.queries}
+    for k, code in enumerate(corpus.query.tolist()):
+        by_query[corpus.queries[code]].append(k)
+    stages: dict[str, dict[str, list[int]]] = {"input": by_query}
+
+    if navigational is None:
+        navigational = matching.navigational_queries_proxy(
+            corpus, nav_share, dwell_threshold_s)
+    stages["navigational"] = by_query = {
+        q: rows for q, rows in by_query.items() if q in navigational}
+
+    def meets_floor(rows: list[int]) -> bool:
+        per_group = np.bincount(group[rows], minlength=n_groups)
+        return bool(per_group.min() >= min_impressions)
+
+    stages["min_impressions"] = by_query = {
+        q: rows for q, rows in by_query.items() if meets_floor(rows)}
+
+    final = corpus.derived("final_click", matching._final_click_column,
+                           dwell_threshold_s).tolist()
+    result_ids = corpus.result_ids + [None]       # code -1 reads None
+    stage2 = [k for rows in by_query.values() for k in rows]
+    page_of = dict(zip(stage2, _page_signatures(corpus, stage2,
+                                                serp_prefix)))
+    stage3 = stages["final_click"] = {}
+    stage4 = stages["serp"] = {}
+    for q, rows in by_query.items():
+        finals = [result_ids[final[k]] for k in rows]
+        dominant = _most_common(f for f in finals if f is not None)
+        if dominant is None:
+            continue
+        pages = [page_of[k] for k in rows]
+        modal = _most_common(pages)
+        stage3[q] = [k for k, f in zip(rows, finals) if f == dominant]
+        kept = [k for k, f, page in zip(rows, finals, pages)
+                if f == dominant and page == modal]
+        if kept:
+            stage4[q] = kept
+
+    stages["min_impressions_recheck"] = by_query = {
+        q: rows for q, rows in stage4.items() if meets_floor(rows)}
+
+    attrition = [matching.StageCount(
+                     stage, sum(len(rows) for rows in kept.values()),
+                     len(kept)) for stage, kept in stages.items()]
+    return by_query, attrition
+
+
+def normalize(scores: RawScores, reference: dict | None = None
+              ) -> tuple[dict, dict, set]:
+    """Min-max normalized group scores as ``({metric: {group: value}},
+    {metric: (lo, hi)}, degenerate metrics)``, one cell at a time; a
+    `reference` maps each metric to the (lo, hi) to reuse."""
+    groups = scores.groups
+    out: dict = {}
+    bounds: dict = {}
+    degenerate: set = set()
+    for k, kind in enumerate(METRICS):
+        vals = dict(zip(groups, scores.raw[k].tolist()))
+        stderr = dict(zip(groups, scores.stderr[k].tolist()))
+        if reference is not None:
+            lo, hi = reference[kind]
+            span = hi - lo
+            is_degenerate = span == 0
+        else:
+            g_lo = min(groups, key=lambda g: vals[g])
+            g_hi = max(groups, key=lambda g: vals[g])
+            lo, hi = vals[g_lo], vals[g_hi]
+            span = hi - lo
+            noise = 0.0
+            for se in (stderr[g_lo], stderr[g_hi]):
+                if not math.isnan(se):
+                    noise += se * se
+            is_degenerate = span == 0 or span <= 2.0 * math.sqrt(noise)
+        bounds[kind] = (lo, hi)
+        if is_degenerate:
+            degenerate.add(kind)
+        out[kind] = {g: 0.0 if is_degenerate else (vals[g] - lo) / span
+                     for g in groups}
+    return out, bounds, degenerate
 
 
 def impression_to_dict(imp: Impression) -> dict:

@@ -39,15 +39,15 @@ def test_criterion_1_confound_neutralization():
     raw_norm, common = result.raw, result.matched_common
     elapsed = time.perf_counter() - t0
 
-    raw_gaps = {k: raw_norm.gap(k) for k in METRICS}
+    raw_gaps = dict(zip(METRICS, raw_norm.gaps.tolist()))
     assert max(raw_gaps.values()) >= 0.15
 
     # the headline gap is real in metric units too, not a rescaling artifact
-    gu_raw = [s.raw for s in raw_norm.scores[GU].values()]
+    gu_raw = raw_norm.raw[METRICS.index(GU)].tolist()
     assert max(gu_raw) - min(gu_raw) >= 0.15
 
-    gaps_common = {k: (0.0 if k in raw_norm.degenerate else common.gap(k))
-                   for k in METRICS}
+    gaps_common = dict(zip(METRICS, np.where(raw_norm.degenerate, 0.0,
+                                             common.gaps).tolist()))
     assert all(v <= 0.05 for v in gaps_common.values()), gaps_common
     assert elapsed < 60.0
     print(f"CRITERION 1 (confound neutralization): PASS; "
@@ -320,11 +320,11 @@ def test_criterion_8_units_and_determinism(qmix_small, tmp_path):
 
     norm = aggregate.normalize(
         aggregate.query_averaged_scores(corpus, Factor.AGE))
-    assert GU not in norm.degenerate
-    for kind in METRICS:
-        if kind in norm.degenerate:
+    assert not norm.degenerate[METRICS.index(GU)]
+    for k in range(len(METRICS)):
+        if norm.degenerate[k]:
             continue
-        vals = [s.normalized for s in norm.scores[kind].values()]
+        vals = norm.normalized[k].tolist()
         assert min(vals) == 0.0
         assert max(vals) == 1.0
 

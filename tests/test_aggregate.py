@@ -28,12 +28,18 @@ GU = MetricKind.GRADED_UTILITY
 def _raw_scores(values: dict, stderr: float = 0.0,
                 factor: Factor = Factor.AGE) -> RawScores:
     groups = list(values)
+    shape = (len(METRICS), len(groups))
     return RawScores(
-        factor=factor,
-        raw={m: dict(values) for m in METRICS},
-        stderr={m: {g: stderr for g in groups} for m in METRICS},
-        n_queries={g: 5 for g in groups},
-        n_impressions={g: 50 for g in groups})
+        factor=factor, groups=groups,
+        raw=np.broadcast_to(list(values.values()), shape).astype(float),
+        stderr=np.full(shape, stderr),
+        n_queries=np.full(len(groups), 5),
+        n_impressions=np.full(len(groups), 50))
+
+
+def _at(values: np.ndarray, scores: RawScores, kind: MetricKind, group):
+    """One (metric, group) entry of a ``(metrics, groups)`` array."""
+    return values[METRICS.index(kind), scores.groups.index(group)]
 
 
 class TestQueryAveragedScores:
@@ -43,10 +49,11 @@ class TestQueryAveragedScores:
         imps = [satisfied(query="q a") for _ in range(3)]
         imps.append(dissatisfied(query="q b"))
         scores = query_averaged_scores(corpus(imps), Factor.GENDER)
-        male = scores.raw[GU][Gender.MALE]
+        male = _at(scores.raw, scores, GU, Gender.MALE)
         assert male == pytest.approx((1.0 + (-1.0 / 3.0)) / 2.0)
-        assert scores.n_queries[Gender.MALE] == 2
-        assert scores.n_impressions[Gender.MALE] == 4
+        assert scores.groups == [Gender.MALE]
+        assert scores.n_queries.tolist() == [2]
+        assert scores.n_impressions.tolist() == [4]
 
     def test_stderr_over_two_query_means(self):
         imps = [satisfied(query="q a"), dissatisfied(query="q b")]
@@ -54,12 +61,12 @@ class TestQueryAveragedScores:
         vals = [1.0, -1.0 / 3.0]
         mean = sum(vals) / 2
         var = sum((v - mean) ** 2 for v in vals)   # ddof 1 with n=2
-        assert scores.stderr[GU][Gender.MALE] == pytest.approx(
+        assert _at(scores.stderr, scores, GU, Gender.MALE) == pytest.approx(
             math.sqrt(var / 2))
 
     def test_single_query_group_has_nan_stderr(self):
         scores = query_averaged_scores(corpus([satisfied()]), Factor.GENDER)
-        assert math.isnan(scores.stderr[GU][Gender.MALE])
+        assert math.isnan(_at(scores.stderr, scores, GU, Gender.MALE))
 
     def test_empty_corpus_raises(self):
         with pytest.raises(DataError, match="empty corpus"):
@@ -67,8 +74,8 @@ class TestQueryAveragedScores:
 
     def test_absent_group_is_excluded_not_invented(self, caplog):
         scores = query_averaged_scores(corpus([satisfied()]), Factor.AGE)
-        assert AgeGroup.G1 in scores.raw[GU]
-        assert AgeGroup.G4 not in scores.raw[GU]
+        assert AgeGroup.G1 in scores.groups
+        assert AgeGroup.G4 not in scores.groups
         assert "no impressions for groups ['G2', 'G3', 'G4']" in caplog.text
 
     def test_rows_score_like_a_corpus_of_those_rows(self, monkeypatch):
@@ -93,8 +100,11 @@ class TestQueryAveragedScores:
         monkeypatch.setattr("sataudit.metrics._build_metric_table",
                             no_rescoring)
         got = query_averaged_scores(c, Factor.AGE, rows=rows)
+        assert got.groups == alone.groups
         for field in ("raw", "stderr", "n_queries", "n_impressions"):
-            assert getattr(got, field) == getattr(alone, field), field
+            a, b = getattr(got, field), getattr(alone, field)
+            assert (a.dtype, a.shape, a.tobytes()) == \
+                (b.dtype, b.shape, b.tobytes()), field
 
     def test_cells_are_kept_in_first_appearance_order(self):
         # group scores sum the per-query means in this order, so it fixes
@@ -125,20 +135,22 @@ class TestQueryAveragedScores:
         for _ in range(10):
             total += 0.1
         assert total / 10 == 0.09999999999999999
-        assert scores.raw[MetricKind.REFORMULATION][AgeGroup.G1] == \
-            0.09999999999999999
+        assert _at(scores.raw, scores, MetricKind.REFORMULATION,
+                   AgeGroup.G1) == 0.09999999999999999
 
     @pytest.mark.parametrize("factor", list(Factor))
     def test_scores_equal_the_loop_reference_bit_for_bit(self, factor):
         c, _ = synth.generate(synth.preset_mixed(n_impressions=3000, seed=2))
         got = query_averaged_scores(c, factor)
         want = oracles.query_averaged_scores(records(c), factor)
-        assert set(got.n_queries) == set(want)
-        for g, (n_q, n_imp, stats) in want.items():
-            assert (got.n_queries[g], got.n_impressions[g]) == (n_q, n_imp)
+        assert set(got.groups) == set(want)
+        for j, g in enumerate(got.groups):
+            n_q, n_imp, stats = want[g]
+            assert (got.n_queries[j], got.n_impressions[j]) == (n_q, n_imp)
             for kind, (score, stderr) in stats.items():
-                assert repr(got.raw[kind][g]) == repr(score)
-                assert repr(got.stderr[kind][g]) == repr(stderr)
+                assert repr(_at(got.raw, got, kind, g).item()) == repr(score)
+                assert repr(_at(got.stderr, got, kind, g).item()) == \
+                    repr(stderr)
 
     def test_one_audit_builds_the_full_corpus_cell_table_once(
             self, monkeypatch):
@@ -154,7 +166,7 @@ class TestQueryAveragedScores:
         result = sataudit.run_audit(c, sataudit.AuditConfig(
             methods=("raw", "matched", "multilevel")))
         # the raw scores' table, which difficulty reuses, then the cohort's
-        cohort = sum(len(rows) for rows in result.cohort.by_query.values())
+        cohort = len(result.cohort.rows)
         assert sizes == [len(c), cohort]
         assert cohort < len(c)
 
@@ -164,53 +176,51 @@ class TestNormalize:
         raw = _raw_scores({AgeGroup.G1: 2.0, AgeGroup.G2: 4.0,
                            AgeGroup.G3: 6.0, AgeGroup.G4: 8.0})
         norm = normalize(raw)
-        got = [norm.scores[GU][g].normalized for g in AgeGroup]
+        got = [_at(norm.normalized, norm, GU, g) for g in AgeGroup]
         assert got[0] == 0.0 and got[3] == 1.0
         assert got[1] == 1.0 / 3.0 and got[2] == 2.0 / 3.0
-        assert norm.gap(GU) == 1.0
-        assert not norm.degenerate
+        assert norm.gaps[METRICS.index(GU)] == 1.0
+        assert not norm.degenerate.any()
 
     def test_identical_groups_are_degenerate_zeros(self):
         norm = normalize(_raw_scores({Gender.MALE: 5.0, Gender.FEMALE: 5.0},
                                      factor=Factor.GENDER))
-        assert norm.degenerate == set(METRICS)
-        for kind in METRICS:
-            assert all(s.normalized == 0.0
-                       for s in norm.scores[kind].values())
-            assert norm.gap(kind) == 0.0
+        assert norm.degenerate.all()
+        assert (norm.normalized == 0.0).all()
+        assert (norm.gaps == 0.0).all()
 
     def test_span_below_noise_floor_is_degenerate(self):
         # 0.01 apart but each mean is only known to +-0.05
         norm = normalize(_raw_scores({Gender.MALE: 0.50, Gender.FEMALE: 0.51},
                                      stderr=0.05, factor=Factor.GENDER))
-        assert norm.degenerate == set(METRICS)
+        assert norm.degenerate.all()
 
     def test_span_above_noise_floor_is_kept(self):
         norm = normalize(_raw_scores({Gender.MALE: 0.2, Gender.FEMALE: 0.8},
                                      stderr=0.05, factor=Factor.GENDER))
-        assert not norm.degenerate
-        assert norm.gap(GU) == 1.0
+        assert not norm.degenerate.any()
+        assert norm.gaps[METRICS.index(GU)] == 1.0
 
     def test_reference_bounds_reuse_the_affine_map(self):
         raw = _raw_scores({Gender.MALE: 2.0, Gender.FEMALE: 12.0},
                           factor=Factor.GENDER)
-        ref = {m: (0.0, 10.0) for m in METRICS}
+        ref = np.array([(0.0, 10.0)] * len(METRICS))
         norm = normalize(raw, reference=ref)
-        assert norm.scores[GU][Gender.MALE].normalized == 0.2
-        assert norm.scores[GU][Gender.FEMALE].normalized == 1.2   # off scale
-        assert norm.bounds[GU] == (0.0, 10.0)
+        assert _at(norm.normalized, norm, GU, Gender.MALE) == 0.2
+        assert _at(norm.normalized, norm, GU, Gender.FEMALE) == 1.2  # off
+        assert norm.bounds[METRICS.index(GU)].tolist() == [0.0, 10.0]
 
     def test_reference_mode_ignores_the_noise_rule(self):
         raw = _raw_scores({Gender.MALE: 0.50, Gender.FEMALE: 0.51},
                           stderr=0.05, factor=Factor.GENDER)
-        norm = normalize(raw, reference={m: (0.0, 1.0) for m in METRICS})
-        assert not norm.degenerate
+        norm = normalize(raw, reference=np.array([(0.0, 1.0)] * len(METRICS)))
+        assert not norm.degenerate.any()
 
     def test_zero_span_reference_is_degenerate(self):
         raw = _raw_scores({Gender.MALE: 1.0, Gender.FEMALE: 2.0},
                           factor=Factor.GENDER)
-        norm = normalize(raw, reference={m: (3.0, 3.0) for m in METRICS})
-        assert norm.degenerate == set(METRICS)
+        norm = normalize(raw, reference=np.array([(3.0, 3.0)] * len(METRICS)))
+        assert norm.degenerate.all()
 
     def test_single_group_raises(self):
         with pytest.raises(DataError, match="two non-empty groups"):

@@ -731,6 +731,22 @@ class TestReport:
                               "is malformed: ") and message in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("summary,message", [
+        # the gaps table comes before the failing multilevel block
+        ({"raw": {"gaps": {"graded_utility": 0.1}}, "multilevel": {}},
+         "KeyError: 'deltas'"),
+        ({"raw": {"gaps": {"graded_utility": 0.1}}}, "KeyError: 'meta'"),
+        ({"raw": {}, "meta": {"seed": 0}}, "KeyError: 'version'")])
+    def test_failed_report_writes_no_file(self, tmp_path, capsys, summary,
+                                          message):
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        out = tmp_path / "out"
+        assert run("report", "--audit-dir", tmp_path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == (f"data error: {tmp_path / 'summary.json'} is "
+                       f"malformed: {message}\n")
+        assert not out.exists() or not any(out.iterdir())
+
 
 # ---------------------------------------------------------------------------
 # process-level wiring

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import oracles
 from corpus_builders import click, corpus, imp, records
 from oracles import final_successful_click
-from sataudit import matching
-from sataudit.aggregate import Factor, normalize
+from sataudit import matching, synth
+from sataudit.aggregate import Factor, normalize, query_averaged_scores
 from sataudit.errors import DataError
 from sataudit.logmodel import Gender
 from sataudit.matching import (match_contexts,
@@ -39,8 +40,13 @@ class TestFinalSuccessfulClick:
 def test_dominant_result_counts_and_tie_break():
     # stage 3's dominant result: the most common final successful click
     def dominant_result(imps):
-        finals = (final_successful_click(i) for i in imps)
-        return matching._most_common(f for f in finals if f is not None)
+        c = corpus(imps)
+        final = c.derived("final_click", matching._final_click_column, 30.0)
+        rank = matching._text_ranks(c.result_ids)[final]
+        dominant = {c.result_ids[f] for f in
+                    final[matching._modal(final >= 0, c.query, rank)]}
+        assert len(dominant) <= 1
+        return dominant.pop() if dominant else None
 
     imps = [imp(clicks=[click("r0", 1, 60.0)]) for _ in range(2)]
     imps += [imp(clicks=[click("r1", 2, 60.0)]) for _ in range(2)]
@@ -75,7 +81,7 @@ class TestColumnForms:
                          threshold) is final
         assert not final.flags.writeable
 
-    @pytest.mark.parametrize("prefix_len", [8, 2, 0, -1])
+    @pytest.mark.parametrize("prefix_len", [8, 2, 1])
     def test_page_signatures_equal_the_scalar_oracle(self, prefix_len,
                                                      monkeypatch):
         c = self._corpus()
@@ -86,12 +92,20 @@ class TestColumnForms:
             return serp_signature(results, n)
 
         monkeypatch.setattr(matching, "serp_signature", counting)
-        rows = [k for k in range(len(c)) if k % 3]
-        got = matching._page_signatures(c, rows, prefix_len)
+        rows = np.array([k for k in range(len(c)) if k % 3])
+        got = matching._page_ranks(c, rows, prefix_len)
         pages = [i.results for i in records(c)]
-        assert got == [serp_signature(pages[k], prefix_len) for k in rows]
+        want = [serp_signature(pages[k], prefix_len) for k in rows]
+        assert got.tolist() == [sorted(set(want)).index(w) for w in want]
         # one hash per distinct prefix
-        assert len(hashed) == len(set(hashed))
+        assert len(hashed) == len(set(hashed)) == len(
+            {tuple(pages[k][:prefix_len]) for k in rows})
+
+    @pytest.mark.parametrize("prefix_len", [0, -1])
+    def test_prefix_below_one_rejected(self, prefix_len):
+        with pytest.raises(DataError, match="serp_prefix must be >= 1"):
+            match_contexts(self._corpus(), Factor.GENDER,
+                           serp_prefix=prefix_len)
 
 
 class TestSerpSignature:
@@ -170,7 +184,7 @@ class TestMatchContexts:
         assert by_stage["final_click"].impressions == 10    # drops r1 clicker
         assert by_stage["serp"].impressions == 9            # drops odd serp
         assert by_stage["min_impressions_recheck"].impressions == 6
-        assert set(cohort.by_query) == {"brand a"}
+        assert {c.queries[q] for q in c.query[cohort.rows]} == {"brand a"}
         counts = [s.impressions for s in cohort.attrition]
         assert counts == sorted(counts, reverse=True)
 
@@ -180,7 +194,8 @@ class TestMatchContexts:
                                 min_impressions=self.FLOOR)
         assert cohort.corpus is c
         # the six r0 clickers of "brand a", in corpus order
-        assert cohort.by_query == {"brand a": [0, 1, 2, 3, 4, 5]}
+        assert cohort.rows.tolist() == [0, 1, 2, 3, 4, 5]
+        assert {c.queries[q] for q in c.query[cohort.rows]} == {"brand a"}
 
     def test_matched_scores_read_the_parent_metric_table(self, monkeypatch):
         c, nav = self._pipeline_corpus()
@@ -194,12 +209,13 @@ class TestMatchContexts:
         monkeypatch.setattr("sataudit.metrics._build_metric_table",
                             no_rescoring)
         raw = matched_raw_scores(cohort, 30.0)
-        rows = cohort.by_query["brand a"]
         recs = records(c)
-        for k, kind in enumerate(METRICS):
+        for k in range(len(METRICS)):
             for g in (Gender.MALE, Gender.FEMALE):
-                mine = [r for r in rows if recs[r].demographics.gender is g]
-                assert raw.raw[kind][g] == np.mean(table[mine, k])
+                mine = [r for r in cohort.rows
+                        if recs[r].demographics.gender is g]
+                assert raw.raw[k, raw.groups.index(g)] == \
+                    np.mean(table[mine, k])
 
     def test_proxy_path_builds_the_final_click_column_once(self,
                                                              monkeypatch):
@@ -220,7 +236,7 @@ class TestMatchContexts:
                                   min_impressions=self.FLOOR)
         assert builds == [30.0]
         assert explicit.attrition == proxy.attrition
-        assert explicit.by_query == proxy.by_query
+        assert explicit.rows.tolist() == proxy.rows.tolist()
 
     def test_proxy_used_when_no_explicit_set(self):
         c, _ = self._pipeline_corpus()
@@ -231,7 +247,7 @@ class TestMatchContexts:
         assert cohort.attrition[1].stage == "navigational"
         assert cohort.attrition[1].queries == 4
         assert cohort.attrition[1].impressions == 16
-        assert set(cohort.by_query) == {"brand a"}
+        assert {c.queries[q] for q in c.query[cohort.rows]} == {"brand a"}
 
     def test_matched_scores_on_the_surviving_cohort(self):
         c, nav = self._pipeline_corpus()
@@ -240,9 +256,9 @@ class TestMatchContexts:
         norm = normalize(matched_raw_scores(cohort, 30.0))
         # survivors all have one successful click and no reformulation:
         # identical groups, so every metric is degenerate
-        assert norm.degenerate == set(norm.scores)
-        raw = {g: s.raw for g, s in
-               norm.scores[MetricKind.GRADED_UTILITY].items()}
+        assert norm.degenerate.tolist() == [True] * len(METRICS)
+        raw = dict(zip(norm.groups, norm.raw[METRICS.index(
+            MetricKind.GRADED_UTILITY)].tolist()))
         assert raw == {Gender.MALE: 1.0, Gender.FEMALE: 1.0}
 
     def test_reference_bounds_flow_through(self):
@@ -250,10 +266,10 @@ class TestMatchContexts:
         cohort = match_contexts(c, Factor.GENDER, nav,
                                 min_impressions=self.FLOOR)
         raw = matched_raw_scores(cohort, 30.0)
-        ref = {m: (0.0, 2.0) for m in normalize(raw).scores}
+        ref = np.array([(0.0, 2.0)] * len(METRICS))
         norm = normalize(raw, reference=ref)
-        gu = norm.scores[MetricKind.GRADED_UTILITY]
-        assert gu[Gender.MALE].normalized == 0.5   # raw 1.0 on a (0, 2) scale
+        gu = norm.normalized[METRICS.index(MetricKind.GRADED_UTILITY)]
+        assert gu[norm.groups.index(Gender.MALE)] == 0.5   # raw 1.0 on (0, 2)
 
     def test_empty_cohort_raises(self):
         c, _ = self._pipeline_corpus()
@@ -266,3 +282,83 @@ class TestMatchContexts:
         c, _ = self._pipeline_corpus()
         with pytest.raises(DataError, match="min_impressions must be >= 1"):
             match_contexts(c, Factor.GENDER, min_impressions=0)
+
+
+class TestTiesGoToTheSmallerText:
+    """Result and page codes follow first appearance, which need not be
+    the text order that breaks a tie."""
+
+    def _check(self, imps, want):
+        c = corpus(imps)
+        cohort = match_contexts(c, Factor.GENDER, {"brand t"},
+                                min_impressions=1)
+        assert cohort.rows.tolist() == want
+        by_query, attrition = oracles.match_contexts(
+            c, Factor.GENDER, {"brand t"}, min_impressions=1)
+        assert by_query == {"brand t": want}
+        assert cohort.attrition == attrition
+
+    def test_dominant_result(self):
+        # "r9" takes the smaller code, but "r10" is the smaller text
+        page = ("r9", "r10")
+        self._check([imp(query="brand t", gender=g, results=page,
+                         clicks=[click(r, page.index(r) + 1, 60.0)])
+                     for r in page for g in Gender], [2, 3])
+
+    def test_modal_page(self):
+        # the page with the larger signature comes first, so its prefix
+        # has the smaller codes
+        pages = sorted([["r0", "r1", "r2"], ["r0", "r2", "r1"]],
+                       key=serp_signature, reverse=True)
+        self._check([imp(query="brand t", gender=g, results=page,
+                         clicks=[click("r0", 1, 60.0)])
+                     for page in pages for g in Gender], [2, 3])
+
+
+@pytest.fixture(scope="module")
+def presets():
+    return {name: synth.generate(make(n_impressions=6000, seed=3))
+            for name, make in synth.PRESETS.items()}
+
+
+@pytest.mark.parametrize("listed", [False, True], ids=["proxy", "list"])
+@pytest.mark.parametrize("factor", list(Factor), ids=lambda f: f.value)
+@pytest.mark.parametrize("preset", sorted(synth.PRESETS))
+def test_matched_comparison_equals_the_dict_reference(presets, preset,
+                                                      factor, listed):
+    c, truth = presets[preset]
+    nav = truth.navigational if listed else None
+    cohort = match_contexts(c, factor, nav)
+    by_query, attrition = oracles.match_contexts(c, factor, nav)
+    assert cohort.attrition == attrition
+    assert cohort.rows.tolist() == [k for q in sorted(by_query)
+                                    for k in by_query[q]]
+
+    raw = normalize(query_averaged_scores(c, factor))
+    _, raw_bounds, _ = oracles.normalize(raw)
+    normalized = [(raw, None)]
+    if cohort.rows.size:
+        matched = matched_raw_scores(cohort)
+        recs = records(c)
+        want = oracles.query_averaged_scores([recs[k] for k in cohort.rows],
+                                             factor)
+        assert matched.groups == [g for g in factor.groups() if g in want]
+        assert repr(matched.raw.tolist()) == repr(
+            [[want[g][2][kind][0] for g in matched.groups]
+             for kind in METRICS])
+        assert repr(matched.stderr.tolist()) == repr(
+            [[want[g][2][kind][1] for g in matched.groups]
+             for kind in METRICS])
+        assert list(zip(matched.n_queries.tolist(),
+                        matched.n_impressions.tolist())) == \
+            [want[g][:2] for g in matched.groups]
+        normalized += [(normalize(matched), None),
+                       (normalize(matched, raw.bounds), raw_bounds)]
+    for norm, reference in normalized:
+        values, bounds, degenerate = oracles.normalize(norm, reference)
+        assert repr(norm.normalized.tolist()) == repr(
+            [[values[kind][g] for g in norm.groups] for kind in METRICS])
+        assert repr(norm.bounds.tolist()) == repr(
+            [list(bounds[kind]) for kind in METRICS])
+        assert norm.degenerate.tolist() == [kind in degenerate
+                                            for kind in METRICS]

@@ -13,7 +13,7 @@ from oracles import metric_vector, reference_generate
 from sataudit.aggregate import Factor, query_averaged_scores, query_kl
 from sataudit.errors import ConfigError
 from sataudit.logmodel import AgeGroup, Gender, all_profiles, emit, ingest
-from sataudit.metrics import MetricKind
+from sataudit.metrics import METRICS, MetricKind
 from sataudit.synth import (PRESETS, BehaviorModel, QuerySpec,
                             ScenarioConfig, generate, preset_null,
                             preset_query_mix_confound, preset_true_gap)
@@ -317,8 +317,9 @@ class TestInjectedStructure:
         scores = query_averaged_scores(corpus, Factor.AGE)
         for metric in (MetricKind.SUCCESSFUL_CLICK_COUNT,
                        MetricKind.GRADED_UTILITY):
-            raw = scores.raw[metric]
-            se = scores.stderr[metric]
+            k = METRICS.index(metric)
+            raw = dict(zip(scores.groups, scores.raw[k].tolist()))
+            se = dict(zip(scores.groups, scores.stderr[k].tolist()))
             for a in AgeGroup:
                 for b in AgeGroup:
                     if a >= b:
@@ -330,7 +331,8 @@ class TestInjectedStructure:
     def test_dwell_confound_inflates_observed_success_only(self, dwell_data):
         corpus, truth = dwell_data
         scores = query_averaged_scores(corpus, Factor.AGE)
-        scc = scores.raw[MetricKind.SUCCESSFUL_CLICK_COUNT]
+        scc = dict(zip(scores.groups, scores.raw[METRICS.index(
+            MetricKind.SUCCESSFUL_CLICK_COUNT)].tolist()))
         assert scc[G4] > 1.10 * max(scc[G1], scc[G2], scc[G3])
         by_age: dict[AgeGroup, list[float]] = {a: [] for a in AgeGroup}
         for imp, s in zip(records(corpus), truth.latent.tolist()):
