@@ -25,8 +25,8 @@ from .multilevel import (MultilevelFit, build_observations, cell_curves,
                          fit_multilevel, max_group_gap)
 from .pairwise import (DEFAULT_THRESHOLDS, PairModel, PairThresholds,
                        derive_thresholds_from_deltas, eligible_queries,
-                       fit_pair_model, label_sample, predict_pair_prob,
-                       probability_grid, sample_pairs)
+                       fit_pair_model, label_sample, probability_grid,
+                       sample_pairs)
 from .synth import (BehaviorModel, GroundTruth, QuerySpec, ScenarioConfig,
                     generate)
 
@@ -45,7 +45,7 @@ __all__ = [
     "fit_pair_model", "generate", "head_tail_classify", "ingest",
     "label_sample", "match_contexts", "matched_raw_scores",
     "max_group_gap", "normalize", "normalize_query",
-    "predict_pair_prob", "probability_grid",
+    "probability_grid",
     "query_averaged_scores", "query_kl", "run_audit", "sample_pairs",
     "write_audit",
 ]

@@ -23,6 +23,8 @@ from .logmodel import AgeGroup, Gender, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
 
 METHODS = ("raw", "matched", "multilevel", "pairwise", "external")
+# the (row, column) genders of the age grid that audits report
+GRID_GENDERS = (Gender.MALE, Gender.FEMALE)
 
 
 def _is_int(value) -> bool:
@@ -222,12 +224,10 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
             continue
         thresholds = (
             dataclasses.replace(pairwise.DEFAULT_THRESHOLDS, k=cfg.k)
-            if cfg.default_thresholds or not res.deltas
+            if cfg.default_thresholds
             else pairwise.derive_thresholds_from_deltas(res.deltas, k=cfg.k))
         eligible = pairwise.eligible_queries(
-            corpus, factor, min_impressions=cfg.min_impressions,
-            min_groups=((3 if factor is Factor.AGE else 2)
-                        if cfg.min_groups is None else cfg.min_groups))
+            corpus, factor, cfg.min_groups, cfg.min_impressions)
         sample = res.samples[method] = pairwise.sample_pairs(
             corpus, eligible, seed=cfg.seed, fraction=cfg.pair_fraction,
             pairs_per_query=cfg.pairs_per_query, factor=factor)
@@ -236,13 +236,13 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
             mode="internal" if method == "pairwise" else "external",
             dwell_threshold_s=dwell)
         model = res.models[method] = pairwise.fit_pair_model(
-            pairwise.build_labeled_pairs(corpus, sample, labels),
-            prior_variance=cfg.prior_variance)
+            corpus, sample, labels, cfg.prior_variance)
         model.thresholds = thresholds
-        grid = pairwise.probability_grid(model)
+        g, h = (list(Gender).index(x) for x in GRID_GENDERS)
+        grid = pairwise.probability_grid(model)[:, g, :, h].tolist()
         summary[method] = {
-            "grid": {a.label: {b.label: grid[a][b] for b in AgeGroup}
-                     for a in AgeGroup},
+            "grid": {a.label: {b.label: p for b, p in zip(AgeGroup, row)}
+                     for a, row in zip(AgeGroup, grid)},
             "labels": {"positive": int((labels == 1).sum()),
                        "negative": int((labels == -1).sum()),
                        "zero": int((labels == 0).sum()),
@@ -347,7 +347,7 @@ def write_audit(result: AuditResult, out: Path, meta: dict) -> None:
             **stats, "model": model.to_dict(),
             "labeler": "internal" if method == "pairwise" else "external",
             "n_sampled_queries": len(result.samples[method].queries)}, meta)
-        gender_i, gender_j = pairwise.GRID_GENDERS
+        gender_i, gender_j = GRID_GENDERS
         reports.write_json(out / f"{prefix}pair_grid.json", {
             "gender_i": gender_i.code, "gender_j": gender_j.code,
             "probabilities": grid}, meta)

@@ -47,8 +47,6 @@ DEFAULT_QUERY_FRACTION = 0.1
 DEFAULT_PAIRS_PER_QUERY = 10_000
 # pairs labelled per block by `label_sample`
 LABEL_BLOCK = 1 << 16
-# the (row, column) genders of the age grid that audits report
-GRID_GENDERS = (Gender.MALE, Gender.FEMALE)
 
 
 @dataclass(frozen=True)
@@ -83,14 +81,19 @@ def derive_thresholds_from_deltas(deltas: dict[MetricKind, float],
                                   k: float = 2.5) -> PairThresholds:
     """Thresholds from per-metric group-gap deltas.
 
-    Any metric whose delta is missing or non-positive falls back to its
-    default threshold with a warning.
+    Any metric whose delta is missing, NaN or non-positive falls back to
+    its default threshold with a warning; a positive delta whose
+    ``k * delta`` is not finite is a ConfigError.
     """
     if k <= 0:
         raise ConfigError("k must be positive")
-    gu = deltas.get(MetricKind.GRADED_UTILITY, 0.0)
-    scc = deltas.get(MetricKind.SUCCESSFUL_CLICK_COUNT, 0.0)
-    pcc = deltas.get(MetricKind.PAGE_CLICK_COUNT, 0.0)
+    kinds = (MetricKind.GRADED_UTILITY, MetricKind.SUCCESSFUL_CLICK_COUNT,
+             MetricKind.PAGE_CLICK_COUNT)
+    gu, scc, pcc = (deltas.get(kind, 0.0) for kind in kinds)
+    for kind, delta in zip(kinds, (gu, scc, pcc)):
+        if delta > 0 and not math.isfinite(k * delta):
+            raise ConfigError(f"k = {k!r} is too large for the {kind.value} "
+                              f"delta {delta!r}: k * delta is not finite")
     if gu > 0:
         gu_strong, gu_weak = k * gu, k * gu / 2.0
     else:
@@ -158,10 +161,14 @@ def label_batch_external(pcc_i, pcc_j,
 # eligibility and sampling
 
 def eligible_queries(corpus: LogCorpus, factor: Factor = Factor.AGE,
-                     min_groups: int = 3, min_impressions: int = 10) -> list[str]:
-    """Queries issued by at least `min_groups` distinct groups with at
-    least `min_impressions` impressions, sorted for determinism."""
+                     min_groups: int | None = None,
+                     min_impressions: int = 10) -> list[str]:
+    """Queries issued by at least `min_groups` distinct groups (None: 3
+    for age, 2 for gender) with at least `min_impressions` impressions,
+    sorted for determinism."""
     n_groups = len(factor.groups())
+    if min_groups is None:
+        min_groups = 3 if factor is Factor.AGE else 2
     per_group = np.bincount(corpus.query * n_groups + factor.codes(corpus),
                             minlength=len(corpus.queries) * n_groups)
     return sorted(q for q, row in zip(corpus.queries,
@@ -287,20 +294,6 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
                       queries=chosen)
 
 
-@dataclass
-class LabeledPairSet:
-    """Nonzero-labeled pairs reduced to slot demographics, for fitting."""
-
-    age_i: np.ndarray
-    gender_i: np.ndarray
-    age_j: np.ndarray
-    gender_j: np.ndarray
-    label: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.label)
-
-
 def label_sample(corpus: LogCorpus, sample: PairSample,
                  thresholds: PairThresholds = DEFAULT_THRESHOLDS,
                  mode: str = "internal",
@@ -333,24 +326,13 @@ def label_sample(corpus: LogCorpus, sample: PairSample,
     return labels
 
 
-def build_labeled_pairs(corpus: LogCorpus, sample: PairSample,
-                        labels: np.ndarray) -> LabeledPairSet:
-    """Keep the nonzero-labeled pairs with their slot demographics."""
-    labels = np.asarray(labels)
-    keep = labels != 0
-    i, j = sample.i_idx[keep], sample.j_idx[keep]
-    age, gender = corpus.age, corpus.gender
-    return LabeledPairSet(age_i=age[i], gender_i=gender[i], age_j=age[j],
-                          gender_j=gender[j],
-                          label=labels[keep].astype(np.int8))
-
-
 # ---------------------------------------------------------------------------
 # pair preference model
 
 @dataclass
 class PairModel:
-    """Logistic preference model over slot demographics.
+    """Logistic preference model over slot demographics;
+    :func:`probability_grid` evaluates it for every pair of profiles.
 
     Coefficients are stored antisymmetrized (slot j's effects negate slot
     i's `age` and `gender`, `interaction[a, g, b, h]` negates under slot
@@ -388,25 +370,30 @@ class PairModel:
         }
 
 
-def fit_pair_model(pairs: LabeledPairSet,
+def fit_pair_model(corpus: LogCorpus, sample: PairSample, labels,
                    prior_variance: float = 1.0) -> PairModel:
-    """Penalized logistic fit of P(side i beats side j).
+    """Penalized logistic fit of P(side i beats side j) on the sample's
+    nonzero-labelled pairs.
 
     Training rows are symmetrized (both orders, negated label) and then
-    aggregated by slot-demographic pattern into binomial counts, so the
-    fit cost is independent of the pair count.
+    aggregated by slot-profile pattern (profiles coded ``age * 2 +
+    gender``) into binomial counts, so the fit cost is independent of the
+    pair count.
     """
     if prior_variance <= 0:
         raise ConfigError("prior variance must be positive")
-    if len(pairs) == 0:
+    labels = np.asarray(labels)
+    keep = labels != 0
+    label = labels[keep]
+    if len(label) == 0:
         raise InsufficientSignalError(
             "no nonzero-labeled pairs; the labeler abstained everywhere")
 
     shape = (4, 2, 4, 2)            # slot i's age and gender, then slot j's
-    i, j = (pairs.age_i, pairs.gender_i), (pairs.age_j, pairs.gender_j)
-    key = np.concatenate([np.ravel_multi_index(i + j, shape),
-                          np.ravel_multi_index(j + i, shape)])
-    win = np.concatenate([pairs.label == 1, pairs.label == -1]).astype(float)
+    profile = corpus.age * 2 + corpus.gender
+    i, j = profile[sample.i_idx[keep]], profile[sample.j_idx[keep]]
+    key = np.concatenate([i * 8 + j, j * 8 + i])
+    win = np.concatenate([label == 1, label == -1]).astype(float)
     patterns, pattern_of = np.unique(key, return_inverse=True)
     successes = np.bincount(pattern_of, weights=win)
     trials = np.bincount(pattern_of).astype(float)
@@ -438,39 +425,22 @@ def fit_pair_model(pairs: LabeledPairSet,
                      gender=0.5 * (theta[9:11] - theta[11:13]),
                      interaction=interaction.reshape(shape),
                      prior_variance=prior_variance,
-                     convergence=solution.convergence, n_pairs=len(pairs))
+                     convergence=solution.convergence, n_pairs=len(label))
 
 
-def _sigmoid_nonneg(z: float) -> float:
-    # z >= 0, result in [0.5, 1]
-    return 1.0 / (1.0 + math.exp(-z))
+def probability_grid(model: PairModel) -> np.ndarray:
+    """P(profile (a, g) beats profile (b, h)) as a (4, 2, 4, 2) array
+    indexed like `model.interaction`.
 
-
-def predict_pair_prob(model: PairModel, age_i: AgeGroup, gender_i: Gender,
-                      age_j: AgeGroup, gender_j: Gender) -> float:
-    """P(slot i more satisfied than slot j).
-
-    Evaluated so that swapping the two slots gives the exact complement:
-    the linear predictor negates term-by-term under the antisymmetric
-    coefficients, and the sigmoid is taken on the non-negative branch
-    with the complement formed by an exact subtraction.
+    Swapping the profiles gives the exact complement: the linear
+    predictor negates term by term under the antisymmetric coefficients,
+    the sigmoid (`math.exp`, one value at a time) is taken on its absolute
+    value, and a negative predictor's probability is an exact subtraction.
     """
-    a, b = int(age_i) - 1, int(age_j) - 1
-    g, h = _GENDERS.index(gender_i), _GENDERS.index(gender_j)
-    age_term = model.age[a] - model.age[b]
-    gender_term = model.gender[g] - model.gender[h]
-    inter = np.nan_to_num(model.interaction[a, g, b, h])
-    eta = ((age_term + gender_term) + inter) + model.mu0
-    if eta >= 0:
-        return _sigmoid_nonneg(eta)
-    return 1.0 - _sigmoid_nonneg(-eta)
-
-
-def probability_grid(model: PairModel
-                     ) -> dict[AgeGroup, dict[AgeGroup, float]]:
-    """4x4 age grid of P(row beats column), the row of gender
-    GRID_GENDERS[0] and the column of GRID_GENDERS[1]."""
-    gender_i, gender_j = GRID_GENDERS
-    return {a: {b: predict_pair_prob(model, a, gender_i, b, gender_j)
-                for b in _AGES}
-            for a in _AGES}
+    age = model.age[:, None, None, None] - model.age[None, None, :, None]
+    gender = (model.gender[None, :, None, None]
+              - model.gender[None, None, None, :])
+    eta = ((age + gender) + np.nan_to_num(model.interaction)) + model.mu0
+    p = np.array([1.0 / (1.0 + math.exp(-z))
+                  for z in np.abs(eta).ravel().tolist()]).reshape(eta.shape)
+    return np.where(eta < 0, 1.0 - p, p)

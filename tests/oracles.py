@@ -17,7 +17,9 @@ scores onto a common scale one (metric, group) at a time, the reference
 for :func:`sataudit.aggregate.normalize`.  `cell_coefficients`
 and `predict` compose one cell's multilevel prediction at one
 difficulty, the scalar reference for
-:func:`sataudit.multilevel.cell_curves`.  `reference_generate` is the
+:func:`sataudit.multilevel.cell_curves`.  `predict_pair_prob` evaluates
+the pair model for one pair of profiles, the reference for
+:func:`sataudit.pairwise.probability_grid`.  `reference_generate` is the
 generator as a loop over impressions, the reference for
 :func:`sataudit.synth.generate`.
 """
@@ -38,6 +40,7 @@ from sataudit import matching
 from sataudit.aggregate import Factor, RawScores
 from sataudit.metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind
 from sataudit.multilevel import MultilevelFit
+from sataudit.pairwise import PairModel
 from sataudit.synth import GroundTruth, ScenarioConfig
 
 _AGES = list(AgeGroup)
@@ -389,6 +392,26 @@ def predict(fit: MultilevelFit, age: AgeGroup, gender: Gender, topic: str,
     """Mean response for one cell at one difficulty (response scale)."""
     alpha, beta, _ = cell_coefficients(fit, age, gender, topic)
     return float(fit.family.linkinv(np.asarray(alpha + beta * difficulty)))
+
+
+def predict_pair_prob(model: PairModel, age_i: AgeGroup, gender_i: Gender,
+                      age_j: AgeGroup, gender_j: Gender) -> float:
+    """P(slot i more satisfied than slot j), one profile pair at a time.
+
+    Swapping the two slots gives the exact complement: the linear
+    predictor negates term by term under the antisymmetric coefficients,
+    and the sigmoid is taken on the non-negative branch with the
+    complement formed by an exact subtraction.
+    """
+    a, b = _AGES.index(age_i), _AGES.index(age_j)
+    g, h = list(Gender).index(gender_i), list(Gender).index(gender_j)
+    age_term = model.age[a] - model.age[b]
+    gender_term = model.gender[g] - model.gender[h]
+    inter = np.nan_to_num(model.interaction[a, g, b, h])
+    eta = ((age_term + gender_term) + inter) + model.mu0
+    if eta >= 0:
+        return 1.0 / (1.0 + math.exp(-eta))
+    return 1.0 - 1.0 / (1.0 + math.exp(eta))
 
 
 def _gate(s: float, center: float, width: float, floor: float,

@@ -247,8 +247,9 @@ def test_criterion_6_pairwise_null_and_detection(null_data, truegap_data):
     null_corpus, _ = null_data
     null_model = pair_fit(null_corpus, fraction=1.0, pairs_per_query=25_000,
                           seed=20240601)
-    null_grid = pairwise.probability_grid(null_model)
-    flat = [null_grid[a][b] for a in AgeGroup for b in AgeGroup]
+    male, female = 0, 1                 # gender codes, in Gender order
+    null_grid = pairwise.probability_grid(null_model)[:, male, :, female]
+    flat = null_grid.ravel().tolist()
     assert min(flat) >= 0.48 and max(flat) <= 0.52, (min(flat), max(flat))
 
     probs: dict[float, dict[AgeGroup, float]] = {}
@@ -259,8 +260,8 @@ def test_criterion_6_pairwise_null_and_detection(null_data, truegap_data):
         else:
             corpus, _ = synth.generate(synth.preset_true_gap(offset=offset))
         model = pair_fit(corpus, seed=20240604)
-        grid = pairwise.probability_grid(model)
-        probs[offset] = {a: grid[AgeGroup.G4][a]
+        grid = pairwise.probability_grid(model)[:, male, :, female]
+        probs[offset] = {a: grid[3, a - 1]
                          for a in AgeGroup if a is not AgeGroup.G4}
         if offset == 0.15:
             gap_model = model
@@ -270,14 +271,8 @@ def test_criterion_6_pairwise_null_and_detection(null_data, truegap_data):
         seq = [probs[off][a] for off in (0.05, 0.10, 0.15, 0.20)]
         assert all(lo < hi for lo, hi in zip(seq, seq[1:])), (a, seq)
 
-    worst = 0.0
-    for a in AgeGroup:
-        for b in AgeGroup:
-            s = (pairwise.predict_pair_prob(gap_model, a, Gender.MALE,
-                                            b, Gender.FEMALE)
-                 + pairwise.predict_pair_prob(gap_model, b, Gender.FEMALE,
-                                              a, Gender.MALE))
-            worst = max(worst, abs(s - 1.0))
+    p = pairwise.probability_grid(gap_model)
+    worst = float(np.abs(p + p.transpose(2, 3, 0, 1) - 1.0).max())
     assert worst == 0.0
 
     elapsed = time.perf_counter() - t0

@@ -23,13 +23,14 @@ except ModuleNotFoundError:  # Python 3.10; pytest depends on tomli there
 import sataudit
 from corpus_builders import click, corpus, imp
 from oracles import predict
+from sataudit.aggregate import Factor
 from sataudit.audit import AuditConfig, audit_meta, run_audit, write_audit
 from sataudit.cli import build_parser, main
 from sataudit.errors import ConfigError, ConvergenceError
 from sataudit.logmodel import AgeGroup, Gender, LogCorpus, emit, ingest
 from sataudit.metrics import MetricKind
 from sataudit.multilevel import PREDICTION_GRID
-from sataudit.pairwise import derive_thresholds_from_deltas
+from sataudit.pairwise import derive_thresholds_from_deltas, eligible_queries
 from sataudit import audit, logmodel, synth
 
 
@@ -317,6 +318,32 @@ class TestAudit:
                   for k, v in summary["multilevel"]["deltas"].items()}
         assert model["thresholds"] == dataclasses.asdict(
             derive_thresholds_from_deltas(deltas, k=2.5))
+
+    def test_k_too_large_for_a_delta_is_one_config_error(self, tg_dir,
+                                                          tmp_path, capsys):
+        assert run("audit", "--input", tg_dir / "corpus.ndjson",
+                   "--methods", "multilevel,pairwise", "--k", "1.7e308",
+                   "--out", tmp_path / "out") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        # the true_gap graded-utility delta exceeds 1.06
+        assert err.startswith("config error: k = 1.7e+308 is too large for "
+                              "the graded_utility delta ")
+        assert err.endswith(": k * delta is not finite\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_gender_pairs_come_from_queries_of_both_genders(self, tg_dir,
+                                                            tmp_path):
+        path = tg_dir / "corpus.ndjson"
+        assert run("audit", "--input", path, "--factor", "gender",
+                   "--methods", "pairwise", "--default-thresholds",
+                   "--out", tmp_path) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        c = ingest(path)
+        eligible = eligible_queries(c, Factor.GENDER)
+        assert eligible == eligible_queries(c, Factor.GENDER, min_groups=2)
+        assert summary["pairwise"]["n_eligible_queries"] == len(eligible) > 0
 
     def test_pairwise_without_multilevel_needs_default_thresholds(
             self, tg_dir, tmp_path):

@@ -2,25 +2,27 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from corpus_builders import click, corpus, imp, records
-from oracles import MetricVector, cross_pairs, enumerated_pairs
+from oracles import MetricVector, cross_pairs, enumerated_pairs, \
+    predict_pair_prob
 from sataudit.aggregate import Factor
+from sataudit.audit import AuditConfig, run_audit
 from sataudit.errors import ConfigError, DataError, InsufficientSignalError
 from sataudit.logmodel import AgeGroup, Gender, LogCorpus
 from sataudit.metrics import MetricKind, metric_table
 from sataudit.pairwise import (DEFAULT_PAIRS_PER_QUERY, DEFAULT_THRESHOLDS,
-                               LABEL_BLOCK, LabeledPairSet, PairSample,
-                               PairThresholds, _cross_pairs_at,
-                               build_labeled_pairs, derive_thresholds_from_deltas,
+                               LABEL_BLOCK, PairSample, PairThresholds,
+                               _cross_pairs_at, derive_thresholds_from_deltas,
                                eligible_queries, fit_pair_model,
                                label_batch_external, label_batch_internal,
-                               label_sample, predict_pair_prob,
-                               probability_grid, sample_pairs)
+                               label_sample, probability_grid, sample_pairs)
 
 G1, G2, G3, G4 = AgeGroup
 M, F = Gender
@@ -100,6 +102,29 @@ class TestDeriveThresholds:
         assert t.scc_strong == DEFAULT_THRESHOLDS.scc_strong
         assert t.pcc_external == DEFAULT_THRESHOLDS.pcc_external
         assert t.k == 3.0
+
+    def test_nan_and_nonpositive_deltas_fall_back_with_warnings(self,
+                                                                 caplog):
+        with caplog.at_level("WARNING", logger="sataudit.pairwise"):
+            t = derive_thresholds_from_deltas(
+                {MetricKind.GRADED_UTILITY: math.nan,
+                 MetricKind.SUCCESSFUL_CLICK_COUNT: 0.0,
+                 MetricKind.PAGE_CLICK_COUNT: -1.0}, k=1.7e308)
+        assert t == PairThresholds(k=1.7e308)
+        assert len(caplog.records) == 3
+
+    @pytest.mark.parametrize("kind", [MetricKind.GRADED_UTILITY,
+                                      MetricKind.SUCCESSFUL_CLICK_COUNT,
+                                      MetricKind.PAGE_CLICK_COUNT])
+    def test_k_times_delta_must_be_finite(self, kind):
+        with pytest.raises(ConfigError) as err:
+            derive_thresholds_from_deltas({kind: 1.5}, k=1.7e308)
+        assert str(err.value) == (f"k = 1.7e+308 is too large for the "
+                                  f"{kind.value} delta 1.5: k * delta is "
+                                  f"not finite")
+        # the largest finite product still derives
+        t = derive_thresholds_from_deltas({kind: 1.0}, k=1.7e308)
+        assert t.k == 1.7e308
 
     def test_nonpositive_k_rejected(self):
         with pytest.raises(ConfigError, match="k must be positive"):
@@ -220,6 +245,11 @@ class TestEligibility:
         imps = [imp(query="qa", gender=g) for g in (M, F) for _ in range(5)]
         c = corpus(imps)
         assert eligible_queries(c, Factor.GENDER, min_groups=2) == ["qa"]
+        # both genders: the default floor for a two-group factor is 2
+        assert eligible_queries(c, Factor.GENDER) == ["qa"]
+        assert eligible_queries(c, Factor.GENDER, min_groups=1) == ["qa"]
+        one = corpus([imp(query="qa", gender=M) for _ in range(10)])
+        assert eligible_queries(one, Factor.GENDER) == []
         assert eligible_queries(c, Factor.GENDER, min_groups=2,
                                 min_impressions=11) == []
 
@@ -401,17 +431,25 @@ class TestLabelSample:
             want = 1 if ages[int(a)] is G1 else -1
             assert lab == want
 
-    def test_build_labeled_pairs_keeps_nonzero(self):
+    def test_fit_keeps_the_nonzero_labels(self):
         c = self._two_group()
         s = sample_pairs(c, ["qa"], seed=1, fraction=1.0, pairs_per_query=9)
         labels = np.array([1, -1, 0, 1, 0, 0, -1, 0, 1], dtype=np.int8)
-        pairs = build_labeled_pairs(c, s, labels)
-        assert len(pairs) == 5
-        assert set(np.unique(pairs.label)) == {-1, 1}
-        ages = np.array([int(i.demographics.age) - 1 for i in records(c)])
+        model = fit_pair_model(c, s, labels)
+        assert model.n_pairs == 5
         keep = labels != 0
-        np.testing.assert_array_equal(pairs.age_i, ages[s.i_idx[keep]])
-        np.testing.assert_array_equal(pairs.age_j, ages[s.j_idx[keep]])
+        kept = fit_pair_model(c, PairSample(s.i_idx[keep], s.j_idx[keep],
+                                            s.queries), labels[keep])
+        # any array-like of labels
+        listed = fit_pair_model(c, s, labels.tolist())
+        for other in (kept, listed):
+            assert other.n_pairs == 5
+            for name in ("age", "gender", "interaction"):
+                assert getattr(model, name).tobytes() == \
+                    getattr(other, name).tobytes()
+        # every pair is (G1, M) against (G4, M), in either slot
+        observed = np.argwhere(~np.isnan(model.interaction)).tolist()
+        assert observed == [[0, 0, 3, 0], [3, 0, 0, 0]]
 
     @pytest.mark.parametrize("mode", ["internal", "external"])
     def test_labels_a_large_sample_in_bounded_memory(self, mode):
@@ -440,56 +478,71 @@ class TestLabelSample:
         assert peak < 8 * MB
 
 
-def one_pattern_pairs(n_win: int, n_loss: int) -> LabeledPairSet:
+def profile_corpus() -> LogCorpus:
+    """One impression per (age, gender) profile; the row of the profile
+    with codes (a, g) is ``a * 2 + g``."""
+    return corpus([imp(query="qa", age=a, gender=g)
+                   for a, g in itertools.product(AgeGroup, Gender)])
+
+
+def fit_profiles(age_i, gender_i, age_j, gender_j, label, **kw):
+    """The pair model of labelled pairs with these slot codes."""
+    def rows(age, gender):
+        return (np.asarray(age) * 2 + np.asarray(gender)).astype(np.int32)
+
+    sample = PairSample(rows(age_i, gender_i), rows(age_j, gender_j), ["qa"])
+    return fit_pair_model(profile_corpus(), sample, label, **kw)
+
+
+def one_pattern_model(n_win: int, n_loss: int, **kw):
+    """(G4, M) against (G1, M), slot i winning `n_win` times."""
     n = n_win + n_loss
-    return LabeledPairSet(
-        age_i=np.full(n, 3, dtype=np.intp),
-        gender_i=np.zeros(n, dtype=np.intp),
-        age_j=np.zeros(n, dtype=np.intp),
-        gender_j=np.zeros(n, dtype=np.intp),
-        label=np.array([1] * n_win + [-1] * n_loss, dtype=np.int8))
+    return fit_profiles(np.full(n, 3), np.zeros(n), np.zeros(n), np.zeros(n),
+                        np.array([1] * n_win + [-1] * n_loss, dtype=np.int8),
+                        **kw)
+
+
+def mixed_model():
+    rng = np.random.default_rng(31)
+    n = 400
+    age_i = rng.integers(0, 4, n).astype(np.intp)
+    age_j = rng.integers(0, 4, n).astype(np.intp)
+    gender_i = rng.integers(0, 2, n).astype(np.intp)
+    gender_j = rng.integers(0, 2, n).astype(np.intp)
+    logits = 0.8 * (age_i == 3) - 0.8 * (age_j == 3)
+    label = np.where(rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-logits)),
+                     1, -1).astype(np.int8)
+    return fit_profiles(age_i, gender_i, age_j, gender_j, label)
 
 
 class TestPairModel:
+    def test_profile_corpus_rows_are_profile_codes(self):
+        c = profile_corpus()
+        np.testing.assert_array_equal(c.age * 2 + c.gender, np.arange(8))
+
     def test_validation(self):
         with pytest.raises(ConfigError, match="prior variance"):
-            fit_pair_model(one_pattern_pairs(5, 5), prior_variance=0.0)
-        empty = LabeledPairSet(*(np.empty(0, dtype=np.intp),) * 4,
-                               label=np.empty(0, dtype=np.int8))
+            one_pattern_model(5, 5, prior_variance=0.0)
         with pytest.raises(InsufficientSignalError, match="abstained"):
-            fit_pair_model(empty)
+            fit_profiles([], [], [], [], np.empty(0, dtype=np.int8))
+        with pytest.raises(InsufficientSignalError, match="abstained"):
+            fit_profiles([3, 2], [0, 1], [0, 0], [1, 0], [0, 0])
 
     def test_recovers_win_rate(self):
-        model = fit_pair_model(one_pattern_pairs(70, 30), prior_variance=100.0)
-        p = predict_pair_prob(model, G4, M, G1, M)
+        model = one_pattern_model(70, 30, prior_variance=100.0)
+        p = probability_grid(model)[3, 0, 0, 0]      # (G4, M) vs (G1, M)
         assert p == pytest.approx(0.7, abs=0.02)
         assert model.n_pairs == 100
 
     def test_stronger_signal_moves_probability_further(self):
-        p70 = predict_pair_prob(
-            fit_pair_model(one_pattern_pairs(70, 30), prior_variance=100.0),
-            G4, M, G1, M)
-        p90 = predict_pair_prob(
-            fit_pair_model(one_pattern_pairs(90, 10), prior_variance=100.0),
-            G4, M, G1, M)
+        p70 = probability_grid(
+            one_pattern_model(70, 30, prior_variance=100.0))[3, 0, 0, 0]
+        p90 = probability_grid(
+            one_pattern_model(90, 10, prior_variance=100.0))[3, 0, 0, 0]
         assert 0.5 < p70 < p90
 
-    def _mixed_model(self):
-        rng = np.random.default_rng(31)
-        n = 400
-        age_i = rng.integers(0, 4, n).astype(np.intp)
-        age_j = rng.integers(0, 4, n).astype(np.intp)
-        gender_i = rng.integers(0, 2, n).astype(np.intp)
-        gender_j = rng.integers(0, 2, n).astype(np.intp)
-        logits = 0.8 * (age_i == 3) - 0.8 * (age_j == 3)
-        label = np.where(rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-logits)),
-                         1, -1).astype(np.int8)
-        return fit_pair_model(LabeledPairSet(age_i=age_i, gender_i=gender_i,
-                                             age_j=age_j, gender_j=gender_j,
-                                             label=label))
-
     def test_stored_coefficients_are_antisymmetric(self):
-        model = self._mixed_model()
+        model = mixed_model()
         assert model.mu0 == 0.0
         d = model.to_dict()
         for side in ("age", "gender"):
@@ -502,43 +555,49 @@ class TestPairModel:
 
     def test_unobserved_patterns_are_nan_and_the_diagonal_is_negative_zero(
             self):
-        model = fit_pair_model(one_pattern_pairs(70, 30))
+        model = one_pattern_model(70, 30)
         observed = ~np.isnan(model.interaction)
         assert np.argwhere(observed).tolist() == [[0, 0, 3, 0], [3, 0, 0, 0]]
-        same = LabeledPairSet(*(np.zeros(4, dtype=np.intp),) * 4,
-                              label=np.array([1, -1, 1, 1], dtype=np.int8))
-        d = fit_pair_model(same).to_dict()
+        d = fit_profiles([0] * 4, [0] * 4, [0] * 4, [0] * 4,
+                         np.array([1, -1, 1, 1], dtype=np.int8)).to_dict()
         assert list(d["interaction"]) == ["G1|M|G1|M"]
         assert str(d["interaction"]["G1|M|G1|M"]) == "-0.0"
 
+    def test_slot_profiles_key_the_interaction(self):
+        # (G2, F) against (G3, M) and its mirror, nothing else
+        model = fit_profiles([1, 1], [1, 1], [2, 2], [0, 0], [1, -1])
+        observed = np.argwhere(~np.isnan(model.interaction)).tolist()
+        assert observed == [[1, 1, 2, 0], [2, 0, 1, 1]]
+
+    def test_probability_grid_equals_the_scalar_oracle(self, null_data):
+        null_corpus, _ = null_data
+        null_model = run_audit(null_corpus, AuditConfig(
+            methods="pairwise", default_thresholds=True,
+            seed=20240601)).models["pairwise"]
+        for model in (mixed_model(), one_pattern_model(70, 30), null_model):
+            grid = probability_grid(model)
+            assert grid.shape == (4, 2, 4, 2) and grid.dtype == np.float64
+            want = np.array([predict_pair_prob(model, a, g, b, h)
+                             for a, g, b, h in itertools.product(
+                                 AgeGroup, Gender, AgeGroup, Gender)])
+            assert grid.tobytes() == want.tobytes()
+
     def test_complement_is_exact_for_all_slot_combinations(self):
-        model = self._mixed_model()
-        for a in AgeGroup:
-            for g in Gender:
-                for b in AgeGroup:
-                    for h in Gender:
-                        p = predict_pair_prob(model, a, g, b, h)
-                        q = predict_pair_prob(model, b, h, a, g)
-                        assert p + q == 1.0
-                        assert 0.0 < p < 1.0
+        for model in (mixed_model(), one_pattern_model(70, 30)):
+            p = probability_grid(model)
+            assert (p + p.transpose(2, 3, 0, 1) == 1.0).all()
+            assert ((0.0 < p) & (p < 1.0)).all()
 
     def test_same_slot_demographics_is_a_coin_flip(self):
-        model = self._mixed_model()
-        for a in AgeGroup:
-            for g in Gender:
-                assert predict_pair_prob(model, a, g, a, g) == 0.5
-
-    def test_probability_grid_matches_pointwise_predictions(self):
-        model = self._mixed_model()
-        grid = probability_grid(model)
-        assert set(grid) == set(AgeGroup)
-        for a in AgeGroup:
-            assert set(grid[a]) == set(AgeGroup)
-            for b in AgeGroup:
-                assert grid[a][b] == predict_pair_prob(model, a, M, b, F)
+        for model in (mixed_model(), one_pattern_model(70, 30)):
+            p = probability_grid(model)
+            same = p[np.arange(4)[:, None], np.arange(2),
+                     np.arange(4)[:, None], np.arange(2)]
+            assert same.shape == (4, 2)
+            assert (same == 0.5).all()
 
     def test_serialization_keys(self):
-        model = self._mixed_model()
+        model = mixed_model()
         d = model.to_dict()
         assert set(d) == {"mu0", "age_i", "age_j", "gender_i", "gender_j",
                           "interaction", "prior_variance", "n_pairs"}
