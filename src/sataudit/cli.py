@@ -113,14 +113,15 @@ def cmd_generate(args) -> int:
         [{"impression_id": corpus.ids[k],
           "latent_satisfaction": reports.csv_value(latent[k]),
           "group_offset": reports.csv_value(offsets[profile[k]])}
-         for k in corpus.id_order.tolist()], meta)
+         for k in range(len(corpus))], meta)
+    # keyed by the query text as the corpus holds it
     reports.write_csv(
         out / "query_truth.csv",
         ["query_text", "topic", "difficulty", "navigational"],
-        [{"query_text": q.text, "topic": q.topic,
-          "difficulty": reports.csv_value(q.difficulty),
-          "navigational": int(q.navigational)}
-         for q in sorted(cfg.queries, key=lambda q: q.text)], meta)
+        sorted(({"query_text": normalize_query(q.text), "topic": q.topic,
+                 "difficulty": reports.csv_value(q.difficulty),
+                 "navigational": int(q.navigational)} for q in cfg.queries),
+               key=lambda row: row["query_text"]), meta)
     nav_file = None
     if truth.navigational:
         nav_file = "navigational_queries.txt"
@@ -176,7 +177,7 @@ def cmd_metrics(args) -> int:
              "topic": corpus.topics[topic[k]],
              "page_click_count": int(pcc[k]), "graded_utility": gu[k],
              "reformulation": reform[k], "successful_click_count": scc[k]}
-            for k in corpus.id_order.tolist()]
+            for k in range(len(corpus))]
     reports.write_csv(out / "metrics.csv",
                       ["impression_id", "age", "gender", "query_text",
                        "topic", "graded_utility", "reformulation",

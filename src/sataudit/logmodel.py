@@ -122,16 +122,20 @@ class LogCorpus:
     """A validated interaction log, held as read-only columns, one row per
     impression.
 
-    ``ids`` holds the impression ids (an object array of str).  ``user``,
-    ``session``, ``query`` and ``topic`` are int32 codes into ``users``,
-    ``sessions``, ``queries`` and ``topics``, each listed in order of first
-    appearance; ``age`` and ``gender`` index ``AgeGroup`` and ``Gender``
-    order.  ``reformulated`` is int8: 1, 0, or -1 when the flag is unset.
+    ``ids`` holds the impression ids (an object array of str).  A built
+    corpus is canonical: its rows are in impression-id order, with equal
+    ids in the order the log gave them, so a log and any reordering of
+    its lines make the same corpus as long as its ids are distinct.
+    ``user``, ``session``, ``query`` and ``topic`` are int32 codes into
+    ``users``, ``sessions``, ``queries`` and ``topics``, each listed in
+    sorted text order, so comparing codes compares texts; ``age`` and
+    ``gender`` index ``AgeGroup`` and ``Gender`` order.  ``reformulated``
+    is int8: 1, 0, or -1 when the flag is unset.
 
     Result pages and clicks are CSR: row k's results are
     ``result[result_offsets[k]:result_offsets[k + 1]]``, codes into
-    ``result_ids``, and its clicks, in log order, are entries
-    ``click_offsets[k]:click_offsets[k + 1]`` of the ``click_*`` arrays
+    ``result_ids`` (sorted likewise), and its clicks, in log order, are
+    entries ``click_offsets[k]:click_offsets[k + 1]`` of the ``click_*`` arrays
     (``click_dwell`` is NaN where the log has no dwell time).
 
     Metric tables and other columns computed from the corpus are kept on
@@ -177,11 +181,6 @@ class LogCorpus:
         if key not in self._derived:
             self._derived[key] = build(self, *args)
         return self._derived[key]
-
-    @cached_property
-    def id_order(self) -> np.ndarray:
-        """Rows in impression-id order; equal ids keep row order."""
-        return _frozen(np.argsort(self.ids, kind="stable"))
 
     @cached_property
     def click_count(self) -> np.ndarray:
@@ -253,45 +252,91 @@ class _ColumnBuilder:
         return None
 
     def freeze(self, skipped: int) -> LogCorpus:
-        profile = np.array(self.profile, dtype=np.int32)
+        """The corpus, canonical (see :class:`LogCorpus`): rows stably
+        sorted by impression id, and each vocabulary numbered in sorted
+        text order.  Each list is dropped as its column is made, and a
+        gather runs only when the ids came unsorted."""
+        vocab = {name: _sorted_vocabulary(getattr(self, name)) for name in
+                 ("users", "sessions", "queries", "topics", "result_ids")}
+
+        def column(name, dtype, coded=None):
+            values = np.array(getattr(self, name), dtype=dtype)
+            setattr(self, name, None)
+            if coded is not None:       # renumbered in place
+                np.take(vocab[coded][1], values, out=values, mode="clip")
+            return values
+
+        def csr(end, *columns):
+            """A CSR group's offsets and columns, in row order."""
+            values = [column(*c) for c in columns]
+            offsets = column(end, np.int64)
+            if isinstance(rows, slice):
+                return offsets, values
+            take, offsets = _entries(offsets, rows)
+            return offsets, [v[take] for v in values]
+
+        rows = slice(None)              # the ids came sorted
+        ids = column("ids", object)
+        if not (ids[1:] >= ids[:-1]).all():
+            rows = np.argsort(ids, kind="stable")
+            ids = ids[rows]
+        profile = column("profile", np.int32)[rows]
+        row_columns = {name: column(name, dtype, *coded)[rows]
+                       for name, dtype, *coded in (
+                           ("user", np.int32, "users"),
+                           ("session", np.int32, "sessions"),
+                           ("timestamp", np.int64),
+                           ("query", np.int32, "queries"),
+                           ("topic", np.int32, "topics"),
+                           ("reformulated", np.int8))}
+        result_offsets, (result,) = csr("result_end",
+                                        ("result", np.int32, "result_ids"))
+        click_offsets, clicks = csr(
+            "click_end", ("click_result", np.int32, "result_ids"),
+            ("click_position", np.int32), ("click_dwell", float),
+            ("click_terminated", bool))
         return LogCorpus(
-            ids=np.array(self.ids, dtype=object),
-            user=np.array(self.user, dtype=np.int32), users=list(self.users),
-            session=np.array(self.session, dtype=np.int32),
-            sessions=list(self.sessions),
-            timestamp=np.array(self.timestamp, dtype=np.int64),
-            age=profile >> 1, gender=profile & 1,
-            query=np.array(self.query, dtype=np.int32),
-            queries=list(self.queries),
-            topic=np.array(self.topic, dtype=np.int32),
-            topics=list(self.topics),
-            reformulated=np.array(self.reformulated, dtype=np.int8),
-            result_offsets=np.array(self.result_end, dtype=np.int64),
-            result=np.array(self.result, dtype=np.int32),
-            result_ids=list(self.result_ids),
-            click_offsets=np.array(self.click_end, dtype=np.int64),
-            click_result=np.array(self.click_result, dtype=np.int32),
-            click_position=np.array(self.click_position, dtype=np.int32),
-            click_dwell=np.array(self.click_dwell, dtype=float),
-            click_terminated=np.array(self.click_terminated, dtype=bool),
-            metadata=CorpusMetadata(accepted=len(self.ids), skipped=skipped))
+            ids=ids, **row_columns, age=profile >> 1, gender=profile & 1,
+            **{name: texts for name, (texts, _) in vocab.items()},
+            result_offsets=result_offsets, result=result,
+            click_offsets=click_offsets, click_result=clicks[0],
+            click_position=clicks[1], click_dwell=clicks[2],
+            click_terminated=clicks[3],
+            metadata=CorpusMetadata(accepted=len(ids), skipped=skipped))
+
+
+def _sorted_vocabulary(vocab: dict[str, int]) -> tuple[list[str], np.ndarray]:
+    """The texts of `vocab` (text to code) in sorted order, and the new
+    code of each old one."""
+    texts = sorted(vocab)
+    recode = np.empty(len(texts), dtype=np.int32)
+    recode[[vocab[t] for t in texts]] = np.arange(len(texts))
+    return texts, recode
 
 
 # rows whose result-id and click strings emit builds at one time
 _EMIT_BLOCK = 8192
 
 
-def _entries(offsets: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, list]:
-    """The CSR entries of `rows`, concatenated, and each row's bounds."""
+def _entries(offsets: np.ndarray, rows: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR entries of `rows`, concatenated, and their offsets there."""
     lo = offsets[rows]
     n = offsets[rows + 1] - lo
     bounds = np.concatenate([[0], np.cumsum(n)])
-    return np.repeat(lo - bounds[:-1], n) + np.arange(bounds[-1]), \
-        bounds.tolist()
+    # a running sum of ones, where each row's first entry steps from the
+    # entry before it to the row's own first: one array of the entries'
+    # size, not three
+    kept = n > 0
+    lo, n = lo[kept], n[kept]
+    step = np.ones(bounds[-1], dtype=np.int64)
+    step[bounds[:-1][kept]] = lo - np.concatenate([[0], lo[:-1] + n[:-1] - 1])
+    return np.cumsum(step, out=step), bounds
 
 
-def _records(corpus: LogCorpus, rows, click, text=str):
-    """The record of each row, rebuilt from the corpus columns.
+def _records(corpus: LogCorpus, click, text=str):
+    """The record of each row, in row (impression-id) order, rebuilt from
+    the corpus columns.
 
     Each click is ``click(text(result_id), position, dwell_seconds,
     terminated_query)``, vocabulary strings (not ids) go through `text`
@@ -304,10 +349,11 @@ def _records(corpus: LogCorpus, rows, click, text=str):
     columns = (corpus.ids, corpus.user, corpus.session, corpus.timestamp,
                corpus.query, corpus.topic, corpus.reformulated,
                corpus.age * 2 + corpus.gender)
-    for start in range(0, len(rows), _EMIT_BLOCK):
-        k = np.asarray(rows[start:start + _EMIT_BLOCK], dtype=np.intp)
+    for start in range(0, len(corpus), _EMIT_BLOCK):
+        k = np.arange(start, min(start + _EMIT_BLOCK, len(corpus)))
         r, rb = _entries(corpus.result_offsets, k)
         c, cb = _entries(corpus.click_offsets, k)
+        rb, cb = rb.tolist(), cb.tolist()
         res = [rid[v] for v in corpus.result[r].tolist()]
         clicks = [click(rid[v], p, d, t) for v, p, d, t in zip(
             corpus.click_result[c].tolist(), corpus.click_position[c].tolist(),
@@ -444,9 +490,8 @@ def derive_reformulation_flags(corpus: LogCorpus) -> np.ndarray:
     if not (flags < 0).any():
         return flags
     n = len(corpus)
-    id_rank = np.empty(n, dtype=np.intp)
-    id_rank[corpus.id_order] = np.arange(n)
-    order = np.lexsort((id_rank, corpus.timestamp, corpus.session))
+    # rows are in impression-id order and the sort is stable
+    order = np.lexsort((corpus.timestamp, corpus.session))
     session = corpus.session[order].tolist()
     query = corpus.query[order].tolist()
     flag = flags[order].tolist()
@@ -486,7 +531,7 @@ def _json_click(result_id: str, position: int, dwell: float,
             f'"terminated_query": {"true" if terminated else "false"}}}')
 
 
-def _ndjson_lines(corpus: LogCorpus, rows):
+def _ndjson_lines(corpus: LogCorpus):
     """The NDJSON line of each row, from strings encoded once per
     vocabulary entry and per click.
 
@@ -500,7 +545,7 @@ def _ndjson_lines(corpus: LogCorpus, rows):
     demographics = {p: json.dumps({"age": p.age.name,
                                    "gender": p.gender.code})
                     for p in _PROFILES}
-    for f in _records(corpus, rows, _json_click, enc):
+    for f in _records(corpus, _json_click, enc):
         yield (f'{{"impression_id": {enc(f[0])}, "user_id": {f[1]}, '
                f'"session_id": {f[2]}, "timestamp": {f[3]}, '
                f'"query_text": {f[4]}, "topic": {f[5]}, '
@@ -589,12 +634,12 @@ def _csv_click(result_id: str, position: int, dwell: float,
         f":{int(terminated)}"
 
 
-def _csv_rows(corpus: LogCorpus, rows):
+def _csv_rows(corpus: LogCorpus):
     """The CSV row of each row, as a list in ``CSV_FIELDS`` order."""
     reserved = {r for r in corpus.result_ids
                 if any(ch in r for ch in _RESERVED)}
     flag = (0, 1, "")                       # indexed by 0, 1 and -1
-    for f in _records(corpus, rows, _csv_click):
+    for f in _records(corpus, _csv_click):
         if reserved and not reserved.isdisjoint(f[6]):
             bad = next(r for r in f[6] if r in reserved)
             raise DataError(
@@ -692,17 +737,17 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
 
 
 def emit(corpus: LogCorpus, path: str | Path, fmt: str = "ndjson") -> int:
-    """Write a corpus in stable impression_id order; returns record count."""
+    """Write a corpus in row order, which is impression-id order; returns
+    the record count."""
     path = Path(path)
-    rows = corpus.id_order
     if fmt == "ndjson":
         with path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(_ndjson_lines(corpus, rows))
+            fh.writelines(_ndjson_lines(corpus))
     elif fmt == "csv":
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = _csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_FIELDS)
-            writer.writerows(_csv_rows(corpus, rows))
+            writer.writerows(_csv_rows(corpus))
     else:
         raise DataError(f"unknown log format {fmt!r}")
     return len(corpus)

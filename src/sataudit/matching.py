@@ -14,16 +14,19 @@ Stages (attrition is recorded after each):
    group of the audited factor;
 3. keep impressions whose final successful click is the query's dominant
    result;
-4. keep impressions showing the query's modal result-page signature;
+4. keep impressions showing the query's modal result page;
 5. re-apply the stage-2 floor on the survivors.
 
-The dominant result and modal signature are per-query statistics
-computed on the stage-2 output, so stages 3 and 4 commute.
+The dominant result and modal page are per-query statistics computed on
+the stage-2 output, so stages 3 and 4 commute.  A page is its prefix of
+`serp_prefix` result ids.  Ties go to the smaller value: the smaller
+result id, and the smaller result-id sequence, where a short page comes
+before a longer page it begins.  Result codes follow text order (see
+:class:`sataudit.logmodel.LogCorpus`), so both rules compare codes.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,17 +59,6 @@ class MatchedCohort:
     attrition: list[StageCount] = field(default_factory=list)
 
 
-def serp_signature(results: list[str], prefix_len: int = DEFAULT_SERP_PREFIX) -> str:
-    """Stable order-sensitive hash of the first `prefix_len` result ids.
-
-    The prefix length is folded into the digest, so a complete short page
-    never collides with a longer page's truncation of different length.
-    """
-    prefix = results[:prefix_len]
-    payload = "\x1f".join([str(len(prefix))] + prefix)
-    return hashlib.sha1(payload.encode("utf-8")).hexdigest()
-
-
 def _final_click_column(corpus: LogCorpus,
                         dwell_threshold_s: float) -> np.ndarray:
     """Each row's final successful click as a result code, -1 when none:
@@ -80,46 +72,39 @@ def _final_click_column(corpus: LogCorpus,
     return final
 
 
-def _text_ranks(texts: list[str]) -> np.ndarray:
-    """Each text's position among the distinct texts in sorted order."""
-    position = {t: i for i, t in enumerate(sorted(set(texts)))}
-    return np.array([position[t] for t in texts], dtype=np.int64)
-
-
 def _modal(mask: np.ndarray, query: np.ndarray,
-           rank: np.ndarray) -> np.ndarray:
-    """Rows of `mask` with their query's modal `rank`; ties to the smallest."""
-    n = int(rank.max(initial=0)) + 1
-    keys, counts = np.unique(query[mask].astype(np.int64) * n + rank[mask],
+           value: np.ndarray) -> np.ndarray:
+    """Rows of `mask` holding their query's most common `value` (an int
+    column, at least 0 on the masked rows); ties to the smallest."""
+    n = int(value.max(initial=0)) + 1
+    keys, counts = np.unique(query[mask].astype(np.int64) * n + value[mask],
                              return_counts=True)
-    # keys run by query, then rank; the stable sort keeps ties in rank order
+    # keys run by query, then value; the stable sort keeps ties in order
     q, r = np.divmod(keys[np.lexsort((-counts, keys // n))], n)
     first = np.diff(q, prepend=-1) != 0
     modal = np.full(int(query.max(initial=-1)) + 1, -1, dtype=np.int64)
     modal[q[first]] = r[first]
-    return mask & (rank == modal[query])
+    return mask & (value == modal[query])
 
 
 def _page_ranks(corpus: LogCorpus, rows: np.ndarray,
                 prefix_len: int) -> np.ndarray:
-    """The text rank of each row's :func:`serp_signature`, hashed once per
-    distinct page prefix (the only part the signature reads)."""
+    """The rank of each row's page, its first `prefix_len` result codes,
+    among the distinct pages of `rows` in lexicographic order; -1 pads a
+    short page, so it ranks before a longer page it begins."""
     start = corpus.result_offsets[rows]
     length = np.minimum(corpus.result_offsets[rows + 1] - start, prefix_len)
     cols = np.arange(int(length.max(initial=1)))
     shown = cols < length[:, None]
     prefix = np.full(shown.shape, -1, dtype=np.int32)
     prefix[shown] = corpus.result[(start[:, None] + cols)[shown]]
-    # one opaque value per padded prefix: np.unique sorts these far faster
-    # than rows with axis=0, and the order of the distinct ones is unused
-    distinct, inverse = np.unique(
-        prefix.view(f"V{prefix.itemsize * len(cols)}"), return_inverse=True)
-    ids = corpus.result_ids
-    signatures = [serp_signature([ids[c] for c in page if c >= 0], prefix_len)
-                  for page in distinct.view(np.int32).reshape(
-                      len(distinct), len(cols)).tolist()]
-    # the inverse's shape differs across numpy releases
-    return _text_ranks(signatures)[inverse.reshape(-1)]
+    order = np.lexsort(prefix.T[::-1])      # the first column is primary
+    pages = prefix[order]
+    new = np.ones(len(rows), dtype=np.int64)
+    new[1:] = (pages[1:] != pages[:-1]).any(axis=1)
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank
 
 
 def navigational_queries_proxy(
@@ -155,7 +140,7 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
     """Run the five-stage matching pipeline; see the module docstring.
 
     Without `navigational` the click-concentration proxy picks the
-    queries at `nav_share`; `serp_prefix` results make a page signature.
+    queries at `nav_share`; a page is its first `serp_prefix` results.
     """
     if min_impressions < 1:
         raise DataError("min_impressions must be >= 1")
@@ -183,13 +168,11 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
     stages["min_impressions"] = stage2 = meets_floor(stages["navigational"])
 
     # stages 3 and 4: per-impression predicates against stage-2 statistics
-    # of each query; values rank by text, as codes follow first appearance
+    # of each query
     final = corpus.derived("final_click", _final_click_column,
                            dwell_threshold_s)
-    final_rank = np.where(final >= 0,
-                          _text_ranks(corpus.result_ids)[final], -1)
     stages["final_click"] = stage3 = _modal(stage2 & (final >= 0), query,
-                                            final_rank)
+                                            final)
     rows = np.flatnonzero(stage2)
     page_rank = np.zeros(len(corpus), dtype=np.int64)
     page_rank[rows] = _page_ranks(corpus, rows, serp_prefix)
@@ -202,7 +185,7 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
                             int(np.unique(query[mask]).size))
                  for stage, mask in stages.items()]
     rows = np.flatnonzero(kept)
-    order = np.argsort(_text_ranks(corpus.queries)[query[rows]], kind="stable")
+    order = np.argsort(query[rows], kind="stable")
     return MatchedCohort(factor, corpus, rows[order], attrition)
 
 

@@ -247,15 +247,13 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
     chosen = [ordered_queries[int(i)] for i in chosen_idx]
 
     query_code = {q: c for c, q in enumerate(corpus.queries)}
-    order = corpus.id_order
-    query_in_order = corpus.query[order]
     group = factor.codes(corpus)
     i_idx = np.empty(len(chosen) * pairs_per_query, dtype=np.int32)
     j_idx = np.empty_like(i_idx)
     filled = 0
     for q in chosen:
-        # the query's impressions, in impression_id order
-        members = order[query_in_order == query_code.get(q, -1)]
+        # the query's impressions, in row (impression-id) order
+        members = np.flatnonzero(corpus.query == query_code.get(q, -1))
         n = len(members)
         codes = group[members]
         per_group = np.bincount(codes)

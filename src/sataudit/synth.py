@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .logmodel import AgeGroup, CorpusMetadata, DemographicProfile, Gender, \
-    LogCorpus, all_profiles, first_appearance_codes, normalize_query
+    LogCorpus, all_profiles, normalize_query
 
 _AGES = list(AgeGroup)
 
@@ -48,12 +48,43 @@ def _age_from_key(key: str) -> AgeGroup:
         raise
 
 DEFAULT_TOPICS = ("news", "shopping", "health", "travel", "tech", "sports")
+_PROFILE_KEYS = [p.key for p in all_profiles()]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return (_is_int(value) or isinstance(value, float)) \
+        and math.isfinite(value)
+
+
+def _weights(n: int):
+    return (f"{n} numbers, none negative",
+            lambda v: isinstance(v, tuple) and len(v) == n
+            and all(_is_number(w) and w >= 0 for w in v))
+
+
+# what each QuerySpec field must hold: (description, test)
+_QUERY_FIELDS = {
+    "text": ("a string", lambda v: isinstance(v, str)),
+    "topic": ("a string", lambda v: isinstance(v, str)),
+    "difficulty": ("a number in [0, 1]",
+                   lambda v: _is_number(v) and 0 <= v <= 1),
+    "navigational": ("true or false", lambda v: isinstance(v, bool)),
+    "results": ("a list of strings", lambda v: isinstance(v, tuple)
+                and all(isinstance(r, str) for r in v)),
+    "age_weights": _weights(len(AgeGroup)),
+    "gender_weights": _weights(len(Gender)),
+}
 
 
 @dataclass(frozen=True)
 class QuerySpec:
     """One vocabulary entry: text, topic, true difficulty, intent, the
-    canonical result list, and per-group sampling weights."""
+    canonical result list, and per-group sampling weights.  A value of
+    the wrong type is a ConfigError, never coerced."""
 
     text: str
     topic: str
@@ -64,16 +95,18 @@ class QuerySpec:
     gender_weights: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
+        for name, (what, ok) in _QUERY_FIELDS.items():
+            value = getattr(self, name)
+            if not ok(value):
+                shown = list(value) if isinstance(value, tuple) else value
+                raise ConfigError(f"query {self.text!r}: {name} must be "
+                                  f"{what}, got {shown!r}")
         if not normalize_query(self.text):
             raise ConfigError("empty query text")
-        if not 0.0 <= self.difficulty <= 1.0:
-            raise ConfigError(f"difficulty out of [0,1] for {self.text!r}")
         if not self.results:
             raise ConfigError(f"empty result list for {self.text!r}")
         if len(set(self.results)) != len(self.results):
             raise ConfigError(f"duplicate result id for {self.text!r}")
-        if any(w < 0 for w in self.age_weights + self.gender_weights):
-            raise ConfigError(f"negative sampling weight for {self.text!r}")
 
 
 @dataclass(frozen=True)
@@ -131,8 +164,20 @@ class ScenarioConfig:
     behavior: BehaviorModel = BehaviorModel()
 
     def __post_init__(self):
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed!r}")
+        unknown = [k for k in self.users_per_profile
+                   if k not in _PROFILE_KEYS]
+        if unknown:
+            raise ConfigError(f"unknown profiles in users_per_profile: "
+                              f"{', '.join(map(repr, unknown))}; choose "
+                              f"from {', '.join(_PROFILE_KEYS)}")
+        for n in self.users_per_profile.values():
+            if not (_is_int(n) and n >= 0):
+                raise ConfigError(f"user counts must be non-negative "
+                                  f"integers, got {n!r}")
         if not self.queries:
             raise ConfigError("empty query vocabulary")
         first: dict[str, int] = {}
@@ -143,17 +188,16 @@ class ScenarioConfig:
                                   f"{q.text!r} normalize to the same query")
         if not any(n > 0 for n in self.users_per_profile.values()):
             raise ConfigError("zero users in every profile")
-        if any(n < 0 for n in self.users_per_profile.values()):
-            raise ConfigError("negative user count")
         for a in _AGES:
             if not any(q.age_weights[a - 1] > 0 for q in self.queries):
                 raise ConfigError(f"no positive query weight for {a.label}")
         for table in (self.age_offsets, self.gender_offsets):
-            if any(not math.isfinite(v) for v in table.values()):
-                raise ConfigError("non-finite satisfaction offset")
+            if not all(map(_is_number, table.values())):
+                raise ConfigError("satisfaction offsets must be finite "
+                                  "numbers")
         for table in (self.dwell_multipliers, self.click_multipliers):
-            if any(v <= 0 for v in table.values()):
-                raise ConfigError("multipliers must be positive")
+            if not all(_is_number(v) and v > 0 for v in table.values()):
+                raise ConfigError("multipliers must be positive numbers")
 
     def offset_for(self, profile: DemographicProfile) -> float:
         return (self.age_offsets.get(profile.age, 0.0)
@@ -188,31 +232,36 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
+        """The config a JSON object describes, its values as given (a
+        JSON array becomes a tuple)."""
+        def array(q: dict, key: str, default=None):
+            v = q[key] if default is None else q.get(key, default)
+            return tuple(v) if isinstance(v, list) else v
+
         try:
             behavior = BehaviorModel(**d.get("behavior", {}))
             queries = tuple(QuerySpec(
                 text=q["text"], topic=q["topic"],
                 difficulty=q["difficulty"],
                 navigational=q["navigational"],
-                results=tuple(q["results"]),
-                age_weights=tuple(q.get("age_weights", (1, 1, 1, 1))),
-                gender_weights=tuple(q.get("gender_weights", (1, 1))),
+                results=array(q, "results"),
+                age_weights=array(q, "age_weights", (1, 1, 1, 1)),
+                gender_weights=array(q, "gender_weights", (1, 1)),
             ) for q in d["queries"])
             return cls(
-                name=d["name"], seed=int(d["seed"]),
-                users_per_profile={k: int(v) for k, v in
-                                   d["users_per_profile"].items()},
+                name=d["name"], seed=d["seed"],
+                users_per_profile=dict(d["users_per_profile"]),
                 queries=queries,
-                age_offsets={_age_from_key(k): float(v) for k, v in
+                age_offsets={_age_from_key(k): v for k, v in
                              d.get("age_offsets", {}).items()},
-                gender_offsets={Gender(k): float(v) for k, v in
+                gender_offsets={Gender(k): v for k, v in
                                 d.get("gender_offsets", {}).items()},
-                dwell_multipliers={_age_from_key(k): float(v) for k, v in
+                dwell_multipliers={_age_from_key(k): v for k, v in
                                    d.get("dwell_multipliers", {}).items()},
-                click_multipliers={_age_from_key(k): float(v) for k, v in
+                click_multipliers={_age_from_key(k): v for k, v in
                                    d.get("click_multipliers", {}).items()},
                 behavior=behavior)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"bad scenario config: {exc}") from exc
 
 
@@ -248,14 +297,12 @@ def _dwell(med: np.ndarray, sigma: float, z: np.ndarray,
     return [round(v, 2) for v in np.where(least > d, least, d).tolist()]
 
 
-def _coded(keys: list[str], picks: np.ndarray) -> tuple[np.ndarray, list]:
-    """``keys[picks]`` as int32 codes numbered in order of first
-    appearance, and the vocabulary they index."""
-    ids: dict[str, int] = {}
-    own = np.array([ids.setdefault(k, len(ids)) for k in keys])
-    order, codes = first_appearance_codes(own[picks])
-    vocab = list(ids)
-    return codes.astype(np.int32), [vocab[c] for c in order.tolist()]
+def _coded(keys: list[str], used: np.ndarray) -> tuple[np.ndarray, list]:
+    """The distinct keys where `used` holds, sorted as ingest sorts a
+    vocabulary, and every key's int32 code into them (-1 if unused)."""
+    vocab = sorted({key for key, u in zip(keys, used.tolist()) if u})
+    code = {key: c for c, key in enumerate(vocab)}
+    return np.array([code.get(k, -1) for k in keys], dtype=np.int32), vocab
 
 
 def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
@@ -364,28 +411,19 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
     gaps = np.maximum(r - 1, 1)
     swap = np.where((u_swap < b.serp_swap_prob) & (r >= 2),
                     swap_at % gaps, -2)
-    result_code: dict[str, int] = {}
+    in_use = np.isin(np.arange(len(queries)), qi)
     page = np.zeros((len(queries), n_res.max()), dtype=np.int32)
-    for j, q in enumerate(queries):
-        page[j, :n_res[j]] = [result_code.setdefault(x, len(result_code))
-                              for x in q.results]
+    slots = np.arange(page.shape[1]) < n_res[:, None]
+    page[slots], result_ids = _coded([x for q in queries for x in q.results],
+                                     np.repeat(in_use, n_res))
     page = page[qi]
     swapped, k = np.flatnonzero(swap >= 0), swap[swap >= 0]
     page[swapped, k], page[swapped, k + 1] = \
         page[swapped, k + 1], page[swapped, k]
-    shown = np.arange(page.shape[1]) < r[:, None]
-    # Number result ids in order of first appearance in the row-major
-    # column.  A query's later pages show no id its first page does not,
-    # so the first page of each query decides that order.
-    firsts = np.sort(np.unique(qi, return_index=True)[1])
-    seen, _ = first_appearance_codes(page[firsts][shown[firsts]])
-    rank = np.zeros(len(result_code), dtype=np.int32)
-    rank[seen] = np.arange(len(seen))
-    result, vocab = rank[page[shown]], list(result_code)
-    result_ids = [vocab[c] for c in seen.tolist()]
+    result = page[np.arange(page.shape[1]) < r[:, None]]
     # free what no later stage reads, so the columns below reuse the
     # memory instead of growing the heap past what emit can reuse
-    del page, shown, z_sat, u_query, u_reform, u_success, u_click, u_swap, \
+    del page, z_sat, u_query, u_reform, u_success, u_click, u_swap, \
         swap_at, fresh
 
     # clicks, each on a slot of its query's results: browse (never the
@@ -422,8 +460,8 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
     result_offsets = np.concatenate([[0], np.cumsum(r)])
 
     texts = [normalize_query(q.text) for q in queries]
-    query, query_texts = _coded(texts, qi)
-    topic, topics = _coded([q.topic for q in queries], qi)
+    query, query_texts = _coded(texts, in_use)
+    topic, topics = _coded([q.topic for q in queries], in_use)
     users = [f"u{u:06d}" for u in range(len(counts))]
     user = user_ord.astype(np.int32)
     corpus = LogCorpus(
@@ -431,8 +469,8 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
         user=user, users=users, session=user.copy(),
         sessions=[f"s-{u}" for u in users],
         timestamp=1_600_000_000 + user_ord * 600 + pos_in_user * 45,
-        age=age_idx, gender=profile & 1, query=query, queries=query_texts,
-        topic=topic, topics=topics,
+        age=age_idx, gender=profile & 1, query=query[qi],
+        queries=query_texts, topic=topic[qi], topics=topics,
         reformulated=(reform & ~is_last).astype(np.int8),
         result_offsets=result_offsets, result=result, result_ids=result_ids,
         click_offsets=np.concatenate([[0],

@@ -75,7 +75,7 @@ def corpus(impressions) -> LogCorpus:
 def records(c: LogCorpus) -> list[Impression]:
     """The corpus's rows as records, rebuilt from its columns."""
     return [Impression(*f[:8], None if f[8] < 0 else f[8] == 1, f[9])
-            for f in logmodel._records(c, range(len(c)), Click)]
+            for f in logmodel._records(c, Click)]
 
 
 def satisfied(impression_id: str | None = None, **kw) -> Impression:

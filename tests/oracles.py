@@ -182,20 +182,19 @@ def final_successful_click(imp: Impression,
     return None
 
 
-def _most_common(values) -> str | None:
+def _most_common(values):
     """The most frequent value, ties to the smallest; None when empty."""
     counts = Counter(values)
     return min(counts, key=lambda v: (-counts[v], v), default=None)
 
 
-def _page_signatures(corpus: LogCorpus, rows: list[int],
-                     prefix_len: int) -> list[str]:
-    """:func:`sataudit.matching.serp_signature` of each row's result page."""
+def _pages(corpus: LogCorpus, rows: list[int],
+           prefix_len: int) -> list[tuple[str, ...]]:
+    """Each row's page: its first `prefix_len` result ids, as a tuple."""
     offsets, result = corpus.result_offsets.tolist(), corpus.result.tolist()
-    return [matching.serp_signature(
-                [corpus.result_ids[c] for c in result[offsets[k]:
-                                                      offsets[k + 1]]],
-                prefix_len) for k in rows]
+    return [tuple(corpus.result_ids[c] for c in
+                  result[offsets[k]:offsets[k + 1]][:prefix_len])
+            for k in rows]
 
 
 def match_contexts(corpus: LogCorpus, factor: Factor,
@@ -233,8 +232,7 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
                            dwell_threshold_s).tolist()
     result_ids = corpus.result_ids + [None]       # code -1 reads None
     stage2 = [k for rows in by_query.values() for k in rows]
-    page_of = dict(zip(stage2, _page_signatures(corpus, stage2,
-                                                serp_prefix)))
+    page_of = dict(zip(stage2, _pages(corpus, stage2, serp_prefix)))
     stage3 = stages["final_click"] = {}
     stage4 = stages["serp"] = {}
     for q, rows in by_query.items():

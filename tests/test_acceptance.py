@@ -6,7 +6,9 @@ pytest -s, and in the failure report otherwise).  The pytest -v status
 line per test is the pass/fail verdict.
 """
 
+import csv
 import json
+import random
 import time
 from pathlib import Path
 
@@ -369,3 +371,80 @@ def test_criterion_8_units_and_determinism(qmix_small, tmp_path):
           f"{tiers['torso']}/{tiers['tail']} of {n}; "
           f"{len(first)} pipeline files byte-identical across reruns "
           f"({elapsed:.1f}s); divergence flagged")
+
+
+# ---------------------------------------------------------------------------
+# 9. the audit depends on a log's records, not on the order of its lines
+
+def _shuffled(src: Path, dst: Path) -> None:
+    """Copy a log with its record lines (a CSV keeps its header first) in
+    a seeded random order."""
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    head = lines[:1] if src.suffix == ".csv" else []
+    body = lines[len(head):]
+    random.Random(9).shuffle(body)
+    dst.parent.mkdir(parents=True)
+    dst.write_text("".join(head + body), encoding="utf-8")
+
+
+def _clicks_only(src: Path, dst: Path) -> None:
+    """Copy a CSV log with every dwell time and reformulated flag blank."""
+    dst.parent.mkdir(parents=True)
+    with open(src, encoding="utf-8", newline="") as fin, \
+            open(dst, "w", encoding="utf-8", newline="") as fout:
+        reader = csv.DictReader(fin)
+        writer = csv.DictWriter(fout, fieldnames=reader.fieldnames,
+                                lineterminator="\n")
+        writer.writeheader()
+        for row in reader:
+            clicks = [part.split(":") for part in row["clicks"].split(";")
+                      if part]
+            row["clicks"] = ";".join(f"{pos}:{rid}::{term}"
+                                     for pos, rid, _, term in clicks)
+            row["reformulated"] = ""
+            writer.writerow(row)
+
+
+def test_criterion_9_line_order_does_not_change_the_audit(tmp_path):
+    t0 = time.perf_counter()
+    gen = tmp_path / "gen"
+    assert main(["generate", "--preset", "mixed", "--seed", "1",
+                 "--impressions", "12000", "--out", str(gen / "mixed")]) == 0
+    assert main(["generate", "--preset", "dwell_confound", "--seed", "1",
+                 "--impressions", "12000", "--format", "csv",
+                 "--out", str(gen / "dwell")]) == 0
+    logs = tmp_path / "file"
+    _clicks_only(gen / "dwell" / "corpus.csv", logs / "clicks" / "corpus.csv")
+    (logs / "mixed").mkdir()
+    (logs / "mixed" / "corpus.ndjson").write_bytes(
+        (gen / "mixed" / "corpus.ndjson").read_bytes())
+    for name in ("mixed/corpus.ndjson", "clicks/corpus.csv"):
+        _shuffled(logs / name, tmp_path / "shuffled" / name)
+    runs = {
+        "audit": ["audit", "--input", "mixed/corpus.ndjson",
+                  "--methods", "raw,matched,multilevel,pairwise",
+                  "--navigational", str(gen / "mixed" /
+                                        "navigational_queries.txt")],
+        "external": ["audit", "--input", "clicks/corpus.csv",
+                     "--methods", "external", "--default-thresholds",
+                     "--pair-fraction", "1.0"],
+        "metrics": ["metrics", "--input", "clicks/corpus.csv"],
+    }
+    trees = {}
+    for order in ("file", "shuffled"):
+        for name, argv in runs.items():
+            argv = [str(tmp_path / order / a) if a.startswith(
+                ("mixed/", "clicks/")) else a for a in argv]
+            assert main([*argv, "--out", str(tmp_path / "out" / order /
+                                              name)]) == 0, name
+        trees[order] = _tree_bytes(tmp_path / "out" / order)
+    elapsed = time.perf_counter() - t0
+
+    assert trees["file"].keys() == trees["shuffled"].keys()
+    diffs = [name for name in trees["file"]
+             if trees["file"][name] != trees["shuffled"][name]]
+    assert diffs == []
+    print(f"CRITERION 9 (line order): PASS; {len(trees['file'])} files of "
+          f"a mixed audit, an external audit and the metrics of a "
+          f"clicks-only log byte-identical after a line shuffle "
+          f"({elapsed:.1f}s)")

@@ -168,6 +168,61 @@ class TestGenerate:
     def test_unknown_preset_is_usage_error(self, tmp_path):
         assert run("generate", "--preset", "bogus", "--out", tmp_path) == 1
 
+    def test_query_truth_keys_by_the_corpus_text(self, tmp_path):
+        scenario = synth.preset_null(n_impressions=600, seed=1).to_dict()
+        scenario["queries"][0]["text"] = "News  Query 0000 "
+        cfg_file = tmp_path / "scenario.json"
+        cfg_file.write_text(json.dumps(scenario))
+        assert run("generate", "--scenario-config", cfg_file,
+                   "--out", tmp_path / "out") == 0
+        _, rows = read_report_csv(tmp_path / "out" / "query_truth.csv")
+        texts = [r["query_text"] for r in rows]
+        assert texts == sorted(texts) and "news query 0000" in texts
+        assert set(texts) >= set(
+            ingest(tmp_path / "out" / "corpus.ndjson").queries)
+
+
+def _query(**fields):
+    return lambda d: d["queries"][0].update(fields)
+
+
+def _roster(**counts):
+    return lambda d: d["users_per_profile"].update(counts)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_query(age_weights=[1, 1, 1]), "query 'news query 0000': age_weights "
+     "must be 4 numbers, none negative, got [1, 1, 1]"),
+    (_query(age_weights=[1, 1, 1, 1, 1]), "query 'news query 0000': "
+     "age_weights must be 4 numbers, none negative, got [1, 1, 1, 1, 1]"),
+    (_query(gender_weights=[1]), "query 'news query 0000': gender_weights "
+     "must be 2 numbers, none negative, got [1]"),
+    (_query(text=5), "query 5: text must be a string, got 5"),
+    (_query(topic=7), "query 'news query 0000': topic must be a string, "
+     "got 7"),
+    (_query(results=[1, 2, 3]), "query 'news query 0000': results must be "
+     "a list of strings, got [1, 2, 3]"),
+    (_query(results="r1"), "query 'news query 0000': results must be a "
+     "list of strings, got 'r1'"),
+    (_roster(**{"G2-m": 20, "G9-X": 20}),
+     "unknown profiles in users_per_profile: 'G2-m', 'G9-X'; choose from "
+     "G1-M, G1-F, G2-M, G2-F, G3-M, G3-F, G4-M, G4-F"),
+    (lambda d: d.update(seed=1.5), "seed must be an integer, got 1.5"),
+    (_roster(**{"G1-M": 2.7}),
+     "user counts must be non-negative integers, got 2.7"),
+], ids=["age3", "age5", "gender1", "text", "topic", "result-ints",
+        "result-string", "unknown-profile", "float-seed", "float-users"])
+def test_bad_scenario_value_is_one_config_error(tmp_path, capsys, edit,
+                                                message):
+    scenario = synth.preset_null(n_impressions=2000, seed=1).to_dict()
+    edit(scenario)
+    cfg_file = tmp_path / "scenario.json"
+    cfg_file.write_text(json.dumps(scenario))
+    assert run("generate", "--scenario-config", cfg_file,
+               "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
 
 # ---------------------------------------------------------------------------
 # metrics

@@ -392,7 +392,7 @@ class TestColumns:
     def test_columns_follow_the_per_impression_definitions(self):
         cols = self._corpus()
         imps = records(cols)
-        assert cols.queries == ["news alpha", "sports beta", "news gamma",
+        assert cols.queries == ["news alpha", "news gamma", "sports beta",
                                 "travel delta"]
         assert cols.topics == ["news", "sports", "travel"]
         assert cols.age.tolist() == [list(AgeGroup).index(i.demographics.age)
@@ -407,7 +407,7 @@ class TestColumns:
 
     def test_columns_are_built_once(self):
         c = self._corpus()
-        for name in ("id_order", "click_count", "click_row"):
+        for name in ("click_count", "click_row"):
             assert getattr(c, name) is getattr(c, name)
 
     def test_first_appearance_codes(self):
@@ -548,6 +548,23 @@ class TestColumnarIngest:
         _assert_columns_equal(a, c)
 
     @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    def test_shuffled_log_gives_equal_columns(self, tmp_path, fmt):
+        from sataudit import synth
+        c, _ = synth.generate(synth.preset_mixed(n_impressions=3000, seed=5))
+        emit(c, tmp_path / "c", fmt=fmt)
+        lines = (tmp_path / "c").read_text(encoding="utf-8").splitlines(
+            keepends=True)
+        head = lines[:1] if fmt == "csv" else []
+        body = lines[len(head):]
+        random.Random(3).shuffle(body)
+        (tmp_path / "s").write_text("".join(head + body), encoding="utf-8")
+        shuffled = ingest(tmp_path / "s", fmt=fmt)
+        _assert_columns_equal(shuffled, ingest(tmp_path / "c", fmt=fmt))
+        for vocab in (shuffled.users, shuffled.sessions, shuffled.queries,
+                      shuffled.topics, shuffled.result_ids):
+            assert vocab == sorted(vocab)
+
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
     def test_each_invariant_is_skipped_with_its_reason(self, tmp_path, fmt,
                                                        caplog):
         good = [impression_to_dict(imp(f"g{k:02d}", clicks=[click()]))
@@ -597,7 +614,8 @@ class TestColumnarIngest:
         assert f"timestamp {2 ** 63} out of range" in caplog.text
         edge = dict(good[0], impression_id="edge", timestamp=2 ** 63 - 1)
         _write_records(path, fmt, good + [edge])
-        assert ingest(path, fmt=fmt).timestamp[-1] == 2 ** 63 - 1
+        back = ingest(path, fmt=fmt)
+        assert back.timestamp[back.ids.tolist().index("edge")] == 2 ** 63 - 1
 
     @pytest.mark.parametrize("field, value, reason", [
         ("impression_id", None, "impression_id must be a string or number, got None"),
@@ -732,12 +750,13 @@ class TestEmit:
 
     @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
     def test_blocks_emit_the_same_bytes(self, tmp_path, monkeypatch, fmt):
-        # id order is not row order here, so blocks of 3 rows cut the
-        # corpus at rows that are not neighbours
+        # records built out of id order; blocks of 3 rows cut the corpus
+        # inside the rows that sorting moved
         c = self._corpus()
         c = corpus([*records(c), *(imp(f"a{k}", clicks=[click("r1", 2, 5.0)])
                                    for k in range(5, 0, -1))])
-        assert not (np.diff(c.id_order) > 0).all()
+        assert c.ids.tolist() == ["a0", "a1", "a1", "a2", "a3", "a4", "a5",
+                                  "b2", "b2"]
         emit(c, tmp_path / "whole", fmt=fmt)
         monkeypatch.setattr(logmodel, "_EMIT_BLOCK", 3)
         emit(c, tmp_path / "blocks", fmt=fmt)

@@ -12,9 +12,8 @@ from sataudit import matching, synth
 from sataudit.aggregate import Factor, normalize, query_averaged_scores
 from sataudit.errors import DataError
 from sataudit.logmodel import Gender
-from sataudit.matching import (match_contexts,
-                               matched_raw_scores,
-                               navigational_queries_proxy, serp_signature)
+from sataudit.matching import (match_contexts, matched_raw_scores,
+                               navigational_queries_proxy)
 from sataudit.metrics import METRICS, MetricKind, metric_table
 
 STAGES = ["input", "navigational", "min_impressions", "final_click", "serp",
@@ -42,9 +41,8 @@ def test_dominant_result_counts_and_tie_break():
     def dominant_result(imps):
         c = corpus(imps)
         final = c.derived("final_click", matching._final_click_column, 30.0)
-        rank = matching._text_ranks(c.result_ids)[final]
         dominant = {c.result_ids[f] for f in
-                    final[matching._modal(final >= 0, c.query, rank)]}
+                    final[matching._modal(final >= 0, c.query, final)]}
         assert len(dominant) <= 1
         return dominant.pop() if dominant else None
 
@@ -82,24 +80,17 @@ class TestColumnForms:
         assert not final.flags.writeable
 
     @pytest.mark.parametrize("prefix_len", [8, 2, 1])
-    def test_page_signatures_equal_the_scalar_oracle(self, prefix_len,
-                                                     monkeypatch):
+    def test_page_ranks_equal_the_tuple_oracle(self, prefix_len):
         c = self._corpus()
-        hashed = []
-
-        def counting(results, n):
-            hashed.append(tuple(results[:n]))
-            return serp_signature(results, n)
-
-        monkeypatch.setattr(matching, "serp_signature", counting)
         rows = np.array([k for k in range(len(c)) if k % 3])
         got = matching._page_ranks(c, rows, prefix_len)
-        pages = [i.results for i in records(c)]
-        want = [serp_signature(pages[k], prefix_len) for k in rows]
+        pages = [tuple(i.results[:prefix_len]) for i in records(c)]
+        want = [pages[k] for k in rows]
         assert got.tolist() == [sorted(set(want)).index(w) for w in want]
-        # one hash per distinct prefix
-        assert len(hashed) == len(set(hashed)) == len(
-            {tuple(pages[k][:prefix_len]) for k in rows})
+
+    def test_page_ranks_of_no_rows(self):
+        got = matching._page_ranks(self._corpus(), np.array([], dtype=int), 8)
+        assert got.tolist() == []
 
     @pytest.mark.parametrize("prefix_len", [0, -1])
     def test_prefix_below_one_rejected(self, prefix_len):
@@ -108,20 +99,24 @@ class TestColumnForms:
                            serp_prefix=prefix_len)
 
 
-class TestSerpSignature:
-    def test_same_prefix_same_signature(self):
+class TestPageRanks:
+    @staticmethod
+    def _ranks(pages, prefix_len=8):
+        c = corpus(imp(results=page) for page in pages)
+        return matching._page_ranks(c, np.arange(len(c)), prefix_len).tolist()
+
+    def test_same_prefix_same_rank(self):
         a = [f"r{i}" for i in range(10)]
         b = a[:8] + ["x8", "x9"]
-        assert serp_signature(a) == serp_signature(b)
+        assert self._ranks([a, b]) == [0, 0]
 
     def test_order_matters(self):
-        a = ["r0", "r1", "r2"]
-        b = ["r1", "r0", "r2"]
-        assert serp_signature(a) != serp_signature(b)
+        assert self._ranks([["r1", "r0", "r2"], ["r0", "r1", "r2"]]) == [1, 0]
 
-    def test_shorter_prefix_is_a_different_signature(self):
+    def test_short_page_ranks_before_a_longer_page_it_begins(self):
         a = [f"r{i}" for i in range(10)]
-        assert serp_signature(a, 3) != serp_signature(a, 8)
+        assert self._ranks([a, a[:3], a[:2] + ["r9"]]) == [1, 0, 2]
+        assert self._ranks([a, a[:3]], prefix_len=3) == [0, 0]
 
 
 def test_navigational_proxy_uses_final_click_concentration():
@@ -285,8 +280,8 @@ class TestMatchContexts:
 
 
 class TestTiesGoToTheSmallerText:
-    """Result and page codes follow first appearance, which need not be
-    the text order that breaks a tie."""
+    """A tie goes to the smaller result id or result-id sequence, which
+    need not be the one the log shows first."""
 
     def _check(self, imps, want):
         c = corpus(imps)
@@ -305,14 +300,18 @@ class TestTiesGoToTheSmallerText:
                          clicks=[click(r, page.index(r) + 1, 60.0)])
                      for r in page for g in Gender], [2, 3])
 
-    def test_modal_page(self):
-        # the page with the larger signature comes first, so its prefix
-        # has the smaller codes
-        pages = sorted([["r0", "r1", "r2"], ["r0", "r2", "r1"]],
-                       key=serp_signature, reverse=True)
+    def _pages(self, pages, want):
         self._check([imp(query="brand t", gender=g, results=page,
                          clicks=[click("r0", 1, 60.0)])
-                     for page in pages for g in Gender], [2, 3])
+                     for page in pages for g in Gender], want)
+
+    def test_modal_page(self):
+        # the larger page comes first
+        self._pages([["r0", "r2", "r1"], ["r0", "r1", "r2"]], [2, 3])
+
+    def test_short_modal_page(self):
+        # a short page is smaller than a longer page it begins
+        self._pages([["r0", "r1", "r2"], ["r0", "r1"]], [2, 3])
 
 
 @pytest.fixture(scope="module")

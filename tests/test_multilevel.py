@@ -120,7 +120,7 @@ class TestBuildObservations:
 
     def test_table_over_other_queries_is_a_data_error(self):
         a = corpus([satisfied(query="qa"), satisfied(query="qb")])
-        b = corpus([satisfied(query="qb"), satisfied(query="qa")])
+        b = corpus([satisfied(query="qa"), satisfied(query="qc")])
         with pytest.raises(DataError, match="another query list"):
             build_observations(b, table_for(a, {"qa": 0.5}),
                                MetricKind.GRADED_UTILITY)
