@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,33 +17,13 @@ import numpy as np
 from . import aggregate, difficulty as difficulty_mod, matching, multilevel, \
     pairwise, reports
 from .aggregate import Factor, METRICS, NormalizedScores
-from .errors import ConfigError
+from .errors import TYPE_RULES, ConfigError
 from .logmodel import AgeGroup, Gender, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
 
 METHODS = ("raw", "matched", "multilevel", "pairwise", "external")
 # the (row, column) genders of the age grid that audits report
 GRID_GENDERS = (Gender.MALE, Gender.FEMALE)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-# what a field of each annotated type may hold: (description, test)
-_TYPE_RULES = {
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "tuple[str, ...]": (
-        "a string or a list of strings",
-        lambda v: (isinstance(v, (str, list, tuple))
-                   and all(isinstance(m, str) for m in v))),
-    "int": ("an integer", _is_int),
-    "int | None": ("an integer or null", lambda v: v is None or _is_int(v)),
-    "float": ("a finite number",
-              lambda v: _is_int(v) or (isinstance(v, float)
-                                       and math.isfinite(v))),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-}
 
 _GROUP_COUNTS = {f.value: len(f.groups()) for f in Factor}
 _ANY = ("any value", lambda v, groups: True)
@@ -98,7 +77,7 @@ class AuditConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            what, ok = _TYPE_RULES[f.type]
+            what, ok = TYPE_RULES[f.type]
             rule, in_range = _RANGE_RULES[f.name]
             if not ok(value):
                 raise ConfigError(f"{f.name} must be "
@@ -263,55 +242,45 @@ def audit_meta(cfg: AuditConfig, **context) -> dict:
                       for f in dataclasses.fields(cfg)}})
 
 
-def _scores_rows(norm: NormalizedScores,
-                 common: NormalizedScores | None = None) -> list[dict]:
-    columns = {"raw": norm.raw, "normalized": norm.normalized,
-               "stderr": norm.stderr}
+def _scores_columns(norm: NormalizedScores,
+                    common: NormalizedScores | None = None) -> dict:
+    """A scores file's columns, a row per (metric, group), row-major."""
+    groups = [g.label if isinstance(g, AgeGroup) else g.code
+              for g in norm.groups]
+    columns = {"metric": [k.value for k in METRICS for _ in groups],
+               "group": groups * len(METRICS), "raw": norm.raw.ravel(),
+               "normalized": norm.normalized.ravel()}
     if common is not None:
-        columns["normalized_common"] = common.normalized
-    rows = [{"metric": kind.value,
-             "group": g.label if isinstance(g, AgeGroup) else g.code,
-             "n_queries": n_q, "n_impressions": n_imp}
-            for kind in METRICS for g, n_q, n_imp in zip(
-                norm.groups, norm.n_queries.tolist(),
-                norm.n_impressions.tolist())]
-    for name, values in columns.items():    # (metrics, groups), row-major
-        for row, v in zip(rows, values.ravel().tolist()):
-            row[name] = reports.csv_value(v)
-    return rows
+        columns["normalized_common"] = common.normalized.ravel()
+    return {**columns, "stderr": norm.stderr.ravel(),
+            "n_queries": norm.n_queries.tolist() * len(METRICS),
+            "n_impressions": norm.n_impressions.tolist() * len(METRICS)}
 
 
 def write_audit(result: AuditResult, out: Path, meta: dict) -> None:
     """Write the audit directory `out` (which must exist): one CSV or JSON
     file per output of each method that ran, then ``summary.json``."""
-    out, cell = Path(out), reports.csv_value
+    out = Path(out)
     methods, summary = result.config.methods, result.summary
     if "raw" in methods:
         reports.write_csv(out / "raw_scores.csv",
-                          ["metric", "group", "raw", "normalized", "stderr",
-                           "n_queries", "n_impressions"],
-                          _scores_rows(result.raw), meta)
+                          _scores_columns(result.raw), meta)
     if "matched" in methods:
         reports.write_csv(out / "matched_scores.csv",
-                          ["metric", "group", "raw", "normalized",
-                           "normalized_common", "stderr", "n_queries",
-                           "n_impressions"],
-                          _scores_rows(result.matched, result.matched_common),
-                          meta)
-        reports.write_csv(out / "attrition.csv",
-                          ["stage", "impressions", "queries"],
-                          summary["matched"]["attrition"], meta)
+                          _scores_columns(result.matched,
+                                          result.matched_common), meta)
+        reports.write_csv(out / "attrition.csv", {
+            name: [getattr(s, name) for s in result.cohort.attrition]
+            for name in ("stage", "impressions", "queries")}, meta)
 
     if "multilevel" in methods:
-        reports.write_csv(out / "difficulty.csv",
-                          ["query_text", "difficulty"],
-                          [{"query_text": q, "difficulty": cell(d)}
-                           for q, d in sorted(zip(
-                               result.difficulty.queries,
-                               result.difficulty.values.tolist()))
-                           if not math.isnan(d)],
-                          meta)
-        grid_rows = []
+        table = result.difficulty
+        known = ~np.isnan(table.values)     # queries are in text order
+        reports.write_csv(out / "difficulty.csv", {
+            "query_text": np.array(table.queries, object)[known],
+            "difficulty": table.values[known]}, meta)
+        grid = {name: [] for name in ("metric", "topic", "age", "gender",
+                                      "difficulty", "value")}
         for kind, fit in result.fits.items():
             reports.write_json(out / f"fit_{kind.value}.json", {
                 "metric": kind.value, "family": fit.family.name.lower(),
@@ -327,17 +296,14 @@ def write_audit(result: AuditResult, out: Path, meta: dict) -> None:
                 meta)
             # rows by gender, topic, age, then difficulty
             values = multilevel.cell_curves(fit).transpose(2, 0, 1, 3)
-            for (gender, topic, age, d), v in zip(
-                    itertools.product(Gender, fit.topics, AgeGroup,
-                                      multilevel.PREDICTION_GRID),
-                    values.ravel().tolist()):
-                grid_rows.append({
-                    "metric": kind.value, "topic": topic, "age": age.label,
-                    "gender": gender.code, "difficulty": cell(d),
-                    "value": cell(v)})
-        reports.write_csv(out / "prediction_grid.csv",
-                          ["metric", "topic", "age", "gender", "difficulty",
-                           "value"], grid_rows, meta)
+            genders, topics, ages, ds = zip(*itertools.product(
+                [g.code for g in Gender], fit.topics,
+                [a.label for a in AgeGroup], multilevel.PREDICTION_GRID))
+            for name, column in zip(grid, ([kind.value] * values.size,
+                                           topics, ages, genders, ds,
+                                           values.ravel())):
+                grid[name].extend(column)
+        reports.write_csv(out / "prediction_grid.csv", grid, meta)
 
     for method, model in result.models.items():
         prefix = "" if method == "pairwise" else "external_"

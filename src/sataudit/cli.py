@@ -23,10 +23,13 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import audit, reports, synth
 from .aggregate import METRICS
 from .audit import METHODS, AuditConfig
-from .errors import ConfigError, ConvergenceError, DataError, SatauditError
+from .errors import ConfigError, ConvergenceError, DataError, \
+    SatauditError, check_keys
 from .logmodel import AgeGroup, Gender, all_profiles, emit, ingest, \
     normalize_query
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, metric_table
@@ -105,23 +108,17 @@ def cmd_generate(args) -> int:
     n_written = emit(corpus, out / corpus_file, fmt=args.format)
 
     offsets = [cfg.offset_for(p) for p in all_profiles()]
-    profile = (corpus.age * 2 + corpus.gender).tolist()
-    latent = truth.latent.tolist()      # floats, not numpy scalars
-    reports.write_csv(
-        out / "ground_truth.csv",
-        ["impression_id", "latent_satisfaction", "group_offset"],
-        [{"impression_id": corpus.ids[k],
-          "latent_satisfaction": reports.csv_value(latent[k]),
-          "group_offset": reports.csv_value(offsets[profile[k]])}
-         for k in range(len(corpus))], meta)
+    reports.write_csv(out / "ground_truth.csv", {
+        "impression_id": corpus.ids, "latent_satisfaction": truth.latent,
+        "group_offset": [offsets[p] for p in
+                         (corpus.age * 2 + corpus.gender).tolist()]}, meta)
     # keyed by the query text as the corpus holds it
-    reports.write_csv(
-        out / "query_truth.csv",
-        ["query_text", "topic", "difficulty", "navigational"],
-        sorted(({"query_text": normalize_query(q.text), "topic": q.topic,
-                 "difficulty": reports.csv_value(q.difficulty),
-                 "navigational": int(q.navigational)} for q in cfg.queries),
-               key=lambda row: row["query_text"]), meta)
+    queries = sorted(cfg.queries, key=lambda q: normalize_query(q.text))
+    reports.write_csv(out / "query_truth.csv", {
+        "query_text": [normalize_query(q.text) for q in queries],
+        "topic": [q.topic for q in queries],
+        "difficulty": [q.difficulty for q in queries],
+        "navigational": [int(q.navigational) for q in queries]}, meta)
     nav_file = None
     if truth.navigational:
         nav_file = "navigational_queries.txt"
@@ -158,32 +155,23 @@ def cmd_metrics(args) -> int:
     meta = reports.run_meta(0, {"command": "metrics",
                                 "input": Path(args.input).name,
                                 "format": fmt})
-    ages = [a.label for a in AgeGroup]
-    genders = [g.code for g in Gender]
     if corpus.has_dwell:
         gu, reform, pcc, scc = metric_table(corpus, args.dwell_threshold).T
-        gu = [reports.csv_value(v) for v in gu.tolist()]
-        scc = [str(int(v)) for v in scc.tolist()]
+        scc = scc.astype(int)
     else:
         reform, pcc = corpus.reformulated, corpus.click_count
-        gu = scc = [""] * len(corpus)
-    reform = ["" if v < 0 else str(int(v)) for v in reform.tolist()]
-    age, gender = corpus.age.tolist(), corpus.gender.tolist()
-    query, topic = corpus.query.tolist(), corpus.topic.tolist()
-    pcc = pcc.tolist()
-    rows = [{"impression_id": corpus.ids[k], "age": ages[age[k]],
-             "gender": genders[gender[k]],
-             "query_text": corpus.queries[query[k]],
-             "topic": corpus.topics[topic[k]],
-             "page_click_count": int(pcc[k]), "graded_utility": gu[k],
-             "reformulation": reform[k], "successful_click_count": scc[k]}
-            for k in range(len(corpus))]
-    reports.write_csv(out / "metrics.csv",
-                      ["impression_id", "age", "gender", "query_text",
-                       "topic", "graded_utility", "reformulation",
-                       "page_click_count", "successful_click_count"],
-                      rows, meta)
-    print(f"wrote metrics for {len(rows)} impressions -> "
+        gu = scc = [None] * len(corpus)
+    reports.write_csv(out / "metrics.csv", {
+        "impression_id": corpus.ids,
+        "age": np.array([a.label for a in AgeGroup], object)[corpus.age],
+        "gender": np.array([g.code for g in Gender], object)[corpus.gender],
+        "query_text": np.array(corpus.queries, object)[corpus.query],
+        "topic": np.array(corpus.topics, object)[corpus.topic],
+        "graded_utility": gu,
+        "reformulation": [None if v < 0 else int(v) for v in reform.tolist()],
+        "page_click_count": pcc.astype(int),
+        "successful_click_count": scc}, meta)
+    print(f"wrote metrics for {len(corpus)} impressions -> "
           f"{out / 'metrics.csv'}")
     return 0
 
@@ -197,9 +185,7 @@ def _audit_config(args) -> AuditConfig:
     values = {}
     if args.config:
         values = _read_json_object(args.config)
-        unknown = sorted(set(values) - set(names))
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+        check_keys(values, names, "config")
     for name in names:
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)
@@ -268,8 +254,8 @@ def cmd_report(args) -> int:
         raise DataError(f"{summary_path} is malformed: "
                         f"{type(exc).__name__}: {exc}") from None
     out = _out_dir(args)
-    for name, (fieldnames, rows) in plots.items():
-        reports.write_csv(out / name, fieldnames, rows, meta)
+    for name, columns in plots.items():
+        reports.write_csv(out / name, columns, meta)
     (out / "report.txt").write_text("\n".join(sections) + "\n",
                                     encoding="utf-8")
     print(f"report -> {out / 'report.txt'}")
@@ -277,8 +263,8 @@ def cmd_report(args) -> int:
 
 
 def _report_sections(summary: dict) -> tuple[list[str], dict]:
-    """The report's text sections, and each plot data file's field names
-    and rows by file name."""
+    """The report's text sections, and each plot data file's columns (as
+    :func:`reports.write_csv` takes them) by file name."""
     sections = [f"differential satisfaction audit "
                 f"(factor: {summary.get('factor')})",
                 f"impressions: {summary.get('n_impressions')}  "
@@ -295,8 +281,7 @@ def _report_sections(summary: dict) -> tuple[list[str], dict]:
                          "" if matched_gap is None else f"{matched_gap:.4f}"])
         sections.append("\nnormalized group gaps (raw scale vs matched on "
                         "the raw scale):\n" + _table(rows))
-        plots["plot_gaps.csv"] = (rows[0], [dict(zip(rows[0], r))
-                                            for r in rows[1:]])
+        plots["plot_gaps.csv"] = dict(zip(rows[0], zip(*rows[1:])))
         if "divergence" in summary:
             flag = summary["divergence"]["raw_vs_matched"]
             sections.append(
@@ -325,10 +310,9 @@ def _report_sections(summary: dict) -> tuple[list[str], dict]:
                                    for a in ages]
         sections.append(f"\n{key} P(row beats column) (M vs F):\n"
                         + _table(rows))
-        plots[plot] = (["age_i", "age_j", "probability"],
-                       [{"age_i": a, "age_j": b,
-                         "probability": reports.csv_value(grid[a][b])}
-                        for a in sorted(grid) for b in sorted(grid[a])])
+        plots[plot] = dict(zip(("age_i", "age_j", "probability"), zip(
+            *((a, b, grid[a][b]) for a in sorted(grid)
+              for b in sorted(grid[a])))))
     return sections, plots
 
 

@@ -1,10 +1,13 @@
-"""Exception taxonomy shared across the toolkit.
+"""Exception taxonomy shared across the toolkit, and the rules a config
+value or key must meet to avoid a ConfigError.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 1, data problems with 2, and numerical failures with 3.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class SatauditError(Exception):
@@ -38,3 +41,33 @@ class ConvergenceError(SatauditError):
         return (f"{base} (iterations={self.iterations}, "
                 f"objective={self.objective:.6g}, "
                 f"gradient_norm={self.gradient_norm:.3g})")
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return is_int(value) or (isinstance(value, float)
+                             and math.isfinite(value))
+
+
+# what a config field of each annotated type may hold: (description, test)
+TYPE_RULES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[str, ...]": (
+        "a string or a list of strings",
+        lambda v: (isinstance(v, (str, list, tuple))
+                   and all(isinstance(m, str) for m in v))),
+    "int": ("an integer", is_int),
+    "int | None": ("an integer or null", lambda v: v is None or is_int(v)),
+    "float": ("a finite number", is_number),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
+def check_keys(values: dict, names, what: str) -> None:
+    """Raise a ConfigError naming every key of `values` not in `names`."""
+    unknown = sorted(set(values) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")

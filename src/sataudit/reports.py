@@ -13,6 +13,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
+
 from ._version import __version__
 
 
@@ -35,10 +37,12 @@ def run_meta(seed: int, config: dict) -> dict:
 
 
 def csv_value(v) -> str:
-    """A value as CSV cell text: blank for None and NaN, floats by repr."""
-    if v is None or (isinstance(v, float) and v != v):
-        return ""
-    return repr(v) if isinstance(v, float) else str(v)
+    """A value as CSV cell text: blank for None and NaN, a float (numpy's
+    too) by the repr of the Python float it holds, anything else by str.
+    Every CSV cell the package writes is formatted here."""
+    if isinstance(v, (float, np.floating)):
+        return "" if v != v else repr(float(v))
+    return "" if v is None else str(v)
 
 
 def _clean(value):
@@ -60,12 +64,15 @@ def write_json(path: Path, payload: dict, meta: dict) -> None:
                     encoding="utf-8")
 
 
-def write_csv(path: Path, fieldnames: list[str], rows: list[dict],
-              meta: dict) -> None:
+def write_csv(path: Path, columns: dict, meta: dict) -> None:
+    """Write the metadata block, then a table from `columns`: field names
+    in column order, each to its values in row order (a list, tuple or
+    1-D array, all of one length), every cell as :func:`csv_value` text."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         for key in META_KEYS:
             f.write(f"# {key}: {meta[key]}\n")
-        writer = csv.DictWriter(f, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(map(csv_value, row)
+                         for row in zip(*columns.values(), strict=True))
 

@@ -26,11 +26,12 @@ maps each name to its factory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import TYPE_RULES, ConfigError, check_keys, is_int, \
+    is_number
 from .logmodel import AgeGroup, CorpusMetadata, DemographicProfile, Gender, \
     LogCorpus, all_profiles, normalize_query
 
@@ -51,19 +52,10 @@ DEFAULT_TOPICS = ("news", "shopping", "health", "travel", "tech", "sports")
 _PROFILE_KEYS = [p.key for p in all_profiles()]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) \
-        and math.isfinite(value)
-
-
 def _weights(n: int):
     return (f"{n} numbers, none negative",
             lambda v: isinstance(v, tuple) and len(v) == n
-            and all(_is_number(w) and w >= 0 for w in v))
+            and all(is_number(w) and w >= 0 for w in v))
 
 
 # what each QuerySpec field must hold: (description, test)
@@ -71,7 +63,7 @@ _QUERY_FIELDS = {
     "text": ("a string", lambda v: isinstance(v, str)),
     "topic": ("a string", lambda v: isinstance(v, str)),
     "difficulty": ("a number in [0, 1]",
-                   lambda v: _is_number(v) and 0 <= v <= 1),
+                   lambda v: is_number(v) and 0 <= v <= 1),
     "navigational": ("true or false", lambda v: isinstance(v, bool)),
     "results": ("a list of strings", lambda v: isinstance(v, tuple)
                 and all(isinstance(r, str) for r in v)),
@@ -109,12 +101,23 @@ class QuerySpec:
             raise ConfigError(f"duplicate result id for {self.text!r}")
 
 
+# the ranges a behavior field needs beyond its type: (rule, test)
+_BEHAVIOR_RANGES = {
+    "channel_width": ("positive", lambda v: v > 0),
+    "stray_click_rate": ("at least 0", lambda v: v >= 0),
+    "mean_extra_impressions": ("at least 0", lambda v: v >= 0),
+    "max_impressions_per_user": ("at least 1", lambda v: v >= 1),
+}
+
+
 @dataclass(frozen=True)
 class BehaviorModel:
     """Emission-channel parameters shared by all scenarios.
 
     Channel gates are logistic in s with a common narrow width; dwell
-    draws are log-normal with medians linear in s.
+    draws are log-normal with medians linear in s.  Values are kept as
+    given; one that breaks its field's annotation (a float field takes an
+    int or a finite float, never a bool) or range is a ConfigError.
     """
 
     base_intercept: float = 0.9
@@ -144,6 +147,16 @@ class BehaviorModel:
     mean_extra_impressions: float = 0.8
     max_impressions_per_user: int = 6
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            what, ok = TYPE_RULES[f.type]
+            if ok(value):
+                what, ok = _BEHAVIOR_RANGES.get(f.name, (what, ok))
+            if not ok(value):
+                raise ConfigError(f"behavior {f.name} must be {what}, "
+                                  f"got {value!r}")
+
     def base_sat(self, difficulty: float) -> float:
         return self.base_intercept + self.base_slope * difficulty
 
@@ -164,7 +177,7 @@ class ScenarioConfig:
     behavior: BehaviorModel = BehaviorModel()
 
     def __post_init__(self):
-        if not _is_int(self.seed):
+        if not is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be at least 0, got {self.seed!r}")
@@ -175,7 +188,7 @@ class ScenarioConfig:
                               f"{', '.join(map(repr, unknown))}; choose "
                               f"from {', '.join(_PROFILE_KEYS)}")
         for n in self.users_per_profile.values():
-            if not (_is_int(n) and n >= 0):
+            if not (is_int(n) and n >= 0):
                 raise ConfigError(f"user counts must be non-negative "
                                   f"integers, got {n!r}")
         if not self.queries:
@@ -192,11 +205,11 @@ class ScenarioConfig:
             if not any(q.age_weights[a - 1] > 0 for q in self.queries):
                 raise ConfigError(f"no positive query weight for {a.label}")
         for table in (self.age_offsets, self.gender_offsets):
-            if not all(map(_is_number, table.values())):
+            if not all(map(is_number, table.values())):
                 raise ConfigError("satisfaction offsets must be finite "
                                   "numbers")
         for table in (self.dwell_multipliers, self.click_multipliers):
-            if not all(_is_number(v) and v > 0 for v in table.values()):
+            if not all(is_number(v) and v > 0 for v in table.values()):
                 raise ConfigError("multipliers must be positive numbers")
 
     def offset_for(self, profile: DemographicProfile) -> float:
@@ -233,21 +246,17 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         """The config a JSON object describes, its values as given (a
-        JSON array becomes a tuple)."""
-        def array(q: dict, key: str, default=None):
-            v = q[key] if default is None else q.get(key, default)
-            return tuple(v) if isinstance(v, list) else v
-
+        JSON array becomes a tuple).  A key that neither the scenario, its
+        ``behavior`` block nor a query defines is a ConfigError."""
         try:
+            check_keys(d, cls.__dataclass_fields__, "scenario")
+            for q in d["queries"]:
+                check_keys(q, _QUERY_FIELDS, "query")
             behavior = BehaviorModel(**d.get("behavior", {}))
-            queries = tuple(QuerySpec(
-                text=q["text"], topic=q["topic"],
-                difficulty=q["difficulty"],
-                navigational=q["navigational"],
-                results=array(q, "results"),
-                age_weights=array(q, "age_weights", (1, 1, 1, 1)),
-                gender_weights=array(q, "gender_weights", (1, 1)),
-            ) for q in d["queries"])
+            queries = tuple(QuerySpec(**{
+                "age_weights": (1, 1, 1, 1), "gender_weights": (1, 1),
+                **{k: tuple(v) if isinstance(v, list) else v
+                   for k, v in q.items()}}) for q in d["queries"])
             return cls(
                 name=d["name"], seed=d["seed"],
                 users_per_profile=dict(d["users_per_profile"]),

@@ -21,11 +21,14 @@ difficulty, the scalar reference for
 the pair model for one pair of profiles, the reference for
 :func:`sataudit.pairwise.probability_grid`.  `reference_generate` is the
 generator as a loop over impressions, the reference for
-:func:`sataudit.synth.generate`.
+:func:`sataudit.synth.generate`.  `dict_write_csv` writes a report CSV
+from one dict per row, the reference for
+:func:`sataudit.reports.write_csv`.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -41,6 +44,7 @@ from sataudit.aggregate import Factor, RawScores
 from sataudit.metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind
 from sataudit.multilevel import MultilevelFit
 from sataudit.pairwise import PairModel
+from sataudit.reports import META_KEYS
 from sataudit.synth import GroundTruth, ScenarioConfig
 
 _AGES = list(AgeGroup)
@@ -572,3 +576,14 @@ def reference_generate(config: ScenarioConfig
         navigational={normalize_query(q.text) for q in queries
                       if q.navigational})
     return corpus, truth
+
+
+def dict_write_csv(path, fieldnames: list[str], rows: list[dict],
+                   meta: dict) -> None:
+    """A report CSV: the metadata block, then `rows` by ``csv.DictWriter``."""
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        for key in META_KEYS:
+            f.write(f"# {key}: {meta[key]}\n")
+        writer = csv.DictWriter(f, fieldnames=fieldnames, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)

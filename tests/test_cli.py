@@ -190,6 +190,10 @@ def _roster(**counts):
     return lambda d: d["users_per_profile"].update(counts)
 
 
+def _behavior(**values):
+    return lambda d: d["behavior"].update(values)
+
+
 @pytest.mark.parametrize("edit,message", [
     (_query(age_weights=[1, 1, 1]), "query 'news query 0000': age_weights "
      "must be 4 numbers, none negative, got [1, 1, 1]"),
@@ -210,8 +214,32 @@ def _roster(**counts):
     (lambda d: d.update(seed=1.5), "seed must be an integer, got 1.5"),
     (_roster(**{"G1-M": 2.7}),
      "user counts must be non-negative integers, got 2.7"),
+    (_behavior(max_impressions_per_user=2.5),
+     "behavior max_impressions_per_user must be an integer, got 2.5"),
+    (_behavior(channel_width="0.01"),
+     "behavior channel_width must be a finite number, got '0.01'"),
+    (_behavior(mean_extra_impressions=-1.0),
+     "behavior mean_extra_impressions must be at least 0, got -1.0"),
+    (_behavior(success_dwell_min=math.nan),
+     "behavior success_dwell_min must be a finite number, got nan"),
+    (_behavior(channel_width=0),
+     "behavior channel_width must be positive, got 0"),
+    (_behavior(max_impressions_per_user=0),
+     "behavior max_impressions_per_user must be at least 1, got 0"),
+    (_behavior(reform_center=True),
+     "behavior reform_center must be a finite number, got True"),
+    (_behavior(stray_click_rate=-0.5),
+     "behavior stray_click_rate must be at least 0, got -0.5"),
+    (lambda d: d.update(age_offset={"G4": 0.1}, seeds=2),
+     "unknown scenario keys: age_offset, seeds"),
+    (_query(age_weight=[1, 2, 3, 4]),
+     "unknown query keys: age_weight"),
 ], ids=["age3", "age5", "gender1", "text", "topic", "result-ints",
-        "result-string", "unknown-profile", "float-seed", "float-users"])
+        "result-string", "unknown-profile", "float-seed", "float-users",
+        "float-max-impressions", "string-width", "negative-extra",
+        "nan-dwell-min", "zero-width", "zero-max-impressions", "bool-center",
+        "negative-stray", "unknown-scenario",
+        "unknown-query"])
 def test_bad_scenario_value_is_one_config_error(tmp_path, capsys, edit,
                                                 message):
     scenario = synth.preset_null(n_impressions=2000, seed=1).to_dict()
@@ -709,6 +737,33 @@ class TestAudit:
         for source in (corpus_csv, blank):
             assert run("metrics", "--input", source,
                        "--out", tmp_path / source.stem) == 0
+
+    def test_no_csv_is_written_from_row_dicts(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a CSV was written from row dicts")
+
+        monkeypatch.setattr(csv, "DictWriter", forbidden)
+        gen = tmp_path / "gen"
+        assert run("generate", "--preset", "mixed", "--impressions", 4000,
+                   "--seed", 3, "--format", "csv", "--out", gen) == 0
+        blank = tmp_path / "blank.csv"
+        emit(_clicks_only_corpus(), blank, fmt="csv")
+        for source in (gen / "corpus.csv", blank):
+            assert run("metrics", "--input", source,
+                       "--out", tmp_path / source.stem) == 0
+        assert run("audit", "--input", gen / "corpus.csv", "--methods",
+                   "raw,matched,multilevel,pairwise", "--pair-fraction",
+                   "1.0", "--navigational", gen / "navigational_queries.txt",
+                   "--out", tmp_path / "audit") == 0
+        assert run("audit", "--input", blank, "--methods", "external",
+                   "--default-thresholds", "--pair-fraction", "1.0",
+                   "--out", tmp_path / "ext") == 0
+        for audit_dir in ("audit", "ext"):
+            assert run("report", "--audit-dir", tmp_path / audit_dir,
+                       "--out", tmp_path / f"{audit_dir}_report") == 0
+        assert (tmp_path / "audit_report" / "plot_gaps.csv").exists()
+        assert (tmp_path / "ext_report" /
+                "plot_external_pair_probs.csv").exists()
 
 
 # ---------------------------------------------------------------------------
