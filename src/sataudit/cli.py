@@ -98,8 +98,8 @@ def _build_scenario(args) -> synth.ScenarioConfig:
 
 def cmd_generate(args) -> int:
     cfg = _build_scenario(args)
-    out = _out_dir(args)
     corpus, truth = synth.generate(cfg)
+    out = _out_dir(args)
     meta = reports.run_meta(cfg.seed, {"command": "generate",
                                        "format": args.format,
                                        "scenario": cfg.to_dict()})

@@ -16,12 +16,13 @@ counted and skipped; if more than half of a file is malformed the ingest
 fails outright.
 
 A corpus is held as read-only columns (:class:`LogCorpus`): ingest
-parses each record into flat lists and freezes them into numpy
-arrays, so no per-record object outlives its line.  A record is a tuple
-of the impression fields in this order: ``impression_id``, ``user_id``,
-``session_id``, ``timestamp``, ``query_text``, ``topic``, ``results``,
-``clicks``, ``reformulated`` and ``demographics``, with each click a
-``(result_id, position, dwell_seconds, terminated_query)`` tuple.
+parses each record into typed column buffers (``array.array``, one
+machine value per entry) and freezes them into numpy arrays, so no
+per-record object but the impression id outlives its line.  A record is
+a tuple of the impression fields in this order: ``impression_id``,
+``user_id``, ``session_id``, ``timestamp``, ``query_text``, ``topic``,
+``results``, ``clicks``, ``reformulated`` and ``demographics``, with each
+click a ``(result_id, position, dwell_seconds, terminated_query)`` tuple.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import math
 import csv as _csv
 import logging
 import re
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -199,19 +201,22 @@ class LogCorpus:
 
 
 class _ColumnBuilder:
-    """Flat lists that validated records are appended to, one record (see
-    the module docstring) at a time, and frozen at the end into a
-    :class:`LogCorpus`.
+    """Typed buffers that validated records are appended to, one record
+    (see the module docstring) at a time, and frozen at the end into a
+    :class:`LogCorpus`.  A record is checked whole before any value goes
+    in, and every checked value fits its buffer's type.
     """
 
     def __init__(self):
         self.ids: list[str] = []
-        self.user, self.session, self.timestamp = [], [], []
-        self.query, self.topic, self.profile, self.reformulated = \
-            [], [], [], []
-        self.result, self.result_end = [], [0]
-        self.click_result, self.click_position = [], []
-        self.click_dwell, self.click_terminated, self.click_end = [], [], [0]
+        self.user, self.session, self.query, self.topic = (
+            array("i") for _ in range(4))
+        self.timestamp = array("q")
+        self.profile, self.reformulated = array("b"), array("b")
+        self.result, self.result_end = array("i"), array("q", [0])
+        self.click_result, self.click_position = array("i"), array("i")
+        self.click_dwell, self.click_terminated = array("d"), array("b")
+        self.click_end = array("q", [0])
         self.users: dict[str, int] = {}
         self.sessions: dict[str, int] = {}
         self.queries: dict[str, int] = {}
@@ -254,7 +259,7 @@ class _ColumnBuilder:
     def freeze(self, skipped: int) -> LogCorpus:
         """The corpus, canonical (see :class:`LogCorpus`): rows stably
         sorted by impression id, and each vocabulary numbered in sorted
-        text order.  Each list is dropped as its column is made, and a
+        text order.  Each buffer is dropped as its column is made, and a
         gather runs only when the ids came unsorted."""
         vocab = {name: _sorted_vocabulary(getattr(self, name)) for name in
                  ("users", "sessions", "queries", "topics", "result_ids")}

@@ -101,12 +101,29 @@ class QuerySpec:
             raise ConfigError(f"duplicate result id for {self.text!r}")
 
 
-# the ranges a behavior field needs beyond its type: (rule, test)
+# numpy's Poisson sampler refuses a mean above about 9.2e18 (the int64
+# range less ten standard deviations)
+_POISSON_MEAN_CAP = 1e18
+# math.exp overflows past 709.78, and numpy's standard normal draws stay
+# within 13.8 of 0 (its ziggurat tail comes from a 53-bit uniform), so
+# exp(sigma * z) is finite for every draw while |sigma| <= 50
+_DWELL_SIGMA_CAP = 50.0
+
+_AT_LEAST_0 = ("at least 0", lambda v: v >= 0)
+_POISSON_MEAN = (f"at most {_POISSON_MEAN_CAP:g}",
+                 lambda v: v <= _POISSON_MEAN_CAP)
+_DWELL_SIGMA = (f"at most {_DWELL_SIGMA_CAP:g} in absolute value",
+                lambda v: abs(v) <= _DWELL_SIGMA_CAP)
+
+# the ranges a behavior field needs beyond its type: (rule, test) pairs,
+# checked in order
 _BEHAVIOR_RANGES = {
-    "channel_width": ("positive", lambda v: v > 0),
-    "stray_click_rate": ("at least 0", lambda v: v >= 0),
-    "mean_extra_impressions": ("at least 0", lambda v: v >= 0),
-    "max_impressions_per_user": ("at least 1", lambda v: v >= 1),
+    "channel_width": [("positive", lambda v: v > 0)],
+    "stray_click_rate": [_AT_LEAST_0, _POISSON_MEAN],
+    "mean_extra_impressions": [_AT_LEAST_0, _POISSON_MEAN],
+    "max_impressions_per_user": [("at least 1", lambda v: v >= 1)],
+    "short_dwell_sigma": [_DWELL_SIGMA],
+    "success_dwell_sigma": [_DWELL_SIGMA],
 }
 
 
@@ -150,12 +167,11 @@ class BehaviorModel:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            what, ok = TYPE_RULES[f.type]
-            if ok(value):
-                what, ok = _BEHAVIOR_RANGES.get(f.name, (what, ok))
-            if not ok(value):
-                raise ConfigError(f"behavior {f.name} must be {what}, "
-                                  f"got {value!r}")
+            for what, ok in [TYPE_RULES[f.type],
+                             *_BEHAVIOR_RANGES.get(f.name, ())]:
+                if not ok(value):
+                    raise ConfigError(f"behavior {f.name} must be {what}, "
+                                      f"got {value!r}")
 
     def base_sat(self, difficulty: float) -> float:
         return self.base_intercept + self.base_slope * difficulty
@@ -211,6 +227,13 @@ class ScenarioConfig:
         for table in (self.dwell_multipliers, self.click_multipliers):
             if not all(is_number(v) and v > 0 for v in table.values()):
                 raise ConfigError("multipliers must be positive numbers")
+        # each age's stray-click mean is the rate times its click multiplier
+        stray = self.behavior.stray_click_rate * max(
+            self.click_multipliers.get(a, 1.0) for a in _AGES)
+        if stray > _POISSON_MEAN_CAP:
+            raise ConfigError(f"behavior stray_click_rate times a click "
+                              f"multiplier must be at most "
+                              f"{_POISSON_MEAN_CAP:g}, got {stray!r}")
 
     def offset_for(self, profile: DemographicProfile) -> float:
         return (self.age_offsets.get(profile.age, 0.0)

@@ -230,6 +230,18 @@ def _behavior(**values):
      "behavior reform_center must be a finite number, got True"),
     (_behavior(stray_click_rate=-0.5),
      "behavior stray_click_rate must be at least 0, got -0.5"),
+    (_behavior(success_dwell_sigma=1000.0),
+     "behavior success_dwell_sigma must be at most 50 in absolute value, "
+     "got 1000.0"),
+    (_behavior(mean_extra_impressions=1e300),
+     "behavior mean_extra_impressions must be at most 1e+18, got 1e+300"),
+    (_behavior(short_dwell_base=-100.0),
+     "behavior model gives a negative dwell time"),
+    (_behavior(stray_click_rate=1e300),
+     "behavior stray_click_rate must be at most 1e+18, got 1e+300"),
+    (lambda d: d.update(click_multipliers={"G1": 1e300}),
+     "behavior stray_click_rate times a click multiplier must be at most "
+     "1e+18, got 1e+297"),
     (lambda d: d.update(age_offset={"G4": 0.1}, seeds=2),
      "unknown scenario keys: age_offset, seeds"),
     (_query(age_weight=[1, 2, 3, 4]),
@@ -238,8 +250,9 @@ def _behavior(**values):
         "result-string", "unknown-profile", "float-seed", "float-users",
         "float-max-impressions", "string-width", "negative-extra",
         "nan-dwell-min", "zero-width", "zero-max-impressions", "bool-center",
-        "negative-stray", "unknown-scenario",
-        "unknown-query"])
+        "negative-stray", "huge-dwell-sigma", "huge-extra",
+        "negative-dwell-base", "huge-stray", "huge-stray-multiplier",
+        "unknown-scenario", "unknown-query"])
 def test_bad_scenario_value_is_one_config_error(tmp_path, capsys, edit,
                                                 message):
     scenario = synth.preset_null(n_impressions=2000, seed=1).to_dict()

@@ -9,13 +9,14 @@ import json
 import logging
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from corpus_builders import Click, click, corpus, from_records, imp, records
 from oracles import impression_to_dict
-from sataudit import logmodel, matching
+from sataudit import logmodel, matching, synth
 from sataudit.errors import DataError
 from sataudit.logmodel import (AgeGroup, Gender, LogCorpus, all_profiles,
                                derive_reformulation_flags, emit, ingest,
@@ -357,6 +358,27 @@ class TestStreamingIngest:
         assert by_id["b1"].demographics is by_id["b2"].demographics
         assert by_id["b1"].demographics is not by_id["b3"].demographics
         assert by_id["b3"].demographics.key == "G4-M"
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_ingest_peak_stays_within_twice_the_kept_corpus(tmp_path, fmt):
+    # The builder holds one machine value per column entry, so what ingest
+    # allocates at its peak stays under twice what the corpus keeps (about
+    # 1.7 times on this log).
+    path = tmp_path / f"mixed.{fmt}"
+    generated, _ = synth.generate(synth.preset_mixed(n_impressions=5000,
+                                                     seed=5))
+    emit(generated, path, fmt=fmt)
+    del generated
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        kept = ingest(path, fmt=fmt)
+        now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 4935
+    assert peak - start <= 2.0 * (now - start)
 
 
 def test_emit_orders_by_impression_id(tmp_path):

@@ -268,6 +268,13 @@ class TestAgainstReference:
         assert (corpus.click_count > 2).any()
 
 
+def test_dwell_sigma_at_its_cap_gives_finite_dwells():
+    cfg = tiny_config(behavior=BehaviorModel(short_dwell_sigma=-50.0,
+                                             success_dwell_sigma=50.0))
+    corpus, _ = generate(cfg)
+    assert len(corpus.click_dwell) and np.isfinite(corpus.click_dwell).all()
+
+
 class TestPresets:
     def test_catalog(self):
         presets = {name: factory() for name, factory in PRESETS.items()}
