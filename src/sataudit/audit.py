@@ -17,7 +17,7 @@ import numpy as np
 from . import aggregate, difficulty as difficulty_mod, matching, multilevel, \
     pairwise, reports
 from .aggregate import Factor, METRICS, NormalizedScores
-from .errors import TYPE_RULES, ConfigError
+from .errors import ConfigError, check_fields
 from .logmodel import AgeGroup, Gender, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
 
@@ -26,28 +26,24 @@ METHODS = ("raw", "matched", "multilevel", "pairwise", "external")
 GRID_GENDERS = (Gender.MALE, Gender.FEMALE)
 
 _GROUP_COUNTS = {f.value: len(f.groups()) for f in Factor}
-_ANY = ("any value", lambda v, groups: True)
 
-# what each field may hold once its type is right: (rule, test), where
-# `groups` is the audited factor's group count.  A rule that names a type
-# ("a positive number") is also the one a value of the wrong type breaks.
+# what each field may hold once its type is right: (rule, test) pairs,
+# checked in order
 _RANGE_RULES = {
-    "factor": (" or ".join(_GROUP_COUNTS),
-               lambda v, groups: v in _GROUP_COUNTS),
-    "methods": _ANY,                    # checked against METHODS below
-    "seed": ("at least 0", lambda v, groups: v >= 0),
-    "dwell_threshold": ("at least 0", lambda v, groups: v >= 0),
-    "min_impressions": ("at least 1", lambda v, groups: v >= 1),
-    "min_groups": ("null or from 1 to {groups}",
-                   lambda v, groups: v is None or 1 <= v <= groups),
-    "serp_prefix": ("at least 1", lambda v, groups: v >= 1),
-    "nav_share": ("in (0, 1]", lambda v, groups: 0 < v <= 1),
-    "k": ("positive", lambda v, groups: v > 0),
-    "pair_fraction": ("in (0, 1]", lambda v, groups: 0 < v <= 1),
-    "pairs_per_query": ("at least 1", lambda v, groups: v >= 1),
-    "prior_variance": ("a positive number", lambda v, groups: v > 0),
-    "empirical_bayes": _ANY,
-    "default_thresholds": _ANY,
+    "factor": [(" or ".join(_GROUP_COUNTS), lambda v: v in _GROUP_COUNTS)],
+    "methods": [],                      # checked against METHODS below
+    "seed": [("at least 0", lambda v: v >= 0)],
+    "dwell_threshold": [("at least 0", lambda v: v >= 0)],
+    "min_impressions": [("at least 1", lambda v: v >= 1)],
+    "min_groups": [],                   # the factor's: see __post_init__
+    "serp_prefix": [("at least 1", lambda v: v >= 1)],
+    "nav_share": [("in (0, 1]", lambda v: 0 < v <= 1)],
+    "k": [("positive", lambda v: v > 0)],
+    "pair_fraction": [("in (0, 1]", lambda v: 0 < v <= 1)],
+    "pairs_per_query": [("at least 1", lambda v: v >= 1)],
+    "prior_variance": [("a positive number", lambda v: v > 0)],
+    "empirical_bayes": [],
+    "default_thresholds": [],
 }
 
 
@@ -75,20 +71,12 @@ class AuditConfig:
     default_thresholds: bool = False
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            what, ok = TYPE_RULES[f.type]
-            rule, in_range = _RANGE_RULES[f.name]
-            if not ok(value):
-                raise ConfigError(f"{f.name} must be "
-                                  f"{rule if rule.startswith('a ') else what}"
-                                  f", got {value!r}")
-            # factor comes first, so min_groups sees a known factor's count
-            groups = _GROUP_COUNTS.get(self.factor, 0)
-            if not in_range(value, groups):
-                raise ConfigError(f"{f.name} must be "
-                                  f"{rule.format(groups=groups)}, "
-                                  f"got {value!r}")
+        # factor is checked first, so min_groups sees a known factor's count
+        groups = (_GROUP_COUNTS.get(self.factor, 0)
+                  if isinstance(self.factor, str) else 0)
+        check_fields(self, {**_RANGE_RULES, "min_groups": [(
+            f"null or from 1 to {groups}",
+            lambda v: v is None or 1 <= v <= groups)]})
         spec = self.methods
         chosen = {m.strip() for m in (spec.split(",") if isinstance(spec, str)
                                       else spec)} - {""}

@@ -59,7 +59,8 @@ def _read_json_object(path, error: type[SatauditError] = ConfigError) -> dict:
     with open(path, encoding="utf-8") as f:
         try:
             values = json.load(f)
-        except ValueError as exc:       # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:
+            # not JSON, not UTF-8, or nested too deep to decode
             raise error(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(values, dict):
         raise error(f"{path} must hold a JSON object")
@@ -319,6 +320,10 @@ def _report_sections(summary: dict) -> tuple[list[str], dict]:
 # ---------------------------------------------------------------------------
 # parser
 
+# how an audit flag parses its text, by the field's annotation (else str)
+_FLAG_TYPES = {"int": int, "int | None": int, "float": float}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sataudit",
@@ -355,25 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_aud.add_argument("--input", required=True)
     p_aud.add_argument("--format", choices=("ndjson", "csv"))
     p_aud.add_argument("--config", help="JSON config file; flags win")
-    # the AuditConfig fields; an unset flag (None) keeps the config value
-    p_aud.add_argument("--factor", choices=("age", "gender"))
-    p_aud.add_argument("--methods",
-                       help="comma list from: " + ", ".join(METHODS))
-    p_aud.add_argument("--seed", type=int)
-    p_aud.add_argument("--dwell-threshold", type=float)
-    p_aud.add_argument("--min-impressions", type=int)
-    p_aud.add_argument("--min-groups", type=int)
-    p_aud.add_argument("--serp-prefix", type=int)
-    p_aud.add_argument("--nav-share", type=float)
     p_aud.add_argument("--navigational",
                        help="file listing navigational queries, one per "
                        "line (default: concentration proxy)")
-    p_aud.add_argument("--k", type=float)
-    p_aud.add_argument("--pair-fraction", type=float)
-    p_aud.add_argument("--pairs-per-query", type=int)
-    p_aud.add_argument("--prior-variance", type=float)
-    for flag in ("--empirical-bayes", "--default-thresholds"):
-        p_aud.add_argument(flag, action=argparse.BooleanOptionalAction)
+    # a flag per AuditConfig field, which checks every value; an unset
+    # flag (None) keeps the config value
+    for f in dataclasses.fields(AuditConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if f.type == "bool":
+            p_aud.add_argument(flag, action=argparse.BooleanOptionalAction)
+        else:
+            p_aud.add_argument(flag, type=_FLAG_TYPES.get(f.type, str),
+                               help=("comma list from: " + ", ".join(METHODS)
+                                     if f.name == "methods" else None))
     p_aud.add_argument("--out")
     p_aud.set_defaults(func=cmd_audit)
 

@@ -1,5 +1,5 @@
-"""Exception taxonomy shared across the toolkit, and the rules a config
-value or key must meet to avoid a ConfigError.
+"""Exception taxonomy shared across the toolkit, and the one walker that
+checks a config's values (and keys) against their rules.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 1, data problems with 2, and numerical failures with 3.
@@ -7,6 +7,7 @@ with 1, data problems with 2, and numerical failures with 3.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 
@@ -64,6 +65,26 @@ TYPE_RULES = {
     "float": ("a finite number", is_number),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
 }
+
+
+def check_fields(obj, rules: dict, prefix: str = "") -> None:
+    """Raise a ConfigError for the first field of dataclass `obj`, in field
+    order, whose value breaks its annotation's TYPE_RULES entry or one of
+    the (rule, test) pairs in ``rules[name]``, tried in that order.  A
+    field whose first rule names a type ("a positive number") reports a
+    value of the wrong type with that rule."""
+    for f in dataclasses.fields(obj):
+        value, checks = getattr(obj, f.name), list(rules.get(f.name, ()))
+        if f.type in TYPE_RULES:
+            what, ok = TYPE_RULES[f.type]
+            if checks and checks[0][0].startswith("a "):
+                what = checks[0][0]
+            checks.insert(0, (what, ok))
+        for rule, test in checks:
+            if not test(value):
+                shown = list(value) if isinstance(value, tuple) else value
+                raise ConfigError(f"{prefix}{f.name} must be {rule}, "
+                                  f"got {shown!r}")
 
 
 def check_keys(values: dict, names, what: str) -> None:

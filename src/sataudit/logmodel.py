@@ -715,7 +715,8 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
                 try:
                     parsed = parse(record, normalized)
                 except (KeyError, ValueError, TypeError, IndexError,
-                        AttributeError) as exc:
+                        AttributeError, OverflowError,
+                        RecursionError) as exc:
                     reason = str(exc)
                 else:
                     reason = builder.add(*parsed)

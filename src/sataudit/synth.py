@@ -26,11 +26,11 @@ maps each name to its factory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import TYPE_RULES, ConfigError, check_keys, is_int, \
+from .errors import ConfigError, check_fields, check_keys, is_int, \
     is_number
 from .logmodel import AgeGroup, CorpusMetadata, DemographicProfile, Gender, \
     LogCorpus, all_profiles, normalize_query
@@ -58,17 +58,12 @@ def _weights(n: int):
             and all(is_number(w) and w >= 0 for w in v))
 
 
-# what each QuerySpec field must hold: (description, test)
-_QUERY_FIELDS = {
-    "text": ("a string", lambda v: isinstance(v, str)),
-    "topic": ("a string", lambda v: isinstance(v, str)),
-    "difficulty": ("a number in [0, 1]",
-                   lambda v: is_number(v) and 0 <= v <= 1),
-    "navigational": ("true or false", lambda v: isinstance(v, bool)),
-    "results": ("a list of strings", lambda v: isinstance(v, tuple)
-                and all(isinstance(r, str) for r in v)),
-    "age_weights": _weights(len(AgeGroup)),
-    "gender_weights": _weights(len(Gender)),
+# the ranges a QuerySpec field needs beyond its type: (rule, test) pairs
+_QUERY_RULES = {
+    "difficulty": [("a number in [0, 1]", lambda v: 0 <= v <= 1)],
+    "results": [("a list of strings", lambda v: isinstance(v, tuple))],
+    "age_weights": [_weights(len(AgeGroup))],
+    "gender_weights": [_weights(len(Gender))],
 }
 
 
@@ -87,12 +82,7 @@ class QuerySpec:
     gender_weights: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        for name, (what, ok) in _QUERY_FIELDS.items():
-            value = getattr(self, name)
-            if not ok(value):
-                shown = list(value) if isinstance(value, tuple) else value
-                raise ConfigError(f"query {self.text!r}: {name} must be "
-                                  f"{what}, got {shown!r}")
+        check_fields(self, _QUERY_RULES, f"query {self.text!r}: ")
         if not normalize_query(self.text):
             raise ConfigError("empty query text")
         if not self.results:
@@ -165,16 +155,19 @@ class BehaviorModel:
     max_impressions_per_user: int = 6
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            for what, ok in [TYPE_RULES[f.type],
-                             *_BEHAVIOR_RANGES.get(f.name, ())]:
-                if not ok(value):
-                    raise ConfigError(f"behavior {f.name} must be {what}, "
-                                      f"got {value!r}")
+        check_fields(self, _BEHAVIOR_RANGES, "behavior ")
 
     def base_sat(self, difficulty: float) -> float:
         return self.base_intercept + self.base_slope * difficulty
+
+
+# each group-keyed table of a scenario: how its keys are written to JSON
+# and read back
+_AGE_KEY = (lambda a: a.name, _age_from_key)
+_GROUP_TABLES = {"age_offsets": _AGE_KEY,
+                 "gender_offsets": (lambda g: g.code, Gender),
+                 "dwell_multipliers": _AGE_KEY,
+                 "click_multipliers": _AGE_KEY}
 
 
 @dataclass(frozen=True)
@@ -193,10 +186,7 @@ class ScenarioConfig:
     behavior: BehaviorModel = BehaviorModel()
 
     def __post_init__(self):
-        if not is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be at least 0, got {self.seed!r}")
+        check_fields(self, {"seed": [_AT_LEAST_0]})
         unknown = [k for k in self.users_per_profile
                    if k not in _PROFILE_KEYS]
         if unknown:
@@ -245,15 +235,9 @@ class ScenarioConfig:
             "name": self.name,
             "seed": self.seed,
             "users_per_profile": dict(sorted(self.users_per_profile.items())),
-            "age_offsets": {a.name: v for a, v in
-                            sorted(self.age_offsets.items())},
-            "gender_offsets": {g.code: v for g, v in
-                               sorted(self.gender_offsets.items(),
-                                      key=lambda kv: kv[0].code)},
-            "dwell_multipliers": {a.name: v for a, v in
-                                  sorted(self.dwell_multipliers.items())},
-            "click_multipliers": {a.name: v for a, v in
-                                  sorted(self.click_multipliers.items())},
+            **{name: dict(sorted((write(k), v) for k, v in
+                                 getattr(self, name).items()))
+               for name, (write, _) in _GROUP_TABLES.items()},
             "behavior": {k: getattr(b, k) for k in sorted(
                 b.__dataclass_fields__)},
             "queries": [{
@@ -274,7 +258,7 @@ class ScenarioConfig:
         try:
             check_keys(d, cls.__dataclass_fields__, "scenario")
             for q in d["queries"]:
-                check_keys(q, _QUERY_FIELDS, "query")
+                check_keys(q, QuerySpec.__dataclass_fields__, "query")
             behavior = BehaviorModel(**d.get("behavior", {}))
             queries = tuple(QuerySpec(**{
                 "age_weights": (1, 1, 1, 1), "gender_weights": (1, 1),
@@ -283,16 +267,9 @@ class ScenarioConfig:
             return cls(
                 name=d["name"], seed=d["seed"],
                 users_per_profile=dict(d["users_per_profile"]),
-                queries=queries,
-                age_offsets={_age_from_key(k): v for k, v in
-                             d.get("age_offsets", {}).items()},
-                gender_offsets={Gender(k): v for k, v in
-                                d.get("gender_offsets", {}).items()},
-                dwell_multipliers={_age_from_key(k): v for k, v in
-                                   d.get("dwell_multipliers", {}).items()},
-                click_multipliers={_age_from_key(k): v for k, v in
-                                   d.get("click_multipliers", {}).items()},
-                behavior=behavior)
+                queries=queries, behavior=behavior,
+                **{name: {read(k): v for k, v in d.get(name, {}).items()}
+                   for name, (_, read) in _GROUP_TABLES.items()})
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ConfigError(f"bad scenario config: {exc}") from exc
 

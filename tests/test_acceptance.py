@@ -8,6 +8,7 @@ line per test is the pass/fail verdict.
 
 import csv
 import json
+import logging
 import random
 import time
 from pathlib import Path
@@ -448,3 +449,85 @@ def test_criterion_9_line_order_does_not_change_the_audit(tmp_path):
           f"a mixed audit, an external audit and the metrics of a "
           f"clicks-only log byte-identical after a line shuffle "
           f"({elapsed:.1f}s)")
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relation M4: the audit reads time gaps, never a clock reading
+
+M4_SHIFT = 86_400 * 3_653 + 17      # ten years and a few seconds
+
+
+def _shifted(src: Path, dst: Path) -> None:
+    """Copy a log with every timestamp moved M4_SHIFT seconds later."""
+    dst.parent.mkdir(parents=True)
+    with open(src, encoding="utf-8", newline="") as fin, \
+            open(dst, "w", encoding="utf-8", newline="") as fout:
+        if src.suffix == ".csv":
+            reader = csv.DictReader(fin)
+            writer = csv.DictWriter(fout, fieldnames=reader.fieldnames,
+                                    lineterminator="\n")
+            writer.writeheader()
+            for row in reader:
+                row["timestamp"] = int(row["timestamp"]) + M4_SHIFT
+                writer.writerow(row)
+        else:
+            for line in fin:
+                rec = json.loads(line)
+                rec["timestamp"] += M4_SHIFT
+                fout.write(json.dumps(rec) + "\n")
+
+
+def test_m4_timestamp_shift_does_not_change_the_audit(tmp_path, capsys,
+                                                       caplog):
+    t0 = time.perf_counter()
+    gen = tmp_path / "gen"
+    # seeds at which both logs, this small, label some pairs
+    assert main(["generate", "--preset", "dwell_confound", "--seed", "3",
+                 "--impressions", "6000", "--format", "csv",
+                 "--out", str(gen / "dwell")]) == 0
+    assert main(["generate", "--preset", "mixed", "--seed", "1",
+                 "--impressions", "8000", "--out", str(gen / "mixed")]) == 0
+    logs = tmp_path / "file"
+    # blanked flags, so the audit derives them from the timestamps
+    _clicks_only(gen / "dwell" / "corpus.csv", logs / "clicks" / "corpus.csv")
+    (logs / "mixed").mkdir()
+    (logs / "mixed" / "corpus.ndjson").write_bytes(
+        (gen / "mixed" / "corpus.ndjson").read_bytes())
+    for name in ("mixed/corpus.ndjson", "clicks/corpus.csv"):
+        _shifted(logs / name, tmp_path / "shifted" / name)
+    runs = {
+        "audit": ["audit", "--input", "mixed/corpus.ndjson",
+                  "--methods", "raw,matched,multilevel,pairwise",
+                  "--navigational", str(gen / "mixed" /
+                                        "navigational_queries.txt")],
+        "external": ["audit", "--input", "clicks/corpus.csv",
+                     "--methods", "external", "--default-thresholds",
+                     "--pair-fraction", "1.0"],
+        # the external labeler reads click counts alone; metrics.csv shows
+        # the derived flags
+        "metrics": ["metrics", "--input", "clicks/corpus.csv"],
+    }
+    trees, stderr = {}, {}
+    capsys.readouterr()
+    caplog.set_level(logging.WARNING)
+    for order in ("file", "shifted"):
+        for name, argv in runs.items():
+            argv = [str(tmp_path / order / a) if a.startswith(
+                ("mixed/", "clicks/")) else a for a in argv]
+            assert main([*argv, "--out", str(tmp_path / "out" / order /
+                                              name)]) == 0, name
+        trees[order] = _tree_bytes(tmp_path / "out" / order)
+        # the warnings, which reach stderr outside pytest
+        stderr[order] = [capsys.readouterr().err,
+                         [r.getMessage() for r in caplog.records]]
+        caplog.clear()
+    elapsed = time.perf_counter() - t0
+
+    assert trees["file"].keys() == trees["shifted"].keys()
+    diffs = [name for name in trees["file"]
+             if trees["file"][name] != trees["shifted"][name]]
+    assert diffs == []
+    assert stderr["file"] == stderr["shifted"] and stderr["file"][1]
+    print(f"M4 (timestamp shift): PASS; {len(trees['file'])} files of a "
+          f"mixed audit, an external audit and the metrics of a clicks-only "
+          f"log byte-identical after a {M4_SHIFT} s shift ({elapsed:.1f}s)")

@@ -7,6 +7,7 @@ shared at module scope because synthesis dominates the runtime.
 import csv
 import dataclasses
 import json
+import logging
 import math
 import os
 import pathlib
@@ -246,13 +247,14 @@ def _behavior(**values):
      "unknown scenario keys: age_offset, seeds"),
     (_query(age_weight=[1, 2, 3, 4]),
      "unknown query keys: age_weight"),
+    (lambda d: d.update(name=5), "name must be a string, got 5"),
 ], ids=["age3", "age5", "gender1", "text", "topic", "result-ints",
         "result-string", "unknown-profile", "float-seed", "float-users",
         "float-max-impressions", "string-width", "negative-extra",
         "nan-dwell-min", "zero-width", "zero-max-impressions", "bool-center",
         "negative-stray", "huge-dwell-sigma", "huge-extra",
         "negative-dwell-base", "huge-stray", "huge-stray-multiplier",
-        "unknown-scenario", "unknown-query"])
+        "unknown-scenario", "unknown-query", "int-name"])
 def test_bad_scenario_value_is_one_config_error(tmp_path, capsys, edit,
                                                 message):
     scenario = synth.preset_null(n_impressions=2000, seed=1).to_dict()
@@ -302,6 +304,28 @@ class TestMetrics:
             assert r["graded_utility"] == ""
             assert r["successful_click_count"] == ""
         assert sorted(r["reformulation"] for r in rows) == ["0", "1"]
+
+    @pytest.mark.parametrize("case,reason", [
+        ("huge-int-dwell", "int too large to convert to float"),
+        ("nested-too-deep", "maximum recursion depth exceeded")],
+        ids=["huge-int-dwell", "nested-too-deep"])
+    def test_record_no_float_or_stack_can_hold_is_skipped(
+            self, tmp_path, caplog, case, reason):
+        path = tmp_path / "c.ndjson"
+        emit(corpus([imp(f"m{i}", clicks=(click(),)) for i in range(4)]),
+             path)
+        rec = json.loads(path.read_text().splitlines()[0])
+        rec["impression_id"] = "bad"
+        rec["clicks"][0]["dwell_seconds"] = 10 ** 400
+        with path.open("a", encoding="utf-8") as f:
+            f.write({"huge-int-dwell": json.dumps(rec),
+                     "nested-too-deep": "[" * 200_000}[case] + "\n")
+        with caplog.at_level(logging.WARNING, logger="sataudit.logmodel"):
+            assert run("metrics", "--input", path,
+                       "--out", tmp_path / "m") == 0
+        assert "skipped 1/5 records" in caplog.text and reason in caplog.text
+        _, rows = read_report_csv(tmp_path / "m" / "metrics.csv")
+        assert len(rows) == 4
 
     def test_format_inference_failure(self, tmp_path):
         assert run("metrics", "--input", tmp_path / "corpus.txt",
@@ -538,7 +562,9 @@ class TestAudit:
 
     @pytest.mark.parametrize("command,flag", [
         ("audit", "--config"), ("generate", "--scenario-config")])
-    @pytest.mark.parametrize("text", ["{not json", "[1,2]"])
+    @pytest.mark.parametrize("text", [
+        "{not json", "[1,2]",
+        pytest.param("[" * 200_000, id="nested-too-deep")])
     def test_config_file_must_hold_a_json_object(self, tmp_path, capsys,
                                                   command, flag, text):
         cfg = tmp_path / "config.json"
@@ -589,6 +615,8 @@ class TestAudit:
          "empirical_bayes must be true or false, got 'no'"),
         (["--serp-prefix", "-3"], "serp_prefix must be at least 1, got -3"),
         ({"factor": "region"}, "factor must be age or gender, got 'region'"),
+        (["--factor", "region"],
+         "factor must be age or gender, got 'region'"),
     ])
     def test_wrong_config_value_is_one_config_error(self, tmp_path, capsys,
                                                     given, message):
@@ -830,6 +858,27 @@ def test_out_of_range_setting_is_one_config_error(tmp_path, capsys, argv,
     assert not (tmp_path / "out").exists()
 
 
+def _wrong_type_cases():
+    query = dict(text="q", topic="t", difficulty=0.5, navigational=False,
+                 results=("r0",))
+    for cls, given, prefix in ((AuditConfig, {}, ""),
+                               (synth.BehaviorModel, {}, "behavior "),
+                               (synth.QuerySpec, query, "query 'q': ")):
+        for f in dataclasses.fields(cls):
+            yield pytest.param(
+                cls, given, f.name, "query {}: " if f.name == "text"
+                else prefix, id=f"{cls.__name__}-{f.name}")
+
+
+@pytest.mark.parametrize("cls,given,name,prefix", _wrong_type_cases())
+def test_every_field_refuses_a_value_of_the_wrong_type(cls, given, name,
+                                                       prefix):
+    with pytest.raises(ConfigError) as err:
+        cls(**{**given, name: {}})
+    head, _, rule = str(err.value).partition(f"{name} must be ")
+    assert head == prefix and rule.endswith(", got {}")
+
+
 def test_every_config_field_has_one_range_rule():
     # in field order: min_groups' rule reads the factor checked before it
     assert list(audit._RANGE_RULES) == \
@@ -856,7 +905,9 @@ class TestReport:
 
     @pytest.mark.parametrize("text,message", [
         ("{not json", "is not valid JSON"),
-        ("[1, 2]", "must hold a JSON object")])
+        ("[1, 2]", "must hold a JSON object"),
+        pytest.param("[" * 200_000, "is not valid JSON",
+                     id="nested-too-deep")])
     def test_summary_that_is_not_a_json_object(self, tmp_path, capsys,
                                                text, message):
         (tmp_path / "summary.json").write_text(text)
