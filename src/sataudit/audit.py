@@ -17,7 +17,7 @@ import numpy as np
 from . import aggregate, difficulty as difficulty_mod, matching, multilevel, \
     pairwise, reports
 from .aggregate import Factor, METRICS, NormalizedScores
-from .errors import ConfigError, check_fields
+from .errors import ConfigError, DataError, check_fields
 from .logmodel import AgeGroup, Gender, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
 
@@ -130,8 +130,11 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
     `navigational` is the matching stage's navigational query set; without
     it a click-concentration proxy picks the queries.  Pairwise thresholds
     derive from the multilevel deltas unless ``default_thresholds`` is set.
+    A corpus without impressions is a DataError, whatever the methods.
     """
     methods = cfg.methods
+    if not len(corpus):
+        raise DataError("the corpus holds no impressions")
     if "external" in methods and corpus.has_dwell:
         raise ConfigError("the external method audits clicks-only logs; "
                           "this corpus has dwell fidelity, use pairwise")

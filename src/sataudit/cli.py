@@ -30,8 +30,8 @@ from .aggregate import METRICS
 from .audit import METHODS, AuditConfig
 from .errors import ConfigError, ConvergenceError, DataError, \
     SatauditError, check_keys
-from .logmodel import AgeGroup, Gender, all_profiles, emit, ingest, \
-    normalize_query
+from .logmodel import AgeGroup, Gender, all_profiles, \
+    derive_reformulation_flags, emit, ingest, normalize_query
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, metric_table
 
 
@@ -111,8 +111,7 @@ def cmd_generate(args) -> int:
     offsets = [cfg.offset_for(p) for p in all_profiles()]
     reports.write_csv(out / "ground_truth.csv", {
         "impression_id": corpus.ids, "latent_satisfaction": truth.latent,
-        "group_offset": [offsets[p] for p in
-                         (corpus.age * 2 + corpus.gender).tolist()]}, meta)
+        "group_offset": [offsets[p] for p in corpus.profile.tolist()]}, meta)
     # keyed by the query text as the corpus holds it
     queries = sorted(cfg.queries, key=lambda q: normalize_query(q.text))
     reports.write_csv(out / "query_truth.csv", {
@@ -157,10 +156,9 @@ def cmd_metrics(args) -> int:
                                 "input": Path(args.input).name,
                                 "format": fmt})
     if corpus.has_dwell:
-        gu, reform, pcc, scc = metric_table(corpus, args.dwell_threshold).T
+        gu, _, _, scc = metric_table(corpus, args.dwell_threshold).T
         scc = scc.astype(int)
     else:
-        reform, pcc = corpus.reformulated, corpus.click_count
         gu = scc = [None] * len(corpus)
     reports.write_csv(out / "metrics.csv", {
         "impression_id": corpus.ids,
@@ -169,8 +167,9 @@ def cmd_metrics(args) -> int:
         "query_text": np.array(corpus.queries, object)[corpus.query],
         "topic": np.array(corpus.topics, object)[corpus.topic],
         "graded_utility": gu,
-        "reformulation": [None if v < 0 else int(v) for v in reform.tolist()],
-        "page_click_count": pcc.astype(int),
+        "reformulation": corpus.derived("reformulation",
+                                        derive_reformulation_flags),
+        "page_click_count": corpus.click_count,
         "successful_click_count": scc}, meta)
     print(f"wrote metrics for {len(corpus)} impressions -> "
           f"{out / 'metrics.csv'}")

@@ -34,7 +34,7 @@ import csv as _csv
 import logging
 import re
 from array import array
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -84,8 +84,8 @@ def all_profiles() -> list[DemographicProfile]:
     return [DemographicProfile(a, g) for a in AgeGroup for g in Gender]
 
 
-# Columns code a profile as its index here, (age - 1) * 2 + gender, and
-# records parsed or rebuilt from columns share these objects.
+# Columns code a profile as its index here (:attr:`LogCorpus.profile`),
+# and records parsed or rebuilt from columns share these objects.
 _PROFILES = all_profiles()
 _PROFILE_CODES = {p: k for k, p in enumerate(_PROFILES)}
 _BY_NAMES = {(p.age.name, p.gender.code): p for p in _PROFILES}
@@ -132,7 +132,7 @@ class LogCorpus:
     ``users``, ``sessions``, ``queries`` and ``topics``, each listed in
     sorted text order, so comparing codes compares texts; ``age`` and
     ``gender`` index ``AgeGroup`` and ``Gender`` order.  ``reformulated``
-    is int8: 1, 0, or -1 when the flag is unset.
+    is int8, the flags as the log wrote them: 1, 0, or -1 when unset.
 
     Result pages and clicks are CSR: row k's results are
     ``result[result_offsets[k]:result_offsets[k + 1]]``, codes into
@@ -193,6 +193,11 @@ class LogCorpus:
     def click_row(self) -> np.ndarray:
         """The row of each click."""
         return _frozen(np.repeat(np.arange(len(self)), self.click_count))
+
+    @cached_property
+    def profile(self) -> np.ndarray:
+        """``age * 2 + gender``: each row's index into :func:`all_profiles`."""
+        return _frozen(self.age * 2 + self.gender)
 
     @property
     def has_dwell(self) -> bool:
@@ -353,7 +358,7 @@ def _records(corpus: LogCorpus, click, text=str):
             corpus.result_ids))
     columns = (corpus.ids, corpus.user, corpus.session, corpus.timestamp,
                corpus.query, corpus.topic, corpus.reformulated,
-               corpus.age * 2 + corpus.gender)
+               corpus.profile)
     for start in range(0, len(corpus), _EMIT_BLOCK):
         k = np.arange(start, min(start + _EMIT_BLOCK, len(corpus)))
         r, rb = _entries(corpus.result_offsets, k)
@@ -473,8 +478,8 @@ def _queries_similar(orig: str, nxt: str) -> bool:
 
 
 def derive_reformulation_flags(corpus: LogCorpus) -> np.ndarray:
-    """The reformulated column with unset flags filled from in-session
-    successors.
+    """The reformulated column as the reformulation metric reads it, with
+    unset flags filled from in-session successors.
 
     Each session is scanned in (timestamp, impression_id) order, and an
     unset flag becomes 1 at the first later, different query that is
@@ -522,7 +527,7 @@ def derive_reformulation_flags(corpus: LogCorpus) -> np.ndarray:
         flag[k] = found
     out = np.empty(n, dtype=np.int8)
     out[order] = flag
-    return out
+    return _frozen(out)
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +568,8 @@ def _ndjson_lines(corpus: LogCorpus):
 def _parse_bool(v) -> bool | None:
     if v is None or v == "":
         return None
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, (int, float)):
-        return bool(v)
+    if v in (0, 1):         # a bool or 0 or 1; other numbers fail as text
+        return v == 1
     s = str(v).strip().lower()
     if s in ("1", "true", "t", "yes"):
         return True
@@ -612,7 +615,7 @@ def _fields_from_line(line: str, normalized: dict) -> tuple:
         (_field(c, "result_id"), _field(c, "position", int),
          (float("nan") if c.get("dwell_seconds") is None
           else float(_field(c, "dwell_seconds", float))),
-         bool(_parse_bool(c.get("terminated_query")) or False))
+         bool(_parse_bool(c.get("terminated_query"))))
         for c in _field(rec, "clicks", list)
     ]
     return (_field(rec, "impression_id"), _field(rec, "user_id"),
@@ -662,7 +665,7 @@ def _unpack_clicks(packed: str) -> list[tuple]:
         pos, rid, dwell, term = part.split(":")
         clicks.append((rid, int(pos),
                        float(dwell) if dwell else float("nan"),
-                       bool(int(term))))
+                       bool(_parse_bool(term))))
     return clicks
 
 
@@ -686,8 +689,8 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
     """Load a log file into a validated corpus.
 
     Invalid records are skipped (counted in metadata); more than 50%
-    malformed is fatal.  Missing reformulated flags are derived from
-    session context after the full file is read.
+    malformed is fatal.  Reformulated flags are kept as written, -1 where
+    unset; the reformulation metric derives the missing ones.
     """
     path = Path(path)
     if fmt not in ("ndjson", "csv"):
@@ -737,9 +740,7 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
         logger.warning("ingest %s: skipped %d/%d records (first errors: %s)",
                        path, skipped, total, first_errors)
 
-    corpus = builder.freeze(skipped)
-    del builder
-    return replace(corpus, reformulated=derive_reformulation_flags(corpus))
+    return builder.freeze(skipped)
 
 
 def emit(corpus: LogCorpus, path: str | Path, fmt: str = "ndjson") -> int:

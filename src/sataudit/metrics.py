@@ -24,7 +24,7 @@ import enum
 import numpy as np
 
 from .errors import DataError
-from .logmodel import LogCorpus
+from .logmodel import LogCorpus, derive_reformulation_flags
 
 DEFAULT_DWELL_THRESHOLD_S = 30.0
 
@@ -50,9 +50,11 @@ def metric_table(corpus: LogCorpus,
     Row k holds impression k's four metrics, as the module docstring
     defines them, in ``METRICS`` order.  The table is built once per dwell
     threshold from the corpus's click columns and kept on the corpus, so
-    every estimator reads the same scores.  Raises DataError, naming the
-    first impression that has one, for a click without dwell time or an
-    unset reformulated flag.
+    every estimator reads the same scores.  Its reformulation column is
+    :func:`~sataudit.logmodel.derive_reformulation_flags`, built once per
+    corpus: unset flags are filled from session context.  Raises
+    DataError, naming the first impression that has one, for a click
+    without dwell time.
     """
     return corpus.derived("metric_table", _build_metric_table,
                           dwell_threshold_s)
@@ -60,20 +62,13 @@ def metric_table(corpus: LogCorpus,
 
 def _build_metric_table(corpus: LogCorpus,
                         dwell_threshold_s: float) -> np.ndarray:
-    dwell, reform = corpus.click_dwell, corpus.reformulated
-    # the first impression with a missing dwell or an unset flag; within
-    # one impression the dwell is reported first
+    dwell = corpus.click_dwell
     no_dwell = corpus.click_row[np.isnan(dwell)][:1]
-    unset = np.flatnonzero(reform < 0)[:1]
-    if no_dwell.size or unset.size:
-        first = min(no_dwell.tolist() + unset.tolist())
-        if no_dwell.size and no_dwell[0] == first:
-            raise DataError(
-                f"impression {corpus.ids[first]}: dwell missing; "
-                "successful clicks need dwell fidelity")
+    if no_dwell.size:
         raise DataError(
-            f"impression {corpus.ids[first]}: reformulated flag unset; "
-            "run ingest (which derives missing flags) first")
+            f"impression {corpus.ids[no_dwell[0]]}: dwell missing; "
+            "successful clicks need dwell fidelity")
+    reform = corpus.derived("reformulation", derive_reformulation_flags)
     pcc = corpus.click_count
     scc = np.bincount(corpus.click_row[dwell > dwell_threshold_s],
                       minlength=len(corpus))

@@ -374,8 +374,8 @@ def fit_pair_model(corpus: LogCorpus, sample: PairSample, labels,
     nonzero-labelled pairs.
 
     Training rows are symmetrized (both orders, negated label) and then
-    aggregated by slot-profile pattern (profiles coded ``age * 2 +
-    gender``) into binomial counts, so the fit cost is independent of the
+    aggregated by slot-profile pattern (:attr:`LogCorpus.profile` codes)
+    into binomial counts, so the fit cost is independent of the
     pair count.
     """
     if prior_variance <= 0:
@@ -388,7 +388,7 @@ def fit_pair_model(corpus: LogCorpus, sample: PairSample, labels,
             "no nonzero-labeled pairs; the labeler abstained everywhere")
 
     shape = (4, 2, 4, 2)            # slot i's age and gender, then slot j's
-    profile = corpus.age * 2 + corpus.gender
+    profile = corpus.profile
     i, j = profile[sample.i_idx[keep]], profile[sample.j_idx[keep]]
     key = np.concatenate([i * 8 + j, j * 8 + i])
     win = np.concatenate([label == 1, label == -1]).astype(float)

@@ -7,8 +7,10 @@ line per test is the pass/fail verdict.
 """
 
 import csv
+import importlib
 import json
 import logging
+import pkgutil
 import random
 import time
 from pathlib import Path
@@ -17,7 +19,8 @@ import numpy as np
 import pytest
 
 from oracles import cell_coefficients, score_cells
-from sataudit import aggregate, multilevel, pairwise, synth
+import sataudit
+from sataudit import aggregate, logmodel, multilevel, pairwise, synth
 from sataudit.aggregate import Factor, METRICS
 from sataudit.audit import AuditConfig, run_audit
 from sataudit.cli import main
@@ -531,3 +534,33 @@ def test_m4_timestamp_shift_does_not_change_the_audit(tmp_path, capsys,
     print(f"M4 (timestamp shift): PASS; {len(trees['file'])} files of a "
           f"mixed audit, an external audit and the metrics of a clicks-only "
           f"log byte-identical after a {M4_SHIFT} s shift ({elapsed:.1f}s)")
+
+
+def test_external_audit_derives_no_reformulation_flag(tmp_path, monkeypatch):
+    # the external labeler reads page click counts alone, so auditing the
+    # blanked M4 log must never fill in its unset flags
+    assert main(["generate", "--preset", "dwell_confound", "--seed", "3",
+                 "--impressions", "6000", "--format", "csv",
+                 "--out", str(tmp_path / "gen")]) == 0
+    log = tmp_path / "clicks" / "corpus.csv"
+    _clicks_only(tmp_path / "gen" / "corpus.csv", log)
+
+    def forbidden(corpus):
+        raise AssertionError("reformulation flags derived")
+
+    derive = logmodel.derive_reformulation_flags
+    modules = [sataudit, *(importlib.import_module(f"sataudit.{m.name}")
+                           for m in pkgutil.iter_modules(sataudit.__path__))]
+    bound = [m for m in modules
+             if getattr(m, "derive_reformulation_flags", None) is derive]
+    assert logmodel in bound
+    for module in bound:
+        monkeypatch.setattr(module, "derive_reformulation_flags", forbidden)
+    assert main(["audit", "--input", str(log), "--methods", "external",
+                 "--default-thresholds", "--pair-fraction", "1.0",
+                 "--out", str(tmp_path / "external")]) == 0
+    # the patch holds where the flags are read: the metrics command
+    # derives them
+    with pytest.raises(AssertionError, match="flags derived"):
+        main(["metrics", "--input", str(log),
+              "--out", str(tmp_path / "metrics")])

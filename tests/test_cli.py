@@ -494,6 +494,19 @@ class TestAudit:
         assert probs[old][young] > 0.5
         assert probs[young][old] < 0.5
 
+    @pytest.mark.parametrize("method", audit.METHODS)
+    @pytest.mark.parametrize("log", ["empty.ndjson", "header.csv"])
+    def test_log_without_impressions_is_one_data_error(
+            self, tmp_path, capsys, caplog, method, log):
+        path = tmp_path / log
+        path.write_text("" if log.endswith(".ndjson")
+                        else ",".join(logmodel.CSV_FIELDS) + "\n")
+        assert run("audit", "--input", path, "--methods", method,
+                   "--default-thresholds", "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "data error: the corpus holds no impressions"]
+        assert caplog.records == []
+
     def test_all_zero_labels_is_a_data_error(self, tmp_path, capsys):
         # no clicks anywhere: every pair metric difference is zero, the
         # labeler abstains on all pairs and the fit has nothing to use

@@ -16,7 +16,7 @@ import pytest
 
 from corpus_builders import Click, click, corpus, from_records, imp, records
 from oracles import impression_to_dict
-from sataudit import logmodel, matching, synth
+from sataudit import logmodel, synth
 from sataudit.errors import DataError
 from sataudit.logmodel import (AgeGroup, Gender, LogCorpus, all_profiles,
                                derive_reformulation_flags, emit, ingest,
@@ -221,13 +221,11 @@ class TestRoundTrips:
         back = ingest(path, fmt=fmt)
         assert back.metadata.accepted == 3 and back.metadata.skipped == 0
         by_id = {i.impression_id: i for i in records(back)}
+        # the unset flag comes back unset: ingest keeps flags as written
+        assert records(src)[2].reformulated is None
         for orig in records(src):
             got = by_id[orig.impression_id]
-            want = impression_to_dict(orig)
-            # ingest fills the one missing flag from session context
-            if want["reformulated"] is None:
-                want["reformulated"] = False
-            assert impression_to_dict(got) == want
+            assert impression_to_dict(got) == impression_to_dict(orig)
 
     def test_ingest_normalizes_query_text(self, tmp_path):
         path = tmp_path / "corpus.ndjson"
@@ -289,6 +287,55 @@ class TestRoundTrips:
         path = tmp_path / "corpus.ndjson"
         emit(src, path)
         assert ingest(path).has_dwell is True
+
+
+# A flag that is no boolean, per format and field: NDJSON numbers other
+# than 0 and 1, and CSV text that is none of the boolean words.
+_BAD_BOOLEANS = [
+    *(("ndjson", key, v) for key in ("reformulated", "terminated_query")
+      for v in (2, -1, 0.5, float("nan"), "2")),
+    *(("csv", key, v) for key in ("reformulated", "terminated")
+      for v in ("2", "-1", "0.5")),
+]
+
+
+@pytest.mark.parametrize("fmt,key,value", _BAD_BOOLEANS)
+def test_a_bad_boolean_skips_its_record(tmp_path, caplog, fmt, key, value):
+    path = tmp_path / f"c.{fmt}"
+    emit(corpus([imp(f"g{k}", clicks=[click("r0", 1, 40.0, True)])
+                 for k in range(2)]), path, fmt=fmt)
+    # a third record, the first with one flag set to `value`
+    if fmt == "ndjson":
+        rec = json.loads(path.read_text().splitlines()[0])
+        target = rec if key == "reformulated" else rec["clicks"][0]
+        target[key] = value
+        rec["impression_id"] = "bad"
+        line = json.dumps(rec) + "\n"
+    else:
+        with open(path, newline="") as fh:
+            row = next(csv.DictReader(fh))
+        if key == "reformulated":
+            row[key] = value
+        else:
+            row["clicks"] = row["clicks"].rsplit(":", 1)[0] + ":" + value
+        row["impression_id"] = "bad"
+        buf = io.StringIO()
+        csv.DictWriter(buf, logmodel.CSV_FIELDS,
+                       lineterminator="\n").writerow(row)
+        line = buf.getvalue()
+    with open(path, "a", newline="") as fh:
+        fh.write(line)
+    caplog.set_level(logging.WARNING)
+    back = ingest(path, fmt=fmt)
+    assert back.ids.tolist() == ["g0", "g1"] and back.metadata.skipped == 1
+    assert f"bad boolean {value!r}" in caplog.text
+
+
+@pytest.mark.parametrize("value,want", [
+    (1, True), (0, False), (1.0, True), (0.0, False), (True, True),
+    ("1", True), ("false", False), ("", None), (None, None)])
+def test_boolean_values_either_format_accepts(value, want):
+    assert logmodel._parse_bool(value) is want
 
 
 class TestStreamingIngest:
@@ -424,12 +471,15 @@ class TestColumns:
         assert [cols.queries[q] for q in cols.query] == \
             [i.query_text for i in imps]
         assert [cols.topics[t] for t in cols.topic] == [i.topic for i in imps]
-        for column in (cols.age, cols.gender, cols.query, cols.topic):
+        assert [all_profiles()[p] for p in cols.profile] == \
+            [i.demographics for i in imps]
+        for column in (cols.age, cols.gender, cols.query, cols.topic,
+                       cols.profile):
             assert column.dtype == np.int32 and not column.flags.writeable
 
     def test_columns_are_built_once(self):
         c = self._corpus()
-        for name in ("click_count", "click_row"):
+        for name in ("click_count", "click_row", "profile"):
             assert getattr(c, name) is getattr(c, name)
 
     def test_first_appearance_codes(self):
@@ -455,28 +505,6 @@ class TestCorpusCache:
         metric_table(c)
         assert c._derived
         assert dataclasses.replace(c)._derived == {}
-
-    def test_ingest_keeps_nothing_cached_before_the_flags(self, tmp_path,
-                                                          monkeypatch):
-        path = tmp_path / "c.ndjson"
-        emit(corpus([imp(f"i{k}", clicks=[click(dwell=60.0)],
-                         reformulated=None) for k in range(2)]), path)
-        with open(path, "a") as fh:
-            fh.write("{}\n")
-        before = []
-        derive = logmodel.derive_reformulation_flags
-
-        def caching(c):
-            # a final-click column built while the flags are still unset
-            before.append(c)
-            c.derived("final_click", matching._final_click_column, 30.0)
-            return derive(c)
-
-        monkeypatch.setattr(logmodel, "derive_reformulation_flags", caching)
-        back = ingest(path)
-        assert before[0]._derived and back._derived == {}
-        assert back.metadata is before[0].metadata
-        assert (back.metadata.accepted, back.metadata.skipped) == (2, 1)
 
 
 def _assert_columns_equal(a, b):
@@ -787,13 +815,15 @@ class TestEmit:
 
     @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
     def test_round_trip_keeps_every_column(self, tmp_path, fmt):
-        # ingest normalizes query text and derives unset flags, so the
-        # record that needs both is left out
-        c = corpus(i for i in records(self._corpus())
-                   if i.reformulated is not None)
+        # ingest normalizes query text, so each record carries its query
+        # normalized; flags come back as written, the unset one included
+        c = corpus(i._replace(query_text=normalize_query(i.query_text))
+                   for i in records(self._corpus()))
+        assert None in [i.reformulated for i in records(c)]
         path = tmp_path / f"c.{fmt}"
         emit(c, path, fmt=fmt)
         back = ingest(path, fmt=fmt)
-        assert [impression_to_dict(i) for i in records(back)] == [
-            impression_to_dict(i) for i in sorted(
+        # compared as JSON text, where a missing dwell (NaN) equals itself
+        assert [json.dumps(impression_to_dict(i)) for i in records(back)] == [
+            json.dumps(impression_to_dict(i)) for i in sorted(
                 records(c), key=lambda i: i.impression_id)]

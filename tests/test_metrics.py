@@ -14,7 +14,8 @@ from sataudit import metrics, synth
 from sataudit.aggregate import Factor, query_averaged_scores
 from sataudit.difficulty import estimate_difficulty
 from sataudit.errors import DataError
-from sataudit.logmodel import AgeGroup, Gender, emit, ingest
+from sataudit.logmodel import AgeGroup, Gender, \
+    derive_reformulation_flags, emit, ingest
 from sataudit.matching import match_contexts, matched_raw_scores
 from sataudit.metrics import METRICS, MetricKind, metric_table
 from sataudit.multilevel import build_observations
@@ -206,6 +207,33 @@ def test_metric_table_is_built_once_per_corpus_and_threshold(monkeypatch):
     assert builds == [(len(c), 30.0), (len(c), 10.0)]
 
 
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_table_derives_the_unset_flags_ingest_keeps(tmp_path, monkeypatch,
+                                                     fmt):
+    queries = ["cheap flights", "cheap flights june", "python dataclass"]
+    imps = [imp(f"f{k}", query=q, reformulated=None, user_id="u1",
+                timestamp=k, clicks=[click(dwell=40.0)])
+            for k, q in enumerate(queries)]
+    emit(corpus([*imps, imp("f3", reformulated=True, clicks=[click()])]),
+         tmp_path / "c", fmt=fmt)
+    c = ingest(tmp_path / "c", fmt=fmt)
+    assert c.reformulated.tolist() == [-1, -1, -1, 1]
+    want = derive_reformulation_flags(c)
+    assert want.tolist() == [1, 0, 0, 1]
+    calls = []
+
+    def counting(corpus):
+        calls.append(corpus)
+        return derive_reformulation_flags(corpus)
+
+    monkeypatch.setattr(metrics, "derive_reformulation_flags", counting)
+    column = METRICS.index(MetricKind.REFORMULATION)
+    for threshold in (30.0, 10.0):
+        np.testing.assert_array_equal(metric_table(c, threshold)[:, column],
+                                      want)
+    assert calls == [c]
+
+
 def _stacked_metric_vectors(impressions, threshold=30.0):
     return np.array([[oracle_vector(i, threshold).value(kind)
                       for kind in METRICS] for i in impressions],
@@ -253,12 +281,12 @@ def test_clicks_only_csv_has_page_click_counts_only(tmp_path):
 
 
 @pytest.mark.parametrize("rows,want", [
-    # (dwell missing?, flag unset?) per impression; the first bad row names
-    # the error, and dwell is checked before the flag within one row
-    ([(False, False), (False, True), (True, False)], (1, "flag unset")),
+    # (dwell missing?, flag unset?) per impression; the first row missing
+    # a dwell names the error, since the table derives unset flags
+    ([(False, False), (False, True), (True, False)], (2, "dwell missing")),
     ([(False, False), (True, False), (False, True)], (1, "dwell missing")),
     ([(True, True), (False, True)], (0, "dwell missing")),
-    ([(False, True), (True, True)], (0, "flag unset")),
+    ([(False, True), (True, True)], (1, "dwell missing")),
 ])
 def test_metric_table_errors_name_the_first_bad_impression(rows, want):
     imps = [imp(f"m{k}", clicks=[click(dwell=float("nan") if nan else 40.0)],
