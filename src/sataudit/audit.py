@@ -53,7 +53,9 @@ class AuditConfig:
     ``3`` stays an int) since the metadata hash covers them.  A value of
     the wrong type or out of its range is a ConfigError, never coerced.
     ``methods`` may be a comma list or a sequence; it is kept as a tuple
-    in :data:`METHODS` order."""
+    in :data:`METHODS` order.  ``min_impressions`` has two meanings:
+    matching keeps a query with that many impressions from every group of
+    the factor, pair sampling one with that many in total."""
 
     factor: str = Factor.AGE.value
     methods: tuple[str, ...] = ("raw", "matched")
@@ -86,6 +88,12 @@ class AuditConfig:
                               f"choose from {', '.join(METHODS)}")
         if not chosen:
             raise ConfigError("no audit methods selected")
+        if {"pairwise", "external"} <= chosen:
+            # internal labels need dwell times; external refuses a log
+            # that has them
+            raise ConfigError("pairwise and external cannot run on one "
+                              "log: pairwise needs dwell times, external a "
+                              "clicks-only log; choose one")
         object.__setattr__(self, "methods",
                            tuple(m for m in METHODS if m in chosen))
         if (("pairwise" in chosen or "external" in chosen)

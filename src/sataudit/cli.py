@@ -29,7 +29,7 @@ from . import audit, reports, synth
 from .aggregate import METRICS
 from .audit import METHODS, AuditConfig
 from .errors import ConfigError, ConvergenceError, DataError, \
-    SatauditError, check_keys
+    SatauditError, check_keys, reading
 from .logmodel import AgeGroup, Gender, all_profiles, \
     derive_reformulation_flags, emit, ingest, normalize_query
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, metric_table
@@ -56,12 +56,13 @@ def _infer_format(path: str, explicit: str | None) -> str:
 
 def _read_json_object(path, error: type[SatauditError] = ConfigError) -> dict:
     """The JSON object a file holds; anything else raises `error`."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            values = json.load(f)
-        except (ValueError, RecursionError) as exc:
-            # not JSON, not UTF-8, or nested too deep to decode
-            raise error(f"{path} is not valid JSON: {exc}") from None
+    with reading(path, error) as f:
+        text = f.read()
+    try:
+        values = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # not JSON, or nested too deep to decode
+        raise error(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(values, dict):
         raise error(f"{path} must hold a JSON object")
     return values
@@ -196,14 +197,11 @@ def _load_navigational(path: str | None) -> set[str] | None:
     if path is None:
         return None
     out: set[str] = set()
-    try:
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    out.add(normalize_query(line))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    with reading(path, DataError) as f:
+        for line in f:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                out.add(normalize_query(line))
     if not out:
         raise DataError(f"navigational query list {path!r} is empty")
     return out

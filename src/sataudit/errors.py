@@ -1,5 +1,6 @@
-"""Exception taxonomy shared across the toolkit, and the one walker that
-checks a config's values (and keys) against their rules.
+"""Exception taxonomy shared across the toolkit, the one way every input
+file is opened, and the one walker that checks a config's values (and
+keys) against their rules.
 
 The CLI maps these onto process exit codes: configuration problems exit
 with 1, data problems with 2, and numerical failures with 3.
@@ -7,6 +8,8 @@ with 1, data problems with 2, and numerical failures with 3.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import dataclasses
 import math
 
@@ -42,6 +45,20 @@ class ConvergenceError(SatauditError):
         return (f"{base} (iterations={self.iterations}, "
                 f"objective={self.objective:.6g}, "
                 f"gradient_norm={self.gradient_norm:.3g})")
+
+
+@contextlib.contextmanager
+def reading(path, error: type[SatauditError]):
+    """`path` open as UTF-8 text, a leading byte-order mark (which
+    spreadsheet exports write) skipped, and line endings kept, so that
+    the csv module sees quoted line breaks.  A file that cannot be opened,
+    decoded or (by a csv reader) parsed raises `error` with a
+    ``cannot read <path>`` line."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise error(f"cannot read {path}: {exc}") from exc
 
 
 def is_int(value) -> bool:

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, reading
 
 logger = logging.getLogger(__name__)
 
@@ -112,6 +112,17 @@ def first_appearance_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                                          return_inverse=True)
     order = np.argsort(first)
     return distinct[order], np.argsort(order)[inverse]
+
+
+def vocabulary_codes(keys: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct texts of `keys` in sorted order, the order a
+    :class:`LogCorpus` lists a vocabulary in, and each key's int32 code,
+    found by binary search, not by a dict whose Python ints stay on the
+    heap."""
+    texts = sorted(set(keys))
+    codes = np.searchsorted(np.array(texts, dtype=object),
+                            np.array(keys, dtype=object))
+    return texts, codes.astype(np.int32)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -264,10 +275,11 @@ class _ColumnBuilder:
     def freeze(self, skipped: int) -> LogCorpus:
         """The corpus, canonical (see :class:`LogCorpus`): rows stably
         sorted by impression id, and each vocabulary numbered in sorted
-        text order.  Each buffer is dropped as its column is made, and a
-        gather runs only when the ids came unsorted."""
-        vocab = {name: _sorted_vocabulary(getattr(self, name)) for name in
-                 ("users", "sessions", "queries", "topics", "result_ids")}
+        text order.  Vocabularies and buffers are dropped as they are used,
+        and a gather runs only when the ids came unsorted."""
+        # a vocabulary lists its texts in code order
+        vocab = {name: vocabulary_codes(list(vars(self).pop(name))) for name
+                 in ("users", "sessions", "queries", "topics", "result_ids")}
 
         def column(name, dtype, coded=None):
             values = np.array(getattr(self, name), dtype=dtype)
@@ -315,15 +327,6 @@ class _ColumnBuilder:
             metadata=CorpusMetadata(accepted=len(ids), skipped=skipped))
 
 
-def _sorted_vocabulary(vocab: dict[str, int]) -> tuple[list[str], np.ndarray]:
-    """The texts of `vocab` (text to code) in sorted order, and the new
-    code of each old one."""
-    texts = sorted(vocab)
-    recode = np.empty(len(texts), dtype=np.int32)
-    recode[[vocab[t] for t in texts]] = np.arange(len(texts))
-    return texts, recode
-
-
 # rows whose result-id and click strings emit builds at one time
 _EMIT_BLOCK = 8192
 
@@ -360,16 +363,18 @@ def _records(corpus: LogCorpus, click, text=str):
                corpus.query, corpus.topic, corpus.reformulated,
                corpus.profile)
     for start in range(0, len(corpus), _EMIT_BLOCK):
-        k = np.arange(start, min(start + _EMIT_BLOCK, len(corpus)))
-        r, rb = _entries(corpus.result_offsets, k)
-        c, cb = _entries(corpus.click_offsets, k)
-        rb, cb = rb.tolist(), cb.tolist()
-        res = [rid[v] for v in corpus.result[r].tolist()]
+        # a block is a run of rows, so its entries are a run of each column
+        rows = slice(start, start + _EMIT_BLOCK)
+        rb, cb = (o[start:start + _EMIT_BLOCK + 1]
+                  for o in (corpus.result_offsets, corpus.click_offsets))
+        res = [rid[v] for v in corpus.result[rb[0]:rb[-1]].tolist()]
+        c = slice(cb[0], cb[-1])
         clicks = [click(rid[v], p, d, t) for v, p, d, t in zip(
             corpus.click_result[c].tolist(), corpus.click_position[c].tolist(),
             corpus.click_dwell[c].tolist(), corpus.click_terminated[c].tolist())]
+        rb, cb = (rb - rb[0]).tolist(), (cb - cb[0]).tolist()
         for n, (i, u, s, t, q, tp, f, p) in enumerate(
-                zip(*(col[k].tolist() for col in columns))):
+                zip(*(col[rows].tolist() for col in columns))):
             yield (i, users[u], sessions[s], t, queries[q], topics[tp],
                    res[rb[n]:rb[n + 1]], clicks[cb[n]:cb[n + 1]], f,
                    _PROFILES[p])
@@ -701,34 +706,30 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
     skipped = 0
     first_errors: list[str] = []
     # One streaming pass: records are parsed as lines are read, so the raw
-    # text is never held whole.  newline="" lets the csv module see quoted
-    # line breaks; json.loads ignores a line's trailing "\r\n".
-    try:
-        with path.open(encoding="utf-8", newline="") as fh:
-            if fmt == "ndjson":
-                parse = _fields_from_line
-                records = (line for line in fh if not line.isspace())
+    # text is never held whole; json.loads ignores a line's trailing "\r\n".
+    with reading(path, DataError) as fh:
+        if fmt == "ndjson":
+            parse = _fields_from_line
+            records = (line for line in fh if not line.isspace())
+        else:
+            parse = _fields_from_row
+            records = reader = _csv.DictReader(fh)
+            if reader.fieldnames is not None and set(CSV_FIELDS) - set(reader.fieldnames):
+                missing = sorted(set(CSV_FIELDS) - set(reader.fieldnames))
+                raise DataError(f"CSV header missing columns: {', '.join(missing)}")
+        for record in records:
+            try:
+                parsed = parse(record, normalized)
+            except (KeyError, ValueError, TypeError, IndexError,
+                    AttributeError, OverflowError,
+                    RecursionError) as exc:
+                reason = str(exc)
             else:
-                parse = _fields_from_row
-                records = reader = _csv.DictReader(fh)
-                if reader.fieldnames is not None and set(CSV_FIELDS) - set(reader.fieldnames):
-                    missing = sorted(set(CSV_FIELDS) - set(reader.fieldnames))
-                    raise DataError(f"CSV header missing columns: {', '.join(missing)}")
-            for record in records:
-                try:
-                    parsed = parse(record, normalized)
-                except (KeyError, ValueError, TypeError, IndexError,
-                        AttributeError, OverflowError,
-                        RecursionError) as exc:
-                    reason = str(exc)
-                else:
-                    reason = builder.add(*parsed)
-                if reason is not None:
-                    skipped += 1
-                    if len(first_errors) < 5:
-                        first_errors.append(reason)
-    except (OSError, UnicodeDecodeError, _csv.Error) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+                reason = builder.add(*parsed)
+            if reason is not None:
+                skipped += 1
+                if len(first_errors) < 5:
+                    first_errors.append(reason)
 
     accepted = len(builder.ids)
     total = accepted + skipped

@@ -118,14 +118,12 @@ def navigational_queries_proxy(
     """
     final = corpus.derived("final_click", _final_click_column,
                            dwell_threshold_s)
-    has = final >= 0
-    keys, counts = np.unique(
-        corpus.query[has].astype(np.int64) * len(corpus.result_ids)
-        + final[has], return_counts=True)
-    query = keys // len(corpus.result_ids)
-    top = np.zeros(len(corpus.queries), dtype=np.int64)
-    np.maximum.at(top, query, counts)
-    total = np.bincount(query, weights=counts, minlength=len(corpus.queries))
+    has, query = final >= 0, corpus.query
+    # a query's top count: its rows holding its dominant final click,
+    # picked by the rule that stage 3 applies
+    top = np.bincount(query[_modal(has, query, final)],
+                      minlength=len(corpus.queries))
+    total = np.bincount(query[has], minlength=len(corpus.queries))
     return {corpus.queries[q] for q in np.flatnonzero(top).tolist()
             if top[q] / total[q] >= nav_share}
 

@@ -164,17 +164,18 @@ def eligible_queries(corpus: LogCorpus, factor: Factor = Factor.AGE,
                      min_groups: int | None = None,
                      min_impressions: int = 10) -> list[str]:
     """Queries issued by at least `min_groups` distinct groups (None: 3
-    for age, 2 for gender) with at least `min_impressions` impressions,
-    sorted for determinism."""
+    for age, 2 for gender) with at least `min_impressions` impressions in
+    total (where matching asks that many of every group), in code order,
+    which is text order."""
     n_groups = len(factor.groups())
     if min_groups is None:
         min_groups = 3 if factor is Factor.AGE else 2
     per_group = np.bincount(corpus.query * n_groups + factor.codes(corpus),
-                            minlength=len(corpus.queries) * n_groups)
-    return sorted(q for q, row in zip(corpus.queries,
-                                      per_group.reshape(-1, n_groups).tolist())
-                  if sum(n > 0 for n in row) >= min_groups
-                  and sum(row) >= min_impressions)
+                            minlength=len(corpus.queries) * n_groups
+                            ).reshape(-1, n_groups)
+    keep = (((per_group > 0).sum(axis=1) >= min_groups)
+            & (per_group.sum(axis=1) >= min_impressions))
+    return [corpus.queries[q] for q in np.flatnonzero(keep).tolist()]
 
 
 @dataclass

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, check_fields, check_keys, is_int, \
     is_number
 from .logmodel import AgeGroup, CorpusMetadata, DemographicProfile, Gender, \
-    LogCorpus, all_profiles, normalize_query
+    LogCorpus, all_profiles, normalize_query, vocabulary_codes
 
 _AGES = list(AgeGroup)
 
@@ -306,14 +306,6 @@ def _dwell(med: np.ndarray, sigma: float, z: np.ndarray,
     return [round(v, 2) for v in np.where(least > d, least, d).tolist()]
 
 
-def _coded(keys: list[str], used: np.ndarray) -> tuple[np.ndarray, list]:
-    """The distinct keys where `used` holds, sorted as ingest sorts a
-    vocabulary, and every key's int32 code into them (-1 if unused)."""
-    vocab = sorted({key for key, u in zip(keys, used.tolist()) if u})
-    code = {key: c for c, key in enumerate(vocab)}
-    return np.array([code.get(k, -1) for k in keys], dtype=np.int32), vocab
-
-
 def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
     """Synthesize a corpus and its ground truth, fully seed-determined.
 
@@ -420,11 +412,13 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
     gaps = np.maximum(r - 1, 1)
     swap = np.where((u_swap < b.serp_swap_prob) & (r >= 2),
                     swap_at % gaps, -2)
+    # only the queries in use enter the vocabularies
     in_use = np.isin(np.arange(len(queries)), qi)
+    used = np.flatnonzero(in_use).tolist()
     page = np.zeros((len(queries), n_res.max()), dtype=np.int32)
-    slots = np.arange(page.shape[1]) < n_res[:, None]
-    page[slots], result_ids = _coded([x for q in queries for x in q.results],
-                                     np.repeat(in_use, n_res))
+    slots = (np.arange(page.shape[1]) < n_res[:, None]) & in_use[:, None]
+    result_ids, page[slots] = vocabulary_codes(
+        [x for q in used for x in queries[q].results])
     page = page[qi]
     swapped, k = np.flatnonzero(swap >= 0), swap[swap >= 0]
     page[swapped, k], page[swapped, k + 1] = \
@@ -469,10 +463,11 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
     result_offsets = np.concatenate([[0], np.cumsum(r)])
 
     texts = [normalize_query(q.text) for q in queries]
-    query, query_texts = _coded(texts, in_use)
-    topic, topics = _coded([q.topic for q in queries], in_use)
-    users = [f"u{u:06d}" for u in range(len(counts))]
-    user = user_ord.astype(np.int32)
+    query, topic = np.zeros((2, len(queries)), dtype=np.int32)
+    query_texts, query[used] = vocabulary_codes([texts[q] for q in used])
+    topics, topic[used] = vocabulary_codes([queries[q].topic for q in used])
+    users, user = vocabulary_codes([f"u{u:06d}" for u in range(len(counts))])
+    user = user[user_ord]
     corpus = LogCorpus(
         ids=np.array([f"imp{i:08d}" for i in range(n_total)], dtype=object),
         user=user, users=users, session=user.copy(),

@@ -12,7 +12,9 @@ ranks and averages per-group ``{query: GU}`` maps in loops, the
 reference for :func:`sataudit.difficulty.rank_and_average`, with
 `loop_midrank` the reference for its ranks.  `match_contexts` runs the
 matching funnel on per-query dicts of row lists, the reference for
-:func:`sataudit.matching.match_contexts`, and `normalize` maps group
+:func:`sataudit.matching.match_contexts`;
+`navigational_queries_proxy` tallies each (query, final click) count on
+its own, the reference for the matching proxy; and `normalize` maps group
 scores onto a common scale one (metric, group) at a time, the reference
 for :func:`sataudit.aggregate.normalize`.  `cell_coefficients`
 and `predict` compose one cell's multilevel prediction at one
@@ -259,6 +261,24 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
                      stage, sum(len(rows) for rows in kept.values()),
                      len(kept)) for stage, kept in stages.items()]
     return by_query, attrition
+
+
+def navigational_queries_proxy(
+        corpus: LogCorpus, nav_share: float = matching.DEFAULT_NAV_SHARE,
+        dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S) -> set[str]:
+    """Queries where at least `nav_share` of the final successful clicks
+    land on one result, from a count of every (query, result) pair."""
+    final = matching._final_click_column(corpus, dwell_threshold_s)
+    has = final >= 0
+    keys, counts = np.unique(
+        corpus.query[has].astype(np.int64) * len(corpus.result_ids)
+        + final[has], return_counts=True)
+    query = keys // len(corpus.result_ids)
+    top = np.zeros(len(corpus.queries), dtype=np.int64)
+    np.maximum.at(top, query, counts)
+    total = np.bincount(query, weights=counts, minlength=len(corpus.queries))
+    return {corpus.queries[q] for q in np.flatnonzero(top).tolist()
+            if top[q] / total[q] >= nav_share}
 
 
 def normalize(scores: RawScores, reference: dict | None = None

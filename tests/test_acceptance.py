@@ -366,7 +366,7 @@ def test_criterion_8_units_and_determinism(qmix_small, tmp_path):
     assert diffs == []
 
     summary = json.loads((tmp_path / "r1" / "audit" / "summary.json")
-                         .read_text())
+                         .read_text(encoding="utf-8"))
     assert summary["divergence"]["raw_vs_matched"] is True
 
     print(f"CRITERION 8 (units and determinism): PASS; "
@@ -534,6 +534,79 @@ def test_m4_timestamp_shift_does_not_change_the_audit(tmp_path, capsys,
     print(f"M4 (timestamp shift): PASS; {len(trees['file'])} files of a "
           f"mixed audit, an external audit and the metrics of a clicks-only "
           f"log byte-identical after a {M4_SHIFT} s shift ({elapsed:.1f}s)")
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relation M1: swapping every record's gender swaps the
+# gender rows of the audit
+
+# rounding, as two units in the last place of 1.0: the multilevel deltas
+# are gaps between fitted values of order 1 that the swapped fit reaches
+# in another order, and a grid cell is 1 - p
+M1_TOLERANCE = 2 * np.spacing(1.0)
+
+
+def _data_rows(path: Path) -> list[dict]:
+    """A CSV written by the audit, its '# ' metadata lines dropped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(line for line in fh
+                                   if not line.startswith("# ")))
+
+
+def test_m1_gender_swap_swaps_the_gender_rows(tmp_path):
+    t0 = time.perf_counter()
+    gen = tmp_path / "gen"
+    assert main(["generate", "--preset", "mixed", "--seed", "1",
+                 "--impressions", "8000", "--out", str(gen)]) == 0
+    other = {"M": "F", "F": "M"}
+    (tmp_path / "swapped").mkdir()
+    with open(gen / "corpus.ndjson", encoding="utf-8") as fin, \
+            open(tmp_path / "swapped" / "corpus.ndjson", "w",
+                 encoding="utf-8", newline="\n") as fout:
+        for line in fin:
+            head, marker, tail = line.rpartition('"gender": "')
+            fout.write(head + marker + other[tail[0]] + tail[1:])
+    out = {}
+    for name, log in (("file", gen / "corpus.ndjson"),
+                      ("swapped", tmp_path / "swapped" / "corpus.ndjson")):
+        out[name] = tmp_path / "out" / name
+        assert main(["audit", "--input", str(log), "--factor", "gender",
+                     "--methods", "raw,matched,multilevel,pairwise",
+                     "--navigational", str(gen / "navigational_queries.txt"),
+                     "--pair-fraction", "1.0", "--out", str(out[name])]) == 0
+    elapsed = time.perf_counter() - t0
+
+    # raw and matched rows: the M row of one audit is the F row of the
+    # other, every value exact
+    for scores in ("raw_scores.csv", "matched_scores.csv"):
+        rows = {name: _data_rows(out[name] / scores) for name in out}
+        assert len(rows["file"]) == 2 * len(METRICS)
+        assert {(r["metric"], other[r["group"]]): r for r in rows["swapped"]
+                } == {(r["metric"], r["group"]): {**r, "group": other[
+                    r["group"]]} for r in rows["file"]}
+    summary = {name: json.loads((out[name] / "summary.json").read_text(
+        encoding="utf-8")) for name in out}
+    file, swapped = summary["file"], summary["swapped"]
+    assert swapped["raw"]["gaps"] == file["raw"]["gaps"]
+    assert swapped["matched"]["attrition"] == file["matched"]["attrition"]
+    # the same pairs are sampled and labelled: labels read behaviour only
+    assert swapped["pairwise"]["labels"] == file["pairwise"]["labels"]
+    assert file["pairwise"]["labels"]["positive"] > 0
+    # the deltas, to rounding
+    deltas = file["multilevel"]["deltas"]
+    worst_delta = max(abs(swapped["multilevel"]["deltas"][kind] - d)
+                      for kind, d in deltas.items())
+    assert worst_delta <= M1_TOLERANCE
+    # a grid cell p[a][b] is P(an M of age a beats an F of age b), so the
+    # swapped log reads 1 - p[b][a]
+    grid, grid_swapped = file["pairwise"]["grid"], swapped["pairwise"]["grid"]
+    worst_cell = max(abs(grid_swapped[a][b] - (1.0 - grid[b][a]))
+                     for a in grid for b in grid)
+    assert worst_cell <= M1_TOLERANCE
+    print(f"M1 (gender swap): PASS; raw and matched rows swapped exactly, "
+          f"labels {file['pairwise']['labels']} identical, deltas within "
+          f"{worst_delta:.2g} and grid cells within {worst_cell:.2g} of "
+          f"1 - p ({elapsed:.1f}s)")
 
 
 def test_external_audit_derives_no_reformulation_flag(tmp_path, monkeypatch):

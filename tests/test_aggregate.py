@@ -294,7 +294,8 @@ print(repr(query_kl(from_records(imps), AgeGroup.G1, AgeGroup.G4,
                            filter(None, [src, tests,
                                          os.environ.get("PYTHONPATH")])))
             proc = subprocess.run([sys.executable, "-c", code], env=env,
-                                  capture_output=True, text=True, timeout=120)
+                                  capture_output=True, text=True, timeout=120,
+                                  encoding="utf-8")
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]

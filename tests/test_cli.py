@@ -97,9 +97,11 @@ class TestGenerate:
         assert (tg_dir / "corpus.ndjson").exists()
         assert (tg_dir / "ground_truth.csv").exists()
         assert (tg_dir / "query_truth.csv").exists()
-        manifest = json.loads((tg_dir / "manifest.json").read_text())
+        manifest = json.loads((tg_dir / "manifest.json").read_text(
+            encoding="utf-8"))
         n_lines = sum(1 for line in
-                      (tg_dir / "corpus.ndjson").read_text().splitlines()
+                      (tg_dir / "corpus.ndjson").read_text(
+                          encoding="utf-8").splitlines()
                       if line)
         assert manifest["preset"] == "true_gap"
         assert manifest["counts"]["impressions"] == n_lines
@@ -109,15 +111,17 @@ class TestGenerate:
             self, tg_dir):
         # the true_gap vocabulary is all non-navigational
         assert not (tg_dir / "navigational_queries.txt").exists()
-        manifest = json.loads((tg_dir / "manifest.json").read_text())
+        manifest = json.loads((tg_dir / "manifest.json").read_text(
+            encoding="utf-8"))
         assert manifest["files"]["navigational"] is None
 
     def test_navigational_sidecar_lists_brand_queries(self, qmix_dir):
         lines = (qmix_dir / "navigational_queries.txt") \
-            .read_text().splitlines()
+            .read_text(encoding="utf-8").splitlines()
         assert len(lines) == 14
         assert all(q.startswith("brand") for q in lines)
-        manifest = json.loads((qmix_dir / "manifest.json").read_text())
+        manifest = json.loads((qmix_dir / "manifest.json").read_text(
+            encoding="utf-8"))
         assert manifest["files"]["navigational"] == "navigational_queries.txt"
 
     def test_ground_truth_aligns_with_corpus(self, tg_dir):
@@ -133,24 +137,26 @@ class TestGenerate:
         assert run("generate", "--preset", "null", "--impressions", 800,
                    "--format", "csv", "--out", tmp_path) == 0
         data = ingest(tmp_path / "corpus.csv", fmt="csv")
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest = json.loads((tmp_path / "manifest.json").read_text(
+            encoding="utf-8"))
         assert len(data) == manifest["counts"]["impressions"]
         assert data.has_dwell
 
     def test_scenario_config_file_with_seed_override(self, tmp_path):
         cfg_file = tmp_path / "scenario.json"
         cfg_file.write_text(json.dumps(
-            synth.preset_null(n_impressions=600).to_dict()))
+            synth.preset_null(n_impressions=600).to_dict()), encoding="utf-8")
         out = tmp_path / "out"
         assert run("generate", "--scenario-config", cfg_file, "--seed", 123,
                    "--out", out) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text(
+            encoding="utf-8"))
         assert manifest["scenario"]["seed"] == 123
 
     def test_preset_and_scenario_config_are_exclusive(self, tmp_path):
         cfg_file = tmp_path / "scenario.json"
         cfg_file.write_text(json.dumps(
-            synth.preset_null(n_impressions=600).to_dict()))
+            synth.preset_null(n_impressions=600).to_dict()), encoding="utf-8")
         assert run("generate", "--preset", "null",
                    "--scenario-config", cfg_file, "--out", tmp_path) == 1
         assert run("generate", "--out", tmp_path) == 1
@@ -158,7 +164,7 @@ class TestGenerate:
     def test_impressions_flag_rejected_with_scenario_config(self, tmp_path):
         cfg_file = tmp_path / "scenario.json"
         cfg_file.write_text(json.dumps(
-            synth.preset_null(n_impressions=600).to_dict()))
+            synth.preset_null(n_impressions=600).to_dict()), encoding="utf-8")
         assert run("generate", "--scenario-config", cfg_file,
                    "--impressions", 5000, "--out", tmp_path) == 1
 
@@ -173,7 +179,7 @@ class TestGenerate:
         scenario = synth.preset_null(n_impressions=600, seed=1).to_dict()
         scenario["queries"][0]["text"] = "News  Query 0000 "
         cfg_file = tmp_path / "scenario.json"
-        cfg_file.write_text(json.dumps(scenario))
+        cfg_file.write_text(json.dumps(scenario), encoding="utf-8")
         assert run("generate", "--scenario-config", cfg_file,
                    "--out", tmp_path / "out") == 0
         _, rows = read_report_csv(tmp_path / "out" / "query_truth.csv")
@@ -260,7 +266,7 @@ def test_bad_scenario_value_is_one_config_error(tmp_path, capsys, edit,
     scenario = synth.preset_null(n_impressions=2000, seed=1).to_dict()
     edit(scenario)
     cfg_file = tmp_path / "scenario.json"
-    cfg_file.write_text(json.dumps(scenario))
+    cfg_file.write_text(json.dumps(scenario), encoding="utf-8")
     assert run("generate", "--scenario-config", cfg_file,
                "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -314,7 +320,7 @@ class TestMetrics:
         path = tmp_path / "c.ndjson"
         emit(corpus([imp(f"m{i}", clicks=(click(),)) for i in range(4)]),
              path)
-        rec = json.loads(path.read_text().splitlines()[0])
+        rec = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
         rec["impression_id"] = "bad"
         rec["clicks"][0]["dwell_seconds"] = 10 ** 400
         with path.open("a", encoding="utf-8") as f:
@@ -379,14 +385,16 @@ def _clicks_only_corpus() -> LogCorpus:
 
 class TestAudit:
     def test_default_methods_raw_and_matched(self, qmix_audit):
-        summary = json.loads((qmix_audit / "summary.json").read_text())
+        summary = json.loads((qmix_audit / "summary.json").read_text(
+            encoding="utf-8"))
         assert summary["methods"] == ["raw", "matched"]
         assert (qmix_audit / "raw_scores.csv").exists()
         assert (qmix_audit / "matched_scores.csv").exists()
         assert (qmix_audit / "attrition.csv").exists()
 
     def test_query_mix_confound_flags_divergence(self, qmix_audit):
-        summary = json.loads((qmix_audit / "summary.json").read_text())
+        summary = json.loads((qmix_audit / "summary.json").read_text(
+            encoding="utf-8"))
         assert summary["divergence"]["raw_vs_matched"] is True
         assert summary["divergence"]["metrics"]["graded_utility"] is True
         gu_raw = summary["raw"]["gaps"]["graded_utility"]
@@ -406,7 +414,8 @@ class TestAudit:
         assert run("audit", "--input", null_dir / "corpus.ndjson",
                    "--methods", "raw", "--factor", "gender",
                    "--out", tmp_path) == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        summary = json.loads((tmp_path / "summary.json").read_text(
+            encoding="utf-8"))
         assert summary["factor"] == "gender"
         for kind, gap in summary["raw"]["gaps"].items():
             assert gap <= 0.05, (kind, gap)
@@ -418,20 +427,24 @@ class TestAudit:
         assert (tmp_path / "difficulty.csv").exists()
         for kind in MetricKind:
             fit = json.loads(
-                (tmp_path / f"fit_{kind.value}.json").read_text())
+                (tmp_path / f"fit_{kind.value}.json").read_text(
+                    encoding="utf-8"))
             assert fit["metric"] == kind.value
             assert "effects" in fit and "convergence" in fit
         assert (tmp_path / "prediction_grid.csv").exists()
-        model = json.loads((tmp_path / "pair_model.json").read_text())
+        model = json.loads((tmp_path / "pair_model.json").read_text(
+            encoding="utf-8"))
         assert model["labeler"] == "internal"
         assert model["labels"]["total"] > 0
         assert model["thresholds"]["k"] == 2.5
-        grid = json.loads((tmp_path / "pair_grid.json").read_text())
+        grid = json.loads((tmp_path / "pair_grid.json").read_text(
+            encoding="utf-8"))
         probs = grid["probabilities"]
         for a in AgeGroup:
             for b in AgeGroup:
                 assert 0.0 < probs[a.label][b.label] < 1.0
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        summary = json.loads((tmp_path / "summary.json").read_text(
+            encoding="utf-8"))
         assert set(summary["multilevel"]["deltas"]) == \
             {k.value for k in MetricKind}
         deltas = {MetricKind(k): v
@@ -459,7 +472,8 @@ class TestAudit:
         assert run("audit", "--input", path, "--factor", "gender",
                    "--methods", "pairwise", "--default-thresholds",
                    "--out", tmp_path) == 0
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        summary = json.loads((tmp_path / "summary.json").read_text(
+            encoding="utf-8"))
         c = ingest(path)
         eligible = eligible_queries(c, Factor.GENDER)
         assert eligible == eligible_queries(c, Factor.GENDER, min_groups=2)
@@ -484,11 +498,13 @@ class TestAudit:
         assert run("audit", "--input", tmp_path / "c.ndjson",
                    "--methods", "external", "--default-thresholds",
                    "--out", out) == 0
-        model = json.loads((out / "external_pair_model.json").read_text())
+        model = json.loads((out / "external_pair_model.json").read_text(
+            encoding="utf-8"))
         assert model["labeler"] == "external"
         assert model["labels"]["positive"] > 0
         assert model["labels"]["negative"] > 0
-        grid = json.loads((out / "external_pair_grid.json").read_text())
+        grid = json.loads((out / "external_pair_grid.json").read_text(
+            encoding="utf-8"))
         probs = grid["probabilities"]
         young, old = AgeGroup.G1.label, AgeGroup.G4.label
         assert probs[old][young] > 0.5
@@ -500,7 +516,8 @@ class TestAudit:
             self, tmp_path, capsys, caplog, method, log):
         path = tmp_path / log
         path.write_text("" if log.endswith(".ndjson")
-                        else ",".join(logmodel.CSV_FIELDS) + "\n")
+                        else ",".join(logmodel.CSV_FIELDS) + "\n",
+                        encoding="utf-8")
         assert run("audit", "--input", path, "--methods", method,
                    "--default-thresholds", "--out", tmp_path / "out") == 2
         assert capsys.readouterr().err.splitlines() == [
@@ -559,17 +576,19 @@ class TestAudit:
 
     def test_config_file_with_flag_precedence(self, tg_dir, tmp_path):
         cfg = tmp_path / "audit.json"
-        cfg.write_text(json.dumps({"methods": "raw", "factor": "gender"}))
+        cfg.write_text(json.dumps({"methods": "raw", "factor": "gender"}),
+                       encoding="utf-8")
         out = tmp_path / "out"
         assert run("audit", "--input", tg_dir / "corpus.ndjson",
                    "--config", cfg, "--factor", "age", "--out", out) == 0
-        summary = json.loads((out / "summary.json").read_text())
+        summary = json.loads((out / "summary.json").read_text(
+            encoding="utf-8"))
         assert summary["methods"] == ["raw"]
         assert summary["factor"] == "age"
 
     def test_unknown_config_key(self, tg_dir, tmp_path):
         cfg = tmp_path / "audit.json"
-        cfg.write_text(json.dumps({"verbosity": 3}))
+        cfg.write_text(json.dumps({"verbosity": 3}), encoding="utf-8")
         assert run("audit", "--input", tg_dir / "corpus.ndjson",
                    "--config", cfg, "--out", tmp_path) == 1
 
@@ -581,7 +600,7 @@ class TestAudit:
     def test_config_file_must_hold_a_json_object(self, tmp_path, capsys,
                                                   command, flag, text):
         cfg = tmp_path / "config.json"
-        cfg.write_text(text)
+        cfg.write_text(text, encoding="utf-8")
         argv = [command, flag, cfg, "--out", tmp_path / "out"]
         if command == "audit":
             # absent: the config file is read first
@@ -596,7 +615,8 @@ class TestAudit:
     def test_nonpositive_prior_variance_is_a_config_error(
             self, tmp_path, capsys, via, variance):
         cfg = tmp_path / "audit.json"
-        cfg.write_text(json.dumps({"prior_variance": float(variance)}))
+        cfg.write_text(json.dumps({"prior_variance": float(variance)}),
+                       encoding="utf-8")
         given = (["--prior-variance", variance] if via == "flag"
                  else ["--config", cfg])
         # absent: the config is refused before the input is read
@@ -637,7 +657,7 @@ class TestAudit:
                 "--out", tmp_path / "out"]
         if isinstance(given, dict):
             cfg = tmp_path / "audit.json"
-            cfg.write_text(json.dumps(given))
+            cfg.write_text(json.dumps(given), encoding="utf-8")
             argv += ["--config", cfg]
         else:
             argv += given
@@ -656,6 +676,103 @@ class TestAudit:
         assert err.startswith("data error: cannot read")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    def test_log_with_a_byte_order_mark_reads_as_without(self, tmp_path,
+                                                          capsys, fmt):
+        # spreadsheet exports start a UTF-8 file with a byte-order mark
+        good = tmp_path / "plain" / f"c.{fmt}"
+        good.parent.mkdir()
+        emit(corpus([imp("a1", clicks=[click()]), imp("a2")]), good, fmt=fmt)
+        marked = tmp_path / "marked" / f"c.{fmt}"
+        marked.parent.mkdir()
+        marked.write_bytes(b"\xef\xbb\xbf" + good.read_bytes())
+        for log in (good, marked):
+            assert run("metrics", "--input", log,
+                       "--out", log.parent / "out") == 0
+        assert capsys.readouterr().err == ""
+        assert (marked.parent / "out" / "metrics.csv").read_bytes() == \
+            (good.parent / "out" / "metrics.csv").read_bytes()
+
+    def test_navigational_list_with_a_byte_order_mark(self, qmix_dir,
+                                                      tmp_path):
+        plain = qmix_dir / "navigational_queries.txt"
+        marked = tmp_path / "nav.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for name, nav in (("plain", plain), ("marked", marked)):
+            assert run("audit", "--input", qmix_dir / "corpus.ndjson",
+                       "--methods", "raw,matched", "--navigational", nav,
+                       "--out", tmp_path / name) == 0
+        # the first listed query is kept, so every stage counts the same
+        assert (tmp_path / "marked" / "attrition.csv").read_bytes() == \
+            (tmp_path / "plain" / "attrition.csv").read_bytes()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("audit", "--config"), ("generate", "--scenario-config")])
+    def test_config_file_with_a_byte_order_mark(self, tg_dir, tmp_path,
+                                                 command, flag):
+        values = ({"methods": "raw", "factor": "gender"} if command == "audit"
+                  else synth.preset_true_gap(n_impressions=500).to_dict())
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps(values).encode())
+        argv = [command, flag, cfg, "--out", tmp_path / "out"]
+        if command == "audit":
+            argv += ["--input", tg_dir / "corpus.ndjson"]
+        assert run(*argv) == 0
+        if command == "audit":
+            summary = json.loads((tmp_path / "out" / "summary.json")
+                                 .read_text(encoding="utf-8"))
+            assert (summary["factor"], summary["methods"]) == \
+                ("gender", ["raw"])
+        else:
+            manifest = json.loads((tmp_path / "out" / "manifest.json")
+                                  .read_text(encoding="utf-8"))
+            assert manifest["scenario"] == values
+
+    @pytest.mark.parametrize("command,flag", [
+        ("audit", "--config"), ("generate", "--scenario-config")])
+    def test_missing_config_file_is_a_config_error(self, tmp_path, capsys,
+                                                    command, flag):
+        argv = [command, flag, tmp_path / "absent.json",
+                "--out", tmp_path / "out"]
+        if command == "audit":
+            argv += ["--input", tmp_path / "absent.ndjson"]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read "
+                              f"{tmp_path / 'absent.json'}: ")
+        assert err.count("\n") == 1
+
+    def test_missing_navigational_list_is_a_data_error(self, tg_dir,
+                                                       tmp_path, capsys):
+        assert run("audit", "--input", tg_dir / "corpus.ndjson",
+                   "--methods", "raw,matched",
+                   "--navigational", tmp_path / "absent.txt",
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: cannot read "
+                              f"{tmp_path / 'absent.txt'}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("log", ["dwell", "clicks-only", "absent"])
+    def test_pairwise_with_external_is_one_config_error(
+            self, tg_dir, tmp_path, capsys, log):
+        # internal labels need dwell times and external refuses a log that
+        # has them, so the pair is refused before any input is read
+        path = {"dwell": tg_dir / "corpus.ndjson",
+                "clicks-only": tmp_path / "c.ndjson",
+                "absent": tmp_path / "absent.ndjson"}[log]
+        emit(_clicks_only_corpus(), tmp_path / "c.ndjson")
+        assert run("audit", "--input", path, "--methods",
+                   "pairwise,external", "--default-thresholds",
+                   "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: pairwise and external ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError, match="pairwise and external"):
+            AuditConfig(methods=("external", "pairwise"),
+                        default_thresholds=True)
+
     def test_unknown_method(self, tg_dir, tmp_path):
         assert run("audit", "--input", tg_dir / "corpus.ndjson",
                    "--methods", "raw,bogus", "--out", tmp_path) == 1
@@ -672,22 +789,26 @@ class TestAudit:
         # checks that any other key is refused
         cfg = tmp_path / "audit.json"
         cfg.write_text(json.dumps(
-            {**dataclasses.asdict(AuditConfig()), "methods": "raw"}))
+            {**dataclasses.asdict(AuditConfig()), "methods": "raw"}),
+                       encoding="utf-8")
         assert run("audit", "--input", tg_dir / "corpus.ndjson",
                    "--config", cfg, "--out", tmp_path / "out") == 0
 
     def test_config_hash_is_pinned(self, qmix_audit, tg_dir, tmp_path):
         # every output file carries this hash of the config values exactly
         # as given, so a change in how they are gathered changes them all
-        meta = json.loads((qmix_audit / "summary.json").read_text())["meta"]
+        meta = json.loads((qmix_audit / "summary.json").read_text(
+            encoding="utf-8"))["meta"]
         assert meta["config_sha256"] == \
             "cbe24f9603c982b4911c33a6d7752ca8fe91a85d4f6c77fb0c808710e0bffa62"
         cfg = tmp_path / "audit.json"
-        cfg.write_text(json.dumps({"k": 3, "methods": "raw"}))  # an int k
+        cfg.write_text(json.dumps({"k": 3, "methods": "raw"}),
+                       encoding="utf-8")  # an int k
         out = tmp_path / "out"
         assert run("audit", "--input", tg_dir / "corpus.ndjson",
                    "--config", cfg, "--out", out) == 0
-        meta = json.loads((out / "summary.json").read_text())["meta"]
+        meta = json.loads((out / "summary.json").read_text(
+            encoding="utf-8"))["meta"]
         assert meta["config_sha256"] == \
             "794c4723d03934b7a442442f474feb22367265b2dcfb57b5130e7d374945e7c4"
 
@@ -754,7 +875,7 @@ class TestAudit:
                  "raw,matched,multilevel,pairwise", "--pair-fraction", "1.0",
                  "--out", str(out)],
                 capture_output=True, text=True, timeout=300, env=env,
-                cwd=tmp_path)
+                cwd=tmp_path, encoding="utf-8")
             assert proc.returncode == 0, proc.stderr
             outs.append(out)
         names = sorted(p.name for p in outs[0].iterdir())
@@ -905,7 +1026,7 @@ class TestReport:
     def test_report_renders_tables(self, qmix_audit, tmp_path):
         assert run("report", "--audit-dir", qmix_audit,
                    "--out", tmp_path) == 0
-        text = (tmp_path / "report.txt").read_text()
+        text = (tmp_path / "report.txt").read_text(encoding="utf-8")
         assert "raw-vs-matched divergence: FLAGGED" in text
         assert "matching attrition funnel" in text
         _, rows = read_report_csv(tmp_path / "plot_gaps.csv")
@@ -923,7 +1044,7 @@ class TestReport:
                      id="nested-too-deep")])
     def test_summary_that_is_not_a_json_object(self, tmp_path, capsys,
                                                text, message):
-        (tmp_path / "summary.json").write_text(text)
+        (tmp_path / "summary.json").write_text(text, encoding="utf-8")
         assert run("report", "--audit-dir", tmp_path,
                    "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
@@ -937,7 +1058,8 @@ class TestReport:
          "ValueError: Unknown format code 'f'")])
     def test_malformed_summary_is_a_data_error(self, tmp_path, capsys,
                                                summary, message):
-        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        (tmp_path / "summary.json").write_text(json.dumps(summary),
+                                               encoding="utf-8")
         assert run("report", "--audit-dir", tmp_path,
                    "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
@@ -953,7 +1075,8 @@ class TestReport:
         ({"raw": {}, "meta": {"seed": 0}}, "KeyError: 'version'")])
     def test_failed_report_writes_no_file(self, tmp_path, capsys, summary,
                                           message):
-        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        (tmp_path / "summary.json").write_text(json.dumps(summary),
+                                               encoding="utf-8")
         out = tmp_path / "out"
         assert run("report", "--audit-dir", tmp_path, "--out", out) == 2
         err = capsys.readouterr().err
@@ -1005,6 +1128,7 @@ class TestEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-c", code, "generate", "--preset", "null",
              "--impressions", "400", "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path)
+            capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
+                              encoding="utf-8")
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "corpus.ndjson").exists()

@@ -231,7 +231,7 @@ class TestRoundTrips:
         path = tmp_path / "corpus.ndjson"
         rec = impression_to_dict(imp("a1", clicks=[click()]))
         rec["query_text"] = "  News   ALPHA "
-        path.write_text(json.dumps(rec) + "\n")
+        path.write_text(json.dumps(rec) + "\n", encoding="utf-8")
         back = ingest(path)
         assert records(back)[0].query_text == "news alpha"
 
@@ -239,7 +239,8 @@ class TestRoundTrips:
         path = tmp_path / "corpus.ndjson"
         good = json.dumps(impression_to_dict(imp("a1", clicks=[click()])))
         bad = json.dumps({"impression_id": "a2"})
-        path.write_text("\n".join([good, "not json{", bad, good.replace("a1", "a3")]) + "\n")
+        path.write_text("\n".join([good, "not json{", bad, good.replace("a1", "a3")]) + "\n",
+                        encoding="utf-8")
         back = ingest(path)
         assert back.metadata.accepted == 2
         assert back.metadata.skipped == 2
@@ -247,7 +248,8 @@ class TestRoundTrips:
     def test_ingest_mostly_malformed_is_fatal(self, tmp_path):
         path = tmp_path / "corpus.ndjson"
         good = json.dumps(impression_to_dict(imp("a1", clicks=[click()])))
-        path.write_text("\n".join([good, "{", "{", "{"]) + "\n")
+        path.write_text("\n".join([good, "{", "{", "{"]) + "\n",
+                        encoding="utf-8")
         with pytest.raises(DataError, match="malformed"):
             ingest(path)
 
@@ -261,7 +263,7 @@ class TestRoundTrips:
 
     def test_csv_missing_columns_is_fatal(self, tmp_path):
         path = tmp_path / "corpus.csv"
-        path.write_text("impression_id,user_id\na,b\n")
+        path.write_text("impression_id,user_id\na,b\n", encoding="utf-8")
         with pytest.raises(DataError, match="missing columns"):
             ingest(path, fmt="csv")
 
@@ -306,13 +308,13 @@ def test_a_bad_boolean_skips_its_record(tmp_path, caplog, fmt, key, value):
                  for k in range(2)]), path, fmt=fmt)
     # a third record, the first with one flag set to `value`
     if fmt == "ndjson":
-        rec = json.loads(path.read_text().splitlines()[0])
+        rec = json.loads(path.read_text(encoding="utf-8").splitlines()[0])
         target = rec if key == "reformulated" else rec["clicks"][0]
         target[key] = value
         rec["impression_id"] = "bad"
         line = json.dumps(rec) + "\n"
     else:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             row = next(csv.DictReader(fh))
         if key == "reformulated":
             row[key] = value
@@ -323,7 +325,7 @@ def test_a_bad_boolean_skips_its_record(tmp_path, caplog, fmt, key, value):
         csv.DictWriter(buf, logmodel.CSV_FIELDS,
                        lineterminator="\n").writerow(row)
         line = buf.getvalue()
-    with open(path, "a", newline="") as fh:
+    with open(path, "a", newline="", encoding="utf-8") as fh:
         fh.write(line)
     caplog.set_level(logging.WARNING)
     back = ingest(path, fmt=fmt)
@@ -365,8 +367,9 @@ class TestStreamingIngest:
     def test_blank_ndjson_lines_are_ignored(self, tmp_path):
         path = tmp_path / "c.ndjson"
         emit(self._corpus(), path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n" + "\n  \t\n".join(lines) + "\n\n \r\n")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n" + "\n  \t\n".join(lines) + "\n\n \r\n",
+                        encoding="utf-8")
         back = ingest(path)
         assert back.metadata.accepted == 3 and back.metadata.skipped == 0
 
@@ -380,7 +383,7 @@ class TestStreamingIngest:
         src = tmp_path / f"src.{fmt}"
         emit(corpus([imp(f"c{i}", clicks=[click()]) for i in range(5)]),
              src, fmt=fmt)
-        text = src.read_text()
+        text = src.read_text(encoding="utf-8")
         if fmt == "ndjson":
             text = text.replace('"age": "G1"', '"age": "G9"', 1)
             text = text.replace('"gender": "M"', '"gender": "X"', 2)
@@ -390,7 +393,7 @@ class TestStreamingIngest:
             rows[1] = rows[1][:-len(",G1,M")] + ",G1,X"
             text = "\n".join([head, *rows]) + "\n"
         path = tmp_path / f"bad.{fmt}"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         with caplog.at_level(logging.WARNING, logger="sataudit.logmodel"):
             back = ingest(path, fmt=fmt)
         assert back.metadata.accepted == 3 and back.metadata.skipped == 2
@@ -433,7 +436,7 @@ def test_emit_orders_by_impression_id(tmp_path):
     path = tmp_path / "corpus.ndjson"
     emit(src, path)
     ids = [json.loads(line)["impression_id"]
-           for line in path.read_text().splitlines()]
+           for line in path.read_text(encoding="utf-8").splitlines()]
     assert ids == ["a1", "z9"]
 
 
@@ -487,6 +490,17 @@ class TestColumns:
             np.array([5, 3, 5, 1, 3]))
         assert distinct.tolist() == [5, 3, 1]
         assert codes.tolist() == [0, 1, 0, 2, 1]
+
+    def test_vocabulary_codes_follow_text_order_past_zero_padding(self):
+        # a six-digit name misorders against a seventh digit: u1000000
+        # sorts before u999999
+        texts, codes = logmodel.vocabulary_codes(
+            ["u999999", "u1000000", "u000001", "u999999"])
+        assert texts == ["u000001", "u1000000", "u999999"]
+        assert codes.dtype == np.int32 and codes.tolist() == [2, 1, 0, 2]
+        c = corpus([imp(user_id=u) for u in ("u999999", "u1000000")])
+        assert c.users == ["u1000000", "u999999"]
+        assert c.user.tolist() == [1, 0]
 
     def test_empty_corpus_has_empty_columns(self):
         cols = corpus([])
@@ -564,9 +578,10 @@ def _invalid_record(kind: str, rec: dict) -> dict:
 def _write_records(path, fmt: str, records: list[dict]) -> None:
     """Write NDJSON record dicts in either format, in the given order."""
     if fmt == "ndjson":
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        path.write_text("".join(json.dumps(r) + "\n" for r in records),
+                        encoding="utf-8")
         return
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, logmodel.CSV_FIELDS, lineterminator="\n")
         writer.writeheader()
         for r in records:
@@ -714,7 +729,9 @@ class TestColumnarIngest:
             bad[field] = value
         path = tmp_path / "c.ndjson"
         _write_records(path, "ndjson", good + [bad])
-        path.write_text(path.read_text().replace("Infinity", "1e400"))
+        path.write_text(path.read_text(
+            encoding="utf-8").replace("Infinity", "1e400"),
+                        encoding="utf-8")
         with caplog.at_level(logging.WARNING, logger="sataudit.logmodel"):
             back = ingest(path)
         assert (back.metadata.accepted, back.metadata.skipped) == (3, 1)
@@ -733,7 +750,7 @@ class TestColumnarIngest:
         path = tmp_path / "c.csv"
         emit(corpus([imp(f"g{k}", clicks=[click()]) for k in range(3)]),
              path, fmt="csv")
-        with open(path, "a") as fh:
+        with open(path, "a", encoding="utf-8") as fh:
             fh.write("b1,u1,s1,5\n")
         with caplog.at_level(logging.WARNING, logger="sataudit.logmodel"):
             back = ingest(path, fmt="csv")
@@ -744,7 +761,7 @@ class TestColumnarIngest:
     def test_oversized_csv_field_is_a_data_error(self, tmp_path):
         path = tmp_path / "c.csv"
         emit(corpus([imp("g0", clicks=[click()])]), path, fmt="csv")
-        with open(path, "a") as fh:
+        with open(path, "a", encoding="utf-8") as fh:
             fh.write("b1,u1,s1,5," + "x" * 200_000 + ",t,r0,,0,G1,M\n")
         with pytest.raises(DataError, match="cannot read .*field larger"):
             ingest(path, fmt="csv")
@@ -807,6 +824,19 @@ class TestEmit:
                                    for k in range(5, 0, -1))])
         assert c.ids.tolist() == ["a0", "a1", "a1", "a2", "a3", "a4", "a5",
                                   "b2", "b2"]
+        emit(c, tmp_path / "whole", fmt=fmt)
+        monkeypatch.setattr(logmodel, "_EMIT_BLOCK", 3)
+        emit(c, tmp_path / "blocks", fmt=fmt)
+        assert (tmp_path / "blocks").read_bytes() == \
+            (tmp_path / "whole").read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+    def test_short_last_block_and_rows_without_clicks(self, tmp_path,
+                                                      monkeypatch, fmt):
+        # blocks of 3, 3 and 2 rows: the middle block has no click, and
+        # the short last block ends on a row without one
+        c = corpus(imp(f"c{k}", clicks=[click("r1", 2, 5.0)]
+                       if k in (0, 2, 6) else []) for k in range(8))
         emit(c, tmp_path / "whole", fmt=fmt)
         monkeypatch.setattr(logmodel, "_EMIT_BLOCK", 3)
         emit(c, tmp_path / "blocks", fmt=fmt)

@@ -135,6 +135,21 @@ def test_navigational_proxy_uses_final_click_concentration():
     assert nav == {"brand a"}
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_proxy_equals_the_pair_tally_on_tied_counts(seed):
+    # few queries and results and many finals, so counts tie often; a
+    # share of 0.5 admits a query whose two top results tie
+    rng = np.random.default_rng(seed)
+    imps = [imp(query=f"q{rng.integers(4)}", results=("r0", "r1", "r2"),
+                clicks=[click(f"r{r}", r + 1, float(rng.choice([5.0, 60.0])))
+                        for r in rng.integers(3, size=rng.integers(3))])
+            for _ in range(60)]
+    c = corpus(imps)
+    for share in (0.25, 0.5, 0.6, 1.0):
+        assert navigational_queries_proxy(c, share) == \
+            oracles.navigational_queries_proxy(c, share)
+
+
 class TestMatchContexts:
     FLOOR = 2
 
@@ -318,6 +333,14 @@ class TestTiesGoToTheSmallerText:
 def presets():
     return {name: synth.generate(make(n_impressions=6000, seed=3))
             for name, make in synth.PRESETS.items()}
+
+
+@pytest.mark.parametrize("preset", sorted(synth.PRESETS))
+def test_proxy_equals_the_pair_tally_on_presets(presets, preset):
+    c, _ = presets[preset]
+    for share in (0.5, matching.DEFAULT_NAV_SHARE):
+        assert navigational_queries_proxy(c, share) == \
+            oracles.navigational_queries_proxy(c, share)
 
 
 @pytest.mark.parametrize("listed", [False, True], ids=["proxy", "list"])

@@ -256,8 +256,9 @@ def test_clicks_only_csv_has_page_click_counts_only(tmp_path):
                                                       seed=11))
     emit(c, tmp_path / "full.csv", fmt="csv")
     # blank every dwell and reformulated flag, as a clicks-only log has
-    with open(tmp_path / "full.csv", newline="") as fin, \
-            open(tmp_path / "blank.csv", "w", newline="") as fout:
+    with open(tmp_path / "full.csv", newline="", encoding="utf-8") as fin, \
+            open(tmp_path / "blank.csv", "w", newline="",
+                 encoding="utf-8") as fout:
         reader = csv.DictReader(fin)
         writer = csv.DictWriter(fout, reader.fieldnames, lineterminator="\n")
         writer.writeheader()

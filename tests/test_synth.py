@@ -215,10 +215,8 @@ class TestGeneratedCorpus:
         assert abs(len(corpus) - 4000) / 4000 < 0.05
 
 
-def _assert_same_generation(cfg: ScenarioConfig) -> None:
-    """generate() and the loop reference give the same columns, exactly."""
-    corpus, truth = generate(cfg)
-    ref, ref_truth = reference_generate(cfg)
+def _assert_same_columns(corpus, ref) -> None:
+    """Two corpora hold the same columns, dtypes included, exactly."""
     for f in dataclasses.fields(corpus):
         if not f.init:                      # the derived-column cache
             continue
@@ -228,9 +226,26 @@ def _assert_same_generation(cfg: ScenarioConfig) -> None:
             assert np.array_equal(got, want), f.name
         else:
             assert got == want, f.name
+
+
+def _assert_same_generation(cfg: ScenarioConfig) -> None:
+    """generate() and the loop reference give the same columns, exactly."""
+    corpus, truth = generate(cfg)
+    ref, ref_truth = reference_generate(cfg)
+    _assert_same_columns(corpus, ref)
     assert np.array_equal(truth.latent, ref_truth.latent)
     assert (truth.difficulty, truth.navigational) == \
         (ref_truth.difficulty, ref_truth.navigational)
+
+
+@pytest.mark.parametrize("fmt", ["ndjson", "csv"])
+def test_generated_corpus_equals_its_round_trip(tmp_path, fmt):
+    # most of this vocabulary goes unused at this size
+    corpus, _ = generate(PRESETS["query_mix_confound"](n_impressions=3000,
+                                                       seed=4))
+    assert len(corpus.queries) < 400
+    emit(corpus, tmp_path / f"c.{fmt}", fmt)
+    _assert_same_columns(corpus, ingest(tmp_path / f"c.{fmt}", fmt))
 
 
 class TestAgainstReference:
