@@ -23,10 +23,10 @@ from .matching import MatchedCohort, match_contexts, matched_raw_scores
 from .metrics import MetricKind
 from .multilevel import (MultilevelFit, build_observations, cell_curves,
                          fit_multilevel, max_group_gap)
-from .pairwise import (DEFAULT_THRESHOLDS, PairModel, PairThresholds,
+from .pairwise import (DEFAULT_THRESHOLDS, PairCounts, PairModel,
+                       PairThresholds, count_pair_labels,
                        derive_thresholds_from_deltas, eligible_queries,
-                       fit_pair_model, label_sample, probability_grid,
-                       sample_pairs)
+                       fit_pair_model, probability_grid)
 from .synth import (BehaviorModel, GroundTruth, QuerySpec, ScenarioConfig,
                     generate)
 
@@ -37,15 +37,16 @@ __all__ = [
     "DemographicProfile", "DifficultyTable", "Factor", "Gender",
     "GroundTruth", "InsufficientSignalError", "LogCorpus",
     "METRICS", "MatchedCohort", "MetricKind",
-    "MultilevelFit", "NormalizedScores", "PairModel",
+    "MultilevelFit", "NormalizedScores", "PairCounts", "PairModel",
     "PairThresholds", "QuerySpec", "RawScores",
     "SatauditError", "ScenarioConfig", "all_profiles", "audit_meta",
-    "build_observations", "cell_curves", "derive_thresholds_from_deltas",
+    "build_observations", "cell_curves", "count_pair_labels",
+    "derive_thresholds_from_deltas",
     "eligible_queries", "emit", "estimate_difficulty", "fit_multilevel",
     "fit_pair_model", "generate", "head_tail_classify", "ingest",
-    "label_sample", "match_contexts", "matched_raw_scores",
+    "match_contexts", "matched_raw_scores",
     "max_group_gap", "normalize", "normalize_query",
     "probability_grid",
-    "query_averaged_scores", "query_kl", "run_audit", "sample_pairs",
+    "query_averaged_scores", "query_kl", "run_audit",
     "write_audit",
 ]

@@ -77,8 +77,8 @@ class AuditConfig:
         groups = (_GROUP_COUNTS.get(self.factor, 0)
                   if isinstance(self.factor, str) else 0)
         check_fields(self, {**_RANGE_RULES, "min_groups": [(
-            f"null or from 1 to {groups}",
-            lambda v: v is None or 1 <= v <= groups)]})
+            f"null or from 2 to {groups}",
+            lambda v: v is None or 2 <= v <= groups)]})
         spec = self.methods
         chosen = {m.strip() for m in (spec.split(",") if isinstance(spec, str)
                                       else spec)} - {""}
@@ -109,8 +109,10 @@ class AuditConfig:
 class AuditResult:
     """What each stage of :func:`run_audit` produced; None or empty where
     a method did not run (``raw`` also serves matching as its common
-    scale).  ``samples``, ``labels`` and ``models`` are keyed by labeller
-    method, "pairwise" or "external"; each model carries its thresholds."""
+    scale).  ``counts`` (the pair stage's :class:`pairwise.PairCounts`,
+    which the model and the label counts read) and ``models`` are keyed by
+    labeller method, "pairwise" or "external"; each model carries its
+    thresholds."""
 
     config: AuditConfig
     summary: dict
@@ -122,8 +124,7 @@ class AuditResult:
     fits: dict[MetricKind, multilevel.MultilevelFit] = field(
         default_factory=dict)
     deltas: dict[MetricKind, float] = field(default_factory=dict)
-    samples: dict[str, pairwise.PairSample] = field(default_factory=dict)
-    labels: dict[str, np.ndarray] = field(default_factory=dict)
+    counts: dict[str, pairwise.PairCounts] = field(default_factory=dict)
     models: dict[str, pairwise.PairModel] = field(default_factory=dict)
 
 
@@ -206,25 +207,23 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
             else pairwise.derive_thresholds_from_deltas(res.deltas, k=cfg.k))
         eligible = pairwise.eligible_queries(
             corpus, factor, cfg.min_groups, cfg.min_impressions)
-        sample = res.samples[method] = pairwise.sample_pairs(
-            corpus, eligible, seed=cfg.seed, fraction=cfg.pair_fraction,
-            pairs_per_query=cfg.pairs_per_query, factor=factor)
-        labels = res.labels[method] = pairwise.label_sample(
-            corpus, sample, thresholds,
+        counts = res.counts[method] = pairwise.count_pair_labels(
+            corpus, eligible, cfg.seed, thresholds,
             mode="internal" if method == "pairwise" else "external",
-            dwell_threshold_s=dwell)
+            fraction=cfg.pair_fraction, pairs_per_query=cfg.pairs_per_query,
+            factor=factor, dwell_threshold_s=dwell)
         model = res.models[method] = pairwise.fit_pair_model(
-            corpus, sample, labels, cfg.prior_variance)
+            counts, cfg.prior_variance)
         model.thresholds = thresholds
+        positive, negative = int(counts.wins.sum()), int(counts.losses.sum())
         g, h = (list(Gender).index(x) for x in GRID_GENDERS)
         grid = pairwise.probability_grid(model)[:, g, :, h].tolist()
         summary[method] = {
             "grid": {a.label: {b.label: p for b, p in zip(AgeGroup, row)}
                      for a, row in zip(AgeGroup, grid)},
-            "labels": {"positive": int((labels == 1).sum()),
-                       "negative": int((labels == -1).sum()),
-                       "zero": int((labels == 0).sum()),
-                       "total": int(labels.size)},
+            "labels": {"positive": positive, "negative": negative,
+                       "zero": counts.n_pairs - positive - negative,
+                       "total": counts.n_pairs},
             "thresholds": dataclasses.asdict(thresholds),
             "n_eligible_queries": len(eligible)}
     return res
@@ -311,7 +310,7 @@ def write_audit(result: AuditResult, out: Path, meta: dict) -> None:
         reports.write_json(out / f"{prefix}pair_model.json", {
             **stats, "model": model.to_dict(),
             "labeler": "internal" if method == "pairwise" else "external",
-            "n_sampled_queries": len(result.samples[method].queries)}, meta)
+            "n_sampled_queries": len(result.counts[method].queries)}, meta)
         gender_i, gender_j = GRID_GENDERS
         reports.write_json(out / f"{prefix}pair_grid.json", {
             "gender_i": gender_i.code, "gender_j": gender_j.code,

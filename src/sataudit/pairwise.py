@@ -14,6 +14,8 @@ points acts identically.
 
 A penalized logistic model then regresses the labels on slot indicator
 features (age and gender of each side plus their four-way interaction).
+It reads only how many pairs of each (profile i, profile j) pattern won
+and lost, so the pair stage keeps those counts and no pair.
 Training data is symmetrized -- every pair enters in both orders with
 the label negated -- which makes the fitted coefficients antisymmetric
 under slot swap, so predicted probabilities satisfy
@@ -45,8 +47,6 @@ _GENDERS = list(Gender)
 
 DEFAULT_QUERY_FRACTION = 0.1
 DEFAULT_PAIRS_PER_QUERY = 10_000
-# pairs labelled per block by `label_sample`
-LABEL_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -164,12 +164,14 @@ def eligible_queries(corpus: LogCorpus, factor: Factor = Factor.AGE,
                      min_groups: int | None = None,
                      min_impressions: int = 10) -> list[str]:
     """Queries issued by at least `min_groups` distinct groups (None: 3
-    for age, 2 for gender) with at least `min_impressions` impressions in
-    total (where matching asks that many of every group), in code order,
-    which is text order."""
+    for age, 2 for gender; a pair needs two, so fewer is a ConfigError)
+    with at least `min_impressions` impressions in total (where matching
+    asks that many of every group), in code order, which is text order."""
     n_groups = len(factor.groups())
     if min_groups is None:
         min_groups = 3 if factor is Factor.AGE else 2
+    if min_groups < 2:
+        raise ConfigError(f"min_groups must be at least 2, got {min_groups}")
     per_group = np.bincount(corpus.query * n_groups + factor.codes(corpus),
                             minlength=len(corpus.queries) * n_groups
                             ).reshape(-1, n_groups)
@@ -178,17 +180,18 @@ def eligible_queries(corpus: LogCorpus, factor: Factor = Factor.AGE,
     return [corpus.queries[q] for q in np.flatnonzero(keep).tolist()]
 
 
-@dataclass
-class PairSample:
-    """Sampled cross-group impression pairs, as int32 row indices into
-    the corpus."""
+@dataclass(frozen=True)
+class PairCounts:
+    """What the pair stage keeps of one labeller's run: the sampled
+    queries (in text order), the number of pairs drawn, and per (slot i
+    profile, slot j profile) pattern (:attr:`LogCorpus.profile` codes) the
+    pairs labelled +1 (`wins`) and -1 (`losses`), each an (8, 8) int64
+    matrix.  The pair model reads nothing else."""
 
-    i_idx: np.ndarray
-    j_idx: np.ndarray
     queries: list[str]
-
-    def __len__(self) -> int:
-        return len(self.i_idx)
+    n_pairs: int
+    wins: np.ndarray
+    losses: np.ndarray
 
 
 def _cross_pairs_at(codes: np.ndarray, picks: np.ndarray
@@ -201,7 +204,7 @@ def _cross_pairs_at(codes: np.ndarray, picks: np.ndarray
     partners gives a pick's `a`, and its `b` is found by position among
     the members of the other groups.  Besides O(n) per-member arrays this
     holds one int32 owner per cross pair, which the enumeration limit in
-    :func:`sample_pairs` caps.
+    :func:`_draw_pairs` caps.
     """
     n = len(codes)
     pos = np.arange(n)
@@ -221,18 +224,56 @@ def _cross_pairs_at(codes: np.ndarray, picks: np.ndarray
     return a, others[first[a] + picks]
 
 
-def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
-                 fraction: float = DEFAULT_QUERY_FRACTION,
-                 pairs_per_query: int = DEFAULT_PAIRS_PER_QUERY,
-                 factor: Factor = Factor.AGE) -> PairSample:
-    """Seeded two-stage sample: a slice of queries, then per query up to
-    `pairs_per_query` unordered cross-group pairs.
+def _draw_pairs(codes: np.ndarray, pairs_per_query: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One query's draw of up to `pairs_per_query` unordered cross-group
+    pairs, as positions (a, b), a < b, into its `codes`: with replacement
+    when it has fewer distinct ones than the quota, so small queries still
+    contribute the full quota."""
+    n = len(codes)
+    per_group = np.bincount(codes)
+    n_cross = (n * n - int(per_group @ per_group)) // 2
+    if n_cross == 0:
+        return codes[:0], codes[:0]
+    if n_cross <= max(4 * pairs_per_query, 200_000):
+        if n_cross < pairs_per_query:
+            picks = rng.integers(0, n_cross, size=pairs_per_query)
+        elif n_cross == pairs_per_query:
+            picks = np.arange(n_cross)
+        else:
+            picks = rng.choice(n_cross, size=pairs_per_query, replace=False)
+        return _cross_pairs_at(codes, picks)
+    # too many pairs to enumerate: batched rejection sampling on packed
+    # (a, b) keys, deduplicated until the quota is met
+    have = np.empty(0, dtype=np.int64)
+    while have.size < pairs_per_query:
+        draw = max(2 * (pairs_per_query - have.size), 1024)
+        a = rng.integers(0, n, size=draw)
+        b = rng.integers(0, n, size=draw)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        ok = codes[lo] != codes[hi]
+        keys = lo[ok] * np.int64(n) + hi[ok]
+        have = np.unique(np.concatenate([have, keys]))
+    if have.size > pairs_per_query:
+        have = rng.choice(have, size=pairs_per_query, replace=False)
+    return have // n, have % n
 
-    When a query has fewer distinct cross-group pairs than requested,
-    pairs are drawn with replacement, so small queries still contribute
-    the full quota.  Deterministic given the seed.  The index columns
-    are allocated once for the whole quota and each query's pairs are
-    written into its slice.
+
+def count_pair_labels(corpus: LogCorpus, queries: list[str], seed: int,
+                      thresholds: PairThresholds = DEFAULT_THRESHOLDS,
+                      mode: str = "internal",
+                      fraction: float = DEFAULT_QUERY_FRACTION,
+                      pairs_per_query: int = DEFAULT_PAIRS_PER_QUERY,
+                      factor: Factor = Factor.AGE,
+                      dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
+                      ) -> PairCounts:
+    """The pair stage, one query at a time: a seeded slice of `queries`,
+    then per query up to `pairs_per_query` unordered cross-group pairs,
+    labelled under the internal or external rule set and added to the
+    win and loss counts of their profile patterns.
+
+    Deterministic given the seed.  Only the counts outlive a query, so
+    memory grows with one query's quota, not with the sample's size.
     """
     if not 0 < fraction <= 1:
         raise ConfigError("query fraction must be in (0, 1]")
@@ -247,60 +288,6 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
                                     replace=False))
     chosen = [ordered_queries[int(i)] for i in chosen_idx]
 
-    query_code = {q: c for c, q in enumerate(corpus.queries)}
-    group = factor.codes(corpus)
-    i_idx = np.empty(len(chosen) * pairs_per_query, dtype=np.int32)
-    j_idx = np.empty_like(i_idx)
-    filled = 0
-    for q in chosen:
-        # the query's impressions, in row (impression-id) order
-        members = np.flatnonzero(corpus.query == query_code.get(q, -1))
-        n = len(members)
-        codes = group[members]
-        per_group = np.bincount(codes)
-        n_cross = (n * n - int(per_group @ per_group)) // 2
-        if n_cross == 0:
-            continue
-        if n_cross <= max(4 * pairs_per_query, 200_000):
-            if n_cross < pairs_per_query:
-                picks = rng.integers(0, n_cross, size=pairs_per_query)
-            elif n_cross == pairs_per_query:
-                picks = np.arange(n_cross)
-            else:
-                picks = rng.choice(n_cross, size=pairs_per_query,
-                                   replace=False)
-            i_sel, j_sel = _cross_pairs_at(codes, picks)
-        else:
-            # too many pairs to enumerate: batched rejection sampling on
-            # packed (a, b) keys, deduplicated until the quota is met
-            have = np.empty(0, dtype=np.int64)
-            while have.size < pairs_per_query:
-                draw = max(2 * (pairs_per_query - have.size), 1024)
-                a = rng.integers(0, n, size=draw)
-                b = rng.integers(0, n, size=draw)
-                lo, hi = np.minimum(a, b), np.maximum(a, b)
-                ok = codes[lo] != codes[hi]
-                keys = lo[ok] * np.int64(n) + hi[ok]
-                have = np.unique(np.concatenate([have, keys]))
-            if have.size > pairs_per_query:
-                have = rng.choice(have, size=pairs_per_query, replace=False)
-            i_sel, j_sel = have // n, have % n
-        stop = filled + len(i_sel)
-        i_idx[filled:stop] = members[i_sel]
-        j_idx[filled:stop] = members[j_sel]
-        filled = stop
-    return PairSample(i_idx=i_idx[:filled], j_idx=j_idx[:filled],
-                      queries=chosen)
-
-
-def label_sample(corpus: LogCorpus, sample: PairSample,
-                 thresholds: PairThresholds = DEFAULT_THRESHOLDS,
-                 mode: str = "internal",
-                 dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
-                 ) -> np.ndarray:
-    """Labels for a pair sample under the internal or external rule set,
-    computed `LABEL_BLOCK` pairs at a time so the labelling temporaries
-    stay a fixed size whatever the sample's."""
     if mode not in ("internal", "external"):
         raise ConfigError(f"unknown labeling mode {mode!r}")
     if mode == "internal" and not corpus.has_dwell:
@@ -309,20 +296,32 @@ def label_sample(corpus: LogCorpus, sample: PairSample,
     if mode == "internal":
         gu, reform, _, scc = metric_table(corpus, dwell_threshold_s).T
 
-        def label_block(i, j):
+        def label(i, j):
             return label_batch_internal(gu[i], reform[i], scc[i],
                                         gu[j], reform[j], scc[j], thresholds)
     else:
         pcc = corpus.click_count
 
-        def label_block(i, j):
+        def label(i, j):
             return label_batch_external(pcc[i], pcc[j], thresholds)
 
-    labels = np.empty(len(sample), dtype=np.int8)
-    for lo in range(0, len(sample), LABEL_BLOCK):
-        block = slice(lo, lo + LABEL_BLOCK)
-        labels[block] = label_block(sample.i_idx[block], sample.j_idx[block])
-    return labels
+    query_code = {q: c for c, q in enumerate(corpus.queries)}
+    group, profile = factor.codes(corpus), corpus.profile
+    wins = np.zeros(64, dtype=np.int64)
+    losses = np.zeros(64, dtype=np.int64)
+    n_pairs = 0
+    for q in chosen:
+        # the query's impressions, in row (impression-id) order
+        members = np.flatnonzero(corpus.query == query_code.get(q, -1))
+        a, b = _draw_pairs(group[members], pairs_per_query, rng)
+        i, j = members[a], members[b]
+        labels = label(i, j)
+        pattern = profile[i] * 8 + profile[j]
+        wins += np.bincount(pattern[labels == 1], minlength=64)
+        losses += np.bincount(pattern[labels == -1], minlength=64)
+        n_pairs += len(i)
+    return PairCounts(queries=chosen, n_pairs=n_pairs,
+                      wins=wins.reshape(8, 8), losses=losses.reshape(8, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -369,33 +368,31 @@ class PairModel:
         }
 
 
-def fit_pair_model(corpus: LogCorpus, sample: PairSample, labels,
+def fit_pair_model(counts: PairCounts,
                    prior_variance: float = 1.0) -> PairModel:
-    """Penalized logistic fit of P(side i beats side j) on the sample's
-    nonzero-labelled pairs.
+    """Penalized logistic fit of P(side i beats side j) on the labelled
+    pairs' win and loss counts.
 
-    Training rows are symmetrized (both orders, negated label) and then
-    aggregated by slot-profile pattern (:attr:`LogCorpus.profile` codes)
-    into binomial counts, so the fit cost is independent of the
-    pair count.
+    Training pairs are symmetrized (both orders, negated label), so the
+    binomial cell of pattern (i, j) has successes ``W + L.T`` and trials
+    ``(W + L) + (W + L).T`` at (i, j), for the win and loss matrices W
+    and L; the observed patterns enter in flat-index order.  The fit cost
+    is independent of the pair count.
     """
     if prior_variance <= 0:
         raise ConfigError("prior variance must be positive")
-    labels = np.asarray(labels)
-    keep = labels != 0
-    label = labels[keep]
-    if len(label) == 0:
+    wins, losses = counts.wins, counts.losses
+    fired = wins + losses
+    n_labelled = int(fired.sum())
+    if n_labelled == 0:
         raise InsufficientSignalError(
             "no nonzero-labeled pairs; the labeler abstained everywhere")
 
     shape = (4, 2, 4, 2)            # slot i's age and gender, then slot j's
-    profile = corpus.profile
-    i, j = profile[sample.i_idx[keep]], profile[sample.j_idx[keep]]
-    key = np.concatenate([i * 8 + j, j * 8 + i])
-    win = np.concatenate([label == 1, label == -1]).astype(float)
-    patterns, pattern_of = np.unique(key, return_inverse=True)
-    successes = np.bincount(pattern_of, weights=win)
-    trials = np.bincount(pattern_of).astype(float)
+    trials = (fired + fired.T).ravel()
+    patterns = np.flatnonzero(trials)
+    successes = (wins + losses.T).ravel()[patterns].astype(float)
+    trials = trials[patterns].astype(float)
 
     n_pat = len(patterns)
     p = 1 + 4 + 4 + 2 + 2 + n_pat
@@ -424,7 +421,7 @@ def fit_pair_model(corpus: LogCorpus, sample: PairSample, labels,
                      gender=0.5 * (theta[9:11] - theta[11:13]),
                      interaction=interaction.reshape(shape),
                      prior_variance=prior_variance,
-                     convergence=solution.convergence, n_pairs=len(label))
+                     convergence=solution.convergence, n_pairs=n_labelled)
 
 
 def probability_grid(model: PairModel) -> np.ndarray:

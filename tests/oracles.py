@@ -7,7 +7,12 @@ dict that :func:`sataudit.logmodel.emit` writes, and query-averaged
 group scores summed in loops, the reference for
 :func:`sataudit.aggregate.query_averaged_scores`, and the enumerated
 cross-group pairs of one query, the reference for the pair picks of
-:func:`sataudit.pairwise.sample_pairs`.  `difficulty_from_group_scores`
+`sample_pairs`.  `sample_pairs` and `label_sample` draw and label a whole
+pair sample at once, and `fit_pair_model_from_pairs` fits the pair model
+from its labelled pairs: the references for the per-query counts of
+:func:`sataudit.pairwise.count_pair_labels` and for
+:func:`sataudit.pairwise.fit_pair_model`, with `pattern_counts` tallying
+a sample's counts pair by pair.  `difficulty_from_group_scores`
 ranks and averages per-group ``{query: GU}`` maps in loops, the
 reference for :func:`sataudit.difficulty.rank_and_average`, with
 `loop_midrank` the reference for its ranks.  `match_contexts` runs the
@@ -38,12 +43,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from corpus_builders import Impression, from_records
-from sataudit.errors import ConfigError, DataError
+from sataudit.errors import ConfigError, DataError, InsufficientSignalError
 from sataudit.logmodel import AgeGroup, Gender, LogCorpus, all_profiles, \
     normalize_query
-from sataudit import matching
+from sataudit import matching, pairwise
 from sataudit.aggregate import Factor, RawScores
-from sataudit.metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind
+from sataudit.glmfit import CellDesign, Family, fit_penalized_glm
+from sataudit.metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind, \
+    metric_table
 from sataudit.multilevel import MultilevelFit
 from sataudit.pairwise import PairModel
 from sataudit.reports import META_KEYS
@@ -176,6 +183,177 @@ def enumerated_pairs(codes: np.ndarray, pairs_per_query: int,
     else:
         picks = rng.choice(n_cross, size=pairs_per_query, replace=False)
     return ia[picks], ib[picks]
+
+
+@dataclass
+class PairSample:
+    """Sampled cross-group impression pairs, as int32 row indices into
+    the corpus."""
+
+    i_idx: np.ndarray
+    j_idx: np.ndarray
+    queries: list[str]
+
+    def __len__(self) -> int:
+        return len(self.i_idx)
+
+
+def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
+                 fraction: float = pairwise.DEFAULT_QUERY_FRACTION,
+                 pairs_per_query: int = pairwise.DEFAULT_PAIRS_PER_QUERY,
+                 factor: Factor = Factor.AGE) -> PairSample:
+    """Seeded two-stage sample, every pair kept: a slice of queries, then
+    per query up to `pairs_per_query` unordered cross-group pairs, with
+    replacement when a query has fewer distinct cross-group pairs."""
+    if not 0 < fraction <= 1:
+        raise ConfigError("query fraction must be in (0, 1]")
+    if pairs_per_query < 1:
+        raise ConfigError("pairs_per_query must be >= 1")
+    rng = np.random.default_rng(seed)
+    ordered_queries = sorted(set(queries))
+    if not ordered_queries:
+        raise DataError("no eligible queries to sample from")
+    n_take = math.ceil(fraction * len(ordered_queries))
+    chosen_idx = np.sort(rng.choice(len(ordered_queries), size=n_take,
+                                    replace=False))
+    chosen = [ordered_queries[int(i)] for i in chosen_idx]
+
+    query_code = {q: c for c, q in enumerate(corpus.queries)}
+    group = factor.codes(corpus)
+    i_idx = np.empty(len(chosen) * pairs_per_query, dtype=np.int32)
+    j_idx = np.empty_like(i_idx)
+    filled = 0
+    for q in chosen:
+        members = np.flatnonzero(corpus.query == query_code.get(q, -1))
+        n = len(members)
+        codes = group[members]
+        per_group = np.bincount(codes)
+        n_cross = (n * n - int(per_group @ per_group)) // 2
+        if n_cross == 0:
+            continue
+        if n_cross <= max(4 * pairs_per_query, 200_000):
+            if n_cross < pairs_per_query:
+                picks = rng.integers(0, n_cross, size=pairs_per_query)
+            elif n_cross == pairs_per_query:
+                picks = np.arange(n_cross)
+            else:
+                picks = rng.choice(n_cross, size=pairs_per_query,
+                                   replace=False)
+            i_sel, j_sel = pairwise._cross_pairs_at(codes, picks)
+        else:
+            have = np.empty(0, dtype=np.int64)
+            while have.size < pairs_per_query:
+                draw = max(2 * (pairs_per_query - have.size), 1024)
+                a = rng.integers(0, n, size=draw)
+                b = rng.integers(0, n, size=draw)
+                lo, hi = np.minimum(a, b), np.maximum(a, b)
+                ok = codes[lo] != codes[hi]
+                keys = lo[ok] * np.int64(n) + hi[ok]
+                have = np.unique(np.concatenate([have, keys]))
+            if have.size > pairs_per_query:
+                have = rng.choice(have, size=pairs_per_query, replace=False)
+            i_sel, j_sel = have // n, have % n
+        stop = filled + len(i_sel)
+        i_idx[filled:stop] = members[i_sel]
+        j_idx[filled:stop] = members[j_sel]
+        filled = stop
+    return PairSample(i_idx=i_idx[:filled], j_idx=j_idx[:filled],
+                      queries=chosen)
+
+
+# pairs labelled per block by `label_sample`
+LABEL_BLOCK = 1 << 16
+
+
+def label_sample(corpus: LogCorpus, sample: PairSample,
+                 thresholds=pairwise.DEFAULT_THRESHOLDS,
+                 mode: str = "internal",
+                 dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
+                 ) -> np.ndarray:
+    """Labels for a whole pair sample, `LABEL_BLOCK` pairs at a time."""
+    if mode not in ("internal", "external"):
+        raise ConfigError(f"unknown labeling mode {mode!r}")
+    if mode == "internal" and not corpus.has_dwell:
+        raise DataError("internal labeling needs dwell fidelity; this corpus "
+                        "is clicks-only (use the external labeler)")
+    if mode == "internal":
+        gu, reform, _, scc = metric_table(corpus, dwell_threshold_s).T
+
+        def label_block(i, j):
+            return pairwise.label_batch_internal(
+                gu[i], reform[i], scc[i], gu[j], reform[j], scc[j],
+                thresholds)
+    else:
+        pcc = corpus.click_count
+
+        def label_block(i, j):
+            return pairwise.label_batch_external(pcc[i], pcc[j], thresholds)
+
+    labels = np.empty(len(sample), dtype=np.int8)
+    for lo in range(0, len(sample), LABEL_BLOCK):
+        block = slice(lo, lo + LABEL_BLOCK)
+        labels[block] = label_block(sample.i_idx[block], sample.j_idx[block])
+    return labels
+
+
+def pattern_counts(corpus: LogCorpus, sample: PairSample, labels
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(8, 8) win and loss counts of labelled pairs, one pair at a time."""
+    wins, losses = np.zeros((8, 8), np.int64), np.zeros((8, 8), np.int64)
+    profile = corpus.profile.tolist()
+    for i, j, lab in zip(sample.i_idx.tolist(), sample.j_idx.tolist(),
+                         np.asarray(labels).tolist()):
+        if lab:
+            (wins if lab == 1 else losses)[profile[i], profile[j]] += 1
+    return wins, losses
+
+
+def fit_pair_model_from_pairs(corpus: LogCorpus, sample: PairSample, labels,
+                              prior_variance: float = 1.0) -> PairModel:
+    """The pair model fitted from every labelled pair: rows symmetrized,
+    then aggregated by slot-profile pattern with ``np.unique``."""
+    if prior_variance <= 0:
+        raise ConfigError("prior variance must be positive")
+    labels = np.asarray(labels)
+    keep = labels != 0
+    label = labels[keep]
+    if len(label) == 0:
+        raise InsufficientSignalError(
+            "no nonzero-labeled pairs; the labeler abstained everywhere")
+
+    shape = (4, 2, 4, 2)
+    profile = corpus.profile
+    i, j = profile[sample.i_idx[keep]], profile[sample.j_idx[keep]]
+    key = np.concatenate([i * 8 + j, j * 8 + i])
+    win = np.concatenate([label == 1, label == -1]).astype(float)
+    patterns, pattern_of = np.unique(key, return_inverse=True)
+    successes = np.bincount(pattern_of, weights=win)
+    trials = np.bincount(pattern_of).astype(float)
+
+    n_pat = len(patterns)
+    p = 1 + 4 + 4 + 2 + 2 + n_pat
+    ma = np.zeros((n_pat, p))
+    a, g, b, h = np.unravel_index(patterns, shape)
+    c = np.arange(n_pat)
+    ma[:, 0] = 1.0
+    ma[c, 1 + a] = ma[c, 5 + b] = ma[c, 9 + g] = ma[c, 11 + h] = 1.0
+    ma[c, 13 + c] = 1.0
+    penalty = np.full(p, 1.0 / prior_variance)
+    penalty[0] = 0.0
+    design = CellDesign(intercept_map=ma, slope_map=np.zeros_like(ma),
+                        penalty=penalty)
+    solution = fit_penalized_glm(successes, np.zeros(n_pat), c, design,
+                                 Family.BINOMIAL_LOGIT, trials=trials)
+    theta = solution.theta
+    raw = np.full((8, 8), np.nan)
+    raw.flat[patterns] = theta[13:]
+    half = 0.5 * (raw - raw.T)
+    interaction = np.where(np.tri(8, dtype=bool), -half.T, half)
+    return PairModel(mu0=0.0, age=0.5 * (theta[1:5] - theta[5:9]),
+                     gender=0.5 * (theta[9:11] - theta[11:13]),
+                     interaction=interaction.reshape(shape),
+                     prior_variance=prior_variance,
+                     convergence=solution.convergence, n_pairs=len(label))
 
 
 def final_successful_click(imp: Impression,

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import cell_coefficients, score_cells
+from oracles import cell_coefficients, label_sample, sample_pairs, \
+    score_cells
 import sataudit
 from sataudit import aggregate, logmodel, multilevel, pairwise, synth
 from sataudit.aggregate import Factor, METRICS
@@ -196,8 +197,9 @@ def test_criterion_4_difficulty_invariance():
 def test_criterion_5_labeler_fidelity(truegap_data):
     corpus, truth = truegap_data
     eligible = pairwise.eligible_queries(corpus)
-    sample = pairwise.sample_pairs(corpus, eligible, seed=20240604)
-    labels = pairwise.label_sample(corpus, sample)
+    # the reference sampler, which keeps each pair's rows
+    sample = sample_pairs(corpus, eligible, seed=20240604)
+    labels = label_sample(corpus, sample)
 
     li, lj = truth.latent[sample.i_idx], truth.latent[sample.j_idx]
     fired = labels != 0
@@ -607,6 +609,110 @@ def test_m1_gender_swap_swaps_the_gender_rows(tmp_path):
           f"labels {file['pairwise']['labels']} identical, deltas within "
           f"{worst_delta:.2g} and grid cells within {worst_cell:.2g} of "
           f"1 - p ({elapsed:.1f}s)")
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relation M2: relabelling the age groups by a permutation
+# permutes the age rows of the audit
+
+M2_CYCLE = {"G1": "G2", "G2": "G3", "G3": "G4", "G4": "G1"}
+# rounding: the relabelled log orders each fit's design columns another
+# way, so its sums and Newton solves round another way.  A multilevel
+# delta or a grid cell must agree to 40 of the 53 bits of the largest
+# coefficient of the fit it comes from: 2**13 units in its last place are
+# left for the condition of the Newton systems, far below what a group
+# fitted under the wrong label would move
+M2_BITS = 40
+
+
+def _largest(tree) -> float:
+    """The largest absolute number anywhere in a JSON value."""
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        return max((_largest(v) for v in tree), default=0.0)
+    return abs(tree)
+
+
+def test_m2_age_cycle_permutes_the_age_rows(tmp_path):
+    t0 = time.perf_counter()
+    gen = tmp_path / "gen"
+    assert main(["generate", "--preset", "mixed", "--seed", "1",
+                 "--impressions", "8000", "--out", str(gen)]) == 0
+    (tmp_path / "cycled").mkdir()
+    with open(gen / "corpus.ndjson", encoding="utf-8") as fin, \
+            open(tmp_path / "cycled" / "corpus.ndjson", "w",
+                 encoding="utf-8", newline="\n") as fout:
+        for line in fin:
+            head, marker, tail = line.rpartition('"age": "')
+            fout.write(head + marker + M2_CYCLE[tail[:2]] + tail[2:])
+    out = {}
+    for name, log in (("file", gen / "corpus.ndjson"),
+                      ("cycled", tmp_path / "cycled" / "corpus.ndjson")):
+        out[name] = tmp_path / "out" / name
+        assert main(["audit", "--input", str(log),
+                     "--methods", "raw,matched,multilevel,pairwise",
+                     "--navigational", str(gen / "navigational_queries.txt"),
+                     "--pair-fraction", "1.0", "--out", str(out[name])]) == 0
+    elapsed = time.perf_counter() - t0
+    label = {a.name: a.label for a in AgeGroup}
+    pi = {label[a]: label[b] for a, b in M2_CYCLE.items()}
+
+    # raw and matched rows: the row of group g is the cycled audit's row
+    # of pi(g), every value exact, except a metric's normalized column
+    # when its smallest or largest score is tied: normalization reads
+    # the standard error of the first extreme group in factor order
+    exempt = 0
+    for scores in ("raw_scores.csv", "matched_scores.csv"):
+        rows = {name: _data_rows(out[name] / scores) for name in out}
+        assert len(rows["file"]) == 4 * len(METRICS)
+        cycled = {(r["metric"], r["group"]): r for r in rows["cycled"]}
+        for r in rows["file"]:
+            same = [v["raw"] for v in rows["file"]
+                    if v["metric"] == r["metric"]]
+            tied = max(same.count(min(same, key=float)),
+                       same.count(max(same, key=float))) > 1
+            want = {**r, "group": pi[r["group"]]}
+            got = dict(cycled[r["metric"], pi[r["group"]]])
+            if tied:
+                exempt += 1
+                del want["normalized"], got["normalized"]
+            assert got == want, (scores, r["metric"], r["group"])
+    summary = {name: json.loads((out[name] / "summary.json").read_text(
+        encoding="utf-8")) for name in out}
+    file, cycled = summary["file"], summary["cycled"]
+    assert cycled["matched"]["attrition"] == file["matched"]["attrition"]
+    # the same pairs are sampled and labelled: labels read behaviour only
+    assert cycled["pairwise"]["labels"] == file["pairwise"]["labels"]
+    assert file["pairwise"]["labels"]["positive"] > 0
+
+    def fitted(name, stem):
+        return json.loads((out[name] / f"{stem}.json").read_text(
+            encoding="utf-8"))
+
+    worst = {}
+    deltas = file["multilevel"]["deltas"]
+    for kind, d in deltas.items():
+        scale = _largest(fitted("file", f"fit_{kind}")["effects"])
+        gap = abs(cycled["multilevel"]["deltas"][kind] - d)
+        assert gap <= scale * 2.0 ** -M2_BITS, (kind, gap, scale)
+        worst[kind] = gap / scale
+    # a grid cell p[a][b] is P(an M of age a beats an F of age b), so the
+    # cycled log reads it at p'[pi(a)][pi(b)]
+    model = fitted("file", "pair_model")["model"]
+    scale = max(_largest(model[k]) for k in ("age_i", "gender_i",
+                                             "interaction"))
+    grid, grid_cycled = file["pairwise"]["grid"], cycled["pairwise"]["grid"]
+    gap = max(abs(grid_cycled[pi[a]][pi[b]] - grid[a][b])
+              for a in grid for b in grid)
+    assert gap <= scale * 2.0 ** -M2_BITS, (gap, scale)
+    worst["grid"] = gap / scale
+    print(f"M2 (age 4-cycle): PASS; raw and matched rows permuted exactly "
+          f"({exempt} tied normalized cells exempt), attrition and labels "
+          f"{file['pairwise']['labels']} identical, largest gaps over the "
+          f"fit's largest coefficient "
+          + ", ".join(f"{k} {v:.2g}" for k, v in worst.items())
+          + f" ({elapsed:.1f}s)")
 
 
 def test_external_audit_derives_no_reformulation_flag(tmp_path, monkeypatch):

@@ -954,16 +954,16 @@ OUT_OF_RANGE = [
      "dwell_threshold must be at least 0, got -5.0"),
     (["audit", "--seed", "-1"], "seed must be at least 0, got -1"),
     (["audit", "--methods", "pairwise", "--default-thresholds",
-      "--min-groups", "0"], "min_groups must be null or from 1 to 4, got 0"),
+      "--min-groups", "0"], "min_groups must be null or from 2 to 4, got 0"),
     (["audit", "--methods", "pairwise", "--default-thresholds",
       "--min-impressions", "-4"],
      "min_impressions must be at least 1, got -4"),
     (["audit", "--methods", "pairwise", "--default-thresholds", "--k", "-1"],
      "k must be positive, got -1.0"),
     (["audit", "--methods", "raw,multilevel,pairwise", "--min-groups", "9"],
-     "min_groups must be null or from 1 to 4, got 9"),
+     "min_groups must be null or from 2 to 4, got 9"),
     (["audit", "--factor", "gender", "--min-groups", "3"],
-     "min_groups must be null or from 1 to 2, got 3"),
+     "min_groups must be null or from 2 to 2, got 3"),
     (["audit", "--methods", "raw,multilevel,pairwise",
       "--pair-fraction", "0"], "pair_fraction must be in (0, 1], got 0.0"),
     (["audit", "--methods", "raw,multilevel,pairwise",
@@ -989,6 +989,28 @@ def test_out_of_range_setting_is_one_config_error(tmp_path, capsys, argv,
         argv = argv + ["--input", tmp_path / "absent.ndjson"]
     assert run(*argv, "--out", tmp_path / "out") == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_pairs_need_two_groups(tmp_path, capsys, seed):
+    # a query that one group issues holds no pair, so it may not be
+    # eligible: at one group a sampled "solo" query ended the audit with
+    # "the labeler abstained everywhere" though no pair was drawn
+    imps = [imp(f"s{k:02d}", query="solo", age=AgeGroup.G1,
+                clicks=[click(dwell=60.0)]) for k in range(15)]
+    imps += [imp(f"p{k:02d}", query="pair", age=(AgeGroup.G1,
+                                                 AgeGroup.G2)[k % 2],
+                 clicks=[click(dwell=60.0)] if k % 2 == 0 else [])
+             for k in range(15)]
+    emit(corpus(imps), tmp_path / "c.ndjson")
+    capsys.readouterr()
+    assert run("audit", "--input", tmp_path / "c.ndjson",
+               "--methods", "pairwise", "--default-thresholds",
+               "--min-groups", "1", "--pair-fraction", "0.5",
+               "--seed", seed, "--out", tmp_path / "out") == 1
+    assert capsys.readouterr().err == \
+        "config error: min_groups must be null or from 2 to 4, got 1\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -19,8 +19,8 @@ from sataudit.logmodel import AgeGroup, Gender, \
 from sataudit.matching import match_contexts, matched_raw_scores
 from sataudit.metrics import METRICS, MetricKind, metric_table
 from sataudit.multilevel import build_observations
-from sataudit.pairwise import (label_batch_external, label_batch_internal,
-                               label_sample, sample_pairs)
+from sataudit.pairwise import (count_pair_labels, label_batch_external,
+                               label_batch_internal)
 
 
 def metric_vector(i, dwell_threshold_s=30.0):
@@ -199,9 +199,8 @@ def test_metric_table_is_built_once_per_corpus_and_threshold(monkeypatch):
     table = estimate_difficulty(c)
     for kind in METRICS:
         build_observations(c, table, kind)
-    sample = sample_pairs(c, ["news alpha", "sports beta"], seed=0,
-                          fraction=1.0, pairs_per_query=50)
-    label_sample(c, sample, mode="internal")
+    count_pair_labels(c, ["news alpha", "sports beta"], seed=0,
+                      fraction=1.0, pairs_per_query=50)
     assert builds == [(len(c), 30.0)]
     metric_table(c, 10.0)
     assert builds == [(len(c), 30.0), (len(c), 10.0)]

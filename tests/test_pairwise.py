@@ -1,4 +1,5 @@
-"""Pairwise labeling cascade, pair sampling, and the preference model."""
+"""Pairwise labeling cascade, the per-query pair stage, and the
+preference model."""
 
 from __future__ import annotations
 
@@ -10,19 +11,21 @@ import numpy as np
 import pytest
 
 from corpus_builders import click, corpus, imp, records
-from oracles import MetricVector, cross_pairs, enumerated_pairs, \
-    predict_pair_prob
+from oracles import LABEL_BLOCK, MetricVector, PairSample, cross_pairs, \
+    enumerated_pairs, fit_pair_model_from_pairs, label_sample, \
+    pattern_counts, predict_pair_prob, sample_pairs
 from sataudit.aggregate import Factor
 from sataudit.audit import AuditConfig, run_audit
 from sataudit.errors import ConfigError, DataError, InsufficientSignalError
 from sataudit.logmodel import AgeGroup, Gender, LogCorpus
 from sataudit.metrics import MetricKind, metric_table
 from sataudit.pairwise import (DEFAULT_PAIRS_PER_QUERY, DEFAULT_THRESHOLDS,
-                               LABEL_BLOCK, PairSample, PairThresholds,
-                               _cross_pairs_at, derive_thresholds_from_deltas,
+                               PairCounts, PairThresholds, _cross_pairs_at,
+                               count_pair_labels,
+                               derive_thresholds_from_deltas,
                                eligible_queries, fit_pair_model,
                                label_batch_external, label_batch_internal,
-                               label_sample, probability_grid, sample_pairs)
+                               probability_grid)
 
 G1, G2, G3, G4 = AgeGroup
 M, F = Gender
@@ -247,14 +250,27 @@ class TestEligibility:
         assert eligible_queries(c, Factor.GENDER, min_groups=2) == ["qa"]
         # both genders: the default floor for a two-group factor is 2
         assert eligible_queries(c, Factor.GENDER) == ["qa"]
-        assert eligible_queries(c, Factor.GENDER, min_groups=1) == ["qa"]
         one = corpus([imp(query="qa", gender=M) for _ in range(10)])
         assert eligible_queries(one, Factor.GENDER) == []
         assert eligible_queries(c, Factor.GENDER, min_groups=2,
                                 min_impressions=11) == []
 
+    @pytest.mark.parametrize("factor", list(Factor))
+    @pytest.mark.parametrize("min_groups", [1, 0, -3])
+    def test_a_pair_needs_two_groups(self, factor, min_groups):
+        # a query one group issues is never eligible: it holds no pair
+        c = corpus([imp(query="qa", gender=g) for g in (M, F)
+                    for _ in range(5)])
+        with pytest.raises(ConfigError) as err:
+            eligible_queries(c, factor, min_groups=min_groups)
+        assert str(err.value) == \
+            f"min_groups must be at least 2, got {min_groups}"
+
 
 class TestSamplePairs:
+    """The whole-sample reference sampler that the pair stage's per-query
+    counts are checked against."""
+
     def _small(self):
         imps = [imp(query="qa", age=G1) for _ in range(3)]
         imps += [imp(query="qa", age=G2) for _ in range(2)]
@@ -262,14 +278,15 @@ class TestSamplePairs:
 
     def test_validation(self):
         c = self._small()
-        with pytest.raises(ConfigError, match="fraction"):
-            sample_pairs(c, ["qa"], seed=1, fraction=0.0)
-        with pytest.raises(ConfigError, match="fraction"):
-            sample_pairs(c, ["qa"], seed=1, fraction=1.5)
-        with pytest.raises(ConfigError, match="pairs_per_query"):
-            sample_pairs(c, ["qa"], seed=1, pairs_per_query=0)
-        with pytest.raises(DataError, match="no eligible queries"):
-            sample_pairs(c, [], seed=1)
+        for stage in (sample_pairs, count_pair_labels):
+            with pytest.raises(ConfigError, match="fraction"):
+                stage(c, ["qa"], seed=1, fraction=0.0)
+            with pytest.raises(ConfigError, match="fraction"):
+                stage(c, ["qa"], seed=1, fraction=1.5)
+            with pytest.raises(ConfigError, match="pairs_per_query"):
+                stage(c, ["qa"], seed=1, pairs_per_query=0)
+            with pytest.raises(DataError, match="no eligible queries"):
+                stage(c, [], seed=1)
 
     def test_full_enumeration_when_quota_matches(self):
         c = self._small()
@@ -384,25 +401,28 @@ class TestSamplePairs:
         # position pairs, which as index arrays would take about 110 MB
         ages = [G2 if k % 45 == 0 else G1 for k in range(2_970)]
         c = one_query(ages)
-        s, peak = traced_peak(sample_pairs, c, ["qa"], seed=3, fraction=1.0)
-        assert len(s) == DEFAULT_PAIRS_PER_QUERY
+        counts, peak = traced_peak(count_pair_labels, c, ["qa"], seed=3,
+                                   fraction=1.0)
+        assert counts.n_pairs == DEFAULT_PAIRS_PER_QUERY
         assert peak < 4 * MB
+        s = sample_pairs(c, ["qa"], seed=3, fraction=1.0)
         codes = Factor.AGE.codes(c)
         assert (codes[s.i_idx] != codes[s.j_idx]).all()
         assert (s.i_idx < s.j_idx).all()
 
     def test_single_group_queries_yield_no_pairs(self):
         c = corpus([imp(query="solo q", age=G2) for _ in range(8)])
-        s = sample_pairs(c, ["solo q"], seed=3, fraction=1.0)
-        assert len(s) == 0
+        counts = count_pair_labels(c, ["solo q"], seed=3, fraction=1.0)
+        assert counts.queries == ["solo q"] and counts.n_pairs == 0
+        assert not counts.wins.any() and not counts.losses.any()
 
 
 class TestLabelSample:
     def test_unknown_mode_rejected(self):
         c = self._two_group()
-        s = sample_pairs(c, ["qa"], seed=1, fraction=1.0, pairs_per_query=4)
         with pytest.raises(ConfigError, match="labeling mode"):
-            label_sample(c, s, mode="sideways")
+            count_pair_labels(c, ["qa"], seed=1, mode="sideways",
+                              fraction=1.0, pairs_per_query=4)
 
     def test_internal_needs_dwell_fidelity(self):
         imps = [imp(query="qa", age=G1,
@@ -410,10 +430,13 @@ class TestLabelSample:
         imps += [imp(query="qa", age=G2,
                      clicks=[click(dwell=float("nan"))]) for _ in range(2)]
         c = corpus(imps)
-        s = sample_pairs(c, ["qa"], seed=1, fraction=1.0, pairs_per_query=4)
         with pytest.raises(DataError, match="dwell"):
-            label_sample(c, s, mode="internal")
-        assert label_sample(c, s, mode="external").tolist() == [0, 0, 0, 0]
+            count_pair_labels(c, ["qa"], seed=1, mode="internal",
+                              fraction=1.0, pairs_per_query=4)
+        counts = count_pair_labels(c, ["qa"], seed=1, mode="external",
+                                   fraction=1.0, pairs_per_query=4)
+        assert counts.n_pairs == 4
+        assert not counts.wins.any() and not counts.losses.any()
 
     def _two_group(self):
         imps = [imp(query="qa", age=G1, clicks=[click("r0", 1, 60.0)])
@@ -423,10 +446,16 @@ class TestLabelSample:
 
     def test_internal_labels_follow_cascade(self):
         c = self._two_group()
+        counts = count_pair_labels(c, ["qa"], seed=1, fraction=1.0,
+                                   pairs_per_query=9)
+        # satisfied G1 side vs no-click G4 side: GU gap 2.0 -> strong
+        # label, a win for the (G1, M) profile (0) over (G4, M) (6) in
+        # either slot
+        assert counts.n_pairs == 9
+        assert counts.wins[0, 6] + counts.losses[6, 0] == 9
         s = sample_pairs(c, ["qa"], seed=1, fraction=1.0, pairs_per_query=9)
         labels = label_sample(c, s, mode="internal")
         ages = [i.demographics.age for i in records(c)]
-        # satisfied G1 side vs no-click G4 side: GU gap 2.0 -> strong label
         for lab, a, b in zip(labels, s.i_idx, s.j_idx):
             want = 1 if ages[int(a)] is G1 else -1
             assert lab == want
@@ -435,14 +464,17 @@ class TestLabelSample:
         c = self._two_group()
         s = sample_pairs(c, ["qa"], seed=1, fraction=1.0, pairs_per_query=9)
         labels = np.array([1, -1, 0, 1, 0, 0, -1, 0, 1], dtype=np.int8)
-        model = fit_pair_model(c, s, labels)
+        model = fit_pair_model(PairCounts(s.queries, len(s),
+                                          *pattern_counts(c, s, labels)))
         assert model.n_pairs == 5
         keep = labels != 0
-        kept = fit_pair_model(c, PairSample(s.i_idx[keep], s.j_idx[keep],
-                                            s.queries), labels[keep])
-        # any array-like of labels
-        listed = fit_pair_model(c, s, labels.tolist())
-        for other in (kept, listed):
+        # the reference fit from pairs, zeros and all, zeros dropped, and
+        # with the labels in a list
+        kept = fit_pair_model_from_pairs(
+            c, PairSample(s.i_idx[keep], s.j_idx[keep], s.queries),
+            labels[keep])
+        listed = fit_pair_model_from_pairs(c, s, labels.tolist())
+        for other in (fit_pair_model_from_pairs(c, s, labels), kept, listed):
             assert other.n_pairs == 5
             for name in ("age", "gender", "interaction"):
                 assert getattr(model, name).tobytes() == \
@@ -478,6 +510,128 @@ class TestLabelSample:
         assert peak < 8 * MB
 
 
+ENUMERATION_LIMIT = 200_000     # cross pairs; above it, rejection sampling
+
+
+def tied_log(rng, sizes: dict[str, int | list]) -> LogCorpus:
+    """Queries of random impressions whose metrics take a few values, so
+    that many pairs tie.  A size gives that many impressions of random
+    profiles; a list gives one impression per listed age group."""
+    imps = []
+    for query, size in sizes.items():
+        ages = (size if isinstance(size, list) else
+                [list(AgeGroup)[k] for k in rng.integers(0, 4, size=size)])
+        for age in ages:
+            clicks = [click(f"r{m}", m + 1, float(rng.choice([5.0, 45.0])))
+                      for m in range(int(rng.integers(0, 5)))]
+            imps.append(imp(query=query, age=age,
+                            gender=list(Gender)[int(rng.integers(0, 2))],
+                            results=[f"r{m}" for m in range(4)],
+                            clicks=clicks,
+                            reformulated=bool(rng.random() < 0.2)))
+    return corpus(imps)
+
+
+def reference_counts(c: LogCorpus, queries, seed,
+                     thresholds=DEFAULT_THRESHOLDS, mode="internal",
+                     **kw) -> PairCounts:
+    """:func:`count_pair_labels` the whole-sample way: every pair drawn,
+    then every pair labelled, then tallied one at a time."""
+    s = sample_pairs(c, queries, seed, **kw)
+    labels = label_sample(c, s, thresholds, mode)
+    return PairCounts(s.queries, len(s), *pattern_counts(c, s, labels))
+
+
+def assert_same_counts(got: PairCounts, want: PairCounts) -> None:
+    assert got.queries == want.queries and got.n_pairs == want.n_pairs
+    for name in ("wins", "losses"):
+        assert getattr(got, name).dtype == np.int64
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+class TestCountPairLabels:
+    # a quota of 300: the first query has fewer cross pairs (drawn with
+    # replacement), the second exactly 300 (all of them), the third more
+    # (drawn without replacement), and the fourth more than the
+    # enumeration limit (rejection sampling)
+    QUOTA = 300
+    SIZES = {"q below": 12, "q exact": [G1] * 10 + [G3] * 30,
+             "q above": 60, "q rejection": 1_000}
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("mode", ["internal", "external"])
+    def test_counts_equal_the_whole_sample_reference(self, mode, seed):
+        rng = np.random.default_rng(seed)
+        c = tied_log(rng, self.SIZES)
+        codes = Factor.AGE.codes(c)
+        n_cross = []
+        for q in self.SIZES:
+            per_group = np.bincount(codes[c.query == c.queries.index(q)])
+            n_cross.append((per_group.sum() ** 2 - per_group @ per_group) // 2)
+        assert n_cross[0] < self.QUOTA == n_cross[1] < n_cross[2] \
+            <= ENUMERATION_LIMIT < n_cross[3]
+        args = (c, list(self.SIZES), seed, DEFAULT_THRESHOLDS, mode)
+        kw = dict(fraction=1.0, pairs_per_query=self.QUOTA)
+        got = count_pair_labels(*args, **kw)
+        assert_same_counts(got, reference_counts(*args, **kw))
+        assert got.queries == sorted(self.SIZES)
+        assert got.n_pairs == 4 * self.QUOTA
+        assert got.wins.sum() > 0 and got.losses.sum() > 0
+
+    @pytest.mark.parametrize("factor", list(Factor))
+    @pytest.mark.parametrize("mode", ["internal", "external"])
+    def test_query_slices_equal_the_reference(self, mode, factor):
+        rng = np.random.default_rng(17)
+        queries = [f"q {n:02d}" for n in range(12)]
+        c = tied_log(rng, {q: int(rng.integers(2, 30)) for q in queries})
+        thresholds = PairThresholds(gu_strong=0.5, gu_weak=0.25,
+                                    pcc_external=1.0)
+        for seed in range(4):
+            args = (c, queries, seed, thresholds, mode)
+            kw = dict(fraction=0.4, pairs_per_query=40, factor=factor)
+            got = count_pair_labels(*args, **kw)
+            assert_same_counts(got, reference_counts(*args, **kw))
+            assert len(got.queries) == 5
+
+    def test_errors_keep_their_order(self):
+        # a clicks-only corpus, so that every check below could fire
+        c = corpus([imp(query="qa", age=a, clicks=[click(dwell=math.nan)])
+                    for a in (G1, G2)])
+        stage = dict(queries=[], seed=0, fraction=0.0, pairs_per_query=0,
+                     mode="sideways")
+        # every fault at once; each error names the first left, which is
+        # then mended
+        for error, message, mend in [
+                (ConfigError, "query fraction", {"fraction": 1.0}),
+                (ConfigError, "pairs_per_query", {"pairs_per_query": 4}),
+                (DataError, "no eligible queries", {"queries": ["qa"]}),
+                (ConfigError, "unknown labeling mode", {"mode": "internal"}),
+                (DataError, "dwell fidelity", {"mode": "external"})]:
+            with pytest.raises(error, match=message):
+                count_pair_labels(c, **stage)
+            stage.update(mend)
+        assert count_pair_labels(c, **stage).n_pairs == 4
+
+    def test_pair_stage_holds_one_query_at_a_time(self):
+        # 200 queries of 6 + 6 impressions, each drawn to the full quota
+        # of 10,000 pairs with replacement: 2,000,000 pairs, whose int32
+        # index columns and int8 labels take 18 MB when held at once (the
+        # whole-sample reference peaks at 22 MB here).  One query's draw,
+        # labels and temporaries, with the 2,400-row metric table, peak at
+        # about 1.8 MB; 4 MB leaves room for numpy's temporaries and stays
+        # under a quarter of the whole sample.
+        queries = [f"q {n:03d}" for n in range(200)]
+        c = corpus([imp(query=q, age=(G1, G2)[k % 2],
+                        clicks=[click(dwell=5.0 + 40.0 * (k % 3))] * (k % 3),
+                        reformulated=k % 5 == 0)
+                    for q in queries for k in range(12)])
+        counts, peak = traced_peak(count_pair_labels, c, queries, seed=5,
+                                   fraction=1.0)
+        assert counts.n_pairs == 200 * DEFAULT_PAIRS_PER_QUERY
+        assert counts.wins.sum() > 0 and counts.losses.sum() > 0
+        assert peak < 4 * MB
+
+
 def profile_corpus() -> LogCorpus:
     """One impression per (age, gender) profile; the row of the profile
     with codes (a, g) is ``a * 2 + g``."""
@@ -491,7 +645,9 @@ def fit_profiles(age_i, gender_i, age_j, gender_j, label, **kw):
         return (np.asarray(age) * 2 + np.asarray(gender)).astype(np.int32)
 
     sample = PairSample(rows(age_i, gender_i), rows(age_j, gender_j), ["qa"])
-    return fit_pair_model(profile_corpus(), sample, label, **kw)
+    counts = PairCounts(["qa"], len(sample),
+                        *pattern_counts(profile_corpus(), sample, label))
+    return fit_pair_model(counts, **kw)
 
 
 def one_pattern_model(n_win: int, n_loss: int, **kw):
@@ -595,6 +751,32 @@ class TestPairModel:
                      np.arange(4)[:, None], np.arange(2)]
             assert same.shape == (4, 2)
             assert (same == 0.5).all()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_from_counts_is_the_fit_from_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        c = tied_log(rng, {"qa": 40, "qb": 25, "qc": 9})
+        s = sample_pairs(c, ["qa", "qb", "qc"], seed, fraction=1.0,
+                         pairs_per_query=150)
+        labels = label_sample(c, s)
+        samples = [(c, s, labels)]
+        # random labels over every profile pattern, the diagonal included
+        pc = profile_corpus()
+        i, j = rng.integers(0, 8, size=(2, 500)).astype(np.int32)
+        samples.append((pc, PairSample(i, j, ["qa"]),
+                        rng.integers(-1, 2, size=500).astype(np.int8)))
+        for c, s, labels in samples:
+            counts = PairCounts(s.queries, len(s),
+                                *pattern_counts(c, s, labels))
+            for prior_variance in (1.0, 0.25):
+                got = fit_pair_model(counts, prior_variance)
+                want = fit_pair_model_from_pairs(c, s, labels,
+                                                 prior_variance)
+                for name in ("age", "gender", "interaction"):
+                    assert getattr(got, name).tobytes() == \
+                        getattr(want, name).tobytes()
+                assert got.convergence == want.convergence
+                assert got.to_dict() == want.to_dict()
 
     def test_serialization_keys(self):
         model = mixed_model()
