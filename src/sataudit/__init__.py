@@ -18,7 +18,8 @@ from .difficulty import DifficultyTable, estimate_difficulty
 from .errors import (ConfigError, ConvergenceError, DataError,
                      InsufficientSignalError, SatauditError)
 from .logmodel import (AgeGroup, DemographicProfile, Gender, LogCorpus,
-                       all_profiles, emit, ingest, normalize_query)
+                       StringTable, all_profiles, emit, ingest,
+                       normalize_query)
 from .matching import MatchedCohort, match_contexts, matched_raw_scores
 from .metrics import MetricKind
 from .multilevel import (MultilevelFit, build_observations, cell_curves,
@@ -39,7 +40,8 @@ __all__ = [
     "METRICS", "MatchedCohort", "MetricKind",
     "MultilevelFit", "NormalizedScores", "PairCounts", "PairModel",
     "PairThresholds", "QuerySpec", "RawScores",
-    "SatauditError", "ScenarioConfig", "all_profiles", "audit_meta",
+    "SatauditError", "ScenarioConfig", "StringTable", "all_profiles",
+    "audit_meta",
     "build_observations", "cell_curves", "count_pair_labels",
     "derive_thresholds_from_deltas",
     "eligible_queries", "emit", "estimate_difficulty", "fit_multilevel",

@@ -17,8 +17,9 @@ fails outright.
 
 A corpus is held as read-only columns (:class:`LogCorpus`): ingest
 parses each record into typed column buffers (``array.array``, one
-machine value per entry) and freezes them into numpy arrays, so no
-per-record object but the impression id outlives its line.  A record is
+machine value per entry, and one UTF-8 byte buffer for the impression
+ids) and freezes them into numpy arrays, so no per-record object
+outlives its line.  A record is
 a tuple of the impression fields in this order: ``impression_id``,
 ``user_id``, ``session_id``, ``timestamp``, ``query_text``, ``topic``,
 ``results``, ``clicks``, ``reformulated`` and ``demographics``, with each
@@ -28,10 +29,12 @@ click a ``(result_id, position, dwell_seconds, terminated_query)`` tuple.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
 import csv as _csv
 import logging
+import operator
 import re
 from array import array
 from dataclasses import dataclass, field, fields
@@ -130,18 +133,109 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class StringTable:
+    """Read-only texts held as one UTF-8 byte buffer: text k is
+    ``data[offsets[k]:offsets[k + 1]]``, decoded.  ``data`` is uint8 and
+    ``offsets`` int64, starting at 0, so a table costs the bytes of its
+    texts plus eight per text, however long the longest one is.
+
+    ``t[k]`` is text k as a str; ``t[a:b]`` (a view) and ``t[rows]``
+    (a gather by an integer array) are tables.  Iteration decodes a
+    block of texts at a time.  Two tables are equal when they hold the
+    same texts in the same order.
+    """
+
+    __slots__ = ("data", "offsets")
+
+    def __init__(self, data: np.ndarray, offsets: np.ndarray):
+        self.data = _frozen(data)
+        self.offsets = _frozen(offsets)
+
+    @classmethod
+    def of(cls, texts) -> StringTable:
+        """The table of `texts`, encoded together."""
+        texts = list(texts)
+        joined = "".join(texts)
+        data = joined.encode()
+        # in ASCII text, a character is a byte
+        lengths = (map(len, texts) if len(data) == len(joined)
+                   else (len(t.encode()) for t in texts))
+        offsets = np.zeros(len(texts) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter(lengths, np.int64, len(texts)),
+                  out=offsets[1:])
+        return cls(np.frombuffer(data, dtype=np.uint8), offsets)
+
+    @staticmethod
+    def encodable(text: str) -> bool:
+        """False when UTF-8 cannot encode `text`: it holds a surrogate
+        code point, which a JSON escape such as ``"\\ud800"`` can put in
+        a str.  No table, and no file the package writes, can hold it."""
+        try:
+            text.encode()
+        except UnicodeEncodeError:
+            return False
+        return True
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                key = np.arange(start, stop, step)
+            else:
+                stop = max(start, stop)
+                lo, hi = self.offsets[start], self.offsets[stop]
+                return StringTable(self.data[lo:hi],
+                                   self.offsets[start:stop + 1] - lo)
+        if isinstance(key, np.ndarray):
+            take, offsets = _entries(self.offsets, key)
+            return StringTable(self.data[take], offsets)
+        k = range(len(self))[operator.index(key)]
+        return self.data[self.offsets[k]:self.offsets[k + 1]].tobytes() \
+            .decode()
+
+    def tolist(self) -> list[str]:
+        if len(self) and self.data.all():
+            # no NUL byte in the texts, so one can separate them
+            return np.insert(self.data, self.offsets[1:-1], 0).tobytes() \
+                .decode().split("\0")
+        buf, ends = self.data.tobytes(), self.offsets.tolist()
+        return [buf[a:b].decode() for a, b in zip(ends, ends[1:])]
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(
+            self[start:start + _EMIT_BLOCK].tolist()
+            for start in range(0, len(self), _EMIT_BLOCK))
+
+    def __eq__(self, other):
+        if not isinstance(other, StringTable):
+            return NotImplemented
+        return (np.array_equal(self.offsets, other.offsets)
+                and np.array_equal(self.data, other.data))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"StringTable({len(self)} texts, "
+                f"{self.data.size} bytes)")
+
+
 @dataclass(frozen=True, eq=False)
 class LogCorpus:
     """A validated interaction log, held as read-only columns, one row per
     impression.
 
-    ``ids`` holds the impression ids (an object array of str).  A built
+    ``ids`` holds the impression ids, a :class:`StringTable`.  A built
     corpus is canonical: its rows are in impression-id order, with equal
     ids in the order the log gave them, so a log and any reordering of
     its lines make the same corpus as long as its ids are distinct.
     ``user``, ``session``, ``query`` and ``topic`` are int32 codes into
-    ``users``, ``sessions``, ``queries`` and ``topics``, each listed in
-    sorted text order, so comparing codes compares texts; ``age`` and
+    ``users``, ``sessions`` (string tables), ``queries`` and ``topics``
+    (lists of str), each in sorted text order, so comparing codes
+    compares texts; UTF-8 byte order is code-point order, so a table's
+    bytes sort as its texts do.  ``age`` and
     ``gender`` index ``AgeGroup`` and ``Gender`` order.  ``reformulated``
     is int8, the flags as the log wrote them: 1, 0, or -1 when unset.
 
@@ -155,11 +249,11 @@ class LogCorpus:
     it by :meth:`derived`; ``dataclasses.replace`` starts an empty cache.
     """
 
-    ids: np.ndarray
+    ids: StringTable
     user: np.ndarray
-    users: list[str]
+    users: StringTable
     session: np.ndarray
-    sessions: list[str]
+    sessions: StringTable
     timestamp: np.ndarray          # int64
     age: np.ndarray
     gender: np.ndarray
@@ -220,11 +314,14 @@ class _ColumnBuilder:
     """Typed buffers that validated records are appended to, one record
     (see the module docstring) at a time, and frozen at the end into a
     :class:`LogCorpus`.  A record is checked whole before any value goes
-    in, and every checked value fits its buffer's type.
+    in, and every checked value fits its buffer's type.  Impression ids
+    go in as UTF-8 bytes, compared on the way with the id before them,
+    so ids that arrive sorted are never decoded again.
     """
 
     def __init__(self):
-        self.ids: list[str] = []
+        self.id_data, self.id_end = bytearray(), array("q", [0])
+        self.last_id, self.ids_sorted = b"", True
         self.user, self.session, self.query, self.topic = (
             array("i") for _ in range(4))
         self.timestamp = array("q")
@@ -247,7 +344,31 @@ class _ColumnBuilder:
                           clicks)
         if reason is not None:
             return reason
-        self.ids.append(impression_id)
+        try:
+            encoded = impression_id.encode()
+        except UnicodeEncodeError:
+            return _NOT_UTF8.format("impression_id")
+        if not (user_id.isascii() and session_id.isascii()
+                and query_text.isascii() and topic.isascii()):
+            reason = _not_utf8(zip(
+                ("user_id", "session_id", "query_text", "topic"),
+                (user_id, session_id, query_text, topic)))
+            if reason is not None:
+                return reason
+        vocab = self.result_ids
+        codes = list(map(vocab.get, results))
+        if None in codes:           # a result id not seen before
+            # clicks are on shown results, so this covers theirs too
+            reason = _not_utf8(("result_id", r) for r in results
+                               if r not in vocab)
+            if reason is not None:
+                return reason
+            codes = [vocab.setdefault(r, len(vocab)) for r in results]
+        if encoded < self.last_id:
+            self.ids_sorted = False
+        self.last_id = encoded
+        self.id_data += encoded
+        self.id_end.append(len(self.id_data))
         users, sessions = self.users, self.sessions
         queries, topics = self.queries, self.topics
         self.user.append(users.setdefault(user_id, len(users)))
@@ -258,10 +379,6 @@ class _ColumnBuilder:
         self.profile.append(_PROFILE_CODES[demographics])
         self.reformulated.append(-1 if reformulated is None
                                  else int(reformulated))
-        vocab = self.result_ids
-        codes = list(map(vocab.get, results))
-        if None in codes:           # a result id not seen before
-            codes = [vocab.setdefault(r, len(vocab)) for r in results]
         self.result.extend(codes)
         self.result_end.append(len(self.result))
         for result_id, position, dwell, terminated in clicks:
@@ -272,14 +389,22 @@ class _ColumnBuilder:
         self.click_end.append(len(self.click_result))
         return None
 
+    def __len__(self) -> int:
+        return len(self.id_end) - 1
+
     def freeze(self, skipped: int) -> LogCorpus:
         """The corpus, canonical (see :class:`LogCorpus`): rows stably
         sorted by impression id, and each vocabulary numbered in sorted
         text order.  Vocabularies and buffers are dropped as they are used,
-        and a gather runs only when the ids came unsorted."""
+        and the ids are decoded, sorted and gathered only when they came
+        unsorted."""
         # a vocabulary lists its texts in code order
-        vocab = {name: vocabulary_codes(list(vars(self).pop(name))) for name
-                 in ("users", "sessions", "queries", "topics", "result_ids")}
+        vocab = {}
+        for name in ("users", "sessions", "queries", "topics", "result_ids"):
+            texts, codes = vocabulary_codes(list(vars(self).pop(name)))
+            if name in ("users", "sessions"):
+                texts = StringTable.of(texts)
+            vocab[name] = texts, codes
 
         def column(name, dtype, coded=None):
             values = np.array(getattr(self, name), dtype=dtype)
@@ -298,9 +423,12 @@ class _ColumnBuilder:
             return offsets, [v[take] for v in values]
 
         rows = slice(None)              # the ids came sorted
-        ids = column("ids", object)
-        if not (ids[1:] >= ids[:-1]).all():
-            rows = np.argsort(ids, kind="stable")
+        ids = StringTable(np.array(self.id_data, dtype=np.uint8),
+                          column("id_end", np.int64))
+        self.id_data = self.last_id = None
+        if not self.ids_sorted:
+            rows = np.argsort(np.array(ids.tolist(), dtype=object),
+                              kind="stable")
             ids = ids[rows]
         profile = column("profile", np.int32)[rows]
         row_columns = {name: column(name, dtype, *coded)[rows]
@@ -391,6 +519,19 @@ class _Normalized(dict):
     def __missing__(self, text: str) -> str:
         self[text] = out = normalize_query(text)
         return out
+
+
+_NOT_UTF8 = "{} holds a surrogate, which UTF-8 cannot encode"
+
+
+def _not_utf8(named) -> str | None:
+    """The skip reason for the first ``(field, text)`` pair of `named`
+    whose text UTF-8 cannot encode (see :meth:`StringTable.encodable`),
+    else None."""
+    for name, text in named:
+        if not StringTable.encodable(text):
+            return _NOT_UTF8.format(name)
+    return None
 
 
 def _invalid(impression_id, timestamp, query_text, results,
@@ -731,7 +872,7 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
                 if len(first_errors) < 5:
                     first_errors.append(reason)
 
-    accepted = len(builder.ids)
+    accepted = len(builder)
     total = accepted + skipped
     if total > 0 and skipped * 2 > total:
         raise DataError(

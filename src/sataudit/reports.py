@@ -66,8 +66,9 @@ def write_json(path: Path, payload: dict, meta: dict) -> None:
 
 def write_csv(path: Path, columns: dict, meta: dict) -> None:
     """Write the metadata block, then a table from `columns`: field names
-    in column order, each to its values in row order (a list, tuple or
-    1-D array, all of one length), every cell as :func:`csv_value` text."""
+    in column order, each to its values in row order (a list, tuple,
+    1-D array or string table, all of one length), every cell as
+    :func:`csv_value` text."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         for key in META_KEYS:
             f.write(f"# {key}: {meta[key]}\n")

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, check_fields, check_keys, is_int, \
     is_number
 from .logmodel import AgeGroup, CorpusMetadata, DemographicProfile, Gender, \
-    LogCorpus, all_profiles, normalize_query, vocabulary_codes
+    LogCorpus, StringTable, all_profiles, normalize_query, vocabulary_codes
 
 _AGES = list(AgeGroup)
 
@@ -58,10 +58,17 @@ def _weights(n: int):
             and all(is_number(w) and w >= 0 for w in v))
 
 
+# every text a generated log or truth file writes, since both are UTF-8
+_UTF8 = ("encodable as UTF-8", StringTable.encodable)
+
 # the ranges a QuerySpec field needs beyond its type: (rule, test) pairs
 _QUERY_RULES = {
+    "text": [_UTF8],
+    "topic": [_UTF8],
     "difficulty": [("a number in [0, 1]", lambda v: 0 <= v <= 1)],
-    "results": [("a list of strings", lambda v: isinstance(v, tuple))],
+    "results": [("a list of strings", lambda v: isinstance(v, tuple)),
+                ("a list of strings encodable as UTF-8",
+                 lambda v: all(map(StringTable.encodable, v)))],
     "age_weights": [_weights(len(AgeGroup))],
     "gender_weights": [_weights(len(Gender))],
 }
@@ -469,9 +476,9 @@ def generate(config: ScenarioConfig) -> tuple[LogCorpus, GroundTruth]:
     users, user = vocabulary_codes([f"u{u:06d}" for u in range(len(counts))])
     user = user[user_ord]
     corpus = LogCorpus(
-        ids=np.array([f"imp{i:08d}" for i in range(n_total)], dtype=object),
-        user=user, users=users, session=user.copy(),
-        sessions=[f"s-{u}" for u in users],
+        ids=StringTable.of(f"imp{i:08d}" for i in range(n_total)),
+        user=user, users=StringTable.of(users), session=user.copy(),
+        sessions=StringTable.of(f"s-{u}" for u in users),
         timestamp=1_600_000_000 + user_ord * 600 + pos_in_user * 45,
         age=age_idx, gender=profile & 1, query=query[qi],
         queries=query_texts, topic=topic[qi], topics=topics,

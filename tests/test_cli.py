@@ -57,6 +57,22 @@ def run(*argv) -> int:
     return main([str(a) for a in argv])
 
 
+def _with_and_without(src: pathlib.Path, tmp_path: pathlib.Path, k: int,
+                      **fields) -> list[pathlib.Path]:
+    """Two copies of NDJSON log `src`, each named ``corpus.ndjson`` in its
+    own directory: one with `fields` set in line `k`, one without line
+    `k`."""
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    edited = json.dumps({**json.loads(lines[k]), **fields}) + "\n"
+    logs = []
+    for name, line in (("with", [edited]), ("without", [])):
+        (tmp_path / name).mkdir()
+        logs.append(tmp_path / name / "corpus.ndjson")
+        logs[-1].write_text("".join(lines[:k] + line + lines[k + 1:]),
+                            encoding="utf-8")
+    return logs
+
+
 @pytest.fixture(scope="module")
 def tg_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("gen_true_gap")
@@ -254,13 +270,21 @@ def _behavior(**values):
     (_query(age_weight=[1, 2, 3, 4]),
      "unknown query keys: age_weight"),
     (lambda d: d.update(name=5), "name must be a string, got 5"),
+    # JSON may escape a lone surrogate, which no UTF-8 file can hold
+    (_query(text="odd \ud800 query"), "query 'odd \\ud800 query': text "
+     "must be encodable as UTF-8, got 'odd \\ud800 query'"),
+    (_query(topic="news\ud800"), "query 'news query 0000': topic must be "
+     "encodable as UTF-8, got 'news\\ud800'"),
+    (_query(results=["r0", "r\udc00"]), "query 'news query 0000': results "
+     "must be a list of strings encodable as UTF-8, got ['r0', 'r\\udc00']"),
 ], ids=["age3", "age5", "gender1", "text", "topic", "result-ints",
         "result-string", "unknown-profile", "float-seed", "float-users",
         "float-max-impressions", "string-width", "negative-extra",
         "nan-dwell-min", "zero-width", "zero-max-impressions", "bool-center",
         "negative-stray", "huge-dwell-sigma", "huge-extra",
         "negative-dwell-base", "huge-stray", "huge-stray-multiplier",
-        "unknown-scenario", "unknown-query", "int-name"])
+        "unknown-scenario", "unknown-query", "int-name", "surrogate-text",
+        "surrogate-topic", "surrogate-result"])
 def test_bad_scenario_value_is_one_config_error(tmp_path, capsys, edit,
                                                 message):
     scenario = synth.preset_null(n_impressions=2000, seed=1).to_dict()
@@ -332,6 +356,17 @@ class TestMetrics:
         assert "skipped 1/5 records" in caplog.text and reason in caplog.text
         _, rows = read_report_csv(tmp_path / "m" / "metrics.csv")
         assert len(rows) == 4
+
+    def test_id_with_a_surrogate_skips_its_record(self, tg_dir, tmp_path):
+        # the metrics of a log with that record are those of the log
+        # without it
+        logs = _with_and_without(tg_dir / "corpus.ndjson", tmp_path, 0,
+                                 impression_id="bad\ud800id")
+        for log in logs:
+            assert run("metrics", "--input", log,
+                       "--out", log.parent / "out") == 0
+        a, b = (log.parent / "out" / "metrics.csv" for log in logs)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_format_inference_failure(self, tmp_path):
         assert run("metrics", "--input", tmp_path / "corpus.txt",
@@ -856,12 +891,39 @@ class TestAudit:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-    def test_audit_does_not_depend_on_the_hash_seed(self, tmp_path):
+    def test_query_with_a_surrogate_skips_its_record(self, tg_dir,
+                                                     tmp_path):
+        # the audit of a log with that record is the audit of the log
+        # without it
+        outs = []
+        for log in _with_and_without(tg_dir / "corpus.ndjson", tmp_path, 7,
+                                     query_text="odd \ud800 query"):
+            outs.append(log.parent / "out")
+            assert run("audit", "--input", log, "--methods", "raw,multilevel",
+                       "--out", outs[-1]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert "difficulty.csv" in names
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), name
+
+    # matching needs navigational queries, which three presets lack
+    @pytest.mark.parametrize("preset,impressions,methods", [
+        pytest.param(preset, n, methods, id=preset)
+        for preset, n, methods in (
+            ("mixed", 4000, "raw,matched,multilevel,pairwise"),
+            ("query_mix_confound", 2000, "raw,matched,multilevel,pairwise"),
+            ("null", 2000, "raw,multilevel,pairwise"),
+            ("dwell_confound", 2000, "raw,multilevel,pairwise"),
+            ("true_gap", 2000, "raw,multilevel,pairwise"))])
+    def test_audit_does_not_depend_on_the_hash_seed(self, tmp_path, preset,
+                                                    impressions, methods):
         # Each audit runs in its own interpreter, so string hashing (and
         # with it set and dict-of-set iteration order) differs between them.
         gen = tmp_path / "gen"
-        assert run("generate", "--preset", "mixed", "--impressions", 4000,
-                   "--seed", 3, "--out", gen) == 0
+        assert run("generate", "--preset", preset, "--impressions",
+                   impressions, "--seed", 3, "--out", gen) == 0
         src = str(pathlib.Path(sataudit.__file__).resolve().parents[1])
         outs = []
         for hash_seed in ("0", "1"):
@@ -871,17 +933,17 @@ class TestAudit:
                            filter(None, [src, os.environ.get("PYTHONPATH")])))
             proc = subprocess.run(
                 [sys.executable, "-m", "sataudit.cli", "audit", "--input",
-                 str(gen / "corpus.ndjson"), "--methods",
-                 "raw,matched,multilevel,pairwise", "--pair-fraction", "1.0",
-                 "--out", str(out)],
+                 str(gen / "corpus.ndjson"), "--methods", methods,
+                 "--pair-fraction", "1.0", "--out", str(out)],
                 capture_output=True, text=True, timeout=300, env=env,
                 cwd=tmp_path, encoding="utf-8")
             assert proc.returncode == 0, proc.stderr
             outs.append(out)
         names = sorted(p.name for p in outs[0].iterdir())
         assert names == sorted(p.name for p in outs[1].iterdir())
-        assert {"matched_scores.csv", "pair_model.json",
-                "prediction_grid.csv", "summary.json"} <= set(names)
+        assert {"pair_model.json", "prediction_grid.csv",
+                "summary.json"} <= set(names)
+        assert ("matched_scores.csv" in names) == ("matched" in methods)
         for name in names:
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes(), name

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import logging
@@ -18,9 +19,9 @@ from corpus_builders import Click, click, corpus, from_records, imp, records
 from oracles import impression_to_dict
 from sataudit import logmodel, synth
 from sataudit.errors import DataError
-from sataudit.logmodel import (AgeGroup, Gender, LogCorpus, all_profiles,
-                               derive_reformulation_flags, emit, ingest,
-                               normalize_query)
+from sataudit.logmodel import (AgeGroup, Gender, LogCorpus, StringTable,
+                               all_profiles, derive_reformulation_flags, emit,
+                               ingest, normalize_query)
 from sataudit.metrics import metric_table
 
 
@@ -499,7 +500,7 @@ class TestColumns:
         assert texts == ["u000001", "u1000000", "u999999"]
         assert codes.dtype == np.int32 and codes.tolist() == [2, 1, 0, 2]
         c = corpus([imp(user_id=u) for u in ("u999999", "u1000000")])
-        assert c.users == ["u1000000", "u999999"]
+        assert c.users.tolist() == ["u1000000", "u999999"]
         assert c.user.tolist() == [1, 0]
 
     def test_empty_corpus_has_empty_columns(self):
@@ -616,6 +617,7 @@ class TestColumnarIngest:
     def test_shuffled_log_gives_equal_columns(self, tmp_path, fmt):
         from sataudit import synth
         c, _ = synth.generate(synth.preset_mixed(n_impressions=3000, seed=5))
+        c = corpus([*records(c), *_odd_records()])
         emit(c, tmp_path / "c", fmt=fmt)
         lines = (tmp_path / "c").read_text(encoding="utf-8").splitlines(
             keepends=True)
@@ -625,8 +627,8 @@ class TestColumnarIngest:
         (tmp_path / "s").write_text("".join(head + body), encoding="utf-8")
         shuffled = ingest(tmp_path / "s", fmt=fmt)
         _assert_columns_equal(shuffled, ingest(tmp_path / "c", fmt=fmt))
-        for vocab in (shuffled.users, shuffled.sessions, shuffled.queries,
-                      shuffled.topics, shuffled.result_ids):
+        for vocab in (shuffled.users.tolist(), shuffled.sessions.tolist(),
+                      shuffled.queries, shuffled.topics, shuffled.result_ids):
             assert vocab == sorted(vocab)
 
     @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
@@ -737,6 +739,33 @@ class TestColumnarIngest:
         assert (back.metadata.accepted, back.metadata.skipped) == (3, 1)
         assert f"(first errors: {[reason]})" in caplog.text
 
+    @pytest.mark.parametrize("field", ["impression_id", "user_id",
+                                       "session_id", "query_text", "topic",
+                                       "result_id"])
+    def test_a_surrogate_skips_its_record(self, tmp_path, caplog, field):
+        # JSON may escape a lone surrogate, which no UTF-8 file can hold
+        good = [impression_to_dict(imp(f"g{k}", clicks=[click()]))
+                for k in range(3)]
+        bad = json.loads(json.dumps(good[0]))
+        bad["impression_id"] = "bad"
+        if field == "result_id":            # a shown and clicked result
+            bad["results"][0] = bad["clicks"][0][field] = "r\ud800"
+        else:
+            bad[field] = "odd \ud800 text"
+        # an escaped surrogate pair is one astral character, and is kept
+        pair = dict(good[1], impression_id="\ud83d\ude00",
+                    user_id="\ud83d\ude00")
+        path = tmp_path / "c.ndjson"
+        _write_records(path, "ndjson", good + [bad, pair])
+        assert "\\ud800" in path.read_text(encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="sataudit.logmodel"):
+            back = ingest(path)
+        assert (back.metadata.accepted, back.metadata.skipped) == (4, 1)
+        reason = f"{field} holds a surrogate, which UTF-8 cannot encode"
+        assert f"(first errors: {[reason]})" in caplog.text
+        assert back.ids.tolist() == ["g0", "g1", "g2", "\U0001F600"]
+        assert "\U0001F600" in back.users.tolist()
+
     def test_numeric_ndjson_ids_are_taken_as_text(self, tmp_path):
         rec = impression_to_dict(imp("g0", clicks=[click()]))
         rec.update(impression_id=17, user_id=4, session_id=5.5)
@@ -744,7 +773,7 @@ class TestColumnarIngest:
         _write_records(path, "ndjson", [rec])
         back = ingest(path)
         assert back.ids.tolist() == ["17"]
-        assert (back.users, back.sessions) == (["4"], ["5.5"])
+        assert (back.users.tolist(), back.sessions.tolist()) == (["4"], ["5.5"])
 
     def test_short_csv_row_is_skipped(self, tmp_path, caplog):
         path = tmp_path / "c.csv"
@@ -770,6 +799,102 @@ class TestColumnarIngest:
         with pytest.raises(DataError,
                            match="impression 'x1': empty results list"):
             corpus([imp("x0"), imp("x1", results=())])
+
+
+# Texts on each side of the UTF-8 length steps (U+0800, U+10000), where
+# UTF-16 order would differ from code-point order, and numeric-looking
+# texts, which sort as text ("10" before "9").
+_ODD_TEXTS = ["10", "9", "1e3", "-0", "\u00e9", "z", "\u07ff", "\u0800",
+              "\ue000", "\uffff", "\U00010000", "\U0001F600", "\uff5a"]
+
+
+def _odd_records():
+    """One record per odd text, used as its impression, user and session
+    id, in the order of `_ODD_TEXTS`."""
+    return [imp(t, user_id=t, session_id=f"s{t}", clicks=[click()])
+            for t in _ODD_TEXTS]
+
+
+class TestStringTable:
+    def test_reads_as_a_sequence_of_its_texts(self, monkeypatch):
+        texts = ["", "a", "\u00e9t\u00e9", "\U0001F600", "zz", ""]
+        t = StringTable.of(texts)
+        assert len(t) == 6 and t.tolist() == texts
+        assert [t[k] for k in range(6)] == texts
+        assert t[-3] == "\U0001F600" and t[np.int64(2)] == "\u00e9t\u00e9"
+        with pytest.raises(IndexError):
+            t[6]
+        assert t[1:4].tolist() == texts[1:4] and t[4:2].tolist() == []
+        assert t[::2].tolist() == texts[::2]
+        assert t[np.array([3, 0, 3])].tolist() == [texts[3], texts[0],
+                                                   texts[3]]
+        monkeypatch.setattr(logmodel, "_EMIT_BLOCK", 4)
+        assert list(t) == texts
+        assert t == StringTable.of(texts) and t[1:] == StringTable.of(
+            texts[1:])
+        assert t != StringTable.of(texts[:-1]) and t != texts
+        assert not (t.data.flags.writeable or t.offsets.flags.writeable)
+        empty = StringTable.of([])
+        assert len(empty) == 0 and empty.tolist() == list(empty) == []
+        # a NUL byte is text too
+        for texts in (["a\0b", "", "\0"], ["", ""]):
+            assert StringTable.of(texts).tolist() == texts
+
+    def test_order_is_the_order_of_the_strs(self):
+        shuffled = _odd_records()
+        random.Random(7).shuffle(shuffled)
+        c = corpus(shuffled)
+        assert c.ids.tolist() == sorted(_ODD_TEXTS)
+        assert c.users.tolist() == sorted(_ODD_TEXTS)
+        assert c.sessions.tolist() == sorted(f"s{t}" for t in _ODD_TEXTS)
+        # each row's user is its own id
+        assert [c.users[u] for u in c.user.tolist()] == c.ids.tolist()
+
+    def test_generated_columns_cost_under_48_bytes_a_row(self):
+        # On mixed, ids ("imp" and eight digits) and, for the 0.56 users
+        # and sessions a row, user ("u" and six digits) and session ids
+        # ("s-u" and six) hold 11 + 0.56 * 16 = 20 bytes of text a row,
+        # and an 8-byte offset a text: about 37 bytes a row.  48 leaves
+        # room for the arrays' headers but not for a str object per id
+        # (at least 49 bytes and an 8-byte pointer); lists and object
+        # arrays of str held about 140.
+        cfg = synth.preset_mixed(n_impressions=20000, seed=5)
+        synth.generate(cfg)                 # first-call caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            c = synth.generate(cfg)[0]
+            kept = (c.ids, c.users, c.sessions)
+            del c
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        rows = len(kept[0])
+        assert 19000 < rows < 21000
+        assert held < 48 * rows, held / rows
+
+    def test_a_megabyte_id_is_held_unpadded(self, tmp_path):
+        big = "x" * (1 << 20)
+        path = tmp_path / "c.ndjson"
+        emit(corpus([*(imp(f"i{k:03d}", clicks=[click()])
+                       for k in range(999)), imp(big, clicks=[click()])]),
+             path)
+        c = ingest(path)
+        assert len(c) == 1000 and c.ids[999] == big
+        # the id bytes, 1,000 four-byte ids and 1,001 offsets
+        assert c.ids.data.nbytes + c.ids.offsets.nbytes == \
+            len(big) + 4 * 999 + 8 * 1001
+        emit(c, tmp_path / "back.ndjson")
+        assert (tmp_path / "back.ndjson").read_bytes() == path.read_bytes()
+        # CSV ingest refuses a field past the csv module's 128 KiB limit
+        # (see test_oversized_csv_field_is_a_data_error), so this leg
+        # checks what emit writes
+        emit(c, tmp_path / "c.csv", fmt="csv")
+        rows = (tmp_path / "c.csv").read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 1001 and rows[-1].startswith(big + ",u0,")
+        assert rows[1] == rows[-1].replace(big, "i000")
 
 
 class TestEmit:
