@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DataError
-from .logmodel import AgeGroup, Gender, LogCorpus, first_appearance_codes
+from .logmodel import AgeGroup, Gender, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, metric_table
 
 logger = logging.getLogger(__name__)
@@ -81,9 +81,9 @@ def group_query_table(corpus: LogCorpus, factor: Factor,
     mean metrics in ``METRICS`` order.
 
     Only `rows` of the corpus are read when given, in that order; the
-    full-corpus table is kept on the corpus.  Cells are numbered in
-    first-appearance order and their sums add in row order, so the means
-    do not depend on how they are stored.
+    full-corpus table is kept on the corpus.  Cells run by group code,
+    then query code, however the impressions are stored or named, and
+    their sums add in row order.
     """
     if rows is None:
         return corpus.derived("group_query_table", _cell_table, factor,
@@ -96,8 +96,9 @@ def _cell_table(corpus: LogCorpus, factor: Factor, dwell_threshold_s: float,
     sel = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
     metrics = metric_table(corpus, dwell_threshold_s)[sel]
     n_queries = len(corpus.queries)
-    keys, codes = first_appearance_codes(
-        factor.codes(corpus)[sel] * n_queries + corpus.query[sel])
+    keys, codes = np.unique(
+        factor.codes(corpus)[sel] * n_queries + corpus.query[sel],
+        return_inverse=True)
     counts = np.bincount(codes, minlength=len(keys))
     means = np.stack([np.bincount(codes, weights=metrics[:, k],
                                   minlength=len(keys))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DataError
 from .aggregate import Factor, group_query_table
-from .logmodel import LogCorpus, first_appearance_codes
+from .logmodel import LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind
 
 
@@ -54,17 +54,17 @@ def rank_and_average(group: np.ndarray, query: np.ndarray, gu: np.ndarray,
 
     This is the rank-and-average stage on its own; transforms of any one
     group's values that preserve order leave the output bit-identical.
-    A query's percentiles add in the order its groups first appear.
+    A query's percentiles add in group-code order, whatever order the
+    cells come in.
     """
     if len(group) == 0:
         raise DataError("difficulty estimation saw no (group, query) cells")
-    _, rank = first_appearance_codes(group)
     pct = np.empty(len(gu))
-    for g in range(rank.max() + 1):
-        cells = rank == g
+    for g in np.unique(group).tolist():
+        cells = group == g
         # ascending GU rank; lowest GU = hardest = difficulty percentile near 1
         pct[cells] = 1.0 - (midrank(gu[cells]) - 0.5) / cells.sum()
-    order = np.argsort(rank, kind="stable")
+    order = np.argsort(group, kind="stable")
     sums = np.bincount(query[order], weights=pct[order], minlength=n_queries)
     counts = np.bincount(query, minlength=n_queries)
     return np.divide(sums, counts, out=np.full(n_queries, np.nan),

@@ -108,15 +108,6 @@ class CorpusMetadata:
     skipped: int = 0
 
 
-def first_appearance_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Number the distinct values of `keys` in order of first appearance;
-    returns ``(distinct, codes)`` with ``distinct[codes] == keys``."""
-    distinct, first, inverse = np.unique(keys, return_index=True,
-                                         return_inverse=True)
-    order = np.argsort(first)
-    return distinct[order], np.argsort(order)[inverse]
-
-
 def vocabulary_codes(keys: list[str]) -> tuple[list[str], np.ndarray]:
     """The distinct texts of `keys` in sorted order, the order a
     :class:`LogCorpus` lists a vocabulary in, and each key's int32 code,

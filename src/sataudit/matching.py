@@ -50,7 +50,7 @@ class StageCount:
 
 @dataclass
 class MatchedCohort:
-    """``rows``: the surviving rows of `corpus`, by query text, then row;
+    """``rows``: the surviving rows of `corpus`, in row order;
     ``attrition``: the impressions and queries left after each stage."""
 
     factor: Factor
@@ -182,16 +182,14 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
     attrition = [StageCount(stage, int(mask.sum()),
                             int(np.unique(query[mask]).size))
                  for stage, mask in stages.items()]
-    rows = np.flatnonzero(kept)
-    order = np.argsort(query[rows], kind="stable")
-    return MatchedCohort(factor, corpus, rows[order], attrition)
+    return MatchedCohort(factor, corpus, np.flatnonzero(kept), attrition)
 
 
 def matched_raw_scores(cohort: MatchedCohort,
                        dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                        ) -> RawScores:
     """Query-averaged scores of the cohort's rows of the audited corpus,
-    read in cohort order."""
+    read in row order."""
     if not cohort.rows.size:
         raise DataError(
             "matched cohort is empty; nothing to score (no impressions "

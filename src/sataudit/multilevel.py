@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .difficulty import DifficultyTable
 from .glmfit import CellDesign, Convergence, Family, fit_penalized_glm
-from .logmodel import AgeGroup, Gender, LogCorpus, first_appearance_codes
+from .logmodel import AgeGroup, Gender, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind, \
     metric_table
 
@@ -109,12 +109,13 @@ def build_observations(corpus: LogCorpus, difficulty: DifficultyTable,
                        metric: MetricKind,
                        dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                        ) -> ObservationSet:
-    """Regression rows for one metric; impressions whose query has no
-    difficulty estimate are skipped and counted."""
+    """Regression rows for one metric, in row order; impressions whose
+    query has no difficulty estimate are skipped and counted.  ``topics``
+    lists the topics of the kept rows in text order."""
     if difficulty.queries != corpus.queries:
         raise DataError("the difficulty table is over another query list")
     rows = np.flatnonzero(~np.isnan(difficulty.values)[corpus.query])
-    topic_codes, topic_idx = first_appearance_codes(corpus.topic[rows])
+    topic_codes, topic_idx = np.unique(corpus.topic[rows], return_inverse=True)
     column = metric_table(corpus, dwell_threshold_s)[:, METRICS.index(metric)]
     return ObservationSet(
         metric=metric, y=column[rows], x=difficulty.values[corpus.query[rows]],

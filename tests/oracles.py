@@ -139,7 +139,7 @@ def query_averaged_scores(imps: list[Impression], factor: Factor,
     """Each group's ``(n_queries, n_impressions, {metric: (score,
     stderr)})``: a (group, query) cell's mean over its impressions in
     order, then the mean and standard error of the group's cell means in
-    first-appearance order, every sum a left-to-right loop."""
+    query-text order, every sum a left-to-right loop."""
     cells: dict = {}
     for imp in imps:
         group = getattr(imp.demographics, factor.value)
@@ -151,7 +151,7 @@ def query_averaged_scores(imps: list[Impression], factor: Factor,
         stats = {}
         for kind in METRICS:
             means = [_loop_sum(v.value(kind) for v in vectors) / len(vectors)
-                     for vectors in by_query.values()]
+                     for _, vectors in sorted(by_query.items())]
             mean = _loop_sum(means) / n_q
             var = _loop_sum((v - mean) ** 2 for v in means) / max(n_q - 1, 1)
             stats[kind] = (mean, math.sqrt(var / n_q) if n_q > 1

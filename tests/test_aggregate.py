@@ -106,9 +106,10 @@ class TestQueryAveragedScores:
             assert (a.dtype, a.shape, a.tobytes()) == \
                 (b.dtype, b.shape, b.tobytes()), field
 
-    def test_cells_are_kept_in_first_appearance_order(self):
+    def test_cells_run_by_group_then_query_code(self):
         # group scores sum the per-query means in this order, so it fixes
-        # the last bits of every reported float
+        # the last bits of every reported float; the log's own order, in
+        # which "q c" and G3 come first, does not enter
         imps = [satisfied(query="q c", age=AgeGroup.G3),
                 dissatisfied(query="q b", age=AgeGroup.G1),
                 satisfied(query="q a", age=AgeGroup.G3),
@@ -118,12 +119,12 @@ class TestQueryAveragedScores:
         group, query, n_impressions, means = group_query_table(c, Factor.AGE)
         ages = list(AgeGroup)
         assert [ages[g] for g in group.tolist()] == [
-            AgeGroup.G3, AgeGroup.G1, AgeGroup.G3, AgeGroup.G1]
+            AgeGroup.G1, AgeGroup.G1, AgeGroup.G3, AgeGroup.G3]
         assert [c.queries[q] for q in query.tolist()] == [
-            "q c", "q b", "q a", "q c"]
-        assert n_impressions.tolist() == [2, 1, 1, 1]
+            "q b", "q c", "q a", "q c"]
+        assert n_impressions.tolist() == [1, 1, 1, 2]
         assert means.shape == (4, len(METRICS))
-        assert means[0, METRICS.index(GU)] == (1.0 - 1.0 / 3.0) / 2
+        assert means[3, METRICS.index(GU)] == (1.0 - 1.0 / 3.0) / 2
 
     def test_group_sums_add_cells_left_to_right(self):
         # ten one-query cells of mean 0.1 each: a plain float loop gives
@@ -156,13 +157,13 @@ class TestQueryAveragedScores:
             self, monkeypatch):
         c, _ = synth.generate(synth.preset_mixed(n_impressions=3000, seed=1))
         sizes = []
-        codes = aggregate.first_appearance_codes
+        cell_table = aggregate._cell_table
 
-        def counting(keys):
-            sizes.append(len(keys))
-            return codes(keys)
+        def counting(corpus, factor, dwell_threshold_s, rows=None):
+            sizes.append(len(corpus if rows is None else rows))
+            return cell_table(corpus, factor, dwell_threshold_s, rows)
 
-        monkeypatch.setattr(aggregate, "first_appearance_codes", counting)
+        monkeypatch.setattr(aggregate, "_cell_table", counting)
         result = sataudit.run_audit(c, sataudit.AuditConfig(
             methods=("raw", "matched", "multilevel")))
         # the raw scores' table, which difficulty reuses, then the cohort's

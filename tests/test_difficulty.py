@@ -134,10 +134,10 @@ class TestDifficultyFromGroupScores:
                 assert ranked(scores) == difficulty_from_group_scores(
                     scores), trial
 
-    def test_percentiles_add_in_group_first_appearance_order(self):
-        # cells interleave groups, as a log's first appearances do; a
-        # query's percentiles must still add group by group, in the order
-        # the groups first appear, which rounds like the reference
+    def test_percentiles_add_in_group_code_order(self):
+        # cells interleave groups in a shuffled order; a query's
+        # percentiles must still add group by group, in group-code order,
+        # which rounds like the reference over the groups in that order
         rng = np.random.default_rng(44)
         for trial in range(300):
             n_queries = int(rng.integers(3, 40))
@@ -147,7 +147,7 @@ class TestDifficultyFromGroupScores:
             cells = [cells[k] for k in rng.permutation(len(cells))]
             group, query, gu = (np.array(col) for col in zip(*cells))
             scores: dict = {}
-            for g, q, v in cells:
+            for g, q, v in sorted(cells):
                 scores.setdefault(g, {})[f"q{q:02d}"] = v
             want = difficulty_from_group_scores(scores)
             got = rank_and_average(group, query, gu, n_queries)

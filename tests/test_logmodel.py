@@ -486,12 +486,6 @@ class TestColumns:
         for name in ("click_count", "click_row", "profile"):
             assert getattr(c, name) is getattr(c, name)
 
-    def test_first_appearance_codes(self):
-        distinct, codes = logmodel.first_appearance_codes(
-            np.array([5, 3, 5, 1, 3]))
-        assert distinct.tolist() == [5, 3, 1]
-        assert codes.tolist() == [0, 1, 0, 2, 1]
-
     def test_vocabulary_codes_follow_text_order_past_zero_padding(self):
         # a six-digit name misorders against a seventh digit: u1000000
         # sorts before u999999

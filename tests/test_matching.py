@@ -353,8 +353,8 @@ def test_matched_comparison_equals_the_dict_reference(presets, preset,
     cohort = match_contexts(c, factor, nav)
     by_query, attrition = oracles.match_contexts(c, factor, nav)
     assert cohort.attrition == attrition
-    assert cohort.rows.tolist() == [k for q in sorted(by_query)
-                                    for k in by_query[q]]
+    assert cohort.rows.tolist() == sorted(k for rows in by_query.values()
+                                          for k in rows)
 
     raw = normalize(query_averaged_scores(c, factor))
     _, raw_bounds, _ = oracles.normalize(raw)

@@ -87,20 +87,19 @@ class TestBuildObservations:
         assert obs.topic_idx.tolist() == [0, 0]
         assert obs.topics == ["news"]
 
-    def test_topic_indices_follow_first_appearance(self):
+    def test_topic_indices_follow_text_order(self):
         imps = [satisfied(query="qa", topic="b"), satisfied(query="qa", topic="a"),
                 satisfied(query="qa", topic="b")]
         c = corpus(imps)
         obs = build_observations(c, table_for(c, {"qa": 0.5}),
                                  MetricKind.REFORMULATION)
-        assert obs.topics == ["b", "a"]
-        assert obs.topic_idx.tolist() == [0, 1, 0]
+        assert obs.topics == ["a", "b"]
+        assert obs.topic_idx.tolist() == [1, 0, 1]
 
-    def test_topics_follow_first_appearance_among_kept_rows(self):
+    def test_topics_of_kept_rows_follow_text_order(self):
         # the first impression's topic "z" belongs only to a query without
-        # a difficulty value, so it must not take a topic index; "news"
-        # first appears on an unrated query too, so among the kept rows
-        # "sports" comes first
+        # a difficulty value, so it must not take a topic index; among the
+        # kept rows "sports" comes first, yet "news" takes index 0
         imps = [satisfied(query="unrated", topic="z"),
                 satisfied(query="unrated news", topic="news"),
                 satisfied(query="q3", topic="sports", age=AgeGroup.G4),
@@ -111,8 +110,8 @@ class TestBuildObservations:
         obs = build_observations(c, table_for(c, {"q2": 0.25, "q3": 0.75}),
                                  MetricKind.GRADED_UTILITY)
         assert obs.skipped == 3
-        assert obs.topics == ["sports", "news"]
-        assert obs.topic_idx.tolist() == [0, 1, 1]
+        assert obs.topics == ["news", "sports"]
+        assert obs.topic_idx.tolist() == [1, 0, 0]
         assert obs.x.tolist() == [0.75, 0.25, 0.25]
         assert obs.y.tolist() == [1.0, 1.0, -1.0 / 3.0]
         assert obs.age_idx.tolist() == [3, 0, 0]
