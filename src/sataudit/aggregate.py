@@ -83,7 +83,7 @@ def group_query_table(corpus: LogCorpus, factor: Factor,
     Only `rows` of the corpus are read when given, in that order; the
     full-corpus table is kept on the corpus.  Cells run by group code,
     then query code, however the impressions are stored or named, and
-    their sums add in row order.
+    each mean is an exact sum divided once.
     """
     if rows is None:
         return corpus.derived("group_query_table", _cell_table, factor,
@@ -100,9 +100,12 @@ def _cell_table(corpus: LogCorpus, factor: Factor, dwell_threshold_s: float,
         factor.codes(corpus)[sel] * n_queries + corpus.query[sel],
         return_inverse=True)
     counts = np.bincount(codes, minlength=len(keys))
-    means = np.stack([np.bincount(codes, weights=metrics[:, k],
+    # every metric is a whole number of thirds (GU_LEVELS) or a count, so
+    # sums of thirds are exact and each mean rounds once: cells whose
+    # means are equal come out equal, whatever order their rows add in
+    means = np.stack([np.bincount(codes, weights=np.rint(3.0 * m),
                                   minlength=len(keys))
-                      for k in range(len(METRICS))], axis=1) / counts[:, None]
+                      for m in metrics.T], axis=1) / (3 * counts[:, None])
     table = (*np.divmod(keys, n_queries), counts, means)
     for a in table:
         a.setflags(write=False)

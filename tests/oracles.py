@@ -137,9 +137,11 @@ def query_averaged_scores(imps: list[Impression], factor: Factor,
                           dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                           ) -> dict:
     """Each group's ``(n_queries, n_impressions, {metric: (score,
-    stderr)})``: a (group, query) cell's mean over its impressions in
-    order, then the mean and standard error of the group's cell means in
-    query-text order, every sum a left-to-right loop."""
+    stderr)})``: a (group, query) cell's mean, its impressions' sum of
+    thirds (exact, as every metric is a whole number of thirds) over
+    three times their count, then the mean and standard error of the
+    group's cell means in query-text order, each sum a left-to-right
+    loop."""
     cells: dict = {}
     for imp in imps:
         group = getattr(imp.demographics, factor.value)
@@ -150,7 +152,8 @@ def query_averaged_scores(imps: list[Impression], factor: Factor,
         n_q = len(by_query)
         stats = {}
         for kind in METRICS:
-            means = [_loop_sum(v.value(kind) for v in vectors) / len(vectors)
+            means = [sum(round(3 * v.value(kind)) for v in vectors)
+                     / (3 * len(vectors))
                      for _, vectors in sorted(by_query.items())]
             mean = _loop_sum(means) / n_q
             var = _loop_sum((v - mean) ** 2 for v in means) / max(n_q - 1, 1)

@@ -19,6 +19,7 @@ from sataudit.aggregate import (METRICS, Factor, group_query_table,
                                 head_tail_classify, normalize,
                                 query_averaged_scores, query_kl, RawScores)
 from sataudit.errors import DataError
+from sataudit.difficulty import estimate_difficulty
 from sataudit.logmodel import AgeGroup, Gender
 from sataudit.metrics import MetricKind, metric_table
 
@@ -124,7 +125,20 @@ class TestQueryAveragedScores:
             "q b", "q c", "q a", "q c"]
         assert n_impressions.tolist() == [1, 1, 1, 2]
         assert means.shape == (4, len(METRICS))
-        assert means[3, METRICS.index(GU)] == (1.0 - 1.0 / 3.0) / 2
+        # the exact mean of +1 and -1/3, rounded once
+        assert means[3, METRICS.index(GU)] == 1.0 / 3.0
+
+    def test_cells_with_equal_gu_means_tie(self):
+        # both cells average 0; added as floats in row order the first
+        # would read 2.8e-17, and difficulty would rank the two apart
+        imps = [satisfied(query="q a"), dissatisfied(query="q a"),
+                dissatisfied(query="q a"), dissatisfied(query="q a"),
+                satisfied(query="q b"), imp(query="q b"),
+                satisfied(query="q b"), imp(query="q b")]
+        c = corpus(imps)
+        *_, means = group_query_table(c, Factor.AGE)
+        assert means[:, METRICS.index(GU)].tolist() == [0.0, 0.0]
+        assert estimate_difficulty(c).values.tolist() == [0.5, 0.5]
 
     def test_group_sums_add_cells_left_to_right(self):
         # ten one-query cells of mean 0.1 each: a plain float loop gives

@@ -162,7 +162,7 @@ class TestDifficultyFromGroupScores:
                                                     seed=3))
         group, query, _, means = group_query_table(c, factor)
         gu = means[:, METRICS.index(MetricKind.GRADED_UTILITY)]
-        # groups in the order they first appear in the cell table
+        # groups in code order, the order the cell table runs in
         scores: dict = {}
         for g, q, v in zip(group.tolist(), query.tolist(), gu.tolist()):
             scores.setdefault(g, {})[c.queries[q]] = v
