@@ -734,6 +734,63 @@ def test_m2_age_cycle_permutes_the_age_rows(tmp_path):
           + f" ({elapsed:.1f}s)")
 
 
+# ---------------------------------------------------------------------------
+# metamorphic relation M3: renaming the impressions by an order-reversing
+# bijection leaves the audit unchanged.  The pair stage is left out: its
+# sampler draws pairs by row position, so a rename draws other pairs
+
+def test_m3_id_reversal_does_not_change_the_audit(tmp_path):
+    t0 = time.perf_counter()
+    gen = tmp_path / "gen"
+    assert main(["generate", "--preset", "mixed", "--seed", "1",
+                 "--impressions", "8000", "--out", str(gen)]) == 0
+    with open(gen / "corpus.ndjson", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    ids = sorted(r["impression_id"] for r in records)
+    reverse = dict(zip(ids, reversed(ids)))
+    (tmp_path / "reversed").mkdir()
+    with open(tmp_path / "reversed" / "corpus.ndjson", "w",
+              encoding="utf-8", newline="\n") as fh:
+        for r in records:
+            r["impression_id"] = reverse[r["impression_id"]]
+            fh.write(json.dumps(r) + "\n")
+    out = {}
+    for name, log in (("file", gen / "corpus.ndjson"),
+                      ("reversed", tmp_path / "reversed" / "corpus.ndjson")):
+        out[name] = tmp_path / "out" / name
+        assert main(["audit", "--input", str(log),
+                     "--methods", "raw,matched,multilevel",
+                     "--navigational", str(gen / "navigational_queries.txt"),
+                     "--out", str(out[name])]) == 0
+    elapsed = time.perf_counter() - t0
+
+    for table in ("raw_scores.csv", "matched_scores.csv", "attrition.csv",
+                  "difficulty.csv"):
+        assert (out["reversed"] / table).read_bytes() == \
+            (out["file"] / table).read_bytes(), table
+    # the fits, to rounding: the same deltas, and the same prediction
+    # grid rows in the same order
+    summary = {name: json.loads((out[name] / "summary.json").read_text(
+        encoding="utf-8")) for name in out}
+    deltas = summary["file"]["multilevel"]["deltas"]
+    gaps = {kind: abs(summary["reversed"]["multilevel"]["deltas"][kind] - d)
+            for kind, d in deltas.items()}
+    grid = {name: _data_rows(out[name] / "prediction_grid.csv")
+            for name in out}
+    assert [{**r, "value": None} for r in grid["reversed"]] == \
+        [{**r, "value": None} for r in grid["file"]]
+    for a, b in zip(grid["file"], grid["reversed"]):
+        gaps[a["metric"]] = max(gaps[a["metric"]],
+                                abs(float(a["value"]) - float(b["value"])))
+    worst = _within_fit_rounding(gaps, out["file"])
+    print(f"M3 (impression-id reversal): PASS; raw, matched, attrition and "
+          f"difficulty tables byte-identical, {len(grid['file'])} grid rows "
+          f"in the same order, largest delta or grid gap over the fit's "
+          f"largest coefficient "
+          + ", ".join(f"{k} {v:.2g}" for k, v in worst.items())
+          + f" ({elapsed:.1f}s)")
+
+
 def test_external_audit_derives_no_reformulation_flag(tmp_path, monkeypatch):
     # the external labeler reads page click counts alone, so auditing the
     # blanked M4 log must never fill in its unset flags
