@@ -28,6 +28,7 @@ click a ``(result_id, position, dwell_seconds, terminated_query)`` tuple.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import json
@@ -826,7 +827,8 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
     """Load a log file into a validated corpus.
 
     Invalid records are skipped (counted in metadata); more than 50%
-    malformed is fatal.  Reformulated flags are kept as written, -1 where
+    malformed is fatal.  A CSV field may be up to 2**31 - 1 characters
+    long.  Reformulated flags are kept as written, -1 where
     unset; the reformulation metric derives the missing ones.
     """
     path = Path(path)
@@ -839,12 +841,17 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
     first_errors: list[str] = []
     # One streaming pass: records are parsed as lines are read, so the raw
     # text is never held whole; json.loads ignores a line's trailing "\r\n".
-    with reading(path, DataError) as fh:
+    with reading(path, DataError) as fh, contextlib.ExitStack() as restore:
         if fmt == "ndjson":
             parse = _fields_from_line
             records = (line for line in fh if not line.isspace())
         else:
             parse = _fields_from_row
+            # a field may be as long as an NDJSON line: the csv module's
+            # process-wide limit is lifted to the largest value every
+            # platform's C long holds, and put back however the read ends
+            restore.callback(_csv.field_size_limit,
+                             _csv.field_size_limit(2 ** 31 - 1))
             records = reader = _csv.DictReader(fh)
             if reader.fieldnames is not None and set(CSV_FIELDS) - set(reader.fieldnames):
                 missing = sorted(set(CSV_FIELDS) - set(reader.fieldnames))
