@@ -100,9 +100,8 @@ def _cell_table(corpus: LogCorpus, factor: Factor, dwell_threshold_s: float,
         factor.codes(corpus)[sel] * n_queries + corpus.query[sel],
         return_inverse=True)
     counts = np.bincount(codes, minlength=len(keys))
-    # every metric is a whole number of thirds (GU_LEVELS) or a count, so
-    # sums of thirds are exact and each mean rounds once: cells whose
-    # means are equal come out equal, whatever order their rows add in
+    # metrics are whole thirds (GU_LEVELS) or counts: sums of thirds are
+    # exact, so each mean rounds once and cells of equal means tie
     means = np.stack([np.bincount(codes, weights=np.rint(3.0 * m),
                                   minlength=len(keys))
                       for m in metrics.T], axis=1) / (3 * counts[:, None])

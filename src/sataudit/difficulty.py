@@ -54,8 +54,7 @@ def rank_and_average(group: np.ndarray, query: np.ndarray, gu: np.ndarray,
 
     This is the rank-and-average stage on its own; transforms of any one
     group's values that preserve order leave the output bit-identical.
-    A query's percentiles add in group-code order, whatever order the
-    cells come in.
+    A query's percentiles add in group-code order.
     """
     if len(group) == 0:
         raise DataError("difficulty estimation saw no (group, query) cells")

@@ -827,8 +827,7 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
     """Load a log file into a validated corpus.
 
     Invalid records are skipped (counted in metadata); more than 50%
-    malformed is fatal.  A CSV field may be up to 2**31 - 1 characters
-    long.  Reformulated flags are kept as written, -1 where
+    malformed is fatal.  Reformulated flags are kept as written, -1 where
     unset; the reformulation metric derives the missing ones.
     """
     path = Path(path)
@@ -847,9 +846,8 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
             records = (line for line in fh if not line.isspace())
         else:
             parse = _fields_from_row
-            # a field may be as long as an NDJSON line: the csv module's
-            # process-wide limit is lifted to the largest value every
-            # platform's C long holds, and put back however the read ends
+            # lift the csv module's process-wide field limit for this read
+            # alone, to 2**31 - 1 characters, which every platform accepts
             restore.callback(_csv.field_size_limit,
                              _csv.field_size_limit(2 ** 31 - 1))
             records = reader = _csv.DictReader(fh)

@@ -109,9 +109,8 @@ def build_observations(corpus: LogCorpus, difficulty: DifficultyTable,
                        metric: MetricKind,
                        dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                        ) -> ObservationSet:
-    """Regression rows for one metric, in row order; impressions whose
-    query has no difficulty estimate are skipped and counted.  ``topics``
-    lists the topics of the kept rows in text order."""
+    """Regression rows for one metric, in row order, topics in text order;
+    rows whose query has no difficulty estimate are skipped and counted."""
     if difficulty.queries != corpus.queries:
         raise DataError("the difficulty table is over another query list")
     rows = np.flatnonzero(~np.isnan(difficulty.values)[corpus.query])

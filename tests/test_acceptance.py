@@ -591,9 +591,8 @@ def _data_rows(path: Path) -> list[dict]:
 # metamorphic relation M1: swapping every record's gender swaps the
 # gender rows of the audit
 
-# seeds whose logs, this small, label some pairs; each seed takes an
-# audit's rounding another way (the deltas moved 2 to 7 units in the last
-# place of 1.0 on these seeds)
+# seeds whose logs, this small, label some pairs; each rounds the fits
+# another way
 M1_SEEDS = (1, 3, 4, 5, 6)
 
 
