@@ -73,6 +73,31 @@ class NormalizedScores(RawScores):
         return self.normalized.max(axis=1) - self.normalized.min(axis=1)
 
 
+def query_group_counts(corpus: LogCorpus, factor: Factor,
+                       rows: np.ndarray | None = None) -> np.ndarray:
+    """Impressions per (query code, group index) as a ``(queries,
+    groups)`` array, of the `rows` of the corpus (a mask or indices) when
+    given."""
+    sel = slice(None) if rows is None else rows
+    n_groups = len(factor.groups())
+    return np.bincount(
+        corpus.query[sel].astype(np.int64) * n_groups
+        + factor.codes(corpus)[sel],
+        minlength=len(corpus.queries) * n_groups).reshape(-1, n_groups)
+
+
+def row_ranks(table: np.ndarray) -> np.ndarray:
+    """The rank of each row of a 2-D `table` among its distinct rows in
+    lexicographic order (the first column is primary)."""
+    order = np.lexsort(table.T[::-1])
+    rows = table[order]
+    new = np.ones(len(table), dtype=np.int64)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rank = np.empty(len(table), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank
+
+
 def group_query_table(corpus: LogCorpus, factor: Factor,
                       dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S,
                       rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
@@ -142,29 +167,29 @@ def query_averaged_scores(corpus: LogCorpus, factor: Factor,
                      np.bincount(cell, weights=counts).astype(int))
 
 
-def normalize(scores: RawScores, reference: np.ndarray | None = None
+def normalize(scores: RawScores, reference: NormalizedScores | None = None
               ) -> NormalizedScores:
     """Min-max normalize each metric's group scores onto [0, 1].
 
-    With `reference`, the ``bounds`` of a previously normalized score set,
-    its affine map is applied instead of refitting, which keeps two
-    cohorts (for example all data versus a matched subset) on one
-    comparable scale; values may then fall outside [0, 1].
+    With `reference`, a previously normalized score set, its bounds'
+    affine map is applied instead of refitting, which keeps two cohorts
+    (for example all data versus a matched subset) on one comparable
+    scale; values may then fall outside [0, 1].
 
     A metric with no real range maps every group to 0 and is flagged as
-    degenerate.  Degenerate means the span is exactly zero, or (when
-    fitting fresh bounds) smaller than twice the combined standard error
-    of the extreme groups -- otherwise a factor whose groups genuinely
-    agree would still be stretched onto [0, 1] and report a spurious
-    full-scale gap.
+    degenerate.  Degenerate means the span is exactly zero or smaller
+    than twice the combined standard error of the extreme groups --
+    otherwise a factor whose groups genuinely agree would still be
+    stretched onto [0, 1] and report a spurious full-scale gap.  With a
+    `reference`, its flags are the rule: a span it found to be noise is
+    not divided by, and only a fresh fit logs the metrics it flags.
     """
     if len(scores.groups) < 2:
         raise DataError("normalization needs at least two non-empty groups")
     raw = scores.raw
     if reference is not None:
-        bounds = np.asarray(reference, dtype=float)
+        bounds, degenerate = reference.bounds, reference.degenerate
         span = bounds[:, 1] - bounds[:, 0]
-        degenerate = span == 0
     else:
         # the first minimal and the first maximal group in factor order
         extremes = np.stack([raw.argmin(axis=1), raw.argmax(axis=1)], axis=1)
@@ -173,10 +198,11 @@ def normalize(scores: RawScores, reference: np.ndarray | None = None
         se = np.nan_to_num(np.take_along_axis(scores.stderr, extremes, axis=1))
         span = bounds[:, 1] - bounds[:, 0]
         degenerate = (span == 0) | (span <= 2.0 * np.sqrt((se * se).sum(1)))
-    for kind, flat, s in zip(METRICS, degenerate.tolist(), span.tolist()):
-        if flat:
+        # a reference's flags were reported when it was normalized
+        for k in np.flatnonzero(degenerate).tolist():
             logger.warning("normalize: metric %s has no real range across "
-                           "groups (span %g); emitting zeros", kind.value, s)
+                           "groups (span %g); emitting zeros",
+                           METRICS[k].value, span[k])
     normalized = np.divide(raw - bounds[:, :1], span[:, None],
                            out=np.zeros_like(raw),
                            where=~degenerate[:, None])

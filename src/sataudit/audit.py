@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +41,6 @@ _RANGE_RULES = {
     "nav_share": [("in (0, 1]", lambda v: 0 < v <= 1)],
     "k": [("positive", lambda v: v > 0)],
     "pair_fraction": [("in (0, 1]", lambda v: 0 < v <= 1)],
-    "pairs_per_query": [("at least 1", lambda v: v >= 1)],
     "prior_variance": [("a positive number", lambda v: v > 0)],
     "empirical_bayes": [],
     "default_thresholds": [],
@@ -67,7 +67,6 @@ class AuditConfig:
     nav_share: float = matching.DEFAULT_NAV_SHARE
     k: float = pairwise.DEFAULT_THRESHOLDS.k
     pair_fraction: float = pairwise.DEFAULT_QUERY_FRACTION
-    pairs_per_query: int = pairwise.DEFAULT_PAIRS_PER_QUERY
     prior_variance: float = 1.0
     empirical_bayes: bool = False
     default_thresholds: bool = False
@@ -171,11 +170,10 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
             dwell_threshold_s=dwell)
         matched_raw = matching.matched_raw_scores(res.cohort, dwell)
         res.matched = aggregate.normalize(matched_raw)
-        res.matched_common = aggregate.normalize(matched_raw,
-                                                 reference=raw.bounds)
-        gaps_common = np.where(raw.degenerate, 0.0, res.matched_common.gaps)
-        divergent = ~raw.degenerate & (raw.gaps > 0) \
-            & (gaps_common <= raw.gaps / 3.0)
+        res.matched_common = aggregate.normalize(matched_raw, reference=raw)
+        gaps_common = res.matched_common.gaps
+        # a metric raw flags as degenerate has no gap on either scale
+        divergent = (raw.gaps > 0) & (gaps_common <= raw.gaps / 3.0)
         summary["matched"] = {
             "gaps": _by_metric(res.matched.gaps),
             "gaps_common_scale": _by_metric(gaps_common),
@@ -210,19 +208,22 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
         counts = res.counts[method] = pairwise.count_pair_labels(
             corpus, eligible, cfg.seed, thresholds,
             mode="internal" if method == "pairwise" else "external",
-            fraction=cfg.pair_fraction, pairs_per_query=cfg.pairs_per_query,
-            factor=factor, dwell_threshold_s=dwell)
+            fraction=cfg.pair_fraction, factor=factor,
+            dwell_threshold_s=dwell)
         model = res.models[method] = pairwise.fit_pair_model(
             counts, cfg.prior_variance)
         model.thresholds = thresholds
-        positive, negative = int(counts.wins.sum()), int(counts.losses.sum())
+        # expected counts, summed exactly so that no order of the
+        # profiles moves them
+        positive, negative = (math.fsum(counts.wins.flat),
+                              math.fsum(counts.losses.flat))
         g, h = (list(Gender).index(x) for x in GRID_GENDERS)
         grid = pairwise.probability_grid(model)[:, g, :, h].tolist()
         summary[method] = {
             "grid": {a.label: {b.label: p for b, p in zip(AgeGroup, row)}
                      for a, row in zip(AgeGroup, grid)},
             "labels": {"positive": positive, "negative": negative,
-                       "zero": counts.n_pairs - positive - negative,
+                       "zero": counts.n_pairs - (positive + negative),
                        "total": counts.n_pairs},
             "thresholds": dataclasses.asdict(thresholds),
             "n_eligible_queries": len(eligible)}

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .aggregate import Factor, RawScores, query_averaged_scores
+from .aggregate import Factor, RawScores, query_averaged_scores, \
+    query_group_counts, row_ranks
 from .logmodel import LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S
 
@@ -98,13 +99,7 @@ def _page_ranks(corpus: LogCorpus, rows: np.ndarray,
     shown = cols < length[:, None]
     prefix = np.full(shown.shape, -1, dtype=np.int32)
     prefix[shown] = corpus.result[(start[:, None] + cols)[shown]]
-    order = np.lexsort(prefix.T[::-1])      # the first column is primary
-    pages = prefix[order]
-    new = np.ones(len(rows), dtype=np.int64)
-    new[1:] = (pages[1:] != pages[:-1]).any(axis=1)
-    rank = np.empty(len(rows), dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    return rank
+    return row_ranks(prefix)
 
 
 def navigational_queries_proxy(
@@ -144,13 +139,10 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
         raise DataError("min_impressions must be >= 1")
     if serp_prefix < 1:
         raise DataError("serp_prefix must be >= 1")
-    group, query = factor.codes(corpus), corpus.query
-    n_groups, n_queries = len(factor.groups()), len(corpus.queries)
+    query = corpus.query
 
     def meets_floor(mask: np.ndarray) -> np.ndarray:
-        per_group = np.bincount(
-            query[mask].astype(np.int64) * n_groups + group[mask],
-            minlength=n_queries * n_groups).reshape(n_queries, n_groups)
+        per_group = query_group_counts(corpus, factor, mask)
         return mask & (per_group.min(axis=1) >= min_impressions)[query]
 
     stages = {"input": np.ones(len(corpus), dtype=bool)}

@@ -12,6 +12,9 @@ integers, while graded-utility thresholds stay continuous because GU
 differences live on a 1/3-spaced grid and any threshold between grid
 points acts identically.
 
+A seeded share of the eligible queries is sampled, and each counts the
+labels a draw of :data:`QUERY_WEIGHT` of its cross-group pairs would
+give on average, exactly, without drawing a pair.
 A penalized logistic model then regresses the labels on slot indicator
 features (age and gender of each side plus their four-way interaction).
 It reads only how many pairs of each (profile i, profile j) pattern won
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientSignalError
-from .aggregate import Factor
+from .aggregate import Factor, query_group_counts, row_ranks
 from .glmfit import CellDesign, Convergence, Family, fit_penalized_glm
 from .logmodel import AgeGroup, Gender, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind, metric_table
@@ -46,7 +49,11 @@ _AGES = list(AgeGroup)
 _GENDERS = list(Gender)
 
 DEFAULT_QUERY_FRACTION = 0.1
-DEFAULT_PAIRS_PER_QUERY = 10_000
+# the weight of one sampled query, in pairs: its label counts are those
+# expected of a draw of this many of its cross-group pairs
+QUERY_WEIGHT = 10_000
+# state pairs labelled at once, which bounds the labeller's temporaries
+STATE_PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -158,7 +165,7 @@ def label_batch_external(pcc_i, pcc_j,
 
 
 # ---------------------------------------------------------------------------
-# eligibility and sampling
+# eligibility and label counts
 
 def eligible_queries(corpus: LogCorpus, factor: Factor = Factor.AGE,
                      min_groups: int | None = None,
@@ -167,14 +174,11 @@ def eligible_queries(corpus: LogCorpus, factor: Factor = Factor.AGE,
     for age, 2 for gender; a pair needs two, so fewer is a ConfigError)
     with at least `min_impressions` impressions in total (where matching
     asks that many of every group), in code order, which is text order."""
-    n_groups = len(factor.groups())
     if min_groups is None:
         min_groups = 3 if factor is Factor.AGE else 2
     if min_groups < 2:
         raise ConfigError(f"min_groups must be at least 2, got {min_groups}")
-    per_group = np.bincount(corpus.query * n_groups + factor.codes(corpus),
-                            minlength=len(corpus.queries) * n_groups
-                            ).reshape(-1, n_groups)
+    per_group = query_group_counts(corpus, factor)
     keep = (((per_group > 0).sum(axis=1) >= min_groups)
             & (per_group.sum(axis=1) >= min_impressions))
     return [corpus.queries[q] for q in np.flatnonzero(keep).tolist()]
@@ -183,10 +187,12 @@ def eligible_queries(corpus: LogCorpus, factor: Factor = Factor.AGE,
 @dataclass(frozen=True)
 class PairCounts:
     """What the pair stage keeps of one labeller's run: the sampled
-    queries (in text order), the number of pairs drawn, and per (slot i
-    profile, slot j profile) pattern (:attr:`LogCorpus.profile` codes) the
-    pairs labelled +1 (`wins`) and -1 (`losses`), each an (8, 8) int64
-    matrix.  The pair model reads nothing else."""
+    queries (in text order), the pairs they weigh (:data:`QUERY_WEIGHT`
+    per query that has a cross-group pair), and per (slot i profile, slot
+    j profile) pattern (:attr:`LogCorpus.profile` codes) the expected
+    pairs labelled +1 (`wins`) and -1 (`losses`), each an (8, 8) float
+    matrix, `losses` the transpose of `wins`.  The pair model reads
+    nothing else."""
 
     queries: list[str]
     n_pairs: int
@@ -194,91 +200,26 @@ class PairCounts:
     losses: np.ndarray
 
 
-def _cross_pairs_at(codes: np.ndarray, picks: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (a, b), a < b, of the `picks`-th cross-group pairs.
-
-    Cross-group pairs are numbered in lexicographic (a, b) order, the
-    order of ``np.triu_indices`` filtered to differing codes, without
-    building the n(n-1)/2 position pairs: each member's count of later
-    partners gives a pick's `a`, and its `b` is found by position among
-    the members of the other groups.  Besides O(n) per-member arrays this
-    holds one int32 owner per cross pair, which the enumeration limit in
-    :func:`_draw_pairs` caps.
-    """
-    n = len(codes)
-    pos = np.arange(n)
-    per_group = np.bincount(codes)
-    by_group = np.argsort(codes, kind="stable")
-    rank = np.empty(n, dtype=np.intp)      # position within its own group
-    rank[by_group] = pos - (np.cumsum(per_group) - per_group)[codes[by_group]]
-    # members after each one outside its group, and its first pick
-    later = (n - 1 - pos) - (per_group[codes] - 1 - rank)
-    first_pick = np.cumsum(later) - later
-    # the other groups' members in position order, one block per group;
-    # `pos - rank` of a member's block lie at or before it
-    others = np.concatenate([pos[codes != g] for g in range(len(per_group))])
-    block = np.cumsum(n - per_group) - (n - per_group)
-    first = block[codes] + pos - rank - first_pick
-    a = np.repeat(pos.astype(np.int32), later)[picks]
-    return a, others[first[a] + picks]
-
-
-def _draw_pairs(codes: np.ndarray, pairs_per_query: int,
-                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One query's draw of up to `pairs_per_query` unordered cross-group
-    pairs, as positions (a, b), a < b, into its `codes`: with replacement
-    when it has fewer distinct ones than the quota, so small queries still
-    contribute the full quota."""
-    n = len(codes)
-    per_group = np.bincount(codes)
-    n_cross = (n * n - int(per_group @ per_group)) // 2
-    if n_cross == 0:
-        return codes[:0], codes[:0]
-    if n_cross <= max(4 * pairs_per_query, 200_000):
-        if n_cross < pairs_per_query:
-            picks = rng.integers(0, n_cross, size=pairs_per_query)
-        elif n_cross == pairs_per_query:
-            picks = np.arange(n_cross)
-        else:
-            picks = rng.choice(n_cross, size=pairs_per_query, replace=False)
-        return _cross_pairs_at(codes, picks)
-    # too many pairs to enumerate: batched rejection sampling on packed
-    # (a, b) keys, deduplicated until the quota is met
-    have = np.empty(0, dtype=np.int64)
-    while have.size < pairs_per_query:
-        draw = max(2 * (pairs_per_query - have.size), 1024)
-        a = rng.integers(0, n, size=draw)
-        b = rng.integers(0, n, size=draw)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        ok = codes[lo] != codes[hi]
-        keys = lo[ok] * np.int64(n) + hi[ok]
-        have = np.unique(np.concatenate([have, keys]))
-    if have.size > pairs_per_query:
-        have = rng.choice(have, size=pairs_per_query, replace=False)
-    return have // n, have % n
-
-
 def count_pair_labels(corpus: LogCorpus, queries: list[str], seed: int,
                       thresholds: PairThresholds = DEFAULT_THRESHOLDS,
                       mode: str = "internal",
                       fraction: float = DEFAULT_QUERY_FRACTION,
-                      pairs_per_query: int = DEFAULT_PAIRS_PER_QUERY,
                       factor: Factor = Factor.AGE,
                       dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                       ) -> PairCounts:
-    """The pair stage, one query at a time: a seeded slice of `queries`,
-    then per query up to `pairs_per_query` unordered cross-group pairs,
-    labelled under the internal or external rule set and added to the
-    win and loss counts of their profile patterns.
+    """The pair stage: a seeded slice of `queries`, then per query the
+    label counts expected of a draw of :data:`QUERY_WEIGHT` cross-group
+    pairs, exactly, under the internal or external rule set.
 
-    Deterministic given the seed.  Only the counts outlive a query, so
-    memory grows with one query's quota, not with the sample's size.
+    A label reads only each side's state ((GU, reformulation, SCC), or
+    page clicks for the external rule), so an (8, S) histogram H of
+    (profile, state) gives the ordered cross-group pairs slot i wins as
+    ``H @ [L == +1] @ H.T`` over the state labels L, masked to profiles
+    of different groups.  Each labelled pair enters in both orders at
+    half weight, so the counts do not depend on row order.
     """
     if not 0 < fraction <= 1:
         raise ConfigError("query fraction must be in (0, 1]")
-    if pairs_per_query < 1:
-        raise ConfigError("pairs_per_query must be >= 1")
     rng = np.random.default_rng(seed)
     ordered_queries = sorted(set(queries))
     if not ordered_queries:
@@ -295,33 +236,41 @@ def count_pair_labels(corpus: LogCorpus, queries: list[str], seed: int,
                         "is clicks-only (use the external labeler)")
     if mode == "internal":
         gu, reform, _, scc = metric_table(corpus, dwell_threshold_s).T
-
-        def label(i, j):
-            return label_batch_internal(gu[i], reform[i], scc[i],
-                                        gu[j], reform[j], scc[j], thresholds)
+        state, label = np.column_stack([gu, reform, scc]), label_batch_internal
     else:
-        pcc = corpus.click_count
-
-        def label(i, j):
-            return label_batch_external(pcc[i], pcc[j], thresholds)
+        state, label = corpus.click_count[:, None], label_batch_external
 
     query_code = {q: c for c, q in enumerate(corpus.queries)}
-    group, profile = factor.codes(corpus), corpus.profile
-    wins = np.zeros(64, dtype=np.int64)
-    losses = np.zeros(64, dtype=np.int64)
+    sizes = query_group_counts(corpus, factor)
+    n_cross = (sizes.sum(axis=1) ** 2 - (sizes * sizes).sum(axis=1)) // 2
+    # a profile code is age * 2 + gender (LogCorpus.profile)
+    group_of = np.arange(8) >> 1 if factor is Factor.AGE else np.arange(8) & 1
+    cross = group_of[:, None] != group_of[None, :]
+    wins = np.zeros((8, 8))
     n_pairs = 0
     for q in chosen:
-        # the query's impressions, in row (impression-id) order
-        members = np.flatnonzero(corpus.query == query_code.get(q, -1))
-        a, b = _draw_pairs(group[members], pairs_per_query, rng)
-        i, j = members[a], members[b]
-        labels = label(i, j)
-        pattern = profile[i] * 8 + profile[j]
-        wins += np.bincount(pattern[labels == 1], minlength=64)
-        losses += np.bincount(pattern[labels == -1], minlength=64)
-        n_pairs += len(i)
-    return PairCounts(queries=chosen, n_pairs=n_pairs,
-                      wins=wins.reshape(8, 8), losses=losses.reshape(8, 8))
+        code = query_code.get(q, -1)
+        if code < 0 or n_cross[code] == 0:
+            continue
+        members = np.flatnonzero(corpus.query == code)
+        rows = state[members]
+        state_of = row_ranks(rows)
+        n_states = int(state_of.max()) + 1
+        # the distinct states in rank order, one column each
+        columns = np.zeros((rows.shape[1], n_states))
+        columns[:, state_of] = rows.T
+        hist = np.bincount(corpus.profile[members] * n_states + state_of,
+                           minlength=8 * n_states).reshape(8, n_states)
+        won = np.zeros((8, 8), dtype=np.int64)
+        step = max(1, STATE_PAIR_BLOCK // n_states)
+        for lo in range(0, n_states, step):
+            won_block = label(*columns[:, lo:lo + step, None],
+                              *columns[:, None], thresholds) == 1
+            won += hist[:, lo:lo + step] @ won_block @ hist.T
+        wins += np.where(cross, won, 0) * QUERY_WEIGHT / (2 * n_cross[code])
+        n_pairs += QUERY_WEIGHT
+    return PairCounts(queries=chosen, n_pairs=n_pairs, wins=wins,
+                      losses=wins.T)
 
 
 # ---------------------------------------------------------------------------
@@ -334,18 +283,19 @@ class PairModel:
 
     Coefficients are stored antisymmetrized (slot j's effects negate slot
     i's `age` and `gender`, `interaction[a, g, b, h]` negates under slot
-    swap and is NaN for a pattern never observed, mu0 is zero), which the
+    swap and is NaN for a pattern never observed), which the
     symmetrized training objective already implies at its optimum; storing
-    the projection makes the complement identity exact.
+    the projection makes the complement identity exact.  `n_pairs` is the
+    labelled pairs it was fitted on, an expected count from the pair
+    stage.
     """
 
-    mu0: float
     age: np.ndarray                # (4,)
     gender: np.ndarray             # (2,)
     interaction: np.ndarray        # (4, 2, 4, 2)
     prior_variance: float
     convergence: Convergence
-    n_pairs: int = 0
+    n_pairs: float = 0.0
     thresholds: PairThresholds | None = None
 
     def to_dict(self) -> dict:
@@ -356,7 +306,6 @@ class PairModel:
                      self.interaction.ravel().tolist())
                  if not math.isnan(v)}
         return {
-            "mu0": self.mu0,
             "age_i": {a.name: v for a, v in zip(_AGES, age)},
             "age_j": {a.name: -v for a, v in zip(_AGES, age)},
             "gender_i": {g.code: v for g, v in zip(_GENDERS, gender)},
@@ -383,7 +332,7 @@ def fit_pair_model(counts: PairCounts,
         raise ConfigError("prior variance must be positive")
     wins, losses = counts.wins, counts.losses
     fired = wins + losses
-    n_labelled = int(fired.sum())
+    n_labelled = math.fsum(wins.flat) + math.fsum(losses.flat)
     if n_labelled == 0:
         raise InsufficientSignalError(
             "no nonzero-labeled pairs; the labeler abstained everywhere")
@@ -417,7 +366,7 @@ def fit_pair_model(counts: PairCounts,
     raw.flat[patterns] = theta[13:]
     half = 0.5 * (raw - raw.T)
     interaction = np.where(np.tri(8, dtype=bool), -half.T, half)
-    return PairModel(mu0=0.0, age=0.5 * (theta[1:5] - theta[5:9]),
+    return PairModel(age=0.5 * (theta[1:5] - theta[5:9]),
                      gender=0.5 * (theta[9:11] - theta[11:13]),
                      interaction=interaction.reshape(shape),
                      prior_variance=prior_variance,
@@ -436,7 +385,7 @@ def probability_grid(model: PairModel) -> np.ndarray:
     age = model.age[:, None, None, None] - model.age[None, None, :, None]
     gender = (model.gender[None, :, None, None]
               - model.gender[None, None, None, :])
-    eta = ((age + gender) + np.nan_to_num(model.interaction)) + model.mu0
+    eta = (age + gender) + np.nan_to_num(model.interaction)
     p = np.array([1.0 / (1.0 + math.exp(-z))
                   for z in np.abs(eta).ravel().tolist()]).reshape(eta.shape)
     return np.where(eta < 0, 1.0 - p, p)

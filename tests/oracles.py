@@ -6,11 +6,13 @@ successful click that context matching keys on, the NDJSON record
 dict that :func:`sataudit.logmodel.emit` writes, and query-averaged
 group scores summed in loops, the reference for
 :func:`sataudit.aggregate.query_averaged_scores`, and the enumerated
-cross-group pairs of one query, the reference for the pair picks of
-`sample_pairs`.  `sample_pairs` and `label_sample` draw and label a whole
-pair sample at once, and `fit_pair_model_from_pairs` fits the pair model
-from its labelled pairs: the references for the per-query counts of
-:func:`sataudit.pairwise.count_pair_labels` and for
+cross-group pairs of one query, the reference for the pair picks
+(`cross_pairs_at`) of `sample_pairs`.  `sample_pairs` and `label_sample`
+draw and label a whole pair sample at once, the sampler whose expected
+counts :func:`sataudit.pairwise.count_pair_labels` computes exactly;
+`every_pair_counts` labels every cross-group pair one at a time, the
+reference for those counts; and `fit_pair_model_from_pairs` fits the
+pair model from labelled pairs, the reference for
 :func:`sataudit.pairwise.fit_pair_model`, with `pattern_counts` tallying
 a sample's counts pair by pair.  `difficulty_from_group_scores`
 ranks and averages per-group ``{query: GU}`` maps in loops, the
@@ -171,6 +173,35 @@ def cross_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ia[keep], ib[keep]
 
 
+def cross_pairs_at(codes: np.ndarray, picks: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (a, b), a < b, of the `picks`-th cross-group pairs.
+
+    Cross-group pairs are numbered in lexicographic (a, b) order, the
+    order of :func:`cross_pairs`, without building the n(n-1)/2 position
+    pairs: each member's count of later partners gives a pick's `a`, and
+    its `b` is found by position among the members of the other groups.
+    Besides O(n) per-member arrays this holds one int32 owner per cross
+    pair, which the enumeration limit in :func:`sample_pairs` caps.
+    """
+    n = len(codes)
+    pos = np.arange(n)
+    per_group = np.bincount(codes)
+    by_group = np.argsort(codes, kind="stable")
+    rank = np.empty(n, dtype=np.intp)      # position within its own group
+    rank[by_group] = pos - (np.cumsum(per_group) - per_group)[codes[by_group]]
+    # members after each one outside its group, and its first pick
+    later = (n - 1 - pos) - (per_group[codes] - 1 - rank)
+    first_pick = np.cumsum(later) - later
+    # the other groups' members in position order, one block per group;
+    # `pos - rank` of a member's block lie at or before it
+    others = np.concatenate([pos[codes != g] for g in range(len(per_group))])
+    block = np.cumsum(n - per_group) - (n - per_group)
+    first = block[codes] + pos - rank - first_pick
+    a = np.repeat(pos.astype(np.int32), later)[picks]
+    return a, others[first[a] + picks]
+
+
 def enumerated_pairs(codes: np.ndarray, pairs_per_query: int,
                      rng: np.random.Generator
                      ) -> tuple[np.ndarray, np.ndarray]:
@@ -203,7 +234,7 @@ class PairSample:
 
 def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
                  fraction: float = pairwise.DEFAULT_QUERY_FRACTION,
-                 pairs_per_query: int = pairwise.DEFAULT_PAIRS_PER_QUERY,
+                 pairs_per_query: int = pairwise.QUERY_WEIGHT,
                  factor: Factor = Factor.AGE) -> PairSample:
     """Seeded two-stage sample, every pair kept: a slice of queries, then
     per query up to `pairs_per_query` unordered cross-group pairs, with
@@ -242,7 +273,7 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
             else:
                 picks = rng.choice(n_cross, size=pairs_per_query,
                                    replace=False)
-            i_sel, j_sel = pairwise._cross_pairs_at(codes, picks)
+            i_sel, j_sel = cross_pairs_at(codes, picks)
         else:
             have = np.empty(0, dtype=np.int64)
             while have.size < pairs_per_query:
@@ -311,6 +342,35 @@ def pattern_counts(corpus: LogCorpus, sample: PairSample, labels
     return wins, losses
 
 
+def every_pair_counts(corpus: LogCorpus, queries: list[str],
+                      thresholds=pairwise.DEFAULT_THRESHOLDS,
+                      mode: str = "internal", factor: Factor = Factor.AGE
+                      ) -> tuple[int, np.ndarray]:
+    """The pair stage's weighted win counts the brute-force way: every
+    cross-group pair of each of `queries` (in that order) enumerated,
+    labelled and tallied one at a time by who won, each query's tally
+    then weighted by ``QUERY_WEIGHT / (2 n_cross)``; with the pairs the
+    queries weigh."""
+    group, profile = factor.codes(corpus), corpus.profile.tolist()
+    wins, n_pairs = np.zeros((8, 8)), 0
+    for q in queries:
+        members = np.flatnonzero(corpus.query == corpus.queries.index(q))
+        a, b = cross_pairs(group[members])
+        if not len(a):
+            continue
+        sample = PairSample(members[a], members[b], [q])
+        won = np.zeros((8, 8), dtype=np.int64)
+        for i, j, lab in zip(sample.i_idx.tolist(), sample.j_idx.tolist(),
+                             label_sample(corpus, sample, thresholds,
+                                          mode).tolist()):
+            if lab:
+                winner, loser = (i, j) if lab == 1 else (j, i)
+                won[profile[winner], profile[loser]] += 1
+        wins += won * pairwise.QUERY_WEIGHT / (2 * len(a))
+        n_pairs += pairwise.QUERY_WEIGHT
+    return n_pairs, wins
+
+
 def fit_pair_model_from_pairs(corpus: LogCorpus, sample: PairSample, labels,
                               prior_variance: float = 1.0) -> PairModel:
     """The pair model fitted from every labelled pair: rows symmetrized,
@@ -352,7 +412,7 @@ def fit_pair_model_from_pairs(corpus: LogCorpus, sample: PairSample, labels,
     raw.flat[patterns] = theta[13:]
     half = 0.5 * (raw - raw.T)
     interaction = np.where(np.tri(8, dtype=bool), -half.T, half)
-    return PairModel(mu0=0.0, age=0.5 * (theta[1:5] - theta[5:9]),
+    return PairModel(age=0.5 * (theta[1:5] - theta[5:9]),
                      gender=0.5 * (theta[9:11] - theta[11:13]),
                      interaction=interaction.reshape(shape),
                      prior_variance=prior_variance,
@@ -462,11 +522,12 @@ def navigational_queries_proxy(
             if top[q] / total[q] >= nav_share}
 
 
-def normalize(scores: RawScores, reference: dict | None = None
+def normalize(scores: RawScores, reference: tuple | None = None
               ) -> tuple[dict, dict, set]:
     """Min-max normalized group scores as ``({metric: {group: value}},
     {metric: (lo, hi)}, degenerate metrics)``, one cell at a time; a
-    `reference` maps each metric to the (lo, hi) to reuse."""
+    `reference`, the last two of another call's results, gives each
+    metric's (lo, hi) to reuse and the metrics to flag."""
     groups = scores.groups
     out: dict = {}
     bounds: dict = {}
@@ -475,9 +536,9 @@ def normalize(scores: RawScores, reference: dict | None = None
         vals = dict(zip(groups, scores.raw[k].tolist()))
         stderr = dict(zip(groups, scores.stderr[k].tolist()))
         if reference is not None:
-            lo, hi = reference[kind]
+            lo, hi = reference[0][kind]
             span = hi - lo
-            is_degenerate = span == 0
+            is_degenerate = kind in reference[1]
         else:
             g_lo = min(groups, key=lambda g: vals[g])
             g_hi = max(groups, key=lambda g: vals[g])
@@ -611,7 +672,7 @@ def predict_pair_prob(model: PairModel, age_i: AgeGroup, gender_i: Gender,
     age_term = model.age[a] - model.age[b]
     gender_term = model.gender[g] - model.gender[h]
     inter = np.nan_to_num(model.interaction[a, g, b, h])
-    eta = ((age_term + gender_term) + inter) + model.mu0
+    eta = (age_term + gender_term) + inter
     if eta >= 0:
         return 1.0 / (1.0 + math.exp(-eta))
     return 1.0 - 1.0 / (1.0 + math.exp(eta))

@@ -242,19 +242,16 @@ def test_criterion_5_labeler_fidelity(truegap_data):
 def test_criterion_6_pairwise_null_and_detection(null_data, truegap_data):
     t0 = time.perf_counter()
 
-    def pair_fit(corpus, fraction=None, pairs_per_query=None, seed=0):
+    def pair_fit(corpus, fraction=None, seed=0):
         kw = {}
         if fraction is not None:
             kw["pair_fraction"] = fraction
-        if pairs_per_query is not None:
-            kw["pairs_per_query"] = pairs_per_query
         cfg = AuditConfig(methods="pairwise", default_thresholds=True,
                           seed=seed, **kw)
         return run_audit(corpus, cfg).models["pairwise"]
 
     null_corpus, _ = null_data
-    null_model = pair_fit(null_corpus, fraction=1.0, pairs_per_query=25_000,
-                          seed=20240601)
+    null_model = pair_fit(null_corpus, fraction=1.0, seed=20240601)
     male, female = 0, 1                 # gender codes, in Gender order
     null_grid = pairwise.probability_grid(null_model)[:, male, :, female]
     flat = null_grid.ravel().tolist()
@@ -735,8 +732,8 @@ def test_m2_age_cycle_permutes_the_age_rows(tmp_path):
 
 # ---------------------------------------------------------------------------
 # metamorphic relation M3: renaming the impressions by an order-reversing
-# bijection leaves the audit unchanged.  The pair stage is left out: its
-# sampler draws pairs by row position, so a rename draws other pairs
+# bijection leaves the audit unchanged, the pair stage included: its label
+# counts read each query's histogram of states, never a row position
 
 def test_m3_id_reversal_does_not_change_the_audit(tmp_path):
     t0 = time.perf_counter()
@@ -753,20 +750,28 @@ def test_m3_id_reversal_does_not_change_the_audit(tmp_path):
         for r in records:
             r["impression_id"] = reverse[r["impression_id"]]
             fh.write(json.dumps(r) + "\n")
-    out = {}
+    out, fixed = {}, {}
     for name, log in (("file", gen / "corpus.ndjson"),
                       ("reversed", tmp_path / "reversed" / "corpus.ndjson")):
         out[name] = tmp_path / "out" / name
         assert main(["audit", "--input", str(log),
-                     "--methods", "raw,matched,multilevel",
+                     "--methods", "raw,matched,multilevel,pairwise",
                      "--navigational", str(gen / "navigational_queries.txt"),
-                     "--out", str(out[name])]) == 0
+                     "--pair-fraction", "1.0", "--out", str(out[name])]) == 0
+        # the pair stage alone, at the default thresholds
+        fixed[name] = tmp_path / "fixed" / name
+        assert main(["audit", "--input", str(log), "--methods", "pairwise",
+                     "--default-thresholds", "--pair-fraction", "1.0",
+                     "--out", str(fixed[name])]) == 0
     elapsed = time.perf_counter() - t0
 
     for table in ("raw_scores.csv", "matched_scores.csv", "attrition.csv",
-                  "difficulty.csv"):
+                  "difficulty.csv", "pair_grid.json"):
         assert (out["reversed"] / table).read_bytes() == \
             (out["file"] / table).read_bytes(), table
+    for doc in ("pair_model.json", "pair_grid.json"):
+        assert (fixed["reversed"] / doc).read_bytes() == \
+            (fixed["file"] / doc).read_bytes(), doc
     # the fits, to rounding: the same deltas, and the same prediction
     # grid rows in the same order
     summary = {name: json.loads((out[name] / "summary.json").read_text(
@@ -774,6 +779,22 @@ def test_m3_id_reversal_does_not_change_the_audit(tmp_path):
     deltas = summary["file"]["multilevel"]["deltas"]
     gaps = {kind: abs(summary["reversed"]["multilevel"]["deltas"][kind] - d)
             for kind, d in deltas.items()}
+    labels = summary["file"]["pairwise"]["labels"]
+    assert summary["reversed"]["pairwise"]["labels"] == labels
+    assert labels["positive"] == labels["negative"] > 0
+    # the pair model is the same but for the thresholds derived from the
+    # deltas, k times a delta or half of one
+    models = {name: json.loads((out[name] / "pair_model.json").read_text(
+        encoding="utf-8")) for name in out}
+    thresholds = {name: models[name].pop("thresholds") for name in out}
+    assert models["reversed"] == models["file"]
+    k = thresholds["file"]["k"]
+    for name, kind in (("gu_strong", GU), ("gu_weak", GU),
+                       ("scc_strong", MetricKind.SUCCESSFUL_CLICK_COUNT),
+                       ("scc_weak", MetricKind.SUCCESSFUL_CLICK_COUNT),
+                       ("pcc_external", MetricKind.PAGE_CLICK_COUNT)):
+        gaps[kind.value] = max(gaps[kind.value], abs(
+            thresholds["reversed"][name] - thresholds["file"][name]) / k)
     grid = {name: _data_rows(out[name] / "prediction_grid.csv")
             for name in out}
     assert [{**r, "value": None} for r in grid["reversed"]] == \
@@ -782,9 +803,11 @@ def test_m3_id_reversal_does_not_change_the_audit(tmp_path):
         gaps[a["metric"]] = max(gaps[a["metric"]],
                                 abs(float(a["value"]) - float(b["value"])))
     worst = _within_fit_rounding(gaps, out["file"])
-    print(f"M3 (impression-id reversal): PASS; raw, matched, attrition and "
-          f"difficulty tables byte-identical, {len(grid['file'])} grid rows "
-          f"in the same order, largest delta or grid gap over the fit's "
+    print(f"M3 (impression-id reversal): PASS; raw, matched, attrition, "
+          f"difficulty and pair-grid files byte-identical, labels "
+          f"{labels} identical, pair files at the default thresholds "
+          f"byte-identical, {len(grid['file'])} grid rows in the same "
+          f"order, largest delta, threshold or grid gap over the fit's "
           f"largest coefficient "
           + ", ".join(f"{k} {v:.2g}" for k, v in worst.items())
           + f" ({elapsed:.1f}s)")

@@ -219,7 +219,8 @@ class TestNormalize:
     def test_reference_bounds_reuse_the_affine_map(self):
         raw = _raw_scores({Gender.MALE: 2.0, Gender.FEMALE: 12.0},
                           factor=Factor.GENDER)
-        ref = np.array([(0.0, 10.0)] * len(METRICS))
+        ref = normalize(_raw_scores({Gender.MALE: 0.0, Gender.FEMALE: 10.0},
+                                    factor=Factor.GENDER))
         norm = normalize(raw, reference=ref)
         assert _at(norm.normalized, norm, GU, Gender.MALE) == 0.2
         assert _at(norm.normalized, norm, GU, Gender.FEMALE) == 1.2  # off
@@ -228,14 +229,30 @@ class TestNormalize:
     def test_reference_mode_ignores_the_noise_rule(self):
         raw = _raw_scores({Gender.MALE: 0.50, Gender.FEMALE: 0.51},
                           stderr=0.05, factor=Factor.GENDER)
-        norm = normalize(raw, reference=np.array([(0.0, 1.0)] * len(METRICS)))
+        ref = normalize(_raw_scores({Gender.MALE: 0.0, Gender.FEMALE: 1.0},
+                                    factor=Factor.GENDER))
+        norm = normalize(raw, reference=ref)
         assert not norm.degenerate.any()
 
     def test_zero_span_reference_is_degenerate(self):
         raw = _raw_scores({Gender.MALE: 1.0, Gender.FEMALE: 2.0},
                           factor=Factor.GENDER)
-        norm = normalize(raw, reference=np.array([(3.0, 3.0)] * len(METRICS)))
+        ref = normalize(_raw_scores({Gender.MALE: 3.0, Gender.FEMALE: 3.0},
+                                    factor=Factor.GENDER))
+        assert ref.bounds.tolist() == [[3.0, 3.0]] * len(METRICS)
+        norm = normalize(raw, reference=ref)
         assert norm.degenerate.all()
+
+    def test_a_reference_span_flagged_as_noise_is_not_divided_by(self):
+        # the reference's span, 0.01, is under its noise floor: its flag
+        # is the rule, so the rescaled scores read 0, not -30 and 40
+        ref = normalize(_raw_scores({Gender.MALE: 0.50, Gender.FEMALE: 0.51},
+                                    stderr=0.05, factor=Factor.GENDER))
+        assert ref.degenerate.all()
+        norm = normalize(_raw_scores({Gender.MALE: 0.2, Gender.FEMALE: 0.9},
+                                     factor=Factor.GENDER), reference=ref)
+        assert norm.degenerate.all()
+        assert not norm.normalized.any() and not norm.gaps.any()
 
     def test_single_group_raises(self):
         with pytest.raises(DataError, match="two non-empty groups"):

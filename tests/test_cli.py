@@ -819,7 +819,7 @@ class TestAudit:
                              "navigational", "out"}
         fields = {f.name for f in dataclasses.fields(AuditConfig)}
         assert flags == fields
-        assert len(fields) == 14
+        assert len(fields) == 13
         # a config file may set every field; test_unknown_config_key
         # checks that any other key is refused
         cfg = tmp_path / "audit.json"
@@ -835,7 +835,7 @@ class TestAudit:
         meta = json.loads((qmix_audit / "summary.json").read_text(
             encoding="utf-8"))["meta"]
         assert meta["config_sha256"] == \
-            "cbe24f9603c982b4911c33a6d7752ca8fe91a85d4f6c77fb0c808710e0bffa62"
+            "1719b9347423696ab52c8fdf8b6b24078f87ad467a78c04194dba9f10ee6940e"
         cfg = tmp_path / "audit.json"
         cfg.write_text(json.dumps({"k": 3, "methods": "raw"}),
                        encoding="utf-8")  # an int k
@@ -845,7 +845,7 @@ class TestAudit:
         meta = json.loads((out / "summary.json").read_text(
             encoding="utf-8"))["meta"]
         assert meta["config_sha256"] == \
-            "794c4723d03934b7a442442f474feb22367265b2dcfb57b5130e7d374945e7c4"
+            "cf3a1f7c8d91e396596884f33a0eb9d08e7cb8cb04ba6fdb57b7e2d67ccda1e2"
 
     def test_prediction_grid_rows_follow_the_scalar_oracle(self, tg_dir,
                                                            tmp_path):
@@ -1029,7 +1029,7 @@ OUT_OF_RANGE = [
     (["audit", "--methods", "raw,multilevel,pairwise",
       "--pair-fraction", "0"], "pair_fraction must be in (0, 1], got 0.0"),
     (["audit", "--methods", "raw,multilevel,pairwise",
-      "--pairs-per-query", "0"], "pairs_per_query must be at least 1, got 0"),
+      "--pair-fraction", "1.5"], "pair_fraction must be in (0, 1], got 1.5"),
     (["metrics", "--dwell-threshold", "-5"],
      "dwell_threshold must be at least 0, got -5.0"),
     (["metrics", "--dwell-threshold", "nan"],

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from corpus_builders import click, corpus, imp, records
 from oracles import final_successful_click
 from sataudit import matching, synth
 from sataudit.aggregate import Factor, normalize, query_averaged_scores
+from sataudit.audit import AuditConfig, run_audit
 from sataudit.errors import DataError
 from sataudit.logmodel import Gender
 from sataudit.matching import (match_contexts, matched_raw_scores,
@@ -276,7 +279,10 @@ class TestMatchContexts:
         cohort = match_contexts(c, Factor.GENDER, nav,
                                 min_impressions=self.FLOOR)
         raw = matched_raw_scores(cohort, 30.0)
-        ref = np.array([(0.0, 2.0)] * len(METRICS))
+        # a reference score set whose bounds are (0, 2)
+        ref = normalize(dataclasses.replace(
+            raw, raw=np.tile([0.0, 2.0], (len(METRICS), 1)),
+            stderr=np.zeros((len(METRICS), 2))))
         norm = normalize(raw, reference=ref)
         gu = norm.normalized[METRICS.index(MetricKind.GRADED_UTILITY)]
         assert gu[norm.groups.index(Gender.MALE)] == 0.5   # raw 1.0 on (0, 2)
@@ -357,7 +363,7 @@ def test_matched_comparison_equals_the_dict_reference(presets, preset,
                                           for k in rows)
 
     raw = normalize(query_averaged_scores(c, factor))
-    _, raw_bounds, _ = oracles.normalize(raw)
+    _, *raw_reference = oracles.normalize(raw)
     normalized = [(raw, None)]
     if cohort.rows.size:
         matched = matched_raw_scores(cohort)
@@ -375,7 +381,7 @@ def test_matched_comparison_equals_the_dict_reference(presets, preset,
                         matched.n_impressions.tolist())) == \
             [want[g][:2] for g in matched.groups]
         normalized += [(normalize(matched), None),
-                       (normalize(matched, raw.bounds), raw_bounds)]
+                       (normalize(matched, raw), raw_reference)]
     for norm, reference in normalized:
         values, bounds, degenerate = oracles.normalize(norm, reference)
         assert repr(norm.normalized.tolist()) == repr(
@@ -384,3 +390,17 @@ def test_matched_comparison_equals_the_dict_reference(presets, preset,
             [list(bounds[kind]) for kind in METRICS])
         assert norm.degenerate.tolist() == [kind in degenerate
                                             for kind in METRICS]
+
+
+def test_common_scale_reads_zero_where_raw_is_degenerate(presets):
+    # by gender every raw metric of the mixed log spans less than its
+    # noise floor; the matched scores must not be divided by that span
+    c, truth = presets["mixed"]
+    result = run_audit(c, AuditConfig(factor="gender",
+                                      methods="raw,matched"),
+                       truth.navigational)
+    assert result.raw.degenerate.all()
+    common = result.matched_common
+    assert common.degenerate.all() and not common.normalized.any()
+    assert set(result.summary["matched"]["gaps_common_scale"].values()) \
+        == {0.0}

@@ -200,7 +200,7 @@ def test_metric_table_is_built_once_per_corpus_and_threshold(monkeypatch):
     for kind in METRICS:
         build_observations(c, table, kind)
     count_pair_labels(c, ["news alpha", "sports beta"], seed=0,
-                      fraction=1.0, pairs_per_query=50)
+                      fraction=1.0)
     assert builds == [(len(c), 30.0)]
     metric_table(c, 10.0)
     assert builds == [(len(c), 30.0), (len(c), 10.0)]

@@ -12,16 +12,16 @@ import pytest
 
 from corpus_builders import click, corpus, imp, records
 from oracles import LABEL_BLOCK, MetricVector, PairSample, cross_pairs, \
-    enumerated_pairs, fit_pair_model_from_pairs, label_sample, \
-    pattern_counts, predict_pair_prob, sample_pairs
+    cross_pairs_at, enumerated_pairs, every_pair_counts, \
+    fit_pair_model_from_pairs, label_sample, pattern_counts, \
+    predict_pair_prob, sample_pairs
 from sataudit.aggregate import Factor
 from sataudit.audit import AuditConfig, run_audit
 from sataudit.errors import ConfigError, DataError, InsufficientSignalError
 from sataudit.logmodel import AgeGroup, Gender, LogCorpus
 from sataudit.metrics import MetricKind, metric_table
-from sataudit.pairwise import (DEFAULT_PAIRS_PER_QUERY, DEFAULT_THRESHOLDS,
-                               PairCounts, PairThresholds, _cross_pairs_at,
-                               count_pair_labels,
+from sataudit.pairwise import (DEFAULT_THRESHOLDS, QUERY_WEIGHT,
+                               PairCounts, PairThresholds, count_pair_labels,
                                derive_thresholds_from_deltas,
                                eligible_queries, fit_pair_model,
                                label_batch_external, label_batch_internal,
@@ -283,10 +283,11 @@ class TestSamplePairs:
                 stage(c, ["qa"], seed=1, fraction=0.0)
             with pytest.raises(ConfigError, match="fraction"):
                 stage(c, ["qa"], seed=1, fraction=1.5)
-            with pytest.raises(ConfigError, match="pairs_per_query"):
-                stage(c, ["qa"], seed=1, pairs_per_query=0)
             with pytest.raises(DataError, match="no eligible queries"):
                 stage(c, [], seed=1)
+        # the pair stage draws no pair, so only the sampler has a quota
+        with pytest.raises(ConfigError, match="pairs_per_query"):
+            sample_pairs(c, ["qa"], seed=1, pairs_per_query=0)
 
     def test_full_enumeration_when_quota_matches(self):
         c = self._small()
@@ -373,7 +374,7 @@ class TestSamplePairs:
             if len(ia) == 0:
                 continue
             picks = rng.integers(0, len(ia), size=30)
-            a, b = _cross_pairs_at(codes, picks)
+            a, b = cross_pairs_at(codes, picks)
             np.testing.assert_array_equal(a, ia[picks])
             np.testing.assert_array_equal(b, ib[picks])
 
@@ -403,7 +404,7 @@ class TestSamplePairs:
         c = one_query(ages)
         counts, peak = traced_peak(count_pair_labels, c, ["qa"], seed=3,
                                    fraction=1.0)
-        assert counts.n_pairs == DEFAULT_PAIRS_PER_QUERY
+        assert counts.n_pairs == QUERY_WEIGHT
         assert peak < 4 * MB
         s = sample_pairs(c, ["qa"], seed=3, fraction=1.0)
         codes = Factor.AGE.codes(c)
@@ -422,7 +423,7 @@ class TestLabelSample:
         c = self._two_group()
         with pytest.raises(ConfigError, match="labeling mode"):
             count_pair_labels(c, ["qa"], seed=1, mode="sideways",
-                              fraction=1.0, pairs_per_query=4)
+                              fraction=1.0)
 
     def test_internal_needs_dwell_fidelity(self):
         imps = [imp(query="qa", age=G1,
@@ -432,10 +433,10 @@ class TestLabelSample:
         c = corpus(imps)
         with pytest.raises(DataError, match="dwell"):
             count_pair_labels(c, ["qa"], seed=1, mode="internal",
-                              fraction=1.0, pairs_per_query=4)
+                              fraction=1.0)
         counts = count_pair_labels(c, ["qa"], seed=1, mode="external",
-                                   fraction=1.0, pairs_per_query=4)
-        assert counts.n_pairs == 4
+                                   fraction=1.0)
+        assert counts.n_pairs == QUERY_WEIGHT
         assert not counts.wins.any() and not counts.losses.any()
 
     def _two_group(self):
@@ -446,13 +447,14 @@ class TestLabelSample:
 
     def test_internal_labels_follow_cascade(self):
         c = self._two_group()
-        counts = count_pair_labels(c, ["qa"], seed=1, fraction=1.0,
-                                   pairs_per_query=9)
+        counts = count_pair_labels(c, ["qa"], seed=1, fraction=1.0)
         # satisfied G1 side vs no-click G4 side: GU gap 2.0 -> strong
         # label, a win for the (G1, M) profile (0) over (G4, M) (6) in
-        # either slot
-        assert counts.n_pairs == 9
-        assert counts.wins[0, 6] + counts.losses[6, 0] == 9
+        # either slot, on all 9 cross pairs, each in both orders at half
+        # weight
+        assert counts.n_pairs == QUERY_WEIGHT
+        assert counts.wins[0, 6] == counts.losses[6, 0] == QUERY_WEIGHT / 2
+        assert counts.wins.sum() == counts.losses.sum() == QUERY_WEIGHT / 2
         s = sample_pairs(c, ["qa"], seed=1, fraction=1.0, pairs_per_query=9)
         labels = label_sample(c, s, mode="internal")
         ages = [i.demographics.age for i in records(c)]
@@ -510,9 +512,6 @@ class TestLabelSample:
         assert peak < 8 * MB
 
 
-ENUMERATION_LIMIT = 200_000     # cross pairs; above it, rejection sampling
-
-
 def tied_log(rng, sizes: dict[str, int | list]) -> LogCorpus:
     """Queries of random impressions whose metrics take a few values, so
     that many pairs tie.  A size gives that many impressions of random
@@ -534,49 +533,40 @@ def tied_log(rng, sizes: dict[str, int | list]) -> LogCorpus:
 
 def reference_counts(c: LogCorpus, queries, seed,
                      thresholds=DEFAULT_THRESHOLDS, mode="internal",
-                     **kw) -> PairCounts:
-    """:func:`count_pair_labels` the whole-sample way: every pair drawn,
-    then every pair labelled, then tallied one at a time."""
-    s = sample_pairs(c, queries, seed, **kw)
-    labels = label_sample(c, s, thresholds, mode)
-    return PairCounts(s.queries, len(s), *pattern_counts(c, s, labels))
+                     fraction=1.0, factor=Factor.AGE) -> PairCounts:
+    """:func:`count_pair_labels` the brute-force way: the sampler's seeded
+    query slice, then every cross-group pair of each query labelled and
+    tallied one at a time."""
+    chosen = sample_pairs(c, queries, seed, fraction=fraction,
+                          pairs_per_query=1, factor=factor).queries
+    n_pairs, wins = every_pair_counts(c, chosen, thresholds, mode, factor)
+    return PairCounts(chosen, n_pairs, wins, wins.T)
 
 
 def assert_same_counts(got: PairCounts, want: PairCounts) -> None:
     assert got.queries == want.queries and got.n_pairs == want.n_pairs
     for name in ("wins", "losses"):
-        assert getattr(got, name).dtype == np.int64
+        assert getattr(got, name).dtype == np.float64
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestCountPairLabels:
-    # a quota of 300: the first query has fewer cross pairs (drawn with
-    # replacement), the second exactly 300 (all of them), the third more
-    # (drawn without replacement), and the fourth more than the
-    # enumeration limit (rejection sampling)
-    QUOTA = 300
-    SIZES = {"q below": 12, "q exact": [G1] * 10 + [G3] * 30,
-             "q above": 60, "q rejection": 1_000}
+    # one query of two groups, the others of random profiles, from 12 to
+    # 300 impressions
+    SIZES = {"q small": 12, "q two groups": [G1] * 10 + [G3] * 30,
+             "q mid": 60, "q large": 300}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("mode", ["internal", "external"])
     def test_counts_equal_the_whole_sample_reference(self, mode, seed):
         rng = np.random.default_rng(seed)
         c = tied_log(rng, self.SIZES)
-        codes = Factor.AGE.codes(c)
-        n_cross = []
-        for q in self.SIZES:
-            per_group = np.bincount(codes[c.query == c.queries.index(q)])
-            n_cross.append((per_group.sum() ** 2 - per_group @ per_group) // 2)
-        assert n_cross[0] < self.QUOTA == n_cross[1] < n_cross[2] \
-            <= ENUMERATION_LIMIT < n_cross[3]
         args = (c, list(self.SIZES), seed, DEFAULT_THRESHOLDS, mode)
-        kw = dict(fraction=1.0, pairs_per_query=self.QUOTA)
-        got = count_pair_labels(*args, **kw)
-        assert_same_counts(got, reference_counts(*args, **kw))
+        got = count_pair_labels(*args, fraction=1.0)
+        assert_same_counts(got, reference_counts(*args))
         assert got.queries == sorted(self.SIZES)
-        assert got.n_pairs == 4 * self.QUOTA
-        assert got.wins.sum() > 0 and got.losses.sum() > 0
+        assert got.n_pairs == 4 * QUERY_WEIGHT
+        assert got.wins.sum() > 0
 
     @pytest.mark.parametrize("factor", list(Factor))
     @pytest.mark.parametrize("mode", ["internal", "external"])
@@ -588,38 +578,59 @@ class TestCountPairLabels:
                                     pcc_external=1.0)
         for seed in range(4):
             args = (c, queries, seed, thresholds, mode)
-            kw = dict(fraction=0.4, pairs_per_query=40, factor=factor)
+            kw = dict(fraction=0.4, factor=factor)
             got = count_pair_labels(*args, **kw)
             assert_same_counts(got, reference_counts(*args, **kw))
             assert len(got.queries) == 5
+
+    @pytest.mark.parametrize("mode", ["internal", "external"])
+    def test_counts_are_the_sampler_mean(self, mode):
+        # the sampler at a quota of 300 draws with replacement from the
+        # 12-impression query and without from the 40-impression one; its
+        # symmetrized counts, averaged over 200 seeds and scaled to the
+        # query weight, lie within 4 standard errors of the exact counts
+        quota, seeds = 300, range(200)
+        c = tied_log(np.random.default_rng(8), {"qa": 40, "qb": 12})
+        codes = Factor.AGE.codes(c)
+        n_cross = [len(cross_pairs(codes[c.query == k])[0]) for k in (0, 1)]
+        assert n_cross[1] < quota < n_cross[0]
+        exact = count_pair_labels(c, ["qa", "qb"], 0, mode=mode,
+                                  fraction=1.0).wins
+        draws = []
+        for seed in seeds:
+            s = sample_pairs(c, ["qa", "qb"], seed, fraction=1.0,
+                             pairs_per_query=quota)
+            wins, losses = pattern_counts(c, s, label_sample(c, s,
+                                                             mode=mode))
+            draws.append((wins + losses.T) / 2 * (QUERY_WEIGHT / quota))
+        draws = np.array(draws)
+        mean = draws.mean(axis=0)
+        se = draws.std(axis=0, ddof=1) / math.sqrt(len(seeds))
+        assert exact.sum() > 0
+        assert (np.abs(mean - exact) <= 4 * se + 1e-9 * exact).all(), \
+            np.abs(mean - exact).max()
 
     def test_errors_keep_their_order(self):
         # a clicks-only corpus, so that every check below could fire
         c = corpus([imp(query="qa", age=a, clicks=[click(dwell=math.nan)])
                     for a in (G1, G2)])
-        stage = dict(queries=[], seed=0, fraction=0.0, pairs_per_query=0,
-                     mode="sideways")
+        stage = dict(queries=[], seed=0, fraction=0.0, mode="sideways")
         # every fault at once; each error names the first left, which is
         # then mended
         for error, message, mend in [
                 (ConfigError, "query fraction", {"fraction": 1.0}),
-                (ConfigError, "pairs_per_query", {"pairs_per_query": 4}),
                 (DataError, "no eligible queries", {"queries": ["qa"]}),
                 (ConfigError, "unknown labeling mode", {"mode": "internal"}),
                 (DataError, "dwell fidelity", {"mode": "external"})]:
             with pytest.raises(error, match=message):
                 count_pair_labels(c, **stage)
             stage.update(mend)
-        assert count_pair_labels(c, **stage).n_pairs == 4
+        assert count_pair_labels(c, **stage).n_pairs == QUERY_WEIGHT
 
     def test_pair_stage_holds_one_query_at_a_time(self):
-        # 200 queries of 6 + 6 impressions, each drawn to the full quota
-        # of 10,000 pairs with replacement: 2,000,000 pairs, whose int32
-        # index columns and int8 labels take 18 MB when held at once (the
-        # whole-sample reference peaks at 22 MB here).  One query's draw,
-        # labels and temporaries, with the 2,400-row metric table, peak at
-        # about 1.8 MB; 4 MB leaves room for numpy's temporaries and stays
-        # under a quarter of the whole sample.
+        # 200 queries of 6 + 6 impressions: only the counts outlive a
+        # query, so the stage peaks at one query's histogram and labels
+        # with the 2,400-row metric table, far under 4 MB
         queries = [f"q {n:03d}" for n in range(200)]
         c = corpus([imp(query=q, age=(G1, G2)[k % 2],
                         clicks=[click(dwell=5.0 + 40.0 * (k % 3))] * (k % 3),
@@ -627,8 +638,22 @@ class TestCountPairLabels:
                     for q in queries for k in range(12)])
         counts, peak = traced_peak(count_pair_labels, c, queries, seed=5,
                                    fraction=1.0)
-        assert counts.n_pairs == 200 * DEFAULT_PAIRS_PER_QUERY
+        assert counts.n_pairs == 200 * QUERY_WEIGHT
         assert counts.wins.sum() > 0 and counts.losses.sum() > 0
+        assert peak < 4 * MB
+
+    def test_many_states_are_labelled_in_blocks(self):
+        # 400 impressions, each with its own successful click count, so
+        # 400 states and 160,000 state pairs: labelled at once they peak
+        # at about 5 MB; in blocks the stage peaks near 1.2 MB
+        c = corpus([imp(f"i{k:03d}", query="qa", age=(G1, G4)[k % 2],
+                        results=["r0"],
+                        clicks=[click("r0", 1, 60.0)] * k)
+                    for k in range(400)])
+        assert len(np.unique(metric_table(c)[:, 3])) == 400
+        counts, peak = traced_peak(count_pair_labels, c, ["qa"], seed=0,
+                                   fraction=1.0)
+        assert_same_counts(counts, reference_counts(c, ["qa"], 0))
         assert peak < 4 * MB
 
 
@@ -699,7 +724,6 @@ class TestPairModel:
 
     def test_stored_coefficients_are_antisymmetric(self):
         model = mixed_model()
-        assert model.mu0 == 0.0
         d = model.to_dict()
         for side in ("age", "gender"):
             assert d[f"{side}_j"] == {k: -v for k, v in d[f"{side}_i"].items()}
@@ -781,7 +805,7 @@ class TestPairModel:
     def test_serialization_keys(self):
         model = mixed_model()
         d = model.to_dict()
-        assert set(d) == {"mu0", "age_i", "age_j", "gender_i", "gender_j",
+        assert set(d) == {"age_i", "age_j", "gender_i", "gender_j",
                           "interaction", "prior_variance", "n_pairs"}
         assert set(d["age_i"]) == {"G1", "G2", "G3", "G4"}
         assert set(d["gender_i"]) == {"M", "F"}
