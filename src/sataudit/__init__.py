@@ -12,8 +12,7 @@ from ._version import __version__
 from .audit import (AuditConfig, AuditResult, audit_meta, run_audit,
                     write_audit)
 from .aggregate import (Factor, METRICS, NormalizedScores, RawScores,
-                        head_tail_classify, normalize, query_averaged_scores,
-                        query_kl)
+                        normalize, query_averaged_scores)
 from .difficulty import DifficultyTable, estimate_difficulty
 from .errors import (ConfigError, ConvergenceError, DataError,
                      InsufficientSignalError, SatauditError)
@@ -45,10 +44,10 @@ __all__ = [
     "build_observations", "cell_curves", "count_pair_labels",
     "derive_thresholds_from_deltas",
     "eligible_queries", "emit", "estimate_difficulty", "fit_multilevel",
-    "fit_pair_model", "generate", "head_tail_classify", "ingest",
+    "fit_pair_model", "generate", "ingest",
     "match_contexts", "matched_raw_scores",
     "max_group_gap", "normalize", "normalize_query",
     "probability_grid",
-    "query_averaged_scores", "query_kl", "run_audit",
+    "query_averaged_scores", "run_audit",
     "write_audit",
 ]

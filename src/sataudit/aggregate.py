@@ -1,4 +1,4 @@
-"""Group-level score aggregation and query population statistics.
+"""Group-level score aggregation.
 
 Scores are query-averaged: for each (group, query) cell the metric is
 averaged over the group's impressions of that query, and the group score
@@ -12,7 +12,6 @@ comparable.
 from __future__ import annotations
 
 import enum
-import math
 import logging
 from dataclasses import dataclass, fields
 
@@ -49,7 +48,6 @@ class RawScores:
     ``stderr`` (NaN for one query) and ``(groups,)`` counts, over the
     ``groups`` that have impressions, in factor order."""
 
-    factor: Factor
     groups: list[GroupKey]
     raw: np.ndarray
     stderr: np.ndarray
@@ -162,9 +160,8 @@ def query_averaged_scores(corpus: LogCorpus, factor: Factor,
     raw = np.stack([np.bincount(cell, weights=m) for m in means.T]) / n
     var = np.stack([np.bincount(cell, weights=d) for d in
                     ((means - raw.T[cell]) ** 2).T]) / np.maximum(n - 1, 1)
-    return RawScores(factor, present, raw,
-                     np.where(n > 1, np.sqrt(var / n), np.nan), n,
-                     np.bincount(cell, weights=counts).astype(int))
+    return RawScores(present, raw, np.where(n > 1, np.sqrt(var / n), np.nan),
+                     n, np.bincount(cell, weights=counts).astype(int))
 
 
 def normalize(scores: RawScores, reference: NormalizedScores | None = None
@@ -210,56 +207,3 @@ def normalize(scores: RawScores, reference: NormalizedScores | None = None
         **{f.name: getattr(scores, f.name) for f in fields(RawScores)},
         normalized=normalized, bounds=bounds, degenerate=degenerate)
 
-
-def query_kl(corpus: LogCorpus, group_a: GroupKey, group_b: GroupKey,
-             factor: Factor, alpha: float = 0.5) -> float:
-    """KL divergence D(P_a || P_b) between smoothed query distributions.
-
-    Both distributions are additively smoothed with `alpha` over the
-    union vocabulary of the two groups, so the divergence is finite even
-    for disjoint query sets.  Natural log.
-    """
-    if alpha <= 0:
-        raise DataError("smoothing alpha must be positive")
-    codes = factor.codes(corpus)
-    index = {g: k for k, g in enumerate(factor.groups())}
-    ca, cb = (np.bincount(corpus.query[codes == index.get(g, -1)],
-                          minlength=len(corpus.queries))
-              for g in (group_a, group_b))
-    if not ca.any() or not cb.any():
-        raise DataError("query KL needs impressions from both groups")
-    vocab = (ca > 0) | (cb > 0)
-    v = int(vocab.sum())
-    na = int(ca.sum()) + alpha * v
-    nb = int(cb.sum()) + alpha * v
-    kl = 0.0
-    # terms add in query-code order, so the sum is the same in every run
-    for a, b in zip(ca[vocab].tolist(), cb[vocab].tolist()):
-        pa = (a + alpha) / na
-        pb = (b + alpha) / nb
-        kl += pa * math.log(pa / pb)
-    return kl
-
-
-def head_tail_classify(corpus: LogCorpus) -> dict[str, str]:
-    """Partition queries into head / torso / tail by total traffic.
-
-    Head is the top ceil(20%) of queries by impression count, tail the
-    bottom floor(30%), torso the rest.  Ties break lexicographically on
-    query text so the partition is deterministic.
-    """
-    counts = dict(zip(corpus.queries, np.bincount(
-        corpus.query, minlength=len(corpus.queries)).tolist()))
-    ordered = sorted(counts, key=lambda q: (-counts[q], q))
-    n = len(ordered)
-    n_head = math.ceil(0.2 * n)
-    n_tail = math.floor(0.3 * n)
-    classes = {}
-    for i, q in enumerate(ordered):
-        if i < n_head:
-            classes[q] = "head"
-        elif i >= n - n_tail:
-            classes[q] = "tail"
-        else:
-            classes[q] = "torso"
-    return classes

@@ -214,9 +214,8 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
             counts, cfg.prior_variance)
         model.thresholds = thresholds
         # expected counts, summed exactly so that no order of the
-        # profiles moves them
-        positive, negative = (math.fsum(counts.wins.flat),
-                              math.fsum(counts.losses.flat))
+        # profiles moves them; each loss is a win read the other way
+        positive = negative = math.fsum(counts.wins.flat)
         g, h = (list(Gender).index(x) for x in GRID_GENDERS)
         grid = pairwise.probability_grid(model)[:, g, :, h].tolist()
         summary[method] = {

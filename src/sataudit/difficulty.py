@@ -30,7 +30,6 @@ class DifficultyTable:
     codes: ``values[q]`` belongs to ``queries[q]`` and is NaN for a query
     without an estimate."""
 
-    factor: Factor
     queries: list[str]
     values: np.ndarray
 
@@ -77,5 +76,5 @@ def estimate_difficulty(corpus: LogCorpus, factor: Factor = Factor.AGE,
     group, query, _, means = group_query_table(corpus, factor,
                                                dwell_threshold_s)
     gu = means[:, METRICS.index(MetricKind.GRADED_UTILITY)]
-    return DifficultyTable(factor, corpus.queries, rank_and_average(
+    return DifficultyTable(corpus.queries, rank_and_average(
         group, query, gu, len(corpus.queries)))

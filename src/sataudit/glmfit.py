@@ -104,10 +104,11 @@ class CellDesign:
 
 @dataclass
 class Convergence:
+    """A fit's convergence; a fit that does not converge raises instead."""
+
     iterations: int
     objective: float
     gradient_norm: float
-    converged: bool
 
 
 @dataclass
@@ -253,5 +254,5 @@ def fit_penalized_glm(y: np.ndarray, x: np.ndarray, cell: np.ndarray,
     return GlmSolution(
         theta=theta,
         convergence=Convergence(iterations=iterations, objective=float(obj),
-                                gradient_norm=grad_norm, converged=True),
+                                gradient_norm=grad_norm),
         dispersion=phi)

@@ -781,18 +781,19 @@ def _csv_click(result_id: str, position: int, dwell: float,
 
 
 def _csv_rows(corpus: LogCorpus):
-    """The CSV row of each row, as a list in ``CSV_FIELDS`` order."""
-    reserved = {r for r in corpus.result_ids
-                if any(ch in r for ch in _RESERVED)}
+    """The CSV rows, lists in ``CSV_FIELDS`` order; a page's result id with
+    a reserved character (the first in row order) raises at the call."""
+    reserved = [k for k, r in enumerate(corpus.result_ids)
+                if any(ch in r for ch in _RESERVED)]
+    bad = corpus.result[np.isin(corpus.result, reserved)]
+    if len(bad):
+        raise DataError(
+            f"result id {corpus.result_ids[bad[0]]!r} contains a reserved "
+            "character; CSV packing requires ids without ':' or ';'")
     flag = (0, 1, "")                       # indexed by 0, 1 and -1
-    for f in _records(corpus, _csv_click):
-        if reserved and not reserved.isdisjoint(f[6]):
-            bad = next(r for r in f[6] if r in reserved)
-            raise DataError(
-                f"result id {bad!r} contains a reserved character; "
-                "CSV packing requires ids without ':' or ';'")
-        yield [*f[:6], ";".join(f[6]), ";".join(f[7]), flag[f[8]],
-               f[9].age.name, f[9].gender.code]
+    return ([*f[:6], ";".join(f[6]), ";".join(f[7]), flag[f[8]],
+             f[9].age.name, f[9].gender.code]
+            for f in _records(corpus, _csv_click))
 
 
 def _unpack_clicks(packed: str) -> list[tuple]:
@@ -889,10 +890,11 @@ def emit(corpus: LogCorpus, path: str | Path, fmt: str = "ndjson") -> int:
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_ndjson_lines(corpus))
     elif fmt == "csv":
+        rows = _csv_rows(corpus)            # checks the ids before the open
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = _csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_FIELDS)
-            writer.writerows(_csv_rows(corpus))
+            writer.writerows(rows)
     else:
         raise DataError(f"unknown log format {fmt!r}")
     return len(corpus)

@@ -53,7 +53,6 @@ class ObservationSet:
     gender_idx: np.ndarray
     topic_idx: np.ndarray
     topics: list[str]
-    skipped: int = 0               # impressions without a difficulty value
 
     def __len__(self) -> int:
         return len(self.y)
@@ -110,7 +109,7 @@ def build_observations(corpus: LogCorpus, difficulty: DifficultyTable,
                        dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                        ) -> ObservationSet:
     """Regression rows for one metric, in row order, topics in text order;
-    rows whose query has no difficulty estimate are skipped and counted."""
+    rows whose query has no difficulty estimate are left out."""
     if difficulty.queries != corpus.queries:
         raise DataError("the difficulty table is over another query list")
     rows = np.flatnonzero(~np.isnan(difficulty.values)[corpus.query])
@@ -120,8 +119,7 @@ def build_observations(corpus: LogCorpus, difficulty: DifficultyTable,
         metric=metric, y=column[rows], x=difficulty.values[corpus.query[rows]],
         age_idx=corpus.age[rows], gender_idx=corpus.gender[rows],
         topic_idx=topic_idx,
-        topics=[corpus.topics[t] for t in topic_codes.tolist()],
-        skipped=len(corpus) - len(rows))
+        topics=[corpus.topics[t] for t in topic_codes.tolist()])
 
 
 def _build_design(cells: tuple[np.ndarray, ...], n_topics: int,

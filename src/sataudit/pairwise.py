@@ -190,14 +190,13 @@ class PairCounts:
     queries (in text order), the pairs they weigh (:data:`QUERY_WEIGHT`
     per query that has a cross-group pair), and per (slot i profile, slot
     j profile) pattern (:attr:`LogCorpus.profile` codes) the expected
-    pairs labelled +1 (`wins`) and -1 (`losses`), each an (8, 8) float
-    matrix, `losses` the transpose of `wins`.  The pair model reads
-    nothing else."""
+    pairs slot i wins, an (8, 8) float matrix `wins`; the pairs it loses
+    are ``wins.T``, as each labelled pair enters in both orders.  The
+    pair model reads nothing else."""
 
     queries: list[str]
     n_pairs: int
     wins: np.ndarray
-    losses: np.ndarray
 
 
 def count_pair_labels(corpus: LogCorpus, queries: list[str], seed: int,
@@ -269,8 +268,7 @@ def count_pair_labels(corpus: LogCorpus, queries: list[str], seed: int,
             won += hist[:, lo:lo + step] @ won_block @ hist.T
         wins += np.where(cross, won, 0) * QUERY_WEIGHT / (2 * n_cross[code])
         n_pairs += QUERY_WEIGHT
-    return PairCounts(queries=chosen, n_pairs=n_pairs, wins=wins,
-                      losses=wins.T)
+    return PairCounts(queries=chosen, n_pairs=n_pairs, wins=wins)
 
 
 # ---------------------------------------------------------------------------
@@ -320,27 +318,26 @@ class PairModel:
 def fit_pair_model(counts: PairCounts,
                    prior_variance: float = 1.0) -> PairModel:
     """Penalized logistic fit of P(side i beats side j) on the labelled
-    pairs' win and loss counts.
+    pairs' win counts.
 
-    Training pairs are symmetrized (both orders, negated label), so the
-    binomial cell of pattern (i, j) has successes ``W + L.T`` and trials
-    ``(W + L) + (W + L).T`` at (i, j), for the win and loss matrices W
-    and L; the observed patterns enter in flat-index order.  The fit cost
-    is independent of the pair count.
+    Training pairs are symmetrized (both orders, negated label), so for
+    the win matrix W, whose losses are W.T, the binomial cell of pattern
+    (i, j) has successes ``2 W`` and trials ``2 (W + W.T)`` at (i, j); the
+    observed patterns enter in flat-index order.  The fit cost is
+    independent of the pair count.
     """
     if prior_variance <= 0:
         raise ConfigError("prior variance must be positive")
-    wins, losses = counts.wins, counts.losses
-    fired = wins + losses
-    n_labelled = math.fsum(wins.flat) + math.fsum(losses.flat)
+    wins = counts.wins
+    n_labelled = 2 * math.fsum(wins.flat)
     if n_labelled == 0:
         raise InsufficientSignalError(
             "no nonzero-labeled pairs; the labeler abstained everywhere")
 
     shape = (4, 2, 4, 2)            # slot i's age and gender, then slot j's
-    trials = (fired + fired.T).ravel()
+    trials = (2 * (wins + wins.T)).ravel()
     patterns = np.flatnonzero(trials)
-    successes = (wins + losses.T).ravel()[patterns].astype(float)
+    successes = (2 * wins).ravel()[patterns].astype(float)
     trials = trials[patterns].astype(float)
 
     n_pat = len(patterns)

@@ -5,7 +5,9 @@ plain way: the metric definitions of :mod:`sataudit.metrics`, the final
 successful click that context matching keys on, the NDJSON record
 dict that :func:`sataudit.logmodel.emit` writes, and query-averaged
 group scores summed in loops, the reference for
-:func:`sataudit.aggregate.query_averaged_scores`, and the enumerated
+:func:`sataudit.aggregate.query_averaged_scores`; `query_kl`, the
+divergence between two groups' query distributions, with which the
+generator tests check a scenario's query mix; and the enumerated
 cross-group pairs of one query, the reference for the pair picks
 (`cross_pairs_at`) of `sample_pairs`.  `sample_pairs` and `label_sample`
 draw and label a whole pair sample at once, the sampler whose expected
@@ -163,6 +165,36 @@ def query_averaged_scores(imps: list[Impression], factor: Factor,
                            else float("nan"))
         out[group] = (n_q, sum(len(v) for v in by_query.values()), stats)
     return out
+
+
+def query_kl(corpus: LogCorpus, group_a, group_b, factor: Factor,
+             alpha: float = 0.5) -> float:
+    """KL divergence D(P_a || P_b) between smoothed query distributions.
+
+    Both distributions are additively smoothed with `alpha` over the
+    union vocabulary of the two groups, so the divergence is finite even
+    for disjoint query sets.  Natural log.
+    """
+    if alpha <= 0:
+        raise DataError("smoothing alpha must be positive")
+    codes = factor.codes(corpus)
+    index = {g: k for k, g in enumerate(factor.groups())}
+    ca, cb = (np.bincount(corpus.query[codes == index.get(g, -1)],
+                          minlength=len(corpus.queries))
+              for g in (group_a, group_b))
+    if not ca.any() or not cb.any():
+        raise DataError("query KL needs impressions from both groups")
+    vocab = (ca > 0) | (cb > 0)
+    v = int(vocab.sum())
+    na = int(ca.sum()) + alpha * v
+    nb = int(cb.sum()) + alpha * v
+    kl = 0.0
+    # terms add in query-code order, so the sum is the same in every run
+    for a, b in zip(ca[vocab].tolist(), cb[vocab].tolist()):
+        pa = (a + alpha) / na
+        pb = (b + alpha) / nb
+        kl += pa * math.log(pa / pb)
+    return kl
 
 
 def cross_pairs(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -331,15 +363,19 @@ def label_sample(corpus: LogCorpus, sample: PairSample,
 
 
 def pattern_counts(corpus: LogCorpus, sample: PairSample, labels
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(8, 8) win and loss counts of labelled pairs, one pair at a time."""
+                   ) -> np.ndarray:
+    """The (8, 8) win matrix W of a sample's labelled pairs: its win and
+    loss counts W and L tallied one pair at a time, then ``(W + L.T) /
+    2``, so that each pair counts in both orders at half weight and the
+    losses are ``W.T``, as :class:`sataudit.pairwise.PairCounts` holds
+    them."""
     wins, losses = np.zeros((8, 8), np.int64), np.zeros((8, 8), np.int64)
     profile = corpus.profile.tolist()
     for i, j, lab in zip(sample.i_idx.tolist(), sample.j_idx.tolist(),
                          np.asarray(labels).tolist()):
         if lab:
             (wins if lab == 1 else losses)[profile[i], profile[j]] += 1
-    return wins, losses
+    return (wins + losses.T) / 2
 
 
 def every_pair_counts(corpus: LogCorpus, queries: list[str],

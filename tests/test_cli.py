@@ -297,6 +297,22 @@ def test_bad_scenario_value_is_one_config_error(tmp_path, capsys, edit,
     assert not (tmp_path / "out").exists()
 
 
+def test_csv_emit_refusal_leaves_no_corpus(tmp_path, capsys):
+    # a result id holding ':' cannot be packed into a CSV row; the ids
+    # are checked before the file is opened, so no partial log is left
+    scenario = synth.preset_null(n_impressions=600, seed=1).to_dict()
+    for query in scenario["queries"]:
+        query["results"][1] = "r:1"
+    cfg_file = tmp_path / "scenario.json"
+    cfg_file.write_text(json.dumps(scenario), encoding="utf-8")
+    assert run("generate", "--scenario-config", cfg_file, "--format", "csv",
+               "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        "data error: result id 'r:1' contains a reserved character; CSV "
+        "packing requires ids without ':' or ';'\n")
+    assert not (tmp_path / "out" / "corpus.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

@@ -273,6 +273,14 @@ class TestRoundTrips:
                           clicks=[click("r:0")])])
         with pytest.raises(DataError, match="reserved character"):
             emit(bad, tmp_path / "corpus.csv", fmt="csv")
+        # "r:0" sorts first among the ids, but "r;9" comes first in the
+        # rows; the check runs before the file is opened
+        bad = corpus([imp("a1", results=("r0", "r;9")),
+                      imp("a2", results=("r:0",))])
+        assert bad.result_ids == ["r0", "r:0", "r;9"]
+        with pytest.raises(DataError, match="result id 'r;9' contains"):
+            emit(bad, tmp_path / "corpus.csv", fmt="csv")
+        assert not (tmp_path / "corpus.csv").exists()
 
     def test_clicks_only_corpus_detected_as_external(self, tmp_path):
         src = corpus([imp("a1", clicks=[click(dwell=float("nan"))]),

@@ -7,7 +7,6 @@ import pytest
 
 from corpus_builders import corpus, dissatisfied, satisfied
 from oracles import cell_coefficients, predict
-from sataudit.aggregate import Factor
 from sataudit.difficulty import DifficultyTable
 from sataudit.errors import ConfigError, DataError
 from sataudit.glmfit import Family
@@ -22,7 +21,7 @@ from sataudit.multilevel import (PREDICTION_GRID, ObservationSet,
 def table_for(c, difficulty: dict[str, float]) -> DifficultyTable:
     """A difficulty table over `c`'s queries, NaN where `difficulty` has
     no value."""
-    return DifficultyTable(Factor.AGE, c.queries, np.array(
+    return DifficultyTable(c.queries, np.array(
         [difficulty.get(q, np.nan) for q in c.queries]))
 
 
@@ -79,7 +78,7 @@ class TestBuildObservations:
         c = corpus(imps)
         obs = build_observations(c, table_for(c, {"known q": 0.3}),
                                  MetricKind.GRADED_UTILITY)
-        assert len(obs) == 2 and obs.skipped == 1
+        assert len(obs) == 2 and len(c) - len(obs) == 1
         assert obs.y.tolist() == [1.0, -1.0 / 3.0]
         assert obs.x.tolist() == [0.3, 0.3]
         assert obs.age_idx.tolist() == [2, 0]
@@ -109,7 +108,7 @@ class TestBuildObservations:
         c = corpus(imps)
         obs = build_observations(c, table_for(c, {"q2": 0.25, "q3": 0.75}),
                                  MetricKind.GRADED_UTILITY)
-        assert obs.skipped == 3
+        assert len(c) - len(obs) == 3
         assert obs.topics == ["news", "sports"]
         assert obs.topic_idx.tolist() == [1, 0, 0]
         assert obs.x.tolist() == [0.75, 0.25, 0.25]
@@ -273,7 +272,8 @@ def manual_group_gap(fit) -> float:
 def test_empirical_bayes_reestimates_block_variances():
     obs = two_age_observations(gap=1.5)
     fit = fit_multilevel(obs, empirical_bayes=True)
-    assert fit.convergence.converged
+    # a fit that returns has converged; one that does not raises
+    assert fit.convergence.iterations >= 1
     assert set(fit.effects.variances) == {"age", "gender", "topic",
                                           "interaction"}
     assert fit.effects.variances["age"] != 1.0

@@ -415,7 +415,7 @@ class TestSamplePairs:
         c = corpus([imp(query="solo q", age=G2) for _ in range(8)])
         counts = count_pair_labels(c, ["solo q"], seed=3, fraction=1.0)
         assert counts.queries == ["solo q"] and counts.n_pairs == 0
-        assert not counts.wins.any() and not counts.losses.any()
+        assert not counts.wins.any()
 
 
 class TestLabelSample:
@@ -437,7 +437,7 @@ class TestLabelSample:
         counts = count_pair_labels(c, ["qa"], seed=1, mode="external",
                                    fraction=1.0)
         assert counts.n_pairs == QUERY_WEIGHT
-        assert not counts.wins.any() and not counts.losses.any()
+        assert not counts.wins.any()
 
     def _two_group(self):
         imps = [imp(query="qa", age=G1, clicks=[click("r0", 1, 60.0)])
@@ -451,10 +451,10 @@ class TestLabelSample:
         # satisfied G1 side vs no-click G4 side: GU gap 2.0 -> strong
         # label, a win for the (G1, M) profile (0) over (G4, M) (6) in
         # either slot, on all 9 cross pairs, each in both orders at half
-        # weight
+        # weight; (G4, M) wins none, its losses being wins.T
         assert counts.n_pairs == QUERY_WEIGHT
-        assert counts.wins[0, 6] == counts.losses[6, 0] == QUERY_WEIGHT / 2
-        assert counts.wins.sum() == counts.losses.sum() == QUERY_WEIGHT / 2
+        assert counts.wins[0, 6] == QUERY_WEIGHT / 2 and counts.wins[6, 0] == 0
+        assert counts.wins.sum() == QUERY_WEIGHT / 2
         s = sample_pairs(c, ["qa"], seed=1, fraction=1.0, pairs_per_query=9)
         labels = label_sample(c, s, mode="internal")
         ages = [i.demographics.age for i in records(c)]
@@ -467,7 +467,7 @@ class TestLabelSample:
         s = sample_pairs(c, ["qa"], seed=1, fraction=1.0, pairs_per_query=9)
         labels = np.array([1, -1, 0, 1, 0, 0, -1, 0, 1], dtype=np.int8)
         model = fit_pair_model(PairCounts(s.queries, len(s),
-                                          *pattern_counts(c, s, labels)))
+                                          pattern_counts(c, s, labels)))
         assert model.n_pairs == 5
         keep = labels != 0
         # the reference fit from pairs, zeros and all, zeros dropped, and
@@ -540,14 +540,13 @@ def reference_counts(c: LogCorpus, queries, seed,
     chosen = sample_pairs(c, queries, seed, fraction=fraction,
                           pairs_per_query=1, factor=factor).queries
     n_pairs, wins = every_pair_counts(c, chosen, thresholds, mode, factor)
-    return PairCounts(chosen, n_pairs, wins, wins.T)
+    return PairCounts(chosen, n_pairs, wins)
 
 
 def assert_same_counts(got: PairCounts, want: PairCounts) -> None:
     assert got.queries == want.queries and got.n_pairs == want.n_pairs
-    for name in ("wins", "losses"):
-        assert getattr(got, name).dtype == np.float64
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.wins.dtype == np.float64
+    np.testing.assert_array_equal(got.wins, want.wins)
 
 
 class TestCountPairLabels:
@@ -600,9 +599,8 @@ class TestCountPairLabels:
         for seed in seeds:
             s = sample_pairs(c, ["qa", "qb"], seed, fraction=1.0,
                              pairs_per_query=quota)
-            wins, losses = pattern_counts(c, s, label_sample(c, s,
-                                                             mode=mode))
-            draws.append((wins + losses.T) / 2 * (QUERY_WEIGHT / quota))
+            draws.append(pattern_counts(c, s, label_sample(c, s, mode=mode))
+                         * (QUERY_WEIGHT / quota))
         draws = np.array(draws)
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / math.sqrt(len(seeds))
@@ -639,7 +637,7 @@ class TestCountPairLabels:
         counts, peak = traced_peak(count_pair_labels, c, queries, seed=5,
                                    fraction=1.0)
         assert counts.n_pairs == 200 * QUERY_WEIGHT
-        assert counts.wins.sum() > 0 and counts.losses.sum() > 0
+        assert counts.wins.sum() > 0
         assert peak < 4 * MB
 
     def test_many_states_are_labelled_in_blocks(self):
@@ -671,7 +669,7 @@ def fit_profiles(age_i, gender_i, age_j, gender_j, label, **kw):
 
     sample = PairSample(rows(age_i, gender_i), rows(age_j, gender_j), ["qa"])
     counts = PairCounts(["qa"], len(sample),
-                        *pattern_counts(profile_corpus(), sample, label))
+                        pattern_counts(profile_corpus(), sample, label))
     return fit_pair_model(counts, **kw)
 
 
@@ -791,7 +789,7 @@ class TestPairModel:
                         rng.integers(-1, 2, size=500).astype(np.int8)))
         for c, s, labels in samples:
             counts = PairCounts(s.queries, len(s),
-                                *pattern_counts(c, s, labels))
+                                pattern_counts(c, s, labels))
             for prior_variance in (1.0, 0.25):
                 got = fit_pair_model(counts, prior_variance)
                 want = fit_pair_model_from_pairs(c, s, labels,

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from corpus_builders import from_records, records
-from oracles import metric_vector, reference_generate
-from sataudit.aggregate import Factor, query_averaged_scores, query_kl
+from oracles import metric_vector, query_kl, reference_generate
+from sataudit.aggregate import Factor, query_averaged_scores
 from sataudit.errors import ConfigError
 from sataudit.logmodel import AgeGroup, Gender, all_profiles, emit, ingest
 from sataudit.metrics import METRICS, MetricKind
