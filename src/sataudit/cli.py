@@ -35,9 +35,12 @@ from .logmodel import AgeGroup, Gender, all_profiles, \
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, metric_table
 
 
+def _out_path(args) -> Path:
+    return Path(args.out or os.environ.get("SATAUDIT_OUTPUT_DIR") or ".")
+
+
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("SATAUDIT_OUTPUT_DIR") or "."
-    path = Path(out)
+    path = _out_path(args)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -101,7 +104,7 @@ def _build_scenario(args) -> synth.ScenarioConfig:
 def cmd_generate(args) -> int:
     cfg = _build_scenario(args)
     corpus, truth = synth.generate(cfg)
-    out = _out_dir(args)
+    out = _out_path(args)       # emit makes it once the log passes its checks
     meta = reports.run_meta(cfg.seed, {"command": "generate",
                                        "format": args.format,
                                        "scenario": cfg.to_dict()})

@@ -883,18 +883,20 @@ def ingest(path: str | Path, fmt: str = "ndjson") -> LogCorpus:
 
 
 def emit(corpus: LogCorpus, path: str | Path, fmt: str = "ndjson") -> int:
-    """Write a corpus in row order, which is impression-id order; returns
-    the record count."""
+    """Write a corpus in row order, which is impression-id order, making
+    the file's directory; returns the record count."""
     path = Path(path)
-    if fmt == "ndjson":
+    if fmt not in ("ndjson", "csv"):
+        raise DataError(f"unknown log format {fmt!r}")
+    # the CSV ids are checked before the directory or the file is made
+    rows = _csv_rows(corpus) if fmt == "csv" else None
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if rows is None:
         with path.open("w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(_ndjson_lines(corpus))
-    elif fmt == "csv":
-        rows = _csv_rows(corpus)            # checks the ids before the open
+    else:
         with path.open("w", encoding="utf-8", newline="") as fh:
             writer = _csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_FIELDS)
             writer.writerows(rows)
-    else:
-        raise DataError(f"unknown log format {fmt!r}")
     return len(corpus)

@@ -299,7 +299,7 @@ def test_bad_scenario_value_is_one_config_error(tmp_path, capsys, edit,
 
 def test_csv_emit_refusal_leaves_no_corpus(tmp_path, capsys):
     # a result id holding ':' cannot be packed into a CSV row; the ids
-    # are checked before the file is opened, so no partial log is left
+    # are checked before the output directory is made, so nothing is left
     scenario = synth.preset_null(n_impressions=600, seed=1).to_dict()
     for query in scenario["queries"]:
         query["results"][1] = "r:1"
@@ -310,7 +310,7 @@ def test_csv_emit_refusal_leaves_no_corpus(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "data error: result id 'r:1' contains a reserved character; CSV "
         "packing requires ids without ':' or ';'\n")
-    assert not (tmp_path / "out" / "corpus.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
