@@ -11,8 +11,8 @@ synthetic generator with recorded ground truth exercises all of it.
 from ._version import __version__
 from .audit import (AuditConfig, AuditResult, audit_meta, run_audit,
                     write_audit)
-from .aggregate import (Factor, METRICS, NormalizedScores, RawScores,
-                        normalize, query_averaged_scores)
+from .aggregate import (Factor, METRICS, RawScores, group_spans,
+                        query_averaged_scores)
 from .difficulty import DifficultyTable, estimate_difficulty
 from .errors import (ConfigError, ConvergenceError, DataError,
                      InsufficientSignalError, SatauditError)
@@ -37,16 +37,16 @@ __all__ = [
     "DemographicProfile", "DifficultyTable", "Factor", "Gender",
     "GroundTruth", "InsufficientSignalError", "LogCorpus",
     "METRICS", "MatchedCohort", "MetricKind",
-    "MultilevelFit", "NormalizedScores", "PairCounts", "PairModel",
+    "MultilevelFit", "PairCounts", "PairModel",
     "PairThresholds", "QuerySpec", "RawScores",
     "SatauditError", "ScenarioConfig", "StringTable", "all_profiles",
     "audit_meta",
     "build_observations", "cell_curves", "count_pair_labels",
     "derive_thresholds_from_deltas",
     "eligible_queries", "emit", "estimate_difficulty", "fit_multilevel",
-    "fit_pair_model", "generate", "ingest",
+    "fit_pair_model", "generate", "group_spans", "ingest",
     "match_contexts", "matched_raw_scores",
-    "max_group_gap", "normalize", "normalize_query",
+    "max_group_gap", "normalize_query",
     "probability_grid",
     "query_averaged_scores", "run_audit",
     "write_audit",

@@ -3,17 +3,16 @@
 Scores are query-averaged: for each (group, query) cell the metric is
 averaged over the group's impressions of that query, and the group score
 is the unweighted mean of those per-query means.  This keeps popular
-queries from dominating the comparison.  Min-max normalization maps each
-metric's group scores onto [0, 1]; a fitted normalization can be reused
-as a reference scale so that score sets from different cohorts stay
-comparable.
+queries from dominating the comparison.  A metric's group span, the
+largest minus the smallest group score, stays on the metric's own scale,
+so spans of different cohorts compare directly.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,22 +52,6 @@ class RawScores:
     stderr: np.ndarray
     n_queries: np.ndarray
     n_impressions: np.ndarray
-
-
-@dataclass
-class NormalizedScores(RawScores):
-    """Raw scores plus ``normalized`` on each metric's ``bounds``, which
-    :func:`normalize` takes back as `reference`: ``(metrics, groups)`` and
-    ``(metrics, 2)`` arrays; exactly 0 for a metric in ``degenerate``."""
-
-    normalized: np.ndarray
-    bounds: np.ndarray
-    degenerate: np.ndarray
-
-    @property
-    def gaps(self) -> np.ndarray:
-        """Each metric's largest minus smallest normalized group score."""
-        return self.normalized.max(axis=1) - self.normalized.min(axis=1)
 
 
 def query_group_counts(corpus: LogCorpus, factor: Factor,
@@ -164,46 +147,22 @@ def query_averaged_scores(corpus: LogCorpus, factor: Factor,
                      n, np.bincount(cell, weights=counts).astype(int))
 
 
-def normalize(scores: RawScores, reference: NormalizedScores | None = None
-              ) -> NormalizedScores:
-    """Min-max normalize each metric's group scores onto [0, 1].
+def group_spans(scores: RawScores) -> tuple[np.ndarray, ...]:
+    """Each metric's group span on its own scale, as ``(metrics,)``
+    arrays: the largest minus the smallest group score, its standard
+    error, and whether the span exceeds twice that error.
 
-    With `reference`, a previously normalized score set, its bounds'
-    affine map is applied instead of refitting, which keeps two cohorts
-    (for example all data versus a matched subset) on one comparable
-    scale; values may then fall outside [0, 1].
-
-    A metric with no real range maps every group to 0 and is flagged as
-    degenerate.  Degenerate means the span is exactly zero or smaller
-    than twice the combined standard error of the extreme groups --
-    otherwise a factor whose groups genuinely agree would still be
-    stretched onto [0, 1] and report a spurious full-scale gap.  With a
-    `reference`, its flags are the rule: a span it found to be noise is
-    not divided by, and only a fresh fit logs the metrics it flags.
+    The error combines the largest standard error among the groups tied
+    at the minimum with the largest among those tied at the maximum, a
+    NaN (one query) counting as 0, so no order of the groups moves it.
+    A span within twice its error is not told apart from groups that
+    genuinely agree.
     """
     if len(scores.groups) < 2:
-        raise DataError("normalization needs at least two non-empty groups")
-    raw = scores.raw
-    if reference is not None:
-        bounds, degenerate = reference.bounds, reference.degenerate
-        span = bounds[:, 1] - bounds[:, 0]
-    else:
-        # the first minimal and the first maximal group in factor order
-        extremes = np.stack([raw.argmin(axis=1), raw.argmax(axis=1)], axis=1)
-        bounds = np.take_along_axis(raw, extremes, axis=1)
-        # a NaN standard error counts as 0
-        se = np.nan_to_num(np.take_along_axis(scores.stderr, extremes, axis=1))
-        span = bounds[:, 1] - bounds[:, 0]
-        degenerate = (span == 0) | (span <= 2.0 * np.sqrt((se * se).sum(1)))
-        # a reference's flags were reported when it was normalized
-        for k in np.flatnonzero(degenerate).tolist():
-            logger.warning("normalize: metric %s has no real range across "
-                           "groups (span %g); emitting zeros",
-                           METRICS[k].value, span[k])
-    normalized = np.divide(raw - bounds[:, :1], span[:, None],
-                           out=np.zeros_like(raw),
-                           where=~degenerate[:, None])
-    return NormalizedScores(
-        **{f.name: getattr(scores, f.name) for f in fields(RawScores)},
-        normalized=normalized, bounds=bounds, degenerate=degenerate)
-
+        raise DataError("group spans need at least two non-empty groups")
+    raw, se = scores.raw, np.nan_to_num(scores.stderr)
+    lo, hi = raw.min(axis=1), raw.max(axis=1)
+    se_lo = np.where(raw == lo[:, None], se, 0.0).max(axis=1)
+    se_hi = np.where(raw == hi[:, None], se, 0.0).max(axis=1)
+    span, span_stderr = hi - lo, np.sqrt(se_lo * se_lo + se_hi * se_hi)
+    return span, span_stderr, span > 2.0 * span_stderr

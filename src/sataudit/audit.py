@@ -17,7 +17,7 @@ import numpy as np
 
 from . import aggregate, difficulty as difficulty_mod, matching, multilevel, \
     pairwise, reports
-from .aggregate import Factor, METRICS, NormalizedScores
+from .aggregate import Factor, METRICS, RawScores
 from .errors import ConfigError, DataError, check_fields
 from .logmodel import AgeGroup, Gender, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
@@ -107,17 +107,16 @@ class AuditConfig:
 @dataclass
 class AuditResult:
     """What each stage of :func:`run_audit` produced; None or empty where
-    a method did not run (``raw`` also serves matching as its common
-    scale).  ``counts`` (the pair stage's :class:`pairwise.PairCounts`,
-    which the model and the label counts read) and ``models`` are keyed by
-    labeller method, "pairwise" or "external"; each model carries its
-    thresholds."""
+    a method did not run (``raw`` also serves matching, whose divergence
+    verdict reads the raw spans).  ``counts`` (the pair stage's
+    :class:`pairwise.PairCounts`, which the model and the label counts
+    read) and ``models`` are keyed by labeller method, "pairwise" or
+    "external"; each model carries its thresholds."""
 
     config: AuditConfig
     summary: dict
-    raw: NormalizedScores | None = None
-    matched: NormalizedScores | None = None          # on its own scale
-    matched_common: NormalizedScores | None = None   # on the raw scale
+    raw: RawScores | None = None
+    matched: RawScores | None = None
     cohort: matching.MatchedCohort | None = None
     difficulty: difficulty_mod.DifficultyTable | None = None
     fits: dict[MetricKind, multilevel.MultilevelFit] = field(
@@ -129,6 +128,12 @@ class AuditResult:
 
 def _by_metric(values: np.ndarray) -> dict:
     return {kind.value: v for kind, v in zip(METRICS, values.tolist())}
+
+
+def _span_block(spans: tuple[np.ndarray, ...]) -> dict:
+    """The summary block of :func:`aggregate.group_spans`' arrays."""
+    return {key: _by_metric(values) for key, values in
+            zip(("span", "span_stderr", "distinguishable"), spans)}
 
 
 def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
@@ -154,13 +159,10 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
     summary = res.summary
 
     if "raw" in methods or "matched" in methods:
-        res.raw = raw = aggregate.normalize(
-            aggregate.query_averaged_scores(corpus, factor, dwell))
+        res.raw = aggregate.query_averaged_scores(corpus, factor, dwell)
+        raw_spans = aggregate.group_spans(res.raw)
     if "raw" in methods:
-        summary["raw"] = {
-            "gaps": _by_metric(raw.gaps),
-            "degenerate": sorted(k.value for k, flat
-                                 in zip(METRICS, raw.degenerate) if flat)}
+        summary["raw"] = _span_block(raw_spans)
 
     if "matched" in methods:
         res.cohort = matching.match_contexts(
@@ -168,15 +170,13 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
             min_impressions=cfg.min_impressions,
             serp_prefix=cfg.serp_prefix, nav_share=cfg.nav_share,
             dwell_threshold_s=dwell)
-        matched_raw = matching.matched_raw_scores(res.cohort, dwell)
-        res.matched = aggregate.normalize(matched_raw)
-        res.matched_common = aggregate.normalize(matched_raw, reference=raw)
-        gaps_common = res.matched_common.gaps
-        # a metric raw flags as degenerate has no gap on either scale
-        divergent = (raw.gaps > 0) & (gaps_common <= raw.gaps / 3.0)
+        res.matched = matching.matched_raw_scores(res.cohort, dwell)
+        matched_spans = aggregate.group_spans(res.matched)
+        raw_span, _, raw_distinguishable = raw_spans
+        # a raw span within its noise has no gap to lose
+        divergent = raw_distinguishable & (matched_spans[0] <= raw_span / 3.0)
         summary["matched"] = {
-            "gaps": _by_metric(res.matched.gaps),
-            "gaps_common_scale": _by_metric(gaps_common),
+            **_span_block(matched_spans),
             "attrition": [dataclasses.asdict(s)
                           for s in res.cohort.attrition]}
         summary["divergence"] = {"metrics": _by_metric(divergent),
@@ -240,19 +240,15 @@ def audit_meta(cfg: AuditConfig, **context) -> dict:
                       for f in dataclasses.fields(cfg)}})
 
 
-def _scores_columns(norm: NormalizedScores,
-                    common: NormalizedScores | None = None) -> dict:
+def _scores_columns(scores: RawScores) -> dict:
     """A scores file's columns, a row per (metric, group), row-major."""
     groups = [g.label if isinstance(g, AgeGroup) else g.code
-              for g in norm.groups]
-    columns = {"metric": [k.value for k in METRICS for _ in groups],
-               "group": groups * len(METRICS), "raw": norm.raw.ravel(),
-               "normalized": norm.normalized.ravel()}
-    if common is not None:
-        columns["normalized_common"] = common.normalized.ravel()
-    return {**columns, "stderr": norm.stderr.ravel(),
-            "n_queries": norm.n_queries.tolist() * len(METRICS),
-            "n_impressions": norm.n_impressions.tolist() * len(METRICS)}
+              for g in scores.groups]
+    return {"metric": [k.value for k in METRICS for _ in groups],
+            "group": groups * len(METRICS), "raw": scores.raw.ravel(),
+            "stderr": scores.stderr.ravel(),
+            "n_queries": scores.n_queries.tolist() * len(METRICS),
+            "n_impressions": scores.n_impressions.tolist() * len(METRICS)}
 
 
 def write_audit(result: AuditResult, out: Path, meta: dict) -> None:
@@ -265,8 +261,7 @@ def write_audit(result: AuditResult, out: Path, meta: dict) -> None:
                           _scores_columns(result.raw), meta)
     if "matched" in methods:
         reports.write_csv(out / "matched_scores.csv",
-                          _scores_columns(result.matched,
-                                          result.matched_common), meta)
+                          _scores_columns(result.matched), meta)
         reports.write_csv(out / "attrition.csv", {
             name: [getattr(s, name) for s in result.cohort.attrition]
             for name in ("stage", "impressions", "queries")}, meta)

@@ -272,16 +272,14 @@ def _report_sections(summary: dict) -> tuple[list[str], dict]:
                 f"queries: {summary.get('n_queries')}"]
     plots = {}
     if "raw" in summary or "matched" in summary:
-        rows = [["metric", "raw_gap", "matched_gap_common"]]
-        for kind in METRICS:
-            raw_gap = summary.get("raw", {}).get("gaps", {}).get(kind.value)
-            matched_gap = summary.get("matched", {}) \
-                .get("gaps_common_scale", {}).get(kind.value)
-            rows.append([kind.value,
-                         "" if raw_gap is None else f"{raw_gap:.4f}",
-                         "" if matched_gap is None else f"{matched_gap:.4f}"])
-        sections.append("\nnormalized group gaps (raw scale vs matched on "
-                        "the raw scale):\n" + _table(rows))
+        # a block that is present must hold every metric's span
+        rows = [["metric", "raw_span", "matched_span"]] + [
+            [kind.value] + [f"{summary[block]['span'][kind.value]:.4f}"
+                            if block in summary else ""
+                            for block in ("raw", "matched")]
+            for kind in METRICS]
+        sections.append("\ngroup spans, each on its metric's own scale "
+                        "(raw vs matched):\n" + _table(rows))
         plots["plot_gaps.csv"] = dict(zip(rows[0], zip(*rows[1:])))
         if "divergence" in summary:
             flag = summary["divergence"]["raw_vs_matched"]

@@ -23,9 +23,9 @@ reference for :func:`sataudit.difficulty.rank_and_average`, with
 matching funnel on per-query dicts of row lists, the reference for
 :func:`sataudit.matching.match_contexts`;
 `navigational_queries_proxy` tallies each (query, final click) count on
-its own, the reference for the matching proxy; and `normalize` maps group
-scores onto a common scale one (metric, group) at a time, the reference
-for :func:`sataudit.aggregate.normalize`.  `cell_coefficients`
+its own, the reference for the matching proxy; and `group_spans` finds
+each metric's extreme groups one group at a time, the reference for
+:func:`sataudit.aggregate.group_spans`.  `cell_coefficients`
 and `predict` compose one cell's multilevel prediction at one
 difficulty, the scalar reference for
 :func:`sataudit.multilevel.cell_curves`.  `predict_pair_prob` evaluates
@@ -558,39 +558,25 @@ def navigational_queries_proxy(
             if top[q] / total[q] >= nav_share}
 
 
-def normalize(scores: RawScores, reference: tuple | None = None
-              ) -> tuple[dict, dict, set]:
-    """Min-max normalized group scores as ``({metric: {group: value}},
-    {metric: (lo, hi)}, degenerate metrics)``, one cell at a time; a
-    `reference`, the last two of another call's results, gives each
-    metric's (lo, hi) to reuse and the metrics to flag."""
-    groups = scores.groups
-    out: dict = {}
-    bounds: dict = {}
-    degenerate: set = set()
+def group_spans(scores: RawScores) -> dict:
+    """Each metric's ``(span, span_stderr, distinguishable)``, one group
+    at a time: the largest minus the smallest score, the root sum of
+    squares of the largest standard error among the groups at each
+    extreme (a NaN counting as 0), and whether the span exceeds twice
+    that error."""
+    out = {}
     for k, kind in enumerate(METRICS):
-        vals = dict(zip(groups, scores.raw[k].tolist()))
-        stderr = dict(zip(groups, scores.stderr[k].tolist()))
-        if reference is not None:
-            lo, hi = reference[0][kind]
-            span = hi - lo
-            is_degenerate = kind in reference[1]
-        else:
-            g_lo = min(groups, key=lambda g: vals[g])
-            g_hi = max(groups, key=lambda g: vals[g])
-            lo, hi = vals[g_lo], vals[g_hi]
-            span = hi - lo
-            noise = 0.0
-            for se in (stderr[g_lo], stderr[g_hi]):
-                if not math.isnan(se):
-                    noise += se * se
-            is_degenerate = span == 0 or span <= 2.0 * math.sqrt(noise)
-        bounds[kind] = (lo, hi)
-        if is_degenerate:
-            degenerate.add(kind)
-        out[kind] = {g: 0.0 if is_degenerate else (vals[g] - lo) / span
-                     for g in groups}
-    return out, bounds, degenerate
+        vals = dict(zip(scores.groups, scores.raw[k].tolist()))
+        stderr = {g: 0.0 if math.isnan(se) else se for g, se in
+                  zip(scores.groups, scores.stderr[k].tolist())}
+        lo, hi = min(vals.values()), max(vals.values())
+        noise = 0.0
+        for extreme in (lo, hi):
+            se = max(stderr[g] for g in scores.groups if vals[g] == extreme)
+            noise += se * se
+        span, span_stderr = hi - lo, math.sqrt(noise)
+        out[kind] = (span, span_stderr, span > 2.0 * span_stderr)
+    return out
 
 
 def impression_to_dict(imp: Impression) -> dict:

@@ -43,25 +43,25 @@ def test_criterion_1_confound_neutralization():
     # the default audit: raw and matched scores by age
     result = run_audit(corpus, AuditConfig(),
                        navigational=truth.navigational)
-    raw_norm, common = result.raw, result.matched_common
+    raw, matched = result.summary["raw"], result.summary["matched"]
     elapsed = time.perf_counter() - t0
 
-    raw_gaps = dict(zip(METRICS, raw_norm.gaps.tolist()))
-    assert max(raw_gaps.values()) >= 0.15
+    # the headline gap, in graded-utility units
+    gu_span = raw["span"][GU.value]
+    assert raw["distinguishable"][GU.value] and gu_span >= 0.15
 
-    # the headline gap is real in metric units too, not a rescaling artifact
-    gu_raw = raw_norm.raw[METRICS.index(GU)].tolist()
-    assert max(gu_raw) - min(gu_raw) >= 0.15
-
-    gaps_common = dict(zip(METRICS, np.where(raw_norm.degenerate, 0.0,
-                                             common.gaps).tolist()))
-    assert all(v <= 0.05 for v in gaps_common.values()), gaps_common
+    # matching leaves at most 5% of each raw span that is not noise
+    kept = {kind: span for kind, span in raw["span"].items()
+            if raw["distinguishable"][kind]}
+    ratios = {kind: matched["span"][kind] / span
+              for kind, span in kept.items()}
+    assert all(matched["span"][kind] <= 0.05 * span
+               for kind, span in kept.items()), ratios
     assert elapsed < 60.0
     print(f"CRITERION 1 (confound neutralization): PASS; "
-          f"raw normalized gap {max(raw_gaps.values()):.3f}; "
-          f"utility spread {max(gu_raw) - min(gu_raw):.3f}; "
-          f"matched common-scale max {max(gaps_common.values()):.4f}; "
-          f"{elapsed:.1f}s")
+          f"raw utility span {gu_span:.3f}; "
+          f"largest matched/raw span ratio {max(ratios.values()):.4f} "
+          f"over {len(kept)} distinguishable metrics; {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +318,12 @@ def _tree_bytes(root: Path) -> dict[str, bytes]:
 def test_criterion_8_units_and_determinism(qmix_small, tmp_path):
     corpus, _ = qmix_small
 
-    norm = aggregate.normalize(
-        aggregate.query_averaged_scores(corpus, Factor.AGE))
-    assert not norm.degenerate[METRICS.index(GU)]
-    for k in range(len(METRICS)):
-        if norm.degenerate[k]:
-            continue
-        vals = norm.normalized[k].tolist()
-        assert min(vals) == 0.0
-        assert max(vals) == 1.0
+    scores = aggregate.query_averaged_scores(corpus, Factor.AGE)
+    span, _, distinguishable = aggregate.group_spans(scores)
+    assert distinguishable[METRICS.index(GU)]
+    # each span is exactly its metric's largest minus smallest group score
+    assert span.tolist() == [max(vals) - min(vals)
+                             for vals in scores.raw.tolist()]
 
     assert query_kl(corpus, AgeGroup.G1, AgeGroup.G1, Factor.AGE) == 0.0
     cross = query_kl(corpus, AgeGroup.G1, AgeGroup.G4, Factor.AGE)
@@ -358,7 +355,7 @@ def test_criterion_8_units_and_determinism(qmix_small, tmp_path):
     assert summary["divergence"]["raw_vs_matched"] is True
 
     print(f"CRITERION 8 (units and determinism): PASS; "
-          f"normalized extremes exactly 0/1; self-divergence exactly 0, "
+          f"spans exactly max - min; self-divergence exactly 0, "
           f"cross {cross:.3f}; {len(first)} pipeline files byte-identical "
           f"across reruns ({elapsed:.1f}s); divergence flagged")
 
@@ -516,7 +513,12 @@ def test_m4_timestamp_shift_does_not_change_the_audit(tmp_path, capsys,
     diffs = [name for name in trees["file"]
              if trees["file"][name] != trees["shifted"][name]]
     assert diffs == []
-    assert stderr["file"] == stderr["shifted"] and stderr["file"][1]
+    assert stderr["file"] == stderr["shifted"]
+    # the mixed audit has a metric whose span is within its noise
+    summary = json.loads((tmp_path / "out" / "file" / "audit" /
+                          "summary.json").read_text(encoding="utf-8"))
+    assert not all(summary[block]["distinguishable"][kind.value]
+                   for block in ("raw", "matched") for kind in METRICS)
     print(f"M4 (timestamp shift): PASS; {len(trees['file'])} files of a "
           f"mixed audit, an external audit and the metrics of a clicks-only "
           f"log byte-identical after a {M4_SHIFT} s shift ({elapsed:.1f}s)")
@@ -614,8 +616,8 @@ def _m1_gaps(tmp_path: Path, seed: int) -> dict[str, float]:
     summary = {name: json.loads((out[name] / "summary.json").read_text(
         encoding="utf-8")) for name in out}
     file, swapped = summary["file"], summary["swapped"]
-    assert swapped["raw"]["gaps"] == file["raw"]["gaps"]
-    assert swapped["matched"]["attrition"] == file["matched"]["attrition"]
+    assert swapped["raw"] == file["raw"]
+    assert swapped["matched"] == file["matched"]
     # the same pairs are sampled and labelled: labels read behaviour only
     assert swapped["pairwise"]["labels"] == file["pairwise"]["labels"]
     assert file["pairwise"]["labels"]["positive"] > 0, seed
@@ -634,8 +636,9 @@ def test_m1_gender_swap_swaps_the_gender_rows(tmp_path):
     worst = {seed: max(_m1_gaps(tmp_path / str(seed), seed).values())
              for seed in M1_SEEDS}
     elapsed = time.perf_counter() - t0
-    print(f"M1 (gender swap): PASS; raw and matched rows swapped exactly "
-          f"and labels identical on seeds {list(M1_SEEDS)}, largest delta "
+    print(f"M1 (gender swap): PASS; raw and matched rows swapped exactly, "
+          f"raw and matched summary blocks and labels identical on seeds "
+          f"{list(M1_SEEDS)}, largest delta "
           f"or grid gap over its fit's largest coefficient "
           + ", ".join(f"{s}: {v:.2g}" for s, v in worst.items())
           + f" ({elapsed:.1f}s)")
@@ -673,29 +676,21 @@ def test_m2_age_cycle_permutes_the_age_rows(tmp_path):
     pi = {label[a]: label[b] for a, b in M2_CYCLE.items()}
 
     # raw and matched rows: the row of group g is the cycled audit's row
-    # of pi(g), every value exact, except a metric's normalized column
-    # when its smallest or largest score is tied: normalization reads
-    # the standard error of the first extreme group in factor order
-    exempt = 0
+    # of pi(g), every value exact
     for scores in ("raw_scores.csv", "matched_scores.csv"):
         rows = {name: _data_rows(out[name] / scores) for name in out}
         assert len(rows["file"]) == 4 * len(METRICS)
         cycled = {(r["metric"], r["group"]): r for r in rows["cycled"]}
         for r in rows["file"]:
-            same = [v["raw"] for v in rows["file"]
-                    if v["metric"] == r["metric"]]
-            tied = max(same.count(min(same, key=float)),
-                       same.count(max(same, key=float))) > 1
-            want = {**r, "group": pi[r["group"]]}
-            got = dict(cycled[r["metric"], pi[r["group"]]])
-            if tied:
-                exempt += 1
-                del want["normalized"], got["normalized"]
-            assert got == want, (scores, r["metric"], r["group"])
+            assert cycled[r["metric"], pi[r["group"]]] == \
+                {**r, "group": pi[r["group"]]}, (scores, r["metric"],
+                                                 r["group"])
     summary = {name: json.loads((out[name] / "summary.json").read_text(
         encoding="utf-8")) for name in out}
     file, cycled = summary["file"], summary["cycled"]
-    assert cycled["matched"]["attrition"] == file["matched"]["attrition"]
+    # spans, their errors and flags read no group order
+    assert cycled["raw"] == file["raw"]
+    assert cycled["matched"] == file["matched"]
     # the same pairs are sampled and labelled: labels read behaviour only
     assert cycled["pairwise"]["labels"] == file["pairwise"]["labels"]
     assert file["pairwise"]["labels"]["positive"] > 0
@@ -709,8 +704,8 @@ def test_m2_age_cycle_permutes_the_age_rows(tmp_path):
     gaps["grid"] = max(abs(grid_cycled[pi[a]][pi[b]] - grid[a][b])
                        for a in grid for b in grid)
     worst = _within_fit_rounding(gaps, out["file"])
-    print(f"M2 (age 4-cycle): PASS; raw and matched rows permuted exactly "
-          f"({exempt} tied normalized cells exempt), attrition and labels "
+    print(f"M2 (age 4-cycle): PASS; raw and matched rows permuted exactly, "
+          f"raw and matched summary blocks and labels "
           f"{file['pairwise']['labels']} identical, largest gaps over the "
           f"fit's largest coefficient "
           + ", ".join(f"{k} {v:.2g}" for k, v in worst.items())

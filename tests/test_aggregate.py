@@ -1,7 +1,8 @@
-"""Query-averaged scores, normalization, and the query-mix KL oracle."""
+"""Query-averaged scores, group spans, and the query-mix KL oracle."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pathlib
@@ -17,7 +18,7 @@ from corpus_builders import corpus, dissatisfied, imp, records, satisfied
 from oracles import query_kl
 from sataudit import aggregate, synth
 from sataudit.aggregate import (METRICS, Factor, group_query_table,
-                                normalize, query_averaged_scores, RawScores)
+                                group_spans, query_averaged_scores, RawScores)
 from sataudit.errors import DataError
 from sataudit.difficulty import estimate_difficulty
 from sataudit.logmodel import AgeGroup, Gender
@@ -26,13 +27,18 @@ from sataudit.metrics import MetricKind, metric_table
 GU = MetricKind.GRADED_UTILITY
 
 
-def _raw_scores(values: dict, stderr: float = 0.0) -> RawScores:
+def _raw_scores(values: dict, stderr: float | dict = 0.0) -> RawScores:
+    """Every metric's group scores `values`, with one standard error or a
+    group's each."""
     groups = list(values)
     shape = (len(METRICS), len(groups))
+    if not isinstance(stderr, dict):
+        stderr = dict.fromkeys(groups, stderr)
     return RawScores(
         groups=groups,
         raw=np.broadcast_to(list(values.values()), shape).astype(float),
-        stderr=np.full(shape, stderr),
+        stderr=np.broadcast_to([stderr[g] for g in groups],
+                               shape).astype(float),
         n_queries=np.full(len(groups), 5),
         n_impressions=np.full(len(groups), 50))
 
@@ -185,71 +191,52 @@ class TestQueryAveragedScores:
         assert cohort < len(c)
 
 
-class TestNormalize:
-    def test_min_max_map_to_exact_unit_interval(self):
-        raw = _raw_scores({AgeGroup.G1: 2.0, AgeGroup.G2: 4.0,
-                           AgeGroup.G3: 6.0, AgeGroup.G4: 8.0})
-        norm = normalize(raw)
-        got = [_at(norm.normalized, norm, GU, g) for g in AgeGroup]
-        assert got[0] == 0.0 and got[3] == 1.0
-        assert got[1] == 1.0 / 3.0 and got[2] == 2.0 / 3.0
-        assert norm.gaps[METRICS.index(GU)] == 1.0
-        assert not norm.degenerate.any()
+class TestGroupSpans:
+    def test_span_is_the_largest_minus_the_smallest_score(self):
+        span, span_stderr, distinguishable = group_spans(_raw_scores(
+            {AgeGroup.G1: 2.0, AgeGroup.G2: 4.0, AgeGroup.G3: 6.0,
+             AgeGroup.G4: 8.0}))
+        assert span.tolist() == [6.0] * len(METRICS)
+        assert not span_stderr.any()
+        assert distinguishable.all()
 
-    def test_identical_groups_are_degenerate_zeros(self):
-        norm = normalize(_raw_scores({Gender.MALE: 5.0, Gender.FEMALE: 5.0}))
-        assert norm.degenerate.all()
-        assert (norm.normalized == 0.0).all()
-        assert (norm.gaps == 0.0).all()
+    def test_identical_groups_span_nothing(self):
+        span, _, distinguishable = group_spans(
+            _raw_scores({Gender.MALE: 5.0, Gender.FEMALE: 5.0}))
+        assert not span.any() and not distinguishable.any()
 
-    def test_span_below_noise_floor_is_degenerate(self):
+    def test_span_within_twice_its_error_is_not_distinguishable(self):
         # 0.01 apart but each mean is only known to +-0.05
-        norm = normalize(_raw_scores({Gender.MALE: 0.50, Gender.FEMALE: 0.51},
-                                     stderr=0.05))
-        assert norm.degenerate.all()
+        span, span_stderr, distinguishable = group_spans(_raw_scores(
+            {Gender.MALE: 0.50, Gender.FEMALE: 0.51}, stderr=0.05))
+        assert span_stderr.tolist() == [math.sqrt(2 * 0.05 * 0.05)] * 4
+        assert not distinguishable.any()
 
-    def test_span_above_noise_floor_is_kept(self):
-        norm = normalize(_raw_scores({Gender.MALE: 0.2, Gender.FEMALE: 0.8},
-                                     stderr=0.05))
-        assert not norm.degenerate.any()
-        assert norm.gaps[METRICS.index(GU)] == 1.0
-
-    def test_reference_bounds_reuse_the_affine_map(self):
-        raw = _raw_scores({Gender.MALE: 2.0, Gender.FEMALE: 12.0})
-        ref = normalize(_raw_scores({Gender.MALE: 0.0, Gender.FEMALE: 10.0}))
-        norm = normalize(raw, reference=ref)
-        assert _at(norm.normalized, norm, GU, Gender.MALE) == 0.2
-        assert _at(norm.normalized, norm, GU, Gender.FEMALE) == 1.2  # off
-        assert norm.bounds[METRICS.index(GU)].tolist() == [0.0, 10.0]
-
-    def test_reference_mode_ignores_the_noise_rule(self):
-        raw = _raw_scores({Gender.MALE: 0.50, Gender.FEMALE: 0.51},
-                          stderr=0.05)
-        ref = normalize(_raw_scores({Gender.MALE: 0.0, Gender.FEMALE: 1.0}))
-        norm = normalize(raw, reference=ref)
-        assert not norm.degenerate.any()
-
-    def test_zero_span_reference_is_degenerate(self):
-        raw = _raw_scores({Gender.MALE: 1.0, Gender.FEMALE: 2.0})
-        ref = normalize(_raw_scores({Gender.MALE: 3.0, Gender.FEMALE: 3.0}))
-        assert ref.bounds.tolist() == [[3.0, 3.0]] * len(METRICS)
-        norm = normalize(raw, reference=ref)
-        assert norm.degenerate.all()
-
-    def test_a_reference_span_flagged_as_noise_is_not_divided_by(self):
-        # the reference's span, 0.01, is under its noise floor: its flag
-        # is the rule, so the rescaled scores read 0, not -30 and 40
-        ref = normalize(_raw_scores({Gender.MALE: 0.50, Gender.FEMALE: 0.51},
-                                    stderr=0.05))
-        assert ref.degenerate.all()
-        norm = normalize(_raw_scores({Gender.MALE: 0.2, Gender.FEMALE: 0.9}),
-                         reference=ref)
-        assert norm.degenerate.all()
-        assert not norm.normalized.any() and not norm.gaps.any()
+    def test_span_beyond_twice_its_error_is_distinguishable(self):
+        span, _, distinguishable = group_spans(_raw_scores(
+            {Gender.MALE: 0.2, Gender.FEMALE: 0.8}, stderr=0.05))
+        assert span.tolist() == [0.8 - 0.2] * len(METRICS)
+        assert distinguishable.all()
 
     def test_single_group_raises(self):
         with pytest.raises(DataError, match="two non-empty groups"):
-            normalize(_raw_scores({Gender.MALE: 1.0}))
+            group_spans(_raw_scores({Gender.MALE: 1.0}))
+
+    def test_tied_extremes_give_one_answer_in_any_group_order(self):
+        # G1 and G3 tie at the minimum: the larger of their errors, 0.2,
+        # holds the span of 0.3 within twice its error whichever group
+        # comes first, where G1's 0.01 alone would not; G4's NaN at the
+        # maximum counts as 0
+        values = {AgeGroup.G1: 0.2, AgeGroup.G2: 0.4, AgeGroup.G3: 0.2,
+                  AgeGroup.G4: 0.5}
+        stderr = {AgeGroup.G1: 0.01, AgeGroup.G2: 0.01, AgeGroup.G3: 0.2,
+                  AgeGroup.G4: float("nan")}
+        want = math.sqrt(0.2 * 0.2)
+        for order in itertools.permutations(values):
+            _, span_stderr, distinguishable = group_spans(_raw_scores(
+                {g: values[g] for g in order}, {g: stderr[g] for g in order}))
+            assert span_stderr.tolist() == [want] * len(METRICS), order
+            assert not distinguishable.any(), order
 
 
 class TestQueryKl:

@@ -448,10 +448,11 @@ class TestAudit:
             encoding="utf-8"))
         assert summary["divergence"]["raw_vs_matched"] is True
         assert summary["divergence"]["metrics"]["graded_utility"] is True
-        gu_raw = summary["raw"]["gaps"]["graded_utility"]
-        gu_common = summary["matched"]["gaps_common_scale"]["graded_utility"]
+        gu_raw = summary["raw"]["span"]["graded_utility"]
+        gu_matched = summary["matched"]["span"]["graded_utility"]
+        assert summary["raw"]["distinguishable"]["graded_utility"]
         assert gu_raw >= 0.15
-        assert gu_common <= gu_raw / 3.0
+        assert gu_matched <= gu_raw / 3.0
 
     def test_attrition_stages_in_order(self, qmix_audit):
         _, rows = read_report_csv(qmix_audit / "attrition.csv")
@@ -468,8 +469,8 @@ class TestAudit:
         summary = json.loads((tmp_path / "summary.json").read_text(
             encoding="utf-8"))
         assert summary["factor"] == "gender"
-        for kind, gap in summary["raw"]["gaps"].items():
-            assert gap <= 0.05, (kind, gap)
+        for kind, span in summary["raw"]["span"].items():
+            assert span <= 0.05, (kind, span)
 
     def test_multilevel_and_pairwise_outputs(self, tg_dir, tmp_path):
         assert run("audit", "--input", tg_dir / "corpus.ndjson",
@@ -1154,7 +1155,7 @@ class TestReport:
     @pytest.mark.parametrize("summary,message", [
         ({"multilevel": {}}, "KeyError: 'deltas'"),
         ({"pairwise": {"grid": {"<18": {"<18": 0.5}}}}, "KeyError: '18-34'"),
-        ({"raw": {"gaps": {"graded_utility": "0.3"}}},
+        ({"raw": {"span": {"graded_utility": "0.3"}}},
          "ValueError: Unknown format code 'f'")])
     def test_malformed_summary_is_a_data_error(self, tmp_path, capsys,
                                                summary, message):
@@ -1168,11 +1169,15 @@ class TestReport:
         assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("summary,message", [
-        # the gaps table comes before the failing multilevel block
-        ({"raw": {"gaps": {"graded_utility": 0.1}}, "multilevel": {}},
+        # the spans table comes before the failing multilevel block
+        ({"raw": {"span": dict.fromkeys(
+            [k.value for k in MetricKind], 0.1)}, "multilevel": {}},
          "KeyError: 'deltas'"),
-        ({"raw": {"gaps": {"graded_utility": 0.1}}}, "KeyError: 'meta'"),
-        ({"raw": {}, "meta": {"seed": 0}}, "KeyError: 'version'")])
+        ({"raw": {"span": dict.fromkeys(
+            [k.value for k in MetricKind], 0.1)}}, "KeyError: 'meta'"),
+        ({"meta": {"seed": 0}}, "KeyError: 'version'"),
+        # a summary written before the spans replaced the gaps
+        ({"raw": {"gaps": {"graded_utility": 0.1}}}, "KeyError: 'span'")])
     def test_failed_report_writes_no_file(self, tmp_path, capsys, summary,
                                           message):
         (tmp_path / "summary.json").write_text(json.dumps(summary),

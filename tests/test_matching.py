@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ import oracles
 from corpus_builders import click, corpus, imp, records
 from oracles import final_successful_click
 from sataudit import matching, synth
-from sataudit.aggregate import Factor, normalize, query_averaged_scores
+from sataudit.aggregate import Factor, group_spans, query_averaged_scores
 from sataudit.audit import AuditConfig, run_audit
 from sataudit.errors import DataError
 from sataudit.logmodel import Gender
@@ -266,26 +264,15 @@ class TestMatchContexts:
         c, nav = self._pipeline_corpus()
         cohort = match_contexts(c, Factor.GENDER, nav,
                                 min_impressions=self.FLOOR)
-        norm = normalize(matched_raw_scores(cohort, 30.0))
+        scores = matched_raw_scores(cohort, 30.0)
+        span, _, distinguishable = group_spans(scores)
         # survivors all have one successful click and no reformulation:
-        # identical groups, so every metric is degenerate
-        assert norm.degenerate.tolist() == [True] * len(METRICS)
-        raw = dict(zip(norm.groups, norm.raw[METRICS.index(
+        # identical groups, so no metric spans anything
+        assert span.tolist() == [0.0] * len(METRICS)
+        assert not distinguishable.any()
+        raw = dict(zip(scores.groups, scores.raw[METRICS.index(
             MetricKind.GRADED_UTILITY)].tolist()))
         assert raw == {Gender.MALE: 1.0, Gender.FEMALE: 1.0}
-
-    def test_reference_bounds_flow_through(self):
-        c, nav = self._pipeline_corpus()
-        cohort = match_contexts(c, Factor.GENDER, nav,
-                                min_impressions=self.FLOOR)
-        raw = matched_raw_scores(cohort, 30.0)
-        # a reference score set whose bounds are (0, 2)
-        ref = normalize(dataclasses.replace(
-            raw, raw=np.tile([0.0, 2.0], (len(METRICS), 1)),
-            stderr=np.zeros((len(METRICS), 2))))
-        norm = normalize(raw, reference=ref)
-        gu = norm.normalized[METRICS.index(MetricKind.GRADED_UTILITY)]
-        assert gu[norm.groups.index(Gender.MALE)] == 0.5   # raw 1.0 on (0, 2)
 
     def test_empty_cohort_raises(self):
         c, _ = self._pipeline_corpus()
@@ -362,9 +349,7 @@ def test_matched_comparison_equals_the_dict_reference(presets, preset,
     assert cohort.rows.tolist() == sorted(k for rows in by_query.values()
                                           for k in rows)
 
-    raw = normalize(query_averaged_scores(c, factor))
-    _, *raw_reference = oracles.normalize(raw)
-    normalized = [(raw, None)]
+    scored = [query_averaged_scores(c, factor)]
     if cohort.rows.size:
         matched = matched_raw_scores(cohort)
         recs = records(c)
@@ -380,27 +365,19 @@ def test_matched_comparison_equals_the_dict_reference(presets, preset,
         assert list(zip(matched.n_queries.tolist(),
                         matched.n_impressions.tolist())) == \
             [want[g][:2] for g in matched.groups]
-        normalized += [(normalize(matched), None),
-                       (normalize(matched, raw), raw_reference)]
-    for norm, reference in normalized:
-        values, bounds, degenerate = oracles.normalize(norm, reference)
-        assert repr(norm.normalized.tolist()) == repr(
-            [[values[kind][g] for g in norm.groups] for kind in METRICS])
-        assert repr(norm.bounds.tolist()) == repr(
-            [list(bounds[kind]) for kind in METRICS])
-        assert norm.degenerate.tolist() == [kind in degenerate
-                                            for kind in METRICS]
+        scored.append(matched)
+    for scores in scored:
+        want = oracles.group_spans(scores)
+        assert repr([a.tolist() for a in group_spans(scores)]) == repr(
+            [[want[kind][i] for kind in METRICS] for i in range(3)])
 
 
-def test_common_scale_reads_zero_where_raw_is_degenerate(presets):
-    # by gender every raw metric of the mixed log spans less than its
-    # noise floor; the matched scores must not be divided by that span
+def test_no_divergence_where_raw_spans_are_noise(presets):
+    # by gender every raw metric of the mixed log spans less than twice
+    # its error, so no matched span can be said to lose a gap
     c, truth = presets["mixed"]
     result = run_audit(c, AuditConfig(factor="gender",
                                       methods="raw,matched"),
                        truth.navigational)
-    assert result.raw.degenerate.all()
-    common = result.matched_common
-    assert common.degenerate.all() and not common.normalized.any()
-    assert set(result.summary["matched"]["gaps_common_scale"].values()) \
-        == {0.0}
+    assert not any(result.summary["raw"]["distinguishable"].values())
+    assert not any(result.summary["divergence"]["metrics"].values())
