@@ -6,8 +6,12 @@ age and by gender with ``raw,multilevel,pairwise --pair-fraction 1.0``;
 navigational list.  The manifest pins each generated corpus, the score,
 attrition and difficulty files, and the canonical JSON of the summary's
 raw, matched and divergence blocks.  None of these passes through a
-linear solve, so every platform writes the same bytes; the fit-derived
-files are not pinned.
+linear solve, so every platform writes the same bytes.  Each audit's
+four multilevel deltas are pinned as numbers, which a check takes to
+agree within :data:`FIT_BITS` of the largest coefficient of their fit,
+as another build of numpy may round a solve another way.  The three
+presets without a navigational list pin the exit code and the one line
+that ``--methods matched`` ends with: their matched cohort is empty.
 
 Run ``PYTHONPATH=src python tests/golden.py`` to rewrite the manifest
 after an intended output change, and list each changed entry in
@@ -16,7 +20,9 @@ CHANGES.md.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -32,17 +38,39 @@ MATCHED_PRESETS = ("mixed", "query_mix_confound")
 FILES = ("raw_scores.csv", "matched_scores.csv", "attrition.csv",
          "difficulty.csv")
 BLOCKS = ("raw", "matched", "divergence")
+# a multilevel delta agrees to 40 of the 53 bits of the largest
+# coefficient of the fit it comes from: 2**13 units in its last place are
+# left for the condition of the Newton systems, which another summation
+# order or another build of numpy rounds another way, far below what a
+# group fitted under the wrong label would move
+FIT_BITS = 40
+
+
+def largest(tree) -> float:
+    """The largest absolute number anywhere in a JSON value."""
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        return max((largest(v) for v in tree), default=0.0)
+    return abs(tree)
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def build(root: Path) -> dict[str, str]:
-    """Generate and audit every preset under `root`; the manifest, a
-    SHA-256 per corpus (``<preset>/corpus``), per pinned file and per
-    summary block (``<preset>/<factor>/<name>``) that the audit wrote."""
-    digests = {}
+def build(root: Path) -> tuple[dict, dict[str, float]]:
+    """Generate and audit every preset under `root`.
+
+    Returns the manifest and the scale of each number in it.  The
+    manifest holds a SHA-256 per corpus (``<preset>/corpus``), per pinned
+    file and per summary block (``<preset>/<factor>/<name>``) that the
+    audit wrote, each delta (``<preset>/<factor>/delta.<metric>``), and
+    the exit code and stderr line of a matched audit that fails
+    (``<preset>/<factor>/matched``).  A delta's scale is the largest
+    coefficient of its fit.
+    """
+    digests, scales = {}, {}
     for preset in sorted(synth.PRESETS):
         gen = root / preset / "gen"
         if main(["generate", "--preset", preset, "--seed", str(SEED),
@@ -72,14 +100,27 @@ def build(root: Path) -> dict[str, str]:
                 if block in summary:
                     digests[f"{key}/summary.{block}"] = _sha256(
                         canonical_json(summary[block]).encode("utf-8"))
-    return digests
+            for metric, delta in summary["multilevel"]["deltas"].items():
+                digests[f"{key}/delta.{metric}"] = delta
+                scales[f"{key}/delta.{metric}"] = largest(json.loads(
+                    (out / f"fit_{metric}.json").read_text(
+                        encoding="utf-8"))["effects"])
+            if preset not in MATCHED_PRESETS:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(["audit", "--input",
+                                 str(gen / "corpus.ndjson"), "--factor",
+                                 factor, "--methods", "matched", "--out",
+                                 str(root / preset / "matched")])
+                digests[f"{key}/matched"] = [code, err.getvalue()]
+    return digests, scales
 
 
-def load() -> dict[str, str]:
+def load() -> dict:
     return json.loads(MANIFEST.read_text(encoding="utf-8"))
 
 
-def write(digests: dict[str, str]) -> None:
+def write(digests: dict) -> None:
     # one entry a line, so that a diff of the manifest names each change
     MANIFEST.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n",
                         encoding="utf-8")
@@ -89,5 +130,5 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        write(build(Path(tmp)))
+        write(build(Path(tmp))[0])
     print(f"wrote {MANIFEST}", file=sys.stderr)

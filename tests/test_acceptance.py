@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from golden import FIT_BITS, largest
 from oracles import cell_coefficients, label_sample, query_kl, \
     sample_pairs, score_cells
 import sataudit
@@ -528,20 +529,8 @@ def test_m4_timestamp_shift_does_not_change_the_audit(tmp_path, capsys,
 # metamorphic relations M1 to M3 relabel the groups or rename the
 # impressions, so each fit meets its design columns or its rows in another
 # order, and its sums and Newton solves round another way.  A multilevel
-# delta, a prediction-grid value or a pair-grid cell must agree to 40 of
-# the 53 bits of the largest coefficient of the fit it comes from: 2**13
-# units in its last place are left for the condition of the Newton
-# systems, far below what a group fitted under the wrong label would move
-FIT_BITS = 40
-
-
-def _largest(tree) -> float:
-    """The largest absolute number anywhere in a JSON value."""
-    if isinstance(tree, dict):
-        tree = list(tree.values())
-    if isinstance(tree, list):
-        return max((_largest(v) for v in tree), default=0.0)
-    return abs(tree)
+# delta, a prediction-grid value or a pair-grid cell must agree within
+# golden.FIT_BITS of the largest coefficient of the fit it comes from
 
 
 def _within_fit_rounding(gaps: dict[str, float], out: Path
@@ -555,10 +544,10 @@ def _within_fit_rounding(gaps: dict[str, float], out: Path
         if key == "grid":
             model = json.loads((out / "pair_model.json").read_text(
                 encoding="utf-8"))["model"]
-            scales[key] = max(_largest(model[k]) for k in
+            scales[key] = max(largest(model[k]) for k in
                               ("age_i", "gender_i", "interaction"))
         else:
-            scales[key] = _largest(json.loads((out / f"fit_{key}.json")
+            scales[key] = largest(json.loads((out / f"fit_{key}.json")
                                               .read_text(encoding="utf-8"))
                                    ["effects"])
         assert gaps[key] <= scales[key] * 2.0 ** -FIT_BITS, \
