@@ -36,9 +36,9 @@ class Factor(enum.Enum):
             return list(AgeGroup)
         return list(Gender)
 
-    def codes(self, corpus: LogCorpus) -> np.ndarray:
-        """Each impression's index into :meth:`groups`."""
-        return getattr(corpus, self.value)
+    def group_of(self, profile: np.ndarray) -> np.ndarray:
+        """Each :attr:`LogCorpus.profile` code's index into :meth:`groups`."""
+        return profile >> 1 if self is Factor.AGE else profile & 1
 
 
 @dataclass
@@ -63,58 +63,71 @@ def query_group_counts(corpus: LogCorpus, factor: Factor,
     n_groups = len(factor.groups())
     return np.bincount(
         corpus.query[sel].astype(np.int64) * n_groups
-        + factor.codes(corpus)[sel],
+        + factor.group_of(corpus.profile)[sel],
         minlength=len(corpus.queries) * n_groups).reshape(-1, n_groups)
 
 
-def row_ranks(table: np.ndarray) -> np.ndarray:
-    """The rank of each row of a 2-D `table` among its distinct rows in
-    lexicographic order (the first column is primary)."""
-    order = np.lexsort(table.T[::-1])
-    rows = table[order]
-    new = np.ones(len(table), dtype=np.int64)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    rank = np.empty(len(table), dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    return rank
+def distinct_rows(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of the table of `columns` as a 2-D array in
+    lexicographic order (the first column is primary) and how many rows
+    equal each; no copy of the whole table is made."""
+    order = np.lexsort(columns[::-1])
+    new = np.zeros(len(order), dtype=bool)
+    for column in columns:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    new[:1] = True
+    first = np.flatnonzero(new)
+    return (np.column_stack([column[order[first]] for column in columns]),
+            np.diff(first, append=len(order)))
+
+
+def count_table(corpus: LogCorpus,
+                dwell_threshold_s: float | None = DEFAULT_DWELL_THRESHOLD_S,
+                rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """Impressions per (query, profile, topic, state) as arrays:
+    ``(n, 4)`` keys (a query, :attr:`LogCorpus.profile` and topic code and
+    a state), in lexicographic order so that a query's keys are one block;
+    each key's count; and the states, the distinct rows of the metric
+    table at `dwell_threshold_s` (with None, of the page click count) in
+    lexicographic order.  Only `rows` of the corpus (a mask or indices)
+    are counted when given; the full-corpus table is kept on the corpus."""
+    if rows is None:
+        return corpus.derived("count_table", _count_table, dwell_threshold_s)
+    return _count_table(corpus, dwell_threshold_s, rows)
+
+
+def _count_table(corpus: LogCorpus, dwell_threshold_s: float | None,
+                 rows=slice(None)) -> tuple[np.ndarray, ...]:
+    values = (corpus.click_count[:, None] if dwell_threshold_s is None
+              else metric_table(corpus, dwell_threshold_s))[rows]
+    # one sort of the rows, then each key's values ranked as a state
+    rows, counts = distinct_rows(corpus.query[rows], corpus.profile[rows],
+                                 corpus.topic[rows], *values.T)
+    states, state = np.unique(rows[:, 3:], axis=0, return_inverse=True)
+    return (np.column_stack([rows[:, :3].astype(np.int64), state.ravel()]),
+            counts, states)
 
 
 def group_query_table(corpus: LogCorpus, factor: Factor,
                       dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S,
                       rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    """Per (group, query) cells as read-only arrays: each cell's index into
-    the factor's groups, query code, impression count and ``(cells, 4)``
-    mean metrics in ``METRICS`` order.
-
-    Only `rows` of the corpus are read when given, in that order; the
-    full-corpus table is kept on the corpus.  Cells run by group code,
-    then query code, however the impressions are stored or named, and
-    each mean is an exact sum divided once.
-    """
-    if rows is None:
-        return corpus.derived("group_query_table", _cell_table, factor,
-                              dwell_threshold_s)
-    return _cell_table(corpus, factor, dwell_threshold_s, rows)
-
-
-def _cell_table(corpus: LogCorpus, factor: Factor, dwell_threshold_s: float,
-                rows: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
-    sel = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
-    metrics = metric_table(corpus, dwell_threshold_s)[sel]
+    """Per (group, query) cells as arrays: each cell's index into the
+    factor's groups, query code, impression count and ``(cells, 4)``
+    mean metrics in ``METRICS`` order, from the :func:`count_table` of the
+    corpus, or of its `rows` when given.  Cells run by group code, then
+    query code, and each mean is an exact sum divided once."""
+    keys, counts, states = count_table(corpus, dwell_threshold_s, rows)
     n_queries = len(corpus.queries)
-    keys, codes = np.unique(
-        factor.codes(corpus)[sel] * n_queries + corpus.query[sel],
-        return_inverse=True)
-    counts = np.bincount(codes, minlength=len(keys))
+    cells, cell = np.unique(factor.group_of(keys[:, 1]) * n_queries
+                            + keys[:, 0], return_inverse=True)
+    n = np.bincount(cell, weights=counts).astype(np.int64)
     # metrics are whole thirds (GU_LEVELS) or counts: sums of thirds are
     # exact, so each mean rounds once and cells of equal means tie
-    means = np.stack([np.bincount(codes, weights=np.rint(3.0 * m),
-                                  minlength=len(keys))
-                      for m in metrics.T], axis=1) / (3 * counts[:, None])
-    table = (*np.divmod(keys, n_queries), counts, means)
-    for a in table:
-        a.setflags(write=False)
-    return table
+    thirds = np.rint(3.0 * states)[keys[:, 3]] * counts[:, None]
+    means = np.stack([np.bincount(cell, weights=t) for t in thirds.T],
+                     axis=1) / (3 * n[:, None])
+    return (*np.divmod(cells, n_queries), n, means)
 
 
 def query_averaged_scores(corpus: LogCorpus, factor: Factor,

@@ -139,14 +139,14 @@ def fit_penalized_glm(y: np.ndarray, x: np.ndarray, cell: np.ndarray,
 
     Parameters
     ----------
-    y : response per observation.  For the binomial family rows may be
-        aggregated: `y` is the success count and `trials` the row count.
-    x : continuous regressor per observation (zeros for slope-free models).
-    cell : integer cell index per observation, row into the design maps.
+    y : per row of `trials` observations of one regressor and cell, their
+        response sum (binomial, Poisson) or shared response (Gaussian).
+    x : continuous regressor per row (zeros for slope-free models).
+    cell : integer cell index per row, row into the design maps.
     design : cell-space design with the penalty (prior precision) vector.
     family : response family with canonical link.
-    trials : optional positive per-row weights (binomial trial counts,
-        replication weights otherwise); defaults to ones.
+    trials : optional positive observations per row, defaults to ones; a
+        row of t trials fits like t rows of one, in every family.
     theta0 : optional starting coefficients.
 
     Raises ConvergenceError when the iteration budget is exhausted.

@@ -275,10 +275,13 @@ class LogCorpus:
         return len(self.ids)
 
     def derived(self, name: str, build, *args):
-        """``build(self, *args)``, built once and kept under `name`, `args`."""
+        """``build(self, *args)``, built once and kept under `name`, `args`
+        read-only: the array, or each array of the tuple, it returns."""
         key = (name, *args)
         if key not in self._derived:
-            self._derived[key] = build(self, *args)
+            value = self._derived[key] = build(self, *args)
+            for a in value if isinstance(value, tuple) else (value,):
+                _frozen(a)
         return self._derived[key]
 
     @cached_property

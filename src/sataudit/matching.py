@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DataError
 from .aggregate import Factor, RawScores, query_averaged_scores, \
-    query_group_counts, row_ranks
+    query_group_counts
 from .logmodel import LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S
 
@@ -69,7 +69,6 @@ def _final_click_column(corpus: LogCorpus,
     last = np.diff(rows, append=-1) != 0         # each row's last one
     final = np.full(len(corpus), -1, dtype=np.int32)
     final[rows[last]] = corpus.click_result[clicks[last]]
-    final.setflags(write=False)
     return final
 
 
@@ -99,7 +98,7 @@ def _page_ranks(corpus: LogCorpus, rows: np.ndarray,
     shown = cols < length[:, None]
     prefix = np.full(shown.shape, -1, dtype=np.int32)
     prefix[shown] = corpus.result[(start[:, None] + cols)[shown]]
-    return row_ranks(prefix)
+    return np.unique(prefix, axis=0, return_inverse=True)[1].ravel()
 
 
 def navigational_queries_proxy(

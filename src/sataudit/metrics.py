@@ -75,6 +75,4 @@ def _build_metric_table(corpus: LogCorpus,
     gu = np.select([pcc == 0, scc == 0, (pcc <= 2) & (reform == 0)],
                    [GU_LEVELS[0], GU_LEVELS[1], GU_LEVELS[3]],
                    default=GU_LEVELS[2])
-    table = np.column_stack([gu, reform, pcc, scc])     # float64, as gu is
-    table.setflags(write=False)
-    return table
+    return np.column_stack([gu, reform, pcc, scc])     # float64, as gu is

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aggregate import Factor, count_table
 from .errors import ConfigError, DataError
 from .difficulty import DifficultyTable
 from .glmfit import CellDesign, Convergence, Family, fit_penalized_glm
 from .logmodel import AgeGroup, Gender, LogCorpus
-from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind, \
-    metric_table
+from .metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind
 
 PREDICTION_GRID = tuple(np.round(np.linspace(0.0, 1.0, 21), 10).tolist())
 
@@ -44,18 +44,16 @@ def family_for_metric(metric: MetricKind) -> Family:
 
 @dataclass
 class ObservationSet:
-    """Column-oriented regression rows: one row per impression."""
+    """Regression rows; a row is `trials` impressions sharing its values."""
 
     metric: MetricKind
     y: np.ndarray
+    trials: np.ndarray
     x: np.ndarray                  # query difficulty in [0, 1]
     age_idx: np.ndarray            # index into AgeGroup order
     gender_idx: np.ndarray
     topic_idx: np.ndarray
     topics: list[str]
-
-    def __len__(self) -> int:
-        return len(self.y)
 
 
 @dataclass
@@ -108,17 +106,19 @@ def build_observations(corpus: LogCorpus, difficulty: DifficultyTable,
                        metric: MetricKind,
                        dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
                        ) -> ObservationSet:
-    """Regression rows for one metric, in row order, topics in text order;
-    rows whose query has no difficulty estimate are left out."""
+    """Regression rows for one metric, one per count-table row, topics in
+    text order; rows whose query has no difficulty estimate are left out."""
     if difficulty.queries != corpus.queries:
         raise DataError("the difficulty table is over another query list")
-    rows = np.flatnonzero(~np.isnan(difficulty.values)[corpus.query])
-    topic_codes, topic_idx = np.unique(corpus.topic[rows], return_inverse=True)
-    column = metric_table(corpus, dwell_threshold_s)[:, METRICS.index(metric)]
+    keys, counts, states = count_table(corpus, dwell_threshold_s)
+    known = ~np.isnan(difficulty.values)[keys[:, 0]]
+    query, profile, topic, state = keys[known].T
+    topic_codes, topic_idx = np.unique(topic, return_inverse=True)
     return ObservationSet(
-        metric=metric, y=column[rows], x=difficulty.values[corpus.query[rows]],
-        age_idx=corpus.age[rows], gender_idx=corpus.gender[rows],
-        topic_idx=topic_idx,
+        metric=metric, y=states[state, METRICS.index(metric)],
+        trials=counts[known], x=difficulty.values[query],
+        age_idx=Factor.AGE.group_of(profile),
+        gender_idx=Factor.GENDER.group_of(profile), topic_idx=topic_idx,
         topics=[corpus.topics[t] for t in topic_codes.tolist()])
 
 
@@ -163,11 +163,13 @@ def fit_multilevel(obs: ObservationSet, prior_variance: float = 1.0,
     """
     if prior_variance <= 0:
         raise ConfigError("prior variance must be positive")
-    if len(obs) == 0:
+    if not len(obs.y):
         raise DataError("no observations to fit")
     if len(np.unique(obs.x)) < 2:
         raise DataError("multilevel fit needs >= 2 distinct difficulty values")
     family = family_for_metric(obs.metric)
+    # binomial and Poisson rows carry their sum, Gaussian ones their value
+    y = obs.y if family is Family.GAUSSIAN_IDENTITY else obs.y * obs.trials
 
     # one code per (age, gender, topic) cell; its numeric order is the
     # lexicographic order of the triples
@@ -185,9 +187,9 @@ def fit_multilevel(obs: ObservationSet, prior_variance: float = 1.0,
     for round_no in range(rounds + 1):
         design, blocks = _build_design(cells, n_topics, variances)
         theta0 = np.zeros(design.intercept_map.shape[1])
-        theta0[0] = family.link(float(np.mean(obs.y)))
-        solution = fit_penalized_glm(obs.y, obs.x, cell_of, design, family,
-                                     theta0=theta0)
+        theta0[0] = family.link(float(obs.trials @ obs.y / obs.trials.sum()))
+        solution = fit_penalized_glm(y, obs.x, cell_of, design, family,
+                                     trials=obs.trials, theta0=theta0)
         if round_no == rounds:
             break
         # each block's variance re-estimated from its fitted coefficients
@@ -207,7 +209,8 @@ def fit_multilevel(obs: ObservationSet, prior_variance: float = 1.0,
                                  interaction=interaction, variances=variances)
     return MultilevelFit(metric=obs.metric, family=family, effects=effects,
                          convergence=solution.convergence, topics=list(obs.topics),
-                         dispersion=solution.dispersion, n_observations=len(obs))
+                         dispersion=solution.dispersion,
+                         n_observations=int(obs.trials.sum()))
 
 
 def cell_curves(fit: MultilevelFit) -> np.ndarray:

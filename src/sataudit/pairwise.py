@@ -38,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, InsufficientSignalError
-from .aggregate import Factor, query_group_counts, row_ranks
+from .aggregate import Factor, count_table, query_group_counts
 from .glmfit import CellDesign, Convergence, Family, fit_penalized_glm
 from .logmodel import AgeGroup, Gender, LogCorpus
-from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind, metric_table
+from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
 
 logger = logging.getLogger(__name__)
 
@@ -212,10 +212,10 @@ def count_pair_labels(corpus: LogCorpus, queries: list[str], seed: int,
 
     A label reads only each side's state ((GU, reformulation, SCC), or
     page clicks for the external rule), so an (8, S) histogram H of
-    (profile, state) gives the ordered cross-group pairs slot i wins as
-    ``H @ [L == +1] @ H.T`` over the state labels L, masked to profiles
-    of different groups.  Each labelled pair enters in both orders at
-    half weight, so the counts do not depend on row order.
+    (profile, state), the query's block of the count table, gives the
+    ordered cross-group pairs slot i wins as ``H @ [L == +1] @ H.T`` over
+    the state labels L, masked to profiles of different groups.  Each
+    labelled pair enters in both orders at half weight.
     """
     if not 0 < fraction <= 1:
         raise ConfigError("query fraction must be in (0, 1]")
@@ -233,40 +233,39 @@ def count_pair_labels(corpus: LogCorpus, queries: list[str], seed: int,
     if mode == "internal" and not corpus.has_dwell:
         raise DataError("internal labeling needs dwell fidelity; this corpus "
                         "is clicks-only (use the external labeler)")
+    keys, counts, state = count_table(
+        corpus, dwell_threshold_s if mode == "internal" else None)
+    label = label_batch_external
     if mode == "internal":
-        gu, reform, _, scc = metric_table(corpus, dwell_threshold_s).T
+        gu, reform, _, scc = state.T
         state, label = np.column_stack([gu, reform, scc]), label_batch_internal
-    else:
-        state, label = corpus.click_count[:, None], label_batch_external
 
     query_code = {q: c for c, q in enumerate(corpus.queries)}
-    sizes = query_group_counts(corpus, factor)
-    n_cross = (sizes.sum(axis=1) ** 2 - (sizes * sizes).sum(axis=1)) // 2
-    # a profile code is age * 2 + gender (LogCorpus.profile)
-    group_of = np.arange(8) >> 1 if factor is Factor.AGE else np.arange(8) & 1
+    group_of = factor.group_of(np.arange(8))
     cross = group_of[:, None] != group_of[None, :]
+    bounds = np.searchsorted(keys[:, 0], np.arange(len(corpus.queries) + 1))
     wins = np.zeros((8, 8))
     n_pairs = 0
     for q in chosen:
         code = query_code.get(q, -1)
-        if code < 0 or n_cross[code] == 0:
+        if code < 0:
             continue
-        members = np.flatnonzero(corpus.query == code)
-        rows = state[members]
-        state_of = row_ranks(rows)
-        n_states = int(state_of.max()) + 1
-        # the distinct states in rank order, one column each
-        columns = np.zeros((rows.shape[1], n_states))
-        columns[:, state_of] = rows.T
-        hist = np.bincount(corpus.profile[members] * n_states + state_of,
-                           minlength=8 * n_states).reshape(8, n_states)
+        block = slice(bounds[code], bounds[code + 1])
+        # the query's distinct states, one column each
+        local, state_of = np.unique(keys[block, 3], return_inverse=True)
+        columns = state[local].T
+        hist = np.zeros((8, len(local)), dtype=np.int64)
+        np.add.at(hist, (keys[block, 1], state_of), counts[block])
+        n_cross = hist.sum(axis=1) @ cross @ hist.sum(axis=1) // 2
+        if n_cross == 0:
+            continue
         won = np.zeros((8, 8), dtype=np.int64)
-        step = max(1, STATE_PAIR_BLOCK // n_states)
-        for lo in range(0, n_states, step):
+        step = max(1, STATE_PAIR_BLOCK // len(local))
+        for lo in range(0, len(local), step):
             won_block = label(*columns[:, lo:lo + step, None],
                               *columns[:, None], thresholds) == 1
             won += hist[:, lo:lo + step] @ won_block @ hist.T
-        wins += np.where(cross, won, 0) * QUERY_WEIGHT / (2 * n_cross[code])
+        wins += np.where(cross, won, 0) * QUERY_WEIGHT / (2 * n_cross)
         n_pairs += QUERY_WEIGHT
     return PairCounts(queries=chosen, n_pairs=n_pairs, wins=wins)
 

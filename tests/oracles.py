@@ -19,7 +19,11 @@ pair model from labelled pairs, the reference for
 a sample's counts pair by pair.  `difficulty_from_group_scores`
 ranks and averages per-group ``{query: GU}`` maps in loops, the
 reference for :func:`sataudit.difficulty.rank_and_average`, with
-`loop_midrank` the reference for its ranks.  `match_contexts` runs the
+`loop_midrank` the reference for its ranks.  `per_row_observations`
+and `fit_multilevel_per_row` fit the multilevel model with one row per
+impression, the reference for the count rows of
+:func:`sataudit.multilevel.build_observations` and
+:func:`sataudit.multilevel.fit_multilevel`.  `match_contexts` runs the
 matching funnel on per-query dicts of row lists, the reference for
 :func:`sataudit.matching.match_contexts`;
 `navigational_queries_proxy` tallies each (query, final click) count on
@@ -55,7 +59,8 @@ from sataudit.aggregate import Factor, RawScores
 from sataudit.glmfit import CellDesign, Family, fit_penalized_glm
 from sataudit.metrics import DEFAULT_DWELL_THRESHOLD_S, METRICS, MetricKind, \
     metric_table
-from sataudit.multilevel import MultilevelFit
+from sataudit.multilevel import MultilevelFit, ObservationSet, \
+    SecondLevelEffects, _build_design, family_for_metric
 from sataudit.pairwise import PairModel
 from sataudit.reports import META_KEYS
 from sataudit.synth import GroundTruth, ScenarioConfig
@@ -177,7 +182,7 @@ def query_kl(corpus: LogCorpus, group_a, group_b, factor: Factor,
     """
     if alpha <= 0:
         raise DataError("smoothing alpha must be positive")
-    codes = factor.codes(corpus)
+    codes = factor.group_of(corpus.profile)
     index = {g: k for k, g in enumerate(factor.groups())}
     ca, cb = (np.bincount(corpus.query[codes == index.get(g, -1)],
                           minlength=len(corpus.queries))
@@ -285,7 +290,7 @@ def sample_pairs(corpus: LogCorpus, queries: list[str], seed: int,
     chosen = [ordered_queries[int(i)] for i in chosen_idx]
 
     query_code = {q: c for c, q in enumerate(corpus.queries)}
-    group = factor.codes(corpus)
+    group = factor.group_of(corpus.profile)
     i_idx = np.empty(len(chosen) * pairs_per_query, dtype=np.int32)
     j_idx = np.empty_like(i_idx)
     filled = 0
@@ -387,7 +392,7 @@ def every_pair_counts(corpus: LogCorpus, queries: list[str],
     labelled and tallied one at a time by who won, each query's tally
     then weighted by ``QUERY_WEIGHT / (2 n_cross)``; with the pairs the
     queries weigh."""
-    group, profile = factor.codes(corpus), corpus.profile.tolist()
+    group, profile = factor.group_of(corpus.profile), corpus.profile.tolist()
     wins, n_pairs = np.zeros((8, 8)), 0
     for q in queries:
         members = np.flatnonzero(corpus.query == corpus.queries.index(q))
@@ -490,7 +495,7 @@ def match_contexts(corpus: LogCorpus, factor: Factor,
     """The five-stage funnel on ``{query: rows}`` dicts, one dict per
     stage: the surviving rows by query and each stage's
     :class:`sataudit.matching.StageCount`."""
-    group = factor.codes(corpus)
+    group = factor.group_of(corpus.profile)
     n_groups = len(factor.groups())
 
     by_query: dict[str, list[int]] = {q: [] for q in corpus.queries}
@@ -649,6 +654,58 @@ def score_cells(group_scores: dict) -> tuple[np.ndarray, np.ndarray,
     return (np.array([c[0] for c in cells], dtype=np.intp),
             np.array([c[1] for c in cells], dtype=np.intp),
             np.array([c[2] for c in cells], dtype=float), queries)
+
+
+def per_row_observations(corpus: LogCorpus, difficulty,
+                         metric: MetricKind,
+                         dwell_threshold_s: float = DEFAULT_DWELL_THRESHOLD_S
+                         ) -> ObservationSet:
+    """Regression rows for one metric, one per impression in row order,
+    each of one trial, topics in text order; rows whose query has no
+    difficulty estimate are left out.  The per-impression layout that
+    :func:`sataudit.multilevel.build_observations` counts."""
+    rows = np.flatnonzero(~np.isnan(difficulty.values)[corpus.query])
+    topic_codes, topic_idx = np.unique(corpus.topic[rows],
+                                       return_inverse=True)
+    column = metric_table(corpus, dwell_threshold_s)[:, METRICS.index(metric)]
+    return ObservationSet(
+        metric=metric, y=column[rows], trials=np.ones(len(rows)),
+        x=difficulty.values[corpus.query[rows]], age_idx=corpus.age[rows],
+        gender_idx=corpus.gender[rows], topic_idx=topic_idx,
+        topics=[corpus.topics[t] for t in topic_codes.tolist()])
+
+
+def fit_multilevel_per_row(obs: ObservationSet,
+                           prior_variance: float = 1.0) -> MultilevelFit:
+    """The multilevel MAP fit with one Newton row per impression of
+    `obs` (its trials are ignored), started at the plain mean response,
+    without empirical Bayes rounds: the reference for
+    :func:`sataudit.multilevel.fit_multilevel` on count rows."""
+    family = family_for_metric(obs.metric)
+    n_topics = len(obs.topics)
+    shape = (4, 2, n_topics)
+    codes, cell_of = np.unique(np.ravel_multi_index(
+        (obs.age_idx, obs.gender_idx, obs.topic_idx), shape),
+        return_inverse=True)
+    cells = np.unravel_index(codes, shape)
+    variances = dict.fromkeys(("age", "gender", "topic", "interaction"),
+                              prior_variance)
+    design, blocks = _build_design(cells, n_topics, variances)
+    theta0 = np.zeros(design.intercept_map.shape[1])
+    theta0[0] = family.link(float(np.mean(obs.y)))
+    solution = fit_penalized_glm(obs.y, obs.x, cell_of, design, family,
+                                 theta0=theta0)
+    theta = solution.theta
+    pairs = {name: theta[blocks[name]].reshape(-1, 2) for name in blocks}
+    interaction = np.full((n_topics, 4, 2, 2), np.nan)
+    interaction[cells[2], cells[0], cells[1]] = pairs.pop("interaction")
+    effects = SecondLevelEffects(float(theta[0]), float(theta[1]), **pairs,
+                                 interaction=interaction, variances=variances)
+    return MultilevelFit(metric=obs.metric, family=family, effects=effects,
+                         convergence=solution.convergence,
+                         topics=list(obs.topics),
+                         dispersion=solution.dispersion,
+                         n_observations=len(obs.y))
 
 
 def cell_coefficients(fit: MultilevelFit, age: AgeGroup, gender: Gender,

@@ -172,20 +172,22 @@ class TestQueryAveragedScores:
                 assert repr(_at(got.stderr, got, kind, g).item()) == \
                     repr(stderr)
 
-    def test_one_audit_builds_the_full_corpus_cell_table_once(
+    def test_one_audit_builds_the_full_corpus_count_table_once(
             self, monkeypatch):
         c, _ = synth.generate(synth.preset_mixed(n_impressions=3000, seed=1))
         sizes = []
-        cell_table = aggregate._cell_table
+        build = aggregate._count_table
 
-        def counting(corpus, factor, dwell_threshold_s, rows=None):
-            sizes.append(len(corpus if rows is None else rows))
-            return cell_table(corpus, factor, dwell_threshold_s, rows)
+        def counting(corpus, dwell_threshold_s, *rows):
+            sizes.append(len(rows[0] if rows else corpus))
+            return build(corpus, dwell_threshold_s, *rows)
 
-        monkeypatch.setattr(aggregate, "_cell_table", counting)
+        monkeypatch.setattr(aggregate, "_count_table", counting)
         result = sataudit.run_audit(c, sataudit.AuditConfig(
-            methods=("raw", "matched", "multilevel")))
-        # the raw scores' table, which difficulty reuses, then the cohort's
+            methods=("raw", "matched", "multilevel", "pairwise"),
+            pair_fraction=1.0, default_thresholds=True))
+        # the raw scores' table, which difficulty, the multilevel fits
+        # and the pair stage reuse, then the cohort's
         cohort = len(result.cohort.rows)
         assert sizes == [len(c), cohort]
         assert cohort < len(c)

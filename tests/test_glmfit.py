@@ -85,6 +85,34 @@ class TestClosedFormOracles:
             design=intercept_only(), family=Family.BINOMIAL_LOGIT)
         assert rows.theta[0] == pytest.approx(agg.theta[0], abs=1e-9)
 
+        # in every family a row of t trials fits like t rows of one: its
+        # y is their sum (binomial, Poisson) or their shared value
+        # (Gaussian), and the Gaussian dispersion counts each trial
+        design = CellDesign(intercept_map=np.array([[1.0, 0.0]]),
+                            slope_map=np.array([[0.0, 1.0]]),
+                            penalty=np.zeros(2))
+        x = np.array([0.1, 0.1, 0.4, 0.7, 0.9])
+        t = np.array([3, 4, 2, 5, 1])
+        for family, value in (
+                (Family.BINOMIAL_LOGIT, [1.0, 0.0, 1.0, 0.0, 1.0]),
+                (Family.POISSON_LOG, [2.0, 0.0, 1.0, 3.0, 4.0]),
+                (Family.GAUSSIAN_IDENTITY, [0.5, -0.2, 0.1, -0.6, 0.3])):
+            value = np.array(value)
+            y = value if family is Family.GAUSSIAN_IDENTITY else t * value
+            agg = fit_penalized_glm(y=y, x=x, cell=np.zeros(5, dtype=int),
+                                    design=design, family=family, trials=t)
+            rows = fit_penalized_glm(
+                y=np.repeat(value, t), x=np.repeat(x, t),
+                cell=np.zeros(t.sum(), dtype=int), design=design,
+                family=family)
+            np.testing.assert_allclose(agg.theta, rows.theta, rtol=0,
+                                       atol=1e-9, err_msg=family.value)
+            if family is Family.GAUSSIAN_IDENTITY:
+                assert agg.dispersion == pytest.approx(rows.dispersion,
+                                                       rel=1e-12)
+            else:
+                assert agg.dispersion is rows.dispersion is None
+
     def test_flat_poisson_intercept_is_log_rate(self, tight):
         sol = fit_penalized_glm(
             y=np.array([3.0, 5.0, 2.0]), x=np.zeros(3),

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
+import golden
+import oracles
 from corpus_builders import corpus, dissatisfied, satisfied
 from oracles import cell_coefficients, predict
-from sataudit.difficulty import DifficultyTable
+from sataudit import synth
+from sataudit.aggregate import METRICS, Factor
+from sataudit.difficulty import DifficultyTable, estimate_difficulty
 from sataudit.errors import ConfigError, DataError
 from sataudit.glmfit import Family
 from sataudit.logmodel import AgeGroup, Gender
@@ -28,7 +34,7 @@ def table_for(c, difficulty: dict[str, float]) -> DifficultyTable:
 def single_cell(metric: MetricKind, y, x) -> ObservationSet:
     n = len(y)
     return ObservationSet(
-        metric=metric, y=np.asarray(y, dtype=float),
+        metric=metric, y=np.asarray(y, dtype=float), trials=np.ones(n),
         x=np.asarray(x, dtype=float),
         age_idx=np.zeros(n, dtype=np.intp),
         gender_idx=np.zeros(n, dtype=np.intp),
@@ -68,21 +74,26 @@ class TestPriorVariance:
 
 class TestBuildObservations:
     def test_rows_indices_and_skips(self):
+        # one row per (query, profile, topic, state) count, in code order:
+        # the G1 M row before the G3 F row, whose two impressions share it
         imps = [
             satisfied(query="known q", topic="news", age=AgeGroup.G3,
                       gender=Gender.FEMALE),
             dissatisfied(query="known q", topic="news", age=AgeGroup.G1,
                          gender=Gender.MALE),
             satisfied(query="unknown q", topic="sports"),
+            satisfied(query="known q", topic="news", age=AgeGroup.G3,
+                      gender=Gender.FEMALE),
         ]
         c = corpus(imps)
         obs = build_observations(c, table_for(c, {"known q": 0.3}),
                                  MetricKind.GRADED_UTILITY)
-        assert len(obs) == 2 and len(c) - len(obs) == 1
-        assert obs.y.tolist() == [1.0, -1.0 / 3.0]
+        assert obs.trials.tolist() == [1, 2]
+        assert len(c) - obs.trials.sum() == 1
+        assert obs.y.tolist() == [-1.0 / 3.0, 1.0]
         assert obs.x.tolist() == [0.3, 0.3]
-        assert obs.age_idx.tolist() == [2, 0]
-        assert obs.gender_idx.tolist() == [1, 0]
+        assert obs.age_idx.tolist() == [0, 2]
+        assert obs.gender_idx.tolist() == [0, 1]
         assert obs.topic_idx.tolist() == [0, 0]
         assert obs.topics == ["news"]
 
@@ -93,28 +104,31 @@ class TestBuildObservations:
         obs = build_observations(c, table_for(c, {"qa": 0.5}),
                                  MetricKind.REFORMULATION)
         assert obs.topics == ["a", "b"]
-        assert obs.topic_idx.tolist() == [1, 0, 1]
+        assert obs.topic_idx.tolist() == [0, 1]
+        assert obs.trials.tolist() == [1, 2]
 
     def test_topics_of_kept_rows_follow_text_order(self):
         # the first impression's topic "z" belongs only to a query without
         # a difficulty value, so it must not take a topic index; among the
-        # kept rows "sports" comes first, yet "news" takes index 0
+        # kept rows "sports" comes first, in query code order, yet "news"
+        # takes index 0
         imps = [satisfied(query="unrated", topic="z"),
                 satisfied(query="unrated news", topic="news"),
-                satisfied(query="q3", topic="sports", age=AgeGroup.G4),
+                satisfied(query="q1", topic="sports", age=AgeGroup.G4),
                 dissatisfied(query="unrated", topic="z"),
                 satisfied(query="q2", topic="news"),
                 dissatisfied(query="q2", topic="news", gender=Gender.FEMALE)]
         c = corpus(imps)
-        obs = build_observations(c, table_for(c, {"q2": 0.25, "q3": 0.75}),
+        obs = build_observations(c, table_for(c, {"q2": 0.25, "q1": 0.75}),
                                  MetricKind.GRADED_UTILITY)
-        assert len(c) - len(obs) == 3
+        assert len(c) - obs.trials.sum() == 3
         assert obs.topics == ["news", "sports"]
         assert obs.topic_idx.tolist() == [1, 0, 0]
         assert obs.x.tolist() == [0.75, 0.25, 0.25]
         assert obs.y.tolist() == [1.0, 1.0, -1.0 / 3.0]
         assert obs.age_idx.tolist() == [3, 0, 0]
         assert obs.gender_idx.tolist() == [0, 0, 1]
+        assert obs.trials.tolist() == [1, 1, 1]
 
     def test_table_over_other_queries_is_a_data_error(self):
         a = corpus([satisfied(query="qa"), satisfied(query="qb")])
@@ -183,7 +197,7 @@ def two_age_observations(gap: float = 1.0, n_per: int = 300,
     age_idx = np.array([0] * n_per + [3] * n_per)
     y = 0.2 - 0.5 * x + gap * (age_idx == 3) + rng.normal(scale=0.1, size=n)
     return ObservationSet(
-        metric=MetricKind.GRADED_UTILITY, y=y, x=x,
+        metric=MetricKind.GRADED_UTILITY, y=y, trials=np.ones(n), x=x,
         age_idx=age_idx.astype(np.intp),
         gender_idx=np.zeros(n, dtype=np.intp),
         topic_idx=np.zeros(n, dtype=np.intp), topics=["t"])
@@ -207,8 +221,8 @@ def three_topic_observations(metric: MetricKind, seed: int = 11
         y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
     else:
         y = rng.poisson(np.exp(eta)).astype(float)
-    return ObservationSet(metric=metric, y=y, x=x, age_idx=age,
-                          gender_idx=gender, topic_idx=topic,
+    return ObservationSet(metric=metric, y=y, trials=np.ones(n), x=x,
+                          age_idx=age, gender_idx=gender, topic_idx=topic,
                           topics=["a", "b", "c"])
 
 
@@ -300,9 +314,11 @@ def test_cells_are_the_observed_triples_in_lexicographic_order():
     topic = np.where(age == 3, 2, rng.integers(0, 2, n))   # G4 sees "c"
     obs = ObservationSet(
         metric=MetricKind.GRADED_UTILITY, y=rng.normal(size=n),
-        x=rng.random(n), age_idx=age, gender_idx=rng.integers(0, 2, n),
-        topic_idx=topic, topics=["a", "b", "c"])
+        trials=rng.integers(1, 4, n), x=rng.random(n), age_idx=age,
+        gender_idx=rng.integers(0, 2, n), topic_idx=topic,
+        topics=["a", "b", "c"])
     fit = fit_multilevel(obs)
+    assert fit.n_observations == obs.trials.sum()
     want = sorted(set(zip(age.tolist(), obs.gender_idx.tolist(),
                           topic.tolist())))
     seen = ~np.isnan(fit.effects.interaction[..., 0])
@@ -339,3 +355,50 @@ def test_design_maps_equal_the_per_cell_loop():
     assert design.intercept_map.tolist() == ma.tolist()
     assert design.slope_map.tolist() == mb.tolist()
     assert design.penalty.tolist() == penalty.tolist()
+
+
+def _values(fit) -> np.ndarray:
+    """Every coefficient, the delta and every cell curve value of a fit,
+    NaN where an interaction cell has no observations."""
+    e = fit.effects
+    return np.concatenate([
+        [e.mu0, e.mu1], e.age.ravel(), e.gender.ravel(), e.topic.ravel(),
+        e.interaction.ravel(), [max_group_gap(fit)],
+        cell_curves(fit).ravel()])
+
+
+def test_count_rows_fit_like_the_per_row_oracle():
+    # the golden corpora of the five presets, by age and by gender: a
+    # count row of t impressions fits like t rows of one
+    t0 = time.perf_counter()
+    worst, n_fits = 0.0, 0
+    for preset in sorted(synth.PRESETS):
+        c, _ = synth.generate(synth.PRESETS[preset](
+            n_impressions=golden.IMPRESSIONS, seed=golden.SEED))
+        for factor in Factor:
+            table = estimate_difficulty(c, factor)
+            for kind in METRICS:
+                obs = build_observations(c, table, kind)
+                fit = fit_multilevel(obs)
+                ref = oracles.fit_multilevel_per_row(
+                    oracles.per_row_observations(c, table, kind))
+                key = (preset, factor.value, kind.value)
+                assert len(obs.y) < ref.n_observations, key
+                assert fit.convergence.iterations == \
+                    ref.convergence.iterations, key
+                # and so the same n_skipped, the impressions left over
+                assert fit.n_observations == ref.n_observations, key
+                got, want = _values(fit), _values(ref)
+                assert (np.isnan(got) == np.isnan(want)).all(), key
+                gap = np.nanmax(np.abs(got - want)) / golden.largest(
+                    fit.effects.to_dict(fit.topics))
+                assert gap <= 2.0 ** -golden.FIT_BITS, (key, gap)
+                if fit.dispersion is not None:
+                    assert abs(fit.dispersion - ref.dispersion) <= \
+                        ref.dispersion * 2.0 ** -golden.FIT_BITS, key
+                worst, n_fits = max(worst, gap), n_fits + 1
+    print(f"ORACLE (multilevel count rows): PASS; {n_fits} fits on the "
+          f"golden corpora equal the per-impression fit in iterations and "
+          f"observations, largest coefficient, delta or curve gap "
+          f"{worst:.2g} of the fit's largest coefficient (bound "
+          f"{2.0 ** -golden.FIT_BITS:.2g}; {time.perf_counter() - t0:.1f}s)")

@@ -385,7 +385,7 @@ class TestSamplePairs:
         for seed in range(5):
             ages = [list(AgeGroup)[k] for k in rng.integers(0, 4, size=40)]
             c = one_query(ages)
-            codes = Factor.AGE.codes(c)
+            codes = Factor.AGE.group_of(c.profile)
             n_cross = len(cross_pairs(codes)[0])
             ppq = {"above n_cross": n_cross + 7, "n_cross": n_cross,
                    "below n_cross": n_cross // 3}[quota]
@@ -407,7 +407,7 @@ class TestSamplePairs:
         assert counts.n_pairs == QUERY_WEIGHT
         assert peak < 4 * MB
         s = sample_pairs(c, ["qa"], seed=3, fraction=1.0)
-        codes = Factor.AGE.codes(c)
+        codes = Factor.AGE.group_of(c.profile)
         assert (codes[s.i_idx] != codes[s.j_idx]).all()
         assert (s.i_idx < s.j_idx).all()
 
@@ -590,7 +590,7 @@ class TestCountPairLabels:
         # query weight, lie within 4 standard errors of the exact counts
         quota, seeds = 300, range(200)
         c = tied_log(np.random.default_rng(8), {"qa": 40, "qb": 12})
-        codes = Factor.AGE.codes(c)
+        codes = Factor.AGE.group_of(c.profile)
         n_cross = [len(cross_pairs(codes[c.query == k])[0]) for k in (0, 1)]
         assert n_cross[1] < quota < n_cross[0]
         exact = count_pair_labels(c, ["qa", "qb"], 0, mode=mode,
