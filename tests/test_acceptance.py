@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from golden import FIT_BITS, largest
+from golden import FIT_BITS, clicks_only, largest
 from oracles import cell_coefficients, label_sample, query_kl, \
     sample_pairs, score_cells
 import sataudit
@@ -376,24 +376,6 @@ def _shuffled(src: Path, dst: Path) -> None:
     dst.write_text("".join(head + body), encoding="utf-8")
 
 
-def _clicks_only(src: Path, dst: Path) -> None:
-    """Copy a CSV log with every dwell time and reformulated flag blank."""
-    dst.parent.mkdir(parents=True)
-    with open(src, encoding="utf-8", newline="") as fin, \
-            open(dst, "w", encoding="utf-8", newline="") as fout:
-        reader = csv.DictReader(fin)
-        writer = csv.DictWriter(fout, fieldnames=reader.fieldnames,
-                                lineterminator="\n")
-        writer.writeheader()
-        for row in reader:
-            clicks = [part.split(":") for part in row["clicks"].split(";")
-                      if part]
-            row["clicks"] = ";".join(f"{pos}:{rid}::{term}"
-                                     for pos, rid, _, term in clicks)
-            row["reformulated"] = ""
-            writer.writerow(row)
-
-
 def test_criterion_9_line_order_does_not_change_the_audit(tmp_path):
     t0 = time.perf_counter()
     gen = tmp_path / "gen"
@@ -403,7 +385,7 @@ def test_criterion_9_line_order_does_not_change_the_audit(tmp_path):
                  "--impressions", "12000", "--format", "csv",
                  "--out", str(gen / "dwell")]) == 0
     logs = tmp_path / "file"
-    _clicks_only(gen / "dwell" / "corpus.csv", logs / "clicks" / "corpus.csv")
+    clicks_only(gen / "dwell" / "corpus.csv", logs / "clicks" / "corpus.csv")
     (logs / "mixed").mkdir()
     (logs / "mixed" / "corpus.ndjson").write_bytes(
         (gen / "mixed" / "corpus.ndjson").read_bytes())
@@ -477,7 +459,7 @@ def test_m4_timestamp_shift_does_not_change_the_audit(tmp_path, capsys,
                  "--impressions", "8000", "--out", str(gen / "mixed")]) == 0
     logs = tmp_path / "file"
     # blanked flags, so the audit derives them from the timestamps
-    _clicks_only(gen / "dwell" / "corpus.csv", logs / "clicks" / "corpus.csv")
+    clicks_only(gen / "dwell" / "corpus.csv", logs / "clicks" / "corpus.csv")
     (logs / "mixed").mkdir()
     (logs / "mixed" / "corpus.ndjson").write_bytes(
         (gen / "mixed" / "corpus.ndjson").read_bytes())
@@ -859,7 +841,7 @@ def test_external_audit_derives_no_reformulation_flag(tmp_path, monkeypatch):
                  "--impressions", "6000", "--format", "csv",
                  "--out", str(tmp_path / "gen")]) == 0
     log = tmp_path / "clicks" / "corpus.csv"
-    _clicks_only(tmp_path / "gen" / "corpus.csv", log)
+    clicks_only(tmp_path / "gen" / "corpus.csv", log)
 
     def forbidden(corpus):
         raise AssertionError("reformulation flags derived")

@@ -1,6 +1,6 @@
-"""The five preset audits write what the golden manifest pins (see
-golden.py), so a change that moves one of those outputs fails here even
-when every acceptance band still holds."""
+"""The five preset audits and one clicks-only audit write what the
+golden manifest pins (see golden.py), so a change that moves one of
+those outputs fails here even when every acceptance band still holds."""
 
 import time
 
@@ -24,9 +24,12 @@ def test_preset_audits_match_the_golden_manifest(tmp_path):
     assert failed and all(
         want[k][0] == 2 and want[k][1].count("\n") == 1 for k in failed)
     corpora = sum(k.endswith("/corpus") for k in want)
-    digests = len(want) - len(scales) - len(failed)
+    pairs = sum(k.endswith(("/summary.pairwise", "/summary.external"))
+                for k in want)
+    digests = len(want) - len(scales) - len(failed) - pairs
     print(f"GOLDEN (preset audits): PASS; {digests} digests of {corpora} "
-          f"corpora and their audits equal the manifest, {len(failed)} "
+          f"corpora and their audits and {pairs} pair-stage blocks equal "
+          f"the manifest, {len(failed)} "
           f"matched audits end in exit 2 with the pinned line, "
           f"{len(scales)} multilevel deltas agree with it to "
           f"{gaps[worst]:.2g} of their fit's largest coefficient "
