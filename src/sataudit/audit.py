@@ -87,16 +87,15 @@ class AuditConfig:
                               f"choose from {', '.join(METHODS)}")
         if not chosen:
             raise ConfigError("no audit methods selected")
-        if {"pairwise", "external"} <= chosen:
-            # internal labels need dwell times; external refuses a log
-            # that has them
-            raise ConfigError("pairwise and external cannot run on one "
-                              "log: pairwise needs dwell times, external a "
-                              "clicks-only log; choose one")
+        if "external" in chosen and len(chosen) > 1:
+            # every other method reads the metric table, which needs dwell
+            # times; external refuses a log that has them
+            raise ConfigError("external runs alone: it audits clicks-only "
+                              "logs and every other method needs dwell "
+                              "times; choose external or the others")
         object.__setattr__(self, "methods",
                            tuple(m for m in METHODS if m in chosen))
-        if (("pairwise" in chosen or "external" in chosen)
-                and not self.default_thresholds
+        if ("pairwise" in chosen and not self.default_thresholds
                 and "multilevel" not in chosen):
             raise ConfigError(
                 "pairwise labeling thresholds come from the multilevel fit "
@@ -142,7 +141,8 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
 
     `navigational` is the matching stage's navigational query set; without
     it a click-concentration proxy picks the queries.  Pairwise thresholds
-    derive from the multilevel deltas unless ``default_thresholds`` is set.
+    derive from the multilevel deltas unless ``default_thresholds`` is set;
+    external labels at the defaults.
     A corpus without impressions is a DataError, whatever the methods.
     """
     methods = cfg.methods
@@ -201,7 +201,7 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
             continue
         thresholds = (
             dataclasses.replace(pairwise.DEFAULT_THRESHOLDS, k=cfg.k)
-            if cfg.default_thresholds
+            if method == "external" or cfg.default_thresholds
             else pairwise.derive_thresholds_from_deltas(res.deltas, k=cfg.k))
         eligible = pairwise.eligible_queries(
             corpus, factor, cfg.min_groups, cfg.min_impressions)

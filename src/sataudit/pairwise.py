@@ -25,11 +25,12 @@ under slot swap, so predicted probabilities satisfy
 P(i beats j) = 1 - P(j beats i) exactly.
 
 An external variant labels on page click count alone, for logs without
-dwell fidelity.
+dwell fidelity, always at the default threshold.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -86,44 +87,36 @@ def _round_half_up(v: float) -> int:
 
 def derive_thresholds_from_deltas(deltas: dict[MetricKind, float],
                                   k: float = 2.5) -> PairThresholds:
-    """Thresholds from per-metric group-gap deltas.
+    """The internal cascade's thresholds from per-metric group-gap deltas.
 
-    Any metric whose delta is missing, NaN or non-positive falls back to
-    its default threshold with a warning; a positive delta whose
-    ``k * delta`` is not finite is a ConfigError.
+    Graded utility and successful click count each derive from their
+    delta; a metric whose delta is missing, NaN or non-positive falls
+    back to its default thresholds with a warning, and a positive delta
+    whose ``k * delta`` is not finite is a ConfigError.  The external
+    threshold is always the default.
     """
     if k <= 0:
         raise ConfigError("k must be positive")
-    kinds = (MetricKind.GRADED_UTILITY, MetricKind.SUCCESSFUL_CLICK_COUNT,
-             MetricKind.PAGE_CLICK_COUNT)
-    gu, scc, pcc = (deltas.get(kind, 0.0) for kind in kinds)
-    for kind, delta in zip(kinds, (gu, scc, pcc)):
-        if delta > 0 and not math.isfinite(k * delta):
+    values, fallbacks = {}, []
+    for kind in (MetricKind.GRADED_UTILITY, MetricKind.SUCCESSFUL_CLICK_COUNT):
+        delta = deltas.get(kind, 0.0)
+        strong = k * delta
+        if not delta > 0:
+            fallbacks.append(f"{kind.value} delta unavailable")
+            continue
+        if not math.isfinite(strong):
             raise ConfigError(f"k = {k!r} is too large for the {kind.value} "
                               f"delta {delta!r}: k * delta is not finite")
-    if gu > 0:
-        gu_strong, gu_weak = k * gu, k * gu / 2.0
-    else:
-        logger.warning("graded-utility delta unavailable; "
-                       "falling back to default GU thresholds")
-        gu_strong, gu_weak = DEFAULT_THRESHOLDS.gu_strong, DEFAULT_THRESHOLDS.gu_weak
-    if scc > 0:
-        scc_weak = max(1, _round_half_up(k * scc / 2.0))
-        scc_strong = max(scc_weak + 1, _round_half_up(k * scc))
-    else:
-        logger.warning("successful-click delta unavailable; "
-                       "falling back to default SCC thresholds")
-        scc_strong, scc_weak = (DEFAULT_THRESHOLDS.scc_strong,
-                                DEFAULT_THRESHOLDS.scc_weak)
-    if pcc > 0:
-        pcc_external = max(1, _round_half_up(k * pcc))
-    else:
-        logger.warning("page-click delta unavailable; "
-                       "falling back to the default external threshold")
-        pcc_external = DEFAULT_THRESHOLDS.pcc_external
-    return PairThresholds(gu_strong=gu_strong, scc_strong=float(scc_strong),
-                          gu_weak=gu_weak, scc_weak=float(scc_weak),
-                          pcc_external=float(pcc_external), k=k)
+        if kind is MetricKind.GRADED_UTILITY:
+            values.update(gu_strong=strong, gu_weak=strong / 2.0)
+        else:
+            weak = max(1, _round_half_up(strong / 2.0))
+            values.update(scc_weak=float(weak), scc_strong=float(
+                max(weak + 1, _round_half_up(strong))))
+    # warned only once every delta is known to be usable or not
+    for reason in fallbacks:
+        logger.warning(f"{reason}; falling back to its default thresholds")
+    return dataclasses.replace(DEFAULT_THRESHOLDS, k=k, **values)
 
 
 # ---------------------------------------------------------------------------

@@ -818,12 +818,50 @@ class TestAudit:
                    "pairwise,external", "--default-thresholds",
                    "--out", tmp_path / "out") == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: pairwise and external ")
+        assert err.startswith("config error: external runs alone")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
-        with pytest.raises(ConfigError, match="pairwise and external"):
+        with pytest.raises(ConfigError, match="external runs alone"):
             AuditConfig(methods=("external", "pairwise"),
                         default_thresholds=True)
+
+    @pytest.mark.parametrize("other", ["raw", "matched", "multilevel",
+                                       "pairwise"])
+    @pytest.mark.parametrize("defaults", [[], ["--default-thresholds"]])
+    def test_external_with_any_other_method_is_one_config_error(
+            self, tmp_path, capsys, other, defaults):
+        # every other method needs dwell times; the input does not exist,
+        # so the line comes before any input is read
+        assert run("audit", "--input", tmp_path / "absent.ndjson",
+                   "--methods", f"{other},external", *defaults,
+                   "--out", tmp_path / "out") == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: external runs alone")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_external_alone_labels_at_the_default_thresholds(self,
+                                                             tmp_path):
+        # external needs no multilevel fit, and --default-thresholds
+        # changes nothing but the configuration hash
+        emit(_clicks_only_corpus(), tmp_path / "c.ndjson")
+        outs = [tmp_path / "alone", tmp_path / "defaults"]
+        for out, extra in zip(outs, ([], ["--default-thresholds"])):
+            assert run("audit", "--input", tmp_path / "c.ndjson",
+                       "--methods", "external", *extra, "--out", out) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        assert "external_pair_model.json" in names
+        sha = [json.loads((out / "summary.json").read_text(
+            encoding="utf-8"))["meta"]["config_sha256"].encode()
+            for out in outs]
+        assert sha[0] != sha[1]
+        for name in names:
+            alone = (outs[0] / name).read_bytes()
+            assert sha[0] in alone, name
+            assert alone.replace(sha[0], sha[1]) == \
+                (outs[1] / name).read_bytes(), name
 
     def test_unknown_method(self, tg_dir, tmp_path):
         assert run("audit", "--input", tg_dir / "corpus.ndjson",

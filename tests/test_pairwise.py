@@ -94,10 +94,16 @@ class TestDeriveThresholds:
         assert t.scc_strong == expected_strong
         assert t.scc_weak == expected_weak
 
-    def test_external_threshold(self):
+    @pytest.mark.parametrize("delta", [0.1, 1.0, 3.0, math.nan])
+    def test_a_page_click_delta_never_moves_the_external_threshold(
+            self, delta):
+        # the external labeller always runs at the defaults
         t = derive_thresholds_from_deltas(
-            {MetricKind.PAGE_CLICK_COUNT: 1.0}, k=2.5)
-        assert t.pcc_external == 3
+            {MetricKind.PAGE_CLICK_COUNT: delta,
+             MetricKind.GRADED_UTILITY: 0.16}, k=2.5)
+        assert t.pcc_external == DEFAULT_THRESHOLDS.pcc_external
+        assert t == derive_thresholds_from_deltas(
+            {MetricKind.GRADED_UTILITY: 0.16}, k=2.5)
 
     def test_missing_deltas_fall_back_to_defaults(self):
         t = derive_thresholds_from_deltas({}, k=3.0)
@@ -114,11 +120,11 @@ class TestDeriveThresholds:
                  MetricKind.SUCCESSFUL_CLICK_COUNT: 0.0,
                  MetricKind.PAGE_CLICK_COUNT: -1.0}, k=1.7e308)
         assert t == PairThresholds(k=1.7e308)
-        assert len(caplog.records) == 3
+        # one per derived metric; page clicks derive nothing
+        assert len(caplog.records) == 2
 
     @pytest.mark.parametrize("kind", [MetricKind.GRADED_UTILITY,
-                                      MetricKind.SUCCESSFUL_CLICK_COUNT,
-                                      MetricKind.PAGE_CLICK_COUNT])
+                                      MetricKind.SUCCESSFUL_CLICK_COUNT])
     def test_k_times_delta_must_be_finite(self, kind):
         with pytest.raises(ConfigError) as err:
             derive_thresholds_from_deltas({kind: 1.5}, k=1.7e308)
