@@ -23,6 +23,10 @@ from .logmodel import AgeGroup, Gender, LogCorpus
 from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
 
 METHODS = ("raw", "matched", "multilevel", "pairwise", "external")
+# the metrics that carry a pair-labelling threshold
+THRESHOLD_METRICS = (MetricKind.GRADED_UTILITY,
+                     MetricKind.SUCCESSFUL_CLICK_COUNT,
+                     MetricKind.PAGE_CLICK_COUNT)
 # the (row, column) genders of the age grid that audits report
 GRID_GENDERS = (Gender.MALE, Gender.FEMALE)
 
@@ -199,10 +203,13 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
     for method in ("pairwise", "external"):
         if method not in methods:
             continue
+        # "default" unless derived: requested, or the external labeller
+        source = {kind.value: "default" for kind in THRESHOLD_METRICS}
         thresholds = (
             dataclasses.replace(pairwise.DEFAULT_THRESHOLDS, k=cfg.k)
             if method == "external" or cfg.default_thresholds
-            else pairwise.derive_thresholds_from_deltas(res.deltas, k=cfg.k))
+            else pairwise.derive_thresholds_from_deltas(res.deltas, cfg.k,
+                                                        source))
         eligible = pairwise.eligible_queries(
             corpus, factor, cfg.min_groups, cfg.min_impressions)
         counts = res.counts[method] = pairwise.count_pair_labels(
@@ -225,6 +232,7 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
                        "zero": counts.n_pairs - (positive + negative),
                        "total": counts.n_pairs},
             "thresholds": dataclasses.asdict(thresholds),
+            "threshold_source": source,
             "n_eligible_queries": len(eligible)}
     return res
 

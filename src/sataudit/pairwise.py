@@ -42,7 +42,7 @@ from .errors import ConfigError, DataError, InsufficientSignalError
 from .aggregate import Factor, count_table, query_group_counts
 from .glmfit import CellDesign, Convergence, Family, fit_penalized_glm
 from .logmodel import AgeGroup, Gender, LogCorpus
-from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
+from .metrics import DEFAULT_DWELL_THRESHOLD_S, GU_LEVELS, MetricKind
 
 logger = logging.getLogger(__name__)
 
@@ -55,6 +55,9 @@ DEFAULT_QUERY_FRACTION = 0.1
 QUERY_WEIGHT = 10_000
 # state pairs labelled at once, which bounds the labeller's temporaries
 STATE_PAIR_BLOCK = 1 << 14
+# the largest graded-utility difference of two impressions; no strong
+# threshold at or beyond it can fire
+GU_SPAN = GU_LEVELS[-1] - GU_LEVELS[0]
 
 
 @dataclass(frozen=True)
@@ -86,36 +89,49 @@ def _round_half_up(v: float) -> int:
 
 
 def derive_thresholds_from_deltas(deltas: dict[MetricKind, float],
-                                  k: float = 2.5) -> PairThresholds:
+                                  k: float = 2.5,
+                                  source: dict[str, str] | None = None
+                                  ) -> PairThresholds:
     """The internal cascade's thresholds from per-metric group-gap deltas.
 
     Graded utility and successful click count each derive from their
-    delta; a metric whose delta is missing, NaN or non-positive falls
-    back to its default thresholds with a warning, and a positive delta
-    whose ``k * delta`` is not finite is a ConfigError.  The external
-    threshold is always the default.
+    delta.  A metric whose delta is missing, NaN or non-positive, and
+    graded utility when ``k * delta`` is at or beyond :data:`GU_SPAN`,
+    falls back to its default thresholds with a warning; a positive
+    delta whose ``k * delta`` is not finite is a ConfigError.  The
+    external threshold is always the default.  Each derived metric's
+    value is set in `source`, if given, to "derived" or "fallback".
     """
     if k <= 0:
         raise ConfigError("k must be positive")
-    values, fallbacks = {}, []
-    for kind in (MetricKind.GRADED_UTILITY, MetricKind.SUCCESSFUL_CLICK_COUNT):
+    kinds = (MetricKind.GRADED_UTILITY, MetricKind.SUCCESSFUL_CLICK_COUNT)
+    values, fallbacks = {}, {}
+    for kind in kinds:
         delta = deltas.get(kind, 0.0)
         strong = k * delta
         if not delta > 0:
-            fallbacks.append(f"{kind.value} delta unavailable")
+            fallbacks[kind] = "delta unavailable"
             continue
         if not math.isfinite(strong):
             raise ConfigError(f"k = {k!r} is too large for the {kind.value} "
                               f"delta {delta!r}: k * delta is not finite")
         if kind is MetricKind.GRADED_UTILITY:
+            if strong >= GU_SPAN:
+                fallbacks[kind] = (f"strong threshold k * delta = {strong!r} "
+                                   f"is at or beyond its span {GU_SPAN!r}")
+                continue
             values.update(gu_strong=strong, gu_weak=strong / 2.0)
         else:
             weak = max(1, _round_half_up(strong / 2.0))
             values.update(scc_weak=float(weak), scc_strong=float(
                 max(weak + 1, _round_half_up(strong))))
     # warned only once every delta is known to be usable or not
-    for reason in fallbacks:
-        logger.warning(f"{reason}; falling back to its default thresholds")
+    for kind, reason in fallbacks.items():
+        logger.warning(f"{kind.value} {reason}; falling back to its default "
+                       f"thresholds")
+    if source is not None:
+        source.update({kind.value: "fallback" if kind in fallbacks
+                       else "derived" for kind in kinds})
     return dataclasses.replace(DEFAULT_THRESHOLDS, k=k, **values)
 
 

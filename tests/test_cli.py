@@ -504,6 +504,31 @@ class TestAudit:
         assert model["thresholds"] == dataclasses.asdict(
             derive_thresholds_from_deltas(deltas, k=2.5))
 
+    def test_threshold_source_names_where_each_threshold_came_from(
+            self, tg_dir, tmp_path):
+        log = tg_dir / "corpus.ndjson"
+        assert run("audit", "--input", log, "--methods",
+                   "multilevel,pairwise", "--out", tmp_path / "derived") == 0
+        assert run("audit", "--input", log, "--methods", "pairwise",
+                   "--default-thresholds", "--out", tmp_path / "default") == 0
+        derived, default = (json.loads((tmp_path / name / "summary.json")
+                                       .read_text(encoding="utf-8"))
+                            for name in ("derived", "default"))
+        block = derived["pairwise"]
+        # the true_gap graded-utility delta exceeds 0.8, so k * delta is
+        # beyond the largest GU difference and the GU defaults stand
+        assert derived["multilevel"]["deltas"]["graded_utility"] > 0.8
+        assert block["threshold_source"] == {
+            "graded_utility": "fallback", "successful_click_count": "derived",
+            "page_click_count": "default"}
+        assert (block["thresholds"]["gu_strong"],
+                block["thresholds"]["gu_weak"]) == (0.4, 0.2)
+        assert default["pairwise"]["threshold_source"] == dict.fromkeys(
+            block["threshold_source"], "default")
+        model = json.loads((tmp_path / "derived" / "pair_model.json")
+                           .read_text(encoding="utf-8"))
+        assert model["threshold_source"] == block["threshold_source"]
+
     def test_k_too_large_for_a_delta_is_one_config_error(self, tg_dir,
                                                           tmp_path, capsys):
         assert run("audit", "--input", tg_dir / "corpus.ndjson",
@@ -553,6 +578,7 @@ class TestAudit:
         model = json.loads((out / "external_pair_model.json").read_text(
             encoding="utf-8"))
         assert model["labeler"] == "external"
+        assert set(model["threshold_source"].values()) == {"default"}
         assert model["labels"]["positive"] > 0
         assert model["labels"]["negative"] > 0
         grid = json.loads((out / "external_pair_grid.json").read_text(

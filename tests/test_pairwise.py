@@ -20,7 +20,7 @@ from sataudit.audit import AuditConfig, run_audit
 from sataudit.errors import ConfigError, DataError, InsufficientSignalError
 from sataudit.logmodel import AgeGroup, Gender, LogCorpus
 from sataudit.metrics import MetricKind, metric_table
-from sataudit.pairwise import (DEFAULT_THRESHOLDS, QUERY_WEIGHT,
+from sataudit.pairwise import (DEFAULT_THRESHOLDS, GU_SPAN, QUERY_WEIGHT,
                                PairCounts, PairThresholds, count_pair_labels,
                                derive_thresholds_from_deltas,
                                eligible_queries, fit_pair_model,
@@ -134,6 +134,41 @@ class TestDeriveThresholds:
         # the largest finite product still derives
         t = derive_thresholds_from_deltas({kind: 1.0}, k=1.7e308)
         assert t.k == 1.7e308
+
+    @pytest.mark.parametrize("delta,source", [
+        (0.79, "derived"),      # k * delta = 1.975, below the span
+        (0.8, "fallback"),      # 2.0, which no GU difference exceeds
+        (1.4, "fallback")])
+    def test_gu_threshold_at_or_beyond_its_span_falls_back(
+            self, caplog, delta, source):
+        assert GU_SPAN == 2.0
+        sources = {}
+        with caplog.at_level("WARNING", logger="sataudit.pairwise"):
+            t = derive_thresholds_from_deltas(
+                {MetricKind.GRADED_UTILITY: delta,
+                 MetricKind.SUCCESSFUL_CLICK_COUNT: 1.0}, k=2.5,
+                source=sources)
+        assert sources == {"graded_utility": source,
+                           "successful_click_count": "derived"}
+        assert (t.scc_strong, t.scc_weak) == (3.0, 1.0)
+        if source == "derived":
+            assert (t.gu_strong, t.gu_weak) == (2.5 * delta,
+                                                2.5 * delta / 2.0)
+            assert caplog.records == []
+        else:
+            assert (t.gu_strong, t.gu_weak) == (
+                DEFAULT_THRESHOLDS.gu_strong, DEFAULT_THRESHOLDS.gu_weak)
+            [record] = caplog.records
+            assert record.getMessage().startswith(
+                "graded_utility strong threshold k * delta = ")
+            assert "at or beyond its span 2.0" in record.getMessage()
+
+    def test_source_names_each_fallback(self):
+        sources = {}
+        derive_thresholds_from_deltas({MetricKind.GRADED_UTILITY: 0.16},
+                                      k=2.5, source=sources)
+        assert sources == {"graded_utility": "derived",
+                           "successful_click_count": "fallback"}
 
     def test_nonpositive_k_rejected(self):
         with pytest.raises(ConfigError, match="k must be positive"):
