@@ -27,8 +27,6 @@ METHODS = ("raw", "matched", "multilevel", "pairwise", "external")
 THRESHOLD_METRICS = (MetricKind.GRADED_UTILITY,
                      MetricKind.SUCCESSFUL_CLICK_COUNT,
                      MetricKind.PAGE_CLICK_COUNT)
-# the (row, column) genders of the age grid that audits report
-GRID_GENDERS = (Gender.MALE, Gender.FEMALE)
 
 _GROUP_COUNTS = {f.value: len(f.groups()) for f in Factor}
 
@@ -223,11 +221,14 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
         # expected counts, summed exactly so that no order of the
         # profiles moves them; each loss is a win read the other way
         positive = negative = math.fsum(counts.wins.flat)
-        g, h = (list(Gender).index(x) for x in GRID_GENDERS)
-        grid = pairwise.probability_grid(model)[:, g, :, h].tolist()
+        probs, ages = pairwise.probability_grid(model), [
+            a.label for a in AgeGroup]
         summary[method] = {
-            "grid": {a.label: {b.label: p for b, p in zip(AgeGroup, row)}
-                     for a, row in zip(AgeGroup, grid)},
+            # an age grid per gender, both sides of that gender, so that
+            # every diagonal cell is exactly 0.5
+            "grid": {g.code: {a: dict(zip(ages, row)) for a, row
+                              in zip(ages, probs[:, i, :, i].tolist())}
+                     for i, g in enumerate(Gender)},
             "labels": {"positive": positive, "negative": negative,
                        "zero": counts.n_pairs - (positive + negative),
                        "total": counts.n_pairs},
@@ -314,9 +315,7 @@ def write_audit(result: AuditResult, out: Path, meta: dict) -> None:
             **stats, "model": model.to_dict(),
             "labeler": "internal" if method == "pairwise" else "external",
             "n_sampled_queries": len(result.counts[method].queries)}, meta)
-        gender_i, gender_j = GRID_GENDERS
-        reports.write_json(out / f"{prefix}pair_grid.json", {
-            "gender_i": gender_i.code, "gender_j": gender_j.code,
-            "probabilities": grid}, meta)
+        reports.write_json(out / f"{prefix}pair_grid.json",
+                           {"probabilities": grid}, meta)
 
     reports.write_json(out / "summary.json", summary, meta)

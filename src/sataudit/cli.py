@@ -299,19 +299,21 @@ def _report_sections(summary: dict) -> tuple[list[str], dict]:
              str(fits["convergence"][k.value])] for k in METRICS]
         sections.append("\nmultilevel model group gaps (delta):\n"
                         + _table(rows))
-    ages = [a.label for a in AgeGroup]
+    ages, genders = [a.label for a in AgeGroup], [g.code for g in Gender]
     for key, plot in (("pairwise", "plot_pair_probs.csv"),
                       ("external", "plot_external_pair_probs.csv")):
         if key not in summary:
             continue
-        grid = summary[key]["grid"]
-        rows = [["age"] + ages] + [[a] + [f"{grid[a][b]:.4f}" for b in ages]
-                                   for a in ages]
-        sections.append(f"\n{key} P(row beats column) (M vs F):\n"
-                        + _table(rows))
-        plots[plot] = dict(zip(("age_i", "age_j", "probability"), zip(
-            *((a, b, grid[a][b]) for a in sorted(grid)
-              for b in sorted(grid[a])))))
+        grids = summary[key]["grid"]
+        for g in genders:
+            rows = [["age"] + ages] + [
+                [a] + [f"{grids[g][a][b]:.4f}" for b in ages] for a in ages]
+            sections.append(f"\n{key} P(row beats column) ({g} vs {g}):\n"
+                            + _table(rows))
+        plots[plot] = dict(zip(
+            ("gender", "age_i", "age_j", "probability"),
+            zip(*((g, a, b, grids[g][a][b]) for g in genders
+                  for a in sorted(grids[g]) for b in sorted(grids[g][a])))))
     return sections, plots
 
 

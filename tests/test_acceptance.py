@@ -244,13 +244,17 @@ def test_criterion_5_labeler_fidelity(truegap_data):
 def test_criterion_6_pairwise_null_and_detection(null_data, truegap_data):
     t0 = time.perf_counter()
 
+    reported = []                       # the age grids each audit reports
+
     def pair_fit(corpus, fraction=None, seed=0):
         kw = {}
         if fraction is not None:
             kw["pair_fraction"] = fraction
         cfg = AuditConfig(methods="pairwise", default_thresholds=True,
                           seed=seed, **kw)
-        return run_audit(corpus, cfg).models["pairwise"]
+        result = run_audit(corpus, cfg)
+        reported.extend(result.summary["pairwise"]["grid"].values())
+        return result.models["pairwise"]
 
     null_corpus, _ = null_data
     null_model = pair_fit(null_corpus, fraction=1.0, seed=20240601)
@@ -281,6 +285,10 @@ def test_criterion_6_pairwise_null_and_detection(null_data, truegap_data):
     p = pairwise.probability_grid(gap_model)
     worst = float(np.abs(p + p.transpose(2, 3, 0, 1) - 1.0).max())
     assert worst == 0.0
+    # a reported grid sets a gender against itself, so a group never
+    # beats itself
+    assert len(reported) == 10
+    assert {grid[a][a] for grid in reported for a in grid} == {0.5}
 
     elapsed = time.perf_counter() - t0
     detect = min(probs[0.15].values())
@@ -288,6 +296,8 @@ def test_criterion_6_pairwise_null_and_detection(null_data, truegap_data):
           f"null band [{min(flat):.4f}, {max(flat):.4f}]; "
           f"P(oldest wins) at offset 0.15 >= {detect:.3f}; "
           f"monotone in offset per pairing; "
+          f"every diagonal of the {len(reported)} reported grids "
+          f"exactly 0.5; "
           f"complement deviation {worst:.1e}; {elapsed:.1f}s")
 
 
@@ -593,13 +603,14 @@ def _m1_gaps(tmp_path: Path, seed: int) -> dict[str, float]:
     # the same pairs are sampled and labelled: labels read behaviour only
     assert swapped["pairwise"]["labels"] == file["pairwise"]["labels"]
     assert file["pairwise"]["labels"]["positive"] > 0, seed
-    # the deltas, and the grid, to rounding: a grid cell p[a][b] is P(an M
-    # of age a beats an F of age b), so the swapped log reads 1 - p[b][a]
+    # the deltas, and the grids, to rounding: a grid cell p[g][a][b] is
+    # P(a g of age a beats a g of age b), so the swapped log reads it
+    # under the other gender
     gaps = {kind: abs(swapped["multilevel"]["deltas"][kind] - d)
             for kind, d in file["multilevel"]["deltas"].items()}
     grid, grid_swapped = file["pairwise"]["grid"], swapped["pairwise"]["grid"]
-    gaps["grid"] = max(abs(grid_swapped[a][b] - (1.0 - grid[b][a]))
-                       for a in grid for b in grid)
+    gaps["grid"] = max(abs(grid_swapped[other[g]][a][b] - grid[g][a][b])
+                       for g in grid for a in grid[g] for b in grid[g])
     return _within_fit_rounding(gaps, out["file"])
 
 
@@ -667,14 +678,14 @@ def test_m2_age_cycle_permutes_the_age_rows(tmp_path):
     assert cycled["pairwise"]["labels"] == file["pairwise"]["labels"]
     assert file["pairwise"]["labels"]["positive"] > 0
 
-    # the deltas, and the grid, to rounding: a grid cell p[a][b] is P(an M
-    # of age a beats an F of age b), so the cycled log reads it at
-    # p'[pi(a)][pi(b)]
+    # the deltas, and the grids, to rounding: a grid cell p[g][a][b] is
+    # P(a g of age a beats a g of age b), so the cycled log reads it at
+    # p'[g][pi(a)][pi(b)]
     gaps = {kind: abs(cycled["multilevel"]["deltas"][kind] - d)
             for kind, d in file["multilevel"]["deltas"].items()}
     grid, grid_cycled = file["pairwise"]["grid"], cycled["pairwise"]["grid"]
-    gaps["grid"] = max(abs(grid_cycled[pi[a]][pi[b]] - grid[a][b])
-                       for a in grid for b in grid)
+    gaps["grid"] = max(abs(grid_cycled[g][pi[a]][pi[b]] - grid[g][a][b])
+                       for g in grid for a in grid[g] for b in grid[g])
     worst = _within_fit_rounding(gaps, out["file"])
     print(f"M2 (age 4-cycle): PASS; raw and matched rows permuted exactly, "
           f"raw and matched summary blocks and labels "

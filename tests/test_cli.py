@@ -491,12 +491,18 @@ class TestAudit:
         assert model["thresholds"]["k"] == 2.5
         grid = json.loads((tmp_path / "pair_grid.json").read_text(
             encoding="utf-8"))
+        assert set(grid) == {"meta", "probabilities"}
         probs = grid["probabilities"]
-        for a in AgeGroup:
-            for b in AgeGroup:
-                assert 0.0 < probs[a.label][b.label] < 1.0
+        # an age grid per gender, both sides of that gender
+        assert set(probs) == {g.code for g in Gender}
+        for g in Gender:
+            for a in AgeGroup:
+                assert probs[g.code][a.label][a.label] == 0.5
+                for b in AgeGroup:
+                    assert 0.0 < probs[g.code][a.label][b.label] < 1.0
         summary = json.loads((tmp_path / "summary.json").read_text(
             encoding="utf-8"))
+        assert summary["pairwise"]["grid"] == probs
         assert set(summary["multilevel"]["deltas"]) == \
             {k.value for k in MetricKind}
         deltas = {MetricKind(k): v
@@ -583,10 +589,10 @@ class TestAudit:
         assert model["labels"]["negative"] > 0
         grid = json.loads((out / "external_pair_grid.json").read_text(
             encoding="utf-8"))
-        probs = grid["probabilities"]
         young, old = AgeGroup.G1.label, AgeGroup.G4.label
-        assert probs[old][young] > 0.5
-        assert probs[young][old] < 0.5
+        for probs in grid["probabilities"].values():
+            assert probs[old][young] > 0.5
+            assert probs[young][old] < 0.5
 
     @pytest.mark.parametrize("method", audit.METHODS)
     @pytest.mark.parametrize("log", ["empty.ndjson", "header.csv"])
@@ -1198,6 +1204,28 @@ class TestReport:
         assert [r["metric"] for r in rows] == \
             [k.value for k in MetricKind]
 
+    def test_report_prints_a_pair_table_per_gender(self, tmp_path):
+        emit(_clicks_only_corpus(), tmp_path / "c.ndjson")
+        audit_dir = tmp_path / "audit"
+        assert run("audit", "--input", tmp_path / "c.ndjson",
+                   "--methods", "external", "--out", audit_dir) == 0
+        assert run("report", "--audit-dir", audit_dir,
+                   "--out", tmp_path / "report") == 0
+        text = (tmp_path / "report" / "report.txt").read_text(
+            encoding="utf-8")
+        assert text.index("external P(row beats column) (M vs M):") < \
+            text.index("external P(row beats column) (F vs F):")
+        grid = json.loads((audit_dir / "summary.json").read_text(
+            encoding="utf-8"))["external"]["grid"]
+        _, rows = read_report_csv(tmp_path / "report" /
+                                  "plot_external_pair_probs.csv")
+        assert list(rows[0]) == ["gender", "age_i", "age_j", "probability"]
+        assert [r["gender"] for r in rows] == ["M"] * 16 + ["F"] * 16
+        assert all(float(r["probability"]) ==
+                   grid[r["gender"]][r["age_i"]][r["age_j"]] for r in rows)
+        assert {r["probability"] for r in rows
+                if r["age_i"] == r["age_j"]} == {"0.5"}
+
     def test_report_without_summary(self, tmp_path):
         assert run("report", "--audit-dir", tmp_path,
                    "--out", tmp_path) == 2
@@ -1218,7 +1246,8 @@ class TestReport:
 
     @pytest.mark.parametrize("summary,message", [
         ({"multilevel": {}}, "KeyError: 'deltas'"),
-        ({"pairwise": {"grid": {"<18": {"<18": 0.5}}}}, "KeyError: '18-34'"),
+        ({"pairwise": {"grid": {"M": {"<18": {"<18": 0.5}}}}},
+         "KeyError: '18-34'"),
         ({"raw": {"span": {"graded_utility": "0.3"}}},
          "ValueError: Unknown format code 'f'")])
     def test_malformed_summary_is_a_data_error(self, tmp_path, capsys,
