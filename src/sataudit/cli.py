@@ -322,6 +322,15 @@ def _report_sections(summary: dict) -> tuple[list[str], dict]:
 
 # how an audit flag parses its text, by the field's annotation (else str)
 _FLAG_TYPES = {"int": int, "int | None": int, "float": float}
+# the help of the audit flags whose rules their names do not say
+_FLAG_HELP = {
+    "methods": "comma list from: " + ", ".join(METHODS) + "; external, "
+               "the clicks-only labeller, runs alone and always at the "
+               "default thresholds",
+    "default_thresholds": "label pairwise at the default thresholds "
+                          "instead of deriving them from the multilevel "
+                          "deltas; pairwise without multilevel needs it",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,13 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     # a flag per AuditConfig field, which checks every value; an unset
     # flag (None) keeps the config value
     for f in dataclasses.fields(AuditConfig):
-        flag = "--" + f.name.replace("_", "-")
-        if f.type == "bool":
-            p_aud.add_argument(flag, action=argparse.BooleanOptionalAction)
-        else:
-            p_aud.add_argument(flag, type=_FLAG_TYPES.get(f.type, str),
-                               help=("comma list from: " + ", ".join(METHODS)
-                                     if f.name == "methods" else None))
+        parse = ({"action": argparse.BooleanOptionalAction}
+                 if f.type == "bool"
+                 else {"type": _FLAG_TYPES.get(f.type, str)})
+        p_aud.add_argument("--" + f.name.replace("_", "-"),
+                           help=_FLAG_HELP.get(f.name), **parse)
     p_aud.add_argument("--out")
     p_aud.set_defaults(func=cmd_audit)
 
