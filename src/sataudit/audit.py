@@ -24,9 +24,9 @@ from .metrics import DEFAULT_DWELL_THRESHOLD_S, MetricKind
 
 METHODS = ("raw", "matched", "multilevel", "pairwise", "external")
 # the metrics that carry a pair-labelling threshold
-THRESHOLD_METRICS = (MetricKind.GRADED_UTILITY,
-                     MetricKind.SUCCESSFUL_CLICK_COUNT,
-                     MetricKind.PAGE_CLICK_COUNT)
+_THRESHOLD_METRICS = (MetricKind.GRADED_UTILITY,
+                      MetricKind.SUCCESSFUL_CLICK_COUNT,
+                      MetricKind.PAGE_CLICK_COUNT)
 
 _GROUP_COUNTS = {f.value: len(f.groups()) for f in Factor}
 
@@ -202,7 +202,7 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
         if method not in methods:
             continue
         # "default" unless derived: requested, or the external labeller
-        source = {kind.value: "default" for kind in THRESHOLD_METRICS}
+        source = {kind.value: "default" for kind in _THRESHOLD_METRICS}
         thresholds = (
             dataclasses.replace(pairwise.DEFAULT_THRESHOLDS, k=cfg.k)
             if method == "external" or cfg.default_thresholds
@@ -221,8 +221,8 @@ def run_audit(corpus: LogCorpus, cfg: AuditConfig = AuditConfig(),
         # expected counts, summed exactly so that no order of the
         # profiles moves them; each loss is a win read the other way
         positive = negative = math.fsum(counts.wins.flat)
-        probs, ages = pairwise.probability_grid(model), [
-            a.label for a in AgeGroup]
+        probs = pairwise.probability_grid(model)
+        ages = [a.label for a in AgeGroup]
         summary[method] = {
             # an age grid per gender, both sides of that gender, so that
             # every diagonal cell is exactly 0.5

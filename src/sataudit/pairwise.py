@@ -125,7 +125,7 @@ def derive_thresholds_from_deltas(deltas: dict[MetricKind, float],
             weak = max(1, _round_half_up(strong / 2.0))
             values.update(scc_weak=float(weak), scc_strong=float(
                 max(weak + 1, _round_half_up(strong))))
-    # warned only once every delta is known to be usable or not
+    # warned only once no ConfigError can follow, so that one comes alone
     for kind, reason in fallbacks.items():
         logger.warning(f"{kind.value} {reason}; falling back to its default "
                        f"thresholds")
