@@ -30,11 +30,10 @@ dwell fidelity, always at the default threshold.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,7 +131,7 @@ def derive_thresholds_from_deltas(deltas: dict[MetricKind, float],
     if source is not None:
         source.update({kind.value: "fallback" if kind in fallbacks
                        else "derived" for kind in kinds})
-    return dataclasses.replace(DEFAULT_THRESHOLDS, k=k, **values)
+    return replace(DEFAULT_THRESHOLDS, k=k, **values)
 
 
 # ---------------------------------------------------------------------------
